@@ -411,9 +411,6 @@ class TwistGroup:
     def product_index(self, i: int, j: int) -> int:
         return self._table[i][j]
 
-    def inverse_index(self, i: int) -> int:
-        return self._table[i].index(self.identity)
-
     def element_order(self, i: int) -> int:
         order, j = 1, i
         while j != self.identity:
@@ -436,14 +433,6 @@ class TwistGroup:
             return True
         except ValueError:
             return False
-
-    def powers_of_generator(self) -> list[int]:
-        """Element indices [g^1, g^2, ..., g^k = identity] for cyclic groups."""
-        g = self.generator_index()
-        out = [g]
-        while out[-1] != self.identity:
-            out.append(self._table[out[-1]][g])
-        return out
 
 
 def even_twist_group(N: int) -> TwistGroup:

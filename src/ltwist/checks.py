@@ -30,6 +30,14 @@ from ltwist.exactnum import (
 from ltwist.report import Check, SkipCheck, fmt_float
 
 
+def _require(cond, *witness) -> None:
+    """Fail the check unless cond holds.  Unlike `assert` this survives
+    `python -O`; it raises AssertionError(*witness), so a failing row reads
+    as a failed `assert cond, witness` would."""
+    if not cond:
+        raise AssertionError(*witness)
+
+
 def _even_nontrivial(N: int) -> list[PeriodicFn]:
     out = []
     for chi in dirichlet_characters(N):
@@ -59,12 +67,12 @@ def check_field_axioms(cfg) -> str:
 
     for _ in range(40):
         a, b, c = sample(), sample(), sample()
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + b == b + a and a * b == b * a
+        _require((a + b) + c == a + (b + c))
+        _require((a * b) * c == a * (b * c))
+        _require(a * (b + c) == a * b + a * c)
+        _require(a + b == b + a and a * b == b * a)
         if not a.is_zero:
-            assert a * a.inverse() == 1
+            _require(a * a.inverse() == 1)
     return "40 samples, orders <= 24"
 
 
@@ -96,9 +104,9 @@ def check_twist_group_axioms(cfg) -> str:
     for N in (5, 7, 9, 11, 15):
         G = even_twist_group(N)  # construction verifies the group laws
         for idx, e in enumerate(G.elements):
-            assert e.even
+            _require(e.even)
             if idx != G.identity:
-                assert e.mean_zero
+                _require(e.mean_zero)
         counts.append(len(G))
     quadratic_field_group(5)
     quadratic_field_group(2)
@@ -116,7 +124,7 @@ def check_orthogonality(cfg) -> str:
                 for j in range(1, N + 1):
                     total = q_add(total, q_mul(chi(j), q_conj(psi(j))))
                 want = rat(euler_phi(N)) if a == b else rat(0)
-                assert q_eq(total, want), (N, a, b)
+                _require(q_eq(total, want), (N, a, b))
     return "moduli 5, 7, 12"
 
 
@@ -125,7 +133,7 @@ def check_table_roundtrip(cfg) -> str:
         for chi in dirichlet_characters(N)[:3]:
             text = chi.to_text()
             back = PeriodicFn.from_text(text)
-            assert back == chi and back.to_text() == text
+            _require(back == chi and back.to_text() == text)
     return "bit-exact"
 
 
@@ -144,7 +152,7 @@ def check_class_numbers(cfg) -> str:
     expected = {7: 1, 11: 1, 19: 1, 23: 3, 31: 3, 47: 5}
     for q, h in expected.items():
         got = lvalues.class_number_imag_quadratic(q)
-        assert got == h, (q, got, h)
+        _require(got == h, (q, got, h))
     return f"{expected}"
 
 
@@ -152,13 +160,13 @@ def check_lvalue_agreement(cfg) -> str:
     n_checked = 0
     for N in range(1, 31):
         for chi in dirichlet_characters(N):
-            assert q_eq(lvalues.l_zero(chi), lvalues.l_special(1, chi))
-            assert q_eq(lvalues.l_minus_one(chi), lvalues.l_special(2, chi))
+            _require(q_eq(lvalues.l_zero(chi), lvalues.l_special(1, chi)))
+            _require(q_eq(lvalues.l_minus_one(chi), lvalues.l_special(2, chi)))
             n_checked += 1
     for N in range(3, 16, 2):
         for f in folded_power_family(N).elements:
-            assert q_eq(lvalues.l_zero(f), lvalues.l_special(1, f))
-            assert q_eq(lvalues.l_minus_one(f), lvalues.l_special(2, f))
+            _require(q_eq(lvalues.l_zero(f), lvalues.l_special(1, f)))
+            _require(q_eq(lvalues.l_minus_one(f), lvalues.l_special(2, f)))
             n_checked += 1
     return f"{n_checked} functions"
 
@@ -168,24 +176,24 @@ def check_odd_vanishing(cfg) -> str:
     for N in range(3, 31):
         for chi in dirichlet_characters(N):
             if not chi.even:
-                assert q_is_zero(lvalues.l_minus_one(chi)), N
+                _require(q_is_zero(lvalues.l_minus_one(chi)), N)
                 n_checked += 1
     return f"{n_checked} odd characters"
 
 
 def check_bernoulli(cfg) -> str:
-    assert lvalues.bernoulli_poly(0).coeffs == (rat(1),)
-    assert lvalues.bernoulli_poly(1).coeffs == (rat(-1, 2), rat(1))
-    assert lvalues.bernoulli_poly(2).coeffs == (rat(1, 6), rat(-1), rat(1))
+    _require(lvalues.bernoulli_poly(0).coeffs == (rat(1),))
+    _require(lvalues.bernoulli_poly(1).coeffs == (rat(-1, 2), rat(1)))
+    _require(lvalues.bernoulli_poly(2).coeffs == (rat(1, 6), rat(-1), rat(1)))
     for n in range(1, 21):
         Bn = lvalues.bernoulli_poly(n)
         dd = Bn.derivative()
         want = lvalues.bernoulli_poly(n - 1)
-        assert all(
+        _require(all(
             dd.coeffs[i] == rat(n) * want.coeffs[i] for i in range(len(dd.coeffs))
-        )
+        ))
         total = sum((c / (i + 1) for i, c in enumerate(Bn.coeffs)), rat(0))
-        assert total == 0
+        _require(total == 0)
     return "derivative and normalization, n <= 20"
 
 
@@ -197,12 +205,12 @@ def check_exact_limits(cfg, N: int) -> str:
     if not chars:
         raise SkipCheck(f"no even nontrivial characters mod {N}")
     for chi in chars:
-        assert q_eq(
+        _require(q_eq(
             summation.limit_exact_periodic(chi, "const"), lvalues.l_zero(chi)
-        )
-        assert q_eq(
+        ))
+        _require(q_eq(
             summation.limit_exact_periodic(chi, "linear"), lvalues.l_minus_one(chi)
-        )
+        ))
     return f"{len(chars)} characters"
 
 
@@ -239,6 +247,13 @@ def check_replay_table(cfg) -> tuple:
     return ok, "{-1/2, 1/4, -1/12}", f"got {table}"
 
 
+# 1-4+9-16+..., one object for both squares rows, so that its float prefix
+# (SeqSpec.floats) is built from the exact terms once per process.
+_SQUARES = summation.SeqSpec.from_function(
+    lambda i: rat(i * i) * (1 if i % 2 == 1 else -1), period_hint=2
+)
+
+
 def check_squares_series(cfg) -> tuple:
     """Stated worked value of 1-4+9-16+... under iterated averaging.
 
@@ -247,10 +262,7 @@ def check_squares_series(cfg) -> tuple:
     honestly as a failure; see check 'summation:squares-facts' for what the
     engine does establish.
     """
-    series = summation.SeqSpec.from_function(
-        lambda i: rat(i * i) * (1 if i % 2 == 1 else -1), period_hint=2
-    )
-    b = summation.partial_sums(series)
+    b = summation.partial_sums(_SQUARES)
     best = None
     for depth in (1, 2, 3, 4):
         rep = summation.limit_numeric(b, depth, cfg.n_terms, cfg.tolerance)
@@ -271,10 +283,7 @@ def check_squares_facts(cfg) -> tuple:
     """What iterated averaging provably does on 1-4+9-16+...: no convergence
     at depths 1-2 (the depth-2 averages straddle +-1/8), convergence to 0 at
     depth 3 within the tolerance."""
-    series = summation.SeqSpec.from_function(
-        lambda i: rat(i * i) * (1 if i % 2 == 1 else -1), period_hint=2
-    )
-    b = summation.partial_sums(series)
+    b = summation.partial_sums(_SQUARES)
     r1 = summation.limit_numeric(b, 1, cfg.n_terms, cfg.tolerance)
     r2 = summation.limit_numeric(b, 2, cfg.n_terms, cfg.tolerance)
     r3 = summation.limit_numeric(b, 3, cfg.n_terms, cfg.tolerance)
@@ -311,7 +320,7 @@ def check_inflation_compat(cfg) -> str:
             for k in range(2, 6):
                 avg_k = summation.cesaro(summation.inflate(base, k))
                 for i in range(1, 40):
-                    assert q_eq(avg_k.term(k * i), avg.term(i)), (N, k, i)
+                    _require(q_eq(avg_k.term(k * i), avg.term(i)), (N, k, i))
                 checked += 1
     quad5 = _quad_char(5)
     base = summation.partial_sums(summation.periodic_series(quad5, "const"))
@@ -320,7 +329,7 @@ def check_inflation_compat(cfg) -> str:
         rep = summation.limit_numeric(
             summation.inflate(base, k), 1, cfg.n_terms, cfg.tolerance
         )
-        assert rep.converged and abs(complex(rep.value) - want) < cfg.tolerance, k
+        _require(rep.converged and abs(complex(rep.value) - want) < cfg.tolerance, k)
     return f"{checked} exact subsequence identities, numeric limits stable"
 
 
@@ -332,7 +341,7 @@ def check_regularity(cfg) -> str:
     ]
     for seq, want in probes:
         rep = summation.limit_numeric(seq, 1, 20_000, 1e-2)
-        assert rep.converged and abs(complex(rep.value) - want) < 1e-2
+        _require(rep.converged and abs(complex(rep.value) - want) < 1e-2)
     return "averaging preserves genuine limits"
 
 
@@ -495,7 +504,7 @@ def check_qtrace_counts(cfg) -> str:
         for deg in range(0, 18):
             count = _count_partitions(deg, allowed, N)
             got = tr.coefficient(rat(deg) + rat(fock.vacuum_energies(G, i).d))
-            assert got == count, (i, deg, got, count)
+            _require(got == count, (i, deg, got, count))
     return "combinatorial oracle agrees through degree 17"
 
 
@@ -518,12 +527,12 @@ def _count_partitions(deg: int, residues, N: int) -> int:
 
 
 def check_euler(cfg) -> str:
-    assert qseries.euler_check(cfg.euler_order)
+    _require(qseries.euler_check(cfg.euler_order))
     return f"order {cfg.euler_order}"
 
 
 def check_jacobi(cfg) -> str:
-    assert qseries.jacobi_check(cfg.jacobi_order, cfg.jacobi_z_range)
+    _require(qseries.jacobi_check(cfg.jacobi_order, cfg.jacobi_z_range))
     return f"order {cfg.jacobi_order}, |z| <= {cfg.jacobi_z_range}"
 
 
@@ -532,7 +541,7 @@ def check_triple_product_specialization(cfg) -> str:
     for k in (1, 2, 3):
         for j in range(1, k + 1):
             lhs, rhs = qseries.specialize_314(k, j, cfg.series_order)
-            assert lhs == rhs, (k, j)
+            _require(lhs == rhs, (k, j))
             cases += 1
     return f"{cases} (k, j) pairs at order {cfg.series_order}"
 
@@ -541,13 +550,13 @@ def check_restricted_product_theta(cfg) -> str:
     cases = 0
     for k in (2, 3):
         for j in range(1, k + 1):
-            assert qseries.verify_316(k, j, cfg.series_order), (k, j)
+            _require(qseries.verify_316(k, j, cfg.series_order), (k, j))
             cases += 1
     return f"{cases} (k, j) pairs at order {cfg.series_order}"
 
 
 def check_eta_theta(cfg) -> str:
-    assert qseries.eta_theta_check(cfg.series_order)
+    _require(qseries.eta_theta_check(cfg.series_order))
     return f"order {cfg.series_order}"
 
 
@@ -560,7 +569,7 @@ def check_prefactor_exponents(cfg) -> str:
             e = fock.vacuum_energies(G, i)
             j = e.residue
             shift = rat(1, 24) - rat((N - 2 * j) ** 2, 8 * N)
-            assert q_eq(shift, q_mul(-1, e.d)), (N, i)
+            _require(q_eq(shift, q_mul(-1, e.d)), (N, i))
     return "moduli 5 and 7"
 
 
@@ -578,15 +587,15 @@ def check_cocycle(cfg, name: str) -> str:
     for H in (3, 4, 5):
         sys_ = coc.build_system(name, H)
         dim, basis = coc.nullspace_dim(sys_)
-        assert dim == 2, (name, H, dim)
+        _require(dim == 2, (name, H, dim))
         for vec in basis:
-            assert coc.fit_cubic(sys_, vec) is not None, (name, H)
+            _require(coc.fit_cubic(sys_, vec) is not None, (name, H))
     return "dim 2 with basis {m, m^3} at heights 3..5"
 
 
 def check_cocycle_recursion(cfg) -> str:
     for name in ("Q", "Q(sqrt2)", "Q(sqrt5)"):
-        assert coc.verify_449(name, 4), name
+        _require(coc.verify_449(name, 4), name)
     return "line recursion holds for the null-space basis"
 
 

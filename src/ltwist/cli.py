@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from ltwist.exactnum import rat, scalar_str
@@ -333,6 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_cesaro)
 
     q = sub.add_parser("dirichlet-avg", help="averaged partial sums of L(s, chi)")
+    # argparse takes "-1/2" for an option unless it looks like a negative
+    # number; widen that test to negative rationals so "--s -1/2" parses
+    q._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     q.add_argument("--modulus", type=int, required=True)
     q.add_argument("--char", type=int, default=0)
     q.add_argument("--s", required=True)

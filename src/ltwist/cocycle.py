@@ -13,6 +13,7 @@ alpha(m) = m^3.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,40 +36,32 @@ class QuadField:
             raise ValueError("d must be a squarefree integer other than 0, 1")
         self.d = d
         self.rank = 1 if d is None else 2
-        if d is None:
-            self.half_disc = None
-        else:
-            self.wsq_lin, self.wsq_const = (
-                (1, rat(d - 1, 4)) if d % 4 == 1 else (0, rat(d))
-            )
+        if d is not None:
+            # w^2 = wsq_lin w + wsq_const, integral since w is an algebraic integer
+            self.wsq_lin, self.wsq_const = (1, (d - 1) // 4) if d % 4 == 1 else (0, d)
+        self.zero = (0,) * self.rank
+        self.one = (1,) + (0,) * (self.rank - 1)
 
     def name(self) -> str:
         if self.d is None:
             return "Q"
         return "Q(i)" if self.d == -1 else f"Q(sqrt{self.d})"
 
-    # elements are tuples of mpq of length self.rank
+    # Elements are coordinate tuples of length self.rank: plain ints for the
+    # integral constraint systems, rationals once a division (inv) enters.
     def element(self, *coords):
         if len(coords) != self.rank:
             raise ValueError("coordinate count must match the field rank")
-        return tuple(rat(c) for c in coords)
-
-    @property
-    def zero(self):
-        return self.element(*([0] * self.rank))
-
-    @property
-    def one(self):
-        return self.element(*([1] + [0] * (self.rank - 1)))
+        return tuple(c if isinstance(c, int) else rat(c) for c in coords)
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(map(operator.sub, a, b))
 
     def neg(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(operator.neg, a))
 
     def mul(self, a, b):
         if self.rank == 1:
@@ -83,7 +76,7 @@ class QuadField:
         if self.rank == 1:
             if a[0] == 0:
                 raise ZeroDivisionError
-            return (1 / a[0],)
+            return (1 / rat(a[0]),)
         a0, a1 = a
         # conjugate and norm on the {1, w} basis
         if self.d % 4 == 1:
@@ -93,16 +86,16 @@ class QuadField:
         norm = self.mul(a, conj)
         if norm[1] != 0:
             raise ArithmeticError("norm must be rational")
-        n = norm[0]
-        if n == 0:
+        if norm[0] == 0:
             raise ZeroDivisionError
+        n = rat(norm[0])
         return tuple(c / n for c in conj)
 
     def is_zero(self, a) -> bool:
-        return all(c == 0 for c in a)
+        return not any(a)
 
     def from_int(self, n: int):
-        return self.element(*([n] + [0] * (self.rank - 1)))
+        return (n,) + (0,) * (self.rank - 1)
 
     def cube(self, a):
         return self.mul(a, self.mul(a, a))
@@ -122,34 +115,22 @@ class CocycleSystem:
     height: int
     unknowns: list          # canonical box representatives (one per +- pair)
     index: dict             # canonical element -> unknown position
-    rows: list              # list of {position: K coefficient}
+    rows: list              # list of {position: K coefficient}, int coordinates
     box: list               # all nonzero box elements
-
-    def canonical(self, m):
-        """(sign, representative) identifying alpha(-m) = -alpha(m)."""
-        for c in m:
-            if c > 0:
-                return 1, m
-            if c < 0:
-                return -1, tuple(-x for x in m)
-        raise ValueError("zero has no canonical sign")
 
 
 def build_system(d, H: int) -> CocycleSystem:
     """All functional-equation constraints with m, n, m + n inside the
-    coordinate box of height H, after imposing alpha(0) = 0 and antisymmetry."""
+    coordinate box of height H, after imposing alpha(0) = 0 and antisymmetry.
+    Box points and coefficients are sums of m, n, 2m, 2n: integer tuples."""
     K = d if isinstance(d, QuadField) else QuadField(FIELDS[d] if isinstance(d, str) else d)
     if H < 3:
         raise ValueError("height must be at least 3")
     rng = range(-H, H + 1)
     if K.rank == 1:
-        box = [(rat(x),) for x in rng if x != 0]
+        box = [(x,) for x in rng if x != 0]
     else:
-        box = [
-            (rat(x), rat(y))
-            for x in rng for y in rng
-            if not (x == 0 and y == 0)
-        ]
+        box = [(x, y) for x in rng for y in rng if not (x == 0 and y == 0)]
     reps = []
     index = {}
     for m in box:
@@ -184,6 +165,7 @@ def build_system(d, H: int) -> CocycleSystem:
 
 
 def _canonical(m):
+    """(sign, representative) identifying alpha(-m) = -alpha(m)."""
     for c in m:
         if c > 0:
             return 1, m
@@ -295,7 +277,7 @@ def fit_cubic(sys_: CocycleSystem, vec) -> Optional[tuple]:
     # solve a + b = vec(1), 2a + 8b = vec(2)
     y1, y2 = vec[p1], vec[p2]
     six_b = K.sub(y2, K.add(y1, y1))
-    b = tuple(c / 6 for c in six_b)
+    b = tuple(rat(c) / 6 for c in six_b)
     a = K.sub(y1, b)
     for pos, r in enumerate(sys_.unknowns):
         want = K.add(K.mul(a, r), K.mul(b, K.cube(r)))

@@ -367,11 +367,6 @@ class CycloNum:
     def __repr__(self):
         return cyclo_str(self)
 
-    # -- numeric embedding ----------------------------------------------
-
-    def embed(self, precision_bits: int = 128):
-        return cyclo_embed(self, precision_bits)
-
     def fingerprint(self) -> tuple:
         return ("c", self.order) + tuple(
             (c.numerator, c.denominator) for c in self.coeffs
@@ -505,10 +500,6 @@ def q_mul(a, b):
     if isinstance(b, CycloNum):
         return b * rat(a)
     return a * b
-
-
-def q_neg(a):
-    return -a
 
 
 def q_eq(a, b) -> bool:

@@ -522,11 +522,6 @@ def commutator_window(D: int, *shift_budgets: int) -> list[Partition]:
 _OP_REGISTRY: dict = {}
 
 
-def clear_operator_cache() -> None:
-    """Drop memoized operator instances and their column caches."""
-    _OP_REGISTRY.clear()
-
-
 def build_L(chi: PeriodicFn, n: int, D: Optional[int] = None, l: int = 1) -> Operator:
     """(1/2N) sum_j chi(j) :a_{-lj} a_{l(j + nN)}: on partition states.
 

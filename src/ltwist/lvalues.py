@@ -6,7 +6,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from ltwist.characters import PeriodicFn
+from ltwist.characters import PeriodicFn, _is_prime
 from ltwist.exactnum import Scalar, q_add, q_is_zero, q_mul, rat
 
 MAX_BERNOULLI_DEGREE = 64
@@ -144,17 +144,6 @@ def legendre_symbol(k: int, q: int) -> int:
     if r == 0:
         return 0
     return 1 if r == 1 else -1
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
 
 
 def class_number_imag_quadratic(q: int) -> int:

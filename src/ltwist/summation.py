@@ -11,15 +11,21 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from ltwist.characters import PeriodicFn
-from ltwist.exactnum import CycloNum, Scalar, cyclo_embed, q_add, q_mul, rat
+from ltwist.exactnum import RAT_TYPES, CycloNum, Scalar, cyclo_embed, q_add, q_mul, rat
 MAX_CESARO_DEPTH = 4
 
 
 def _scalar_complex(v) -> complex:
     if isinstance(v, CycloNum):
         return complex(cyclo_embed(v, 64))
-    v = rat(v)
+    if not isinstance(v, RAT_TYPES):
+        v = rat(v)
     return complex(int(v.numerator) / int(v.denominator))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class SeqSpec:
@@ -28,6 +34,11 @@ class SeqSpec:
     `term(i)` (1-indexed) returns the exact value; `floats(n)` returns the
     first n values as a complex128 array for the numeric paths.  Transforms
     (partial_sum, cesaro, inflate) return new SeqSpecs and compose.
+
+    Without a batch function the float prefix is built once from the exact
+    terms and kept on the sequence: `floats(n)` then returns a read-only view
+    of it, and a longer request extends it and publishes the longer array
+    whole, so concurrent readers never see a half-built prefix.
     """
 
     def __init__(
@@ -39,6 +50,7 @@ class SeqSpec:
     ):
         self._term_fn = term_fn
         self._float_fn = float_fn
+        self._prefix = _read_only(np.empty(0, dtype=np.complex128))
         self.label = label
         self.period_hint = period_hint
 
@@ -53,10 +65,15 @@ class SeqSpec:
     def floats(self, n: int) -> np.ndarray:
         if self._float_fn is not None:
             return self._float_fn(n)
-        return np.array(
-            [_scalar_complex(self.term(i)) for i in range(1, n + 1)],
-            dtype=np.complex128,
-        )
+        prefix = self._prefix
+        if len(prefix) < n:
+            more = np.fromiter(
+                (_scalar_complex(self.term(i)) for i in range(len(prefix) + 1, n + 1)),
+                dtype=np.complex128, count=n - len(prefix),
+            )
+            prefix = _read_only(np.concatenate((prefix, more)))
+            self._prefix = prefix
+        return prefix[:n]
 
     # -- constructors ----------------------------------------------------
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ltwist.cocycle import (
+    FIELDS,
     QuadField,
     build_system,
     field_by_name,
@@ -10,7 +11,7 @@ from ltwist.cocycle import (
     nullspace_dim,
     verify_449,
 )
-from ltwist.exactnum import rat
+from ltwist.exactnum import Rat, rat
 
 
 def test_field_arithmetic():
@@ -36,6 +37,32 @@ def test_build_system_shapes():
     assert len(s2.unknowns) == 24
     with pytest.raises(ValueError):
         build_system("Q", 2)
+
+
+def test_build_system_rows_are_integral():
+    # the constraint systems are integral on {1, w}: no Rat (and never a
+    # float) may enter before the elimination divides
+    for name in FIELDS:
+        sys_ = build_system(name, 4)
+        assert all(type(x) is int for m in sys_.box for x in m)
+        for row in sys_.rows:
+            assert all(type(x) is int for c in row.values() for x in c)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_inverse_and_fit_stay_exact(name):
+    K = field_by_name(name)
+    for coords in ((3,) + (0,) * (K.rank - 1), (3,) + (2,) * (K.rank - 1),
+                   (2,) + (1,) * (K.rank - 1)):
+        x = K.element(*coords)
+        inv = K.inv(x)
+        assert all(type(c) is Rat for c in inv)
+        assert K.mul(x, inv) == K.one
+    sys_ = build_system(name, 3)
+    dim, basis = nullspace_dim(sys_)
+    for vec in basis:
+        a, b = fit_cubic(sys_, vec)
+        assert all(type(c) is Rat for c in a + b)
 
 
 def test_nullspace_dimensions():

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -138,6 +140,37 @@ def test_cli_fock_and_qseries(capsys):
     assert cli.dispatch(["cocycle", "verify", "--field", "Q", "--height", "4"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["dimension"] == 2
+
+
+def test_cli_dirichlet_avg_negative_rational(capsys):
+    base = ["dirichlet-avg", "--modulus", "5", "--char", "2", "--terms", "20000"]
+    joined = cli.dispatch(base + ["--s=-1/2"])
+    want = capsys.readouterr().out
+    spaced = cli.dispatch(base + ["--s", "-1/2"])
+    got = capsys.readouterr().out
+    assert joined == 0
+    assert (spaced, got) == (joined, want)
+
+
+def test_checks_fail_under_optimize():
+    """Check bodies test with _require, not assert, so `python -O` cannot
+    turn a broken identity into a pass."""
+    code = (
+        "import json\n"
+        "from ltwist import checks, cocycle\n"
+        "from ltwist.report import RunConfig, _run_check\n"
+        "real = cocycle.nullspace_dim\n"
+        "cocycle.nullspace_dim = lambda s: (3,) + tuple(real(s)[1:])\n"
+        "row = next(c for c in checks.build_registry() if c.id == 'cocycle:Q')\n"
+        "r = _run_check(row, RunConfig())\n"
+        "print(json.dumps([__debug__, r.status, r.witness]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, "fail", "AssertionError: ('Q', 3, 3)"]
 
 
 def test_cli_usage_errors(capsys):

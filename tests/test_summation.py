@@ -109,6 +109,33 @@ def test_no_convergence_for_growing_sums():
         limit_numeric(ones, 5, 10_000, rat(1, 1000))
 
 
+def test_float_prefix_built_once_and_read_only():
+    calls = []
+
+    def term(i):
+        calls.append(i)
+        return rat(i * i) * (1 if i % 2 == 1 else -1)
+
+    seq = SeqSpec.from_function(term, period_hint=2)
+    a = seq.floats(1000)
+    b = seq.floats(1000)
+    assert len(calls) <= 1000
+    c = seq.floats(1500)  # extends the prefix by the missing terms only
+    assert sorted(calls) == list(range(1, 1501))
+    # the per-term conversion of the exact values is the reference
+    want = [complex(float(i * i * (1 if i % 2 == 1 else -1))) for i in range(1, 1501)]
+    np.testing.assert_array_equal(c, np.array(want, dtype=np.complex128))
+    np.testing.assert_array_equal(a, c[:1000])
+    np.testing.assert_array_equal(b, a)
+    for arr in (a, b, c):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # the depth loop of limit_numeric reuses the same prefix
+    for depth in (1, 2, 3):
+        limit_numeric(partial_sums(seq), depth, 1500, 1e-3)
+    assert len(calls) == 1500
+
+
 def test_squares_series_facts():
     """1-4+9-16+...: no averaged limit at depths 1-2 (the depth-2 averages
     straddle +-1/8), and the depth-3 limit is 0."""
