@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 from ltwist.exactnum import (
     CycloNum,
     Scalar,
+    divisors,
     euler_phi,
     parse_scalar,
     q_eq,
@@ -142,7 +143,7 @@ class PeriodicFn:
         if not self.is_dirichlet_character:
             raise ValueError("conductor is defined for Dirichlet characters")
         N = self.period
-        for d in sorted(_divisors(N)):
+        for d in divisors(N):
             ok = True
             for a in range(N):
                 b = a + d
@@ -212,12 +213,6 @@ class PeriodicFn:
         if any(v is None for v in values):
             raise ValueError("character table is missing residues")
         return PeriodicFn(period, values)
-
-
-def _divisors(n: int) -> list[int]:
-    from ltwist.exactnum import divisors
-
-    return divisors(n)
 
 
 def pf_mul(a: PeriodicFn, b: PeriodicFn) -> PeriodicFn:

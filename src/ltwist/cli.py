@@ -134,15 +134,7 @@ def cmd_fock_verify(args) -> int:
     try:
         for check in which:
             if check == "2.3":
-                ok, cases, witness = True, 0, None
-                for chi in G.elements:
-                    for k in range(-6, 7):
-                        for n in range(-2, 3):
-                            res = fock.verify_lemma_2_3(chi, k, n, D)
-                            cases += 1
-                            if not res.passed and ok:
-                                ok, witness = False, res.witness
-                record("2.3", fock.VerifyResult(ok, cases, witness))
+                record("2.3", fock.verify_lemma_2_3_suite(G, D))
             elif check == "2.4":
                 case_log: list = []
                 res = fock.verify_theorem_2_4_suite(G, D, case_log=case_log)

@@ -365,7 +365,7 @@ class CycloNum:
         return a.coeffs == b.coeffs
 
     def __repr__(self):
-        return cyclo_str(self)
+        return scalar_str(self)
 
     def fingerprint(self) -> tuple:
         return ("c", self.order) + tuple(
@@ -531,9 +531,6 @@ def scalar_str(a) -> str:
         inner = ",".join(rat_str(c) for c in a.coeffs)
         return f"ord={a.order};[{inner}]"
     return rat_str(a)
-
-
-cyclo_str = scalar_str
 
 
 def parse_scalar(text: str):

@@ -32,7 +32,7 @@ from ltwist.exactnum import (
     rat,
     zeta,
 )
-from ltwist.lvalues import l_minus_one
+from ltwist.lvalues import _l_minus_one_form, l_minus_one
 
 MAX_BASIS_DEGREE = 60
 
@@ -559,6 +559,38 @@ def twist_residue(G: TwistGroup, i: int) -> int:
     raise ValueError("index mismatch")
 
 
+@lru_cache(maxsize=None)
+def pair_indicator(N: int, r: int) -> PeriodicFn:
+    """The 0/1 indicator 1_r of the residues +-r mod N (the pair {r, N-r}).
+
+    P_n^(r) = build_L(pair_indicator(N, r), n) is the residue-pair basis of
+    the twisted operators: every even f with f(0) = 0 is
+    sum_r f(r) 1_r over r = 1..N//2, so L_n^f = sum_r f(r) P_n^(r).
+    """
+    pair = (r % N, -r % N)
+    return PeriodicFn(N, [rat(1) if u % N in pair else rat(0) for u in range(1, N + 1)])
+
+
+def _pair_residues(N: int) -> range:
+    return range(1, N // 2 + 1)
+
+
+def _pair_combination(N: int, coeffs: Sequence) -> PeriodicFn:
+    """sum_r coeffs[r-1] 1_r over the pair residues r, as a PeriodicFn."""
+    values: list = [rat(0)] * N
+    for r, c in zip(_pair_residues(N), coeffs):
+        ind = pair_indicator(N, r)
+        values = [q_add(v, q_mul(c, ind(u))) for u, v in enumerate(values, start=1)]
+    return PeriodicFn(N, values)
+
+
+def _pair_coefficients(f: PeriodicFn) -> Optional[list]:
+    """[f(r) for the pair residues r] when f == sum_r f(r) 1_r exactly, else
+    None (f is not even or does not vanish at 0 mod N)."""
+    coeffs = [f(r) for r in _pair_residues(f.period)]
+    return coeffs if f == _pair_combination(f.period, coeffs) else None
+
+
 _INDICATOR_CACHE: dict = {}
 
 
@@ -572,9 +604,7 @@ def _mode_indicator(G: TwistGroup, i: int) -> tuple[PeriodicFn, int]:
     k = len(G)
     N = G.period
     j = twist_residue(G, i)
-    ind = PeriodicFn(
-        N, [rat(1) if (u % N in (j % N, (N - j) % N)) else rat(0) for u in range(1, N + 1)]
-    )
+    ind = pair_indicator(N, j)
     gen_idx = G.generator_index()
     omega = zeta(k)
     acc: list = [rat(0) for _ in range(N)]
@@ -722,19 +752,57 @@ def verify_lemma_2_3(chi: PeriodicFn, k: int, n: int, D: int) -> VerifyResult:
     return VerifyResult(witness is None, len(window), witness)
 
 
-def _bracket_rhs(chi1: PeriodicFn, chi2: PeriodicFn, m: int, n: int,
-                 D: Optional[int], l: int = 1) -> Operator:
-    """(m-n) L_{m+n}^{chi1 chi2} plus the central scalar when m = -n."""
-    prod = pf_mul(chi1, chi2)
-    N = prod.period
+def verify_lemma_2_3_suite(G: TwistGroup, D: int) -> VerifyResult:
+    """Lemma 2.3 for every element of G, |k| <= 6 and |n| <= 2.
+
+    Both sides are linear in chi, so the identity is swept once per
+    residue-pair operator P^(r) (chi = 1_r) and holds for each chi in G once
+    chi == sum_r chi(r) 1_r is checked exactly.  If a sweep or that check
+    fails, the per-element cases run one by one; the witness is the first
+    failing ((element, k, n), state, out_state, got, want).  The count is of
+    (element, k, n) cases.
+    """
+    N = G.period
+    ks, ns = range(-6, 7), range(-2, 3)
+    cases = [(a, k, n) for a in range(len(G)) for k in ks for n in ns]
+    if all(_pair_coefficients(chi) is not None for chi in G.elements) and all(
+        verify_lemma_2_3(pair_indicator(N, r), k, n, D)
+        for r in _pair_residues(N) for k in ks for n in ns
+    ):
+        return VerifyResult(True, len(cases), None)
+    for count, (a, k, n) in enumerate(cases, start=1):
+        res = verify_lemma_2_3(G.elements[a], k, n, D)
+        if not res.passed:
+            return VerifyResult(False, count, ((a, k, n),) + res.witness)
+    return VerifyResult(True, len(cases), None)
+
+
+def _central_term(f: PeriodicFn, lm1, m: int) -> Scalar:
+    """The central scalar of Theorem 2.4 at n = -m for the product twist f,
+    given lm1 = L(-1, f): (m/N) L(-1, f) + (m^3/12) sum_k f(k)."""
+    return q_add(q_mul(lm1, rat(m, f.period)), q_mul(f.period_sum(), rat(m**3, 12)))
+
+
+def _bracket_rhs(prod: PeriodicFn, m: int, n: int, D: Optional[int], l: int = 1,
+                 lm1=l_minus_one) -> Operator:
+    """(m-n) L_{m+n}^{prod} plus the central scalar when m = -n, with
+    L(-1, prod) from `lm1`."""
     terms = [(rat(m - n), build_L(prod, m + n, D, l=l))]
     if m == -n:
-        central = q_add(
-            q_mul(l_minus_one(prod), rat(m, N)),
-            q_mul(prod.period_sum(), rat(m**3, 12)),
-        )
-        terms.append((1, ScalarOp(central)))
+        terms.append((1, ScalarOp(_central_term(prod, lm1(prod), m))))
     return SumOp(terms)
+
+
+def _verify_bracket(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int, D: int,
+                    l: int = 1, lm1=l_minus_one) -> VerifyResult:
+    """[L_m^{f1}, L_n^{f2}] against `_bracket_rhs(f1 f2, ...)` for the
+    mode-scaled operators of scale l, exactly on the window."""
+    N = f1.period
+    window = commutator_window(D, l * m * N, l * n * N)
+    lhs = CommutatorOp(build_L(f1, m, D, l=l), build_L(f2, n, D, l=l))
+    rhs = _bracket_rhs(pf_mul(f1, f2), m, n, D, l=l, lm1=lm1)
+    witness = lhs.matrix_equal(rhs, window)
+    return VerifyResult(witness is None, len(window), witness)
 
 
 def verify_theorem_2_4(
@@ -748,14 +816,9 @@ def verify_theorem_2_4(
     """[L_m^{chi1}, L_n^{chi2}] = (m-n) L_{m+n}^{chi1 chi2}
     + delta_{m,-n} [ (m/N) L(-1, chi1 chi2) + (m^3/12) sum_k (chi1 chi2)(k) ],
     as an exact matrix identity on input degrees d <= D - N(|m|+|n|)."""
-    N = chi1.period
-    if chi2.period != N:
+    if chi2.period != chi1.period:
         raise ValueError("twist functions must share a period")
-    window = commutator_window(D, m * N, n * N)
-    lhs = CommutatorOp(build_L(chi1, m, D), build_L(chi2, n, D))
-    rhs = _bracket_rhs(chi1, chi2, m, n, D)
-    witness = lhs.matrix_equal(rhs, window)
-    return VerifyResult(witness is None, len(window), witness)
+    return _verify_bracket(chi1, chi2, m, n, D)
 
 
 def verify_theorem_2_4_suite(
@@ -763,39 +826,92 @@ def verify_theorem_2_4_suite(
 ) -> VerifyResult:
     """All ordered pairs of group elements and |m|, |n| <= max_mode.
 
-    Each unordered (element, mode) pair is checked once; the swapped case is
-    the exact negation of the same matrix identity (the two product columns
-    are subtracted in the opposite order), so one sweep covers both.  When
-    `case_log` is given, one (chi1, chi2, m, n, passed, witness) entry is
-    appended per ordered case.
+    Both sides of Theorem 2.4 are bilinear in (chi1, chi2), so the identity
+    is swept once per unordered pair of residue-pair cases ((r, m), (s, n)),
+    with the swapped case its exact negation.  There 1_r 1_s = delta_rs 1_r,
+    and L(-1, 1_r) is the same closed form as `l_minus_one`, which is linear
+    in f.  Every ordered element case then follows from three exact checks
+    on G: chi == sum_r chi(r) 1_r, chi1 chi2 == sum_r chi1(r) chi2(r) 1_r,
+    and the elements' central scalar is sum_r chi1(r) chi2(r) times the
+    pairs' one.  If any sweep or check fails, the element cases run one by
+    one, and the witness is the first failing ((a, b, m, n), state,
+    out_state, got, want).  When `case_log` is given, one
+    (a, b, m, n, passed, witness) entry is appended per ordered case.
     """
-    total = 0
-    es = list(range(len(G.elements)))
+    N = G.period
+    es = range(len(G))
     span = range(-max_mode, max_mode + 1)
+    cases = [(a, b, m, n) for a in es for b in es for m in span for n in span]
+    if _pair_certificate(G, span) and _pair_sweeps_2_4(N, D, span):
+        if case_log is not None:
+            case_log.extend((a, b, m, n, True, None) for a, b, m, n in cases)
+        return VerifyResult(True, len(cases), None)
+    return _theorem_2_4_by_elements(G, D, cases, case_log)
+
+
+def _pair_certificate(G: TwistGroup, span: range) -> bool:
+    """The exact identities that carry the pair-basis sweeps of Theorem 2.4
+    over to every ordered pair of elements of G."""
+    N = G.period
+    coeffs = [_pair_coefficients(chi) for chi in G.elements]
+    if any(c is None for c in coeffs):
+        return False
+    central = {}
+    for r in _pair_residues(N):
+        ind = pair_indicator(N, r)
+        lm1 = _l_minus_one_form(ind)
+        for m in span:
+            central[r, m] = _central_term(ind, lm1, m)
+    for a, chi1 in enumerate(G.elements):
+        for b, chi2 in enumerate(G.elements):
+            prod = pf_mul(chi1, chi2)
+            c = [q_mul(x, y) for x, y in zip(coeffs[a], coeffs[b])]
+            if prod != _pair_combination(N, c):
+                return False
+            lm1 = l_minus_one(prod)
+            for m in span:
+                want = _sum_scalars(
+                    q_mul(cr, central[r, m]) for r, cr in zip(_pair_residues(N), c)
+                )
+                if not q_eq(_central_term(prod, lm1, m), want):
+                    return False
+    return True
+
+
+def _pair_sweeps_2_4(N: int, D: int, span: range) -> bool:
+    items = [(r, m) for r in _pair_residues(N) for m in span]
+    for i, (r, m) in enumerate(items):
+        for s, n in items[i:]:
+            res = _verify_bracket(
+                pair_indicator(N, r), pair_indicator(N, s), m, n, D,
+                lm1=_l_minus_one_form,
+            )
+            if not res.passed:
+                return False
+    return True
+
+
+def _theorem_2_4_by_elements(G: TwistGroup, D: int, cases: list,
+                             case_log: Optional[list]) -> VerifyResult:
+    """The ordered element cases one by one, each unordered case swept once."""
     outcomes: dict = {}
     failure = None
-    for a in es:
-        for b in es:
-            for m in span:
-                for n in span:
-                    key = ((a, m), (b, n))
-                    swapped = (key[1], key[0])
-                    if swapped in outcomes:
-                        outcomes[key] = outcomes[swapped]
-                    else:
-                        res = verify_theorem_2_4(
-                            G, G.elements[a], G.elements[b], m, n, D
-                        )
-                        outcomes[key] = (res.passed, res.witness)
-                    total += 1
-                    passed, witness = outcomes[key]
-                    if case_log is not None:
-                        case_log.append((a, b, m, n, passed, witness))
-                    if not passed and failure is None:
-                        failure = ((a, b, m, n),) + tuple(witness or ())
-                        if case_log is None:
-                            return VerifyResult(False, total, failure)
-    return VerifyResult(failure is None, total, failure)
+    for total, (a, b, m, n) in enumerate(cases, start=1):
+        key = ((a, m), (b, n))
+        swapped = (key[1], key[0])
+        if swapped in outcomes:
+            outcomes[key] = outcomes[swapped]
+        else:
+            res = verify_theorem_2_4(G, G.elements[a], G.elements[b], m, n, D)
+            outcomes[key] = (res.passed, res.witness)
+        passed, witness = outcomes[key]
+        if case_log is not None:
+            case_log.append((a, b, m, n, passed, witness))
+        if not passed and failure is None:
+            failure = ((a, b, m, n),) + tuple(witness or ())
+            if case_log is None:
+                return VerifyResult(False, total, failure)
+    return VerifyResult(failure is None, len(cases), failure)
 
 
 def verify_theorem_3_1(G: TwistGroup, D: int, max_mode: int = 2) -> VerifyResult:
@@ -918,12 +1034,7 @@ def verify_eq_3_28(N: int, i: int) -> VerifyResult:
 def scaling_embed_check(chi: PeriodicFn, l: int, m: int, n: int, D: int) -> VerifyResult:
     """The mode-scaled operators (1/l) tau_l(L) satisfy the same bracket
     identity with the same central values, exactly on the window."""
-    N = chi.period
-    window = commutator_window(D, l * m * N, l * n * N)
-    lhs = CommutatorOp(build_L(chi, m, D, l=l), build_L(chi, n, D, l=l))
-    rhs = _bracket_rhs(chi, chi, m, n, D, l=l)
-    witness = lhs.matrix_equal(rhs, window)
-    return VerifyResult(witness is None, len(window), witness)
+    return _verify_bracket(chi, chi, m, n, D, l=l)
 
 
 def verify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:

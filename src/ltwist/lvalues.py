@@ -127,10 +127,20 @@ def l_minus_one(chi: PeriodicFn) -> Scalar:
     sum_k -(k^2/2N) chi(k) + (1/2) sum_k k chi(k) - (N/12) sum_k chi(k)."""
     if not _l_domain_ok(chi):
         raise ValueError("closed form needs a mean-zero function or character")
-    N = chi.period
+    return _l_minus_one_form(chi)
+
+
+def _l_minus_one_form(f: PeriodicFn) -> Scalar:
+    """The closed form behind `l_minus_one`, for any periodic f.
+
+    It is linear in f.  It equals L(-1, f) only on the domain that
+    `l_minus_one` admits; elsewhere it is just the finite sum, which is what
+    the central term of the twisted bracket needs.
+    """
+    N = f.period
     total: Scalar = rat(0)
     for k in range(1, N + 1):
-        v = chi(k)
+        v = f(k)
         if q_is_zero(v):
             continue
         w = -rat(k * k, 2 * N) + rat(k, 2) - rat(N, 12)

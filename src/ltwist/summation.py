@@ -359,12 +359,17 @@ def averaged_dirichlet(chi: PeriodicFn, s, n_terms: int, precision_bits: int = 5
     if l < N:
         raise ValueError("need at least one full period of terms")
     if precision_bits <= 53:
+        # sum of (l+1-k) * chi(k) * k^(-s), worked in place in that order so
+        # that no more than three arrays of length l are alive at once
         vals = np.array([_scalar_complex(chi(r)) for r in range(N)], dtype=np.complex128)
         k = np.arange(1, l + 1, dtype=np.float64)
-        coeff = vals[np.arange(1, l + 1) % N]
-        total = np.sum((l + 1 - k) * coeff * k ** (-s_f))
-        out = total / l
-        return complex(out)
+        idx = np.arange(1, l + 1)
+        coeff = vals[np.remainder(idx, N, out=idx)]
+        del idx
+        coeff *= l + 1 - k
+        k **= -s_f
+        coeff *= k
+        return complex(np.sum(coeff) / l)
     import mpmath
 
     with mpmath.workprec(precision_bits + 16):

@@ -1,11 +1,16 @@
+import json
 import warnings
 
 import pytest
 
 from ltwist.characters import PeriodicFn, dirichlet_characters, even_twist_group
 from ltwist.exactnum import q_eq, q_is_zero, rat, zeta
+from ltwist import cli, fock
 from ltwist.fock import (
     CommutatorOp,
+    ScalarOp,
+    SumOp,
+    basis_partitions,
     build_L,
     build_T,
     commutator,
@@ -13,6 +18,7 @@ from ltwist.fock import (
     fock_basis,
     mode_op,
     normal_ordered_bilinear,
+    pair_indicator,
     partition_weight,
     qtrace,
     scaling_embed_check,
@@ -20,6 +26,7 @@ from ltwist.fock import (
     vacuum_energies,
     verify_eq_3_28,
     verify_lemma_2_3,
+    verify_lemma_2_3_suite,
     verify_theorem_2_4,
     verify_theorem_2_4_suite,
     verify_theorem_3_1,
@@ -190,6 +197,106 @@ def test_theorem_2_4_suite_small():
     G = even_twist_group(5)
     res = verify_theorem_2_4_suite(G, 22, max_mode=1)
     assert res.passed and res.cases == 36
+
+
+def test_twisted_operator_is_pair_combination():
+    # L_m^chi = sum_r chi(r) P_m^(r): the operator linearity that lets the
+    # suites sweep the residue-pair basis instead of every element
+    for N in (5, 7, 9):  # rational, Z[zeta_3] and folded Z[zeta_4] values
+        G = even_twist_group(N)
+        states = basis_partitions(12)
+        for chi in G.elements:
+            for m in (-1, 0, 1):
+                pairs = SumOp([
+                    (chi(r), build_L(pair_indicator(N, r), m))
+                    for r in range(1, N // 2 + 1)
+                ])
+                assert build_L(chi, m).matrix_equal(pairs, states) is None, (N, chi, m)
+    # Theorem 3.1's components are the pair operators themselves
+    G = even_twist_group(7)
+    j = twist_residue(G, 1)
+    assert build_T(G, 1, 1) is build_L(pair_indicator(7, j), 1)
+
+
+def _element_cases(G, D, max_mode):
+    span = range(-max_mode, max_mode + 1)
+    es = range(len(G))
+    return [
+        (a, b, m, n, verify_theorem_2_4(G, G.elements[a], G.elements[b], m, n, D).passed)
+        for a in es for b in es for m in span for n in span
+    ]
+
+
+@pytest.mark.parametrize("N, D, max_mode, cases", [(5, 20, 2, 100), (9, 20, 1, 144)])
+def test_pair_suite_matches_element_cases(N, D, max_mode, cases):
+    G = even_twist_group(N)
+    reference = _element_cases(G, D, max_mode)
+    log = []
+    res = verify_theorem_2_4_suite(G, D, max_mode=max_mode, case_log=log)
+    assert (res.passed, res.cases) == (all(ok for *_, ok in reference), cases)
+    assert [entry[:5] for entry in log] == reference
+
+
+def test_pair_suite_reports_an_element_case_when_broken(monkeypatch):
+    # a wrong central term breaks the identity in both bases; the suite must
+    # fail and name the first failing element case with its exact witness
+    real = fock._central_term
+    monkeypatch.setattr(fock, "_central_term", lambda f, lm1, m: real(f, lm1, m) + rat(1, 7))
+    G = even_twist_group(5)
+    res = verify_theorem_2_4_suite(G, 16, max_mode=1)
+    assert not res.passed
+    (a, b, m, n), state, out_state, got, want = res.witness
+    assert a in (0, 1) and b in (0, 1) and m == -n
+    assert (state, out_state) == ((), ()) and not q_eq(got, want)
+    log = []
+    assert not verify_theorem_2_4_suite(G, 16, max_mode=1, case_log=log).passed
+    assert len(log) == 36
+    assert {(m, n) for (_, _, m, n, ok, _) in log if not ok} == {(-1, 1), (0, 0), (1, -1)}
+    # a right side broken for every case leaves the exact expansion checks
+    # intact, so here the pair sweeps alone have to catch it
+    monkeypatch.undo()
+    rhs = fock._bracket_rhs
+    monkeypatch.setattr(fock, "_bracket_rhs", lambda *a, **k: rhs(*a, **k) + ScalarOp(rat(1, 7)))
+    res = verify_theorem_2_4_suite(G, 16, max_mode=1)
+    assert not res.passed and res.witness[0] == (0, 0, -1, -1)
+
+
+def test_lemma_suite_matches_element_cases(monkeypatch):
+    G = even_twist_group(5)
+    res = verify_lemma_2_3_suite(G, 18)
+    assert (res.passed, res.cases) == (True, 130)
+    assert all(
+        verify_lemma_2_3(chi, k, n, 18).passed
+        for chi in G.elements for k in range(-6, 7) for n in range(-2, 3)
+    )
+    # a failing case makes the suite fall back to the elements one by one
+    real = fock.verify_lemma_2_3
+
+    def broken(chi, k, n, D):
+        res = real(chi, k, n, D)
+        return fock.VerifyResult(False, res.cases, ((), (), 0, 1)) if (k, n) == (2, 1) else res
+
+    monkeypatch.setattr(fock, "verify_lemma_2_3", broken)
+    res = verify_lemma_2_3_suite(G, 18)
+    assert (res.passed, res.cases) == (False, 44)  # (0, 2, 1) is case 8 * 5 + 4
+    assert res.witness == ((0, 2, 1), (), (), 0, 1)
+
+
+def test_cli_theorem_2_4_case_detail(capsys):
+    assert cli.dispatch([
+        "fock", "verify", "--modulus", "5", "--cutoff", "20", "--theorem", "2.4", "--json",
+    ]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert (row["check"], row["status"], row["cases"]) == ("2.4", "pass", 100)
+    span = range(-2, 3)
+    assert [(d["chi1"], d["chi2"], d["m"], d["n"]) for d in row["cases_detail"]] == [
+        (a, b, m, n) for a in (0, 1) for b in (0, 1) for m in span for n in span
+    ]
+    assert all(
+        list(d) == ["chi1", "chi2", "m", "n", "status", "witness"]
+        and (d["status"], d["witness"]) == ("pass", None)
+        for d in row["cases_detail"]
+    )
 
 
 def test_scaling_embedding():

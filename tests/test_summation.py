@@ -196,6 +196,28 @@ def test_averaged_dirichlet():
     assert abs(complex(high) - 1.0) < 1e-3
 
 
+def test_averaged_dirichlet_in_place_is_bit_identical():
+    """The float64 path works in place; it must give exactly the value of
+    the plain whole-array expression, for a real and a cyclotomic chi."""
+    from ltwist.summation import _scalar_complex
+
+    def whole_array(chi, s, n_terms):
+        N = chi.period
+        l = N * (n_terms // N)
+        vals = np.array([_scalar_complex(chi(r)) for r in range(N)], dtype=np.complex128)
+        k = np.arange(1, l + 1, dtype=np.float64)
+        coeff = vals[np.arange(1, l + 1) % N]
+        return complex(np.sum((l + 1 - k) * coeff * k ** (-float(s))) / l)
+
+    real = quad_char(5)
+    cyclo = dirichlet_characters(7)[1]  # values in Q(zeta_6)
+    assert not isinstance(cyclo(3), type(rat(1)))
+    for chi in (real, cyclo):
+        for s in (rat(-1, 2), rat(0), rat(1, 3), rat(1), rat(3, 2)):
+            got = averaged_dirichlet(chi, s, 100_003)
+            assert got == whole_array(chi, s, 100_003), (chi, s)
+
+
 def test_averaged_dirichlet_domain():
     quad5 = quad_char(5)
     with pytest.raises(ValueError, match="outside proven half-plane"):
