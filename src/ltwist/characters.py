@@ -9,13 +9,16 @@ they drive the twisted oscillator operators.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from ltwist.exactnum import (
+    CYCLO_ONE,
     CycloNum,
     Scalar,
     divisors,
     euler_phi,
+    linear_form,
     parse_scalar,
     q_eq,
     q_fingerprint,
@@ -82,17 +85,11 @@ class PeriodicFn:
     @property
     def mean_zero(self) -> bool:
         if "mean_zero" not in self._flags:
-            total = rat(0)
-            for v in self.values():
-                total = total + v if not isinstance(v, CycloNum) else v + total
-            self._flags["mean_zero"] = q_is_zero(total)
+            self._flags["mean_zero"] = q_is_zero(self.period_sum())
         return self._flags["mean_zero"]
 
     def period_sum(self) -> Scalar:
-        total: Scalar = rat(0)
-        for v in self.values():
-            total = total + v if not isinstance(v, CycloNum) else v + total
-        return total
+        return linear_form(self.values(), [1] * self.period)
 
     @property
     def is_dirichlet_character(self) -> bool:
@@ -308,7 +305,7 @@ def dirichlet_characters(N: int) -> list[PeriodicFn]:
     units = sorted(dlog)
     assert len(units) == euler_phi(N)
 
-    roots = [zeta(d) for d in orders]
+    powers = [_root_powers(d) for d in orders]
     chars = []
     for exps in _exponent_tuples(orders):
         values = []
@@ -318,13 +315,23 @@ def dirichlet_characters(N: int) -> list[PeriodicFn]:
                 values.append(rat(0))
                 continue
             val: Scalar = rat(1)
-            for (e_char, t_unit, root, d) in zip(exps, dlog[r], roots, orders):
+            for (e_char, t_unit, table, d) in zip(exps, dlog[r], powers, orders):
                 s = (e_char * t_unit) % d
                 if s:
-                    val = q_mul(val, root**s)
+                    val = q_mul(val, table[s])
             values.append(val)
         chars.append(PeriodicFn(N, values))
     return chars
+
+
+@lru_cache(maxsize=None)
+def _root_powers(d: int) -> tuple:
+    """zeta_d^s for s = 0 .. d - 1, built whole."""
+    root = zeta(d)
+    powers = [CYCLO_ONE]
+    for _ in range(1, d):
+        powers.append(powers[-1] * root)
+    return tuple(powers)
 
 
 def _exponent_tuples(orders: list[int]) -> Iterable[tuple[int, ...]]:

@@ -6,11 +6,10 @@ it at start-up.
 
 from __future__ import annotations
 
-import math
 import operator
 from functools import lru_cache
 
-from ltwist.exactnum import ZERO, CycloNum, _reduce_vec, _reduction_rows, euler_phi, rat
+from ltwist.exactnum import CycloNum, _tuple_ops, euler_phi, rat
 
 
 class CycloRing:
@@ -20,8 +19,9 @@ class CycloRing:
     algebraic integers with the rational factor kept outside, so no `Rat`
     and no scalar-type dispatch is met per entry.  When phi(m) = 1 the
     elements are plain ints and the operations are the int builtins;
-    otherwise they are straight-line tuple functions generated for m (see
-    `_tuple_ops`).  Get instances from `cyclo_ring`.
+    otherwise they are the tuple functions `exactnum._tuple_ops` generates
+    for m, the ones `CycloNum` multiplies with.  Get instances from
+    `cyclo_ring`.
     """
 
     def __init__(self, m: int):
@@ -33,99 +33,43 @@ class CycloRing:
             self.mul = self.smul = operator.mul
             self.from_int = int
             self.is_zero = operator.not_
+            self.conj = _same
         else:
             self.zero = (0,) * phi
             self.one = (1,) + self.zero[1:]
-            ops = _tuple_ops(m, phi)
+            ops = _tuple_ops(m)
             self.add, self.sub, self.neg = ops["add"], ops["sub"], ops["neg"]
             self.mul, self.smul = ops["mul"], ops["smul"]
             self.from_int = ops["from_int"]
             self.is_zero = _all_zero
-
-    def conj(self, a):
-        """Complex conjugation zeta -> zeta^{-1}."""
-        if self.phi == 1:
-            return a
-        m = self.order
-        vec = [0] * m
-        for i, c in enumerate(a):
-            vec[-i % m] += c
-        return tuple(_reduce_vec(vec, m, 0))
+            # complex conjugation zeta -> zeta^{-1}
+            self.conj = ops["conj"]
 
     # boundary with the scalar domain
 
     def from_scalar(self, x) -> tuple:
         """(element, den) with x = element / den and den > 0 minimal."""
         if isinstance(x, CycloNum):
-            coeffs = x.promote(self.order).coeffs
+            num, den = x.promote(self.order), x.den
         else:
-            coeffs = (rat(x),) + (ZERO,) * (self.phi - 1)
-        den = math.lcm(*(int(c.denominator) for c in coeffs))
-        ints = tuple(int(c.numerator) * (den // int(c.denominator)) for c in coeffs)
-        return (ints[0] if self.phi == 1 else ints), den
+            x = rat(x)
+            num, den = (int(x.numerator),) + (0,) * (self.phi - 1), int(x.denominator)
+        return (num[0] if self.phi == 1 else num), den
 
     def to_scalar(self, a, scale):
         """The scalar `scale * a` (a Rat when phi(m) = 1, else a CycloNum)."""
         if self.phi == 1:
             return scale * a
-        return CycloNum._make(self.order, [scale * c for c in a])
+        p, q = int(scale.numerator), int(scale.denominator)
+        return CycloNum._make(self.order, [p * c for c in a], q)
 
 
 def _all_zero(a) -> bool:
     return not any(a)
 
 
-def _tuple_ops(m: int, phi: int) -> dict:
-    """Straight-line add, sub, neg, smul, mul and from_int on phi-tuples.
-
-    The product's coefficients are read off the integer reduction rows once,
-    so a multiply in Z[zeta_m] is a single expression with no loops; this is
-    several times faster than looping over the coefficient vectors.
-    """
-    rows = _reduction_rows(m)
-    terms: list[list[str]] = [[] for _ in range(phi)]
-    for i in range(phi):
-        for j in range(phi):
-            t = (i + j) % m
-            image = [int(k == t) for k in range(phi)] if t < phi else rows[t - phi]
-            for k, r in enumerate(image):
-                if r:
-                    factor = "" if r == 1 else "-" if r == -1 else f"{r}*"
-                    terms[k].append(f"{factor}a{i}*b{j}")
-    a = ", ".join(f"a{i}" for i in range(phi))
-    b = ", ".join(f"b{i}" for i in range(phi))
-
-    def each(expr: str) -> str:
-        return "(" + ", ".join(expr.format(i=i) for i in range(phi)) + ",)"
-
-    def sum_of(products: list[str]) -> str:
-        return " + ".join(products).replace("+ -", "- ") if products else "0"
-
-    src = f"""
-def add(a, b):
-    {a}, = a
-    {b}, = b
-    return {each("a{i} + b{i}")}
-def sub(a, b):
-    {a}, = a
-    {b}, = b
-    return {each("a{i} - b{i}")}
-def neg(a):
-    {a}, = a
-    return {each("-a{i}")}
-def smul(a, n):
-    {a}, = a
-    return {each("a{i} * n")}
-def mul(a, b):
-    {a}, = a
-    {b}, = b
-    return ({", ".join(sum_of(t) for t in terms)},)
-def from_int(n):
-    return (n,{" 0," * (phi - 1)})
-"""
-    namespace: dict = {}
-    exec(src, namespace)
-    return namespace
+def _same(a):
+    return a
 
 
 @lru_cache(maxsize=None)
@@ -136,3 +80,8 @@ def cyclo_ring(m: int) -> CycloRing:
 def scalar_order(x) -> int:
     """Order of the cyclotomic field a scalar is written in (1 for rationals)."""
     return x.order if isinstance(x, CycloNum) else 1
+
+
+def scalar_den(x) -> int:
+    """Least positive integer d such that d * x has integer power-basis coordinates."""
+    return x.den if isinstance(x, CycloNum) else int(rat(x).denominator)

@@ -3,8 +3,11 @@
 The scalar domain used throughout the package is the union of arbitrary
 precision rationals and elements of cyclotomic fields Q(zeta_m), the latter
 represented on the power basis modulo the m-th cyclotomic polynomial so that
-equality is decidable and there are no zero divisors.  A controlled-precision
-complex embedding is provided for the few numeric checks.
+equality is decidable and there are no zero divisors.  A cyclotomic element
+holds integer numerators over one denominator, and its arithmetic runs on
+Python ints with the Z[zeta_m] operations that `cycloring` shares.  A
+controlled-precision complex embedding is provided for the few numeric
+checks.
 """
 
 from __future__ import annotations
@@ -136,77 +139,175 @@ def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _power_image(e: int, m: int) -> tuple[int, ...]:
+    """x^e mod Phi_m on the power basis, for e >= 0 (x^m = 1 folds e first)."""
+    return tuple(_reduce_vec([0] * (e % m) + [1], m))
+
+
 @lru_cache(maxsize=None)
 def _promotion_table(m: int, big: int) -> tuple[tuple[int, ...], ...]:
     """Integer images of the power basis of Q(zeta_m) inside Q(zeta_big), m | big."""
     if big % m:
         raise ValueError("promotion needs m | big")
-    phi_b = euler_phi(big)
     step = big // m
-    rows = []
-    for i in range(euler_phi(m)):
-        e = i * step
-        vec = [0] * max(phi_b, e + 1)
-        vec[e] = 1
-        rows.append(tuple(_reduce_vec(vec, big, 0)))
-    return tuple(rows)
+    return tuple(_power_image(i * step, big) for i in range(euler_phi(m)))
 
 
-def _reduce_vec(vec: list, m: int, zero=ZERO) -> list:
-    """Power-basis vector of sum vec[t] x^t mod Phi_m (entries Rat or int)."""
+def _reduce_vec(vec: list, m: int) -> list:
+    """Integer power-basis vector of sum vec[t] x^t mod Phi_m."""
     phi = euler_phi(m)
     if len(vec) <= phi:
-        return list(vec) + [zero] * (phi - len(vec))
+        return list(vec) + [0] * (phi - len(vec))
     if len(vec) > m:
         folded = list(vec[:m])
         for t in range(m, len(vec)):
-            if vec[t]:
-                folded[t % m] = folded[t % m] + vec[t]
+            folded[t % m] += vec[t]
         vec = folded
     out = list(vec[:phi])
     for c, row in zip(vec[phi:], _reduction_rows(m)):
         if c:
             for k in range(phi):
                 if row[k]:
-                    out[k] = out[k] + c * row[k]
+                    out[k] += c * row[k]
     return out
 
 
-class CycloNum:
-    """Element of Q(zeta_m) on the power basis 1, zeta, ..., zeta^{phi(m)-1}.
+def _apply_rows(vec, rows) -> tuple:
+    """The integer combination sum_i vec[i] * rows[i]."""
+    out = [0] * len(rows[0])
+    for c, row in zip(vec, rows):
+        if c:
+            for k, r in enumerate(row):
+                if r:
+                    out[k] += c * r
+    return tuple(out)
 
-    Values that happen to be rational collapse to order 1, which gives zero
-    and one a canonical form.  Elements of different orders compare equal
-    exactly when they agree inside Q(zeta_lcm).  Instances are immutable.
+
+# ---------------------------------------------------------------------------
+# integer arithmetic on Z[zeta_m]
+
+# Up to this phi(m) the product and the conjugation are straight-line
+# expressions.  Above it each product coefficient would be a sum of hundreds
+# of terms (phi(1680) = 384), deep enough to exhaust the compiler's recursion
+# limit, so those two loop instead.
+_STRAIGHT_LINE_MAX_PHI = 16
+
+
+@lru_cache(maxsize=None)
+def _tuple_ops(m: int) -> dict:
+    """add, sub, neg, smul, mul, conj and from_int on integer phi(m)-tuples.
+
+    These are the power-basis coordinates of Z[zeta_m], phi(m) > 1.  The
+    product's coefficients are read off the integer reduction rows once, so
+    a multiply is a single expression with no loops; this is several times
+    faster than looping over the coefficient vectors.
+    """
+    phi = euler_phi(m)
+    conj_rows = tuple(_power_image(-i % m, m) for i in range(phi))  # zeta^i -> zeta^-i
+    a = ", ".join(f"a{i}" for i in range(phi))
+    b = ", ".join(f"b{i}" for i in range(phi))
+
+    def each(expr: str) -> str:
+        return "(" + ", ".join(expr.format(i=i) for i in range(phi)) + ",)"
+
+    def sums(terms: list[list[str]]) -> str:
+        return "(" + ", ".join(_sum_of(t) for t in terms) + ",)"
+
+    src = f"""
+def add(a, b):
+    {a}, = a
+    {b}, = b
+    return {each("a{i} + b{i}")}
+def sub(a, b):
+    {a}, = a
+    {b}, = b
+    return {each("a{i} - b{i}")}
+def neg(a):
+    {a}, = a
+    return {each("-a{i}")}
+def smul(a, n):
+    {a}, = a
+    return {each("a{i} * n")}
+def from_int(n):
+    return (n,{" 0," * (phi - 1)})
+"""
+    namespace: dict = {}
+    if phi <= _STRAIGHT_LINE_MAX_PHI:
+        images = [_power_image(t, m) for t in range(2 * phi - 1)]
+        mul_terms = [
+            [_term(images[i + j][k], f"a{i}*b{j}")
+             for i in range(phi) for j in range(phi) if images[i + j][k]]
+            for k in range(phi)
+        ]
+        conj_terms = [
+            [_term(row[k], f"a{i}") for i, row in enumerate(conj_rows) if row[k]]
+            for k in range(phi)
+        ]
+        src += f"""
+def mul(a, b):
+    {a}, = a
+    {b}, = b
+    return {sums(mul_terms)}
+def conj(a):
+    {a}, = a
+    return {sums(conj_terms)}
+"""
+    else:
+
+        def mul(a, b):
+            prod = [0] * (2 * phi - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        if y:
+                            prod[i + j] += x * y
+            return tuple(_reduce_vec(prod, m))
+
+        namespace["mul"] = mul
+        namespace["conj"] = lambda a: _apply_rows(a, conj_rows)
+    exec(src, namespace)
+    return namespace
+
+
+def _term(r: int, product: str) -> str:
+    return product if r == 1 else f"-{product}" if r == -1 else f"{r}*{product}"
+
+
+def _sum_of(terms: list[str]) -> str:
+    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+
+# ---------------------------------------------------------------------------
+# the cyclotomic field
+
+
+class CycloNum:
+    """Element of Q(zeta_m): integer numerators on the power basis 1, zeta,
+    ..., zeta^{phi(m)-1} over one positive denominator.
+
+    The form is canonical: `num` is a tuple of ints, `den` > 0 and
+    gcd(den, *num) == 1, and values that happen to be rational collapse to
+    order 1, which gives zero and one a single form.  Elements of different
+    orders compare equal exactly when they agree inside Q(zeta_lcm).
+    Instances are immutable.  `coeffs` gives the coefficients as `Rat`s for
+    the text forms.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
     __hash__ = None  # cross-order equality would break the hash contract
 
-    def __init__(self, order: int, coeffs, normalize: bool = True):
-        coeffs = tuple(rat(c) for c in coeffs)
+    def __init__(self, order: int, coeffs):
+        coeffs = [rat(c) for c in coeffs]
         if len(coeffs) != euler_phi(order):
             raise ValueError("coefficient vector length must be phi(order)")
-        if normalize and order > 1 and all(c == 0 for c in coeffs[1:]):
-            order, coeffs = 1, (coeffs[0],)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        den = math.lcm(*(int(c.denominator) for c in coeffs))
+        num = [int(c.numerator) * (den // int(c.denominator)) for c in coeffs]
+        _fill(self, *_canonical(order, num, den))
 
-    @classmethod
-    def _make(cls, order: int, coeffs: list) -> "CycloNum":
-        """Internal constructor for already-rational coefficient lists."""
-        if order > 1:
-            nonzero = False
-            for c in coeffs[1:]:
-                if c:
-                    nonzero = True
-                    break
-            if not nonzero:
-                order, coeffs = 1, coeffs[:1]
-        self = object.__new__(cls)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        return self
+    @staticmethod
+    def _make(order: int, num, den: int = 1) -> "CycloNum":
+        """The element num / den of Q(zeta_order) from integer numerators, den > 0."""
+        return _exact(*_canonical(order, num, den))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("CycloNum is immutable")
@@ -215,59 +316,56 @@ class CycloNum:
 
     @staticmethod
     def from_rat(x) -> "CycloNum":
-        return CycloNum(1, (rat(x),))
+        x = rat(x)
+        return _exact(1, (int(x.numerator),), int(x.denominator))
 
     @staticmethod
     def zeta(m: int) -> "CycloNum":
         if m < 1:
             raise ValueError("root order must be positive")
         if m == 1:
-            return CycloNum(1, (ONE,))
+            return CYCLO_ONE
         if m == 2:
-            return CycloNum(1, (-ONE,))
-        vec = [ZERO] * euler_phi(m)
-        if euler_phi(m) == 1:
-            raise AssertionError("unreachable")
-        vec[1] = ONE
-        return CycloNum(m, vec)
+            return _exact(1, (-1,), 1)
+        return _exact(m, (0, 1) + (0,) * (euler_phi(m) - 2), 1)
 
     # -- helpers -------------------------------------------------------
 
-    def promote(self, big: int) -> "CycloNum":
-        """Rewrite on the power basis of Q(zeta_big); keeps the big basis."""
-        if big == self.order:
-            return self
-        table = _promotion_table(self.order, big)
-        phi_b = euler_phi(big)
-        out = [ZERO] * phi_b
-        for c, row in zip(self.coeffs, table):
-            if c:
-                for k in range(phi_b):
-                    if row[k]:
-                        out[k] = out[k] + c * row[k]
-        return CycloNum(big, out, normalize=False)
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as `Rat`s."""
+        den = self.den
+        return tuple(rat(c, den) for c in self.num)
 
-    def _common(self, other) -> tuple["CycloNum", "CycloNum"]:
-        if not isinstance(other, CycloNum):
-            other = CycloNum.from_rat(other)
-        if self.order == other.order:
-            return self, other
-        big = self.order * other.order // math.gcd(self.order, other.order)
-        return self.promote(big), other.promote(big)
+    def promote(self, big: int) -> tuple:
+        """The numerator tuple on the power basis of Q(zeta_big), order | big;
+        the denominator stays `den`."""
+        return _lift(self.num, self.order, big)
+
+    def _aligned(self, other: "CycloNum") -> tuple:
+        """(order, a, b): both numerator tuples on one power basis."""
+        m, n = self.order, other.order
+        if m == n:
+            return m, self.num, other.num
+        big = m * n // math.gcd(m, n)
+        return big, _lift(self.num, m, big), _lift(other.num, n, big)
 
     @property
     def is_zero(self) -> bool:
-        return self.order == 1 and self.coeffs[0] == 0
+        return self.order == 1 and not self.num[0]
 
     def rational_part(self) -> Optional[Rat]:
         """The value as a rational if it is one, else None."""
         if self.order == 1:
-            return self.coeffs[0]
+            return rat(self.num[0], self.den)
         return None
 
     def conj(self) -> "CycloNum":
         """Complex conjugation, zeta -> zeta^{-1}."""
-        return self.galois(self.order - 1) if self.order > 1 else self
+        m = self.order
+        if m == 1:
+            return self
+        return _exact(m, _tuple_ops(m)["conj"](self.num), self.den)
 
     def galois(self, t: int) -> "CycloNum":
         """The automorphism zeta -> zeta^t, gcd(t, order) = 1."""
@@ -276,26 +374,38 @@ class CycloNum:
             return self
         if math.gcd(t, m) != 1:
             raise ValueError("galois exponent must be a unit mod the order")
-        return CycloNum(m, _reduce_vec(_expand_mod_xm(self.coeffs, t, m), m))
+        vec = [0] * m
+        for i, c in enumerate(self.num):
+            vec[i * t % m] = c
+        return _exact(m, tuple(_reduce_vec(vec, m)), self.den)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, CycloNum):
+            m, a, b = self._aligned(other)
+            da, db = self.den, other.den
+            if da == db:
+                if m == 1:
+                    return CycloNum._make(1, (a[0] + b[0],), da)
+                return CycloNum._make(m, _tuple_ops(m)["add"](a, b), da)
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+            return CycloNum._make(m, [x * fa + y * fb for x, y in zip(a, b)], da * fa)
         if isinstance(other, RAT_TYPES):
+            p, q = int(other.numerator), int(other.denominator)
+            num, den = self.num, self.den
+            g = math.gcd(den, q)
+            fa, fb = q // g, den // g
             return CycloNum._make(
-                self.order, (self.coeffs[0] + other,) + self.coeffs[1:]
+                self.order, [num[0] * fa + p * fb] + [c * fa for c in num[1:]], den * fa
             )
-        if other.order == self.order:
-            return CycloNum._make(
-                self.order, [x + y for x, y in zip(self.coeffs, other.coeffs)]
-            )
-        a, b = self._common(other)
-        return CycloNum._make(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.order, tuple(-c for c in self.coeffs), normalize=False)
+        return _exact(self.order, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, CycloNum) else -rat(other))
@@ -304,42 +414,47 @@ class CycloNum:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, CycloNum):
+            m, a, b = self._aligned(other)
+            den = self.den * other.den
+            if m == 1:
+                return CycloNum._make(1, (a[0] * b[0],), den)
+            return CycloNum._make(m, _tuple_ops(m)["mul"](a, b), den)
         if isinstance(other, RAT_TYPES):
-            if other == 0:
+            p = int(other.numerator)
+            if not p:
                 return CYCLO_ZERO
-            return CycloNum._make(self.order, [c * other for c in self.coeffs])
-        if other.order == self.order:
-            a, b = self, other
-        else:
-            a, b = self._common(other)
-        if a.order == 1:
-            return CycloNum._make(1, [a.coeffs[0] * b.coeffs[0]])
-        n = len(a.coeffs)
-        prod = [ZERO] * (2 * n - 1)
-        for i, ci in enumerate(a.coeffs):
-            if ci:
-                for j, cj in enumerate(b.coeffs):
-                    if cj:
-                        prod[i + j] = prod[i + j] + ci * cj
-        return CycloNum._make(a.order, _reduce_vec(prod, a.order))
+            return CycloNum._make(
+                self.order, [c * p for c in self.num], self.den * int(other.denominator)
+            )
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
+        """1/x = y / (x y), y the product of the other Galois conjugates of x;
+        x y is the norm of x, a nonzero rational."""
         if self.is_zero:
             raise ZeroDivisionError("zero divisor")
-        if self.order == 1:
-            return CycloNum(1, (ONE / self.coeffs[0],))
-        inv = _poly_invert_mod(self.coeffs, self.order)
-        return CycloNum(self.order, inv)
+        m = self.order
+        if m == 1:
+            p = self.num[0]
+            return _exact(1, (self.den if p > 0 else -self.den,), abs(p))
+        y = CYCLO_ONE
+        for t in range(2, m):
+            if math.gcd(t, m) == 1:
+                y = y * self.galois(t)
+        return y / (self * y)
 
     def __truediv__(self, other):
         if isinstance(other, RAT_TYPES):
             if other == 0:
                 raise ZeroDivisionError("zero divisor")
-            return CycloNum(self.order, tuple(c / other for c in self.coeffs))
-        a, b = self._common(other)
-        return a * b.inverse()
+            p, q = int(other.numerator), int(other.denominator)
+            if p < 0:
+                p, q = -p, -q
+            return CycloNum._make(self.order, [c * q for c in self.num], self.den * p)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return CycloNum.from_rat(other) / self
@@ -357,12 +472,19 @@ class CycloNum:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, CycloNum):
+            if self.den != other.den:
+                return False
+            if self.order == other.order:
+                return self.num == other.num
+            if self.order == 1 or other.order == 1:
+                return False  # a canonical order > 1 element is not rational
+            _, a, b = self._aligned(other)
+            return a == b
         if isinstance(other, RAT_TYPES):
-            return self.order == 1 and self.coeffs[0] == other
-        if not isinstance(other, CycloNum):
-            return NotImplemented
-        a, b = self._common(other)
-        return a.coeffs == b.coeffs
+            return (self.order == 1 and self.num[0] == other.numerator
+                    and self.den == other.denominator)
+        return NotImplemented
 
     def __repr__(self):
         return scalar_str(self)
@@ -373,73 +495,74 @@ class CycloNum:
         )
 
 
-def _expand_mod_xm(coeffs, t: int, m: int) -> list:
-    """Coefficient vector of sum c_i x^{i t mod m}, exponents folded by x^m = 1.
+_new = object.__new__
+_set_order = CycloNum.order.__set__
+_set_num = CycloNum.num.__set__
+_set_den = CycloNum.den.__set__
 
-    Folding by x^m = 1 before the Phi_m reduction is sound because zeta_m^m = 1.
+
+def _fill(self: CycloNum, order: int, num: tuple, den: int) -> None:
+    _set_order(self, order)
+    _set_num(self, num)
+    _set_den(self, den)
+
+
+def _exact(order: int, num: tuple, den: int) -> CycloNum:
+    """A CycloNum from parts already in canonical form."""
+    self = _new(CycloNum)
+    _fill(self, order, num, den)
+    return self
+
+
+def _canonical(order: int, num, den: int) -> tuple:
+    """(order, num, den) collapsed to order 1 when rational, in lowest terms."""
+    if order > 1 and not any(num[1:]):
+        order, num = 1, num[:1]
+    g = math.gcd(den, *num)
+    if g != 1:
+        return order, tuple(c // g for c in num), den // g
+    return order, tuple(num), den
+
+
+def _lift(num: tuple, m: int, big: int) -> tuple:
+    """Numerators on the power basis of Q(zeta_m) rewritten on that of Q(zeta_big)."""
+    if m == big:
+        return num
+    if m == 1:
+        return (num[0],) + (0,) * (euler_phi(big) - 1)
+    return _apply_rows(num, _promotion_table(m, big))
+
+
+def linear_form(values, weights, den: int = 1):
+    """The exact sum of weights[k] * values[k] / den, integer weights, den > 0.
+
+    It runs on integer numerators, one accumulator per cyclotomic order.
+    Like a chain of `q_add`, the result is a `Rat` unless some nonzero value
+    is a CycloNum.
     """
-    out = [ZERO] * m
-    for i, c in enumerate(coeffs):
-        if c:
-            e = (i * t) % m
-            out[e] = out[e] + c
-    return out
-
-
-def _poly_invert_mod(coeffs, m: int) -> list:
-    """Inverse of the given power-basis vector modulo Phi_m (extended Euclid)."""
-    phi_poly = [rat(c) for c in cyclotomic_poly(m)]
-
-    def pdeg(p):
-        d = len(p) - 1
-        while d >= 0 and p[d] == 0:
-            d -= 1
-        return d
-
-    def pdivmod(a, b):
-        a = list(a)
-        db = pdeg(b)
-        lead = b[db]
-        q = [ZERO] * max(pdeg(a) - db + 1, 0)
-        while pdeg(a) >= db:
-            da = pdeg(a)
-            c = a[da] / lead
-            q[da - db] = c
-            for k in range(db + 1):
-                a[da - db + k] = a[da - db + k] - c * b[k]
-        return q, a
-
-    r0, r1 = phi_poly, list(coeffs)
-    s0, s1 = [ZERO], [ONE]
-    while pdeg(r1) > 0:
-        q, r = pdivmod(r0, r1)
-        r0, r1 = r1, r
-        qs = _poly_mul_rat(q, s1)
-        s_new = [x - y for x, y in _zip_pad(s0, qs)]
-        s0, s1 = s1, s_new
-    d = pdeg(r1)
-    if d < 0:
-        raise ZeroDivisionError("zero divisor")
-    c = r1[0]
-    inv = [x / c for x in s1]
-    return _reduce_vec(inv, m)
-
-
-def _poly_mul_rat(a, b):
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [ZERO] * (n - len(a))
-    b = list(b) + [ZERO] * (n - len(b))
-    return zip(a, b)
+    acc: dict = {}  # order -> (numerator sums, their denominator)
+    cyclotomic = False
+    for v, w in zip(values, weights):
+        if isinstance(v, CycloNum):
+            if v.is_zero:
+                continue
+            cyclotomic = True
+            m, num, d = v.order, v.num, v.den
+        elif v:
+            m, num, d = 1, (int(v.numerator),), int(v.denominator)
+        else:
+            continue
+        sums, e = acc.get(m, ((0,) * len(num), 1))
+        g = math.gcd(d, e)
+        fs, fv = d // g, w * (e // g)
+        acc[m] = [s * fs + c * fv for s, c in zip(sums, num)], e * fs
+    if not cyclotomic:
+        sums, d = acc.get(1, ((0,), 1))
+        return rat(sums[0], d * den)
+    total = CYCLO_ZERO
+    for m, (sums, d) in acc.items():
+        total = total + CycloNum._make(m, sums, d * den)
+    return total
 
 
 CYCLO_ZERO = CycloNum(1, (ZERO,))

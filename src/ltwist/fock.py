@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from ltwist.characters import PeriodicFn, TwistGroup, pf_mul
-from ltwist.cycloring import CycloRing, cyclo_ring, scalar_order
+from ltwist.cycloring import CycloRing, cyclo_ring, scalar_den, scalar_order
 from ltwist.exactnum import (
     CycloNum,
     Scalar,
@@ -110,17 +110,9 @@ def partition_weight(state) -> int:
     """Symmetry factor prod_j j^{m_j} m_j! of a partition."""
     p = _as_partition(state)
     w = 1
-    i = 0
-    while i < len(p):
-        j = i
-        while j < len(p) and p[j] == p[i]:
-            j += 1
-        mult = j - i
-        fact = 1
-        for t in range(2, mult + 1):
-            fact *= t
-        w *= p[i] ** mult * fact
-        i = j
+    for part in set(p):
+        mult = p.count(part)
+        w *= part**mult * math.factorial(mult)
     return w
 
 
@@ -297,20 +289,17 @@ class _OverDenominator:
 
     def __init__(self, values: list):
         self.order = math.lcm(1, *(scalar_order(v) for v in values))
-        own = cyclo_ring(self.order)
-        self.den = math.lcm(1, *(own.from_scalar(v)[1] for v in values))
-        self._numerators = [v * self.den for v in values]
+        self.den = math.lcm(1, *(scalar_den(v) for v in values))
+        self._values = values
         self._by_ring: dict = {}
 
     def elements(self, ring: CycloRing) -> list:
         hit = self._by_ring.get(ring)
         if hit is None:
             hit = []
-            for v in self._numerators:
+            for v in self._values:
                 x, den = ring.from_scalar(v)
-                if den != 1:
-                    raise ArithmeticError(f"{v} is not integral on the power basis")
-                hit.append(x)
+                hit.append(ring.smul(x, self.den // den))
             self._by_ring[ring] = hit
         return hit
 
@@ -1047,12 +1036,17 @@ def verify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
     ring = cyclo_ring(math.lcm(A.order, B.order))
     a, b = _cross_factors(A.scale, B.scale)
     smul, conj = ring.smul, ring.conj
+    weights: dict = {}  # partition -> symmetry factor, computed once per sweep
     checked = 0
     for mu in window:
+        w_mu = partition_weight(mu)
         for lam, val in A.icolumn(mu, ring).items():
             back = B.icolumn(lam, ring).get(mu, ring.zero)
-            lhs = smul(val, partition_weight(lam))
-            rhs = smul(conj(back), partition_weight(mu))
+            w_lam = weights.get(lam)
+            if w_lam is None:
+                w_lam = weights[lam] = partition_weight(lam)
+            lhs = smul(val, w_lam)
+            rhs = smul(conj(back), w_mu)
             checked += 1
             if smul(lhs, a) != smul(rhs, b):
                 return VerifyResult(False, checked, (

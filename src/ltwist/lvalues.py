@@ -3,11 +3,13 @@ and the explicit class number formula for imaginary quadratic fields."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ltwist.characters import PeriodicFn, _is_prime
-from ltwist.exactnum import Scalar, q_add, q_is_zero, q_mul, rat
+from ltwist.exactnum import Scalar, linear_form, rat
 
 MAX_BERNOULLI_DEGREE = 64
 
@@ -95,16 +97,7 @@ def l_special(n: int, chi: PeriodicFn) -> Scalar:
             "formally; the engine's validity argument does not cover it",
             stacklevel=2,
         )
-    N = chi.period
-    B = bernoulli_poly(n)
-    scale = rat(N) ** (n - 1) / rat(n)
-    total: Scalar = rat(0)
-    for a in range(1, N + 1):
-        v = chi(a)
-        if q_is_zero(v):
-            continue
-        total = q_add(total, q_mul(v, B(rat(a, N)) * scale))
-    return q_mul(-1, total)
+    return linear_form(chi.values(), *_special_weights(n, chi.period))
 
 
 def l_zero(chi: PeriodicFn) -> Scalar:
@@ -112,14 +105,7 @@ def l_zero(chi: PeriodicFn) -> Scalar:
     sum_k -(k/N) chi(k) + (1/2) sum_k chi(k); equals l_special(1, chi)."""
     if not _l_domain_ok(chi):
         raise ValueError("closed form needs a mean-zero function or character")
-    N = chi.period
-    total: Scalar = rat(0)
-    for k in range(1, N + 1):
-        v = chi(k)
-        if q_is_zero(v):
-            continue
-        total = q_add(total, q_mul(v, rat(1, 2) - rat(k, N)))
-    return total
+    return linear_form(chi.values(), *_zero_weights(chi.period))
 
 
 def l_minus_one(chi: PeriodicFn) -> Scalar:
@@ -137,15 +123,39 @@ def _l_minus_one_form(f: PeriodicFn) -> Scalar:
     `l_minus_one` admits; elsewhere it is just the finite sum, which is what
     the central term of the twisted bracket needs.
     """
-    N = f.period
-    total: Scalar = rat(0)
-    for k in range(1, N + 1):
-        v = f(k)
-        if q_is_zero(v):
-            continue
-        w = -rat(k * k, 2 * N) + rat(k, 2) - rat(N, 12)
-        total = q_add(total, q_mul(v, w))
-    return total
+    return linear_form(f.values(), *_minus_one_weights(f.period))
+
+
+# The three closed forms are linear forms sum_{k=1..N} f(k) w_k.  Their
+# rational weights are built whole per (n, N), as integers over one
+# denominator, so the sums run on integer numerators.
+
+
+def _over_one_denominator(weights: list) -> tuple[tuple[int, ...], int]:
+    den = math.lcm(*(int(w.denominator) for w in weights))
+    return tuple(int(w.numerator) * (den // int(w.denominator)) for w in weights), den
+
+
+@lru_cache(maxsize=None)
+def _special_weights(n: int, N: int) -> tuple[tuple[int, ...], int]:
+    """w_a = -N^{n-1} B_n(a/N) / n."""
+    B = bernoulli_poly(n)
+    scale = rat(N) ** (n - 1) / rat(n)
+    return _over_one_denominator([-B(rat(a, N)) * scale for a in range(1, N + 1)])
+
+
+@lru_cache(maxsize=None)
+def _zero_weights(N: int) -> tuple[tuple[int, ...], int]:
+    """w_k = 1/2 - k/N."""
+    return _over_one_denominator([rat(1, 2) - rat(k, N) for k in range(1, N + 1)])
+
+
+@lru_cache(maxsize=None)
+def _minus_one_weights(N: int) -> tuple[tuple[int, ...], int]:
+    """w_k = -k^2/(2N) + k/2 - N/12."""
+    return _over_one_denominator(
+        [-rat(k * k, 2 * N) + rat(k, 2) - rat(N, 12) for k in range(1, N + 1)]
+    )
 
 
 def legendre_symbol(k: int, q: int) -> int:

@@ -198,3 +198,33 @@ def test_conductor_and_primitivity():
     conductors = sorted(chi.conductor() for chi in chars9)
     assert conductors == [1, 3, 9, 9, 9, 9]
     assert sum(1 for c in chars9 if c.is_primitive) == 4
+
+
+def test_character_tables_match_per_value_powers():
+    # the value tables read from the per-order power tables equal the
+    # per-value construction prod_i root_i ** s_i, text form for text form
+    from itertools import product
+
+    from ltwist.characters import _unit_group_generators
+    from ltwist.exactnum import scalar_str
+
+    for N in range(1, 31):
+        gens = _unit_group_generators(N)
+        orders = [d for _, d in gens]
+        dlog = {}
+        for t in product(*(range(d) for d in orders)):
+            u = 1
+            for (g, _), e in zip(gens, t):
+                u = u * pow(g, e, N) % N
+            dlog[u % N] = t
+        chars = dirichlet_characters(N)
+        assert len(chars) == euler_phi(N)
+        for chi, exps in zip(chars, product(*(range(d) for d in orders))):
+            for k in range(1, N + 1):
+                want = rat(0)
+                if math.gcd(k, N) == 1:
+                    want = rat(1)
+                    for e, t, d in zip(exps, dlog[k % N], orders):
+                        if e * t % d:
+                            want = q_mul(want, zeta(d) ** (e * t % d))
+                assert scalar_str(chi(k)) == scalar_str(want), (N, exps, k)

@@ -218,3 +218,106 @@ def test_reduction_rows_whole_and_immutable():
         z = zeta(m)
         for t, row in enumerate(rows, euler_phi(m)):
             assert z**t == sum((c * z**k for k, c in enumerate(row)), CycloNum.from_rat(0))
+
+
+REF_ORDERS = (1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24, 28)
+
+
+def _is_canonical(x):
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+    assert len(x.num) == euler_phi(x.order)
+    assert all(type(c) is int for c in x.num + (x.den,))
+    # a rational value is stored at order 1, and only a rational value is
+    assert (x.order == 1) == (x.rational_part() is not None)
+    return True
+
+
+def test_integer_cyclonum_matches_fraction_reference():
+    import fraction_reference as ref
+
+    rng = random.Random(17)
+
+    def sample(m):
+        coeffs = [rat(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6)))
+                  for _ in range(euler_phi(m))]
+        return CycloNum(m, coeffs), ref.collapse(m, coeffs)
+
+    for _ in range(120):
+        m, n = rng.choice(REF_ORDERS), rng.choice(REF_ORDERS)
+        if rng.random() < 0.5:
+            n = m  # same-order pairs take the fast paths
+        (a, ra), (b, rb) = sample(m), sample(n)
+        q = rat(rng.randint(-9, 9), rng.randint(1, 5))
+        rq = ref.of(q)
+        cases = [
+            (a, ra), (a + b, ref.add(ra, rb)), (a - b, ref.add(ra, ref.neg(rb))),
+            (a * b, ref.mul(ra, rb)), (-a, ref.neg(ra)),
+            (a.conj(), ref.galois(ra, a.order - 1) if a.order > 1 else ra),
+            (a + q, ref.add(ra, rq)), (q + a, ref.add(ra, rq)),
+            (q - a, ref.add(rq, ref.neg(ra))), (a * q, ref.mul(ra, rq)),
+        ]
+        if q:
+            cases.append((a / q, ref.mul(ra, ref.of(1 / q))))
+        power = ref.of(1)
+        for e in range(4):
+            cases.append((a**e, power))
+            power = ref.mul(power, ra)
+        cases += [(a.galois(t), ref.galois(ra, t))
+                  for t in range(2, a.order) if math.gcd(t, a.order) == 1]
+        for got, want in cases:
+            assert _is_canonical(got) and ref.same(got, want), (a, b, q)
+        if not b.is_zero:
+            quo = a / b
+            assert _is_canonical(quo) and ref.equal(ref.mul(ref.of(quo), rb), ra)
+        if not a.is_zero:
+            assert ref.equal(ref.mul(ref.of(a**-2), ref.mul(ra, ra)), ref.of(1))
+        assert (a == b) == ref.equal(ra, rb)
+        # the same value written in a larger field compares equal
+        big = m * n // math.gcd(m, n)
+        assert CycloNum(big, ref.lift(ra, big)) == a
+        text = scalar_str(a)
+        assert text == ref.text(ra)
+        back = parse_scalar(text)
+        if isinstance(back, CycloNum):
+            assert (back.order, back.num, back.den) == (a.order, a.num, a.den)
+        else:
+            assert back == a.rational_part()
+
+
+def test_canonical_zero_and_one():
+    z = zeta(12) + rat(1, 3)
+    for zero in (z - z, z * 0, CycloNum.from_rat(0), CycloNum(5, [rat(0)] * 4), zeta(7) * 0):
+        assert (zero.order, zero.num, zero.den) == (1, (0,), 1)
+    for one in (z / z, zeta(7) ** 7, z * z.inverse(), CycloNum(8, [rat(1), 0, 0, 0]), zeta(1)):
+        assert (one.order, one.num, one.den) == (1, (1,), 1)
+    # lowest terms after every operation, denominators positive
+    x = CycloNum(5, [rat(2, 6), rat(-4, 6), rat(0), rat(8, 3)])
+    assert (x.num, x.den) == ((1, -2, 0, 8), 3)
+    assert ((x * 3).num, (x * 3).den) == ((1, -2, 0, 8), 1)
+    assert ((x / rat(-2, 3)).num, (x / rat(-2, 3)).den) == ((-1, 2, 0, -8), 2)
+    # non-rational terms whose sum is rational: 1 + z3 + z3^2 = 0
+    assert zeta(3) + zeta(3) ** 2 + 1 == 0 and (zeta(3) + zeta(3) ** 2).order == 1
+
+
+def test_large_order_product_deep_in_the_stack():
+    # lcm(7, 15, 16) = 1680 has phi = 384.  Above the straight-line bound the
+    # product loops; a straight-line product that large fails to compile
+    # with RecursionError when built deep in the stack.
+    from ltwist.exactnum import _tuple_ops
+
+    import fraction_reference as ref
+
+    a = 1 + 2 * zeta(7) - zeta(7) ** 3
+    b = zeta(15) ** 2 - 3 * zeta(15) ** 7
+    c = 2 - zeta(16) + zeta(16) ** 5
+    _tuple_ops.cache_clear()
+
+    def deep(k):
+        return deep(k - 1) if k else a * b * c
+
+    got = deep(500)
+    assert got.order == 1680 and _is_canonical(got)
+    want = ref.mul(ref.mul(ref.of(a), ref.of(b)), ref.of(c))
+    assert ref.same(got, want)
+    assert got.conj() == a.conj() * b.conj() * c.conj()

@@ -161,3 +161,36 @@ def test_class_number_domain():
     for bad in (5, 13, 3, 9, 21, 2):
         with pytest.raises(ValueError, match="out of scope modulus"):
             class_number_imag_quadratic(bad)
+
+
+def test_linear_forms_match_per_term_fraction_sums():
+    # every L-value closed form against its term-by-term sum in the Fraction
+    # reference, with the Bernoulli polynomials from the binomial oracle
+    from fractions import Fraction
+
+    import fraction_reference as ref
+    from ltwist.exactnum import CycloNum
+
+    def bern(n, x):
+        return sum((c * x**i for i, c in enumerate(_bern_poly_oracle(n))), Fraction(0))
+
+    fns = [chi for N in range(1, 21) for chi in dirichlet_characters(N)]
+    fns += [f for N in range(3, 16, 2) for f in folded_power_family(N).elements]
+    for f in fns:
+        N, vals = f.period, f.values()
+        cyclotomic = any(isinstance(v, CycloNum) for v in vals)
+        ks = range(1, N + 1)
+        cases = [
+            (l_zero(f), [Fraction(1, 2) - Fraction(k, N) for k in ks]),
+            (l_minus_one(f),
+             [-Fraction(k * k, 2 * N) + Fraction(k, 2) - Fraction(N, 12) for k in ks]),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # n > 2 on the folded family
+            for n in range(1, 5):
+                cases.append((l_special(n, f),
+                              [-Fraction(N) ** (n - 1) * bern(n, Fraction(a, N)) / n for a in ks]))
+        for got, weights in cases:
+            # a Rat exactly when every value is rational: the text forms differ
+            assert isinstance(got, CycloNum) == cyclotomic
+            assert ref.equal(ref.of(got), ref.linear_sum(vals, weights)), (N, vals)

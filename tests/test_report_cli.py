@@ -217,3 +217,22 @@ def test_cli_report(tmp_path, capsys, monkeypatch):
     assert failing == ["summation:squares"]
     assert code == 1  # the designed red check keeps the exit honest
     assert doc["config"]["cutoff"] == 4
+
+
+def test_report_rows_match_golden_file():
+    # The report's behaviour contract: every check row (id, formula, status,
+    # value, witness) stays byte-identical across refactors.  The file holds
+    # the rows of this reduced configuration; regenerate it only in a change
+    # that says why the document changes.
+    path = os.path.join(os.path.dirname(__file__), "data", "report_rows_small.json")
+    with open(path, encoding="utf-8") as fh:
+        want = fh.read()
+    cfg = RunConfig(
+        moduli_bracket=(), moduli_decomposition=(), moduli_exact=(5,),
+        moduli_numeric=(5,), moduli_energy=(5,), cutoff=20, modular_order=100,
+        euler_order=60, jacobi_order=20, series_order=20, qtrace_order=10,
+        n_terms=20_000, precision_bits=128,
+    )
+    doc = json.loads(report_to_json(report_all(cfg)))
+    got = {"config": doc["config"], "checks": doc["checks"]}
+    assert json.dumps(got, indent=2, sort_keys=True) + "\n" == want
