@@ -20,10 +20,6 @@ from ltwist.exactnum import (
     euler_phi,
     linear_form,
     parse_scalar,
-    q_eq,
-    q_fingerprint,
-    q_is_zero,
-    q_mul,
     rat,
     scalar_str,
     zeta,
@@ -77,15 +73,13 @@ class PeriodicFn:
     def even(self) -> bool:
         if "even" not in self._flags:
             N = self.period
-            self._flags["even"] = all(
-                q_eq(self(j), self(N - j)) for j in range(1, N)
-            )
+            self._flags["even"] = all(self(j) == self(N - j) for j in range(1, N))
         return self._flags["even"]
 
     @property
     def mean_zero(self) -> bool:
         if "mean_zero" not in self._flags:
-            self._flags["mean_zero"] = q_is_zero(self.period_sum())
+            self._flags["mean_zero"] = not self.period_sum()
         return self._flags["mean_zero"]
 
     def period_sum(self) -> Scalar:
@@ -96,18 +90,18 @@ class PeriodicFn:
         """Vanishes exactly off the units mod N, is 1 at 1, multiplicative."""
         if "dirichlet" not in self._flags:
             N = self.period
-            ok = q_eq(self(1), 1) if N >= 1 else False
+            ok = self(1) == 1 if N >= 1 else False
             if ok:
                 for a in range(N):
                     unit = math.gcd(a, N) == 1
-                    if unit != (not q_is_zero(self(a))):
+                    if unit != bool(self(a)):
                         ok = False
                         break
             if ok:
                 units = [a for a in range(N) if math.gcd(a, N) == 1]
                 for a in units:
                     for b in units:
-                        if not q_eq(self(a * b), q_mul(self(a), self(b))):
+                        if self(a * b) != self(a) * self(b):
                             ok = False
                             break
                     if not ok:
@@ -120,8 +114,8 @@ class PeriodicFn:
         """1 on residues not divisible by N, 0 at multiples of N."""
         if "offzero" not in self._flags:
             N = self.period
-            self._flags["offzero"] = q_is_zero(self(0)) and all(
-                q_eq(self(j), 1) for j in range(1, N)
+            self._flags["offzero"] = not self(0) and all(
+                self(j) == 1 for j in range(1, N)
             )
         return self._flags["offzero"]
 
@@ -145,7 +139,7 @@ class PeriodicFn:
             for a in range(N):
                 b = a + d
                 if math.gcd(a, N) == 1 and math.gcd(b, N) == 1:
-                    if not q_eq(self(a), self(b)):
+                    if self(a) != self(b):
                         ok = False
                         break
             if ok:
@@ -158,9 +152,8 @@ class PeriodicFn:
         return pf_mul(self, other)
 
     def conj(self) -> "PeriodicFn":
-        from ltwist.exactnum import q_conj
-
-        return PeriodicFn(self.period, [q_conj(v) for v in self.values()])
+        vals = [v.conj() if isinstance(v, CycloNum) else v for v in self.values()]
+        return PeriodicFn(self.period, vals)
 
     def lift(self, period: int) -> "PeriodicFn":
         if period % self.period:
@@ -172,13 +165,18 @@ class PeriodicFn:
             return NotImplemented
         if self.period != other.period:
             return False
-        return all(q_eq(a, b) for a, b in zip(self.values(), other.values()))
+        return all(a == b for a, b in zip(self.values(), other.values()))
 
     __hash__ = None
 
     def fingerprint(self) -> tuple:
         if self._fingerprint is None:
-            fp = (self.period,) + tuple(q_fingerprint(v) for v in self.values())
+            # values are normalised: rationals are Rats, so a CycloNum is irrational
+            fp = (self.period,) + tuple(
+                v.fingerprint() if isinstance(v, CycloNum)
+                else ("q", v.numerator, v.denominator)
+                for v in self.values()
+            )
             object.__setattr__(self, "_fingerprint", fp)
         return self._fingerprint
 
@@ -215,7 +213,7 @@ class PeriodicFn:
 def pf_mul(a: PeriodicFn, b: PeriodicFn) -> PeriodicFn:
     """Pointwise product, lifting to the lcm period when periods differ."""
     N = a.period * b.period // math.gcd(a.period, b.period)
-    return PeriodicFn(N, [q_mul(a(k), b(k)) for k in range(1, N + 1)])
+    return PeriodicFn(N, [a(k) * b(k) for k in range(1, N + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +316,7 @@ def dirichlet_characters(N: int) -> list[PeriodicFn]:
             for (e_char, t_unit, table, d) in zip(exps, dlog[r], powers, orders):
                 s = (e_char * t_unit) % d
                 if s:
-                    val = q_mul(val, table[s])
+                    val = val * table[s]
             values.append(val)
         chars.append(PeriodicFn(N, values))
     return chars
@@ -367,9 +365,7 @@ class TwistGroup:
 
     def _find_identity(self) -> int:
         for i, e in enumerate(self.elements):
-            if all(q_is_zero(v) or q_eq(v, 1) for v in e.values()) and q_is_zero(
-                e(0)
-            ):
+            if all(not v or v == 1 for v in e.values()) and not e(0):
                 if all(pf_mul(e, x) == x for x in self.elements):
                     return i
         raise ValueError("no valid identity element")
@@ -387,7 +383,7 @@ class TwistGroup:
                 raise ValueError(f"element {i} is not even")
             if i != self.identity and not e.mean_zero:
                 raise ValueError(f"non-identity element {i} is not mean zero")
-            if not q_is_zero(e(0)):
+            if e(0):
                 raise ValueError(f"element {i} does not vanish at 0 mod N")
         table = [[self._index_of(pf_mul(a, b)) for b in self.elements] for a in self.elements]
         for i in range(k):

@@ -276,7 +276,7 @@ def cmd_report(args) -> int:
         cfg = load_config_file(args.config, cfg)
     cfg = config_from_env(os.environ, cfg)
     overrides = {}
-    for key in ("cutoff", "seed", "jobs", "n_terms", "precision_bits"):
+    for key in ("cutoff", "seed", "n_terms", "precision_bits"):
         val = getattr(args, key, None)
         if val is not None:
             overrides[key] = val
@@ -379,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--config", help="flat key=value configuration file")
     q.add_argument("--format", choices=("json", "csv", "text"), default=None)
     q.add_argument("--out", help="write the document here instead of stdout")
-    q.add_argument("--jobs", type=int, default=None)
     q.add_argument("--seed", type=int, default=None)
     q.add_argument("--cutoff", type=int, default=None)
     q.add_argument("--n-terms", dest="n_terms", type=int, default=None)

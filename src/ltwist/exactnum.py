@@ -1,12 +1,16 @@
 """Exact rational and cyclotomic arithmetic.
 
-The scalar domain used throughout the package is the union of arbitrary
-precision rationals and elements of cyclotomic fields Q(zeta_m), the latter
-represented on the power basis modulo the m-th cyclotomic polynomial so that
-equality is decidable and there are no zero divisors.  A cyclotomic element
-holds integer numerators over one denominator, and its arithmetic runs on
-Python ints with the Z[zeta_m] operations that `cycloring` shares.  A
-controlled-precision complex embedding is provided for the few numeric
+The scalar domain used throughout the package is the union of ints,
+arbitrary precision rationals (`Rat`) and elements of cyclotomic fields
+Q(zeta_m) (`CycloNum`), the latter represented on the power basis modulo the
+m-th cyclotomic polynomial so that equality is decidable and there are no
+zero divisors.  The three compose with Python's own operators: `+`, `-`,
+`*`, `/` and `==` take an int or a `Rat` on either side of a `CycloNum`, the
+result is a `Rat` when both sides are rational and a `CycloNum` as soon as
+one side is, and `not x` is the zero test for every scalar.  A cyclotomic
+element holds integer numerators over one denominator, and its arithmetic
+runs on Python ints with the Z[zeta_m] operations that `cycloring` shares.
+A controlled-precision complex embedding is provided for the few numeric
 checks.
 """
 
@@ -354,6 +358,9 @@ class CycloNum:
     def is_zero(self) -> bool:
         return self.order == 1 and not self.num[0]
 
+    def __bool__(self) -> bool:
+        return not self.is_zero
+
     def rational_part(self) -> Optional[Rat]:
         """The value as a rational if it is one, else None."""
         if self.order == 1:
@@ -537,8 +544,8 @@ def linear_form(values, weights, den: int = 1):
     """The exact sum of weights[k] * values[k] / den, integer weights, den > 0.
 
     It runs on integer numerators, one accumulator per cyclotomic order.
-    Like a chain of `q_add`, the result is a `Rat` unless some nonzero value
-    is a CycloNum.
+    Like a chain of `+`, the result is a `Rat` unless some nonzero value is
+    a CycloNum.
     """
     acc: dict = {}  # order -> (numerator sums, their denominator)
     cyclotomic = False
@@ -599,50 +606,6 @@ def is_rational(a) -> Optional[Rat]:
     if isinstance(a, RAT_TYPES):
         return rat(a)
     return a.rational_part()
-
-
-# ---------------------------------------------------------------------------
-# scalar helpers over the int/Rat/CycloNum union
-
-
-def q_is_zero(a) -> bool:
-    if isinstance(a, CycloNum):
-        return a.is_zero
-    return a == 0
-
-
-def q_add(a, b):
-    if isinstance(a, CycloNum) or isinstance(b, CycloNum):
-        return cyclo(a) + (b if isinstance(b, CycloNum) else rat(b))
-    return a + b
-
-
-def q_mul(a, b):
-    if isinstance(a, CycloNum):
-        return a * (b if isinstance(b, CycloNum) else rat(b))
-    if isinstance(b, CycloNum):
-        return b * rat(a)
-    return a * b
-
-
-def q_eq(a, b) -> bool:
-    if isinstance(a, CycloNum) or isinstance(b, CycloNum):
-        return cyclo(a) == cyclo(b)
-    return a == b
-
-
-def q_conj(a):
-    return a.conj() if isinstance(a, CycloNum) else a
-
-
-def q_fingerprint(a) -> tuple:
-    if isinstance(a, CycloNum):
-        r = a.rational_part()
-        if r is not None:
-            return ("q", r.numerator, r.denominator)
-        return a.fingerprint()
-    a = rat(a)
-    return ("q", a.numerator, a.denominator)
 
 
 def scalar_str(a) -> str:

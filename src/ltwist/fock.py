@@ -21,17 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 from ltwist.characters import PeriodicFn, TwistGroup, pf_mul
 from ltwist.cycloring import CycloRing, cyclo_ring, scalar_den, scalar_order
-from ltwist.exactnum import (
-    CycloNum,
-    Scalar,
-    is_rational,
-    q_add,
-    q_eq,
-    q_is_zero,
-    q_mul,
-    rat,
-    zeta,
-)
+from ltwist.exactnum import Scalar, is_rational, rat, zeta
 from ltwist.lvalues import _l_minus_one_form, l_minus_one
 
 MAX_BASIS_DEGREE = 60
@@ -328,7 +318,7 @@ class BilinearOp(Operator):
         self._table = _OverDenominator(values)
         self.order = self._table.order
         self.scale = self.prefactor / self._table.den
-        self._nonzero = [not q_is_zero(v) for v in values]
+        self._nonzero = [bool(v) for v in values]
         self._N = N
         self._cache: dict = {}  # ring -> {partition: integer column}
 
@@ -447,7 +437,7 @@ class SumOp(Operator):
         self.terms = [(c, op) for c, op in terms]
         shifts = {op.degree_shift for _, op in self.terms}
         self.degree_shift = shifts.pop() if len(shifts) == 1 else 0
-        live = [(c, op) for c, op in self.terms if not q_is_zero(c)]
+        live = [(c, op) for c, op in self.terms if c]
         self._ops = [op for _, op in live]
         self._weights = _OverDenominator([c * op.scale for c, op in live])
         self.order = math.lcm(self._weights.order, *(op.order for op in self._ops))
@@ -519,7 +509,7 @@ def build_L(chi: PeriodicFn, n: int, D: Optional[int] = None, l: int = 1) -> Ope
     With l > 1 this is the mode-scaled embedding with prefactor 1/(2Nl).
     """
     N = chi.period
-    if not q_is_zero(chi(0)):
+    if chi(0):
         raise ValueError("twist function must vanish at 0 mod N")
     if D is not None and abs(n) * N * l > D:
         raise ValueError("cutoff too small for this mode index")
@@ -543,7 +533,7 @@ def twist_residue(G: TwistGroup, i: int) -> int:
     target = omega ** ((k - i) % k)
     N = G.period
     for j in range(1, N):
-        if q_eq(gen(j), target):
+        if gen(j) == target:
             return min(j, N - j)
     raise ValueError("index mismatch")
 
@@ -569,7 +559,7 @@ def _pair_combination(N: int, coeffs: Sequence) -> PeriodicFn:
     values: list = [rat(0)] * N
     for r, c in zip(_pair_residues(N), coeffs):
         ind = pair_indicator(N, r)
-        values = [q_add(v, q_mul(c, ind(u))) for u, v in enumerate(values, start=1)]
+        values = [v + c * ind(u) for u, v in enumerate(values, start=1)]
     return PeriodicFn(N, values)
 
 
@@ -602,11 +592,10 @@ def _mode_indicator(G: TwistGroup, i: int) -> tuple[PeriodicFn, int]:
         elem = G.elements[power_idx]
         w = omega ** ((i * s) % k)
         for u in range(N):
-            acc[u] = q_add(acc[u], q_mul(w, elem(u)))
+            acc[u] = acc[u] + w * elem(u)
         power_idx = G.product_index(power_idx, gen_idx)
     for u in range(N):
-        val = q_mul(acc[u], rat(1, k))
-        if not q_eq(val, ind(u)):
+        if acc[u] * rat(1, k) != ind(u):
             raise ArithmeticError(
                 "root-of-unity average does not project onto a residue pair; "
                 "twist group is outside the supported families"
@@ -642,7 +631,7 @@ def build_T(
     op: Operator = build_L(ind, n)
     if shifted and n == 0:
         energy = vacuum_energies(G, i)
-        scalar = q_mul(energy.c, rat(1, N))
+        scalar = energy.c * rat(1, N)
         out = SumOp([(1, op), (1, ScalarOp(scalar))])
         out.scalar = scalar
         out.degree_shift = 0
@@ -666,7 +655,7 @@ class VacuumEnergy:
         N, j = self.group_period, self.residue
         c_closed = rat(j * (N - j), 2 * N) - rat(N, 12)
         d_closed = rat((N - 2 * j) ** 2, 8 * N) - rat(1, 24)
-        return q_eq(self.c, c_closed) and q_eq(self.d, d_closed)
+        return self.c == c_closed and self.d == d_closed
 
 
 _ENERGY_CACHE: dict = {}
@@ -695,15 +684,13 @@ def vacuum_energies(G: TwistGroup, i: int) -> VacuumEnergy:
     power_idx = gen_idx
     for s in range(1, k + 1):
         w = omega ** ((i * s) % k)
-        acc = q_add(acc, q_mul(w, l_minus_one(G.elements[power_idx])))
+        acc = acc + w * l_minus_one(G.elements[power_idx])
         power_idx = G.product_index(power_idx, gen_idx)
-    c = q_mul(acc, rat(1, 2 * k))
-    c_rat = is_rational(c) if isinstance(c, CycloNum) else c
-    if c_rat is None:
+    c = is_rational(acc * rat(1, 2 * k))
+    if c is None:
         raise ArithmeticError("vacuum shift did not come out rational")
-    c = c_rat
     ident = G.elements[G.identity]
-    d = q_add(q_mul(l_minus_one(ident), rat(1, 2)), q_mul(-1, c))
+    d = l_minus_one(ident) * rat(1, 2) - c
     energy = VacuumEnergy(index=i, residue=j, c=c, d=d, group_period=N)
     if ident.is_offzero_indicator and not energy.closed_forms_hold():
         raise ArithmeticError(
@@ -735,7 +722,7 @@ def verify_lemma_2_3(chi: PeriodicFn, k: int, n: int, D: int) -> VerifyResult:
     B = build_L(chi, n, D)
     lhs = CommutatorOp(A, B)
     target = mode_op(k + n * N)
-    scale = q_mul(chi(k), rat(k, N))
+    scale = chi(k) * rat(k, N)
     rhs = SumOp([(scale, target)])
     witness = lhs.matrix_equal(rhs, window)
     return VerifyResult(witness is None, len(window), witness)
@@ -769,7 +756,7 @@ def verify_lemma_2_3_suite(G: TwistGroup, D: int) -> VerifyResult:
 def _central_term(f: PeriodicFn, lm1, m: int) -> Scalar:
     """The central scalar of Theorem 2.4 at n = -m for the product twist f,
     given lm1 = L(-1, f): (m/N) L(-1, f) + (m^3/12) sum_k f(k)."""
-    return q_add(q_mul(lm1, rat(m, f.period)), q_mul(f.period_sum(), rat(m**3, 12)))
+    return lm1 * rat(m, f.period) + f.period_sum() * rat(m**3, 12)
 
 
 def _bracket_rhs(prod: PeriodicFn, m: int, n: int, D: Optional[int], l: int = 1,
@@ -854,15 +841,15 @@ def _pair_certificate(G: TwistGroup, span: range) -> bool:
     for a, chi1 in enumerate(G.elements):
         for b, chi2 in enumerate(G.elements):
             prod = pf_mul(chi1, chi2)
-            c = [q_mul(x, y) for x, y in zip(coeffs[a], coeffs[b])]
+            c = [x * y for x, y in zip(coeffs[a], coeffs[b])]
             if prod != _pair_combination(N, c):
                 return False
             lm1 = l_minus_one(prod)
             for m in span:
-                want = _sum_scalars(
-                    q_mul(cr, central[r, m]) for r, cr in zip(_pair_residues(N), c)
+                want = sum(
+                    (cr * central[r, m] for r, cr in zip(_pair_residues(N), c)), rat(0)
                 )
-                if not q_eq(_central_term(prod, lm1, m), want):
+                if _central_term(prod, lm1, m) != want:
                     return False
     return True
 
@@ -940,7 +927,7 @@ def verify_theorem_3_1(G: TwistGroup, D: int, max_mode: int = 2) -> VerifyResult
                                     (rat(m - n), build_T(G, i, m + n, D, shifted=False))
                                 )
                         if m == -n:
-                            central = q_mul(b, rat(m**3, 12 * k))
+                            central = b * rat(m**3, 12 * k)
                             terms.append((1, ScalarOp(central)))
                         rhs: Operator = SumOp(terms) if terms else ZeroOp()
                     else:
@@ -957,7 +944,7 @@ def _check_projectors(k: int) -> None:
     mutually orthogonal, and sum to the identity."""
     omega = zeta(k)
     P = {
-        i: [[q_mul(omega ** ((i * (s - t)) % k), rat(1, k)) for t in range(k)]
+        i: [[omega ** ((i * (s - t)) % k) * rat(1, k) for t in range(k)]
             for s in range(k)]
         for i in range(1, k + 1)
     }
@@ -965,7 +952,7 @@ def _check_projectors(k: int) -> None:
     def matmul(A, B):
         return [
             [
-                _sum_scalars(q_mul(A[s][r], B[r][t]) for r in range(k))
+                sum((A[s][r] * B[r][t] for r in range(k)), rat(0))
                 for t in range(k)
             ]
             for s in range(k)
@@ -975,7 +962,7 @@ def _check_projectors(k: int) -> None:
         sq = matmul(P[i], P[i])
         for s in range(k):
             for t in range(k):
-                if not q_eq(sq[s][t], P[i][s][t]):
+                if sq[s][t] != P[i][s][t]:
                     raise ArithmeticError("averaging projector is not idempotent")
         for j in range(1, k + 1):
             if i == j:
@@ -983,21 +970,14 @@ def _check_projectors(k: int) -> None:
             z = matmul(P[i], P[j])
             for s in range(k):
                 for t in range(k):
-                    if not q_is_zero(z[s][t]):
+                    if z[s][t]:
                         raise ArithmeticError("averaging projectors overlap")
     for s in range(k):
         for t in range(k):
-            tot = _sum_scalars(P[i][s][t] for i in range(1, k + 1))
+            tot = sum((P[i][s][t] for i in range(1, k + 1)), rat(0))
             want = rat(1) if s == t else rat(0)
-            if not q_eq(tot, want):
+            if tot != want:
                 raise ArithmeticError("averaging projectors do not resolve identity")
-
-
-def _sum_scalars(items) -> Scalar:
-    acc: Scalar = rat(0)
-    for x in items:
-        acc = q_add(acc, x)
-    return acc
 
 
 def verify_eq_3_28(N: int, i: int) -> VerifyResult:
@@ -1016,7 +996,7 @@ def verify_eq_3_28(N: int, i: int) -> VerifyResult:
     a = rat((2 * (k - j) + 1) ** 2, 8 * (2 * k + 1)) - rat(1, 24)
     b = highest_weight(k, j) - central_charge(k) / 24
     cval = energy.d
-    ok = q_eq(a, b) and q_eq(b, cval)
+    ok = a == b and b == cval
     return VerifyResult(ok, 3, None if ok else (N, i, str(a), str(b), str(cval)))
 
 
@@ -1097,9 +1077,8 @@ def qtrace(G: TwistGroup, i: int, mode: str, D: int):
         p = st.partition
         lam_L = _diagonal_eigenvalue(L0, p)
         lam_T = _diagonal_eigenvalue(T0, p)
-        grading = q_add(lam_L, q_mul(-1, lam_T)) if mode == "char" else lam_T
-        t = q_mul(grading, N)
-        t = rat(t) if not isinstance(t, CycloNum) else is_rational(t)
+        grading = lam_L - lam_T if mode == "char" else lam_T
+        t = is_rational(grading * N)
         if t is None or t.denominator != 1:
             raise ArithmeticError("grading did not rescale to an integer")
         key = int(t) * denom + int(shift * denom)

@@ -8,7 +8,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ltwist.characters import PeriodicFn, _is_prime
+from ltwist.characters import PeriodicFn, _is_prime, kronecker_symbol
 from ltwist.exactnum import Scalar, linear_form, rat
 
 MAX_BERNOULLI_DEGREE = 64
@@ -158,14 +158,6 @@ def _minus_one_weights(N: int) -> tuple[tuple[int, ...], int]:
     )
 
 
-def legendre_symbol(k: int, q: int) -> int:
-    """(k/q) for odd prime q, via Euler's criterion."""
-    r = pow(k % q, (q - 1) // 2, q)
-    if r == 0:
-        return 0
-    return 1 if r == 1 else -1
-
-
 def class_number_imag_quadratic(q: int) -> int:
     """h(Q(sqrt(-q))) = -(1/q) sum_{k=1}^{q-1} k (k/q), for prime q = 3 mod 4, q > 3.
 
@@ -173,7 +165,7 @@ def class_number_imag_quadratic(q: int) -> int:
     """
     if not (_is_prime(q) and q % 4 == 3 and q > 3):
         raise ValueError("out of scope modulus")
-    s = sum(k * legendre_symbol(k, q) for k in range(1, q))
+    s = sum(k * kronecker_symbol(k, q) for k in range(1, q))
     h = rat(-s, q)
     if h.denominator != 1 or h <= 0:
         raise ArithmeticError(f"class number sum gave a non positive integer: {h}")

@@ -12,17 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from ltwist.exactnum import (
-    CycloNum,
-    Scalar,
-    q_add,
-    q_eq,
-    q_is_zero,
-    q_mul,
-    rat,
-    scalar_str,
-    zeta,
-)
+from ltwist.exactnum import CycloNum, Scalar, rat, scalar_str, zeta
 
 RatLike = Union[int, "Rat"]
 
@@ -44,7 +34,7 @@ class PuiseuxSeries:
         if denom < 1:
             raise ValueError("lattice denominator must be positive")
         if normalize:
-            coeffs = {k: v for k, v in coeffs.items() if not q_is_zero(v)}
+            coeffs = {k: v for k, v in coeffs.items() if v}
         self.denom = denom
         self.coeffs = coeffs
         self.order = rat(order)
@@ -122,13 +112,13 @@ class PuiseuxSeries:
         order = min(a.order, b.order)
         out = dict(a.coeffs)
         for k, v in b.coeffs.items():
-            out[k] = q_add(out[k], v) if k in out else v
+            out[k] = out[k] + v if k in out else v
         out = {k: v for k, v in out.items() if rat(k, a.denom) < order}
         return PuiseuxSeries(a.denom, out, order)
 
     def __neg__(self):
         return PuiseuxSeries(
-            self.denom, {k: q_mul(-1, v) for k, v in self.coeffs.items()},
+            self.denom, {k: -v for k, v in self.coeffs.items()},
             self.order, normalize=False,
         )
 
@@ -141,7 +131,7 @@ class PuiseuxSeries:
         if not isinstance(other, PuiseuxSeries):
             return PuiseuxSeries(
                 self.denom,
-                {k: q_mul(v, other) for k, v in self.coeffs.items()},
+                {k: v * other for k, v in self.coeffs.items()},
                 self.order,
             )
         a, b = self._aligned(other)
@@ -162,8 +152,8 @@ class PuiseuxSeries:
                 k = k1 + k2
                 if k >= bound_key:
                     continue
-                t = q_mul(v1, v2)
-                out[k] = q_add(out[k], t) if k in out else t
+                t = v1 * v2
+                out[k] = out[k] + t if k in out else t
         return PuiseuxSeries(a.denom, out, order)
 
     __rmul__ = __mul__
@@ -180,7 +170,7 @@ class PuiseuxSeries:
         length = int(self.order * d) - v  # relative keys known for t < length
         if length < 1:
             raise ZeroDivisionError("series order too small to determine the inverse")
-        inv_lead = rat(1) / lead if not isinstance(lead, CycloNum) else lead.inverse()
+        inv_lead = rat(1) / lead
         g: dict = {0: inv_lead}
         nonzero = sorted(rel)[1:]
         for t in range(1, length):
@@ -191,10 +181,10 @@ class PuiseuxSeries:
                 gt = g.get(t - k)
                 if gt is None:
                     continue
-                term = q_mul(rel[k], gt)
-                acc = term if acc is None else q_add(acc, term)
-            if acc is not None and not q_is_zero(acc):
-                g[t] = q_mul(q_mul(-1, inv_lead), acc)
+                term = rel[k] * gt
+                acc = term if acc is None else acc + term
+            if acc:
+                g[t] = -inv_lead * acc
         out = {t - v: c for t, c in g.items()}
         # keys run from -v to length - v - 1, all exact: order (length - v)/d
         return PuiseuxSeries(d, out, rat(length - v, d))
@@ -215,7 +205,7 @@ class PuiseuxSeries:
         for k in keys:
             if k >= bound:
                 break
-            if not q_eq(a.coeffs.get(k, 0), b.coeffs.get(k, 0)):
+            if a.coeffs.get(k, 0) != b.coeffs.get(k, 0):
                 return rat(k, a.denom)
         return None
 

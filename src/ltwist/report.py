@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
@@ -38,7 +37,6 @@ class RunConfig:
     precision_bits: int = 256
     seed: int = 0
     output_format: str = "json"
-    jobs: int = 1
     timings: bool = False
 
     def to_dict(self) -> dict:
@@ -58,8 +56,6 @@ class RunConfig:
             raise ValueError("n_terms must be at least 1000")
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be at least 64")
-        if self.jobs < 1:
-            raise ValueError("jobs must be positive")
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError("output format must be json, csv, or text")
 
@@ -202,12 +198,7 @@ def report_all(cfg: Optional[RunConfig] = None) -> dict:
     cfg.validate()
     random.seed(cfg.seed)
     checks = _registry(cfg)
-    if cfg.jobs > 1:
-        # map preserves registration order, so the document stays deterministic
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(lambda c: _run_check(c, cfg), checks))
-    else:
-        results = [_run_check(c, cfg) for c in checks]
+    results = [_run_check(c, cfg) for c in checks]
     summary = {
         "total": len(results),
         "passed": sum(r.status == "pass" for r in results),

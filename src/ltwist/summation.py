@@ -11,7 +11,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from ltwist.characters import PeriodicFn
-from ltwist.exactnum import RAT_TYPES, CycloNum, Scalar, cyclo_embed, q_add, q_mul, rat
+from ltwist.exactnum import RAT_TYPES, CycloNum, Scalar, cyclo_embed, rat
+
 MAX_CESARO_DEPTH = 4
 
 
@@ -37,8 +38,7 @@ class SeqSpec:
 
     Without a batch function the float prefix is built once from the exact
     terms and kept on the sequence: `floats(n)` then returns a read-only view
-    of it, and a longer request extends it and publishes the longer array
-    whole, so concurrent readers never see a half-built prefix.
+    of it, and a longer request extends it.
     """
 
     def __init__(
@@ -115,7 +115,7 @@ def periodic_series(chi: PeriodicFn, weight: str = "const") -> SeqSpec:
             return reps
     else:
         def term(i: int):
-            return q_mul(chi(i), i)
+            return chi(i) * i
 
         def floats(n: int):
             idx = np.arange(1, n + 1)
@@ -132,7 +132,7 @@ def partial_sums(s: SeqSpec) -> SeqSpec:
         while len(cache) < i:
             j = len(cache) + 1
             prev = cache[-1] if cache else rat(0)
-            cache.append(q_add(prev, s.term(j)))
+            cache.append(prev + s.term(j))
         return cache[i - 1]
 
     def floats(n: int):
@@ -144,18 +144,13 @@ def partial_sums(s: SeqSpec) -> SeqSpec:
 
 def cesaro(s: SeqSpec) -> SeqSpec:
     """Arithmetic-average transform: term i becomes (b_1 + ... + b_i)/i."""
-    cache: list = []
+    sums = partial_sums(s)
 
     def term(i: int):
-        while len(cache) < i:
-            j = len(cache) + 1
-            prev = cache[-1] if cache else rat(0)
-            cache.append(q_add(prev, s.term(j)))
-        return q_mul(cache[i - 1], rat(1, i))
+        return sums.term(i) * rat(1, i)
 
     def floats(n: int):
-        x = np.cumsum(s.floats(n))
-        return x / np.arange(1, n + 1)
+        return sums.floats(n) / np.arange(1, n + 1)
 
     return SeqSpec(term, floats, label=f"avg({s.label})", period_hint=s.period_hint)
 
@@ -253,16 +248,11 @@ def limit_exact_periodic(chi: PeriodicFn, weight: str = "const") -> Scalar:
         raise ValueError("axiom (2) inapplicable")
     N = chi.period
     if weight == "const":
-        total: Scalar = rat(0)
-        for k in range(1, N + 1):
-            total = q_add(total, q_mul(chi(k), rat(-k, N)));
-        return total
+        return sum((chi(k) * rat(-k, N) for k in range(1, N + 1)), rat(0))
     if weight == "linear":
-        total = rat(0)
-        for k in range(1, N + 1):
-            w = -rat(k * k, 2 * N) + rat(k, 2)
-            total = q_add(total, q_mul(chi(k), w))
-        return total
+        return sum(
+            (chi(k) * (rat(k, 2) - rat(k * k, 2 * N)) for k in range(1, N + 1)), rat(0)
+        )
     raise ValueError("weight must be 'const' or 'linear'")
 
 
@@ -271,10 +261,8 @@ def limit_exact_periodic(chi: PeriodicFn, weight: str = "const") -> Scalar:
 
 
 def _check_termwise(lhs: SeqSpec, rhs: SeqSpec, n: int = 512) -> None:
-    from ltwist.exactnum import q_eq
-
     for i in range(1, n + 1):
-        if not q_eq(lhs.term(i), rhs.term(i)):
+        if lhs.term(i) != rhs.term(i):
             raise ArithmeticError(
                 f"termwise identity fails at i={i}: {lhs.label} vs {rhs.label}"
             )

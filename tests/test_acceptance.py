@@ -16,14 +16,18 @@ import time
 import numpy as np
 import pytest
 
-from ltwist.characters import PeriodicFn, dirichlet_characters, even_twist_group
-from ltwist.exactnum import Rat, cyclo_embed, q_eq, rat
+from ltwist.characters import (
+    PeriodicFn,
+    dirichlet_characters,
+    even_twist_group,
+    kronecker_symbol,
+)
+from ltwist.exactnum import Rat, cyclo_embed, rat
 from ltwist.lvalues import (
     bernoulli_number,
     class_number_imag_quadratic,
     l_minus_one,
     l_zero,
-    legendre_symbol,
 )
 from ltwist import fock, qseries, summation
 
@@ -43,21 +47,19 @@ def _criterion(label: str, limit_s: float, body):
 
 
 def _quad(q):
-    return PeriodicFn(q, [rat(legendre_symbol(k, q)) for k in range(1, q + 1)])
+    return PeriodicFn(q, [rat(kronecker_symbol(k, q)) for k in range(1, q + 1)])
 
 
 def _even_nontrivial(N):
-    from ltwist.exactnum import q_is_zero
-
     return [
         chi for chi in dirichlet_characters(N)
-        if chi.even and not all(q_eq(v, 1) or q_is_zero(v) for v in chi.values())
+        if chi.even and not all(v == 1 or not v for v in chi.values())
     ]
 
 
 def test_criterion_01_exact_l_values():
     def body():
-        assert q_eq(l_zero(_quad(7)), 1)
+        assert l_zero(_quad(7)) == 1
         assert class_number_imag_quadratic(7) == 1
 
     _criterion("1 (L(0) and class number at q=7)", 1.0, body)
@@ -67,11 +69,9 @@ def test_criterion_02_exact_averaged_limits():
     def body():
         for N in (5, 7, 9, 11, 12, 13, 15):
             for chi in _even_nontrivial(N):
-                assert q_eq(
-                    summation.limit_exact_periodic(chi, "const"), l_zero(chi)
-                ), N
-                assert q_eq(
-                    summation.limit_exact_periodic(chi, "linear"), l_minus_one(chi)
+                assert summation.limit_exact_periodic(chi, "const") == l_zero(chi), N
+                assert (
+                    summation.limit_exact_periodic(chi, "linear") == l_minus_one(chi)
                 ), N
 
     _criterion("2 (exact averaged limits, N in 5..15)", 5.0, body)
@@ -180,7 +180,7 @@ def test_criterion_06_decomposition():
         for N in (5, 7):
             G = even_twist_group(N)
             b = G.elements[G.identity].period_sum()
-            assert q_eq(b * rat(1, len(G)), 2)  # central charge per copy
+            assert b * rat(1, len(G)) == 2  # central charge per copy
             res = fock.verify_theorem_3_1(G, 30)
             assert res.passed, (N, res.witness)
 

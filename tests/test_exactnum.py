@@ -5,6 +5,7 @@ import pytest
 
 from ltwist.exactnum import (
     CycloNum,
+    Rat,
     cyclo,
     cyclo_arith,
     cyclo_embed,
@@ -12,7 +13,6 @@ from ltwist.exactnum import (
     euler_phi,
     is_rational,
     parse_scalar,
-    q_conj,
     rat,
     rat_str,
     scalar_str,
@@ -117,7 +117,7 @@ def test_galois_and_conj():
     z5 = zeta(5)
     assert z5.galois(2) == z5 * z5
     assert z5.conj() * z5 == 1
-    assert q_conj(rat(3, 2)) == rat(3, 2)
+    assert cyclo(rat(3, 2)).conj() == rat(3, 2)
     x = 1 + 2 * z5 + z5**2
     assert (x * x.conj()).conj() == x * x.conj()  # norm-like element is real
 
@@ -243,7 +243,7 @@ def test_integer_cyclonum_matches_fraction_reference():
                   for _ in range(euler_phi(m))]
         return CycloNum(m, coeffs), ref.collapse(m, coeffs)
 
-    for _ in range(120):
+    for it in range(120):
         m, n = rng.choice(REF_ORDERS), rng.choice(REF_ORDERS)
         if rng.random() < 0.5:
             n = m  # same-order pairs take the fast paths
@@ -259,6 +259,21 @@ def test_integer_cyclonum_matches_fraction_reference():
         ]
         if q:
             cases.append((a / q, ref.mul(ra, ref.of(1 / q))))
+        k = it % 19 - 9  # an int operand, -9..9
+        for s in (q, k):  # a rational on the left of a CycloNum
+            rs = ref.of(s)
+            cases += [(s + a, ref.add(rs, ra)), (s - a, ref.add(rs, ref.neg(ra))),
+                      (s * a, ref.mul(rs, ra))]
+            if not a.is_zero:
+                quo = s / a
+                assert isinstance(quo, CycloNum) and _is_canonical(quo)
+                assert ref.equal(ref.mul(ref.of(quo), ra), rs)
+            assert (s == a) is ref.equal(rs, ra) and (s != a) is not ref.equal(rs, ra)
+        # two rationals stay a Rat
+        for s, t in ((q, k), (k, q), (q, q)):
+            assert all(type(x) is Rat for x in (s + t, s - t, s * t)), (s, t)
+            if t:
+                assert type(s / t) is Rat and s / t * t == s
         power = ref.of(1)
         for e in range(4):
             cases.append((a**e, power))
@@ -266,6 +281,7 @@ def test_integer_cyclonum_matches_fraction_reference():
         cases += [(a.galois(t), ref.galois(ra, t))
                   for t in range(2, a.order) if math.gcd(t, a.order) == 1]
         for got, want in cases:
+            assert isinstance(got, CycloNum), (a, b, q)
             assert _is_canonical(got) and ref.same(got, want), (a, b, q)
         if not b.is_zero:
             quo = a / b
@@ -283,6 +299,22 @@ def test_integer_cyclonum_matches_fraction_reference():
             assert (back.order, back.num, back.den) == (a.order, a.num, a.den)
         else:
             assert back == a.rational_part()
+    # bool is the zero test at every order
+    for m in REF_ORDERS:
+        x, rx = sample(m)
+        assert bool(x) is not ref.equal(rx, ref.of(0))
+        assert zeta(m) and not zeta(m) - zeta(m)
+        assert not CycloNum(m, [rat(0)] * euler_phi(m))
+        assert CycloNum(m, [rat(1, 3)] + [rat(0)] * (euler_phi(m) - 1))
+    # sum with a Rat start: CycloNum once a term is, else Rat
+    xs = [sample(m)[0] for m in (3, 4, 12, 5)] + [rat(-7, 3), 2]
+    want = ref.of(0)
+    for x in xs:
+        want = ref.add(want, ref.of(x))
+    total = sum(xs, rat(0))
+    assert isinstance(total, CycloNum) and _is_canonical(total) and ref.same(total, want)
+    total = sum([rat(1, 3), 2, rat(-5, 6)], rat(0))
+    assert type(total) is Rat and total == rat(3, 2)
 
 
 def test_canonical_zero_and_one():

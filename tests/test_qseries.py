@@ -1,6 +1,6 @@
 import pytest
 
-from ltwist.exactnum import q_eq, rat, zeta
+from ltwist.exactnum import rat, zeta
 from ltwist.qseries import (
     BiSeries,
     PuiseuxSeries,
@@ -201,4 +201,4 @@ def test_cross_module_character_match():
             mc = minimal_char(k, energy.residue, 29)
             bound = min(tr.order, mc.order)
             assert tr.truncate(bound) == mc.truncate(bound)
-            assert q_eq(tr.offset, energy.d)
+            assert tr.offset == energy.d

@@ -173,6 +173,34 @@ def test_checks_fail_under_optimize():
     assert json.loads(proc.stdout) == [False, "fail", "AssertionError: ('Q', 3, 3)"]
 
 
+def test_removed_jobs_option_is_rejected(tmp_path, capsys):
+    # the checks are pure Python and hold the GIL, so the report runs them in
+    # one thread; the option that set a thread pool is gone everywhere
+    assert cli.dispatch(["report", "--jobs", "2"]) == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    cfgfile = tmp_path / "jobs.cfg"
+    cfgfile.write_text("jobs = 2\n")
+    with pytest.raises(ValueError, match="unknown config key 'jobs'"):
+        load_config_file(str(cfgfile))
+    assert config_from_env({"LTWIST_JOBS": "2"}) == RunConfig()
+    assert "jobs" not in RunConfig().to_dict()
+
+
+def test_cli_import_loads_no_thread_pool():
+    """`import ltwist.cli` stays light: no concurrent.futures, no logging."""
+    code = (
+        "import sys\n"
+        "import ltwist.cli\n"
+        "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_usage_errors(capsys):
     assert cli.dispatch(["no-such-command"]) == 2
     capsys.readouterr()

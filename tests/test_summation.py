@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ltwist.characters import PeriodicFn, dirichlet_characters
-from ltwist.exactnum import cyclo_embed, q_eq, rat
-from ltwist.lvalues import l_minus_one, l_zero, legendre_symbol
+from ltwist.characters import PeriodicFn, dirichlet_characters, kronecker_symbol
+from ltwist.exactnum import rat
+from ltwist.lvalues import l_minus_one, l_zero
 from ltwist.summation import (
     SeqSpec,
     averaged_dirichlet,
@@ -18,7 +18,7 @@ from ltwist.summation import (
 
 
 def quad_char(q):
-    return PeriodicFn(q, [rat(legendre_symbol(k, q)) for k in range(1, q + 1)])
+    return PeriodicFn(q, [rat(kronecker_symbol(k, q)) for k in range(1, q + 1)])
 
 
 def test_cesaro_terms_exact():
@@ -63,7 +63,7 @@ def test_inflation_preserves_averaged_value_exactly():
     for k in (2, 3, 5):
         avg_k = cesaro(inflate(base, k))
         for i in range(1, 60):
-            assert q_eq(avg_k.term(k * i), avg.term(i))
+            assert avg_k.term(k * i) == avg.term(i)
 
 
 def test_limit_exact_periodic_matches_l_values():
@@ -71,8 +71,8 @@ def test_limit_exact_periodic_matches_l_values():
         for chi in dirichlet_characters(N):
             if not chi.mean_zero:
                 continue
-            assert q_eq(limit_exact_periodic(chi, "const"), l_zero(chi))
-            assert q_eq(limit_exact_periodic(chi, "linear"), l_minus_one(chi))
+            assert limit_exact_periodic(chi, "const") == l_zero(chi)
+            assert limit_exact_periodic(chi, "linear") == l_minus_one(chi)
 
 
 def test_limit_exact_requires_mean_zero():
@@ -185,7 +185,7 @@ def test_averaged_dirichlet():
 
     quad5 = quad_char(5)
     v = complex(averaged_dirichlet(quad5, 1, 100_000))
-    direct = sum(legendre_symbol(k, 5) / k for k in range(1, 100_000))
+    direct = sum(kronecker_symbol(k, 5) / k for k in range(1, 100_000))
     assert abs(v - direct) < 1e-3
 
     a = complex(averaged_dirichlet(quad5, -0.5, 1_000_000))
