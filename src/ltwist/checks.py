@@ -386,19 +386,19 @@ def check_averaged_dirichlet_domain(cfg) -> tuple:
 
 
 def check_mode_bracket(cfg, N: int) -> tuple:
-    res = fock.verify_lemma_2_3_suite(even_twist_group(N), cfg.cutoff)
+    res = fock.certify_lemma_2_3_suite(even_twist_group(N), cfg.cutoff)
     return res.passed, f"{res.cases} cases at cutoff {cfg.cutoff}", res.witness
 
 
 def check_twisted_bracket(cfg, N: int) -> tuple:
     G = even_twist_group(N)
-    res = fock.verify_theorem_2_4_suite(G, cfg.cutoff)
+    res = fock.certify_theorem_2_4_suite(G, cfg.cutoff)
     return res.passed, f"{res.cases} cases", res.witness
 
 
 def check_decomposition(cfg, N: int) -> tuple:
     G = even_twist_group(N)
-    res = fock.verify_theorem_3_1(G, cfg.cutoff)
+    res = fock.certify_theorem_3_1(G, cfg.cutoff)
     b = G.elements[G.identity].period_sum()
     charge = b * rat(1, len(G))
     return res.passed, f"central charge {charge}, {res.cases} cases", res.witness

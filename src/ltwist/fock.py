@@ -3,9 +3,22 @@
 States are integer partitions (descending tuples); a_{-n} creates mode n with
 coefficient 1 and a_n destroys it with coefficient n * multiplicity, so
 [a_m, a_n] = m delta_{m,-n} with a_0 acting as zero.  Operators are lazy
-exact column maps: applying one to a basis state is a finite sum, so every
-commutator check below is exact; the cutoff D only bounds the set of input
-states a verification sweeps.
+exact column maps: applying one to a basis state is a finite sum.
+
+An identity is decided in one of two ways.  The `verify_*` functions sweep
+it: both sides are applied to every state of degree <= D - (the shifts) and
+compared exactly, so the cutoff D bounds the states swept.  The `certify_*`
+functions, which the report rows use, prove it on the whole Fock space by
+normal-ordering calculus: every operator involved is a quadratic form
+sum_j c(j) :a_{-j} a_{j+M}: plus modes and a scalar, [Q, a_x] =
+-x s(x) a_{x+M} with s(x) = c(x) + c(-x-M), and two such forms are equal
+exactly when their symmetrised coefficients s, their modes and their vacuum
+scalars are (`_form`, `_mismatch`).  The coefficients are periodic times
+polynomial in x, so a few periods decide them for every x.  A state-level
+check then ties the column code to that representation: each residue-pair
+operator's columns satisfy Q a_{-u} = a_{-u} Q + [Q, a_{-u}] on its window
+(`_check_representation`).  There the cutoff bounds the states checked, and
+a certified row skips exactly where the sweep's tightest window is empty.
 """
 
 from __future__ import annotations
@@ -119,6 +132,10 @@ def _remove_part(p: Partition, u: int):
 
 
 def _add_part(p: Partition, v: int) -> Partition:
+    if not p or p[-1] >= v:
+        return p + (v,)
+    if p[0] <= v:
+        return (v,) + p
     idx = bisect.bisect_left(p, -v, key=operator.neg)
     return p[:idx] + (v,) + p[idx:]
 
@@ -321,6 +338,8 @@ class BilinearOp(Operator):
         self._nonzero = [bool(v) for v in values]
         self._N = N
         self._cache: dict = {}  # ring -> {partition: integer column}
+        self._moves_by_ring: dict = {}
+        self._verified = -1  # degree up to which _check_representation passed
 
     def icolumn(self, p: Partition, ring: CycloRing) -> dict:
         cache = self._cache.get(ring)
@@ -331,50 +350,83 @@ class BilinearOp(Operator):
             col = cache[p] = self._icolumn(p, ring)
         return col
 
+    def _moves(self, ring: CycloRing) -> list:
+        """For each residue w mod N, the summed coefficient c(w - M) + c(-w)
+        of the two terms that move one part lw to l(w - M), as an element
+        of `ring`, or None where it is zero."""
+        hit = self._moves_by_ring.get(ring)
+        if hit is None:
+            M, N = self.M, self._N
+            table = self._table.elements(ring)
+            hit = []
+            for w in range(N):
+                c = ring.add(table[(w - M) % N], table[-w % N])
+                hit.append(None if ring.is_zero(c) else c)
+            self._moves_by_ring[ring] = hit
+        return hit
+
     def _icolumn(self, p: Partition, ring: CycloRing) -> dict:
+        # Off the diagonal, one scan of the descending tuple reads each
+        # distinct part u = lw with its multiplicity.  Where u - lM > 0 the two terms j = w - M and
+        # j = -w annihilate one u and create u - lM; where it is < 0, the
+        # term j = w - M annihilates u and then l(M - w), if that is a part
+        # too.  The terms with 0 < j < -M create two parts on any state.
         M, l, N = self.M, self.l, self._N
-        table = self._table.elements(ring)
-        nonzero = self._nonzero
+        moves = self._moves(ring)
         add, smul = ring.add, ring.smul
+        if not M:  # diagonal: each part u = lw counts u (c(w) + c(-w))
+            acc = None
+            for u in p:
+                if not u % l:
+                    c = moves[(u // l) % N]
+                    if c is not None:
+                        x = smul(c, u)
+                        acc = x if acc is None else add(acc, x)
+            return {} if acc is None or ring.is_zero(acc) else {p: acc}
+        shift = l * M
+        neg = [-x for x in p]  # ascending, for bisect
         out: dict = {}
-
-        def put(j: int, int_coeff: int, newp: Partition):
-            c = smul(table[j % N], int_coeff)
-            old = out.get(newp)
-            out[newp] = c if old is None else add(old, c)
-
-        seen = set()
-        for u in p:
-            if u in seen or u % l:
-                continue
-            seen.add(u)
-            w = u // l
-            target = u - l * M
-            if target > 0:
-                hit = _remove_part(p, u)
-                mult = hit[0]
-                newp = _add_part(hit[1], target)
-                j1 = w - M
-                if j1 > 0 and nonzero[j1 % N]:
-                    put(j1, u * mult, newp)
-                if w > M and nonzero[(-w) % N]:
-                    put(-w, u * mult, newp)
-        if M < 0:
-            for j in range(1, -M):
+        pairs = range(1, -M) if M < 0 else []
+        n = len(p)
+        i = 0
+        while i < n:
+            u = p[i]
+            k = i + 1
+            while k < n and p[k] == u:
+                k += 1
+            if not u % l:
+                w = u // l
+                target = u - shift
+                if target > 0:
+                    c = moves[w % N]
+                    if c is not None:
+                        if shift < 0:
+                            pos = bisect.bisect_left(neg, -target)
+                            newp = p[:pos] + (target,) + p[pos:i] + p[i + 1:]
+                        else:
+                            pos = bisect.bisect_left(neg, -target, k)
+                            newp = p[:i] + p[i + 1:pos] + (target,) + p[pos:]
+                        out[newp] = smul(c, u * (k - i))
+                elif target < 0 and l * (M - w) in p:
+                    pairs.append(w - M)
+            i = k
+        if pairs:
+            table = self._table.elements(ring)
+            nonzero = self._nonzero
+            extra: dict = {}
+            for j in pairs:
                 if not nonzero[j % N]:
                     continue
                 act = _term_action(p, j, M, l)
                 if act:
-                    put(j, act[0], act[1])
-        elif M > 0:
-            for t in range(1, M):
-                if not nonzero[(-t) % N]:
-                    continue
-                act = _term_action(p, -t, M, l)
-                if act:
-                    put(-t, act[0], act[1])
-        is_zero = ring.is_zero
-        return {k: v for k, v in out.items() if not is_zero(v)}
+                    c = smul(table[j % N], act[0])
+                    old = extra.get(act[1])
+                    extra[act[1]] = c if old is None else add(old, c)
+            is_zero = ring.is_zero
+            for t, v in extra.items():
+                if not is_zero(v):
+                    out[t] = v
+        return out
 
 
 class SingleBilinearOp(Operator):
@@ -492,6 +544,199 @@ def commutator_window(D: int, *shift_budgets: int) -> list[Partition]:
         raise ValueError("cutoff too small")
     parts, counts = _basis_by_degree(D)
     return list(parts[:counts[budget]])
+
+
+# ---------------------------------------------------------------------------
+# normal-ordering calculus
+
+
+@dataclass
+class _Form:
+    """An operator of degree <= 2 in the modes, exactly on the Fock space.
+
+    `quad` maps a shift M to (s, period, degree) for a bilinear
+    sum_j c(j) :a_{-j} a_{j+M}:, held by its symmetrised coefficient
+    s(x) = c(x) + c(-x-M) (a function of x, meaningful for x != 0, -M) which
+    is `period`-periodic times a polynomial of at most `degree` in x; `lin`
+    maps x to the weight of a_x (x != 0); `z` is the scalar part.  Since
+    [Q, a_x] = -x s(x) a_{x+M}, an operator of this kind commuting with
+    every a_x is a scalar, so two forms are equal as operators exactly when
+    their s, weights and scalars are.
+    """
+
+    quad: dict
+    lin: dict
+    z: Scalar
+
+
+def _form(op: Operator) -> _Form:
+    """The form of an operator built from BilinearOp (l = 1), ModeOp,
+    ScalarOp, ZeroOp, SumOp and CommutatorOp."""
+    if isinstance(op, BilinearOp):
+        if op.l != 1:
+            raise ValueError("normal-ordering forms cover l = 1 only")
+        c, M, k, N = op.coeff, op.M, op.prefactor, op.coeff.period
+        s = [k * (c(x) + c(-x - M)) for x in range(N)]
+        return _Form({M: (lambda x: s[x % N], N, 0)}, {}, rat(0))
+    if isinstance(op, ModeOp):
+        return _Form({}, {op.k: rat(1)} if op.k else {}, rat(0))
+    if isinstance(op, ScalarOp):
+        return _Form({}, {}, op.value)
+    if isinstance(op, ZeroOp):
+        return _Form({}, {}, rat(0))
+    if isinstance(op, SumOp):
+        return _combine([(c, _form(o)) for c, o in op.terms])
+    if isinstance(op, CommutatorOp):
+        return _bracket(_form(op.A), _form(op.B))
+    raise TypeError(f"no normal-ordering form for {type(op).__name__}")
+
+
+def _add_quad(quad: dict, M: int, s, period: int, degree: int) -> None:
+    old = quad.get(M)
+    if old is not None:
+        s0, p0, d0 = old
+        s = (lambda x, a=s0, b=s: a(x) + b(x))
+        period, degree = math.lcm(period, p0), max(degree, d0)
+    quad[M] = (s, period, degree)
+
+
+def _combine(terms) -> _Form:
+    """sum_i c_i f_i for scalars c_i and forms f_i."""
+    quad: dict = {}
+    lin: dict = {}
+    z: Scalar = rat(0)
+    for c, f in terms:
+        for M, (s, period, degree) in f.quad.items():
+            _add_quad(quad, M, (lambda x, s=s, c=c: c * s(x)), period, degree)
+        for x, w in f.lin.items():
+            lin[x] = lin.get(x, rat(0)) + c * w
+        z = z + c * f.z
+    return _Form(quad, lin, z)
+
+
+def _bracket(f1: _Form, f2: _Form) -> _Form:
+    """[f1, f2] by the rules [Q, a_x] = -x s(x) a_{x+M}, [a_x, a_y] =
+    x delta_{x+y,0}, and, for [Q1, Q2] at M1 + M2 = 0, the vacuum scalar
+    <0|[Q1, Q2]|0> = (1/2) sum_{0<p<M1} p (M1-p) s1(-p) s2(p) when M1 > 0
+    (minus the same sum with the roles of -p and p swapped when M1 < 0)."""
+    quad: dict = {}
+    lin: dict = {}
+    z: Scalar = rat(0)
+
+    def put(x: int, w) -> None:
+        if x:  # a_0 = 0
+            lin[x] = lin.get(x, rat(0)) + w
+
+    for M1, (s1, p1, d1) in f1.quad.items():
+        for M2, (s2, p2, d2) in f2.quad.items():
+            # [[Q1, Q2], a_x] by Jacobi: the symmetrised coefficient below
+            s = (lambda x, s1=s1, s2=s2, M1=M1, M2=M2:
+                 (x + M1) * s1(x) * s2(x + M1) - (x + M2) * s2(x) * s1(x + M2))
+            _add_quad(quad, M1 + M2, s, math.lcm(p1, p2), d1 + d2 + 1)
+            if M1 + M2 == 0:
+                if M1 > 0:
+                    vac = sum((p * (M1 - p) * s1(-p) * s2(p) for p in range(1, M1)), rat(0))
+                else:
+                    vac = -sum((p * (-M1 - p) * s1(p) * s2(-p) for p in range(1, -M1)), rat(0))
+                z = z + vac * rat(1, 2)
+        for x, w in f2.lin.items():
+            put(x + M1, -w * x * s1(x))
+    for x, w in f1.lin.items():
+        for M2, (s2, _, _) in f2.quad.items():
+            put(x + M2, w * x * s2(x))
+        for y, v in f2.lin.items():
+            if x + y == 0:
+                z = z + w * v * x
+    return _Form(quad, lin, z)
+
+
+def _mismatch(lhs: _Form, rhs: _Form) -> Optional[tuple]:
+    """(x, got, want) at the first x where the symmetrised coefficients or
+    the mode weights of two forms differ, ("central", got, want) when only
+    their scalars do, or None when the operators are equal."""
+    zero = rat(0)
+    none = (lambda x: 0, 1, 0)
+    for M in sorted(set(lhs.quad) | set(rhs.quad)):
+        sl, pl, dl = lhs.quad.get(M, none)
+        sr, pr, dr = rhs.quad.get(M, none)
+        # degree + 1 points in each residue class decide a periodic times
+        # polynomial coefficient for every x; one more period spares x = -M
+        for x in range(1, (max(dl, dr) + 2) * math.lcm(pl, pr) + 1):
+            if x != -M:
+                got, want = sl(x), sr(x)
+                if got != want:
+                    return (x, got, want)
+    for x in sorted(set(lhs.lin) | set(rhs.lin)):
+        got, want = lhs.lin.get(x, zero), rhs.lin.get(x, zero)
+        if got != want:
+            return (x, got, want)
+    if lhs.z != rhs.z:
+        return ("central", lhs.z, rhs.z)
+    return None
+
+
+def _certify(lhs: Operator, rhs: Operator) -> VerifyResult:
+    """lhs == rhs on the whole Fock space, by their normal-ordering forms."""
+    witness = _mismatch(_form(lhs), _form(rhs))
+    return VerifyResult(witness is None, 1, witness)
+
+
+def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
+    """First (state, out_state, got, want) at which the columns of `op`
+    (l = 1) differ from its Fock representation on the states of degree
+    <= D - |M|, or None.
+
+    By induction on the parts: the vacuum column must be
+    sum_{0<j<-M} c(j) a_{-j} a_{j+M}|0>, composed from `ModeOp` columns, and
+    for q = (u,) + p with u the largest part, col(q) = a_{-u} col(p) +
+    u s(-u) a_{M-u}|p>, which is Q a_{-u} = a_{-u} Q + [Q, a_{-u}].  The
+    degree verified is kept on the operator, so each state is checked once.
+    """
+    M, N = op.M, op._N
+    if op.l != 1:
+        raise ValueError("the representation check covers l = 1 only")
+    if op._verified >= D - abs(M) >= 0:
+        return None
+    window = commutator_window(D, M)
+    ring = cyclo_ring(op.order)
+    table = op._table.elements(ring)
+    add, mul, smul, is_zero = ring.add, ring.mul, ring.smul, ring.is_zero
+    s_neg = [add(table[-r % N], table[(r - M) % N]) for r in range(N)]  # s(-u), u = r mod N
+    modes: dict = {}
+    cache = op._cache.setdefault(ring, {})  # the columns op.icolumn caches
+    start = _basis_by_degree(D)[1][op._verified] if op._verified >= 0 else 0
+    for q in window[start:]:
+        if q:
+            u, p = q[0], q[1:]
+            # a_{-u} col(p); p precedes q in the window, so its column is cached
+            want = {_add_part(t, u): v for t, v in cache[p].items()}
+            c = s_neg[u % N]
+            if not is_zero(c):
+                mode = modes.get(M - u)
+                if mode is None:
+                    mode = modes[M - u] = ModeOp(M - u)
+                for t, v in mode.icolumn(p, ring).items():
+                    x = smul(mul(c, v), u)
+                    old = want.get(t)
+                    if old is not None:
+                        x = add(old, x)
+                    if is_zero(x):
+                        want.pop(t, None)
+                    else:
+                        want[t] = x
+        else:
+            acc: dict = {}
+            for j in range(1, -M):
+                pair = ModeOp(-j).apply_icolumn(ModeOp(j + M).icolumn(q, ring), ring)
+                _axpy(acc, table[j % N], pair, ring)
+            want = {t: v for t, v in acc.items() if not is_zero(v)}
+        got = op.icolumn(q, ring)
+        if got != want:
+            bad = next(t for t in [*got, *want] if got.get(t) != want.get(t))
+            return (q, bad, ring.to_scalar(got.get(bad, ring.zero), op.scale),
+                    ring.to_scalar(want.get(bad, ring.zero), op.scale))
+    op._verified = D - abs(M)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -714,18 +959,27 @@ class VerifyResult:
         return self.passed
 
 
+_LEMMA_KS, _LEMMA_NS = range(-6, 7), range(-2, 3)
+
+
+def _lemma_2_3_sides(chi: PeriodicFn, k: int, n: int, D: Optional[int]) -> tuple:
+    N = chi.period
+    lhs = CommutatorOp(mode_op(k), build_L(chi, n, D))
+    rhs = SumOp([(chi(k) * rat(k, N), mode_op(k + n * N))])
+    return lhs, rhs
+
+
 def verify_lemma_2_3(chi: PeriodicFn, k: int, n: int, D: int) -> VerifyResult:
     """[a_k, L_n^chi] = (1/N) chi(k) k a_{k + nN}, exactly on the window."""
-    N = chi.period
-    window = commutator_window(D, k, n * N)
-    A = mode_op(k)
-    B = build_L(chi, n, D)
-    lhs = CommutatorOp(A, B)
-    target = mode_op(k + n * N)
-    scale = chi(k) * rat(k, N)
-    rhs = SumOp([(scale, target)])
+    window = commutator_window(D, k, n * chi.period)
+    lhs, rhs = _lemma_2_3_sides(chi, k, n, D)
     witness = lhs.matrix_equal(rhs, window)
     return VerifyResult(witness is None, len(window), witness)
+
+
+def _certify_lemma_2_3(chi: PeriodicFn, k: int, n: int) -> VerifyResult:
+    """Lemma 2.3 for one (chi, k, n) on the whole Fock space."""
+    return _certify(*_lemma_2_3_sides(chi, k, n, None))
 
 
 def verify_lemma_2_3_suite(G: TwistGroup, D: int) -> VerifyResult:
@@ -738,19 +992,50 @@ def verify_lemma_2_3_suite(G: TwistGroup, D: int) -> VerifyResult:
     failing ((element, k, n), state, out_state, got, want).  The count is of
     (element, k, n) cases.
     """
+    return _lemma_2_3_suite(G, lambda chi, k, n: verify_lemma_2_3(chi, k, n, D))
+
+
+def certify_lemma_2_3_suite(G: TwistGroup, D: int) -> VerifyResult:
+    """The cases of `verify_lemma_2_3_suite`, each proved on the whole Fock
+    space by its normal-ordering form, and the columns of every P_n^(r)
+    checked against the Fock representation on degree <= D - |n| N.  A
+    failing case gives ((element, k, n), mode index, got, want); a failing
+    column gives (("P", r, n), state, out_state, got, want).  Like the
+    sweep, it raises `cutoff too small` when the window of k = 6, n = 2 is
+    empty."""
     N = G.period
-    ks, ns = range(-6, 7), range(-2, 3)
-    cases = [(a, k, n) for a in range(len(G)) for k in ks for n in ns]
+    commutator_window(D, _LEMMA_KS[-1], _LEMMA_NS[-1] * N)
+    res = _lemma_2_3_suite(G, _certify_lemma_2_3)
+    return _with_representation(res, N, D, _LEMMA_NS)
+
+
+def _lemma_2_3_suite(G: TwistGroup, case) -> VerifyResult:
+    """The suite with `case(chi, k, n) -> VerifyResult` deciding one case."""
+    N = G.period
+    cases = [(a, k, n) for a in range(len(G)) for k in _LEMMA_KS for n in _LEMMA_NS]
     if all(_pair_coefficients(chi) is not None for chi in G.elements) and all(
-        verify_lemma_2_3(pair_indicator(N, r), k, n, D)
-        for r in _pair_residues(N) for k in ks for n in ns
+        case(pair_indicator(N, r), k, n)
+        for r in _pair_residues(N) for k in _LEMMA_KS for n in _LEMMA_NS
     ):
         return VerifyResult(True, len(cases), None)
     for count, (a, k, n) in enumerate(cases, start=1):
-        res = verify_lemma_2_3(G.elements[a], k, n, D)
+        res = case(G.elements[a], k, n)
         if not res.passed:
             return VerifyResult(False, count, ((a, k, n),) + res.witness)
     return VerifyResult(True, len(cases), None)
+
+
+def _with_representation(res: VerifyResult, N: int, D: int, ns) -> VerifyResult:
+    """A passing certified suite stays passing when the columns of every
+    P_n^(r) = build_L(1_r, n), n in ns, are the Fock representation."""
+    if not res.passed:
+        return res
+    for r in _pair_residues(N):
+        for n in ns:
+            bad = _check_representation(build_L(pair_indicator(N, r), n), D)
+            if bad is not None:
+                return VerifyResult(False, res.cases, (("P", r, n),) + bad)
+    return res
 
 
 def _central_term(f: PeriodicFn, lm1, m: int) -> Scalar:
@@ -769,16 +1054,28 @@ def _bracket_rhs(prod: PeriodicFn, m: int, n: int, D: Optional[int], l: int = 1,
     return SumOp(terms)
 
 
+def _bracket_sides(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int, D: Optional[int],
+                   l: int = 1, lm1=l_minus_one) -> tuple:
+    lhs = CommutatorOp(build_L(f1, m, D, l=l), build_L(f2, n, D, l=l))
+    return lhs, _bracket_rhs(pf_mul(f1, f2), m, n, D, l=l, lm1=lm1)
+
+
 def _verify_bracket(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int, D: int,
                     l: int = 1, lm1=l_minus_one) -> VerifyResult:
     """[L_m^{f1}, L_n^{f2}] against `_bracket_rhs(f1 f2, ...)` for the
     mode-scaled operators of scale l, exactly on the window."""
     N = f1.period
     window = commutator_window(D, l * m * N, l * n * N)
-    lhs = CommutatorOp(build_L(f1, m, D, l=l), build_L(f2, n, D, l=l))
-    rhs = _bracket_rhs(pf_mul(f1, f2), m, n, D, l=l, lm1=lm1)
+    lhs, rhs = _bracket_sides(f1, f2, m, n, D, l, lm1)
     witness = lhs.matrix_equal(rhs, window)
     return VerifyResult(witness is None, len(window), witness)
+
+
+def _certify_bracket(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int,
+                     lm1=l_minus_one) -> VerifyResult:
+    """The identity of `_verify_bracket` (l = 1) on the whole Fock space; the
+    witness is (x, got, want) or ("central", got, want)."""
+    return _certify(*_bracket_sides(f1, f2, m, n, None, lm1=lm1))
 
 
 def verify_theorem_2_4(
@@ -814,19 +1111,44 @@ def verify_theorem_2_4_suite(
     out_state, got, want).  When `case_log` is given, one
     (a, b, m, n, passed, witness) entry is appended per ordered case.
     """
+    def case(f1, f2, m, n, lm1=l_minus_one):
+        return _verify_bracket(f1, f2, m, n, D, lm1=lm1)
+
+    return _theorem_2_4_suite(G, max_mode, case, case_log)
+
+
+def certify_theorem_2_4_suite(G: TwistGroup, D: int, max_mode: int = 2) -> VerifyResult:
+    """The cases of `verify_theorem_2_4_suite`, each proved on the whole
+    Fock space by its normal-ordering form, and the columns of every
+    P_k^(r), |k| <= 2 max_mode, checked against the Fock representation on
+    degree <= D - |k| N.  A failing case gives ((a, b, m, n), x, got, want)
+    with x the first index where the symmetrised coefficients differ, or
+    "central"; a failing column gives (("P", r, k), state, out_state, got,
+    want).  Like the sweep, it raises `cutoff too small` when the window of
+    |m| = |n| = max_mode is empty."""
+    N = G.period
+    commutator_window(D, max_mode * N, max_mode * N)
+    res = _theorem_2_4_suite(G, max_mode, _certify_bracket, None)
+    return _with_representation(res, N, D, range(-2 * max_mode, 2 * max_mode + 1))
+
+
+def _theorem_2_4_suite(G: TwistGroup, max_mode: int, case,
+                       case_log: Optional[list]) -> VerifyResult:
+    """The suite with `case(f1, f2, m, n, lm1=...) -> VerifyResult` deciding
+    one case."""
     N = G.period
     es = range(len(G))
     span = range(-max_mode, max_mode + 1)
     cases = [(a, b, m, n) for a in es for b in es for m in span for n in span]
-    if _pair_certificate(G, span) and _pair_sweeps_2_4(N, D, span):
+    if _pair_certificate(G, span) and _pair_cases_2_4(N, span, case):
         if case_log is not None:
             case_log.extend((a, b, m, n, True, None) for a, b, m, n in cases)
         return VerifyResult(True, len(cases), None)
-    return _theorem_2_4_by_elements(G, D, cases, case_log)
+    return _theorem_2_4_by_elements(G, cases, case_log, case)
 
 
 def _pair_certificate(G: TwistGroup, span: range) -> bool:
-    """The exact identities that carry the pair-basis sweeps of Theorem 2.4
+    """The exact identities that carry the pair-basis cases of Theorem 2.4
     over to every ordered pair of elements of G."""
     N = G.period
     coeffs = [_pair_coefficients(chi) for chi in G.elements]
@@ -854,22 +1176,20 @@ def _pair_certificate(G: TwistGroup, span: range) -> bool:
     return True
 
 
-def _pair_sweeps_2_4(N: int, D: int, span: range) -> bool:
+def _pair_cases_2_4(N: int, span: range, case) -> bool:
     items = [(r, m) for r in _pair_residues(N) for m in span]
     for i, (r, m) in enumerate(items):
         for s, n in items[i:]:
-            res = _verify_bracket(
-                pair_indicator(N, r), pair_indicator(N, s), m, n, D,
-                lm1=_l_minus_one_form,
-            )
+            res = case(pair_indicator(N, r), pair_indicator(N, s), m, n,
+                       lm1=_l_minus_one_form)
             if not res.passed:
                 return False
     return True
 
 
-def _theorem_2_4_by_elements(G: TwistGroup, D: int, cases: list,
-                             case_log: Optional[list]) -> VerifyResult:
-    """The ordered element cases one by one, each unordered case swept once."""
+def _theorem_2_4_by_elements(G: TwistGroup, cases: list, case_log: Optional[list],
+                             case) -> VerifyResult:
+    """The ordered element cases one by one, each unordered case decided once."""
     outcomes: dict = {}
     failure = None
     for total, (a, b, m, n) in enumerate(cases, start=1):
@@ -878,7 +1198,7 @@ def _theorem_2_4_by_elements(G: TwistGroup, D: int, cases: list,
         if swapped in outcomes:
             outcomes[key] = outcomes[swapped]
         else:
-            res = verify_theorem_2_4(G, G.elements[a], G.elements[b], m, n, D)
+            res = case(G.elements[a], G.elements[b], m, n)
             outcomes[key] = (res.passed, res.witness)
         passed, witness = outcomes[key]
         if case_log is not None:
@@ -896,8 +1216,30 @@ def verify_theorem_3_1(G: TwistGroup, D: int, max_mode: int = 2) -> VerifyResult
     b = sum_s identity(s), and [T_m^i, T_n^j] = 0 for i != j; exact on the
     window.  Also checks the averaging projectors are idempotent, mutually
     orthogonal, and resolve the identity on the coefficient space."""
-    k = len(G)
+    def case(lhs, rhs, m, n):
+        return lhs.matrix_equal(rhs, commutator_window(D, m * G.period, n * G.period))
+
+    return _theorem_3_1(G, D, max_mode, case)
+
+
+def certify_theorem_3_1(G: TwistGroup, D: int, max_mode: int = 2) -> VerifyResult:
+    """The cases of `verify_theorem_3_1`, each proved on the whole Fock space
+    by its normal-ordering form, and the columns of every P_k^(r),
+    |k| <= 2 max_mode, checked against the Fock representation on degree
+    <= D - |k| N.  A failing case gives ((i, j, m, n), x, got, want) with x
+    an index or "central"; a failing column gives (("P", r, k), state,
+    out_state, got, want).  Like the sweep, it raises `cutoff too small`
+    when the window of |m| = |n| = max_mode is empty."""
     N = G.period
+    commutator_window(D, max_mode * N, max_mode * N)
+    res = _theorem_3_1(G, D, max_mode, lambda lhs, rhs, m, n: _certify(lhs, rhs).witness)
+    return _with_representation(res, N, D, range(-2 * max_mode, 2 * max_mode + 1))
+
+
+def _theorem_3_1(G: TwistGroup, D: int, max_mode: int, case) -> VerifyResult:
+    """The cases with `case(lhs, rhs, m, n) -> witness or None` deciding
+    one unordered case; the count is of ordered cases."""
+    k = len(G)
     b = G.elements[G.identity].period_sum()
     _check_projectors(k)
     T = {}
@@ -915,7 +1257,6 @@ def verify_theorem_3_1(G: TwistGroup, D: int, max_mode: int = 2) -> VerifyResult
                         total += 1
                         continue
                     seen.add(key)
-                    window = commutator_window(D, m * N, n * N)
                     lhs = CommutatorOp(T[(i, m)], T[(jdx, n)])
                     if i == jdx:
                         terms = []
@@ -932,7 +1273,7 @@ def verify_theorem_3_1(G: TwistGroup, D: int, max_mode: int = 2) -> VerifyResult
                         rhs: Operator = SumOp(terms) if terms else ZeroOp()
                     else:
                         rhs = ZeroOp()
-                    witness = lhs.matrix_equal(rhs, window)
+                    witness = case(lhs, rhs, m, n)
                     total += 1
                     if witness is not None:
                         return VerifyResult(False, total, ((i, jdx, m, n),) + witness)

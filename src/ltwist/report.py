@@ -102,12 +102,10 @@ def load_config_file(path: str, base: Optional[RunConfig] = None) -> RunConfig:
 
 
 def config_from_env(environ, base: Optional[RunConfig] = None) -> RunConfig:
-    data = {}
-    for key, val in environ.items():
-        if key.startswith("LTWIST_"):
-            name = key[len("LTWIST_"):].lower()
-            if name in CONFIG_KEYS:
-                data[name] = val
+    """Fields from LTWIST_<FIELD> variables; as in a config file, a name
+    that is not a field raises `unknown config key`."""
+    prefix = "LTWIST_"
+    data = {key[len(prefix):]: val for key, val in environ.items() if key.startswith(prefix)}
     return config_from_mapping(data, base)
 
 

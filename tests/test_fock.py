@@ -2,6 +2,8 @@ import json
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltwist.characters import (
     PeriodicFn,
@@ -9,10 +11,14 @@ from ltwist.characters import (
     even_twist_group,
     kronecker_symbol,
 )
+from ltwist.checks import build_registry
+from ltwist.cycloring import cyclo_ring
 from ltwist.exactnum import rat, zeta
 from ltwist import cli, fock
 from ltwist.fock import (
+    BilinearOp,
     CommutatorOp,
+    ModeOp,
     ScalarOp,
     SumOp,
     basis_partitions,
@@ -37,7 +43,8 @@ from ltwist.fock import (
     verify_theorem_3_1,
     verify_transpose_symmetry,
 )
-from ltwist.lvalues import l_minus_one
+from ltwist.lvalues import _l_minus_one_form, l_minus_one
+from ltwist.report import RunConfig, _run_check
 
 
 def quad_char(q):
@@ -395,3 +402,135 @@ def test_matrix_equal_witness_is_exact():
     assert want == zeta(3) * got and want != got
     s2, _, got2, want2 = lhs.matrix_equal(lhs.scaled(rat(1, 2)), window)
     assert s2 == s and want2 * 2 == got2
+
+
+# -- certified rows ------------------------------------------------------------
+
+
+def _mode_reference(op, p, ring):
+    """The integer column of sum_j c(j) :a_{-lj} a_{l(j+M)}: on p, composed
+    from ModeOp columns with the annihilator acting first.  A term whose
+    first factor annihilates a part that p lacks is zero, so only the j
+    with l(j + M) or -lj a part of p, or 0 < j < -M, are summed."""
+    M, l, N = op.M, op.l, op.coeff.period
+    table = op._table.elements(ring)
+    js = {u // l - M for u in p if not u % l} | {-(u // l) for u in p if not u % l}
+    acc = {}
+    for j in sorted(js | set(range(1, -M))):
+        left, right = -l * j, l * (j + M)
+        if not left or not right:
+            continue
+        if left > 0 > right:  # normal order: the creation operator on the left
+            left, right = right, left
+        col = ModeOp(left).apply_icolumn(ModeOp(right).icolumn(p, ring), ring)
+        for t, v in col.items():
+            x = ring.mul(table[j % N], v)
+            acc[t] = ring.add(acc[t], x) if t in acc else x
+    return {t: v for t, v in acc.items() if not ring.is_zero(v)}
+
+
+@pytest.mark.parametrize("coeff", [
+    PeriodicFn(3, [rat(1, 2), rat(-3), rat(5, 3)]),  # rational, c(0) != 0, not even
+    PeriodicFn(3, [zeta(3), zeta(3) ** 2 + 1, rat(2)]),  # Q(zeta_3)
+], ids=["rational", "zeta3"])
+def test_icolumn_matches_mode_composition(coeff):
+    N = coeff.period
+    states = basis_partitions(16)
+    for l in (1, 2, 3):
+        for M in range(-3 * N, 3 * N + 1):
+            op = BilinearOp(coeff, M, rat(1, 2 * N), l=l)
+            ring = cyclo_ring(op.order)
+            for p in states:
+                assert op._icolumn(p, ring) == _mode_reference(op, p, ring), (l, M, p)
+
+
+def _even_periodic(N, values):
+    """The even N-periodic function with f(0) = 0 and f(r) = values[r - 1]
+    for r = 1..N//2."""
+    table = [rat(0)] * N
+    for r, v in enumerate(values, start=1):
+        table[r % N] = table[-r % N] = v
+    return PeriodicFn(N, table[1:] + table[:1])
+
+
+_small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4).map(rat)
+
+
+@st.composite
+def _bracket_cases(draw):
+    N = draw(st.sampled_from((3, 5, 7)))
+    f1, f2 = (_even_periodic(N, draw(st.lists(_small_rationals, min_size=N // 2,
+                                               max_size=N // 2)))
+              for _ in range(2))
+    m, n = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    shift = draw(st.sampled_from((rat(0), rat(0), rat(1, 7))))
+    return f1, f2, m, n, shift
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_bracket_cases())
+def test_certificate_agrees_with_sweep(case):
+    # Random even twists, not only characters; a shifted L(-1) breaks the
+    # central term, so the two verdicts must also agree on failures.
+    f1, f2, m, n, shift = case
+    lm1 = lambda f: _l_minus_one_form(f) + shift  # noqa: E731
+    D = f1.period * (abs(m) + abs(n)) + 4
+    swept = fock._verify_bracket(f1, f2, m, n, D, lm1=lm1)
+    certified = fock._certify_bracket(f1, f2, m, n, lm1=lm1)
+    assert certified.passed == swept.passed
+    assert certified.passed == (not shift or m != -n or m == 0)
+    if not certified.passed:
+        assert certified.witness[0] == "central"
+
+
+def _flip_double_creation(real):
+    def mutated(p, j, M, l=1):
+        act = real(p, j, M, l)
+        if act and j > 0 and j + M < 0:
+            return -act[0], act[1]
+        return act
+    return mutated
+
+
+def _multiplicity_off_by_one(real):
+    def mutated(p, u):
+        hit = real(p, u)
+        return None if hit is None else (hit[0] + 1, hit[1])
+    return mutated
+
+
+_MUTATIONS = {
+    "central-term": ("_central_term",
+                     lambda real: lambda f, lm1, m: real(f, lm1, m) + rat(1, 7)),
+    "bracket-rhs": ("_bracket_rhs",
+                    lambda real: lambda *a, **k: real(*a, **k) + ScalarOp(rat(1, 7))),
+    "term-action-sign": ("_term_action", _flip_double_creation),
+    "remove-part-multiplicity": ("_remove_part", _multiplicity_off_by_one),
+}
+
+
+@pytest.mark.parametrize("mutation", list(_MUTATIONS))
+def test_certified_rows_turn_red_with_the_sweeps(monkeypatch, mutation):
+    # The central term and the right side of Theorem 2.4 enter only the
+    # bracket rows: Lemma 2.3 has no central term and Theorem 3.1 builds its
+    # own.  The two column-code mutations never reach a certificate, so the
+    # representation check has to catch them in every row, naming a P^(r)_n.
+    attr, make = _MUTATIONS[mutation]
+    monkeypatch.setattr(fock, attr, make(getattr(fock, attr)))
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})  # no columns cached before
+    cfg = RunConfig(moduli_bracket=(3,), moduli_decomposition=(5,), cutoff=20)
+    rows = {c.id: _run_check(c, cfg)
+            for c in build_registry(cfg)
+            if c.id in ("fock:mode-bracket:3", "fock:bracket:3", "fock:decomposition:5")}
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    swept = {
+        "fock:mode-bracket:3": verify_lemma_2_3_suite(even_twist_group(3), 20).passed,
+        "fock:bracket:3": verify_theorem_2_4_suite(even_twist_group(3), 20).passed,
+        "fock:decomposition:5": verify_theorem_3_1(even_twist_group(5), 20).passed,
+    }
+    assert {k: r.status == "pass" for k, r in rows.items()} == swept
+    column_code = attr in ("_term_action", "_remove_part")
+    red = set(swept) if column_code else {"fock:bracket:3"}
+    assert {k for k, r in rows.items() if r.status == "fail"} == red
+    for k in red:
+        assert rows[k].witness.startswith("(('P', " if column_code else "((0, 0, ")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -9,6 +10,7 @@ from ltwist import cli
 from ltwist.checks import build_registry
 from ltwist.report import (
     RunConfig,
+    _run_check,
     config_from_env,
     config_from_mapping,
     load_config_file,
@@ -84,6 +86,9 @@ def test_config_file_and_env(tmp_path):
     assert cfg.cutoff == 18 and cfg.seed == 3 and cfg.moduli_bracket == (3, 5)
     cfg2 = config_from_env({"LTWIST_CUTOFF": "22", "OTHER": "1"}, cfg)
     assert cfg2.cutoff == 22
+    # a misspelt name fails as it does in a config file, not silently
+    with pytest.raises(ValueError, match="unknown config key 'cutof'"):
+        config_from_env({"LTWIST_CUTOF": "10"}, cfg)
     with pytest.raises(ValueError):
         config_from_mapping({"not_a_key": 1})
     bad = tmp_path / "bad.cfg"
@@ -182,7 +187,8 @@ def test_removed_jobs_option_is_rejected(tmp_path, capsys):
     cfgfile.write_text("jobs = 2\n")
     with pytest.raises(ValueError, match="unknown config key 'jobs'"):
         load_config_file(str(cfgfile))
-    assert config_from_env({"LTWIST_JOBS": "2"}) == RunConfig()
+    with pytest.raises(ValueError, match="unknown config key 'jobs'"):
+        config_from_env({"LTWIST_JOBS": "2"})
     assert "jobs" not in RunConfig().to_dict()
 
 
@@ -263,4 +269,26 @@ def test_report_rows_match_golden_file():
     )
     doc = json.loads(report_to_json(report_all(cfg)))
     got = {"config": doc["config"], "checks": doc["checks"]}
+    assert json.dumps(got, indent=2, sort_keys=True) + "\n" == want
+
+
+COMMUTATOR_ROWS = ("fock:mode-bracket:", "fock:bracket:", "fock:decomposition:")
+
+
+def _commutator_rows(cutoff: int) -> dict:
+    cfg = RunConfig(moduli_bracket=(3, 5), moduli_decomposition=(5,), cutoff=cutoff)
+    rows = [asdict(_run_check(c, cfg)) for c in build_registry(cfg)
+            if c.id.startswith(COMMUTATOR_ROWS)]
+    return {"config": cfg.to_dict(), "checks": rows}
+
+
+def test_commutator_rows_match_golden_file():
+    # The rows of the three commutator families, which the golden file above
+    # leaves out, pinned from their state sweeps.  At cutoff 20 every row
+    # passes; 17 skips the Theorem 2.4 and 3.1 rows at N = 5 (they need
+    # D >= 4N), 14 also the Lemma 2.3 row at N = 5 (D >= 6 + 2N), 11 all.
+    path = os.path.join(os.path.dirname(__file__), "data", "report_rows_fock_small.json")
+    with open(path, encoding="utf-8") as fh:
+        want = fh.read()
+    got = [_commutator_rows(D) for D in (20, 17, 14, 11)]
     assert json.dumps(got, indent=2, sort_keys=True) + "\n" == want
