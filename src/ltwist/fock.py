@@ -16,7 +16,8 @@ exactly when their symmetrised coefficients s, their modes and their vacuum
 scalars are (`_form`, `_mismatch`).  The coefficients are periodic times
 polynomial in x, so a few periods decide them for every x.  A state-level
 check then ties the column code to that representation: each residue-pair
-operator's columns satisfy Q a_{-u} = a_{-u} Q + [Q, a_{-u}] on its window
+operator's integer table times its scale is the c of its form, and its
+columns satisfy Q a_{-u} = a_{-u} Q + [Q, a_{-u}] on its window
 (`_check_representation`).  There the cutoff bounds the states checked, and
 a certified row skips exactly where the sweep's tightest window is empty.
 """
@@ -367,10 +368,11 @@ class BilinearOp(Operator):
 
     def _icolumn(self, p: Partition, ring: CycloRing) -> dict:
         # Off the diagonal, one scan of the descending tuple reads each
-        # distinct part u = lw with its multiplicity.  Where u - lM > 0 the two terms j = w - M and
-        # j = -w annihilate one u and create u - lM; where it is < 0, the
-        # term j = w - M annihilates u and then l(M - w), if that is a part
-        # too.  The terms with 0 < j < -M create two parts on any state.
+        # distinct part u = lw with its multiplicity.  Where u - lM > 0 the
+        # two terms j = w - M and j = -w annihilate one u and create u - lM;
+        # where it is < 0 (only when M > 0), the term j = w - M annihilates
+        # u and then l(M - w), if that is a part too.  The terms with
+        # 0 < j < -M create two parts on any state.
         M, l, N = self.M, self.l, self._N
         moves = self._moves(ring)
         add, smul = ring.add, ring.smul
@@ -386,7 +388,8 @@ class BilinearOp(Operator):
         shift = l * M
         neg = [-x for x in p]  # ascending, for bisect
         out: dict = {}
-        pairs = range(1, -M) if M < 0 else []
+        # the terms 0 < j < -M when M < 0, else the annihilations found below
+        pairs = list(range(1, -M))
         n = len(p)
         i = 0
         while i < n:
@@ -690,7 +693,10 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
     sum_{0<j<-M} c(j) a_{-j} a_{j+M}|0>, composed from `ModeOp` columns, and
     for q = (u,) + p with u the largest part, col(q) = a_{-u} col(p) +
     u s(-u) a_{M-u}|p>, which is Q a_{-u} = a_{-u} Q + [Q, a_{-u}].  The
-    degree verified is kept on the operator, so each state is checked once.
+    integer table times `op.scale` must first be prefactor * c, the
+    coefficients `_form` certifies, else ("table", r, got, want) names the
+    residue r.  The degree verified is kept on the operator, so each state
+    is checked once.
     """
     M, N = op.M, op._N
     if op.l != 1:
@@ -700,6 +706,10 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
     window = commutator_window(D, M)
     ring = cyclo_ring(op.order)
     table = op._table.elements(ring)
+    for r in range(N):
+        got, want = ring.to_scalar(table[r], op.scale), op.prefactor * op.coeff(r)
+        if got != want:
+            return ("table", r, got, want)
     add, mul, smul, is_zero = ring.add, ring.mul, ring.smul, ring.is_zero
     s_neg = [add(table[-r % N], table[(r - M) % N]) for r in range(N)]  # s(-u), u = r mod N
     modes: dict = {}
@@ -960,6 +970,9 @@ class VerifyResult:
 
 
 _LEMMA_KS, _LEMMA_NS = range(-6, 7), range(-2, 3)
+# the certified Theorem 2.4 / 3.1 suites: |m|, |n| <= 2, so the operators
+# P_k^(r) they rest on have |k| = |m + n| <= 4
+_MAX_MODE, _PRODUCT_MODES = 2, range(-4, 5)
 
 
 def _lemma_2_3_sides(chi: PeriodicFn, k: int, n: int, D: Optional[int]) -> tuple:
@@ -1000,9 +1013,10 @@ def certify_lemma_2_3_suite(G: TwistGroup, D: int) -> VerifyResult:
     space by its normal-ordering form, and the columns of every P_n^(r)
     checked against the Fock representation on degree <= D - |n| N.  A
     failing case gives ((element, k, n), mode index, got, want); a failing
-    column gives (("P", r, n), state, out_state, got, want).  Like the
-    sweep, it raises `cutoff too small` when the window of k = 6, n = 2 is
-    empty."""
+    column gives (("P", r, n), state, out_state, got, want), or
+    (("P", r, n), "table", residue, got, want) when the coefficient table is
+    not prefactor * c.  Like the sweep, it raises `cutoff too small` when
+    the window of k = 6, n = 2 is empty."""
     N = G.period
     commutator_window(D, _LEMMA_KS[-1], _LEMMA_NS[-1] * N)
     res = _lemma_2_3_suite(G, _certify_lemma_2_3)
@@ -1117,19 +1131,21 @@ def verify_theorem_2_4_suite(
     return _theorem_2_4_suite(G, max_mode, case, case_log)
 
 
-def certify_theorem_2_4_suite(G: TwistGroup, D: int, max_mode: int = 2) -> VerifyResult:
-    """The cases of `verify_theorem_2_4_suite`, each proved on the whole
-    Fock space by its normal-ordering form, and the columns of every
-    P_k^(r), |k| <= 2 max_mode, checked against the Fock representation on
-    degree <= D - |k| N.  A failing case gives ((a, b, m, n), x, got, want)
-    with x the first index where the symmetrised coefficients differ, or
-    "central"; a failing column gives (("P", r, k), state, out_state, got,
-    want).  Like the sweep, it raises `cutoff too small` when the window of
-    |m| = |n| = max_mode is empty."""
+def certify_theorem_2_4_suite(G: TwistGroup, D: int) -> VerifyResult:
+    """The cases of `verify_theorem_2_4_suite` at its default |m|, |n| <= 2,
+    each proved on the whole Fock space by its normal-ordering form, and the
+    columns of every P_k^(r), |k| <= 4, checked against the Fock
+    representation on degree <= D - |k| N.  A failing case gives
+    ((a, b, m, n), x, got, want) with x the first index where the
+    symmetrised coefficients differ, or "central"; a failing column gives
+    (("P", r, k), state, out_state, got, want), or (("P", r, k), "table",
+    residue, got, want) when its coefficient table is not prefactor * c.
+    Like the sweep, it raises `cutoff too small` when the window of
+    |m| = |n| = 2 is empty."""
     N = G.period
-    commutator_window(D, max_mode * N, max_mode * N)
-    res = _theorem_2_4_suite(G, max_mode, _certify_bracket, None)
-    return _with_representation(res, N, D, range(-2 * max_mode, 2 * max_mode + 1))
+    commutator_window(D, _MAX_MODE * N, _MAX_MODE * N)
+    res = _theorem_2_4_suite(G, _MAX_MODE, _certify_bracket, None)
+    return _with_representation(res, N, D, _PRODUCT_MODES)
 
 
 def _theorem_2_4_suite(G: TwistGroup, max_mode: int, case,
@@ -1222,18 +1238,19 @@ def verify_theorem_3_1(G: TwistGroup, D: int, max_mode: int = 2) -> VerifyResult
     return _theorem_3_1(G, D, max_mode, case)
 
 
-def certify_theorem_3_1(G: TwistGroup, D: int, max_mode: int = 2) -> VerifyResult:
-    """The cases of `verify_theorem_3_1`, each proved on the whole Fock space
-    by its normal-ordering form, and the columns of every P_k^(r),
-    |k| <= 2 max_mode, checked against the Fock representation on degree
-    <= D - |k| N.  A failing case gives ((i, j, m, n), x, got, want) with x
-    an index or "central"; a failing column gives (("P", r, k), state,
-    out_state, got, want).  Like the sweep, it raises `cutoff too small`
-    when the window of |m| = |n| = max_mode is empty."""
+def certify_theorem_3_1(G: TwistGroup, D: int) -> VerifyResult:
+    """The cases of `verify_theorem_3_1` at its default |m|, |n| <= 2, each
+    proved on the whole Fock space by its normal-ordering form, and the
+    columns of every P_k^(r), |k| <= 4, checked against the Fock
+    representation on degree <= D - |k| N.  A failing case gives
+    ((i, j, m, n), x, got, want) with x an index or "central"; a failing
+    column gives the witness of `certify_theorem_2_4_suite`.  Like the
+    sweep, it raises `cutoff too small` when the window of |m| = |n| = 2
+    is empty."""
     N = G.period
-    commutator_window(D, max_mode * N, max_mode * N)
-    res = _theorem_3_1(G, D, max_mode, lambda lhs, rhs, m, n: _certify(lhs, rhs).witness)
-    return _with_representation(res, N, D, range(-2 * max_mode, 2 * max_mode + 1))
+    commutator_window(D, _MAX_MODE * N, _MAX_MODE * N)
+    res = _theorem_3_1(G, D, _MAX_MODE, lambda lhs, rhs, m, n: _certify(lhs, rhs).witness)
+    return _with_representation(res, N, D, _PRODUCT_MODES)
 
 
 def _theorem_3_1(G: TwistGroup, D: int, max_mode: int, case) -> VerifyResult:

@@ -499,6 +499,14 @@ def _multiplicity_off_by_one(real):
     return mutated
 
 
+def _doubled_scale(real):
+    class Mutated(real):
+        def __init__(self, *a, **k):
+            super().__init__(*a, **k)
+            self.scale = self.scale * 2
+    return Mutated
+
+
 _MUTATIONS = {
     "central-term": ("_central_term",
                      lambda real: lambda f, lm1, m: real(f, lm1, m) + rat(1, 7)),
@@ -506,6 +514,7 @@ _MUTATIONS = {
                     lambda real: lambda *a, **k: real(*a, **k) + ScalarOp(rat(1, 7))),
     "term-action-sign": ("_term_action", _flip_double_creation),
     "remove-part-multiplicity": ("_remove_part", _multiplicity_off_by_one),
+    "bilinear-scale": ("BilinearOp", _doubled_scale),
 }
 
 
@@ -513,8 +522,10 @@ _MUTATIONS = {
 def test_certified_rows_turn_red_with_the_sweeps(monkeypatch, mutation):
     # The central term and the right side of Theorem 2.4 enter only the
     # bracket rows: Lemma 2.3 has no central term and Theorem 3.1 builds its
-    # own.  The two column-code mutations never reach a certificate, so the
-    # representation check has to catch them in every row, naming a P^(r)_n.
+    # own.  The three column-code mutations never reach a certificate, so
+    # the representation check has to catch them in every row, naming a
+    # P^(r)_n: a wrong scale leaves the integer columns as they were and
+    # shows only against the coefficients the certificate uses.
     attr, make = _MUTATIONS[mutation]
     monkeypatch.setattr(fock, attr, make(getattr(fock, attr)))
     monkeypatch.setattr(fock, "_OP_REGISTRY", {})  # no columns cached before
@@ -529,7 +540,7 @@ def test_certified_rows_turn_red_with_the_sweeps(monkeypatch, mutation):
         "fock:decomposition:5": verify_theorem_3_1(even_twist_group(5), 20).passed,
     }
     assert {k: r.status == "pass" for k, r in rows.items()} == swept
-    column_code = attr in ("_term_action", "_remove_part")
+    column_code = attr in ("_term_action", "_remove_part", "BilinearOp")
     red = set(swept) if column_code else {"fock:bracket:3"}
     assert {k for k, r in rows.items() if r.status == "fail"} == red
     for k in red:
