@@ -6,13 +6,14 @@ and antisymmetry constraints leave a single functional equation
 
     (m - n) alpha(m + n) - (2n + m) alpha(m) + (n + 2m) alpha(n) = 0.
 
-This module builds that linear system on a coordinate box, computes the exact
-null space over K, and confirms it is spanned by alpha(m) = m and
-alpha(m) = m^3.
+This module builds that linear system on a coordinate box, checks alpha(m) = m
+and alpha(m) = m^3 against every constraint exactly, and certifies by a rank
+bound mod a prime that they span the null space over K.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -32,7 +33,8 @@ class QuadField:
     (1 + sqrt d)/2 when d = 1 mod 4.  Elements are coordinate tuples."""
 
     def __init__(self, d: Optional[int]):
-        if d is not None and (d == 0 or d == 1):
+        if d is not None and (d in (0, 1) or any(
+                d % (k * k) == 0 for k in range(2, math.isqrt(abs(d)) + 1))):
             raise ValueError("d must be a squarefree integer other than 0, 1")
         self.d = d
         self.rank = 1 if d is None else 2
@@ -47,12 +49,12 @@ class QuadField:
             return "Q"
         return "Q(i)" if self.d == -1 else f"Q(sqrt{self.d})"
 
-    # Elements are coordinate tuples of length self.rank: plain ints for the
-    # integral constraint systems, rationals once a division (inv) enters.
+    # Elements are integer coordinate tuples of length self.rank: the ring
+    # Z[w] builds and tests the constraint rows, and nothing here divides.
     def element(self, *coords):
         if len(coords) != self.rank:
             raise ValueError("coordinate count must match the field rank")
-        return tuple(c if isinstance(c, int) else rat(c) for c in coords)
+        return tuple(map(operator.index, coords))
 
     def add(self, a, b):
         return tuple(map(operator.add, a, b))
@@ -71,25 +73,6 @@ class QuadField:
         cross = a0 * b1 + a1 * b0
         w2 = a1 * b1
         return (a0 * b0 + w2 * self.wsq_const, cross + w2 * self.wsq_lin)
-
-    def inv(self, a):
-        if self.rank == 1:
-            if a[0] == 0:
-                raise ZeroDivisionError
-            return (1 / rat(a[0]),)
-        a0, a1 = a
-        # conjugate and norm on the {1, w} basis
-        if self.d % 4 == 1:
-            conj = (a0 + a1, -a1)
-        else:
-            conj = (a0, -a1)
-        norm = self.mul(a, conj)
-        if norm[1] != 0:
-            raise ArithmeticError("norm must be rational")
-        if norm[0] == 0:
-            raise ZeroDivisionError
-        n = rat(norm[0])
-        return tuple(c / n for c in conj)
 
     def is_zero(self, a) -> bool:
         return not any(a)
@@ -159,9 +142,8 @@ def build_system(d, H: int) -> CocycleSystem:
                 continue
             seen.add(fp)
             rows.append(row)
-    sys_ = CocycleSystem(field=K, height=H, unknowns=reps, index=index,
+    return CocycleSystem(field=K, height=H, unknowns=reps, index=index,
                          rows=rows, box=box)
-    return sys_
 
 
 def _canonical(m):
@@ -182,13 +164,6 @@ def _row_add(row: dict, K: QuadField, index: dict, m, coeff) -> None:
     row[pos] = K.add(row.get(pos, K.zero), coeff)
 
 
-def _candidate_solutions(sys_: CocycleSystem):
-    K = sys_.field
-    v1 = [r for r in sys_.unknowns]           # alpha(m) = m
-    v3 = [K.cube(r) for r in sys_.unknowns]   # alpha(m) = m^3
-    return v1, v3
-
-
 def _row_apply(K: QuadField, row: dict, vec) -> bool:
     acc = K.zero
     for pos, c in row.items():
@@ -196,73 +171,76 @@ def _row_apply(K: QuadField, row: dict, vec) -> bool:
     return K.is_zero(acc)
 
 
-def nullspace_dim(sys_: CocycleSystem):
-    """Exact null-space dimension over K with a basis.
+# The prime of the rank certificate.  A rank lost mod p needs p to divide a
+# nonzero minor of small-integer rows; it could only turn a row red.
+_PRIME = (1 << 61) - 1
 
-    The polynomial vectors m and m^3 are first verified against every row;
-    elimination then runs until the rank reaches #unknowns - 2, at which
-    point the null space is exactly their span.  If the rank never gets
-    there, a full elimination with basis extraction reports the defect.
+
+def nullspace_dim(sys_: CocycleSystem):
+    """Null-space dimension over K, with the vectors m and m^3.
+
+    Both are first verified against every row exactly; their values at
+    m = 1, 2, which every box holds, are independent, so the dimension is at
+    least 2.  Each K-row then becomes `K.rank` integer rows on the
+    Q-coordinates of the unknowns (restriction of scalars, which multiplies
+    the rank by `K.rank`), and their rank mod _PRIME, never above the rank
+    over Q, is taken until it reaches K.rank * (#unknowns - 2).  Then the
+    dimension is exactly 2 and [m, m^3] is a basis.  Otherwise the returned
+    dimension is the upper bound #unknowns - ceil(rank / K.rank) > 2, so an
+    uncertified system can only read as a larger null space.
     """
     K = sys_.field
-    v1, v3 = _candidate_solutions(sys_)
+    v1 = list(sys_.unknowns)                  # alpha(m) = m
+    v3 = [K.cube(r) for r in sys_.unknowns]   # alpha(m) = m^3
     for ridx, row in enumerate(sys_.rows):
         if not _row_apply(K, row, v1) or not _row_apply(K, row, v3):
             raise ArithmeticError(f"polynomial solution violates constraint {ridx}")
     u = len(sys_.unknowns)
-    target = u - 2
-    pivots: dict = {}    # pivot position -> reduced row
-    rank = 0
-    for row in sys_.rows:
-        red = _reduce_row(K, dict(row), pivots)
-        if red:
-            pos = min(red)
-            inv = K.inv(red[pos])
-            red = {p: K.mul(inv, c) for p, c in red.items()}
-            pivots[pos] = red
-            rank += 1
-            if rank == target:
-                return 2, [v1, v3]
-    dim = u - rank
-    basis = _extract_nullspace(K, pivots, u)
-    return dim, basis
+    rank = _rank_mod_p(_restricted_rows(K, sys_.rows), K.rank * (u - 2))
+    return u - math.ceil(rank / K.rank), [v1, v3]
 
 
-def _reduce_row(K: QuadField, row: dict, pivots: dict) -> dict:
-    changed = True
-    while changed:
-        changed = False
-        for pos in sorted(row):
-            if K.is_zero(row[pos]):
-                del row[pos]
-                continue
-            piv = pivots.get(pos)
+def _restricted_rows(K: QuadField, rows):
+    """The integer rows over Q of the K-rows, unknown j = x + y w at columns
+    2j, 2j + 1 (at column j over Q): with w^2 = wl w + wc,
+    (a + b w)(x + y w) = (a x + b wc y) + (b x + (a + b wl) y) w."""
+    for row in rows:
+        if K.rank == 1:
+            yield {p: c[0] for p, c in row.items()}
+            continue
+        wl, wc = K.wsq_lin, K.wsq_const
+        re, im = {}, {}
+        for p, (a, b) in row.items():
+            re[2 * p], re[2 * p + 1] = a, b * wc
+            im[2 * p], im[2 * p + 1] = b, a + b * wl
+        yield re
+        yield im
+
+
+def _rank_mod_p(rows, target: int) -> int:
+    """Rank mod _PRIME of the integer rows, stopping once it reaches target.
+    Each pivot row is scaled to lead with 1 at its first column, so reducing
+    by it only touches later columns."""
+    pivots: dict = {}
+    for row in rows:
+        row = {c: v % _PRIME for c, v in row.items() if v % _PRIME}
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
             if piv is None:
-                continue
-            factor = row[pos]
-            for p, c in piv.items():
-                row[p] = K.sub(row.get(p, K.zero), K.mul(factor, c))
-            row = {p: c for p, c in row.items() if not K.is_zero(c)}
-            changed = True
-            break
-    return row
-
-
-def _extract_nullspace(K: QuadField, pivots: dict, u: int):
-    free = [p for p in range(u) if p not in pivots]
-    basis = []
-    for f in free:
-        vec = [K.zero] * u
-        vec[f] = K.one
-        for pos in sorted(pivots, reverse=True):
-            row = pivots[pos]
-            acc = K.zero
-            for p, c in row.items():
-                if p != pos:
-                    acc = K.add(acc, K.mul(c, vec[p]))
-            vec[pos] = K.neg(acc)
-        basis.append(vec)
-    return basis
+                inv = pow(row[col], -1, _PRIME)
+                pivots[col] = {c: v * inv % _PRIME for c, v in row.items()}
+                if len(pivots) == target:
+                    return target
+                break
+            f = row[col]
+            for c, v in piv.items():
+                x = (row.get(c, 0) - f * v) % _PRIME
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+    return len(pivots)
 
 
 def fit_cubic(sys_: CocycleSystem, vec) -> Optional[tuple]:
@@ -287,18 +265,19 @@ def fit_cubic(sys_: CocycleSystem, vec) -> Optional[tuple]:
 
 
 def verify_449(d, H: int) -> bool:
-    """The one-line recursion on the b1-line,
+    """The null space is certified as two-dimensional, and the one-line
+    recursion on the b1-line,
     (m - 1) alpha((m+1) b1) = (m + 2) alpha(m b1) - (2m + 1) alpha(b1),
-    holds for every computed null-space vector."""
+    holds for its basis vectors and a combination of them."""
     if H < 4:
         raise ValueError("height must be at least 4 for the line recursion")
     sys_ = build_system(d, H)
     dim, basis = nullspace_dim(sys_)
+    if dim != 2:
+        return False
     K = sys_.field
-    vecs = list(basis)
     # a random-ish combination exercises linearity
-    if len(basis) >= 2:
-        vecs.append([K.add(a, K.add(b, b)) for a, b in zip(basis[0], basis[1])])
+    vecs = basis + [[K.add(a, K.add(b, b)) for a, b in zip(*basis)]]
     for vec in vecs:
         for m in range(1, H):
             lhs = _line_value(sys_, K, vec, m + 1)

@@ -887,10 +887,7 @@ def build_T(
     if shifted and n == 0:
         energy = vacuum_energies(G, i)
         scalar = energy.c * rat(1, N)
-        out = SumOp([(1, op), (1, ScalarOp(scalar))])
-        out.scalar = scalar
-        out.degree_shift = 0
-        op = out
+        op = SumOp([(1, op), (1, ScalarOp(scalar))])
     _OP_REGISTRY[key] = op
     return op
 

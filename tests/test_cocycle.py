@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+from ltwist import cocycle
 from ltwist.cocycle import (
     FIELDS,
     QuadField,
@@ -11,7 +13,7 @@ from ltwist.cocycle import (
     nullspace_dim,
     verify_449,
 )
-from ltwist.exactnum import Rat, rat
+from ltwist.exactnum import Rat
 
 
 def test_field_arithmetic():
@@ -23,10 +25,6 @@ def test_field_arithmetic():
     K5 = field_by_name("Q(sqrt5)")
     w = K5.element(0, 1)
     assert K5.mul(w, w) == K5.element(1, 1)
-    # inverses
-    for K in (field_by_name("Q"), field_by_name("Q(sqrt2)"), field_by_name("Q(i)")):
-        x = K.element(*([3] + [2] * (K.rank - 1)))
-        assert K.mul(x, K.inv(x)) == K.one
 
 
 def test_build_system_shapes():
@@ -51,13 +49,12 @@ def test_build_system_rows_are_integral():
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_inverse_and_fit_stay_exact(name):
+    # the field has no inverse: elements are integral and only the 1/6 of
+    # the cubic fit is rational
     K = field_by_name(name)
-    for coords in ((3,) + (0,) * (K.rank - 1), (3,) + (2,) * (K.rank - 1),
-                   (2,) + (1,) * (K.rank - 1)):
-        x = K.element(*coords)
-        inv = K.inv(x)
-        assert all(type(c) is Rat for c in inv)
-        assert K.mul(x, inv) == K.one
+    assert not hasattr(K, "inv")
+    with pytest.raises(TypeError):
+        K.element(*([Rat(1, 2)] * K.rank))
     sys_ = build_system(name, 3)
     dim, basis = nullspace_dim(sys_)
     for vec in basis:
@@ -107,6 +104,45 @@ def test_random_nullspace_vector_fits():
     assert fit_cubic(sys_, combo) is not None
 
 
+# exact dimensions of row prefixes of build_system(name, 4), computed by
+# Gaussian elimination over K
+_PREFIX_DIMS = {
+    "Q": {1: 3, None: 2},
+    **{name: {1: 39, 3: 37, 10: 30, 20: 20, 30: 13, 40: 10, 60: 4, None: 2}
+       for name in ("Q(sqrt2)", "Q(sqrt5)", "Q(i)")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_rank_certificate_matches_exact_dimensions(name):
+    sys_ = build_system(name, 4)
+    rows = sys_.rows
+    for k, want in _PREFIX_DIMS[name].items():
+        dim, basis = nullspace_dim(dataclasses.replace(sys_, rows=rows[:k]))
+        assert dim == want, k
+        assert len(basis) == 2
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_perturbed_row_violates_polynomial_solutions(name):
+    sys_ = build_system(name, 4)
+    K = sys_.field
+    row = dict(sys_.rows[-1])
+    pos = min(row)
+    row[pos] = K.add(row[pos], K.one)
+    bad = dataclasses.replace(sys_, rows=sys_.rows[:-1] + [row])
+    with pytest.raises(ArithmeticError, match="polynomial solution violates constraint"):
+        nullspace_dim(bad)
+
+
+def test_line_recursion_needs_a_certified_null_space(monkeypatch):
+    sys_ = build_system("Q(sqrt2)", 4)
+    short = dataclasses.replace(sys_, rows=sys_.rows[:40])
+    assert nullspace_dim(short)[0] > 2
+    monkeypatch.setattr(cocycle, "build_system", lambda d, H: short)
+    assert not verify_449("Q(sqrt2)", 4)
+
+
 def test_line_recursion():
     # algebraic sanity on the two polynomial generators
     for m in range(2, 12):
@@ -126,3 +162,8 @@ def test_quad_field_guards():
         QuadField(1)
     with pytest.raises(ValueError):
         field_by_name("Q(sqrt7)")
+    for d in (4, 8, 9, -4):
+        with pytest.raises(ValueError, match="squarefree"):
+            QuadField(d)
+        with pytest.raises(ValueError, match="squarefree"):
+            build_system(d, 3)
