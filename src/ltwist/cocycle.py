@@ -124,8 +124,8 @@ def build_system(d, H: int) -> CocycleSystem:
     box_set = set(box)
     rows = []
     seen = set()
-    for m in box:
-        for n in box:
+    for i, m in enumerate(box):
+        for n in box[i + 1:]:  # row(n, m) = -row(m, n) and row(m, m) = 0
             tot = K.add(m, n)
             if K.is_zero(tot) or tot not in box_set:
                 continue

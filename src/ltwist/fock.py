@@ -18,8 +18,10 @@ polynomial in x, so a few periods decide them for every x.  A state-level
 check then ties the column code to that representation: each residue-pair
 operator's integer table times its scale is the c of its form, and its
 columns satisfy Q a_{-u} = a_{-u} Q + [Q, a_{-u}] on its window
-(`_check_representation`).  There the cutoff bounds the states checked, and
-a certified row skips exactly where the sweep's tightest window is empty.
+(`_check_representation`).  That check walks the states depth-first, builds
+one column per state and keeps none, so its witness is the first bad state
+in depth-first order.  There the cutoff bounds the states checked, and a
+certified row skips exactly where the sweep's tightest window is empty.
 """
 
 from __future__ import annotations
@@ -540,11 +542,20 @@ def commutator(A: Operator, B: Operator) -> Operator:
     return CommutatorOp(A, B)
 
 
-def commutator_window(D: int, *shift_budgets: int) -> list[Partition]:
-    """Input degrees d <= D - sum |shifts|; empty window is an error."""
+def _window_budget(D: int, *shift_budgets: int) -> int:
+    """The top input degree D - sum |shifts| of a commutator window; an
+    empty window, or a cutoff above MAX_BASIS_DEGREE, is an error."""
     budget = D - sum(abs(b) for b in shift_budgets)
     if budget < 0:
         raise ValueError("cutoff too small")
+    if D > MAX_BASIS_DEGREE:
+        raise ValueError(f"cutoff capped at {MAX_BASIS_DEGREE}")
+    return budget
+
+
+def commutator_window(D: int, *shift_budgets: int) -> list[Partition]:
+    """Input degrees d <= D - sum |shifts|; empty window is an error."""
+    budget = _window_budget(D, *shift_budgets)
     parts, counts = _basis_by_degree(D)
     return list(parts[:counts[budget]])
 
@@ -687,7 +698,7 @@ def _certify(lhs: Operator, rhs: Operator) -> VerifyResult:
 def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
     """First (state, out_state, got, want) at which the columns of `op`
     (l = 1) differ from its Fock representation on the states of degree
-    <= D - |M|, or None.
+    <= D - |M|, in depth-first order, or None.
 
     By induction on the parts: the vacuum column must be
     sum_{0<j<-M} c(j) a_{-j} a_{j+M}|0>, composed from `ModeOp` columns, and
@@ -695,15 +706,19 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
     u s(-u) a_{M-u}|p>, which is Q a_{-u} = a_{-u} Q + [Q, a_{-u}].  The
     integer table times `op.scale` must first be prefactor * c, the
     coefficients `_form` certifies, else ("table", r, got, want) names the
-    residue r.  The degree verified is kept on the operator, so each state
-    is checked once.
+    residue r.  The walk goes depth-first down the tree of parents q[1:]
+    and builds one column per state, keeping only those on the current
+    path; it reads no basis and caches nothing.  The degree verified is kept
+    on the operator: a later call walks the states at or below it for their
+    columns but compares only the states above it.
     """
     M, N = op.M, op._N
     if op.l != 1:
         raise ValueError("the representation check covers l = 1 only")
-    if op._verified >= D - abs(M) >= 0:
+    top = _window_budget(D, M)
+    done = op._verified
+    if done >= top:
         return None
-    window = commutator_window(D, M)
     ring = cyclo_ring(op.order)
     table = op._table.elements(ring)
     for r in range(N):
@@ -712,41 +727,45 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
             return ("table", r, got, want)
     add, mul, smul, is_zero = ring.add, ring.mul, ring.smul, ring.is_zero
     s_neg = [add(table[-r % N], table[(r - M) % N]) for r in range(N)]  # s(-u), u = r mod N
-    modes: dict = {}
-    cache = op._cache.setdefault(ring, {})  # the columns op.icolumn caches
-    start = _basis_by_degree(D)[1][op._verified] if op._verified >= 0 else 0
-    for q in window[start:]:
-        if q:
-            u, p = q[0], q[1:]
-            # a_{-u} col(p); p precedes q in the window, so its column is cached
-            want = {_add_part(t, u): v for t, v in cache[p].items()}
-            c = s_neg[u % N]
-            if not is_zero(c):
-                mode = modes.get(M - u)
-                if mode is None:
-                    mode = modes[M - u] = ModeOp(M - u)
-                for t, v in mode.icolumn(p, ring).items():
-                    x = smul(mul(c, v), u)
-                    old = want.get(t)
-                    if old is not None:
-                        x = add(old, x)
-                    if is_zero(x):
-                        want.pop(t, None)
-                    else:
-                        want[t] = x
-        else:
-            acc: dict = {}
-            for j in range(1, -M):
-                pair = ModeOp(-j).apply_icolumn(ModeOp(j + M).icolumn(q, ring), ring)
-                _axpy(acc, table[j % N], pair, ring)
-            want = {t: v for t, v in acc.items() if not is_zero(v)}
-        got = op.icolumn(q, ring)
-        if got != want:
-            bad = next(t for t in [*got, *want] if got.get(t) != want.get(t))
-            return (q, bad, ring.to_scalar(got.get(bad, ring.zero), op.scale),
-                    ring.to_scalar(want.get(bad, ring.zero), op.scale))
-    op._verified = D - abs(M)
-    return None
+
+    def walk(q: Partition, degree: int, col: dict) -> Optional[tuple]:
+        # q, then its children (u,) + q depth-first; col is col(q[1:])
+        got = op._icolumn(q, ring)
+        if degree > done:
+            if q:
+                u, p = q[0], q[1:]
+                want = {_add_part(t, u): v for t, v in col.items()}  # a_{-u} col(p)
+                c = s_neg[u % N]
+                if not is_zero(c):
+                    for t, v in ModeOp(M - u).icolumn(p, ring).items():
+                        x = smul(mul(c, v), u)
+                        old = want.get(t)
+                        if old is not None:
+                            x = add(old, x)
+                        if is_zero(x):
+                            want.pop(t, None)
+                        else:
+                            want[t] = x
+            else:
+                acc: dict = {}
+                for j in range(1, -M):
+                    pair = ModeOp(-j).apply_icolumn(ModeOp(j + M).icolumn(q, ring), ring)
+                    _axpy(acc, table[j % N], pair, ring)
+                want = {t: v for t, v in acc.items() if not is_zero(v)}
+            if got != want:
+                bad = next(t for t in [*got, *want] if got.get(t) != want.get(t))
+                return (q, bad, ring.to_scalar(got.get(bad, ring.zero), op.scale),
+                        ring.to_scalar(want.get(bad, ring.zero), op.scale))
+        for u in range(q[0] if q else 1, top - degree + 1):
+            bad = walk((u,) + q, degree + u, got)
+            if bad is not None:
+                return bad
+        return None
+
+    bad = walk((), 0, {})
+    if bad is None:
+        op._verified = top
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -1015,7 +1034,7 @@ def certify_lemma_2_3_suite(G: TwistGroup, D: int) -> VerifyResult:
     not prefactor * c.  Like the sweep, it raises `cutoff too small` when
     the window of k = 6, n = 2 is empty."""
     N = G.period
-    commutator_window(D, _LEMMA_KS[-1], _LEMMA_NS[-1] * N)
+    _window_budget(D, _LEMMA_KS[-1], _LEMMA_NS[-1] * N)
     res = _lemma_2_3_suite(G, _certify_lemma_2_3)
     return _with_representation(res, N, D, _LEMMA_NS)
 
@@ -1140,7 +1159,7 @@ def certify_theorem_2_4_suite(G: TwistGroup, D: int) -> VerifyResult:
     Like the sweep, it raises `cutoff too small` when the window of
     |m| = |n| = 2 is empty."""
     N = G.period
-    commutator_window(D, _MAX_MODE * N, _MAX_MODE * N)
+    _window_budget(D, _MAX_MODE * N, _MAX_MODE * N)
     res = _theorem_2_4_suite(G, _MAX_MODE, _certify_bracket, None)
     return _with_representation(res, N, D, _PRODUCT_MODES)
 
@@ -1245,7 +1264,7 @@ def certify_theorem_3_1(G: TwistGroup, D: int) -> VerifyResult:
     sweep, it raises `cutoff too small` when the window of |m| = |n| = 2
     is empty."""
     N = G.period
-    commutator_window(D, _MAX_MODE * N, _MAX_MODE * N)
+    _window_budget(D, _MAX_MODE * N, _MAX_MODE * N)
     res = _theorem_3_1(G, D, _MAX_MODE, lambda lhs, rhs, m, n: _certify(lhs, rhs).witness)
     return _with_representation(res, N, D, _PRODUCT_MODES)
 

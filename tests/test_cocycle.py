@@ -167,3 +167,33 @@ def test_quad_field_guards():
             QuadField(d)
         with pytest.raises(ValueError, match="squarefree"):
             build_system(d, 3)
+
+
+def _all_ordered_pair_rows(sys_):
+    """The constraint rows of every ordered pair (m, n) of the box, each
+    kept the first time it or its negation occurs."""
+    K, index, box = sys_.field, sys_.index, sys_.box
+    rows, seen = [], set()
+    for m in box:
+        for n in box:
+            tot = K.add(m, n)
+            if K.is_zero(tot) or tot not in box:
+                continue
+            row: dict = {}
+            cocycle._row_add(row, K, index, tot, K.sub(m, n))
+            cocycle._row_add(row, K, index, m, K.neg(K.add(K.add(n, n), m)))
+            cocycle._row_add(row, K, index, n, K.add(n, K.add(m, m)))
+            row = {p: c for p, c in row.items() if not K.is_zero(c)}
+            fp = tuple(sorted(row.items()))
+            if row and fp not in seen and tuple(sorted(
+                    (p, K.neg(c)) for p, c in row.items())) not in seen:
+                seen.add(fp)
+                rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(sqrt2)", "Q(sqrt5)"])
+@pytest.mark.parametrize("H", [3, 4])
+def test_unordered_pairs_keep_the_rows_and_their_order(name, H):
+    sys_ = build_system(name, H)
+    assert sys_.rows == _all_ordered_pair_rows(sys_)

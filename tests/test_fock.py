@@ -545,3 +545,66 @@ def test_certified_rows_turn_red_with_the_sweeps(monkeypatch, mutation):
     assert {k for k, r in rows.items() if r.status == "fail"} == red
     for k in red:
         assert rows[k].witness.startswith("(('P', " if column_code else "((0, 0, ")
+
+
+def _recording(op, log, fault=None):
+    """Route `op._icolumn` through a recorder of the states asked for; at
+    the state `fault`, if any, the column gains 1 at its own input state."""
+    real = BilinearOp._icolumn
+
+    def icolumn(p, ring):
+        log.append(p)
+        col = real(op, p, ring)
+        if p == fault:
+            col = {**col, p: ring.add(col.get(p, ring.zero), ring.one)}
+        return col
+
+    op._icolumn = icolumn
+    return op
+
+
+@pytest.mark.parametrize("N, M, D", [(5, -5, 14), (7, 0, 12), (3, 6, 15), (5, -2, 13)])
+def test_representation_check_walks_each_window_state_once(N, M, D):
+    # The depth-first walk builds one column per state of the window and
+    # no other, so it cannot pass by visiting too few states.
+    log: list = []
+    op = _recording(BilinearOp(pair_indicator(N, 1), M, rat(1, 2 * N)), log)
+    assert fock._check_representation(op, D) is None
+    assert sorted(log) == sorted(commutator_window(D, M))
+
+
+@pytest.mark.parametrize("N, M, D", [(5, -5, 14), (7, 0, 12), (3, 6, 15)])
+def test_representation_check_names_a_fault_at_the_top_degree(N, M, D):
+    top = D - abs(M)
+    for fault in [q for q in commutator_window(D, M) if sum(q) == top][::7]:
+        op = _recording(BilinearOp(pair_indicator(N, 1), M, rat(1, 2 * N)), [], fault)
+        bad = fock._check_representation(op, D)
+        assert bad is not None and bad[:2] == (fault, fault), fault
+        assert op._verified == -1
+
+
+@pytest.mark.parametrize("N, M", [(5, -5), (7, 0), (3, 6)])
+def test_representation_check_resumes_above_the_verified_degree(N, M):
+    # A check at D1 passes; the check at D2 must still compare every state
+    # of degree in (D1 - |M|, D2 - |M|].
+    D1, D2 = 10 + abs(M), 13 + abs(M)
+    for degree in range(D1 - abs(M) + 1, D2 - abs(M) + 1):
+        fault = (degree,) if degree % 2 else (degree - 2, 1, 1)
+        op = _recording(BilinearOp(pair_indicator(N, 2), M, rat(1, 2 * N)), [])
+        assert fock._check_representation(op, D1) is None
+        assert op._verified == D1 - abs(M)
+        op = _recording(op, [], fault)
+        bad = fock._check_representation(op, D2)
+        assert bad is not None and bad[0] == fault, (degree, bad)
+        assert op._verified == D1 - abs(M)
+
+
+def test_certified_rows_cache_no_columns_and_build_no_basis(monkeypatch):
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    before = fock._basis_by_degree.cache_info()
+    assert fock.certify_theorem_2_4_suite(even_twist_group(7), 28).passed
+    checked = [build_L(pair_indicator(7, r), k) for r in (1, 2, 3) for k in range(-4, 5)]
+    assert all(op._verified == 28 - abs(op.M) for op in checked)
+    ops = [op for op in fock._OP_REGISTRY.values() if isinstance(op, BilinearOp)]
+    assert len(ops) >= len(checked) and all(not op._cache for op in ops)
+    assert fock._basis_by_degree.cache_info() == before
