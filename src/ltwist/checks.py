@@ -463,13 +463,15 @@ def check_scaling(cfg) -> tuple:
 
 
 def check_transpose_symmetry(cfg) -> tuple:
-    G = even_twist_group(7)
+    bad = fock.weight_mismatch(24)
+    if bad is not None:
+        return False, "", bad
     total = 0
-    for chi in G.elements:
+    for a, chi in enumerate(even_twist_group(7).elements):
         for n in (-2, -1, 0, 1, 2):
-            res = fock.verify_transpose_symmetry(chi, n, 24)
+            res = fock.certify_transpose_symmetry(chi, n, 24)
             if not res.passed:
-                return False, "", res.witness
+                return False, "", ((a, n),) + res.witness
             total += res.cases
     return True, f"{total} matrix entries", None
 
@@ -564,10 +566,19 @@ def check_modular(cfg) -> tuple:
 # -- cocycle ----------------------------------------------------------------------
 
 
+# (field, H) -> (system, dim, basis) as check_cocycle last computed them
+_NULL_SPACES: dict = {}
+
+
+def _null_space(name: str, H: int) -> tuple:
+    sys_ = coc.build_system(name, H)
+    _NULL_SPACES[name, H] = found = (sys_, *coc.nullspace_dim(sys_))
+    return found
+
+
 def check_cocycle(cfg, name: str) -> str:
     for H in (3, 4, 5):
-        sys_ = coc.build_system(name, H)
-        dim, basis = coc.nullspace_dim(sys_)
+        sys_, dim, basis = _null_space(name, H)
         _require(dim == 2, (name, H, dim))
         for vec in basis:
             _require(coc.fit_cubic(sys_, vec) is not None, (name, H))
@@ -575,8 +586,10 @@ def check_cocycle(cfg, name: str) -> str:
 
 
 def check_cocycle_recursion(cfg) -> str:
+    """`cocycle.verify_449` at H = 4 on the null spaces check_cocycle found."""
     for name in ("Q", "Q(sqrt2)", "Q(sqrt5)"):
-        _require(coc.verify_449(name, 4), name)
+        sys_, dim, basis = _NULL_SPACES.get((name, 4)) or _null_space(name, 4)
+        _require(dim == 2 and coc.line_recursion_holds(sys_, basis), name)
     return "line recursion holds for the null-space basis"
 
 

@@ -273,8 +273,13 @@ def verify_449(d, H: int) -> bool:
         raise ValueError("height must be at least 4 for the line recursion")
     sys_ = build_system(d, H)
     dim, basis = nullspace_dim(sys_)
-    if dim != 2:
-        return False
+    return dim == 2 and line_recursion_holds(sys_, basis)
+
+
+def line_recursion_holds(sys_: CocycleSystem, basis) -> bool:
+    """The recursion of `verify_449` for the basis vectors of a system of
+    height H >= 4 and a combination of them; reads sys_ and basis only."""
+    H = sys_.height
     K = sys_.field
     # a random-ish combination exercises linearity
     vecs = basis + [[K.add(a, K.add(b, b)) for a, b in zip(*basis)]]

@@ -22,12 +22,15 @@ columns satisfy Q a_{-u} = a_{-u} Q + [Q, a_{-u}] on its window
 one column per state and keeps none, so its witness is the first bad state
 in depth-first order.  There the cutoff bounds the states checked, and a
 certified row skips exactly where the sweep's tightest window is empty.
+The transpose identity is certified the same way: a_x^dagger = a_{-x}
+sends the form at shift M to shift -M with s^dagger(x) = conj(s(x - M))
+(`_adjoint`), and the norm `partition_weight` is checked on the states by
+<0|0> = 1 and <q|q> = v <q[1:]|q[1:]> where a_{q[0]}|q> = v|q[1:]>.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import operator
 import warnings
@@ -37,7 +40,7 @@ from typing import Iterable, Optional, Sequence
 
 from ltwist.characters import PeriodicFn, TwistGroup, pf_mul
 from ltwist.cycloring import CycloRing, cyclo_ring, scalar_den, scalar_order
-from ltwist.exactnum import Scalar, is_rational, rat, zeta
+from ltwist.exactnum import CycloNum, Scalar, is_rational, rat, zeta
 from ltwist.lvalues import _l_minus_one_form, l_minus_one
 
 MAX_BASIS_DEGREE = 60
@@ -98,18 +101,13 @@ def fock_basis(
 
 
 @lru_cache(maxsize=None)
-def _basis_by_degree(D: int) -> tuple[tuple, tuple]:
-    """The partitions of degree <= D in basis order, and for each d <= D
-    how many of them have degree <= d (so each such basis is a prefix)."""
-    parts = tuple(s.partition for s in fock_basis(D))
-    counts = [0] * (D + 1)
-    for p in parts:
-        counts[sum(p)] += 1
-    return parts, tuple(itertools.accumulate(counts))
+def _basis_by_degree(D: int) -> tuple:
+    """The partitions of degree <= D in basis order."""
+    return tuple(s.partition for s in fock_basis(D))
 
 
 def basis_partitions(D: int) -> list[Partition]:
-    return list(_basis_by_degree(D)[0])
+    return list(_basis_by_degree(D))
 
 
 def partition_weight(state) -> int:
@@ -343,6 +341,7 @@ class BilinearOp(Operator):
         self._cache: dict = {}  # ring -> {partition: integer column}
         self._moves_by_ring: dict = {}
         self._verified = -1  # degree up to which _check_representation passed
+        self._entries: list = []  # its nonzero column entries per degree
 
     def icolumn(self, p: Partition, ring: CycloRing) -> dict:
         cache = self._cache.get(ring)
@@ -554,10 +553,9 @@ def _window_budget(D: int, *shift_budgets: int) -> int:
 
 
 def commutator_window(D: int, *shift_budgets: int) -> list[Partition]:
-    """Input degrees d <= D - sum |shifts|; empty window is an error."""
-    budget = _window_budget(D, *shift_budgets)
-    parts, counts = _basis_by_degree(D)
-    return list(parts[:counts[budget]])
+    """Input degrees d <= D - sum |shifts|; empty window is an error.  The
+    basis is ordered by degree, so this is a prefix of basis_partitions(D)."""
+    return list(_basis_by_degree(_window_budget(D, *shift_budgets)))
 
 
 # ---------------------------------------------------------------------------
@@ -689,10 +687,39 @@ def _mismatch(lhs: _Form, rhs: _Form) -> Optional[tuple]:
     return None
 
 
+def _conj(x: Scalar) -> Scalar:
+    return x.conj() if isinstance(x, CycloNum) else x
+
+
+def _adjoint(f: _Form) -> _Form:
+    """f^dagger for a_x^dagger = a_{-x}: (:a_{-j} a_{j+M}:)^dagger =
+    :a_{-(j+M)} a_j:, so shift M goes to -M with s^dagger(x) = conj(s(x - M)),
+    weight w on a_x to conj(w) on a_{-x}, and z to conj(z)."""
+    quad = {-M: (lambda x, s=s, M=M: _conj(s(x - M)), period, degree)
+            for M, (s, period, degree) in f.quad.items()}
+    return _Form(quad, {-x: _conj(w) for x, w in f.lin.items()}, _conj(f.z))
+
+
 def _certify(lhs: Operator, rhs: Operator) -> VerifyResult:
     """lhs == rhs on the whole Fock space, by their normal-ordering forms."""
     witness = _mismatch(_form(lhs), _form(rhs))
     return VerifyResult(witness is None, 1, witness)
+
+
+def _walk(top: int, visit) -> Optional[tuple]:
+    """Call visit(q, degree, value) on the partitions of degree <= top
+    depth-first, value being what it returned at the parent q[1:] (the
+    children of p are (u,) + p, u >= p[0]); it returns (witness, value),
+    and the first witness that is not None ends the walk."""
+    def walk(q: Partition, degree: int, parent) -> Optional[tuple]:
+        bad, value = visit(q, degree, parent)
+        u = q[0] if q else 1
+        while bad is None and u <= top - degree:
+            bad = walk((u,) + q, degree + u, value)
+            u += 1
+        return bad
+
+    return walk((), 0, None)
 
 
 def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
@@ -706,11 +733,11 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
     u s(-u) a_{M-u}|p>, which is Q a_{-u} = a_{-u} Q + [Q, a_{-u}].  The
     integer table times `op.scale` must first be prefactor * c, the
     coefficients `_form` certifies, else ("table", r, got, want) names the
-    residue r.  The walk goes depth-first down the tree of parents q[1:]
-    and builds one column per state, keeping only those on the current
-    path; it reads no basis and caches nothing.  The degree verified is kept
-    on the operator: a later call walks the states at or below it for their
-    columns but compares only the states above it.
+    residue r.  The walk (`_walk`) builds one column per state, keeping only
+    those on the current path; it reads no basis and caches nothing.  The
+    degree verified is kept on the operator, with the number of nonzero
+    column entries per degree (`op._entries`): a later call walks the states
+    at or below it for their columns but compares only the states above it.
     """
     M, N = op.M, op._N
     if op.l != 1:
@@ -727,44 +754,43 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
             return ("table", r, got, want)
     add, mul, smul, is_zero = ring.add, ring.mul, ring.smul, ring.is_zero
     s_neg = [add(table[-r % N], table[(r - M) % N]) for r in range(N)]  # s(-u), u = r mod N
+    entries = [0] * (top + 1)
 
-    def walk(q: Partition, degree: int, col: dict) -> Optional[tuple]:
-        # q, then its children (u,) + q depth-first; col is col(q[1:])
+    def visit(q: Partition, degree: int, col: Optional[dict]) -> tuple:
+        # col is col(q[1:])
         got = op._icolumn(q, ring)
-        if degree > done:
-            if q:
-                u, p = q[0], q[1:]
-                want = {_add_part(t, u): v for t, v in col.items()}  # a_{-u} col(p)
-                c = s_neg[u % N]
-                if not is_zero(c):
-                    for t, v in ModeOp(M - u).icolumn(p, ring).items():
-                        x = smul(mul(c, v), u)
-                        old = want.get(t)
-                        if old is not None:
-                            x = add(old, x)
-                        if is_zero(x):
-                            want.pop(t, None)
-                        else:
-                            want[t] = x
-            else:
-                acc: dict = {}
-                for j in range(1, -M):
-                    pair = ModeOp(-j).apply_icolumn(ModeOp(j + M).icolumn(q, ring), ring)
-                    _axpy(acc, table[j % N], pair, ring)
-                want = {t: v for t, v in acc.items() if not is_zero(v)}
-            if got != want:
-                bad = next(t for t in [*got, *want] if got.get(t) != want.get(t))
-                return (q, bad, ring.to_scalar(got.get(bad, ring.zero), op.scale),
-                        ring.to_scalar(want.get(bad, ring.zero), op.scale))
-        for u in range(q[0] if q else 1, top - degree + 1):
-            bad = walk((u,) + q, degree + u, got)
-            if bad is not None:
-                return bad
-        return None
+        entries[degree] += len(got)
+        if degree <= done:
+            return None, got
+        if q:
+            u, p = q[0], q[1:]
+            want = {_add_part(t, u): v for t, v in col.items()}  # a_{-u} col(p)
+            c = s_neg[u % N]
+            if not is_zero(c):
+                for t, v in ModeOp(M - u).icolumn(p, ring).items():
+                    x = smul(mul(c, v), u)
+                    old = want.get(t)
+                    if old is not None:
+                        x = add(old, x)
+                    if is_zero(x):
+                        want.pop(t, None)
+                    else:
+                        want[t] = x
+        else:
+            acc: dict = {}
+            for j in range(1, -M):
+                pair = ModeOp(-j).apply_icolumn(ModeOp(j + M).icolumn(q, ring), ring)
+                _axpy(acc, table[j % N], pair, ring)
+            want = {t: v for t, v in acc.items() if not is_zero(v)}
+        if got != want:
+            bad = next(t for t in [*got, *want] if got.get(t) != want.get(t))
+            return (q, bad, ring.to_scalar(got.get(bad, ring.zero), op.scale),
+                    ring.to_scalar(want.get(bad, ring.zero), op.scale)), None
+        return None, got
 
-    bad = walk((), 0, {})
+    bad = _walk(top, visit)
     if bad is None:
-        op._verified = top
+        op._verified, op._entries = top, entries
     return bad
 
 
@@ -1316,41 +1342,21 @@ def _theorem_3_1(G: TwistGroup, D: int, max_mode: int, case) -> VerifyResult:
 def _check_projectors(k: int) -> None:
     """Averaging matrices P_i[s,t] = (1/k) omega^{i(s-t)} must be idempotent,
     mutually orthogonal, and sum to the identity."""
-    omega = zeta(k)
-    P = {
-        i: [[omega ** ((i * (s - t)) % k) * rat(1, k) for t in range(k)]
-            for s in range(k)]
-        for i in range(1, k + 1)
-    }
+    omega, ks = zeta(k), range(k)
+    P = {i: [[omega ** ((i * (s - t)) % k) * rat(1, k) for t in ks] for s in ks]
+         for i in range(1, k + 1)}
 
     def matmul(A, B):
-        return [
-            [
-                sum((A[s][r] * B[r][t] for r in range(k)), rat(0))
-                for t in range(k)
-            ]
-            for s in range(k)
-        ]
+        return [[sum((A[s][r] * B[r][t] for r in ks), rat(0)) for t in ks] for s in ks]
 
-    for i in range(1, k + 1):
-        sq = matmul(P[i], P[i])
-        for s in range(k):
-            for t in range(k):
-                if sq[s][t] != P[i][s][t]:
-                    raise ArithmeticError("averaging projector is not idempotent")
-        for j in range(1, k + 1):
-            if i == j:
-                continue
-            z = matmul(P[i], P[j])
-            for s in range(k):
-                for t in range(k):
-                    if z[s][t]:
-                        raise ArithmeticError("averaging projectors overlap")
-    for s in range(k):
-        for t in range(k):
-            tot = sum((P[i][s][t] for i in range(1, k + 1)), rat(0))
-            want = rat(1) if s == t else rat(0)
-            if tot != want:
+    for i in P:  # nested lists compare entry by entry
+        if matmul(P[i], P[i]) != P[i]:
+            raise ArithmeticError("averaging projector is not idempotent")
+        if any(x for j in P if j != i for row in matmul(P[i], P[j]) for x in row):
+            raise ArithmeticError("averaging projectors overlap")
+    for s in ks:
+        for t in ks:
+            if sum((P[i][s][t] for i in P), rat(0)) != (rat(1) if s == t else rat(0)):
                 raise ArithmeticError("averaging projectors do not resolve identity")
 
 
@@ -1390,16 +1396,13 @@ def verify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
     ring = cyclo_ring(math.lcm(A.order, B.order))
     a, b = _cross_factors(A.scale, B.scale)
     smul, conj = ring.smul, ring.conj
-    weights: dict = {}  # partition -> symmetry factor, computed once per sweep
+    weight = lru_cache(maxsize=None)(partition_weight)  # once per state and sweep
     checked = 0
     for mu in window:
-        w_mu = partition_weight(mu)
+        w_mu = weight(mu)
         for lam, val in A.icolumn(mu, ring).items():
             back = B.icolumn(lam, ring).get(mu, ring.zero)
-            w_lam = weights.get(lam)
-            if w_lam is None:
-                w_lam = weights[lam] = partition_weight(lam)
-            lhs = smul(val, w_lam)
+            lhs = smul(val, weight(lam))
             rhs = smul(conj(back), w_mu)
             checked += 1
             if smul(lhs, a) != smul(rhs, b):
@@ -1407,6 +1410,33 @@ def verify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
                     mu, lam, ring.to_scalar(lhs, A.scale), ring.to_scalar(rhs, B.scale)
                 ))
     return VerifyResult(True, checked, None)
+
+
+def certify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
+    """The identity of `verify_transpose_symmetry`, A = L_n^chi having the
+    adjoint B = L_{-n}^{chibar}, by normal-ordering forms on the whole Fock
+    space and the columns of A on the sweep's window; the count is the
+    sweep's, their nonzero entries.  B is the A of (chibar, -n) and the norm
+    is `weight_mismatch`'s, so a row closed under conjugation checks both."""
+    A = build_L(chi, n, D)
+    witness = (_mismatch(_adjoint(_form(A)), _form(build_L(chi.conj(), -n, D)))
+               or _check_representation(A, D))
+    cases = 0 if witness else sum(A._entries[:D - abs(A.M) + 1])
+    return VerifyResult(witness is None, cases, witness)
+
+
+def weight_mismatch(D: int) -> Optional[tuple]:
+    """First ("weight", q, got, want), depth-first on degree <= D, where
+    `partition_weight` is not the norm of a_x^dagger = a_{-x}: <0|0> = 1 and
+    <q|q> = <p|a_u a_{-u}|p> = v <p|p> for q = (u,) + p, a_u|q> = v|p>."""
+    ring = cyclo_ring(1)
+
+    def visit(q: Partition, degree: int, parent: Optional[int]) -> tuple:
+        w = partition_weight(q)
+        want = ModeOp(q[0]).icolumn(q, ring).get(q[1:], 0) * parent if q else 1
+        return (None if w == want else ("weight", q, w, want)), w
+
+    return _walk(D, visit)
 
 
 # ---------------------------------------------------------------------------

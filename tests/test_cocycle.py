@@ -3,17 +3,19 @@ import random
 
 import pytest
 
-from ltwist import cocycle
+from ltwist import checks, cocycle
 from ltwist.cocycle import (
     FIELDS,
     QuadField,
     build_system,
     field_by_name,
     fit_cubic,
+    line_recursion_holds,
     nullspace_dim,
     verify_449,
 )
 from ltwist.exactnum import Rat
+from ltwist.report import RunConfig
 
 
 def test_field_arithmetic():
@@ -153,6 +155,29 @@ def test_line_recursion():
     assert verify_449("Q", 5)
     with pytest.raises(ValueError):
         verify_449("Q", 3)
+
+
+def test_line_recursion_fails_off_the_null_space():
+    sys_ = build_system("Q(sqrt5)", 4)
+    dim, basis = nullspace_dim(sys_)
+    K = sys_.field
+    assert dim == 2 and line_recursion_holds(sys_, basis)
+    assert not line_recursion_holds(sys_, [basis[0], [K.mul(v, v) for v in basis[0]]])
+
+
+def test_recursion_row_reads_the_null_spaces_of_the_cocycle_rows(monkeypatch):
+    names = ("Q", "Q(sqrt2)", "Q(sqrt5)")
+    monkeypatch.setattr(checks, "_NULL_SPACES", {})
+    for name in names:
+        checks.check_cocycle(RunConfig(), name)
+    built = []
+    real = cocycle.build_system
+    monkeypatch.setattr(cocycle, "build_system", lambda d, H: built.append((d, H)) or real(d, H))
+    value = checks.check_cocycle_recursion(RunConfig())
+    assert built == []
+    monkeypatch.setattr(checks, "_NULL_SPACES", {})
+    assert checks.check_cocycle_recursion(RunConfig()) == value
+    assert built == [(name, 4) for name in names]
 
 
 def test_quad_field_guards():

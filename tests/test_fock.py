@@ -1,4 +1,6 @@
+import bisect
 import json
+import math
 import warnings
 
 import pytest
@@ -163,6 +165,17 @@ def test_window_helper():
     assert len(commutator_window(10, 5, 5)) == 1
     with pytest.raises(ValueError, match="cutoff too small"):
         commutator_window(9, 5, 5)
+
+
+def test_commutator_windows_are_prefixes_of_the_cutoff_basis():
+    # A window is built up to its budget only; the basis is ordered by
+    # degree, so it is the prefix of the degree <= D basis it once was.
+    for D in range(31):
+        basis = [s.partition for s in fock_basis(D)]
+        degrees = [sum(p) for p in basis]
+        for shift in range(D + 1):
+            want = basis[:bisect.bisect_right(degrees, D - shift)]
+            assert commutator_window(D, shift) == want, (D, shift)
 
 
 def test_build_T_eigenvalues():
@@ -608,3 +621,80 @@ def test_certified_rows_cache_no_columns_and_build_no_basis(monkeypatch):
     ops = [op for op in fock._OP_REGISTRY.values() if isinstance(op, BilinearOp)]
     assert len(ops) >= len(checked) and all(not op._cache for op in ops)
     assert fock._basis_by_degree.cache_info() == before
+
+
+# -- certified transpose row ------------------------------------------------------
+
+
+def _transpose_row():
+    return next(c for c in build_registry(RunConfig()) if c.id == "fock:transpose")
+
+
+@st.composite
+def _transpose_cases(draw):
+    N = draw(st.sampled_from((3, 5, 7)))
+    unit = draw(st.sampled_from((rat(0), zeta(3), zeta(4))))
+    pairs = draw(st.lists(st.tuples(_small_rationals, _small_rationals),
+                          min_size=N // 2, max_size=N // 2))
+    return _even_periodic(N, [a + b * unit for a, b in pairs]), draw(st.integers(-2, 2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_transpose_cases())
+def test_transpose_certificate_counts_the_sweeps_entries(case):
+    # Random even twists, real and complex: the certificate passes and
+    # counts the entries the sweep compares.
+    f, n = case
+    D = f.period * abs(n) + 6
+    certified = fock.certify_transpose_symmetry(f, n, D)
+    swept = verify_transpose_symmetry(f, n, D)
+    assert certified.passed and swept.passed
+    assert certified.cases == swept.cases
+
+
+def test_transpose_row_value_does_not_depend_on_earlier_checks(monkeypatch):
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    first, second = (_run_check(_transpose_row(), RunConfig()) for _ in range(2))
+    assert first.status == second.status == "pass"
+    assert first.value == second.value == "47970 matrix entries"
+
+
+def test_transpose_certificate_needs_the_conjugation(monkeypatch):
+    # Without conj the adjoint of L_n^x is L_{-n}^x: true for the real
+    # character mod 7, false for the two cubic ones.
+    monkeypatch.setattr(fock, "_conj", lambda x: x)
+    cubic = []
+    for a, chi in enumerate(even_twist_group(7).elements):
+        if chi != chi.conj():
+            cubic.append(a)
+        for n in range(-2, 3):
+            assert fock.certify_transpose_symmetry(chi, n, 16).passed == (a not in cubic)
+    assert len(cubic) == 2
+    row = _run_check(_transpose_row(), RunConfig())
+    assert row.status == "fail"
+    assert row.witness.startswith(tuple(f"(({a}, " for a in cubic))
+
+
+_TRANSPOSE_MUTATIONS = {
+    **{k: _MUTATIONS[k] for k in
+       ("term-action-sign", "remove-part-multiplicity", "bilinear-scale")},
+    "weight-without-factorial": ("partition_weight", lambda real: math.prod),
+}
+
+
+@pytest.mark.parametrize("mutation", list(_TRANSPOSE_MUTATIONS))
+def test_transpose_row_turns_red_with_the_sweep(monkeypatch, mutation):
+    # A common scale on both sides leaves the transposed identity true, so
+    # the sweep passes it; the certified row's coefficient table check
+    # does not.
+    attr, make = _TRANSPOSE_MUTATIONS[mutation]
+    monkeypatch.setattr(fock, attr, make(getattr(fock, attr)))
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    row = _run_check(_transpose_row(), RunConfig())
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    swept = all(verify_transpose_symmetry(chi, n, 24).passed
+                for chi in even_twist_group(7).elements for n in range(-2, 3))
+    assert row.status == "fail"
+    assert swept == (mutation == "bilinear-scale")
+    if swept:
+        assert "'table'" in row.witness
