@@ -160,6 +160,15 @@ class PeriodicFn:
             raise ValueError("can only lift to a multiple period")
         return PeriodicFn(period, [self(k) for k in range(1, period + 1)])
 
+    def dilate(self, l: int) -> "PeriodicFn":
+        """y -> f(y / l) where l | y, else 0, of period lN: its twisted
+        operators are the mode-scaled (1/l) tau_l(L_n^f)."""
+        if l < 1:
+            raise ValueError("dilation must be positive")
+        return PeriodicFn(l * self.period, [
+            rat(0) if y % l else self(y // l) for y in range(1, l * self.period + 1)
+        ])
+
     def __eq__(self, other):
         if not isinstance(other, PeriodicFn):
             return NotImplemented
@@ -289,7 +298,6 @@ def dirichlet_characters(N: int) -> list[PeriodicFn]:
     orders = [d for _, d in gens]
     # discrete logarithms of every unit on the generator list
     dlog = {1: tuple(0 for _ in gens)}
-    stack = [(1, tuple(0 for _ in gens))]
     for idx, (g, d) in enumerate(gens):
         new = {}
         for u, exps in dlog.items():
@@ -300,8 +308,8 @@ def dirichlet_characters(N: int) -> list[PeriodicFn]:
                 e2[idx] = t
                 new[acc] = tuple(e2)
         dlog.update(new)
-    units = sorted(dlog)
-    assert len(units) == euler_phi(N)
+    if len(dlog) != euler_phi(N):
+        raise ArithmeticError(f"the unit group generators mod {N} miss some units")
 
     powers = [_root_powers(d) for d in orders]
     chars = []

@@ -405,13 +405,11 @@ def check_decomposition(cfg, N: int) -> tuple:
 
 
 def check_energy_identity(cfg, N: int) -> tuple:
+    res = fock.verify_eq_3_28_suite(N)
+    if not res.passed:
+        return False, "", res.witness
     G = even_twist_group(N)
-    values = []
-    for i in range(1, len(G) + 1):
-        res = fock.verify_eq_3_28(N, i)
-        if not res.passed:
-            return False, "", res.witness
-        values.append(fock.vacuum_energies(G, i).d)
+    values = [fock.vacuum_energies(G, i).d for i in range(1, len(G) + 1)]
     return True, "d = " + ", ".join(str(v) for v in values), None
 
 
@@ -451,15 +449,10 @@ def check_qtrace_kernel(cfg) -> tuple:
 
 
 def check_scaling(cfg) -> tuple:
-    chi = dirichlet_characters(3)[0]
-    cases = 0
-    for l in (2, 3):
-        for (m, n) in ((1, -1), (1, 0)):
-            res = fock.scaling_embed_check(chi, l, m, n, cfg.cutoff)
-            if not res.passed:
-                return False, "", (l, m, n) + tuple(map(str, res.witness or ()))
-            cases += res.cases
-    return True, f"{cases} window states", None
+    res = fock.verify_scaling_suite(dirichlet_characters(3)[0], cfg.cutoff)
+    if not res.passed:
+        return False, "", res.witness[0] + tuple(map(str, res.witness[1:]))
+    return True, f"{res.cases} window states", None
 
 
 def check_transpose_symmetry(cfg) -> tuple:

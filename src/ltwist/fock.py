@@ -26,6 +26,12 @@ The transpose identity is certified the same way: a_x^dagger = a_{-x}
 sends the form at shift M to shift -M with s^dagger(x) = conj(s(x - M))
 (`_adjoint`), and the norm `partition_weight` is checked on the states by
 <0|0> = 1 and <q|q> = v <q[1:]|q[1:]> where a_{q[0]}|q> = v|q[1:]>.
+
+There is one bilinear operator, `BilinearOp`, with no mode scale.  The
+mode-scaled operators (1/l) tau_l(L_n^chi) of the paper are `build_L` of
+the dilated twist chi.dilate(l), which is chi(y/l) at modes y divisible by l
+and 0 elsewhere, of period lN; its central values are chi's, since
+L(-1, chi.dilate(l)) = l L(-1, chi).
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from ltwist.characters import PeriodicFn, TwistGroup, pf_mul
+from ltwist.characters import PeriodicFn, TwistGroup, even_twist_group, pf_mul
 from ltwist.cycloring import CycloRing, cyclo_ring, scalar_den, scalar_order
 from ltwist.exactnum import CycloNum, Scalar, is_rational, rat, zeta
 from ltwist.lvalues import _l_minus_one_form, l_minus_one
@@ -48,31 +54,11 @@ MAX_BASIS_DEGREE = 60
 Partition = tuple  # descending tuple of positive ints
 
 
-@dataclass(frozen=True)
-class FockState:
-    """Partition-indexed basis state; vacuum is the empty partition."""
-
-    partition: Partition
-
-    @property
-    def degree(self) -> int:
-        return sum(self.partition)
-
-    def __repr__(self):
-        return f"|{list(self.partition)}>" if self.partition else "|0>"
-
-
-def _as_partition(state) -> Partition:
-    if isinstance(state, FockState):
-        return state.partition
-    return tuple(state)
-
-
 def fock_basis(
     D: int,
     allowed_residues: Optional[Iterable[int]] = None,
     modulus: Optional[int] = None,
-) -> list[FockState]:
+) -> list[Partition]:
     """All partitions of degree <= D, optionally with parts restricted to
     residue classes mod `modulus`; ordered by degree then lexicographically."""
     if D > MAX_BASIS_DEGREE:
@@ -97,22 +83,21 @@ def fock_basis(
 
     rec(D, len(parts) - 1, [])
     out.sort(key=lambda t: (sum(t), t))
-    return [FockState(t) for t in out]
+    return out
 
 
 @lru_cache(maxsize=None)
 def _basis_by_degree(D: int) -> tuple:
     """The partitions of degree <= D in basis order."""
-    return tuple(s.partition for s in fock_basis(D))
+    return tuple(fock_basis(D))
 
 
 def basis_partitions(D: int) -> list[Partition]:
     return list(_basis_by_degree(D))
 
 
-def partition_weight(state) -> int:
+def partition_weight(p: Partition) -> int:
     """Symmetry factor prod_j j^{m_j} m_j! of a partition."""
-    p = _as_partition(state)
     w = 1
     for part in set(p):
         mult = p.count(part)
@@ -141,8 +126,8 @@ def _add_part(p: Partition, v: int) -> Partition:
     return p[:idx] + (v,) + p[idx:]
 
 
-def _term_action(p: Partition, j: int, M: int, l: int = 1):
-    """Action of the normal-ordered pair :a_{-lj} a_{l(j+M)}: on a partition.
+def _term_action(p: Partition, j: int, M: int):
+    """Action of the normal-ordered pair :a_{-j} a_{j+M}: on a partition.
 
     Returns (integer coefficient, new partition) or None.  Annihilators act
     first; a zero mode kills the term.
@@ -152,33 +137,29 @@ def _term_action(p: Partition, j: int, M: int, l: int = 1):
         return None
     if j > 0:
         if jM > 0:
-            u = l * jM
-            hit = _remove_part(p, u)
+            hit = _remove_part(p, jM)
             if hit is None:
                 return None
             mult, rest = hit
-            return u * mult, _add_part(rest, l * j)
+            return jM * mult, _add_part(rest, j)
         # double creation
-        return 1, _add_part(_add_part(p, l * j), l * (-jM))
+        return 1, _add_part(_add_part(p, j), -jM)
     if jM < 0:
-        u = l * (-j)
-        hit = _remove_part(p, u)
+        hit = _remove_part(p, -j)
         if hit is None:
             return None
         mult, rest = hit
-        return u * mult, _add_part(rest, l * (-jM))
-    # double annihilation: right factor a_{l(j+M)} first
-    u2 = l * jM
-    hit = _remove_part(p, u2)
+        return -j * mult, _add_part(rest, -jM)
+    # double annihilation: right factor a_{j+M} first
+    hit = _remove_part(p, jM)
     if hit is None:
         return None
     mult2, rest = hit
-    u1 = l * (-j)
-    hit2 = _remove_part(rest, u1)
+    hit2 = _remove_part(rest, -j)
     if hit2 is None:
         return None
     mult1, rest2 = hit2
-    return u2 * mult2 * u1 * mult1, rest2
+    return jM * mult2 * -j * mult1, rest2
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +177,16 @@ class Operator:
     """
 
     degree_shift: int = 0
-    domain_cutoff: Optional[int] = None
     order: int = 1
     scale = rat(1)
 
     def icolumn(self, p: Partition, ring: CycloRing) -> dict:
         raise NotImplementedError
 
-    def column(self, state) -> dict:
+    def column(self, p: Partition) -> dict:
         """{out_state: nonzero scalar value} for one input state."""
         ring = cyclo_ring(self.order)
-        col = self.icolumn(_as_partition(state), ring)
+        col = self.icolumn(p, ring)
         return {
             t: ring.to_scalar(v, self.scale) for t, v in col.items() if not ring.is_zero(v)
         }
@@ -222,14 +202,6 @@ class Operator:
                 old = out.get(u)
                 out[u] = x if old is None else add(old, x)
         return out
-
-    def entries(self, D_in: int) -> dict:
-        """Materialized association table {(in_state, out_state): value}."""
-        table = {}
-        for s in basis_partitions(D_in):
-            for t, v in self.column(s).items():
-                table[(s, t)] = v
-        return table
 
     def matrix_equal(self, other: "Operator", states: Sequence[Partition]):
         """First differing (state, out_state, got, want) or None.
@@ -313,7 +285,7 @@ class _OverDenominator:
 
 
 class BilinearOp(Operator):
-    """prefactor * sum_j coeff(j) :a_{-lj} a_{l(j+M)}: with N-periodic coeff.
+    """prefactor * sum_j coeff(j) :a_{-j} a_{j+M}: with N-periodic coeff.
 
     The coefficient table is held as algebraic integers over one common
     denominator, which moves into `scale` with the prefactor.  Integer
@@ -322,15 +294,11 @@ class BilinearOp(Operator):
     value table.
     """
 
-    def __init__(self, coeff: PeriodicFn, M: int, prefactor, l: int = 1,
-                 domain_cutoff: Optional[int] = None, name: str = ""):
+    def __init__(self, coeff: PeriodicFn, M: int, prefactor):
         self.coeff = coeff
         self.M = M
-        self.l = l
         self.prefactor = rat(prefactor)
-        self.degree_shift = -l * M
-        self.domain_cutoff = domain_cutoff
-        self.name = name
+        self.degree_shift = -M
         N = coeff.period
         values = [coeff(r) for r in range(N)]
         self._table = _OverDenominator(values)
@@ -353,40 +321,38 @@ class BilinearOp(Operator):
         return col
 
     def _moves(self, ring: CycloRing) -> list:
-        """For each residue w mod N, the summed coefficient c(w - M) + c(-w)
-        of the two terms that move one part lw to l(w - M), as an element
-        of `ring`, or None where it is zero."""
+        """For each residue u mod N, the summed coefficient c(u - M) + c(-u)
+        of the two terms that move one part u to u - M, as an element of
+        `ring`, or None where it is zero."""
         hit = self._moves_by_ring.get(ring)
         if hit is None:
             M, N = self.M, self._N
             table = self._table.elements(ring)
             hit = []
-            for w in range(N):
-                c = ring.add(table[(w - M) % N], table[-w % N])
+            for u in range(N):
+                c = ring.add(table[(u - M) % N], table[-u % N])
                 hit.append(None if ring.is_zero(c) else c)
             self._moves_by_ring[ring] = hit
         return hit
 
     def _icolumn(self, p: Partition, ring: CycloRing) -> dict:
         # Off the diagonal, one scan of the descending tuple reads each
-        # distinct part u = lw with its multiplicity.  Where u - lM > 0 the
-        # two terms j = w - M and j = -w annihilate one u and create u - lM;
-        # where it is < 0 (only when M > 0), the term j = w - M annihilates
-        # u and then l(M - w), if that is a part too.  The terms with
+        # distinct part u with its multiplicity.  Where u - M > 0 the two
+        # terms j = u - M and j = -u annihilate one u and create u - M;
+        # where it is < 0 (only when M > 0), the term j = u - M annihilates
+        # u and then M - u, if that is a part too.  The terms with
         # 0 < j < -M create two parts on any state.
-        M, l, N = self.M, self.l, self._N
+        M, N = self.M, self._N
         moves = self._moves(ring)
         add, smul = ring.add, ring.smul
-        if not M:  # diagonal: each part u = lw counts u (c(w) + c(-w))
+        if not M:  # diagonal: each part u counts u (c(u) + c(-u))
             acc = None
             for u in p:
-                if not u % l:
-                    c = moves[(u // l) % N]
-                    if c is not None:
-                        x = smul(c, u)
-                        acc = x if acc is None else add(acc, x)
+                c = moves[u % N]
+                if c is not None:
+                    x = smul(c, u)
+                    acc = x if acc is None else add(acc, x)
             return {} if acc is None or ring.is_zero(acc) else {p: acc}
-        shift = l * M
         neg = [-x for x in p]  # ascending, for bisect
         out: dict = {}
         # the terms 0 < j < -M when M < 0, else the annihilations found below
@@ -398,21 +364,19 @@ class BilinearOp(Operator):
             k = i + 1
             while k < n and p[k] == u:
                 k += 1
-            if not u % l:
-                w = u // l
-                target = u - shift
-                if target > 0:
-                    c = moves[w % N]
-                    if c is not None:
-                        if shift < 0:
-                            pos = bisect.bisect_left(neg, -target)
-                            newp = p[:pos] + (target,) + p[pos:i] + p[i + 1:]
-                        else:
-                            pos = bisect.bisect_left(neg, -target, k)
-                            newp = p[:i] + p[i + 1:pos] + (target,) + p[pos:]
-                        out[newp] = smul(c, u * (k - i))
-                elif target < 0 and l * (M - w) in p:
-                    pairs.append(w - M)
+            target = u - M
+            if target > 0:
+                c = moves[u % N]
+                if c is not None:
+                    if M < 0:
+                        pos = bisect.bisect_left(neg, -target)
+                        newp = p[:pos] + (target,) + p[pos:i] + p[i + 1:]
+                    else:
+                        pos = bisect.bisect_left(neg, -target, k)
+                        newp = p[:i] + p[i + 1:pos] + (target,) + p[pos:]
+                    out[newp] = smul(c, u * (k - i))
+            elif target < 0 and M - u in p:
+                pairs.append(u - M)
             i = k
         if pairs:
             table = self._table.elements(ring)
@@ -421,7 +385,7 @@ class BilinearOp(Operator):
             for j in pairs:
                 if not nonzero[j % N]:
                     continue
-                act = _term_action(p, j, M, l)
+                act = _term_action(p, j, M)
                 if act:
                     c = smul(table[j % N], act[0])
                     old = extra.get(act[1])
@@ -431,22 +395,6 @@ class BilinearOp(Operator):
                 if not is_zero(v):
                     out[t] = v
         return out
-
-
-class SingleBilinearOp(Operator):
-    """One normal-ordered pair :a_{-j} a_{j+m}: with unit coefficient."""
-
-    def __init__(self, j: int, m: int, domain_cutoff: Optional[int] = None):
-        self.j = j
-        self.m = m
-        self.degree_shift = -m
-        self.domain_cutoff = domain_cutoff
-
-    def icolumn(self, p: Partition, ring: CycloRing) -> dict:
-        act = _term_action(p, self.j, self.m)
-        if act is None:
-            return {}
-        return {act[1]: ring.from_int(act[0])}
 
 
 class ModeOp(Operator):
@@ -526,21 +474,6 @@ class CommutatorOp(Operator):
         return ab
 
 
-def normal_ordered_bilinear(j: int, m: int, D: Optional[int] = None) -> Operator:
-    """The operator :a_{-j} a_{j+m}: with exact action on partitions."""
-    if D is not None and (abs(j) > D or abs(j + m) > D):
-        raise ValueError("cutoff too small for these mode indices")
-    return SingleBilinearOp(j, m, domain_cutoff=D)
-
-
-def mode_op(k: int) -> Operator:
-    return ModeOp(k)
-
-
-def commutator(A: Operator, B: Operator) -> Operator:
-    return CommutatorOp(A, B)
-
-
 def _window_budget(D: int, *shift_budgets: int) -> int:
     """The top input degree D - sum |shifts| of a commutator window; an
     empty window, or a cutoff above MAX_BASIS_DEGREE, is an error."""
@@ -582,11 +515,9 @@ class _Form:
 
 
 def _form(op: Operator) -> _Form:
-    """The form of an operator built from BilinearOp (l = 1), ModeOp,
-    ScalarOp, ZeroOp, SumOp and CommutatorOp."""
+    """The form of an operator built from BilinearOp, ModeOp, ScalarOp,
+    ZeroOp, SumOp and CommutatorOp."""
     if isinstance(op, BilinearOp):
-        if op.l != 1:
-            raise ValueError("normal-ordering forms cover l = 1 only")
         c, M, k, N = op.coeff, op.M, op.prefactor, op.coeff.period
         s = [k * (c(x) + c(-x - M)) for x in range(N)]
         return _Form({M: (lambda x: s[x % N], N, 0)}, {}, rat(0))
@@ -724,7 +655,7 @@ def _walk(top: int, visit) -> Optional[tuple]:
 
 def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
     """First (state, out_state, got, want) at which the columns of `op`
-    (l = 1) differ from its Fock representation on the states of degree
+    differ from its Fock representation on the states of degree
     <= D - |M|, in depth-first order, or None.
 
     By induction on the parts: the vacuum column must be
@@ -740,8 +671,6 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
     at or below it for their columns but compares only the states above it.
     """
     M, N = op.M, op._N
-    if op.l != 1:
-        raise ValueError("the representation check covers l = 1 only")
     top = _window_budget(D, M)
     done = op._verified
     if done >= top:
@@ -801,25 +730,24 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
 _OP_REGISTRY: dict = {}
 
 
-def build_L(chi: PeriodicFn, n: int, D: Optional[int] = None, l: int = 1) -> Operator:
-    """(1/2N) sum_j chi(j) :a_{-lj} a_{l(j + nN)}: on partition states.
+def build_L(chi: PeriodicFn, n: int, D: Optional[int] = None) -> Operator:
+    """(1/2N) sum_j chi(j) :a_{-j} a_{j + nN}: on partition states.
 
     chi must vanish at 0 mod N.  For odd chi the pairwise coefficients
     cancel and the zero operator comes out; a warning flags that case.
-    With l > 1 this is the mode-scaled embedding with prefactor 1/(2Nl).
+    The mode-scaled operator (1/l) tau_l(L_n^chi) is build_L(chi.dilate(l), n).
     """
     N = chi.period
     if chi(0):
         raise ValueError("twist function must vanish at 0 mod N")
-    if D is not None and abs(n) * N * l > D:
+    if D is not None and abs(n) * N > D:
         raise ValueError("cutoff too small for this mode index")
     if not chi.even:
         warnings.warn("odd twist function: the operator vanishes", stacklevel=2)
-    key = ("L", chi.fingerprint(), n, l)
+    key = ("L", chi.fingerprint(), n)
     op = _OP_REGISTRY.get(key)
     if op is None:
-        op = BilinearOp(chi, n * N, rat(1, 2 * N * l), l=l, name=f"L[{n}]")
-        _OP_REGISTRY[key] = op
+        op = _OP_REGISTRY[key] = BilinearOp(chi, n * N, rat(1, 2 * N))
     return op
 
 
@@ -1019,8 +947,8 @@ _MAX_MODE, _PRODUCT_MODES = 2, range(-4, 5)
 
 def _lemma_2_3_sides(chi: PeriodicFn, k: int, n: int, D: Optional[int]) -> tuple:
     N = chi.period
-    lhs = CommutatorOp(mode_op(k), build_L(chi, n, D))
-    rhs = SumOp([(chi(k) * rat(k, N), mode_op(k + n * N))])
+    lhs = CommutatorOp(ModeOp(k), build_L(chi, n, D))
+    rhs = SumOp([(chi(k) * rat(k, N), ModeOp(k + n * N))])
     return lhs, rhs
 
 
@@ -1100,36 +1028,36 @@ def _central_term(f: PeriodicFn, lm1, m: int) -> Scalar:
     return lm1 * rat(m, f.period) + f.period_sum() * rat(m**3, 12)
 
 
-def _bracket_rhs(prod: PeriodicFn, m: int, n: int, D: Optional[int], l: int = 1,
+def _bracket_rhs(prod: PeriodicFn, m: int, n: int, D: Optional[int],
                  lm1=l_minus_one) -> Operator:
     """(m-n) L_{m+n}^{prod} plus the central scalar when m = -n, with
     L(-1, prod) from `lm1`."""
-    terms = [(rat(m - n), build_L(prod, m + n, D, l=l))]
+    terms = [(rat(m - n), build_L(prod, m + n, D))]
     if m == -n:
         terms.append((1, ScalarOp(_central_term(prod, lm1(prod), m))))
     return SumOp(terms)
 
 
 def _bracket_sides(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int, D: Optional[int],
-                   l: int = 1, lm1=l_minus_one) -> tuple:
-    lhs = CommutatorOp(build_L(f1, m, D, l=l), build_L(f2, n, D, l=l))
-    return lhs, _bracket_rhs(pf_mul(f1, f2), m, n, D, l=l, lm1=lm1)
+                   lm1=l_minus_one) -> tuple:
+    lhs = CommutatorOp(build_L(f1, m, D), build_L(f2, n, D))
+    return lhs, _bracket_rhs(pf_mul(f1, f2), m, n, D, lm1=lm1)
 
 
 def _verify_bracket(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int, D: int,
-                    l: int = 1, lm1=l_minus_one) -> VerifyResult:
-    """[L_m^{f1}, L_n^{f2}] against `_bracket_rhs(f1 f2, ...)` for the
-    mode-scaled operators of scale l, exactly on the window."""
+                    lm1=l_minus_one) -> VerifyResult:
+    """[L_m^{f1}, L_n^{f2}] against `_bracket_rhs(f1 f2, ...)`, exactly on
+    the window."""
     N = f1.period
-    window = commutator_window(D, l * m * N, l * n * N)
-    lhs, rhs = _bracket_sides(f1, f2, m, n, D, l, lm1)
+    window = commutator_window(D, m * N, n * N)
+    lhs, rhs = _bracket_sides(f1, f2, m, n, D, lm1)
     witness = lhs.matrix_equal(rhs, window)
     return VerifyResult(witness is None, len(window), witness)
 
 
 def _certify_bracket(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int,
                      lm1=l_minus_one) -> VerifyResult:
-    """The identity of `_verify_bracket` (l = 1) on the whole Fock space; the
+    """The identity of `_verify_bracket` on the whole Fock space; the
     witness is (x, got, want) or ("central", got, want)."""
     return _certify(*_bracket_sides(f1, f2, m, n, None, lm1=lm1))
 
@@ -1364,7 +1292,6 @@ def verify_eq_3_28(N: int, i: int) -> VerifyResult:
     """Three-way exact equality for the index-i vacuum shift of period N:
     (2(k-j)+1)^2/(8(2k+1)) - 1/24 = h^{1,j} - c/24
     = (1/2) L(-1, identity) - (1/2k) sum_s omega^{is} L(-1, g^s)."""
-    from ltwist.characters import even_twist_group
     from ltwist.qseries import central_charge, highest_weight
 
     G = even_twist_group(N)
@@ -1380,10 +1307,40 @@ def verify_eq_3_28(N: int, i: int) -> VerifyResult:
     return VerifyResult(ok, 3, None if ok else (N, i, str(a), str(b), str(cval)))
 
 
+def verify_eq_3_28_suite(N: int) -> VerifyResult:
+    """`verify_eq_3_28` for every index of even_twist_group(N); the count is
+    of indices, the witness the first failing one's."""
+    k = len(even_twist_group(N))
+    for i in range(1, k + 1):
+        res = verify_eq_3_28(N, i)
+        if not res.passed:
+            return VerifyResult(False, i, res.witness)
+    return VerifyResult(True, k, None)
+
+
 def scaling_embed_check(chi: PeriodicFn, l: int, m: int, n: int, D: int) -> VerifyResult:
-    """The mode-scaled operators (1/l) tau_l(L) satisfy the same bracket
-    identity with the same central values, exactly on the window."""
-    return _verify_bracket(chi, chi, m, n, D, l=l)
+    """The mode-scaled operators (1/l) tau_l(L_n^chi), which are the L_n of
+    the dilated twist chi.dilate(l), satisfy the bracket identity of chi with
+    the same central values, exactly on the window.  Their central scalar is
+    the unscaled _central_term(chi chi, L(-1, chi chi), m): L(-1) of the
+    dilated product is l L(-1, chi chi), and `l_minus_one` admits chi chi
+    but not its dilation, so it is asked for the former."""
+    x = chi.dilate(l)
+    return _verify_bracket(x, x, m, n, D, lm1=lambda _: l * l_minus_one(pf_mul(chi, chi)))
+
+
+def verify_scaling_suite(chi: PeriodicFn, D: int) -> VerifyResult:
+    """`scaling_embed_check` for l in {2, 3} and (m, n) in {(1, -1), (1, 0)};
+    the count is of window states, the witness the first failing
+    ((l, m, n), state, out_state, got, want)."""
+    cases = 0
+    for l in (2, 3):
+        for m, n in ((1, -1), (1, 0)):
+            res = scaling_embed_check(chi, l, m, n, D)
+            cases += res.cases
+            if not res.passed:
+                return VerifyResult(False, cases, ((l, m, n),) + res.witness)
+    return VerifyResult(True, cases, None)
 
 
 def verify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
@@ -1477,8 +1434,7 @@ def qtrace(G: TwistGroup, i: int, mode: str, D: int):
     shift = rat(shift)
     denom = int(shift.denominator)
     counts: dict = {}
-    for st in states:
-        p = st.partition
+    for p in states:
         lam_L = _diagonal_eigenvalue(L0, p)
         lam_T = _diagonal_eigenvalue(T0, p)
         grading = lam_L - lam_T if mode == "char" else lam_T

@@ -225,3 +225,14 @@ def test_character_tables_match_per_value_powers():
                         if e * t % d:
                             want = want * zeta(d) ** (e * t % d)
                 assert scalar_str(chi(k)) == scalar_str(want), (N, exps, k)
+
+
+def test_dirichlet_characters_raise_when_a_generator_is_missing(monkeypatch):
+    # A check that `python -O` cannot strip: a generator list that misses
+    # units raises instead of building too few characters.
+    from ltwist import characters
+
+    real = characters._unit_group_generators
+    monkeypatch.setattr(characters, "_unit_group_generators", lambda N: real(N)[:-1])
+    with pytest.raises(ArithmeticError):
+        characters.dirichlet_characters(8)

@@ -12,11 +12,12 @@ from ltwist.characters import (
     dirichlet_characters,
     even_twist_group,
     kronecker_symbol,
+    pf_mul,
 )
 from ltwist.checks import build_registry
 from ltwist.cycloring import cyclo_ring
 from ltwist.exactnum import rat, zeta
-from ltwist import cli, fock
+from ltwist import cli, fock, qseries
 from ltwist.fock import (
     BilinearOp,
     CommutatorOp,
@@ -26,11 +27,8 @@ from ltwist.fock import (
     basis_partitions,
     build_L,
     build_T,
-    commutator,
     commutator_window,
     fock_basis,
-    mode_op,
-    normal_ordered_bilinear,
     pair_indicator,
     partition_weight,
     qtrace,
@@ -55,10 +53,10 @@ def quad_char(q):
 
 def test_basis_counts():
     states = fock_basis(4)
-    assert sum(1 for s in states if s.degree == 4) == 5  # p(4)
-    assert [s.partition for s in fock_basis(0)] == [()]
+    assert sum(1 for s in states if sum(s) == 4) == 5  # p(4)
+    assert fock_basis(0) == [()]
     restricted = fock_basis(4, allowed_residues={2, 3}, modulus=5)
-    assert [s.partition for s in restricted] == [(), (2,), (3,), (2, 2)]
+    assert restricted == [(), (2,), (3,), (2, 2)]
     assert len(fock_basis(30)) == 28629  # sum of p(0..30)
     with pytest.raises(ValueError):
         fock_basis(61)
@@ -72,17 +70,17 @@ def test_partition_weight():
 
 
 def test_normal_ordered_bilinear_examples():
+    # _term_action(p, j, M) is :a_{-j} a_{j+M}: on p: (coefficient, state)
+    act = fock._term_action
     # :a_{-1} a_1: counts mode 1 with weight 1
-    op = normal_ordered_bilinear(1, 0)
-    assert op.column((1,)) == {(1,): rat(1)}
+    assert act((1,), 1, 0) == (1, (1,))
     # :a_1 a_{-1}: is already creation-left after normal ordering
-    assert normal_ordered_bilinear(-1, 0).column(()) == {}
+    assert act((), -1, 0) is None
     # :a_{-2} a_{-3}: creates the pair {2, 3}
-    assert normal_ordered_bilinear(2, -5).column(()) == {(3, 2): rat(1)}
-    # double annihilation with sequential multiplicities
-    op = normal_ordered_bilinear(-1, 2)  # :a_1 a_1:
-    assert op.column((1, 1)) == {(): rat(2)}
-    assert op.column((1,)) == {}
+    assert act((), 2, -5) == (1, (3, 2))
+    # double annihilation with sequential multiplicities: :a_1 a_1:
+    assert act((1, 1), -1, 2) == (2, ())
+    assert act((1,), -1, 2) is None
 
 
 def test_grading_exactness():
@@ -90,8 +88,8 @@ def test_grading_exactness():
     for n in (-2, -1, 0, 1, 2):
         op = build_L(chi, n)
         for state in fock_basis(12):
-            for out, val in op.column(state.partition).items():
-                assert sum(out) - state.degree == op.degree_shift
+            for out, val in op.column(state).items():
+                assert sum(out) - sum(state) == op.degree_shift
                 assert val
 
 
@@ -106,7 +104,7 @@ def test_build_L_examples():
         warnings.simplefilter("always")
         Lodd = build_L(odd, 1)
     assert caught
-    assert all(not Lodd.column(s.partition) for s in fock_basis(10))
+    assert all(not Lodd.column(s) for s in fock_basis(10))
     # nonvanishing at 0 mod N is rejected
     bad = PeriodicFn(3, [rat(1), rat(1), rat(1)])
     with pytest.raises(ValueError):
@@ -120,7 +118,7 @@ def test_lemma_2_3():
     assert verify_lemma_2_3(chi, 5, 1, 24).passed  # chi(5) = 0: both sides zero
     # the identity in closed form on a single state
     L0 = build_L(chi, 0)
-    a1 = mode_op(1)
+    a1 = ModeOp(1)
     lhs = CommutatorOp(a1, L0)
     assert lhs.column((1,)) == {(): rat(1, 5)}  # (1/5) chi(1) 1 a_1 on {1}
 
@@ -145,20 +143,24 @@ def test_theorem_2_4_cases():
         verify_theorem_2_4(None, chi, chi, 2, 2, 10)
 
 
+def _term_product(p, first, second):
+    """(coefficient, state) of :a_{-j2} a_{j2+M2}: :a_{-j1} a_{j1+M1}: on p."""
+    a = fock._term_action(p, *first)
+    b = None if a is None else fock._term_action(a[1], *second)
+    return None if b is None else (a[0] * b[0], b[1])
+
+
 def test_commutator_trivial_cases():
     # disjoint single-mode bilinears commute
-    A = normal_ordered_bilinear(1, 0)
-    B = normal_ordered_bilinear(2, 0)
-    com = commutator(A, B)
     for s in fock_basis(8):
-        assert com.column(s.partition) == {}
+        assert _term_product(s, (1, 0), (2, 0)) == _term_product(s, (2, 0), (1, 0))
     # diagonal twisted zero modes commute
     G = even_twist_group(7)
     LA = build_L(G.elements[0], 0)
     LB = build_L(G.elements[1], 0)
-    com = commutator(LA, LB)
+    com = CommutatorOp(LA, LB)
     for s in fock_basis(10):
-        assert com.column(s.partition) == {}
+        assert com.column(s) == {}
 
 
 def test_window_helper():
@@ -171,7 +173,7 @@ def test_commutator_windows_are_prefixes_of_the_cutoff_basis():
     # A window is built up to its budget only; the basis is ordered by
     # degree, so it is the prefix of the degree <= D basis it once was.
     for D in range(31):
-        basis = [s.partition for s in fock_basis(D)]
+        basis = fock_basis(D)
         degrees = [sum(p) for p in basis]
         for shift in range(D + 1):
             want = basis[:bisect.bisect_right(degrees, D - shift)]
@@ -393,15 +395,6 @@ def test_qtrace_counts_oracle():
             assert tr.coefficient(tr.offset + deg) == count(deg)
 
 
-def test_operator_entries_materialization():
-    chi = quad_char(5)
-    L1 = build_L(chi, 1)
-    table = L1.entries(8)
-    for (in_state, out_state), val in table.items():
-        assert sum(out_state) - sum(in_state) == L1.degree_shift
-        assert val
-
-
 def test_matrix_equal_witness_is_exact():
     # integer columns compared at a common denominator still name the
     # first differing entry with its exact scalar values
@@ -420,13 +413,14 @@ def test_matrix_equal_witness_is_exact():
 # -- certified rows ------------------------------------------------------------
 
 
-def _mode_reference(op, p, ring):
-    """The integer column of sum_j c(j) :a_{-lj} a_{l(j+M)}: on p, composed
-    from ModeOp columns with the annihilator acting first.  A term whose
-    first factor annihilates a part that p lacks is zero, so only the j
-    with l(j + M) or -lj a part of p, or 0 < j < -M, are summed."""
-    M, l, N = op.M, op.l, op.coeff.period
-    table = op._table.elements(ring)
+def _mode_reference(op, l, p, ring):
+    """The integer column of sum_j c(j) :a_{-lj} a_{l(j+M)}: on p, for `op`
+    built from the dilated table c.dilate(l) at shift lM, composed from
+    ModeOp columns with the annihilator acting first.  A term whose first
+    factor annihilates a part that p lacks is zero, so only the j with
+    l(j + M) or -lj a part of p, or 0 < j < -M, are summed."""
+    M, N = op.M // l, op.coeff.period // l
+    table = op._table.elements(ring)  # c(j) at the index lj mod lN
     js = {u // l - M for u in p if not u % l} | {-(u // l) for u in p if not u % l}
     acc = {}
     for j in sorted(js | set(range(1, -M))):
@@ -437,7 +431,7 @@ def _mode_reference(op, p, ring):
             left, right = right, left
         col = ModeOp(left).apply_icolumn(ModeOp(right).icolumn(p, ring), ring)
         for t, v in col.items():
-            x = ring.mul(table[j % N], v)
+            x = ring.mul(table[l * j % (l * N)], v)
             acc[t] = ring.add(acc[t], x) if t in acc else x
     return {t: v for t, v in acc.items() if not ring.is_zero(v)}
 
@@ -451,10 +445,10 @@ def test_icolumn_matches_mode_composition(coeff):
     states = basis_partitions(16)
     for l in (1, 2, 3):
         for M in range(-3 * N, 3 * N + 1):
-            op = BilinearOp(coeff, M, rat(1, 2 * N), l=l)
+            op = BilinearOp(coeff.dilate(l), l * M, rat(1, 2 * N))
             ring = cyclo_ring(op.order)
             for p in states:
-                assert op._icolumn(p, ring) == _mode_reference(op, p, ring), (l, M, p)
+                assert op._icolumn(p, ring) == _mode_reference(op, l, p, ring), (l, M, p)
 
 
 def _even_periodic(N, values):
@@ -497,8 +491,8 @@ def test_certificate_agrees_with_sweep(case):
 
 
 def _flip_double_creation(real):
-    def mutated(p, j, M, l=1):
-        act = real(p, j, M, l)
+    def mutated(p, j, M):
+        act = real(p, j, M)
         if act and j > 0 and j + M < 0:
             return -act[0], act[1]
         return act
@@ -698,3 +692,88 @@ def test_transpose_row_turns_red_with_the_sweep(monkeypatch, mutation):
     assert swept == (mutation == "bilinear-scale")
     if swept:
         assert "'table'" in row.witness
+
+
+# -- mode-scaled operators --------------------------------------------------------
+
+
+@st.composite
+def _dilation_cases(draw):
+    N = draw(st.sampled_from((3, 5, 7)))
+    values = draw(st.lists(_small_rationals, min_size=N // 2, max_size=N // 2))
+    return _even_periodic(N, values), draw(st.integers(1, 4)), draw(st.integers(-3, 3))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_dilation_cases())
+def test_dilate_keeps_the_twist_and_its_central_values(case):
+    f, l, m = case
+    x = f.dilate(l)
+    assert f.dilate(1) == f
+    assert x.period == l * f.period and x.even and not x(0)
+    assert all(x(y) == (f(y // l) if y % l == 0 else 0) for y in range(x.period))
+    assert _l_minus_one_form(x) == l * _l_minus_one_form(f)
+    assert (fock._central_term(x, _l_minus_one_form(x), m)
+            == fock._central_term(f, _l_minus_one_form(f), m))
+
+
+_SCALED_CASES = [(l, m, n) for l in (2, 3) for m, n in ((1, -1), (1, 0), (-1, 1), (0, 1))]
+
+
+@pytest.mark.parametrize("l, m, n", _SCALED_CASES)
+def test_certificate_path_accepts_mode_scaled_operators(monkeypatch, l, m, n):
+    # The mode-scaled operators are build_L of the dilated twist, so the
+    # normal-ordering certificate and the representation check take them
+    # as they are, and agree with the sweep; a shifted central term turns
+    # both red wherever there is one.
+    chi = dirichlet_characters(3)[0]
+    x = chi.dilate(l)
+    certified = fock._certify_bracket(x, x, m, n, lm1=_l_minus_one_form)
+    swept = fock._verify_bracket(x, x, m, n, 30, lm1=_l_minus_one_form)
+    assert certified.passed and swept.passed
+    assert scaling_embed_check(chi, l, m, n, 30).passed
+    for k in {m, n, m + n}:
+        assert fock._check_representation(build_L(x, k), 30) is None
+    real = fock._central_term
+    monkeypatch.setattr(fock, "_central_term", lambda f, lm1, m: real(f, lm1, m) + rat(1, 7))
+    certified = fock._certify_bracket(x, x, m, n, lm1=_l_minus_one_form)
+    swept = fock._verify_bracket(x, x, m, n, 30, lm1=_l_minus_one_form)
+    assert certified.passed == swept.passed == (m != -n)
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_scaling_central_scalar_is_the_unscaled_one(monkeypatch, l):
+    # l_minus_one rejects the dilated product, so the scaling check asks it
+    # for the product of chi itself and gets the unscaled central scalar.
+    chi = dirichlet_characters(3)[0]
+    prod = pf_mul(chi, chi)
+    with pytest.raises(ValueError):
+        l_minus_one(pf_mul(chi.dilate(l), chi.dilate(l)))
+    sides = []
+    real = fock._bracket_rhs
+
+    def recording(*a, **k):
+        sides.append(real(*a, **k))
+        return sides[-1]
+
+    monkeypatch.setattr(fock, "_bracket_rhs", recording)
+    assert scaling_embed_check(chi, l, 1, -1, 24).passed
+    (rhs,) = sides
+    assert rhs.column(()) == {(): fock._central_term(prod, l_minus_one(prod), 1)}
+
+
+def test_cli_scaling_and_energy_rows_name_the_failing_case(monkeypatch, capsys):
+    real = fock._central_term
+    monkeypatch.setattr(fock, "_central_term", lambda f, lm1, m: real(f, lm1, m) + rat(1, 7))
+    assert cli.dispatch(["fock", "verify", "--modulus", "3", "--cutoff", "20",
+                         "--theorem", "scaling", "--json"]) == 1
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert (row["check"], row["status"]) == ("scaling", "fail")
+    assert row["witness"] is not None and row["witness"].startswith("((2, 1, -1), (), ()")
+    monkeypatch.undo()
+    hw = qseries.highest_weight
+    monkeypatch.setattr(qseries, "highest_weight", lambda k, j: hw(k, j) + rat(1, 7))
+    assert cli.dispatch(["fock", "verify", "--modulus", "5", "--theorem", "3.28", "--json"]) == 1
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert (row["check"], row["status"]) == ("3.28", "fail")
+    assert row["witness"] is not None and row["witness"].startswith("(5, 1, ")
