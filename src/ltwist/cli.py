@@ -19,6 +19,7 @@ from ltwist.report import (
     RunConfig,
     config_from_env,
     config_from_mapping,
+    fmt_value,
     load_config_file,
     report_all,
     report_to_csv,
@@ -76,7 +77,7 @@ def cmd_cesaro(args) -> int:
                        error=rep.message)
             print(json.dumps(doc, sort_keys=True))
             return 1
-        doc.update(mode=rep.mode, value=_fmt_num(rep.value), residual=rep.residual)
+        doc.update(mode=rep.mode, value=fmt_value(rep.value), residual=rep.residual)
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -86,12 +87,6 @@ def rat_from(text):
         p, q = text.split("/")
         return rat(int(p), int(q))
     return float(text)
-
-
-def _fmt_num(v) -> str:
-    if isinstance(v, complex):
-        return f"{v.real:.12e}{'+' if v.imag >= 0 else '-'}{abs(v.imag):.12e}j"
-    return f"{float(v):.12e}"
 
 
 def cmd_dirichlet_avg(args) -> int:
@@ -105,7 +100,7 @@ def cmd_dirichlet_avg(args) -> int:
     doc = {
         "series": f"averaged L(s, chi) at s={args.s}, chi index {args.char} mod {args.modulus}",
         "mode": f"numeric(n_terms={args.terms}, precision={args.precision})",
-        "value": _fmt_num(value),
+        "value": fmt_value(value),
         "residual": None,
     }
     print(json.dumps(doc, sort_keys=True))

@@ -3,7 +3,11 @@
 States are integer partitions (descending tuples); a_{-n} creates mode n with
 coefficient 1 and a_n destroys it with coefficient n * multiplicity, so
 [a_m, a_n] = m delta_{m,-n} with a_0 acting as zero.  Operators are lazy
-exact column maps: applying one to a basis state is a finite sum.
+exact column maps: applying one to a basis state is a finite sum.  One
+depth-first walk (`_walk`) enumerates the states, each the child
+(u,) + p of its parent p with u >= p[0]; the sweeps' windows are its states
+sorted by degree (`basis_partitions`), and `qtrace` prunes it at the first
+part outside its residue set.
 
 An identity is decided in one of two ways.  The `verify_*` functions sweep
 it: both sides are applied to every state of degree <= D - (the shifts) and
@@ -42,7 +46,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ltwist.characters import PeriodicFn, TwistGroup, even_twist_group, pf_mul
 from ltwist.cycloring import CycloRing, cyclo_ring, scalar_den, scalar_order
@@ -54,42 +58,40 @@ MAX_BASIS_DEGREE = 60
 Partition = tuple  # descending tuple of positive ints
 
 
-def fock_basis(
-    D: int,
-    allowed_residues: Optional[Iterable[int]] = None,
-    modulus: Optional[int] = None,
-) -> list[Partition]:
-    """All partitions of degree <= D, optionally with parts restricted to
-    residue classes mod `modulus`; ordered by degree then lexicographically."""
-    if D > MAX_BASIS_DEGREE:
-        raise ValueError(f"cutoff capped at {MAX_BASIS_DEGREE}")
-    if (allowed_residues is None) != (modulus is None):
-        raise ValueError("allowed_residues and modulus go together")
-    allowed = None if modulus is None else {r % modulus for r in allowed_residues}
-    parts = sorted(
-        m for m in range(1, D + 1)
-        if allowed is None or m % modulus in allowed
-    )
-    out: list[tuple] = []
+def _walk(top: int, visit) -> Optional[tuple]:
+    """Call visit(q, degree, value) on the partitions of degree <= top
+    depth-first, value being what it returned at the parent q[1:] (the
+    children of p are (u,) + p, u >= p[0]); it returns (witness, value).
+    The first witness that is not None ends the walk, and a value None
+    skips the children of q, which all keep q's parts."""
+    def walk(q: Partition, degree: int, parent) -> Optional[tuple]:
+        bad, value = visit(q, degree, parent)
+        if value is None:
+            return bad
+        u = q[0] if q else 1
+        while bad is None and u <= top - degree:
+            bad = walk((u,) + q, degree + u, value)
+            u += 1
+        return bad
 
-    def rec(remaining: int, max_idx: int, acc: list):
-        out.append(tuple(acc))
-        for idx in range(max_idx, -1, -1):
-            p = parts[idx]
-            if p <= remaining:
-                acc.append(p)
-                rec(remaining - p, idx, acc)
-                acc.pop()
-
-    rec(D, len(parts) - 1, [])
-    out.sort(key=lambda t: (sum(t), t))
-    return out
+    return walk((), 0, None)
 
 
 @lru_cache(maxsize=None)
 def _basis_by_degree(D: int) -> tuple:
-    """The partitions of degree <= D in basis order."""
-    return tuple(fock_basis(D))
+    """The partitions of degree <= D in basis order: by degree, then
+    lexicographically; the states of `_walk`, sorted."""
+    if D > MAX_BASIS_DEGREE:
+        raise ValueError(f"cutoff capped at {MAX_BASIS_DEGREE}")
+    states: list = []
+
+    def visit(q: Partition, degree: int, parent) -> tuple:
+        states.append((degree, q))
+        return None, q
+
+    _walk(D, visit)
+    states.sort()
+    return tuple(q for _, q in states)
 
 
 def basis_partitions(D: int) -> list[Partition]:
@@ -176,7 +178,6 @@ class Operator:
     the scales; `column` gives the scalar values.
     """
 
-    degree_shift: int = 0
     order: int = 1
     scale = rat(1)
 
@@ -298,7 +299,6 @@ class BilinearOp(Operator):
         self.coeff = coeff
         self.M = M
         self.prefactor = rat(prefactor)
-        self.degree_shift = -M
         N = coeff.period
         values = [coeff(r) for r in range(N)]
         self._table = _OverDenominator(values)
@@ -402,7 +402,6 @@ class ModeOp(Operator):
 
     def __init__(self, k: int):
         self.k = k
-        self.degree_shift = -k
 
     def icolumn(self, p: Partition, ring: CycloRing) -> dict:
         k = self.k
@@ -420,7 +419,6 @@ class ModeOp(Operator):
 class ScalarOp(Operator):
     def __init__(self, value):
         self.value = value
-        self.degree_shift = 0
         self._value = _OverDenominator([value])
         self.order = self._value.order
         self.scale = rat(1, self._value.den)
@@ -429,18 +427,11 @@ class ScalarOp(Operator):
         return {p: self._value.elements(ring)[0]}
 
 
-class ZeroOp(Operator):
-    def icolumn(self, p: Partition, ring: CycloRing) -> dict:
-        return {}
-
-
 class SumOp(Operator):
     """sum_i c_i op_i: the weights c_i op_i.scale over one common denominator."""
 
     def __init__(self, terms):
         self.terms = [(c, op) for c, op in terms]
-        shifts = {op.degree_shift for _, op in self.terms}
-        self.degree_shift = shifts.pop() if len(shifts) == 1 else 0
         live = [(c, op) for c, op in self.terms if c]
         self._ops = [op for _, op in live]
         self._weights = _OverDenominator([c * op.scale for c, op in live])
@@ -460,7 +451,6 @@ class CommutatorOp(Operator):
     def __init__(self, A: Operator, B: Operator):
         self.A = A
         self.B = B
-        self.degree_shift = A.degree_shift + B.degree_shift
         self.order = math.lcm(A.order, B.order)
         self.scale = A.scale * B.scale
 
@@ -516,7 +506,7 @@ class _Form:
 
 def _form(op: Operator) -> _Form:
     """The form of an operator built from BilinearOp, ModeOp, ScalarOp,
-    ZeroOp, SumOp and CommutatorOp."""
+    SumOp and CommutatorOp."""
     if isinstance(op, BilinearOp):
         c, M, k, N = op.coeff, op.M, op.prefactor, op.coeff.period
         s = [k * (c(x) + c(-x - M)) for x in range(N)]
@@ -525,8 +515,6 @@ def _form(op: Operator) -> _Form:
         return _Form({}, {op.k: rat(1)} if op.k else {}, rat(0))
     if isinstance(op, ScalarOp):
         return _Form({}, {}, op.value)
-    if isinstance(op, ZeroOp):
-        return _Form({}, {}, rat(0))
     if isinstance(op, SumOp):
         return _combine([(c, _form(o)) for c, o in op.terms])
     if isinstance(op, CommutatorOp):
@@ -637,22 +625,6 @@ def _certify(lhs: Operator, rhs: Operator) -> VerifyResult:
     return VerifyResult(witness is None, 1, witness)
 
 
-def _walk(top: int, visit) -> Optional[tuple]:
-    """Call visit(q, degree, value) on the partitions of degree <= top
-    depth-first, value being what it returned at the parent q[1:] (the
-    children of p are (u,) + p, u >= p[0]); it returns (witness, value),
-    and the first witness that is not None ends the walk."""
-    def walk(q: Partition, degree: int, parent) -> Optional[tuple]:
-        bad, value = visit(q, degree, parent)
-        u = q[0] if q else 1
-        while bad is None and u <= top - degree:
-            bad = walk((u,) + q, degree + u, value)
-            u += 1
-        return bad
-
-    return walk((), 0, None)
-
-
 def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
     """First (state, out_state, got, want) at which the columns of `op`
     differ from its Fock representation on the states of degree
@@ -730,7 +702,7 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
 _OP_REGISTRY: dict = {}
 
 
-def build_L(chi: PeriodicFn, n: int, D: Optional[int] = None) -> Operator:
+def build_L(chi: PeriodicFn, n: int) -> Operator:
     """(1/2N) sum_j chi(j) :a_{-j} a_{j + nN}: on partition states.
 
     chi must vanish at 0 mod N.  For odd chi the pairwise coefficients
@@ -740,8 +712,6 @@ def build_L(chi: PeriodicFn, n: int, D: Optional[int] = None) -> Operator:
     N = chi.period
     if chi(0):
         raise ValueError("twist function must vanish at 0 mod N")
-    if D is not None and abs(n) * N > D:
-        raise ValueError("cutoff too small for this mode index")
     if not chi.even:
         warnings.warn("odd twist function: the operator vanishes", stacklevel=2)
     key = ("L", chi.fingerprint(), n)
@@ -798,47 +768,36 @@ def _pair_coefficients(f: PeriodicFn) -> Optional[list]:
     return coeffs if f == _pair_combination(f.period, coeffs) else None
 
 
-_INDICATOR_CACHE: dict = {}
+def _component_average(G: TwistGroup, i: int, value) -> Scalar:
+    """(1/k) sum_s omega^{is} value(g^s) over s = 1..k, for the generator g
+    of the cyclic twist group G of order k and omega = zeta(k)."""
+    k = len(G)
+    omega = zeta(k)
+    gen_idx = G.generator_index()
+    acc: Scalar = rat(0)
+    power_idx = gen_idx
+    for s in range(1, k + 1):
+        acc = acc + omega ** ((i * s) % k) * value(G.elements[power_idx])
+        power_idx = G.product_index(power_idx, gen_idx)
+    return acc * rat(1, k)
 
 
 def _mode_indicator(G: TwistGroup, i: int) -> tuple[PeriodicFn, int]:
     """Indicator of residues {j, N-j} for the index-i twist component,
     verified exactly against the root-of-unity average of the generators."""
-    key = (G.fingerprint(), i)
-    hit = _INDICATOR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    k = len(G)
     N = G.period
     j = twist_residue(G, i)
     ind = pair_indicator(N, j)
-    gen_idx = G.generator_index()
-    omega = zeta(k)
-    acc: list = [rat(0) for _ in range(N)]
-    power_idx = gen_idx
-    for s in range(1, k + 1):
-        elem = G.elements[power_idx]
-        w = omega ** ((i * s) % k)
-        for u in range(N):
-            acc[u] = acc[u] + w * elem(u)
-        power_idx = G.product_index(power_idx, gen_idx)
     for u in range(N):
-        if acc[u] * rat(1, k) != ind(u):
+        if _component_average(G, i, lambda g: g(u)) != ind(u):
             raise ArithmeticError(
                 "root-of-unity average does not project onto a residue pair; "
                 "twist group is outside the supported families"
             )
-    _INDICATOR_CACHE[key] = (ind, j)
     return ind, j
 
 
-def build_T(
-    G: TwistGroup,
-    i: int,
-    n: int,
-    D: Optional[int] = None,
-    shifted: bool = True,
-) -> Operator:
+def build_T(G: TwistGroup, i: int, n: int, shifted: bool = True) -> Operator:
     """Component operator T_n^i of the cyclic twist group decomposition.
 
     Built as the mode-restricted bilinear (1/2N) sum_{j = +-j_i mod N}
@@ -898,20 +857,11 @@ def vacuum_energies(G: TwistGroup, i: int) -> VacuumEnergy:
     hit = _ENERGY_CACHE.get(cache_key)
     if hit is not None:
         return hit
-    k = len(G)
     if not G.is_cyclic:
         raise ValueError("vacuum energies need a cyclic twist group")
     N = G.period
     j = twist_residue(G, i)
-    omega = zeta(k)
-    gen_idx = G.generator_index()
-    acc: Scalar = rat(0)
-    power_idx = gen_idx
-    for s in range(1, k + 1):
-        w = omega ** ((i * s) % k)
-        acc = acc + w * l_minus_one(G.elements[power_idx])
-        power_idx = G.product_index(power_idx, gen_idx)
-    c = is_rational(acc * rat(1, 2 * k))
+    c = is_rational(_component_average(G, i, l_minus_one) * rat(1, 2))
     if c is None:
         raise ArithmeticError("vacuum shift did not come out rational")
     ident = G.elements[G.identity]
@@ -945,9 +895,9 @@ _LEMMA_KS, _LEMMA_NS = range(-6, 7), range(-2, 3)
 _MAX_MODE, _PRODUCT_MODES = 2, range(-4, 5)
 
 
-def _lemma_2_3_sides(chi: PeriodicFn, k: int, n: int, D: Optional[int]) -> tuple:
+def _lemma_2_3_sides(chi: PeriodicFn, k: int, n: int) -> tuple:
     N = chi.period
-    lhs = CommutatorOp(ModeOp(k), build_L(chi, n, D))
+    lhs = CommutatorOp(ModeOp(k), build_L(chi, n))
     rhs = SumOp([(chi(k) * rat(k, N), ModeOp(k + n * N))])
     return lhs, rhs
 
@@ -955,14 +905,14 @@ def _lemma_2_3_sides(chi: PeriodicFn, k: int, n: int, D: Optional[int]) -> tuple
 def verify_lemma_2_3(chi: PeriodicFn, k: int, n: int, D: int) -> VerifyResult:
     """[a_k, L_n^chi] = (1/N) chi(k) k a_{k + nN}, exactly on the window."""
     window = commutator_window(D, k, n * chi.period)
-    lhs, rhs = _lemma_2_3_sides(chi, k, n, D)
+    lhs, rhs = _lemma_2_3_sides(chi, k, n)
     witness = lhs.matrix_equal(rhs, window)
     return VerifyResult(witness is None, len(window), witness)
 
 
 def _certify_lemma_2_3(chi: PeriodicFn, k: int, n: int) -> VerifyResult:
     """Lemma 2.3 for one (chi, k, n) on the whole Fock space."""
-    return _certify(*_lemma_2_3_sides(chi, k, n, None))
+    return _certify(*_lemma_2_3_sides(chi, k, n))
 
 
 def verify_lemma_2_3_suite(G: TwistGroup, D: int) -> VerifyResult:
@@ -1028,20 +978,19 @@ def _central_term(f: PeriodicFn, lm1, m: int) -> Scalar:
     return lm1 * rat(m, f.period) + f.period_sum() * rat(m**3, 12)
 
 
-def _bracket_rhs(prod: PeriodicFn, m: int, n: int, D: Optional[int],
-                 lm1=l_minus_one) -> Operator:
+def _bracket_rhs(prod: PeriodicFn, m: int, n: int, lm1=l_minus_one) -> Operator:
     """(m-n) L_{m+n}^{prod} plus the central scalar when m = -n, with
     L(-1, prod) from `lm1`."""
-    terms = [(rat(m - n), build_L(prod, m + n, D))]
+    terms = [(rat(m - n), build_L(prod, m + n))]
     if m == -n:
         terms.append((1, ScalarOp(_central_term(prod, lm1(prod), m))))
     return SumOp(terms)
 
 
-def _bracket_sides(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int, D: Optional[int],
+def _bracket_sides(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int,
                    lm1=l_minus_one) -> tuple:
-    lhs = CommutatorOp(build_L(f1, m, D), build_L(f2, n, D))
-    return lhs, _bracket_rhs(pf_mul(f1, f2), m, n, D, lm1=lm1)
+    lhs = CommutatorOp(build_L(f1, m), build_L(f2, n))
+    return lhs, _bracket_rhs(pf_mul(f1, f2), m, n, lm1=lm1)
 
 
 def _verify_bracket(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int, D: int,
@@ -1050,7 +999,7 @@ def _verify_bracket(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int, D: int,
     the window."""
     N = f1.period
     window = commutator_window(D, m * N, n * N)
-    lhs, rhs = _bracket_sides(f1, f2, m, n, D, lm1)
+    lhs, rhs = _bracket_sides(f1, f2, m, n, lm1)
     witness = lhs.matrix_equal(rhs, window)
     return VerifyResult(witness is None, len(window), witness)
 
@@ -1059,7 +1008,7 @@ def _certify_bracket(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int,
                      lm1=l_minus_one) -> VerifyResult:
     """The identity of `_verify_bracket` on the whole Fock space; the
     witness is (x, got, want) or ("central", got, want)."""
-    return _certify(*_bracket_sides(f1, f2, m, n, None, lm1=lm1))
+    return _certify(*_bracket_sides(f1, f2, m, n, lm1=lm1))
 
 
 def verify_theorem_2_4(
@@ -1205,7 +1154,7 @@ def verify_theorem_3_1(G: TwistGroup, D: int, max_mode: int = 2) -> VerifyResult
     def case(lhs, rhs, m, n):
         return lhs.matrix_equal(rhs, commutator_window(D, m * G.period, n * G.period))
 
-    return _theorem_3_1(G, D, max_mode, case)
+    return _theorem_3_1(G, max_mode, case)
 
 
 def certify_theorem_3_1(G: TwistGroup, D: int) -> VerifyResult:
@@ -1219,11 +1168,11 @@ def certify_theorem_3_1(G: TwistGroup, D: int) -> VerifyResult:
     is empty."""
     N = G.period
     _window_budget(D, _MAX_MODE * N, _MAX_MODE * N)
-    res = _theorem_3_1(G, D, _MAX_MODE, lambda lhs, rhs, m, n: _certify(lhs, rhs).witness)
+    res = _theorem_3_1(G, _MAX_MODE, lambda lhs, rhs, m, n: _certify(lhs, rhs).witness)
     return _with_representation(res, N, D, _PRODUCT_MODES)
 
 
-def _theorem_3_1(G: TwistGroup, D: int, max_mode: int, case) -> VerifyResult:
+def _theorem_3_1(G: TwistGroup, max_mode: int, case) -> VerifyResult:
     """The cases with `case(lhs, rhs, m, n) -> witness or None` deciding
     one unordered case; the count is of ordered cases."""
     k = len(G)
@@ -1232,7 +1181,7 @@ def _theorem_3_1(G: TwistGroup, D: int, max_mode: int, case) -> VerifyResult:
     T = {}
     for i in range(1, k + 1):
         for n in range(-max_mode, max_mode + 1):
-            T[(i, n)] = build_T(G, i, n, D, shifted=(n == 0))
+            T[(i, n)] = build_T(G, i, n, shifted=(n == 0))
     total = 0
     seen = set()
     for i in range(1, k + 1):
@@ -1245,22 +1194,17 @@ def _theorem_3_1(G: TwistGroup, D: int, max_mode: int, case) -> VerifyResult:
                         continue
                     seen.add(key)
                     lhs = CommutatorOp(T[(i, m)], T[(jdx, n)])
+                    terms = []
                     if i == jdx:
-                        terms = []
                         if m != n:
                             if abs(m + n) <= max_mode:
                                 terms.append((rat(m - n), T[(i, m + n)]))
                             else:
-                                terms.append(
-                                    (rat(m - n), build_T(G, i, m + n, D, shifted=False))
-                                )
+                                terms.append((rat(m - n), build_T(G, i, m + n, shifted=False)))
                         if m == -n:
                             central = b * rat(m**3, 12 * k)
                             terms.append((1, ScalarOp(central)))
-                        rhs: Operator = SumOp(terms) if terms else ZeroOp()
-                    else:
-                        rhs = ZeroOp()
-                    witness = case(lhs, rhs, m, n)
+                    witness = case(lhs, SumOp(terms), m, n)
                     total += 1
                     if witness is not None:
                         return VerifyResult(False, total, ((i, jdx, m, n),) + witness)
@@ -1348,8 +1292,8 @@ def verify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
     w the partition symmetry factor, exactly on the window."""
     N = chi.period
     window = commutator_window(D, n * N)
-    A = build_L(chi, n, D)
-    B = build_L(chi.conj(), -n, D)
+    A = build_L(chi, n)
+    B = build_L(chi.conj(), -n)
     ring = cyclo_ring(math.lcm(A.order, B.order))
     a, b = _cross_factors(A.scale, B.scale)
     smul, conj = ring.smul, ring.conj
@@ -1375,8 +1319,9 @@ def certify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
     space and the columns of A on the sweep's window; the count is the
     sweep's, their nonzero entries.  B is the A of (chibar, -n) and the norm
     is `weight_mismatch`'s, so a row closed under conjugation checks both."""
-    A = build_L(chi, n, D)
-    witness = (_mismatch(_adjoint(_form(A)), _form(build_L(chi.conj(), -n, D)))
+    _window_budget(D, n * chi.period)
+    A = build_L(chi, n)
+    witness = (_mismatch(_adjoint(_form(A)), _form(build_L(chi.conj(), -n)))
                or _check_representation(A, D))
     cases = 0 if witness else sum(A._entries[:D - abs(A.M) + 1])
     return VerifyResult(witness is None, cases, witness)
@@ -1422,19 +1367,20 @@ def qtrace(G: TwistGroup, i: int, mode: str, D: int):
     L0 = build_L(G.elements[G.identity], 0)
     T0 = build_T(G, i, 0, shifted=False)
     if mode == "char":
-        states = fock_basis(
-            D, allowed_residues=set(range(1, N)) - {j % N, (N - j) % N}, modulus=N
-        )
+        allowed = set(range(1, N)) - {j % N, (N - j) % N}
         shift = energy.d
     elif mode == "kernel":
-        states = fock_basis(D, allowed_residues={j % N, (N - j) % N}, modulus=N)
+        allowed = {j % N, (N - j) % N}
         shift = energy.c
     else:
         raise ValueError("mode must be 'char' or 'kernel'")
     shift = rat(shift)
     denom = int(shift.denominator)
     counts: dict = {}
-    for p in states:
+
+    def visit(p: Partition, degree: int, parent) -> tuple:
+        if p and p[0] % N not in allowed:
+            return None, None  # p and its children have a part outside
         lam_L = _diagonal_eigenvalue(L0, p)
         lam_T = _diagonal_eigenvalue(T0, p)
         grading = lam_L - lam_T if mode == "char" else lam_T
@@ -1443,6 +1389,9 @@ def qtrace(G: TwistGroup, i: int, mode: str, D: int):
             raise ArithmeticError("grading did not rescale to an integer")
         key = int(t) * denom + int(shift * denom)
         counts[key] = counts.get(key, 0) + 1
+        return None, p
+
+    _walk(D, visit)
     order = shift + D + 1
     return PuiseuxSeries(denom, counts, order)
 

@@ -299,19 +299,26 @@ def euler_product(order: int) -> PuiseuxSeries:
     return product_expand(ap_set(1), 1, order)
 
 
-def pentagonal_sum(order: int) -> PuiseuxSeries:
+def _signed_lattice_sum(exponent, inside) -> dict:
+    """{e: sum of (-1)^m over the integers m with exponent(m) = e}, over m =
+    0, +-1, +-2, ... while some exponent(+-n) is `inside`; the exponents
+    must grow with |m| so that the sum ends."""
     coeffs: dict = {}
     n = 0
     while True:
         hit = False
         for m in (n, -n) if n else (0,):
-            e = m * (3 * m + 1) // 2
-            if e < order:
+            e = exponent(m)
+            if inside(e):
                 coeffs[e] = coeffs.get(e, 0) + (-1) ** (m % 2)
                 hit = True
         if not hit and n > 0:
-            break
+            return coeffs
         n += 1
+
+
+def pentagonal_sum(order: int) -> PuiseuxSeries:
+    coeffs = _signed_lattice_sum(lambda m: m * (3 * m + 1) // 2, lambda e: e < order)
     return PuiseuxSeries(1, coeffs, order)
 
 
@@ -407,18 +414,8 @@ def specialize_314(k: int, j: int, order: int) -> tuple[PuiseuxSeries, PuiseuxSe
         raise ValueError("need 1 <= j <= k")
     N = 2 * k + 1
     lhs = product_expand(ap_set(N, residues={0, (-j) % N, j % N}), 1, order)
-    coeffs: dict = {}
-    n = 0
-    while True:
-        added = False
-        for m in (n, -n) if n else (0,):
-            e = N * m * (m + 1) // 2 - j * m
-            if 0 <= e < order:
-                coeffs[e] = coeffs.get(e, 0) + (-1) ** (m % 2)
-                added = True
-        if not added and n > 0:
-            break
-        n += 1
+    coeffs = _signed_lattice_sum(lambda m: N * m * (m + 1) // 2 - j * m,
+                                 lambda e: 0 <= e < order)
     return lhs, PuiseuxSeries(1, coeffs, order)
 
 
@@ -435,20 +432,9 @@ def reduced_theta(eps, M: int, order) -> tuple[PuiseuxSeries, CycloNum]:
     order = rat(order)
     p, q = int(eps.numerator), int(eps.denominator)
     denom = 8 * M * q * q
-    coeffs: dict = {}
-    bound = order
-    n = 0
-    while True:
-        added = False
-        for m in (n, -n) if n else (0,):
-            e_num = M * M * (2 * m * q + p) ** 2  # exponent * denom
-            if rat(e_num, denom) < bound:
-                sgn = (-1) ** (m % 2)
-                coeffs[e_num] = coeffs.get(e_num, 0) + sgn
-                added = True
-        if not added and n > 0:
-            break
-        n += 1
+    # keyed by exponent * denom
+    coeffs = _signed_lattice_sum(lambda m: M * M * (2 * m * q + p) ** 2,
+                                 lambda e: rat(e, denom) < order)
     phase = zeta(4 * q) ** p
     return PuiseuxSeries(denom, coeffs, order), phase
 

@@ -185,10 +185,6 @@ class LimitReport:
     converged: bool = True
     message: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.converged
-
 
 def limit_numeric(s: SeqSpec, depth: int, n_terms: int, tol) -> LimitReport:
     """Apply the averaging transform `depth` times, then test the trailing

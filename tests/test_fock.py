@@ -28,7 +28,6 @@ from ltwist.fock import (
     build_L,
     build_T,
     commutator_window,
-    fock_basis,
     pair_indicator,
     partition_weight,
     qtrace,
@@ -52,14 +51,67 @@ def quad_char(q):
 
 
 def test_basis_counts():
-    states = fock_basis(4)
+    states = basis_partitions(4)
     assert sum(1 for s in states if sum(s) == 4) == 5  # p(4)
-    assert fock_basis(0) == [()]
-    restricted = fock_basis(4, allowed_residues={2, 3}, modulus=5)
-    assert restricted == [(), (2,), (3,), (2, 2)]
-    assert len(fock_basis(30)) == 28629  # sum of p(0..30)
+    assert basis_partitions(0) == [()]
+    assert len(basis_partitions(30)) == 28629  # sum of p(0..30)
     with pytest.raises(ValueError):
-        fock_basis(61)
+        basis_partitions(61)
+
+
+# p(n) for n = 0..20
+_PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176,
+                     231, 297, 385, 490, 627]
+
+
+def test_basis_partitions_are_the_partitions_in_basis_order():
+    for D in range(21):
+        basis = basis_partitions(D)
+        assert all(all(x > 0 for x in p) for p in basis)
+        assert all(list(p) == sorted(p, reverse=True) for p in basis)
+        keys = [(sum(p), p) for p in basis]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        counts = [0] * (D + 1)
+        for p in basis:
+            counts[sum(p)] += 1
+        assert counts == _PARTITION_COUNTS[:D + 1]
+
+
+def test_walk_prunes_below_a_none_value():
+    visited = []
+
+    def visit(q, degree, parent):
+        if q and q[0] % 3 == 0:
+            return None, None
+        visited.append(q)
+        return None, q
+
+    assert fock._walk(15, visit) is None
+    want = [p for p in basis_partitions(15) if all(x % 3 for x in p)]
+    assert sorted(visited) == sorted(want)
+    assert len(visited) == len(set(visited))
+
+
+@pytest.mark.parametrize("mode", ["char", "kernel"])
+def test_qtrace_evaluates_exactly_the_allowed_states(monkeypatch, mode):
+    G = even_twist_group(5)
+    i = 2
+    j = vacuum_energies(G, i).residue
+    pair = {j % 5, -j % 5}
+    allowed = set(range(1, 5)) - pair if mode == "char" else pair
+    seen = []
+    real = fock._diagonal_eigenvalue
+
+    def recording(op, p):
+        seen.append(p)
+        return real(op, p)
+
+    monkeypatch.setattr(fock, "_diagonal_eigenvalue", recording)
+    qtrace(G, i, mode, 12)
+    want = [p for p in basis_partitions(12) if all(x % 5 in allowed for x in p)]
+    # two eigenvalues, L_0 and T_0, per state
+    assert sorted(seen[::2]) == sorted(seen[1::2]) == sorted(want)
+    assert len(seen) == 2 * len(want)
 
 
 def test_partition_weight():
@@ -87,9 +139,9 @@ def test_grading_exactness():
     chi = quad_char(5)
     for n in (-2, -1, 0, 1, 2):
         op = build_L(chi, n)
-        for state in fock_basis(12):
+        for state in basis_partitions(12):
             for out, val in op.column(state).items():
-                assert sum(out) - sum(state) == op.degree_shift
+                assert sum(out) - sum(state) == -op.M
                 assert val
 
 
@@ -104,7 +156,7 @@ def test_build_L_examples():
         warnings.simplefilter("always")
         Lodd = build_L(odd, 1)
     assert caught
-    assert all(not Lodd.column(s) for s in fock_basis(10))
+    assert all(not Lodd.column(s) for s in basis_partitions(10))
     # nonvanishing at 0 mod N is rejected
     bad = PeriodicFn(3, [rat(1), rat(1), rat(1)])
     with pytest.raises(ValueError):
@@ -152,14 +204,14 @@ def _term_product(p, first, second):
 
 def test_commutator_trivial_cases():
     # disjoint single-mode bilinears commute
-    for s in fock_basis(8):
+    for s in basis_partitions(8):
         assert _term_product(s, (1, 0), (2, 0)) == _term_product(s, (2, 0), (1, 0))
     # diagonal twisted zero modes commute
     G = even_twist_group(7)
     LA = build_L(G.elements[0], 0)
     LB = build_L(G.elements[1], 0)
     com = CommutatorOp(LA, LB)
-    for s in fock_basis(10):
+    for s in basis_partitions(10):
         assert com.column(s) == {}
 
 
@@ -173,7 +225,7 @@ def test_commutator_windows_are_prefixes_of_the_cutoff_basis():
     # A window is built up to its budget only; the basis is ordered by
     # degree, so it is the prefix of the degree <= D basis it once was.
     for D in range(31):
-        basis = fock_basis(D)
+        basis = basis_partitions(D)
         degrees = [sum(p) for p in basis]
         for shift in range(D + 1):
             want = basis[:bisect.bisect_right(degrees, D - shift)]

@@ -122,6 +122,37 @@ def test_reduced_theta():
         reduced_theta(rat(5, 2), 3, 5)
 
 
+def _brute_signed_sum(exponent, inside, bound=40):
+    """sum over |m| <= bound of (-1)^m q^exponent(m), zero terms dropped."""
+    coeffs: dict = {}
+    for m in range(-bound, bound + 1):
+        e = exponent(m)
+        if inside(e):
+            coeffs[e] = coeffs.get(e, 0) + (-1) ** (m % 2)
+    return {e: c for e, c in coeffs.items() if c}
+
+
+def test_signed_lattice_sums_match_brute_force():
+    # every exponent grows like m^2, so |m| <= 40 covers each one below the
+    # orders used here (|m| <= 12 reaches 200 for the pentagonal numbers)
+    assert pentagonal_sum(200).coeffs == _brute_signed_sum(
+        lambda m: m * (3 * m + 1) // 2, lambda e: e < 200)
+    for k in (1, 2, 3):
+        N = 2 * k + 1
+        for j in range(1, k + 1):
+            _, rhs = specialize_314(k, j, 60)
+            assert rhs.coeffs == _brute_signed_sum(
+                lambda m: N * m * (m + 1) // 2 - j * m, lambda e: 0 <= e < 60), (k, j)
+    cases = [(rat(1, 3), 3)] + [(rat(p, N), N) for N in (5, 7) for p in range(1, 2 * N)]
+    for eps, M in cases:
+        theta, _ = reduced_theta(eps, M, 30)
+        p, q = eps.numerator, eps.denominator
+        assert theta.denom == 8 * M * q * q
+        assert theta.coeffs == _brute_signed_sum(
+            lambda m: M * M * (2 * m * q + p) ** 2,
+            lambda e: rat(e, theta.denom) < 30), (eps, M)
+
+
 def test_eta_theta_relation():
     assert eta_theta_check(40)
     th, phase = reduced_theta(rat(1, 3), 3, 20)

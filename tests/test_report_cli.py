@@ -147,6 +147,20 @@ def test_cli_fock_and_qseries(capsys):
     assert doc["dimension"] == 2
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["cesaro", "--modulus", "5", "--char", "1"], "6.000300932892e-01+2.000100326057e-01j"),
+    (["cesaro", "--modulus", "5", "--char", "2"], "2.507899884637e-05"),
+    (["cesaro", "--modulus", "5", "--char", "3"], "6.000300932892e-01-2.000100326057e-01j"),
+    (["dirichlet-avg", "--modulus", "5", "--char", "2", "--s", "-1/2"],
+     "-2.366448346711e-01+0.000000000000e+00j"),
+    (["dirichlet-avg", "--modulus", "5", "--char", "3", "--s", "-1/2"],
+     "3.457474051068e-01-1.320870291754e-01j"),
+])
+def test_cli_numeric_values_use_the_report_number_format(capsys, argv, value):
+    assert cli.dispatch(argv + ["--terms", "20000"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == value
+
+
 def test_cli_dirichlet_avg_negative_rational(capsys):
     base = ["dirichlet-avg", "--modulus", "5", "--char", "2", "--terms", "20000"]
     joined = cli.dispatch(base + ["--s=-1/2"])
@@ -222,15 +236,6 @@ def test_cli_fock_small_cutoff_skips(capsys):
     assert code == 0  # window problems skip with a reason, they do not fail
     doc = json.loads(capsys.readouterr().out)
     assert any(r["status"] == "skip" and r["witness"] for r in doc["rows"])
-
-
-def test_build_L_cutoff_guard():
-    from ltwist.characters import dirichlet_characters
-    from ltwist.fock import build_L
-
-    chi = dirichlet_characters(5)[2]
-    with pytest.raises(ValueError, match="cutoff too small"):
-        build_L(chi, 2, D=8)
 
 
 def test_cli_report(tmp_path, capsys, monkeypatch):

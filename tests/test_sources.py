@@ -16,3 +16,51 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _definitions(tree: ast.Module):
+    """Names of the module's top-level functions and classes and of their
+    classes' methods, dunder methods excepted."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item.name
+
+
+def _identifiers(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+            if node.asname:
+                yield node.asname
+
+
+def test_every_definition_is_used_by_name():
+    # A helper that a fold leaves behind with no caller is dead code; a
+    # definition counts as used when its name occurs as an identifier in the
+    # package, the tests or perfbench, or in pyproject.toml.
+    root = Path(__file__).resolve().parent.parent
+    package = sorted(Path(ltwist.__file__).parent.glob("*.py"))
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+    }
+    used = {name for tree in trees.values() for name in _identifiers(tree)}
+    pyproject = (root / "pyproject.toml").read_text()
+    unused = [
+        f"{path.name}:{name}"
+        for path in package
+        for name in _definitions(ast.parse(path.read_text(), str(path)))
+        if name not in used and name not in pyproject
+    ]
+    assert unused == []
