@@ -288,16 +288,18 @@ def dirichlet_characters(N: int) -> list[PeriodicFn]:
 
     Characters vanish on non-units; values lie in Q(zeta_e) for the unit
     group exponent e.  Ordering is deterministic: lexicographic in the
-    exponent tuple on a fixed generator list.
+    exponent tuple on a fixed generator list, built once per generator list.
     """
     if N < 1:
         raise ValueError("modulus must be positive")
-    if N == 1:
-        return [PeriodicFn(1, [rat(1)])]
-    gens = _unit_group_generators(N)
+    return list(_character_table(N, tuple(_unit_group_generators(N))))
+
+
+@lru_cache(maxsize=None)
+def _character_table(N: int, gens: tuple) -> tuple:
     orders = [d for _, d in gens]
     # discrete logarithms of every unit on the generator list
-    dlog = {1: tuple(0 for _ in gens)}
+    dlog = {1 % N: tuple(0 for _ in gens)}  # 1 is 0 mod 1
     for idx, (g, d) in enumerate(gens):
         new = {}
         for u, exps in dlog.items():
@@ -327,7 +329,7 @@ def dirichlet_characters(N: int) -> list[PeriodicFn]:
                     val = val * table[s]
             values.append(val)
         chars.append(PeriodicFn(N, values))
-    return chars
+    return tuple(chars)
 
 
 @lru_cache(maxsize=None)
@@ -359,17 +361,21 @@ class TwistGroup:
     Construction verifies the group laws on the element table: closure,
     identity behaviour, inverses, associativity of the index table, evenness
     of every element, and mean zero for every non-identity element.  The
-    identity must take values in {0, 1} and vanish at 0 mod N.
+    identity must take values in {0, 1} and vanish at 0 mod N.  Immutable.
     """
 
     def __init__(self, period: int, elements: Sequence[PeriodicFn]):
         if not elements:
             raise ValueError("a twist group needs at least one element")
-        elements = [e if e.period == period else e.lift(period) for e in elements]
-        self.period = period
-        self.elements = list(elements)
-        self.identity = self._find_identity()
-        self._table = self._verify()
+        init = super().__setattr__
+        init("period", period)
+        init("elements", tuple(e if e.period == period else e.lift(period) for e in elements))
+        init("identity", self._find_identity())
+        init("_table", tuple(map(tuple, self._verify())))
+        init("_fingerprint", (period,) + tuple(e.fingerprint() for e in self.elements))
+
+    def __setattr__(self, *a):
+        raise AttributeError("TwistGroup is immutable")
 
     def _find_identity(self) -> int:
         for i, e in enumerate(self.elements):
@@ -408,11 +414,7 @@ class TwistGroup:
         return len(self.elements)
 
     def fingerprint(self) -> tuple:
-        fp = getattr(self, "_fingerprint", None)
-        if fp is None:
-            fp = (self.period,) + tuple(e.fingerprint() for e in self.elements)
-            self._fingerprint = fp
-        return fp
+        return self._fingerprint
 
     def product_index(self, i: int, j: int) -> int:
         return self._table[i][j]
@@ -441,6 +443,7 @@ class TwistGroup:
             return False
 
 
+@lru_cache(maxsize=None)
 def even_twist_group(N: int) -> TwistGroup:
     """The order-(N-1)/2 cyclic twist group of period N, N odd and >= 3.
 
@@ -456,6 +459,7 @@ def even_twist_group(N: int) -> TwistGroup:
     return folded_power_family(N)
 
 
+@lru_cache(maxsize=None)
 def folded_power_family(N: int) -> TwistGroup:
     """Group {f_s} of period N: f_s(u) = theta^{su} for 1 <= u <= k,
     f_s(N-u) = f_s(u), f_s(N) = 0, with theta a primitive k-th root of

@@ -186,8 +186,7 @@ def cmd_fock_qtrace(args) -> int:
 
 
 def cmd_qseries_verify(args) -> int:
-    from ltwist import fock, qseries
-    from ltwist.characters import even_twist_group
+    from ltwist import qseries
 
     ident = args.identity
     order = args.order
@@ -208,6 +207,9 @@ def cmd_qseries_verify(args) -> int:
     elif ident == "312":
         ok = qseries.eta_theta_check(order)
     elif ident == "char-cross":
+        from ltwist import fock
+        from ltwist.characters import even_twist_group
+
         G = even_twist_group(2 * args.k + 1)
         for i in range(1, args.k + 1):
             energy = fock.vacuum_energies(G, i)

@@ -29,7 +29,8 @@ certified row skips exactly where the sweep's tightest window is empty.
 The transpose identity is certified the same way: a_x^dagger = a_{-x}
 sends the form at shift M to shift -M with s^dagger(x) = conj(s(x - M))
 (`_adjoint`), and the norm `partition_weight` is checked on the states by
-<0|0> = 1 and <q|q> = v <q[1:]|q[1:]> where a_{q[0]}|q> = v|q[1:]>.
+<0|0> = 1 and <q|q> = v <q[1:]|q[1:]> where a_{q[0]}|q> = v|q[1:]>; the
+columns it checks are the P_n^(r)'s, as L_n^f = sum_r f(r) P_n^(r).
 
 There is one bilinear operator, `BilinearOp`, with no mode scale.  The
 mode-scaled operators (1/l) tau_l(L_n^chi) of the paper are `build_L` of
@@ -45,7 +46,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 from ltwist.characters import PeriodicFn, TwistGroup, even_twist_group, pf_mul
@@ -824,7 +825,7 @@ def build_T(G: TwistGroup, i: int, n: int, shifted: bool = True) -> Operator:
     return op
 
 
-@dataclass
+@dataclass(frozen=True)
 class VacuumEnergy:
     """Vacuum shifts of a twist component: c for the component's zero mode,
     d for the grading operator on the component's vacuum."""
@@ -842,9 +843,7 @@ class VacuumEnergy:
         return self.c == c_closed and self.d == d_closed
 
 
-_ENERGY_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def vacuum_energies(G: TwistGroup, i: int) -> VacuumEnergy:
     """Exact vacuum shifts c_i = (1/2k) sum_s omega^{is} L(-1, g^s) and
     d_i = (1/2) L(-1, identity) - c_i for a cyclic twist group.
@@ -852,11 +851,8 @@ def vacuum_energies(G: TwistGroup, i: int) -> VacuumEnergy:
     For the standard families (even characters mod an odd prime, folded
     power family) the closed forms c_i = j(N-j)/(2N) - N/12 and
     d_i = (N-2j)^2/(8N) - 1/24 are checked exactly; a mismatch raises.
+    Computed once per group and index.
     """
-    cache_key = (G.fingerprint(), i)
-    hit = _ENERGY_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
     if not G.is_cyclic:
         raise ValueError("vacuum energies need a cyclic twist group")
     N = G.period
@@ -871,7 +867,6 @@ def vacuum_energies(G: TwistGroup, i: int) -> VacuumEnergy:
         raise ArithmeticError(
             f"closed-form vacuum shifts fail for i={i}: c={c}, d={d}"
         )
-    _ENERGY_CACHE[cache_key] = energy
     return energy
 
 
@@ -1316,15 +1311,41 @@ def verify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
 def certify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
     """The identity of `verify_transpose_symmetry`, A = L_n^chi having the
     adjoint B = L_{-n}^{chibar}, by normal-ordering forms on the whole Fock
-    space and the columns of A on the sweep's window; the count is the
-    sweep's, their nonzero entries.  B is the A of (chibar, -n) and the norm
-    is `weight_mismatch`'s, so a row closed under conjugation checks both."""
-    _window_budget(D, n * chi.period)
+    space and the columns of the P_n^(r), A = sum_r chi(r) P_n^(r), on the
+    sweep's window; the count is the sweep's, A's nonzero entries.  A move
+    keeps its residue pair, so for n != 0 the P_n^(r) with chi(r) != 0 add
+    theirs; for n = 0 they are the states where sum_r chi(r) <q|P_0^(r)|q>
+    != 0.  B is the A of (chibar, -n) and the norm is `weight_mismatch`'s,
+    so a row closed under conjugation checks both.  A chi that is not a pair
+    combination raises ValueError."""
+    N, coeffs = chi.period, _pair_coefficients(chi)
+    top = _window_budget(D, n * N)
+    if coeffs is None:
+        raise ValueError("twist function is not a combination of residue pairs")
     A = build_L(chi, n)
-    witness = (_mismatch(_adjoint(_form(A)), _form(build_L(chi.conj(), -n)))
-               or _check_representation(A, D))
-    cases = 0 if witness else sum(A._entries[:D - abs(A.M) + 1])
-    return VerifyResult(witness is None, cases, witness)
+    witness = _mismatch(_adjoint(_form(A)), _form(build_L(chi.conj(), -n)))
+    res = _with_representation(VerifyResult(witness is None, 0, witness), N, D, (n,))
+    if not res.passed:
+        return res
+    pairs = [build_L(pair_indicator(N, r), n) for r in _pair_residues(N)]
+    if n:
+        return VerifyResult(True, sum(sum(P._entries[:top + 1])
+                                      for P, c in zip(pairs, coeffs) if c), None)
+    # the diagonal values by col(q) = col(q[1:]) + u s(-u), certified above
+    tables = [P._table.elements(cyclo_ring(1)) for P in pairs]
+    steps = [tuple(u * (t[u % N] + t[-u % N]) for t in tables) for u in range(top + 1)]
+    counts: dict = {}
+
+    def visit(q: Partition, degree: int, parent: Optional[tuple]) -> tuple:
+        vec = tuple(map(operator.add, parent, steps[q[0]])) if q else steps[0]
+        counts[vec] = counts.get(vec, 0) + 1
+        return None, vec
+
+    _walk(top, visit)
+    ring = cyclo_ring(A.order)
+    x = [A._table.elements(ring)[r] for r in _pair_residues(N)]  # chi(r) times a den
+    return VerifyResult(True, sum(k for vec, k in counts.items() if not ring.is_zero(
+        reduce(ring.add, map(ring.smul, x, vec)))), None)
 
 
 def weight_mismatch(D: int) -> Optional[tuple]:

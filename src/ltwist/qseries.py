@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Union
 
 from ltwist.exactnum import CycloNum, Scalar, rat, scalar_str, zeta
@@ -229,8 +230,9 @@ class PuiseuxSeries:
             acc = mpmath.mpf(0)
             last = 0
             wpow = mpmath.mpf(1)
+            power = lru_cache(maxsize=None)(lambda e: mpmath.power(w, e))  # once per step
             for k in sorted(self.coeffs):
-                wpow = wpow * mpmath.power(w, k - last)
+                wpow = wpow * power(k - last)
                 last = k
                 c = self.coeffs[k]
                 if isinstance(c, CycloNum):

@@ -236,3 +236,30 @@ def test_dirichlet_characters_raise_when_a_generator_is_missing(monkeypatch):
     monkeypatch.setattr(characters, "_unit_group_generators", lambda N: real(N)[:-1])
     with pytest.raises(ArithmeticError):
         characters.dirichlet_characters(8)
+
+
+def test_shared_twist_groups_cannot_be_corrupted():
+    # even_twist_group and folded_power_family are built once per process,
+    # so every caller holds the same group: it must refuse to change.
+    G = even_twist_group(7)
+    assert G is even_twist_group(7)
+    assert folded_power_family(9) is folded_power_family(9) is even_twist_group(9)
+    with pytest.raises(AttributeError):
+        G.identity = 1
+    with pytest.raises(AttributeError):
+        G.elements = G.elements[:1]
+    with pytest.raises(TypeError):
+        G.elements[0] = G.elements[1]
+    with pytest.raises(TypeError):
+        G._table[0] = G._table[1]
+    with pytest.raises(TypeError):
+        G._table[0][0] = 1
+    assert G.fingerprint() == (7,) + tuple(e.fingerprint() for e in G.elements)
+
+
+def test_character_lists_are_fresh_copies_of_one_table():
+    first = dirichlet_characters(12)
+    second = dirichlet_characters(12)
+    assert first == second and first is not second
+    first.clear()
+    assert dirichlet_characters(12) == second and len(second) == euler_phi(12)

@@ -746,6 +746,64 @@ def test_transpose_row_turns_red_with_the_sweep(monkeypatch, mutation):
         assert "'table'" in row.witness
 
 
+def test_transpose_row_builds_no_column_after_the_pair_checks(monkeypatch):
+    # fock:mode-bracket:7 checks every P_n^(r), |n| <= 2, at cutoff 30, so
+    # the transpose row at cutoff 24 reads their entry counts and builds no
+    # column of its own.
+    rows = {c.id: c for c in build_registry(RunConfig())}
+    assert _run_check(rows["fock:mode-bracket:7"], RunConfig()).status == "pass"
+    log: list = []
+    real = BilinearOp._icolumn
+
+    def recording(op, p, ring):
+        log.append((op, p))
+        return real(op, p, ring)
+
+    monkeypatch.setattr(BilinearOp, "_icolumn", recording)
+    row = _run_check(rows["fock:transpose"], RunConfig())
+    assert row.status == "pass" and row.value == "47970 matrix entries"
+    assert log == []
+
+
+def test_energy_row_is_stable_on_the_shared_groups():
+    row = next(c for c in build_registry(RunConfig()) if c.id == "fock:energy:13")
+    first, second = (_run_check(row, RunConfig()) for _ in range(2))
+    assert first.status == second.status == "pass"
+    assert first.value == second.value
+
+
+# -- the oscillator modes ---------------------------------------------------------
+
+
+def _heisenberg_mismatch(window):
+    """First (j, k, witness) where [a_j, a_k] != j delta_{j+k,0} on the
+    window, |j|, |k| <= 8, or None."""
+    for j in range(-8, 9):
+        for k in range(-8, 9):
+            lhs = CommutatorOp(ModeOp(j), ModeOp(k))
+            bad = lhs.matrix_equal(ScalarOp(rat(j if j + k == 0 else 0)), window)
+            if bad is not None:
+                return j, k, bad
+    return None
+
+
+def test_mode_columns_satisfy_the_heisenberg_relation(monkeypatch):
+    # The representation check takes the ModeOp columns as given; this
+    # ties them to [a_j, a_k] = j delta_{j+k,0} on every state of degree
+    # <= 20, and shows that a_k without its multiplicity factor fails it.
+    window = basis_partitions(20)
+    assert _heisenberg_mismatch(window) is None
+    real = ModeOp.icolumn
+
+    def without_multiplicity(self, p, ring):
+        col = real(self, p, ring)
+        return {t: ring.from_int(self.k) for t in col} if self.k > 0 else col
+
+    monkeypatch.setattr(ModeOp, "icolumn", without_multiplicity)
+    bad = _heisenberg_mismatch(window)
+    assert bad is not None and bad[0] == -bad[1]
+
+
 # -- mode-scaled operators --------------------------------------------------------
 
 
