@@ -1343,9 +1343,9 @@ def certify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
 
     _walk(top, visit)
     ring = cyclo_ring(A.order)
-    x = [A._table.elements(ring)[r] for r in _pair_residues(N)]  # chi(r) times a den
+    x = [A._table.elements(ring)[r] for r in _pair_residues(N)]  # chi(r) times A's den
     return VerifyResult(True, sum(k for vec, k in counts.items() if not ring.is_zero(
-        reduce(ring.add, map(ring.smul, x, vec)))), None)
+        reduce(ring.add, map(ring.smul, x, vec), ring.zero))), None)
 
 
 def weight_mismatch(D: int) -> Optional[tuple]:

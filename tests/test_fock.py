@@ -765,6 +765,12 @@ def test_transpose_row_builds_no_column_after_the_pair_checks(monkeypatch):
     assert log == []
 
 
+def test_transpose_certificate_refuses_a_twist_off_the_pair_basis():
+    # Not even: no sum_r f(r) 1_r equals it, so no pair check can stand in.
+    with pytest.raises(ValueError, match="residue pairs"):
+        fock.certify_transpose_symmetry(PeriodicFn(3, [rat(1), rat(2), rat(0)]), 1, 10)
+
+
 def test_energy_row_is_stable_on_the_shared_groups():
     row = next(c for c in build_registry(RunConfig()) if c.id == "fock:energy:13")
     first, second = (_run_check(row, RunConfig()) for _ in range(2))
