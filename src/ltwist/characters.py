@@ -8,9 +8,10 @@ they drive the twisted oscillator operators.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ltwist.exactnum import (
     CYCLO_ONE,
@@ -90,7 +91,7 @@ class PeriodicFn:
         """Vanishes exactly off the units mod N, is 1 at 1, multiplicative."""
         if "dirichlet" not in self._flags:
             N = self.period
-            ok = self(1) == 1 if N >= 1 else False
+            ok = self(1) == 1
             if ok:
                 for a in range(N):
                     unit = math.gcd(a, N) == 1
@@ -315,7 +316,7 @@ def _character_table(N: int, gens: tuple) -> tuple:
 
     powers = [_root_powers(d) for d in orders]
     chars = []
-    for exps in _exponent_tuples(orders):
+    for exps in itertools.product(*(range(d) for d in orders)):
         values = []
         for k in range(1, N + 1):
             r = k % N
@@ -340,15 +341,6 @@ def _root_powers(d: int) -> tuple:
     for _ in range(1, d):
         powers.append(powers[-1] * root)
     return tuple(powers)
-
-
-def _exponent_tuples(orders: list[int]) -> Iterable[tuple[int, ...]]:
-    if not orders:
-        yield ()
-        return
-    from itertools import product
-
-    yield from product(*(range(d) for d in orders))
 
 
 # ---------------------------------------------------------------------------

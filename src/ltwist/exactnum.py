@@ -9,7 +9,9 @@ zero divisors.  The three compose with Python's own operators: `+`, `-`,
 result is a `Rat` when both sides are rational and a `CycloNum` as soon as
 one side is, and `not x` is the zero test for every scalar.  A cyclotomic
 element holds integer numerators over one denominator, and its arithmetic
-runs on Python ints with the Z[zeta_m] operations that `cycloring` shares.
+runs on Python ints in the ring Z[zeta_m] (`CycloRing`, one per order from
+`cyclo_ring`), the same ring the exact operator sweeps hold their columns in;
+`scalar_parts` gives any scalar as integer numerators over one denominator.
 A controlled-precision complex embedding is provided for the few numeric
 checks.
 """
@@ -17,6 +19,7 @@ checks.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -197,27 +200,43 @@ def _apply_rows(vec, rows) -> tuple:
 _STRAIGHT_LINE_MAX_PHI = 16
 
 
-@lru_cache(maxsize=None)
-def _tuple_ops(m: int) -> dict:
-    """add, sub, neg, smul, mul, conj and from_int on integer phi(m)-tuples.
+class CycloRing:
+    """Z[zeta_m] on integer coefficient tuples over the power basis.
 
-    These are the power-basis coordinates of Z[zeta_m], phi(m) > 1.  The
-    product's coefficients are read off the integer reduction rows once, so
-    a multiply is a single expression with no loops; this is several times
-    faster than looping over the coefficient vectors.
+    `CycloNum` computes on its numerators here, and the exact operator sweeps
+    hold their column entries here: algebraic integers with the rational
+    factor kept outside, so no scalar-type dispatch is met per entry.  When
+    phi(m) = 1 the elements are plain ints and the operations the int
+    builtins; otherwise they are generated for m, the product one expression
+    read off the reduction rows, several times faster than a loop.  Get
+    instances from `cyclo_ring`.
     """
-    phi = euler_phi(m)
-    conj_rows = tuple(_power_image(-i % m, m) for i in range(phi))  # zeta^i -> zeta^-i
-    a = ", ".join(f"a{i}" for i in range(phi))
-    b = ", ".join(f"b{i}" for i in range(phi))
 
-    def each(expr: str) -> str:
-        return "(" + ", ".join(expr.format(i=i) for i in range(phi)) + ",)"
+    def __init__(self, m: int):
+        self.order = m
+        self.phi = phi = euler_phi(m)
+        if phi == 1:
+            self.zero, self.one = 0, 1
+            self.add, self.sub, self.neg = operator.add, operator.sub, operator.neg
+            self.mul = self.smul = operator.mul
+            self.from_int = int
+            self.is_zero = operator.not_
+            self.conj = _same
+            return
+        self.zero = (0,) * phi
+        self.one = (1,) + self.zero[1:]
+        self.is_zero = _all_zero
+        conj_rows = tuple(_power_image(-i % m, m) for i in range(phi))  # zeta^i -> zeta^-i
+        a = ", ".join(f"a{i}" for i in range(phi))
+        b = ", ".join(f"b{i}" for i in range(phi))
 
-    def sums(terms: list[list[str]]) -> str:
-        return "(" + ", ".join(_sum_of(t) for t in terms) + ",)"
+        def each(expr: str) -> str:
+            return "(" + ", ".join(expr.format(i=i) for i in range(phi)) + ",)"
 
-    src = f"""
+        def sums(terms: list[list[str]]) -> str:
+            return "(" + ", ".join(_sum_of(t) for t in terms) + ",)"
+
+        src = f"""
 def add(a, b):
     {a}, = a
     {b}, = b
@@ -235,19 +254,19 @@ def smul(a, n):
 def from_int(n):
     return (n,{" 0," * (phi - 1)})
 """
-    namespace: dict = {}
-    if phi <= _STRAIGHT_LINE_MAX_PHI:
-        images = [_power_image(t, m) for t in range(2 * phi - 1)]
-        mul_terms = [
-            [_term(images[i + j][k], f"a{i}*b{j}")
-             for i in range(phi) for j in range(phi) if images[i + j][k]]
-            for k in range(phi)
-        ]
-        conj_terms = [
-            [_term(row[k], f"a{i}") for i, row in enumerate(conj_rows) if row[k]]
-            for k in range(phi)
-        ]
-        src += f"""
+        namespace: dict = {}
+        if phi <= _STRAIGHT_LINE_MAX_PHI:
+            images = [_power_image(t, m) for t in range(2 * phi - 1)]
+            mul_terms = [
+                [_term(images[i + j][k], f"a{i}*b{j}")
+                 for i in range(phi) for j in range(phi) if images[i + j][k]]
+                for k in range(phi)
+            ]
+            conj_terms = [
+                [_term(row[k], f"a{i}") for i, row in enumerate(conj_rows) if row[k]]
+                for k in range(phi)
+            ]
+            src += f"""
 def mul(a, b):
     {a}, = a
     {b}, = b
@@ -256,21 +275,50 @@ def conj(a):
     {a}, = a
     return {sums(conj_terms)}
 """
-    else:
+        else:
 
-        def mul(a, b):
-            prod = [0] * (2 * phi - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        if y:
-                            prod[i + j] += x * y
-            return tuple(_reduce_vec(prod, m))
+            def mul(a, b):
+                prod = [0] * (2 * phi - 1)
+                for i, x in enumerate(a):
+                    if x:
+                        for j, y in enumerate(b):
+                            if y:
+                                prod[i + j] += x * y
+                return tuple(_reduce_vec(prod, m))
 
-        namespace["mul"] = mul
-        namespace["conj"] = lambda a: _apply_rows(a, conj_rows)
-    exec(src, namespace)
-    return namespace
+            namespace["mul"] = mul
+            namespace["conj"] = lambda a: _apply_rows(a, conj_rows)
+        exec(src, namespace)
+        for name in ("add", "sub", "neg", "mul", "smul", "from_int", "conj"):
+            setattr(self, name, namespace[name])
+
+    # boundary with the scalar domain
+
+    def from_scalar(self, x) -> tuple:
+        """(element, den) with x = element / den and den > 0 minimal."""
+        order, num, den = scalar_parts(x)
+        num = _lift(num, order, self.order)
+        return (num[0] if self.phi == 1 else num), den
+
+    def to_scalar(self, a, scale):
+        """The scalar `scale * a` (a Rat when phi(m) = 1, else a CycloNum)."""
+        if self.phi == 1:
+            return scale * a
+        p, q = int(scale.numerator), int(scale.denominator)
+        return CycloNum._make(self.order, [p * c for c in a], q)
+
+
+@lru_cache(maxsize=None)
+def cyclo_ring(m: int) -> CycloRing:
+    return CycloRing(m)
+
+
+def _all_zero(a) -> bool:
+    return not any(a)
+
+
+def _same(a):
+    return a
 
 
 def _term(r: int, product: str) -> str:
@@ -320,8 +368,7 @@ class CycloNum:
 
     @staticmethod
     def from_rat(x) -> "CycloNum":
-        x = rat(x)
-        return _exact(1, (int(x.numerator),), int(x.denominator))
+        return _exact(*scalar_parts(rat(x)))
 
     @staticmethod
     def zeta(m: int) -> "CycloNum":
@@ -340,11 +387,6 @@ class CycloNum:
         """The power-basis coefficients as `Rat`s."""
         den = self.den
         return tuple(rat(c, den) for c in self.num)
-
-    def promote(self, big: int) -> tuple:
-        """The numerator tuple on the power basis of Q(zeta_big), order | big;
-        the denominator stays `den`."""
-        return _lift(self.num, self.order, big)
 
     def _aligned(self, other: "CycloNum") -> tuple:
         """(order, a, b): both numerator tuples on one power basis."""
@@ -372,7 +414,7 @@ class CycloNum:
         m = self.order
         if m == 1:
             return self
-        return _exact(m, _tuple_ops(m)["conj"](self.num), self.den)
+        return _exact(m, cyclo_ring(m).conj(self.num), self.den)
 
     def galois(self, t: int) -> "CycloNum":
         """The automorphism zeta -> zeta^t, gcd(t, order) = 1."""
@@ -395,7 +437,7 @@ class CycloNum:
             if da == db:
                 if m == 1:
                     return CycloNum._make(1, (a[0] + b[0],), da)
-                return CycloNum._make(m, _tuple_ops(m)["add"](a, b), da)
+                return CycloNum._make(m, cyclo_ring(m).add(a, b), da)
             g = math.gcd(da, db)
             fa, fb = db // g, da // g
             return CycloNum._make(m, [x * fa + y * fb for x, y in zip(a, b)], da * fa)
@@ -426,7 +468,7 @@ class CycloNum:
             den = self.den * other.den
             if m == 1:
                 return CycloNum._make(1, (a[0] * b[0],), den)
-            return CycloNum._make(m, _tuple_ops(m)["mul"](a, b), den)
+            return CycloNum._make(m, cyclo_ring(m).mul(a, b), den)
         if isinstance(other, RAT_TYPES):
             p = int(other.numerator)
             if not p:
@@ -538,6 +580,15 @@ def _lift(num: tuple, m: int, big: int) -> tuple:
     if m == 1:
         return (num[0],) + (0,) * (euler_phi(big) - 1)
     return _apply_rows(num, _promotion_table(m, big))
+
+
+def scalar_parts(x) -> tuple:
+    """(order, integer numerators, den) of an int, a `Rat` or a `CycloNum`:
+    x = sum_i num[i] zeta_order^i / den with den > 0 minimal."""
+    if isinstance(x, CycloNum):
+        return x.order, x.num, x.den
+    x = rat(x)
+    return 1, (int(x.numerator),), int(x.denominator)
 
 
 def linear_form(values, weights, den: int = 1):

@@ -50,8 +50,9 @@ from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 from ltwist.characters import PeriodicFn, TwistGroup, even_twist_group, pf_mul
-from ltwist.cycloring import CycloRing, cyclo_ring, scalar_den, scalar_order
-from ltwist.exactnum import CycloNum, Scalar, is_rational, rat, zeta
+from ltwist.exactnum import (
+    CycloNum, CycloRing, Scalar, cyclo_ring, is_rational, rat, scalar_parts, zeta,
+)
 from ltwist.lvalues import _l_minus_one_form, l_minus_one
 
 MAX_BASIS_DEGREE = 60
@@ -270,8 +271,9 @@ class _OverDenominator:
     """
 
     def __init__(self, values: list):
-        self.order = math.lcm(1, *(scalar_order(v) for v in values))
-        self.den = math.lcm(1, *(scalar_den(v) for v in values))
+        parts = [scalar_parts(v) for v in values]
+        self.order = math.lcm(1, *(order for order, _, _ in parts))
+        self.den = math.lcm(1, *(den for _, _, den in parts))
         self._values = values
         self._by_ring: dict = {}
 
@@ -1327,12 +1329,22 @@ def certify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
     res = _with_representation(VerifyResult(witness is None, 0, witness), N, D, (n,))
     if not res.passed:
         return res
-    pairs = [build_L(pair_indicator(N, r), n) for r in _pair_residues(N)]
     if n:
+        pairs = [build_L(pair_indicator(N, r), n) for r in _pair_residues(N)]
         return VerifyResult(True, sum(sum(P._entries[:top + 1])
                                       for P, c in zip(pairs, coeffs) if c), None)
-    # the diagonal values by col(q) = col(q[1:]) + u s(-u), certified above
-    tables = [P._table.elements(cyclo_ring(1)) for P in pairs]
+    ring = cyclo_ring(A.order)
+    x = [A._table.elements(ring)[r] for r in _pair_residues(N)]  # chi(r) times A's den
+    return VerifyResult(True, sum(k for vec, k in _diagonal_counts(N, top) if not ring.is_zero(
+        reduce(ring.add, map(ring.smul, x, vec), ring.zero))), None)
+
+
+@lru_cache(maxsize=None)
+def _diagonal_counts(N: int, top: int) -> tuple:
+    """The vectors (<q|P_0^(r)|q>)_r of the states q of degree <= top, by
+    col(q) = col(q[1:]) + u s(-u), each with how many q share it."""
+    tables = [build_L(pair_indicator(N, r), 0)._table.elements(cyclo_ring(1))
+              for r in _pair_residues(N)]
     steps = [tuple(u * (t[u % N] + t[-u % N]) for t in tables) for u in range(top + 1)]
     counts: dict = {}
 
@@ -1342,10 +1354,7 @@ def certify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
         return None, vec
 
     _walk(top, visit)
-    ring = cyclo_ring(A.order)
-    x = [A._table.elements(ring)[r] for r in _pair_residues(N)]  # chi(r) times A's den
-    return VerifyResult(True, sum(k for vec, k in counts.items() if not ring.is_zero(
-        reduce(ring.add, map(ring.smul, x, vec), ring.zero))), None)
+    return tuple(counts.items())
 
 
 def weight_mismatch(D: int) -> Optional[tuple]:

@@ -48,24 +48,17 @@ def bernoulli_poly(n: int) -> BernPoly:
     return _bernoulli_cached(n)
 
 
-_BERN_CACHE: dict[int, BernPoly] = {}
-
-
+@lru_cache(maxsize=None)
 def _bernoulli_cached(n: int) -> BernPoly:
-    if n in _BERN_CACHE:
-        return _BERN_CACHE[n]
     if n == 0:
-        poly = BernPoly(0, (rat(1),))
-    else:
-        prev = _bernoulli_cached(n - 1)
-        # integrate n * B_{n-1}
-        body = [rat(0)] + [rat(n) * c / (i + 1) for i, c in enumerate(prev.coeffs)]
-        # constant term from sum-normalization: integral over [0,1] vanishes
-        const = -sum((c / (i + 1) for i, c in enumerate(body)), rat(0))
-        body[0] = const
-        poly = BernPoly(n, tuple(body))
-    _BERN_CACHE[n] = poly
-    return poly
+        return BernPoly(0, (rat(1),))
+    prev = _bernoulli_cached(n - 1)
+    # integrate n * B_{n-1}
+    body = [rat(0)] + [rat(n) * c / (i + 1) for i, c in enumerate(prev.coeffs)]
+    # constant term from sum-normalization: integral over [0,1] vanishes
+    const = -sum((c / (i + 1) for i, c in enumerate(body)), rat(0))
+    body[0] = const
+    return BernPoly(n, tuple(body))
 
 
 def bernoulli_number(n: int):

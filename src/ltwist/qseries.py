@@ -11,16 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from ltwist.exactnum import CycloNum, Scalar, rat, scalar_str, zeta
-
-RatLike = Union[int, "Rat"]
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
 
 class PuiseuxSeries:
     """Truncated series sum c_e q^e with exponents e in (1/denom) * Z.
@@ -51,7 +44,7 @@ class PuiseuxSeries:
         e = rat(exponent)
         d = denom if denom is not None else int(e.denominator)
         if (e * d).denominator != 1:
-            d = _lcm(d, int(e.denominator))
+            d = math.lcm(d, int(e.denominator))
         key = int(e * d)
         if order is None:
             raise ValueError("monomial needs an explicit order")
@@ -82,7 +75,7 @@ class PuiseuxSeries:
         )
 
     def _aligned(self, other: "PuiseuxSeries"):
-        d = _lcm(self.denom, other.denom)
+        d = math.lcm(self.denom, other.denom)
         return self.rescale(d), other.rescale(d)
 
     def coefficient(self, exponent) -> Scalar:

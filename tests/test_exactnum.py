@@ -178,7 +178,7 @@ def test_immutability():
 
 def test_cyclo_ring_matches_cyclonum():
     # the integer ring of the operator sweeps against the scalar field
-    from ltwist.cycloring import cyclo_ring
+    from ltwist.exactnum import cyclo_ring
 
     rng = random.Random(5)
     for m in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 20):
@@ -205,6 +205,48 @@ def test_cyclo_ring_matches_cyclonum():
     # zeta_3 written in Q(zeta_12)
     x, den = cyclo_ring(12).from_scalar(zeta(3))
     assert den == 1 and cyclo_ring(12).to_scalar(x, rat(1)) == zeta(3)
+
+
+def test_scalar_parts_round_trip():
+    from ltwist.exactnum import scalar_parts
+
+    rng = random.Random(14)
+    values = [0, 7, -3, rat(-5, 6), rat(-1, 12), zeta(3) + zeta(3) ** 2]  # the last is -1
+    for m in range(3, 25):
+        values.append(CycloNum(m, [rat(rng.randint(-6, 6), rng.randint(1, 9))
+                                   for _ in range(euler_phi(m))]))
+    for x in values:
+        order, num, den = scalar_parts(x)
+        assert den > 0 and math.gcd(den, *num) == 1
+        assert all(type(c) is int for c in num + (den,))
+        assert CycloNum(order, [rat(c, den) for c in num]) == x
+    assert scalar_parts(zeta(3) + zeta(3) ** 2) == (1, (-1,), 1)
+
+
+def test_cyclonum_product_runs_in_the_shared_ring(monkeypatch):
+    from ltwist.exactnum import cyclo_ring
+
+    ring = cyclo_ring(5)
+    calls = []
+
+    def counting(a, b, mul=ring.mul):
+        calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(ring, "mul", counting)
+    a, b = 1 + zeta(5), zeta(5) ** 2 - 3
+    assert a * b == zeta(5) ** 3 + zeta(5) ** 2 - 3 * zeta(5) - 3
+    assert (a.num, b.num) in calls
+
+
+def test_fock_columns_use_the_scalar_ring():
+    from ltwist import exactnum, fock
+    from ltwist.characters import PeriodicFn
+
+    assert fock.cyclo_ring is exactnum.cyclo_ring
+    op = fock.build_L(PeriodicFn(5, [zeta(3), 1, 1, zeta(3), 0]), 0)
+    assert op.order == 3 and op.column((2, 1))
+    assert exactnum.cyclo_ring(3) in op._cache
 
 
 def test_reduction_rows_whole_and_immutable():
@@ -336,14 +378,14 @@ def test_large_order_product_deep_in_the_stack():
     # lcm(7, 15, 16) = 1680 has phi = 384.  Above the straight-line bound the
     # product loops; a straight-line product that large fails to compile
     # with RecursionError when built deep in the stack.
-    from ltwist.exactnum import _tuple_ops
+    from ltwist.exactnum import cyclo_ring
 
     import fraction_reference as ref
 
     a = 1 + 2 * zeta(7) - zeta(7) ** 3
     b = zeta(15) ** 2 - 3 * zeta(15) ** 7
     c = 2 - zeta(16) + zeta(16) ** 5
-    _tuple_ops.cache_clear()
+    cyclo_ring.cache_clear()
 
     def deep(k):
         return deep(k - 1) if k else a * b * c

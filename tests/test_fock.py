@@ -15,7 +15,7 @@ from ltwist.characters import (
     pf_mul,
 )
 from ltwist.checks import build_registry
-from ltwist.cycloring import cyclo_ring
+from ltwist.exactnum import cyclo_ring
 from ltwist.exactnum import rat, zeta
 from ltwist import cli, fock, qseries
 from ltwist.fock import (

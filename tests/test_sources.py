@@ -18,23 +18,33 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree: ast.Module):
-    """Names of the module's top-level functions and classes and of their
-    classes' methods, dunder methods excepted."""
+    """Names of the module's top-level functions, classes and assigned names
+    and of their classes' methods, dunders excepted."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not _is_dunder(name.id):
+                        yield name.id
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
-                ):
+                method = isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                if method and not _is_dunder(item.name):
                     yield item.name
 
 
 def _identifiers(tree: ast.AST):
+    # a name's own assignment is not a use of it
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -45,9 +55,10 @@ def _identifiers(tree: ast.AST):
 
 
 def test_every_definition_is_used_by_name():
-    # A helper that a fold leaves behind with no caller is dead code; a
-    # definition counts as used when its name occurs as an identifier in the
-    # package, the tests or perfbench, or in pyproject.toml.
+    # A helper or a module-level name that a fold leaves behind with no
+    # reader is dead code; a definition counts as used when its name is
+    # loaded in the package, the tests or perfbench, or occurs in
+    # pyproject.toml.
     root = Path(__file__).resolve().parent.parent
     package = sorted(Path(ltwist.__file__).parent.glob("*.py"))
     trees = {
