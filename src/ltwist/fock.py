@@ -24,8 +24,12 @@ operator's integer table times its scale is the c of its form, and its
 columns satisfy Q a_{-u} = a_{-u} Q + [Q, a_{-u}] on its window
 (`_check_representation`).  That check walks the states depth-first, builds
 one column per state and keeps none, so its witness is the first bad state
-in depth-first order.  There the cutoff bounds the states checked, and a
-certified row skips exactly where the sweep's tightest window is empty.
+in depth-first order.  Its step [Q, a_{-u}] = u s(-u) a_{M-u} is computed
+once per part size u from the table, independently of the kernel's summed
+coefficients (`BilinearOp._moves`) and creation table
+(`BilinearOp._creations`); on the diagonal a step is one addition.  There
+the cutoff bounds the states checked, and a certified row skips exactly
+where the sweep's tightest window is empty.
 The transpose identity is certified the same way: a_x^dagger = a_{-x}
 sends the form at shift M to shift -M with s^dagger(x) = conj(s(x - M))
 (`_adjoint`), and the norm `partition_weight` is checked on the states by
@@ -311,6 +315,7 @@ class BilinearOp(Operator):
         self._N = N
         self._cache: dict = {}  # ring -> {partition: integer column}
         self._moves_by_ring: dict = {}
+        self._creations_by_ring: dict = {}
         self._verified = -1  # degree up to which _check_representation passed
         self._entries: list = []  # its nonzero column entries per degree
 
@@ -338,13 +343,30 @@ class BilinearOp(Operator):
             self._moves_by_ring[ring] = hit
         return hit
 
+    def _creations(self, ring: CycloRing) -> list:
+        """(a, b, c): the terms j and -M - j, 0 < j < -M, create the parts a
+        and b with summed coefficient c on every state, as they do on the
+        vacuum; the zero sums are dropped."""
+        hit = self._creations_by_ring.get(ring)
+        if hit is None:
+            M, N = self.M, self._N
+            table = self._table.elements(ring)
+            sums: dict = {}
+            for j in range(1, -M):
+                k, t = _term_action((), j, M)
+                c = ring.smul(table[j % N], k)
+                sums[t] = ring.add(sums[t], c) if t in sums else c
+            hit = [(a, b, c) for (a, b), c in sums.items() if not ring.is_zero(c)]
+            self._creations_by_ring[ring] = hit
+        return hit
+
     def _icolumn(self, p: Partition, ring: CycloRing) -> dict:
         # Off the diagonal, one scan of the descending tuple reads each
         # distinct part u with its multiplicity.  Where u - M > 0 the two
         # terms j = u - M and j = -u annihilate one u and create u - M;
         # where it is < 0 (only when M > 0), the term j = u - M annihilates
         # u and then M - u, if that is a part too.  The terms with
-        # 0 < j < -M create two parts on any state.
+        # 0 < j < -M create two parts on any state (`_creations`).
         M, N = self.M, self._N
         moves = self._moves(ring)
         add, smul = ring.add, ring.smul
@@ -358,8 +380,7 @@ class BilinearOp(Operator):
             return {} if acc is None or ring.is_zero(acc) else {p: acc}
         neg = [-x for x in p]  # ascending, for bisect
         out: dict = {}
-        # the terms 0 < j < -M when M < 0, else the annihilations found below
-        pairs = list(range(1, -M))
+        pairs = []  # the double annihilations, found below when M > 0
         n = len(p)
         i = 0
         while i < n:
@@ -381,7 +402,10 @@ class BilinearOp(Operator):
             elif target < 0 and M - u in p:
                 pairs.append(u - M)
             i = k
-        if pairs:
+        if M < 0:
+            for a, b, c in self._creations(ring):
+                out[_add_part(_add_part(p, a), b)] = c
+        elif pairs:
             table = self._table.elements(ring)
             nonzero = self._nonzero
             extra: dict = {}
@@ -637,6 +661,9 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
     sum_{0<j<-M} c(j) a_{-j} a_{j+M}|0>, composed from `ModeOp` columns, and
     for q = (u,) + p with u the largest part, col(q) = a_{-u} col(p) +
     u s(-u) a_{M-u}|p>, which is Q a_{-u} = a_{-u} Q + [Q, a_{-u}].  The
+    steps u s(-u) come from the table, once per part size, not from the
+    kernel's `_moves` or `_creations`; on the diagonal col(q) is
+    {q: col(p)[p] + u s(-u)}, and off it the one term a_{M-u} acts inline.  The
     integer table times `op.scale` must first be prefactor * c, the
     coefficients `_form` certifies, else ("table", r, got, want) names the
     residue r.  The walk (`_walk`) builds one column per state, keeping only
@@ -656,30 +683,38 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
         got, want = ring.to_scalar(table[r], op.scale), op.prefactor * op.coeff(r)
         if got != want:
             return ("table", r, got, want)
-    add, mul, smul, is_zero = ring.add, ring.mul, ring.smul, ring.is_zero
-    s_neg = [add(table[-r % N], table[(r - M) % N]) for r in range(N)]  # s(-u), u = r mod N
+    add, smul, is_zero = ring.add, ring.smul, ring.is_zero
+    # step[u] = u s(-u), the coefficient of [Q, a_{-u}] = u s(-u) a_{M-u}
+    step = [smul(add(table[-u % N], table[(u - M) % N]), u) for u in range(top + 1)]
     entries = [0] * (top + 1)
+    icolumn = op._icolumn
 
     def visit(q: Partition, degree: int, col: Optional[dict]) -> tuple:
         # col is col(q[1:])
-        got = op._icolumn(q, ring)
+        got = icolumn(q, ring)
         entries[degree] += len(got)
         if degree <= done:
             return None, got
-        if q:
+        if q and not M:  # col(p) is {p: e} or {}, and a_{-u}|p> = |q>
+            x = add(col.get(q[1:], ring.zero), step[q[0]])
+            want = {} if is_zero(x) else {q: x}
+        elif q:
             u, p = q[0], q[1:]
             want = {_add_part(t, u): v for t, v in col.items()}  # a_{-u} col(p)
-            c = s_neg[u % N]
-            if not is_zero(c):
-                for t, v in ModeOp(M - u).icolumn(p, ring).items():
-                    x = smul(mul(c, v), u)
-                    old = want.get(t)
-                    if old is not None:
-                        x = add(old, x)
-                    if is_zero(x):
-                        want.pop(t, None)
-                    else:
-                        want[t] = x
+            c, k = step[u], M - u  # plus c a_k|p>
+            if is_zero(c):
+                hit = None
+            else:  # a_k creates with 1 (k < 0) or annihilates with k * mult
+                hit = (1, _add_part(p, -k)) if k < 0 else _remove_part(p, k)
+            if hit is not None:
+                t, x = hit[1], smul(c, hit[0] * max(k, 1))
+                old = want.get(t)
+                if old is not None:
+                    x = add(old, x)
+                if is_zero(x):
+                    want.pop(t, None)
+                else:
+                    want[t] = x
         else:
             acc: dict = {}
             for j in range(1, -M):

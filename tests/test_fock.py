@@ -503,6 +503,38 @@ def test_icolumn_matches_mode_composition(coeff):
                 assert op._icolumn(p, ring) == _mode_reference(op, l, p, ring), (l, M, p)
 
 
+def _term_sum(op, p, ring):
+    """The integer column of `op` on p summed term by term through
+    `_term_action`: only the j with j + M or -j a part of p, or 0 < j < -M,
+    can act on p."""
+    M, N = op.M, op.coeff.period
+    table = op._table.elements(ring)
+    acc = {}
+    for j in sorted({u - M for u in p} | {-u for u in p} | set(range(1, -M))):
+        act = fock._term_action(p, j, M)
+        if act:
+            x = ring.smul(table[j % N], act[0])
+            acc[act[1]] = ring.add(acc[act[1]], x) if act[1] in acc else x
+    return {t: v for t, v in acc.items() if not ring.is_zero(v)}
+
+
+@pytest.mark.parametrize("unit", [rat(0), zeta(3)], ids=["rational", "zeta3"])
+@pytest.mark.parametrize("N", [3, 5, 7])
+def test_icolumn_is_the_term_by_term_sum(N, unit):
+    # The kernel sums the creating terms j and -M - j into one entry of its
+    # creation table (a single term when j = -M - j) and drops zero sums;
+    # here every term acts on its own.  The values 1 and -1 at residues 1
+    # and 2 make some of those sums zero.
+    values = [rat(1) + unit, rat(-1) - unit, rat(3, 2) + unit * unit][:N // 2]
+    coeff = _even_periodic(N, values)
+    states = basis_partitions(14)
+    for M in range(-3 * N, 3 * N + 1):
+        op = BilinearOp(coeff, M, rat(1, 2 * N))
+        ring = cyclo_ring(op.order)
+        for p in states:
+            assert op._icolumn(p, ring) == _term_sum(op, p, ring), (M, p)
+
+
 def _even_periodic(N, values):
     """The even N-periodic function with f(0) = 0 and f(r) = values[r - 1]
     for r = 1..N//2."""
@@ -622,7 +654,8 @@ def _recording(op, log, fault=None):
     return op
 
 
-@pytest.mark.parametrize("N, M, D", [(5, -5, 14), (7, 0, 12), (3, 6, 15), (5, -2, 13)])
+@pytest.mark.parametrize("N, M, D", [(5, -5, 14), (7, 0, 12), (3, 6, 15), (5, -2, 13),
+                                     (7, -21, 30)])
 def test_representation_check_walks_each_window_state_once(N, M, D):
     # The depth-first walk builds one column per state of the window and
     # no other, so it cannot pass by visiting too few states.
@@ -632,7 +665,7 @@ def test_representation_check_walks_each_window_state_once(N, M, D):
     assert sorted(log) == sorted(commutator_window(D, M))
 
 
-@pytest.mark.parametrize("N, M, D", [(5, -5, 14), (7, 0, 12), (3, 6, 15)])
+@pytest.mark.parametrize("N, M, D", [(5, -5, 14), (7, 0, 12), (3, 6, 15), (7, -21, 30)])
 def test_representation_check_names_a_fault_at_the_top_degree(N, M, D):
     top = D - abs(M)
     for fault in [q for q in commutator_window(D, M) if sum(q) == top][::7]:
@@ -656,6 +689,24 @@ def test_representation_check_resumes_above_the_verified_degree(N, M):
         bad = fock._check_representation(op, D2)
         assert bad is not None and bad[0] == fault, (degree, bad)
         assert op._verified == D1 - abs(M)
+
+
+@pytest.mark.parametrize("M", [0, -5, 5])
+def test_representation_check_does_not_take_its_steps_from_the_kernel(monkeypatch, M):
+    # The check computes its steps u s(-u) from the table itself, so a
+    # wrong residue in the kernel's summed coefficients shows on and off
+    # the diagonal; were the two to share `_moves`, it would pass unseen.
+    real = BilinearOp._moves
+
+    def corrupted(self, ring):
+        moves = list(real(self, ring))
+        moves[1] = ring.one if moves[1] is None else ring.add(moves[1], ring.one)
+        return moves
+
+    monkeypatch.setattr(BilinearOp, "_moves", corrupted)
+    bad = fock._check_representation(BilinearOp(pair_indicator(5, 1), M, rat(1, 10)), 12)
+    assert bad is not None and bad[0] != "table"
+    assert any(x % 5 == 1 for x in bad[0]), bad
 
 
 def test_certified_rows_cache_no_columns_and_build_no_basis(monkeypatch):
