@@ -25,11 +25,13 @@ columns satisfy Q a_{-u} = a_{-u} Q + [Q, a_{-u}] on its window
 (`_check_representation`).  That check walks the states depth-first, builds
 one column per state and keeps none, so its witness is the first bad state
 in depth-first order.  Its step [Q, a_{-u}] = u s(-u) a_{M-u} is computed
-once per part size u from the table, independently of the kernel's summed
-coefficients (`BilinearOp._moves`) and creation table
-(`BilinearOp._creations`); on the diagonal a step is one addition.  There
-the cutoff bounds the states checked, and a certified row skips exactly
-where the sweep's tightest window is empty.
+once per part size u from the table, independently of the kernel's per-ring
+record (`BilinearOp._kernels`: summed coefficients, creation table and
+diagonal weights).  On the diagonal (M = 0) the walk carries the scalar
+<q|Q|q>, one addition per state, and one walk checks all the P_0^(r) of a
+modulus (`_check_diagonal`).  There the cutoff bounds the states checked,
+and a certified row skips exactly where the sweep's tightest window is
+empty.
 The transpose identity is certified the same way: a_x^dagger = a_{-x}
 sends the form at shift M to shift -M with s^dagger(x) = conj(s(x - M))
 (`_adjoint`), and the norm `partition_weight` is checked on the states by
@@ -314,8 +316,10 @@ class BilinearOp(Operator):
         self._nonzero = [bool(v) for v in values]
         self._N = N
         self._cache: dict = {}  # ring -> {partition: integer column}
-        self._moves_by_ring: dict = {}
-        self._creations_by_ring: dict = {}
+        # ring -> (`_moves`, `_creations`, weights), weights[u] being the
+        # diagonal u (c(u) + c(-u)) of one part u or None where it is zero,
+        # grown as parts are met
+        self._kernels: dict = {}
         self._verified = -1  # degree up to which _check_representation passed
         self._entries: list = []  # its nonzero column entries per degree
 
@@ -332,33 +336,26 @@ class BilinearOp(Operator):
         """For each residue u mod N, the summed coefficient c(u - M) + c(-u)
         of the two terms that move one part u to u - M, as an element of
         `ring`, or None where it is zero."""
-        hit = self._moves_by_ring.get(ring)
-        if hit is None:
-            M, N = self.M, self._N
-            table = self._table.elements(ring)
-            hit = []
-            for u in range(N):
-                c = ring.add(table[(u - M) % N], table[-u % N])
-                hit.append(None if ring.is_zero(c) else c)
-            self._moves_by_ring[ring] = hit
-        return hit
+        M, N = self.M, self._N
+        table = self._table.elements(ring)
+        moves = []
+        for u in range(N):
+            c = ring.add(table[(u - M) % N], table[-u % N])
+            moves.append(None if ring.is_zero(c) else c)
+        return moves
 
     def _creations(self, ring: CycloRing) -> list:
         """(a, b, c): the terms j and -M - j, 0 < j < -M, create the parts a
         and b with summed coefficient c on every state, as they do on the
         vacuum; the zero sums are dropped."""
-        hit = self._creations_by_ring.get(ring)
-        if hit is None:
-            M, N = self.M, self._N
-            table = self._table.elements(ring)
-            sums: dict = {}
-            for j in range(1, -M):
-                k, t = _term_action((), j, M)
-                c = ring.smul(table[j % N], k)
-                sums[t] = ring.add(sums[t], c) if t in sums else c
-            hit = [(a, b, c) for (a, b), c in sums.items() if not ring.is_zero(c)]
-            self._creations_by_ring[ring] = hit
-        return hit
+        M, N = self.M, self._N
+        table = self._table.elements(ring)
+        sums: dict = {}
+        for j in range(1, -M):
+            k, t = _term_action((), j, M)
+            c = ring.smul(table[j % N], k)
+            sums[t] = ring.add(sums[t], c) if t in sums else c
+        return [(a, b, c) for (a, b), c in sums.items() if not ring.is_zero(c)]
 
     def _icolumn(self, p: Partition, ring: CycloRing) -> dict:
         # Off the diagonal, one scan of the descending tuple reads each
@@ -368,42 +365,52 @@ class BilinearOp(Operator):
         # u and then M - u, if that is a part too.  The terms with
         # 0 < j < -M create two parts on any state (`_creations`).
         M, N = self.M, self._N
-        moves = self._moves(ring)
+        kernel = self._kernels.get(ring)
+        if kernel is None:
+            kernel = self._kernels[ring] = (self._moves(ring), self._creations(ring), [None])
+        moves, creations, weights = kernel
         add, smul = ring.add, ring.smul
-        if not M:  # diagonal: each part u counts u (c(u) + c(-u))
-            acc = None
+        if not M:  # diagonal: the eigenvalue is the sum of the part weights
+            if p and p[0] >= len(weights):
+                for u in range(len(weights), p[0] + 1):
+                    c = moves[u % N]
+                    weights.append(None if c is None else smul(c, u))
+            acc = ring.zero
             for u in p:
-                c = moves[u % N]
-                if c is not None:
-                    x = smul(c, u)
-                    acc = x if acc is None else add(acc, x)
-            return {} if acc is None or ring.is_zero(acc) else {p: acc}
-        neg = [-x for x in p]  # ascending, for bisect
+                w = weights[u]
+                if w is not None:
+                    acc = add(acc, w)
+            return {} if acc == ring.zero else {p: acc}
         out: dict = {}
         pairs = []  # the double annihilations, found below when M > 0
+        neg = None  # p negated, ascending, for bisect
         n = len(p)
-        i = 0
-        while i < n:
-            u = p[i]
-            k = i + 1
-            while k < n and p[k] == u:
-                k += 1
+        prev = 0
+        for i, u in enumerate(p):
+            if u == prev:
+                continue
+            prev = u
             target = u - M
             if target > 0:
                 c = moves[u % N]
-                if c is not None:
-                    if M < 0:
-                        pos = bisect.bisect_left(neg, -target)
-                        newp = p[:pos] + (target,) + p[pos:i] + p[i + 1:]
-                    else:
-                        pos = bisect.bisect_left(neg, -target, k)
-                        newp = p[:i] + p[i + 1:pos] + (target,) + p[pos:]
-                    out[newp] = smul(c, u * (k - i))
+                if c is None:
+                    continue
+                k = i + 1
+                while k < n and p[k] == u:
+                    k += 1
+                if neg is None:
+                    neg = [-x for x in p]
+                if M < 0:
+                    pos = bisect.bisect_left(neg, -target)
+                    newp = p[:pos] + (target,) + p[pos:i] + p[i + 1:]
+                else:
+                    pos = bisect.bisect_left(neg, -target, k)
+                    newp = p[:i] + p[i + 1:pos] + (target,) + p[pos:]
+                out[newp] = smul(c, u * (k - i))
             elif target < 0 and M - u in p:
                 pairs.append(u - M)
-            i = k
         if M < 0:
-            for a, b, c in self._creations(ring):
+            for a, b, c in creations:
                 out[_add_part(_add_part(p, a), b)] = c
         elif pairs:
             table = self._table.elements(ring)
@@ -661,31 +668,33 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
     sum_{0<j<-M} c(j) a_{-j} a_{j+M}|0>, composed from `ModeOp` columns, and
     for q = (u,) + p with u the largest part, col(q) = a_{-u} col(p) +
     u s(-u) a_{M-u}|p>, which is Q a_{-u} = a_{-u} Q + [Q, a_{-u}].  The
-    steps u s(-u) come from the table, once per part size, not from the
-    kernel's `_moves` or `_creations`; on the diagonal col(q) is
-    {q: col(p)[p] + u s(-u)}, and off it the one term a_{M-u} acts inline.  The
-    integer table times `op.scale` must first be prefactor * c, the
-    coefficients `_form` certifies, else ("table", r, got, want) names the
-    residue r.  The walk (`_walk`) builds one column per state, keeping only
-    those on the current path; it reads no basis and caches nothing.  The
-    degree verified is kept on the operator, with the number of nonzero
-    column entries per degree (`op._entries`): a later call walks the states
-    at or below it for their columns but compares only the states above it.
+    steps u s(-u) come from the table, once per part size (`_table_steps`),
+    not from the kernel's record (`BilinearOp._kernels`); a_{-u} re-keys each
+    entry t of col(p) as (u,) + t where u >= t[0], and the one term a_{M-u}
+    acts inline.  On the diagonal (M = 0) `_check_diagonal` walks scalars
+    instead of columns.  The integer table times `op.scale` must first be
+    prefactor * c, the coefficients `_form` certifies, else ("table", r,
+    got, want) names the residue r.  The walk (`_walk`) builds one column
+    per state, keeping only those on the current path; it reads no basis
+    and caches nothing.  The degree verified is kept on the operator, with
+    the number of nonzero column entries per degree (`op._entries`): a
+    later call walks the states at or below it for their columns but
+    compares only the states above it.
     """
-    M, N = op.M, op._N
+    M = op.M
+    if not M:
+        return _check_diagonal([op], D)
+    N = op._N
     top = _window_budget(D, M)
     done = op._verified
     if done >= top:
         return None
     ring = cyclo_ring(op.order)
+    bad, step = _table_steps(op, ring, top)
+    if bad is not None:
+        return bad
     table = op._table.elements(ring)
-    for r in range(N):
-        got, want = ring.to_scalar(table[r], op.scale), op.prefactor * op.coeff(r)
-        if got != want:
-            return ("table", r, got, want)
     add, smul, is_zero = ring.add, ring.smul, ring.is_zero
-    # step[u] = u s(-u), the coefficient of [Q, a_{-u}] = u s(-u) a_{M-u}
-    step = [smul(add(table[-u % N], table[(u - M) % N]), u) for u in range(top + 1)]
     entries = [0] * (top + 1)
     icolumn = op._icolumn
 
@@ -695,12 +704,10 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
         entries[degree] += len(got)
         if degree <= done:
             return None, got
-        if q and not M:  # col(p) is {p: e} or {}, and a_{-u}|p> = |q>
-            x = add(col.get(q[1:], ring.zero), step[q[0]])
-            want = {} if is_zero(x) else {q: x}
-        elif q:
+        if q:
             u, p = q[0], q[1:]
-            want = {_add_part(t, u): v for t, v in col.items()}  # a_{-u} col(p)
+            want = {(u,) + t if not t or t[0] <= u else _add_part(t, u): v
+                    for t, v in col.items()}  # a_{-u} col(p)
             c, k = step[u], M - u  # plus c a_k|p>
             if is_zero(c):
                 hit = None
@@ -722,15 +729,75 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
                 _axpy(acc, table[j % N], pair, ring)
             want = {t: v for t, v in acc.items() if not is_zero(v)}
         if got != want:
-            bad = next(t for t in [*got, *want] if got.get(t) != want.get(t))
-            return (q, bad, ring.to_scalar(got.get(bad, ring.zero), op.scale),
-                    ring.to_scalar(want.get(bad, ring.zero), op.scale)), None
+            return _difference(q, got, want, ring, op.scale), None
         return None, got
 
     bad = _walk(top, visit)
     if bad is None:
         op._verified, op._entries = top, entries
     return bad
+
+
+def _check_diagonal(ops: Sequence[BilinearOp], D: int) -> Optional[tuple]:
+    """`_check_representation` of operators at M = 0, in one walk: the
+    first witness of any of them or None, each marked verified only when
+    the walk passes.  A column is {q: x} or {}, x = <q|Q|q> = <p|Q|p> +
+    u s(-u) for q = (u,) + p, so the walk carries the scalars x and accepts
+    a column that is exactly {q: x} ({} when x = 0) without building the
+    wanted one; any other column is compared with it in full."""
+    top = _window_budget(D, 0)
+    ops = [op for op in ops if op._verified < top]
+    if not ops:
+        return None
+    ring = cyclo_ring(math.lcm(*(op.order for op in ops)))
+    steps = []
+    for op in ops:
+        bad, step = _table_steps(op, ring, top)
+        if bad is not None:
+            return bad
+        steps.append(step)
+    add, zero = ring.add, ring.zero
+    steps = list(zip(*steps))  # steps[u][i] is u s(-u) of ops[i]
+    checks = [(op._icolumn, op._verified, [0] * (top + 1), op.scale) for op in ops]
+
+    def visit(q: Partition, degree: int, xs: Optional[tuple]) -> tuple:
+        xs = tuple(map(add, xs, steps[q[0]])) if q else (zero,) * len(ops)
+        for (icolumn, done, entries, scale), x in zip(checks, xs):
+            got = icolumn(q, ring)
+            entries[degree] += len(got)
+            # compared in full unless got is {q: x}, or {} when x = 0
+            if degree > done and (len(got) != 1 or got.get(q) != x if x != zero else got):
+                return _difference(q, got, {q: x} if x != zero else {}, ring, scale), None
+        return None, xs
+
+    bad = _walk(top, visit)
+    if bad is None:
+        for op, (_, _, entries, _) in zip(ops, checks):
+            op._verified, op._entries = top, entries
+    return bad
+
+
+def _table_steps(op: BilinearOp, ring: CycloRing, top: int) -> tuple:
+    """(witness, steps): ("table", r, got, want) at the first residue r
+    where the integer table of `op` times its scale is not prefactor * c(r),
+    or None; and step[u] = u s(-u), u <= top, the coefficient of
+    [Q, a_{-u}] = u s(-u) a_{M-u}, from that table."""
+    M, N = op.M, op._N
+    table = op._table.elements(ring)
+    for r in range(N):
+        got, want = ring.to_scalar(table[r], op.scale), op.prefactor * op.coeff(r)
+        if got != want:
+            return ("table", r, got, want), None
+    return None, [ring.smul(ring.add(table[-u % N], table[(u - M) % N]), u)
+                  for u in range(top + 1)]
+
+
+def _difference(q: Partition, got: dict, want: dict, ring: CycloRing, scale) -> tuple:
+    """(q, out_state, got, want) at the first key where two unequal columns
+    of the state q differ, with the values as scalars."""
+    bad = next(t for t in [*got, *want] if got.get(t) != want.get(t))
+    return (q, bad, ring.to_scalar(got.get(bad, ring.zero), scale),
+            ring.to_scalar(want.get(bad, ring.zero), scale))
 
 
 # ---------------------------------------------------------------------------
@@ -993,9 +1060,12 @@ def _lemma_2_3_suite(G: TwistGroup, case) -> VerifyResult:
 
 def _with_representation(res: VerifyResult, N: int, D: int, ns) -> VerifyResult:
     """A passing certified suite stays passing when the columns of every
-    P_n^(r) = build_L(1_r, n), n in ns, are the Fock representation."""
+    P_n^(r) = build_L(1_r, n), n in ns, are the Fock representation; the
+    witness names the first failing (r, n) in r-major order."""
     if not res.passed:
         return res
+    if 0 in ns:  # the P_0^(r) in one walk; if it fails, the loop names the witness
+        _check_diagonal([build_L(pair_indicator(N, r), 0) for r in _pair_residues(N)], D)
     for r in _pair_residues(N):
         for n in ns:
             bad = _check_representation(build_L(pair_indicator(N, r), n), D)

@@ -535,6 +535,20 @@ def test_icolumn_is_the_term_by_term_sum(N, unit):
             assert op._icolumn(p, ring) == _term_sum(op, p, ring), (M, p)
 
 
+def test_kernel_records_do_not_leak_between_rings():
+    # One instance asked in Z, Z[zeta_3], Z[zeta_12] and Z again: each ring
+    # reads its own record, so moves, creations or diagonal weights built or
+    # grown in one ring never serve another.
+    coeff = _even_periodic(7, [rat(1), rat(-1, 2), rat(3)])
+    states = basis_partitions(14)
+    for M in (0, -7, 7):
+        op = BilinearOp(coeff, M, rat(1, 14))
+        for m in (1, 3, 12, 1):
+            ring = cyclo_ring(m)
+            for p in states:
+                assert op._icolumn(p, ring) == _term_sum(op, p, ring), (M, m, p)
+
+
 def _even_periodic(N, values):
     """The even N-periodic function with f(0) = 0 and f(r) = values[r - 1]
     for r = 1..N//2."""
@@ -707,6 +721,61 @@ def test_representation_check_does_not_take_its_steps_from_the_kernel(monkeypatc
     bad = fock._check_representation(BilinearOp(pair_indicator(5, 1), M, rat(1, 10)), 12)
     assert bad is not None and bad[0] != "table"
     assert any(x % 5 == 1 for x in bad[0]), bad
+
+
+_DIAGONAL_FAULTS = {  # (q, its true column {q: x} or {}, ring) -> a wrong column
+    "value-under-another-key": lambda q, col, ring: {q + (1,): col[q]},
+    "extra-zero-entry": lambda q, col, ring: {**col, q + (1,): ring.zero},
+    "empty-for-nonzero": lambda q, col, ring: {},
+    "explicit-zero": lambda q, col, ring: {q: ring.zero},
+}
+
+
+@pytest.mark.parametrize("fault", list(_DIAGONAL_FAULTS))
+def test_diagonal_check_names_each_wrong_column_like_the_full_comparison(fault):
+    # The diagonal walk accepts a column only when it is exactly {q: x}, or
+    # {} when x = 0; any other column must give the witness of comparing it
+    # in full with that wanted column, at exactly the faulty state.
+    N, D, ring = 7, 12, cyclo_ring(1)
+    make, real = _DIAGONAL_FAULTS[fault], BilinearOp._icolumn
+    probe = BilinearOp(pair_indicator(N, 1), 0, rat(1, 2 * N))
+    tried = 0
+    for q in commutator_window(D, 0)[::3]:
+        want = real(probe, q, ring)
+        if not want and fault in ("value-under-another-key", "empty-for-nonzero"):
+            continue
+        got = make(q, want, ring)
+        bad = next(t for t in [*got, *want] if got.get(t) != want.get(t))
+        expected = (q, bad, ring.to_scalar(got.get(bad, ring.zero), probe.scale),
+                    ring.to_scalar(want.get(bad, ring.zero), probe.scale))
+        op = BilinearOp(pair_indicator(N, 1), 0, rat(1, 2 * N))
+
+        def icolumn(p, ring, op=op, q=q):
+            col = real(op, p, ring)
+            return make(q, col, ring) if p == q else col
+
+        op._icolumn = icolumn
+        assert fock._check_representation(op, D) == expected, q
+        assert op._verified == -1
+        tried += 1
+    assert tried > 20
+
+
+def test_shared_diagonal_walk_keeps_the_r_major_witness(monkeypatch):
+    # The three P_0^(r) of N = 7 are checked in one walk, which meets the
+    # fault of P_0^(3) first; the r-major loop must still name P_0^(1), and
+    # mark verified exactly the operators before it in r-major order.
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    early, late = (1, 1), (2,)
+    _recording(build_L(pair_indicator(7, 3), 0), [], early)
+    _recording(build_L(pair_indicator(7, 1), 0), [], late)
+    res = fock.certify_theorem_2_4_suite(even_twist_group(7), 28)
+    assert not res.passed
+    assert res.witness[:3] == (("P", 1, 0), late, late)
+    order = [(r, k) for r in (1, 2, 3) for k in range(-4, 5)]
+    for i, (r, k) in enumerate(order):
+        op = build_L(pair_indicator(7, r), k)
+        assert op._verified == (28 - abs(op.M) if i < order.index((1, 0)) else -1), (r, k)
 
 
 def test_certified_rows_cache_no_columns_and_build_no_basis(monkeypatch):
