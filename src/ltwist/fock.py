@@ -6,8 +6,9 @@ coefficient 1 and a_n destroys it with coefficient n * multiplicity, so
 exact column maps: applying one to a basis state is a finite sum.  One
 depth-first walk (`_walk`) enumerates the states, each the child
 (u,) + p of its parent p with u >= p[0]; the sweeps' windows are its states
-sorted by degree (`basis_partitions`), and `qtrace` prunes it at the first
-part outside its residue set.
+sorted by degree (`basis_partitions`).  `_diagonal_counts` prunes it at the
+first part outside a residue set and counts the states by their vector of
+P_0^(r) eigenvalues, which `qtrace` and the transpose n = 0 count weight.
 
 An identity is decided in one of two ways.  The `verify_*` functions sweep
 it: both sides are applied to every state of degree <= D - (the shifts) and
@@ -1440,20 +1441,25 @@ def certify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
                                       for P, c in zip(pairs, coeffs) if c), None)
     ring = cyclo_ring(A.order)
     x = [A._table.elements(ring)[r] for r in _pair_residues(N)]  # chi(r) times A's den
-    return VerifyResult(True, sum(k for vec, k in _diagonal_counts(N, top) if not ring.is_zero(
+    counts = _diagonal_counts(N, top, frozenset(range(N)))
+    return VerifyResult(True, sum(k for vec, k in counts if not ring.is_zero(
         reduce(ring.add, map(ring.smul, x, vec), ring.zero))), None)
 
 
 @lru_cache(maxsize=None)
-def _diagonal_counts(N: int, top: int) -> tuple:
-    """The vectors (<q|P_0^(r)|q>)_r of the states q of degree <= top, by
-    col(q) = col(q[1:]) + u s(-u), each with how many q share it."""
+def _diagonal_counts(N: int, top: int, allowed: frozenset) -> tuple:
+    """The vectors (<q|P_0^(r)|q>)_r, in units of their scale 1/(2N), of the
+    states q of degree <= top with every part in the residues `allowed` mod
+    N, by col(q) = col(q[1:]) + u s(-u), each with how many q share it; the
+    walk prunes at the first part outside."""
     tables = [build_L(pair_indicator(N, r), 0)._table.elements(cyclo_ring(1))
               for r in _pair_residues(N)]
     steps = [tuple(u * (t[u % N] + t[-u % N]) for t in tables) for u in range(top + 1)]
     counts: dict = {}
 
     def visit(q: Partition, degree: int, parent: Optional[tuple]) -> tuple:
+        if q and q[0] % N not in allowed:
+            return None, None  # q and its children have a part outside
         vec = tuple(map(operator.add, parent, steps[q[0]])) if q else steps[0]
         counts[vec] = counts.get(vec, 0) + 1
         return None, vec
@@ -1491,6 +1497,12 @@ def qtrace(G: TwistGroup, i: int, mode: str, D: int):
 
     mode "kernel": trace of q^{N * grading + c_i} over states with every
     part congruent to +-j mod N, grading the unshifted T_0^i eigenvalue.
+
+    Both eigenvalues are residue-pair combinations at the scale 1/(2N) of
+    the P_0^(r): T_0^i = P_0^(j) and L_0^{identity} = sum_r e(r) P_0^(r),
+    the identity e being even, 0/1-valued and 0 at 0 mod N (`TwistGroup`
+    checks this).  So 2N * grading is an integer weighting of one vector of
+    `_diagonal_counts`, taken once per vector, not per state.
     """
     from ltwist.qseries import PuiseuxSeries
 
@@ -1498,43 +1510,24 @@ def qtrace(G: TwistGroup, i: int, mode: str, D: int):
     if D < 2 * N:
         raise ValueError("cutoff too small")
     energy = vacuum_energies(G, i)
-    j = energy.residue
-    L0 = build_L(G.elements[G.identity], 0)
-    T0 = build_T(G, i, 0, shifted=False)
+    _, j = _mode_indicator(G, i)  # checks T_0^i's pair as build_T does
+    pair = frozenset({j % N, -j % N})
+    weights = [int(r == j) for r in _pair_residues(N)]  # T_0^i = P_0^(j)
     if mode == "char":
-        allowed = set(range(1, N)) - {j % N, (N - j) % N}
-        shift = energy.d
+        ident = G.elements[G.identity]
+        allowed, shift = frozenset(range(1, N)) - pair, energy.d
+        weights = [int(ident(r)) - t for r, t in zip(_pair_residues(N), weights)]
     elif mode == "kernel":
-        allowed = {j % N, (N - j) % N}
-        shift = energy.c
+        allowed, shift = pair, energy.c
     else:
         raise ValueError("mode must be 'char' or 'kernel'")
     shift = rat(shift)
     denom = int(shift.denominator)
     counts: dict = {}
-
-    def visit(p: Partition, degree: int, parent) -> tuple:
-        if p and p[0] % N not in allowed:
-            return None, None  # p and its children have a part outside
-        lam_L = _diagonal_eigenvalue(L0, p)
-        lam_T = _diagonal_eigenvalue(T0, p)
-        grading = lam_L - lam_T if mode == "char" else lam_T
-        t = is_rational(grading * N)
-        if t is None or t.denominator != 1:
+    for vec, k in _diagonal_counts(N, D, allowed):
+        t, odd = divmod(sum(map(operator.mul, weights, vec)), 2)
+        if odd:
             raise ArithmeticError("grading did not rescale to an integer")
-        key = int(t) * denom + int(shift * denom)
-        counts[key] = counts.get(key, 0) + 1
-        return None, p
-
-    _walk(D, visit)
-    order = shift + D + 1
-    return PuiseuxSeries(denom, counts, order)
-
-
-def _diagonal_eigenvalue(op: Operator, p: Partition):
-    col = op.column(p)
-    if not col:
-        return rat(0)
-    if set(col.keys()) != {p}:
-        raise ArithmeticError("operator is not diagonal on this state")
-    return col[p]
+        key = t * denom + int(shift.numerator)
+        counts[key] = counts.get(key, 0) + k
+    return PuiseuxSeries(denom, counts, shift + D + 1)

@@ -1,6 +1,7 @@
 import bisect
 import json
 import math
+import os
 import warnings
 
 import pytest
@@ -43,7 +44,7 @@ from ltwist.fock import (
     verify_transpose_symmetry,
 )
 from ltwist.lvalues import _l_minus_one_form, l_minus_one
-from ltwist.report import RunConfig, _run_check
+from ltwist.report import RunConfig, _run_check, config_from_mapping
 
 
 def quad_char(q):
@@ -99,19 +100,68 @@ def test_qtrace_evaluates_exactly_the_allowed_states(monkeypatch, mode):
     j = vacuum_energies(G, i).residue
     pair = {j % 5, -j % 5}
     allowed = set(range(1, 5)) - pair if mode == "char" else pair
-    seen = []
-    real = fock._diagonal_eigenvalue
-
-    def recording(op, p):
-        seen.append(p)
-        return real(op, p)
-
-    monkeypatch.setattr(fock, "_diagonal_eigenvalue", recording)
-    qtrace(G, i, mode, 12)
     want = [p for p in basis_partitions(12) if all(x % 5 in allowed for x in p)]
-    # two eigenvalues, L_0 and T_0, per state
-    assert sorted(seen[::2]) == sorted(seen[1::2]) == sorted(want)
-    assert len(seen) == 2 * len(want)
+    seen = []
+    real = fock._walk
+
+    def walk(top, visit):
+        def recording(q, degree, parent):
+            bad, value = visit(q, degree, parent)
+            if value is not None:  # the walk keeps q
+                seen.append(q)
+            return bad, value
+        return real(top, recording)
+
+    fock._diagonal_counts.cache_clear()  # a cached count would walk nothing
+    monkeypatch.setattr(fock, "_walk", walk)
+    qtrace(G, i, mode, 12)
+    assert sorted(seen) == sorted(want)
+    assert len(seen) == len(want)
+
+
+def _column_qtrace(G, i, mode, D):
+    """`qtrace` computed per state from `Operator.column`: the diagonal
+    eigenvalues of L_0^{identity} and T_0^i on every allowed state."""
+    N = G.period
+    energy = vacuum_energies(G, i)
+    pair = {energy.residue % N, -energy.residue % N}
+    L0, T0 = build_L(G.elements[G.identity], 0), build_T(G, i, 0, shifted=False)
+    if mode == "char":
+        allowed, shift = set(range(1, N)) - pair, rat(energy.d)
+    else:
+        allowed, shift = pair, rat(energy.c)
+    counts: dict = {}
+    for p in basis_partitions(D):
+        if any(x % N not in allowed for x in p):
+            continue
+        lam_L, lam_T = (op.column(p) for op in (L0, T0))
+        assert set(lam_L) <= {p} and set(lam_T) <= {p}  # both diagonal
+        lam_L, lam_T = lam_L.get(p, rat(0)), lam_T.get(p, rat(0))
+        t = (lam_L - lam_T if mode == "char" else lam_T) * N
+        assert t.denominator == 1
+        key = int(t) * shift.denominator + shift.numerator
+        counts[key] = counts.get(key, 0) + 1
+    return qseries.PuiseuxSeries(shift.denominator, counts, shift + D + 1)
+
+
+@pytest.mark.parametrize("N", [5, 7])
+def test_qtrace_matches_the_column_eigenvalues(monkeypatch, N):
+    # qtrace weights one vector of P_0^(r) eigenvalues per class of states;
+    # the column kernel's per-state eigenvalues give the identical series.
+    G = even_twist_group(N)
+    for i in range(1, len(G) + 1):
+        for mode in ("char", "kernel"):
+            got, want = qtrace(G, i, mode, 20), _column_qtrace(G, i, mode, 20)
+            assert (got.denom, got.coeffs, got.order) == (want.denom, want.coeffs, want.order)
+    # and it builds no column on the way: a fresh registry holds none
+    def no_column(self, p, ring):
+        raise AssertionError("qtrace built a column")
+
+    fock._diagonal_counts.cache_clear()
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    monkeypatch.setattr(BilinearOp, "_icolumn", no_column)
+    for i in range(1, len(G) + 1):
+        assert qtrace(G, i, "char", 20).coeffs and qtrace(G, i, "kernel", 20).coeffs
 
 
 def test_partition_weight():
@@ -883,6 +933,57 @@ def test_transpose_row_builds_no_column_after_the_pair_checks(monkeypatch):
     row = _run_check(rows["fock:transpose"], RunConfig())
     assert row.status == "pass" and row.value == "47970 matrix entries"
     assert log == []
+
+
+def _mirrored_pairs(real):
+    # each weight of the grading reads the entry of the mirrored residue pair
+    return lambda N, top, allowed: tuple((vec[::-1], k) for vec, k in real(N, top, allowed))
+
+
+def _doubled_table(real):
+    class Mutated(real):
+        def __init__(self, coeff, M, prefactor):
+            super().__init__(coeff, M, prefactor)
+            self._table = fock._OverDenominator([2 * coeff(r) for r in range(coeff.period)])
+    return Mutated
+
+
+_QTRACE_MUTATIONS = {
+    "pair-weight-mirrored": ("_diagonal_counts", _mirrored_pairs),
+    "zero-parts-kept": ("_diagonal_counts",
+                        lambda real: lambda N, top, allowed: real(N, top, allowed | {0})),
+    "pair-table-doubled": ("BilinearOp", _doubled_table),
+    "odd-grading": ("_diagonal_counts", lambda real: lambda N, top, allowed: tuple(
+        ((vec[0] + 1,) + vec[1:], k) for vec, k in real(N, top, allowed))),
+}
+_QTRACE_ROWS = ("fock:qtrace-char:2", "fock:qtrace-char:3", "fock:qtrace-kernel",
+                "fock:qtrace-counts")
+
+
+@pytest.mark.parametrize("mutation", list(_QTRACE_MUTATIONS))
+def test_qtrace_rows_turn_red(monkeypatch, mutation):
+    # The four rows on the golden file's reduced configuration.  The vector
+    # counts are a process-wide cache over the registry's tables, so both
+    # are emptied around the case: no cached vector masks the fault or
+    # carries it into later tests.
+    path = os.path.join(os.path.dirname(__file__), "data", "report_rows_small.json")
+    with open(path, encoding="utf-8") as fh:
+        cfg = config_from_mapping(json.load(fh)["config"], RunConfig())
+    attr, make = _QTRACE_MUTATIONS[mutation]
+    counts = fock._diagonal_counts
+    counts.cache_clear()
+    monkeypatch.setattr(fock, attr, make(getattr(fock, attr)))
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    try:
+        rows = [_run_check(c, cfg) for c in build_registry(cfg) if c.id in _QTRACE_ROWS]
+    finally:
+        counts.cache_clear()
+    assert [r.id for r in rows if r.status == "fail"] == list(_QTRACE_ROWS)
+    for r in rows:
+        if mutation == "odd-grading":
+            assert r.witness == "ArithmeticError: grading did not rescale to an integer"
+        else:  # a wrong series, not an exception
+            assert r.witness.startswith("AssertionError: (" if r.id.endswith("counts") else "i=")
 
 
 def test_transpose_certificate_refuses_a_twist_off_the_pair_basis():

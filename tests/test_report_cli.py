@@ -238,6 +238,18 @@ def test_cli_fock_small_cutoff_skips(capsys):
     assert any(r["status"] == "skip" and r["witness"] for r in doc["rows"])
 
 
+def test_cli_fock_verify_skips_each_empty_window_and_runs_the_rest(capsys):
+    # Without --theorem every check runs: an empty window skips its own
+    # check only, and 3.28, which needs no window, still passes.
+    code = cli.dispatch(["fock", "verify", "--modulus", "5", "--cutoff", "14", "--json"])
+    assert code == 0
+    rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+    assert {k: r["status"] for k, r in rows.items()} == {
+        "2.3": "skip", "2.4": "skip", "3.1": "skip", "3.28": "pass", "scaling": "skip"}
+    assert rows["3.28"]["cases"] == 2
+    assert all(r["witness"] == "cutoff too small" for k, r in rows.items() if k != "3.28")
+
+
 def test_cli_report(tmp_path, capsys, monkeypatch):
     cfgfile = tmp_path / "r.cfg"
     cfgfile.write_text(

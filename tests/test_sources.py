@@ -75,3 +75,32 @@ def test_every_definition_is_used_by_name():
         if name not in used and name not in pyproject
     ]
     assert unused == []
+
+
+_CERTIFICATE_NAMES = {"_form", "_bracket", "_mismatch", "_check_representation",
+                      "_check_diagonal", "_with_representation"}
+
+
+def test_window_sweeps_name_no_certificate_code():
+    # The sweeps are the independent reference of the certified rows: no
+    # function they can reach in fock.py names the normal-ordering
+    # certificates or the representation check.  Reachable means named by
+    # a reached body; a method's name reaches every method of that name.
+    path = Path(ltwist.__file__).parent / "fock.py"
+    tree = ast.parse(path.read_text(), str(path))
+    bodies: dict = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bodies.setdefault(node.name, set()).update(_identifiers(node))
+    roots = [name for name in bodies if name.startswith("verify_")
+             or name in ("scaling_embed_check", "commutator_window")]
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(bodies[name] & bodies.keys())
+    bad = sorted(f"{name} names {used}" for name in reached for used in bodies[name]
+                 if used in _CERTIFICATE_NAMES or used.startswith("_certify"))
+    assert len(roots) >= 10 and "matrix_equal" in reached
+    assert bad == []
