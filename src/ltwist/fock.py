@@ -1153,7 +1153,8 @@ def verify_theorem_2_4_suite(
     return _theorem_2_4_suite(G, max_mode, case, case_log)
 
 
-def certify_theorem_2_4_suite(G: TwistGroup, D: int) -> VerifyResult:
+def certify_theorem_2_4_suite(G: TwistGroup, D: int,
+                              case_log: Optional[list] = None) -> VerifyResult:
     """The cases of `verify_theorem_2_4_suite` at its default |m|, |n| <= 2,
     each proved on the whole Fock space by its normal-ordering form, and the
     columns of every P_k^(r), |k| <= 4, checked against the Fock
@@ -1163,10 +1164,11 @@ def certify_theorem_2_4_suite(G: TwistGroup, D: int) -> VerifyResult:
     (("P", r, k), state, out_state, got, want), or (("P", r, k), "table",
     residue, got, want) when its coefficient table is not prefactor * c.
     Like the sweep, it raises `cutoff too small` when the window of
-    |m| = |n| = 2 is empty."""
+    |m| = |n| = 2 is empty.  `case_log` gets each ordered case's (a, b, m,
+    n, passed, witness) from its certificate; a column fails no case."""
     N = G.period
     _window_budget(D, _MAX_MODE * N, _MAX_MODE * N)
-    res = _theorem_2_4_suite(G, _MAX_MODE, _certify_bracket, None)
+    res = _theorem_2_4_suite(G, _MAX_MODE, _certify_bracket, case_log)
     return _with_representation(res, N, D, _PRODUCT_MODES)
 
 

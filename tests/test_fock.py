@@ -702,6 +702,46 @@ def test_certified_rows_turn_red_with_the_sweeps(monkeypatch, mutation):
         assert rows[k].witness.startswith("(('P', " if column_code else "((0, 0, ")
 
 
+@pytest.mark.parametrize("mutation", list(_MUTATIONS))
+def test_cli_fock_verify_turns_red_with_the_report_rows(monkeypatch, capsys, mutation):
+    # `fock verify` runs the report rows' certificates, so it turns red
+    # exactly where `test_certified_rows_turn_red_with_the_sweeps` sees the
+    # rows fock:mode-bracket:3, fock:bracket:3 and fock:decomposition:5 red.
+    attr, make = _MUTATIONS[mutation]
+    monkeypatch.setattr(fock, attr, make(getattr(fock, attr)))
+    column_code = attr in ("_term_action", "_remove_part", "BilinearOp")
+    for check, N in (("2.3", "3"), ("2.4", "3"), ("3.1", "5")):
+        monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+        code = cli.dispatch(["fock", "verify", "--modulus", N, "--cutoff", "20",
+                             "--theorem", check, "--json"])
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        red = column_code or check == "2.4"
+        assert (code, row["status"]) == ((1, "fail") if red else (0, "pass"))
+        if red:
+            assert row["witness"].startswith("(('P', " if column_code else "((0, 0, ")
+
+
+@pytest.mark.parametrize("mutation, prefix, failed", [
+    ("term-action-sign", "(('P', ", []),
+    ("central-term", "((0, 0, ", [(m, -m) for m in range(-2, 3)]),
+])
+def test_cli_case_detail_holds_the_certificates_not_the_columns(monkeypatch, capsys,
+                                                                mutation, prefix, failed):
+    # Each `cases_detail` entry is its case's normal-ordering certificate.
+    # A column fault fails the 2.4 row with a P^(r)_k witness and no case;
+    # a wrong central term fails exactly the cases with m = -n.
+    attr, make = _MUTATIONS[mutation]
+    monkeypatch.setattr(fock, attr, make(getattr(fock, attr)))
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    assert cli.dispatch(["fock", "verify", "--modulus", "3", "--cutoff", "20",
+                         "--theorem", "2.4", "--json"]) == 1
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    detail = row["cases_detail"]
+    assert (row["status"], row["cases"], len(detail)) == ("fail", 25, 25)
+    assert row["witness"].startswith(prefix)
+    assert [(d["m"], d["n"]) for d in detail if d["status"] == "fail"] == failed
+
+
 def _recording(op, log, fault=None):
     """Route `op._icolumn` through a recorder of the states asked for; at
     the state `fault`, if any, the column gains 1 at its own input state."""

@@ -6,7 +6,8 @@ from dataclasses import asdict
 
 import pytest
 
-from ltwist import cli
+from ltwist import cli, fock
+from ltwist.characters import even_twist_group
 from ltwist.checks import build_registry
 from ltwist.report import (
     RunConfig,
@@ -248,6 +249,32 @@ def test_cli_fock_verify_skips_each_empty_window_and_runs_the_rest(capsys):
         "2.3": "skip", "2.4": "skip", "3.1": "skip", "3.28": "pass", "scaling": "skip"}
     assert rows["3.28"]["cases"] == 2
     assert all(r["witness"] == "cutoff too small" for k, r in rows.items() if k != "3.28")
+
+
+_SWEEPS = {"2.3": "verify_lemma_2_3_suite", "2.4": "verify_theorem_2_4_suite",
+           "3.1": "verify_theorem_3_1"}
+
+
+@pytest.mark.parametrize("N, D", [(3, 11), (3, 12), (3, 13), (5, 20)])
+@pytest.mark.parametrize("check", list(_SWEEPS))
+def test_cli_fock_verify_certificates_agree_with_the_sweeps(monkeypatch, capsys,
+                                                            check, N, D):
+    # `fock verify` runs the report rows' certificates; the window sweeps
+    # stay the independent reference and give the same status and count.
+    # N = 3, D = 11 is one below the tightest window of all three suites,
+    # where the CLI skips and the sweep raises.
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    argv = ["fock", "verify", "--modulus", str(N), "--cutoff", str(D),
+            "--theorem", check, "--json"]
+    assert cli.dispatch(argv) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    try:
+        swept = getattr(fock, _SWEEPS[check])(even_twist_group(N), D)
+        want = ("pass" if swept.passed else "fail", swept.cases, None)
+    except ValueError as exc:
+        want = ("skip", 0, str(exc))
+    assert (row["status"], row["cases"], row["witness"]) == want
+    assert (want[0], want[2]) == (("skip", "cutoff too small") if D == 11 else ("pass", None))
 
 
 def test_cli_report(tmp_path, capsys, monkeypatch):
