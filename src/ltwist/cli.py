@@ -112,6 +112,7 @@ def cmd_fock_verify(args) -> int:
     from ltwist.characters import dirichlet_characters, even_twist_group
 
     N, D = args.modulus, args.cutoff
+    RunConfig(cutoff=D).validate()  # the report's bounds on the cutoff
     which = (args.theorem,) if args.theorem else FOCK_CHECK_IDS
     G = even_twist_group(N)
     rows = []

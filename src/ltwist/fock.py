@@ -18,11 +18,12 @@ normal-ordering calculus: every operator involved is a quadratic form
 sum_j c(j) :a_{-j} a_{j+M}: plus modes and a scalar, [Q, a_x] =
 -x s(x) a_{x+M} with s(x) = c(x) + c(-x-M), and two such forms are equal
 exactly when their symmetrised coefficients s, their modes and their vacuum
-scalars are (`_form`, `_mismatch`).  The coefficients are periodic times
-polynomial in x, so a few periods decide them for every x.  A state-level
-check then ties the column code to that representation: each residue-pair
-operator's integer table times its scale is the c of its form, and its
-columns satisfy Q a_{-u} = a_{-u} Q + [Q, a_{-u}] on its window
+scalars are (`_form`, `_mismatch`).  Each s is periodic times polynomial in
+x, held as an exact table of coefficients by power of x and residue, so
+equal tables decide it for every x; sampling s only names a witness's x.
+A state-level check then ties the column code to that representation: each
+residue-pair operator's integer table times its scale is the c of its form,
+and its columns satisfy Q a_{-u} = a_{-u} Q + [Q, a_{-u}] on its window
 (`_check_representation`).  That check walks the states depth-first, builds
 one column per state and keeps none, so its witness is the first bad state
 in depth-first order.  Its step [Q, a_{-u}] = u s(-u) a_{M-u} is computed
@@ -321,6 +322,7 @@ class BilinearOp(Operator):
         # diagonal u (c(u) + c(-u)) of one part u or None where it is zero,
         # grown as parts are met
         self._kernels: dict = {}
+        self._symmetrised = None  # its `_form` table, built on first use
         self._verified = -1  # degree up to which _check_representation passed
         self._entries: list = []  # its nonzero column entries per degree
 
@@ -360,11 +362,11 @@ class BilinearOp(Operator):
 
     def _icolumn(self, p: Partition, ring: CycloRing) -> dict:
         # Off the diagonal, one scan of the descending tuple reads each
-        # distinct part u with its multiplicity.  Where u - M > 0 the two
-        # terms j = u - M and j = -u annihilate one u and create u - M;
-        # where it is < 0 (only when M > 0), the term j = u - M annihilates
-        # u and then M - u, if that is a part too.  The terms with
-        # 0 < j < -M create two parts on any state (`_creations`).
+        # distinct part u with its multiplicity.  Where u - M > 0 the terms
+        # j = u - M and j = -u move one u to u - M, placed by a short scan
+        # back from u (M < 0) or on from u's run; where it is < 0 (M > 0),
+        # the term j = u - M annihilates u and then M - u, if a part too.  The
+        # terms 0 < j < -M create two parts (`_creations`), after the moves.
         M, N = self.M, self._N
         kernel = self._kernels.get(ring)
         if kernel is None:
@@ -384,7 +386,6 @@ class BilinearOp(Operator):
             return {} if acc == ring.zero else {p: acc}
         out: dict = {}
         pairs = []  # the double annihilations, found below when M > 0
-        neg = None  # p negated, ascending, for bisect
         n = len(p)
         prev = 0
         for i, u in enumerate(p):
@@ -399,20 +400,22 @@ class BilinearOp(Operator):
                 k = i + 1
                 while k < n and p[k] == u:
                     k += 1
-                if neg is None:
-                    neg = [-x for x in p]
                 if M < 0:
-                    pos = bisect.bisect_left(neg, -target)
+                    pos = i
+                    while pos and p[pos - 1] <= target:
+                        pos -= 1
                     newp = p[:pos] + (target,) + p[pos:i] + p[i + 1:]
                 else:
-                    pos = bisect.bisect_left(neg, -target, k)
+                    pos = k
+                    while pos < n and p[pos] > target:
+                        pos += 1
                     newp = p[:i] + p[i + 1:pos] + (target,) + p[pos:]
                 out[newp] = smul(c, u * (k - i))
             elif target < 0 and M - u in p:
                 pairs.append(u - M)
         if M < 0:
             for a, b, c in creations:
-                out[_add_part(_add_part(p, a), b)] = c
+                out[tuple(sorted(p + (a, b), reverse=True))] = c
         elif pairs:
             table = self._table.elements(ring)
             nonzero = self._nonzero
@@ -524,14 +527,14 @@ def commutator_window(D: int, *shift_budgets: int) -> list[Partition]:
 class _Form:
     """An operator of degree <= 2 in the modes, exactly on the Fock space.
 
-    `quad` maps a shift M to (s, period, degree) for a bilinear
-    sum_j c(j) :a_{-j} a_{j+M}:, held by its symmetrised coefficient
-    s(x) = c(x) + c(-x-M) (a function of x, meaningful for x != 0, -M) which
-    is `period`-periodic times a polynomial of at most `degree` in x; `lin`
-    maps x to the weight of a_x (x != 0); `z` is the scalar part.  Since
-    [Q, a_x] = -x s(x) a_{x+M}, an operator of this kind commuting with
-    every a_x is a scalar, so two forms are equal as operators exactly when
-    their s, weights and scalars are.
+    `quad` maps a shift M to a bilinear sum_j c(j) :a_{-j} a_{j+M}:, held
+    by the table of its symmetrised coefficient s(x) = c(x) + c(-x-M)
+    (meaningful for x != 0, -M): rows of one value per residue mod a period,
+    s(x) = sum_d rows[d][x mod period] x^d.  `lin` maps x to the weight of
+    a_x (x != 0); `z` is the scalar part.  Since [Q, a_x] = -x s(x) a_{x+M},
+    an operator of this kind commuting with every a_x is a scalar, so two
+    forms are equal as operators exactly when their s, weights and scalars
+    are.
     """
 
     quad: dict
@@ -543,9 +546,10 @@ def _form(op: Operator) -> _Form:
     """The form of an operator built from BilinearOp, ModeOp, ScalarOp,
     SumOp and CommutatorOp."""
     if isinstance(op, BilinearOp):
-        c, M, k, N = op.coeff, op.M, op.prefactor, op.coeff.period
-        s = [k * (c(x) + c(-x - M)) for x in range(N)]
-        return _Form({M: (lambda x: s[x % N], N, 0)}, {}, rat(0))
+        if op._symmetrised is None:  # k (c(x) + c(-x - M)), once per operator
+            c, M, k = op.coeff, op.M, op.prefactor
+            op._symmetrised = (tuple(k * (c(x) + c(-x - M)) for x in range(c.period)),)
+        return _Form({op.M: op._symmetrised}, {}, rat(0))
     if isinstance(op, ModeOp):
         return _Form({}, {op.k: rat(1)} if op.k else {}, rat(0))
     if isinstance(op, ScalarOp):
@@ -557,13 +561,37 @@ def _form(op: Operator) -> _Form:
     raise TypeError(f"no normal-ordering form for {type(op).__name__}")
 
 
-def _add_quad(quad: dict, M: int, s, period: int, degree: int) -> None:
-    old = quad.get(M)
-    if old is not None:
-        s0, p0, d0 = old
-        s = (lambda x, a=s0, b=s: a(x) + b(x))
-        period, degree = math.lcm(period, p0), max(degree, d0)
-    quad[M] = (s, period, degree)
+def _lifted(a: tuple, b: tuple) -> tuple:
+    """Two tables on one period and number of rows, added rows being int 0."""
+    period, rows = math.lcm(len(a[0]), len(b[0])), max(len(a), len(b))
+    return tuple(tuple(row * (period // len(row)) for row in t)
+                 + ((0,) * period,) * (rows - len(t)) for t in (a, b))
+
+
+def _add_rows(a: tuple, b: tuple) -> tuple:
+    return tuple(tuple(map(operator.add, x, y)) for x, y in zip(*_lifted(a, b)))
+
+
+def _shifted(rows: tuple, r: int, M: int) -> list:
+    """The coefficients in x of s(x + M) for x = r mod the period; at r = 0
+    the first is s(M)."""
+    cs = [row[(r + M) % len(row)] for row in rows]
+    for i in range(len(cs) - 1):  # Taylor shift by M
+        for k in range(len(cs) - 2, i - 1, -1):
+            cs[k] = cs[k] + M * cs[k + 1]
+    return cs
+
+
+def _shifted_product(a: tuple, b: tuple, M: int, r: int) -> list:
+    """The coefficients in x of (x + M) a(x) b(x + M), x = r mod the periods."""
+    prod: list = [None] * (len(a) + len(b))  # x a(x) b(x + M), then plus M a(x) b(x + M)
+    pb = _shifted(b, r, M)
+    for i, x in enumerate(_shifted(a, r, 0)):
+        for j, y in enumerate(pb):
+            prod[i + j + 1] = x * y if prod[i + j + 1] is None else prod[i + j + 1] + x * y
+    for k in range(len(prod) - 1):
+        prod[k] = M * prod[k + 1] if prod[k] is None else prod[k] + M * prod[k + 1]
+    return prod
 
 
 def _combine(terms) -> _Form:
@@ -572,8 +600,9 @@ def _combine(terms) -> _Form:
     lin: dict = {}
     z: Scalar = rat(0)
     for c, f in terms:
-        for M, (s, period, degree) in f.quad.items():
-            _add_quad(quad, M, (lambda x, s=s, c=c: c * s(x)), period, degree)
+        for M, rows in f.quad.items():
+            rows = tuple(tuple(c * v for v in row) for row in rows)
+            quad[M] = _add_rows(quad[M], rows) if M in quad else rows
         for x, w in f.lin.items():
             lin[x] = lin.get(x, rat(0)) + c * w
         z = z + c * f.z
@@ -593,23 +622,24 @@ def _bracket(f1: _Form, f2: _Form) -> _Form:
         if x:  # a_0 = 0
             lin[x] = lin.get(x, rat(0)) + w
 
-    for M1, (s1, p1, d1) in f1.quad.items():
-        for M2, (s2, p2, d2) in f2.quad.items():
-            # [[Q1, Q2], a_x] by Jacobi: the symmetrised coefficient below
-            s = (lambda x, s1=s1, s2=s2, M1=M1, M2=M2:
-                 (x + M1) * s1(x) * s2(x + M1) - (x + M2) * s2(x) * s1(x + M2))
-            _add_quad(quad, M1 + M2, s, math.lcm(p1, p2), d1 + d2 + 1)
-            if M1 + M2 == 0:
-                if M1 > 0:
-                    vac = sum((p * (M1 - p) * s1(-p) * s2(p) for p in range(1, M1)), rat(0))
-                else:
-                    vac = -sum((p * (-M1 - p) * s1(p) * s2(-p) for p in range(1, -M1)), rat(0))
-                z = z + vac * rat(1, 2)
+    for M1, s1 in f1.quad.items():
+        for M2, s2 in f2.quad.items():
+            # [[Q1, Q2], a_x] by Jacobi: the symmetrised coefficient
+            # (x + M1) s1(x) s2(x + M1) - (x + M2) s2(x) s1(x + M2)
+            M, period = M1 + M2, math.lcm(len(s1[0]), len(s2[0]))
+            s = tuple(zip(*(map(operator.sub, _shifted_product(s1, s2, M1, r),
+                                _shifted_product(s2, s1, M2, r)) for r in range(period))))
+            quad[M] = _add_rows(quad[M], s) if M in quad else s
+            if M == 0:
+                e = 1 if M1 > 0 else -1  # p runs over 0 < p < |M1|
+                z = z + e * sum((p * (e * M1 - p) * _shifted(s1, 0, -e * p)[0]
+                                 * _shifted(s2, 0, e * p)[0] for p in range(1, e * M1)),
+                                rat(0)) * rat(1, 2)
         for x, w in f2.lin.items():
-            put(x + M1, -w * x * s1(x))
+            put(x + M1, -w * x * _shifted(s1, 0, x)[0])
     for x, w in f1.lin.items():
-        for M2, (s2, _, _) in f2.quad.items():
-            put(x + M2, w * x * s2(x))
+        for M2, s2 in f2.quad.items():
+            put(x + M2, w * x * _shifted(s2, 0, x)[0])
         for y, v in f2.lin.items():
             if x + y == 0:
                 z = z + w * v * x
@@ -619,19 +649,18 @@ def _bracket(f1: _Form, f2: _Form) -> _Form:
 def _mismatch(lhs: _Form, rhs: _Form) -> Optional[tuple]:
     """(x, got, want) at the first x where the symmetrised coefficients or
     the mode weights of two forms differ, ("central", got, want) when only
-    their scalars do, or None when the operators are equal."""
+    their scalars do, or None when the operators are equal.  The lifted
+    tables decide; unequal ones are sampled at degree + 2 points per residue
+    (one spares x = -M) to name the first x, a missing shift reading as 0."""
     zero = rat(0)
-    none = (lambda x: 0, 1, 0)
     for M in sorted(set(lhs.quad) | set(rhs.quad)):
-        sl, pl, dl = lhs.quad.get(M, none)
-        sr, pr, dr = rhs.quad.get(M, none)
-        # degree + 1 points in each residue class decide a periodic times
-        # polynomial coefficient for every x; one more period spares x = -M
-        for x in range(1, (max(dl, dr) + 2) * math.lcm(pl, pr) + 1):
-            if x != -M:
-                got, want = sl(x), sr(x)
-                if got != want:
-                    return (x, got, want)
+        a, b = _lifted(lhs.quad.get(M, ((0,),)), rhs.quad.get(M, ((0,),)))
+        if a != b:
+            for x in range(1, (len(a) + 1) * len(a[0]) + 1):
+                if x != -M:
+                    got, want = _shifted(a, 0, x)[0], _shifted(b, 0, x)[0]
+                    if got != want:
+                        return (x, got, want)
     for x in sorted(set(lhs.lin) | set(rhs.lin)):
         got, want = lhs.lin.get(x, zero), rhs.lin.get(x, zero)
         if got != want:
@@ -649,8 +678,8 @@ def _adjoint(f: _Form) -> _Form:
     """f^dagger for a_x^dagger = a_{-x}: (:a_{-j} a_{j+M}:)^dagger =
     :a_{-(j+M)} a_j:, so shift M goes to -M with s^dagger(x) = conj(s(x - M)),
     weight w on a_x to conj(w) on a_{-x}, and z to conj(z)."""
-    quad = {-M: (lambda x, s=s, M=M: _conj(s(x - M)), period, degree)
-            for M, (s, period, degree) in f.quad.items()}
+    quad = {-M: tuple(zip(*(map(_conj, _shifted(s, r, -M)) for r in range(len(s[0])))))
+            for M, s in f.quad.items()}
     return _Form(quad, {-x: _conj(w) for x, w in f.lin.items()}, _conj(f.z))
 
 

@@ -21,7 +21,7 @@ def _scalar_complex(v) -> complex:
         return complex(cyclo_embed(v, 64))
     if not isinstance(v, RAT_TYPES):
         v = rat(v)
-    return complex(int(v.numerator) / int(v.denominator))
+    return complex(v if isinstance(v, int) else int(v.numerator) / int(v.denominator))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

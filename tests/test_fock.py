@@ -16,7 +16,7 @@ from ltwist.characters import (
     pf_mul,
 )
 from ltwist.checks import build_registry
-from ltwist.exactnum import cyclo_ring
+from ltwist.exactnum import CycloNum, cyclo_ring
 from ltwist.exactnum import rat, zeta
 from ltwist import cli, fock, qseries
 from ltwist.fock import (
@@ -636,6 +636,142 @@ def test_certificate_agrees_with_sweep(case):
     assert certified.passed == (not shift or m != -n or m == 0)
     if not certified.passed:
         assert certified.witness[0] == "central"
+
+
+def _pointwise(op):
+    """{M: s} for the symmetrised coefficients s of `op`, as functions of x
+    by the pointwise rules the coefficient tables replace: k (c(x) +
+    c(-x - M)) for a bilinear, sum_i c_i s_i(x) for a sum and (x + M1)
+    s1(x) s2(x + M1) - (x + M2) s2(x) s1(x + M2) for a commutator."""
+    out: dict = {}
+
+    def put(M, s):
+        old = out.get(M)
+        out[M] = s if old is None else (lambda x, a=old, b=s: a(x) + b(x))
+
+    if isinstance(op, BilinearOp):
+        c, M, k = op.coeff, op.M, op.prefactor
+        put(M, lambda x: k * (c(x) + c(-x - M)))
+    elif isinstance(op, SumOp):
+        for c, o in op.terms:
+            for M, s in _pointwise(o).items():
+                put(M, lambda x, s=s, c=c: c * s(x))
+    elif isinstance(op, CommutatorOp):
+        for M1, s1 in _pointwise(op.A).items():
+            for M2, s2 in _pointwise(op.B).items():
+                put(M1 + M2, lambda x, s1=s1, s2=s2, M1=M1, M2=M2:
+                    (x + M1) * s1(x) * s2(x + M1) - (x + M2) * s2(x) * s1(x + M2))
+    return out
+
+
+def _pointwise_adjoint(pointwise):
+    """s^dagger(x) = conj(s(x - M)) at shift -M."""
+    conj = lambda v: v.conj() if isinstance(v, CycloNum) else v  # noqa: E731
+    return {-M: (lambda x, s=s, M=M: conj(s(x - M))) for M, s in pointwise.items()}
+
+
+def _assert_tables(quad, pointwise):
+    # s(x) = sum_d rows[d][x mod period] x^d at every x in [-3P, 3P], and the
+    # value a witness reads has the type of the pointwise one
+    assert set(quad) == set(pointwise)
+    for M, rows in quad.items():
+        P = len(rows[0])
+        for x in range(-3 * P, 3 * P + 1):
+            want = pointwise[M](x)
+            assert sum(row[x % P] * x**d for d, row in enumerate(rows)) == want, (M, x)
+            got = fock._shifted(rows, 0, x)[0]
+            assert type(got) is type(want) and got == want, (M, x)
+
+
+def _assert_forms_are_pointwise(*ops):
+    for op in ops:
+        form, pointwise = fock._form(op), _pointwise(op)
+        _assert_tables(form.quad, pointwise)
+        _assert_tables(fock._adjoint(form).quad, _pointwise_adjoint(pointwise))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_bracket_cases())
+def test_coefficient_tables_match_the_pointwise_rules(case):
+    f1, f2, m, n, _ = case
+    _assert_forms_are_pointwise(*fock._bracket_sides(f1, f2, m, n, lm1=_l_minus_one_form))
+
+
+def test_coefficient_tables_of_the_bracket_row_match_the_pointwise_rules():
+    # every pair-indicator case that fock:bracket:7 certifies
+    items = [(r, m) for r in (1, 2, 3) for m in range(-2, 3)]
+    for i, (r, m) in enumerate(items):
+        for s, n in items[i:]:
+            _assert_forms_are_pointwise(*fock._bracket_sides(
+                pair_indicator(7, r), pair_indicator(7, s), m, n, lm1=_l_minus_one_form))
+
+
+def test_coefficient_tables_of_dilated_and_nested_brackets():
+    # Theorem 3.1's T operators (with the vacuum shift at n = 0), their
+    # mode-scaled versions of period 2N and 3N mixed with period-N ones, and
+    # brackets of brackets, whose tables have degree 2 or 3 and shift rows
+    G = even_twist_group(7)
+    chi = G.elements[1]  # values in Q(zeta_3)
+    T = {(i, n): build_T(G, i, n) for i in (1, 2, 3) for n in (-1, 0, 1)}
+    for (i, m), A in T.items():
+        for (j, n), B in T.items():
+            _assert_forms_are_pointwise(CommutatorOp(A, B))
+    for l in (2, 3):
+        x = build_L(chi.dilate(l), 1)
+        _assert_forms_are_pointwise(CommutatorOp(x, T[1, -1]), CommutatorOp(T[2, 0], x),
+                                    CommutatorOp(CommutatorOp(x, T[3, 1]), T[2, -1]),
+                                    CommutatorOp(CommutatorOp(x, build_L(chi, 1)),
+                                                 build_L(chi, -2)),
+                                    CommutatorOp(CommutatorOp(x, build_L(chi, 1)),
+                                                 CommutatorOp(build_L(chi, -1), x)))
+
+
+@pytest.mark.parametrize("sides, witness", [
+    (lambda f, g, h: (CommutatorOp(build_L(f, 1), build_L(f, 1)),
+                      SumOp([(rat(1), build_L(f, 2))])),
+     "(1, Fraction(0, 1), Fraction(1, 7))"),
+    (lambda f, g, h: (build_L(f, 1), SumOp([])), "(1, Fraction(1, 7), 0)"),
+    (lambda f, g, h: (SumOp([]), build_L(g, -1)), "(1, 0, Fraction(1, 7))"),
+    (lambda f, g, h: (build_L(g, 1), build_L(h, 1)),
+     "(2, ord=6;[0/1,-1/7], ord=6;[-1/7,1/7])"),
+    (lambda f, g, h: (CommutatorOp(build_L(f, 2), build_L(f, -1)), SumOp([])),
+     "(1, Fraction(3, 7), 0)"),
+], ids=["both-sides", "left-only", "right-only", "cyclotomic", "degree-1-left-only"])
+def test_quad_witnesses_are_pinned(sides, witness):
+    # Equal tables decide; unequal ones are sampled to name the first x,
+    # with the value types of the pointwise rules, and a shift on one side
+    # only reads as the int 0 on the other.
+    G = even_twist_group(7)
+    g, h = G.elements[1], G.elements[2]  # values in Q(zeta_3)
+    assert repr(fock._certify(*sides(pair_indicator(7, 1), g, h)).witness) == witness
+
+
+def _kernel_key_order(op, p, ring):
+    """The keys a kernel column lists, in order: one move per distinct part
+    u with u - M > 0 by descending u, the double annihilations (M > 0) by
+    descending part, then the creations (M < 0) in `_creations` order."""
+    M = op.M
+    keys = [act[1] for u in sorted(set(p), reverse=True)
+            for act in [fock._term_action(p, u - M, M)] if act]
+    if M < 0:
+        keys += [fock._add_part(fock._add_part(p, a), b) for a, b, _ in op._creations(ring)]
+    return list(dict.fromkeys(keys))
+
+
+@pytest.mark.parametrize("m", [1, 3], ids=["Z", "Z[zeta_3]"])
+def test_icolumn_on_the_bracket_row_windows(m):
+    # fock:bracket:7 at cutoff 28 checks P_{+-1}^(r) on degree <= 21 and
+    # P_{+-2}^(r) on degree <= 14.  `_difference` names the first key that
+    # differs, so the key order is pinned as well as the values.
+    ring = cyclo_ring(m)
+    for n in (-2, -1, 1, 2):
+        states = basis_partitions(28 - 7 * abs(n))
+        for r in (1, 2, 3):
+            op = BilinearOp(pair_indicator(7, r), 7 * n, rat(1, 14))
+            for p in states:
+                col = op._icolumn(p, ring)
+                assert col == _term_sum(op, p, ring), (n, r, p)
+                assert list(col) == [t for t in _kernel_key_order(op, p, ring) if t in col]
 
 
 def _flip_double_creation(real):

@@ -229,6 +229,15 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_cli_fock_verify_rejects_a_cutoff_outside_the_report_bounds(capsys):
+    # a negative cutoff is a usage error, as it is for `report`, not five
+    # skipped or passing rows
+    for cutoff in ("-5", "61"):
+        assert cli.dispatch(["fock", "verify", "--modulus", "5", "--cutoff", cutoff]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "cutoff must lie in 0..60" in err
+
+
 def test_cli_fock_small_cutoff_skips(capsys):
     code = cli.dispatch([
         "fock", "verify", "--modulus", "5", "--cutoff", "4", "--theorem", "2.4",

@@ -78,7 +78,8 @@ def test_every_definition_is_used_by_name():
 
 
 _CERTIFICATE_NAMES = {"_form", "_bracket", "_mismatch", "_check_representation",
-                      "_check_diagonal", "_with_representation"}
+                      "_check_diagonal", "_with_representation", "_combine", "_adjoint",
+                      "_lifted", "_add_rows", "_shifted", "_shifted_product"}
 
 
 def test_window_sweeps_name_no_certificate_code():

@@ -239,3 +239,16 @@ def test_seqspec_guards():
         periodic_series(chi, "quadratic")
     with pytest.raises(ValueError):
         limit_numeric(periodic_series(chi, "const"), 1, 30, rat(1, 10))
+
+
+def test_int_terms_convert_as_their_rationals():
+    # ints go straight to complex(v); int -> float is correctly rounded, so
+    # the value is the one the numerator / denominator division gives
+    from ltwist.summation import _scalar_complex
+
+    big = 2**53
+    for v in (0, 1, -1, -7, big - 1, big + 1, -(big + 1), 2**64 + 3, -(3**40), 10**300):
+        got = _scalar_complex(v)
+        want = complex(int(rat(v).numerator) / int(rat(v).denominator))
+        assert type(got) is complex and (got.real, got.imag) == (want.real, want.imag), v
+    assert _scalar_complex(big + 1) == complex(float(big))  # rounded to even
