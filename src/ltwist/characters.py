@@ -149,17 +149,9 @@ class PeriodicFn:
 
     # -- algebra ----------------------------------------------------------
 
-    def __mul__(self, other: "PeriodicFn") -> "PeriodicFn":
-        return pf_mul(self, other)
-
     def conj(self) -> "PeriodicFn":
         vals = [v.conj() if isinstance(v, CycloNum) else v for v in self.values()]
         return PeriodicFn(self.period, vals)
-
-    def lift(self, period: int) -> "PeriodicFn":
-        if period % self.period:
-            raise ValueError("can only lift to a multiple period")
-        return PeriodicFn(period, [self(k) for k in range(1, period + 1)])
 
     def dilate(self, l: int) -> "PeriodicFn":
         """y -> f(y / l) where l | y, else 0, of period lN: its twisted
@@ -352,8 +344,9 @@ class TwistGroup:
 
     Construction verifies the group laws on the element table: closure,
     identity behaviour, inverses, associativity of the index table, evenness
-    of every element, and mean zero for every non-identity element.  The
-    identity must take values in {0, 1} and vanish at 0 mod N.  Immutable.
+    of every element, and mean zero for every non-identity element.  Every
+    element has period N; the identity must take values in {0, 1} and vanish
+    at 0 mod N.  Immutable.
     """
 
     def __init__(self, period: int, elements: Sequence[PeriodicFn]):
@@ -361,7 +354,9 @@ class TwistGroup:
             raise ValueError("a twist group needs at least one element")
         init = super().__setattr__
         init("period", period)
-        init("elements", tuple(e if e.period == period else e.lift(period) for e in elements))
+        if any(e.period != period for e in elements):
+            raise ValueError("every element must have the group's period")
+        init("elements", tuple(elements))
         init("identity", self._find_identity())
         init("_table", tuple(map(tuple, self._verify())))
         init("_fingerprint", (period,) + tuple(e.fingerprint() for e in self.elements))

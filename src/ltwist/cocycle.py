@@ -44,11 +44,6 @@ class QuadField:
         self.zero = (0,) * self.rank
         self.one = (1,) + (0,) * (self.rank - 1)
 
-    def name(self) -> str:
-        if self.d is None:
-            return "Q"
-        return "Q(i)" if self.d == -1 else f"Q(sqrt{self.d})"
-
     # Elements are integer coordinate tuples of length self.rank: the ring
     # Z[w] builds and tests the constraint rows, and nothing here divides.
     def element(self, *coords):
@@ -106,7 +101,7 @@ def build_system(d, H: int) -> CocycleSystem:
     """All functional-equation constraints with m, n, m + n inside the
     coordinate box of height H, after imposing alpha(0) = 0 and antisymmetry.
     Box points and coefficients are sums of m, n, 2m, 2n: integer tuples."""
-    K = d if isinstance(d, QuadField) else QuadField(FIELDS[d] if isinstance(d, str) else d)
+    K = field_by_name(d) if isinstance(d, str) else QuadField(d)
     if H < 3:
         raise ValueError("height must be at least 3")
     rng = range(-H, H + 1)

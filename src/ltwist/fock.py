@@ -247,9 +247,6 @@ class Operator:
     def __add__(self, other: "Operator") -> "Operator":
         return SumOp([(1, self), (1, other)])
 
-    def __sub__(self, other: "Operator") -> "Operator":
-        return SumOp([(1, self), (-1, other)])
-
     def scaled(self, c) -> "Operator":
         return SumOp([(c, self)])
 
@@ -932,26 +929,25 @@ def _mode_indicator(G: TwistGroup, i: int) -> tuple[PeriodicFn, int]:
     return ind, j
 
 
-def build_T(G: TwistGroup, i: int, n: int, shifted: bool = True) -> Operator:
+def build_T(G: TwistGroup, i: int, n: int) -> Operator:
     """Component operator T_n^i of the cyclic twist group decomposition.
 
     Built as the mode-restricted bilinear (1/2N) sum_{j = +-j_i mod N}
     :a_{-j} a_{j+nN}:, which equals the root-of-unity average
     (1/k) sum_s omega^{is} L_n^{g^s}; the coefficient identity behind that
-    equality is verified exactly during construction.  When `shifted` and
-    n = 0 the scalar vacuum shift (1/k) sum_s omega^{is} L(-1, g^s) / (2N)
-    is included.
+    equality is verified exactly during construction.  At n = 0 the scalar
+    vacuum shift (1/k) sum_s omega^{is} L(-1, g^s) / (2N) is included.
     """
     if not G.is_cyclic:
         raise ValueError("component operators need a cyclic twist group")
     N = G.period
-    key = ("T", G.fingerprint(), i, n, shifted)
+    key = ("T", G.fingerprint(), i, n)
     hit = _OP_REGISTRY.get(key)
     if hit is not None:
         return hit
     ind, j = _mode_indicator(G, i)
     op: Operator = build_L(ind, n)
-    if shifted and n == 0:
+    if n == 0:
         energy = vacuum_energies(G, i)
         scalar = energy.c * rat(1, N)
         op = SumOp([(1, op), (1, ScalarOp(scalar))])
@@ -1019,8 +1015,8 @@ class VerifyResult:
 
 
 _LEMMA_KS, _LEMMA_NS = range(-6, 7), range(-2, 3)
-# the certified Theorem 2.4 / 3.1 suites: |m|, |n| <= 2, so the operators
-# P_k^(r) they rest on have |k| = |m + n| <= 4
+# the certified Theorem 2.4 / 3.1 suites and the 3.1 sweep: |m|, |n| <= 2,
+# so the operators P_k^(r) the certificates rest on have |k| = |m + n| <= 4
 _MAX_MODE, _PRODUCT_MODES = 2, range(-4, 5)
 
 
@@ -1279,62 +1275,56 @@ def _theorem_2_4_by_elements(G: TwistGroup, cases: list, case_log: Optional[list
     return VerifyResult(failure is None, len(cases), failure)
 
 
-def verify_theorem_3_1(G: TwistGroup, D: int, max_mode: int = 2) -> VerifyResult:
+def verify_theorem_3_1(G: TwistGroup, D: int) -> VerifyResult:
     """Decomposition into |G| commuting copies sharing the central element:
     [T_m^i, T_n^i] = (m-n) T_{m+n}^i + delta_{m,-n} (m^3/12k) b with
-    b = sum_s identity(s), and [T_m^i, T_n^j] = 0 for i != j; exact on the
-    window.  Also checks the averaging projectors are idempotent, mutually
-    orthogonal, and resolve the identity on the coefficient space."""
+    b = sum_s identity(s), and [T_m^i, T_n^j] = 0 for i != j, at |m|, |n| <=
+    2; exact on the window.  Also checks the averaging projectors are
+    idempotent, mutually orthogonal, and resolve the identity on the
+    coefficient space."""
     def case(lhs, rhs, m, n):
         return lhs.matrix_equal(rhs, commutator_window(D, m * G.period, n * G.period))
 
-    return _theorem_3_1(G, max_mode, case)
+    return _theorem_3_1(G, case)
 
 
 def certify_theorem_3_1(G: TwistGroup, D: int) -> VerifyResult:
-    """The cases of `verify_theorem_3_1` at its default |m|, |n| <= 2, each
-    proved on the whole Fock space by its normal-ordering form, and the
-    columns of every P_k^(r), |k| <= 4, checked against the Fock
-    representation on degree <= D - |k| N.  A failing case gives
-    ((i, j, m, n), x, got, want) with x an index or "central"; a failing
-    column gives the witness of `certify_theorem_2_4_suite`.  Like the
-    sweep, it raises `cutoff too small` when the window of |m| = |n| = 2
-    is empty."""
+    """The cases of `verify_theorem_3_1`, each proved on the whole Fock
+    space by its normal-ordering form, and the columns of every P_k^(r),
+    |k| <= 4, checked against the Fock representation on degree
+    <= D - |k| N.  A failing case gives ((i, j, m, n), x, got, want) with x
+    an index or "central"; a failing column gives the witness of
+    `certify_theorem_2_4_suite`.  Like the sweep, it raises `cutoff too
+    small` when the window of |m| = |n| = 2 is empty."""
     N = G.period
     _window_budget(D, _MAX_MODE * N, _MAX_MODE * N)
-    res = _theorem_3_1(G, _MAX_MODE, lambda lhs, rhs, m, n: _certify(lhs, rhs).witness)
+    res = _theorem_3_1(G, lambda lhs, rhs, m, n: _certify(lhs, rhs).witness)
     return _with_representation(res, N, D, _PRODUCT_MODES)
 
 
-def _theorem_3_1(G: TwistGroup, max_mode: int, case) -> VerifyResult:
+def _theorem_3_1(G: TwistGroup, case) -> VerifyResult:
     """The cases with `case(lhs, rhs, m, n) -> witness or None` deciding
     one unordered case; the count is of ordered cases."""
     k = len(G)
     b = G.elements[G.identity].period_sum()
     _check_projectors(k)
-    T = {}
-    for i in range(1, k + 1):
-        for n in range(-max_mode, max_mode + 1):
-            T[(i, n)] = build_T(G, i, n, shifted=(n == 0))
+    span = range(-_MAX_MODE, _MAX_MODE + 1)
     total = 0
     seen = set()
     for i in range(1, k + 1):
         for jdx in range(1, k + 1):
-            for m in range(-max_mode, max_mode + 1):
-                for n in range(-max_mode, max_mode + 1):
+            for m in span:
+                for n in span:
                     key = ((i, m), (jdx, n))
                     if (key[1], key[0]) in seen:
                         total += 1
                         continue
                     seen.add(key)
-                    lhs = CommutatorOp(T[(i, m)], T[(jdx, n)])
+                    lhs = CommutatorOp(build_T(G, i, m), build_T(G, jdx, n))
                     terms = []
                     if i == jdx:
                         if m != n:
-                            if abs(m + n) <= max_mode:
-                                terms.append((rat(m - n), T[(i, m + n)]))
-                            else:
-                                terms.append((rat(m - n), build_T(G, i, m + n, shifted=False)))
+                            terms.append((rat(m - n), build_T(G, i, m + n)))
                         if m == -n:
                             central = b * rat(m**3, 12 * k)
                             terms.append((1, ScalarOp(central)))

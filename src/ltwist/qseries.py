@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ltwist.exactnum import CycloNum, Scalar, rat, scalar_str, zeta
 
@@ -40,15 +40,9 @@ class PuiseuxSeries:
         return PuiseuxSeries(denom, {}, order)
 
     @staticmethod
-    def monomial(exponent, coeff=1, order=None, denom: Optional[int] = None) -> "PuiseuxSeries":
+    def monomial(exponent, coeff, order) -> "PuiseuxSeries":
         e = rat(exponent)
-        d = denom if denom is not None else int(e.denominator)
-        if (e * d).denominator != 1:
-            d = math.lcm(d, int(e.denominator))
-        key = int(e * d)
-        if order is None:
-            raise ValueError("monomial needs an explicit order")
-        return PuiseuxSeries(d, {key: coeff}, order)
+        return PuiseuxSeries(int(e.denominator), {int(e.numerator): coeff}, order)
 
     @staticmethod
     def one(order) -> "PuiseuxSeries":
@@ -99,9 +93,7 @@ class PuiseuxSeries:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, PuiseuxSeries):
-            other = PuiseuxSeries(1, {0: other}, self.order)
+    def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         a, b = self._aligned(other)
         order = min(a.order, b.order)
         out = dict(a.coeffs)
@@ -116,18 +108,10 @@ class PuiseuxSeries:
             self.order, normalize=False,
         )
 
-    def __sub__(self, other):
-        if not isinstance(other, PuiseuxSeries):
-            other = PuiseuxSeries(1, {0: other}, self.order)
+    def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         return self + (-other)
 
-    def __mul__(self, other):
-        if not isinstance(other, PuiseuxSeries):
-            return PuiseuxSeries(
-                self.denom,
-                {k: v * other for k, v in self.coeffs.items()},
-                self.order,
-            )
+    def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         a, b = self._aligned(other)
         # order of the product: each factor's truncation error enters shifted
         # by the other's valuation
@@ -149,8 +133,6 @@ class PuiseuxSeries:
                 t = v1 * v2
                 out[k] = out[k] + t if k in out else t
         return PuiseuxSeries(a.denom, out, order)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "PuiseuxSeries":
         """Multiplicative inverse of a series with nonzero leading term."""
@@ -214,7 +196,8 @@ class PuiseuxSeries:
     # -- numerics ----------------------------------------------------------
 
     def evaluate(self, q, precision_bits: int = 128):
-        """Numeric value at real 0 < q < 1 via mpmath at the given precision."""
+        """Numeric value at real 0 < q < 1 via mpmath at the given precision,
+        for rational coefficients."""
         import mpmath
 
         with mpmath.workprec(precision_bits + 16):
@@ -227,14 +210,8 @@ class PuiseuxSeries:
             for k in sorted(self.coeffs):
                 wpow = wpow * power(k - last)
                 last = k
-                c = self.coeffs[k]
-                if isinstance(c, CycloNum):
-                    from ltwist.exactnum import cyclo_embed
-
-                    acc += cyclo_embed(c, precision_bits + 16) * wpow
-                else:
-                    c = rat(c)
-                    acc += mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) * wpow
+                c = rat(self.coeffs[k])
+                acc += mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) * wpow
             return +acc
 
 
@@ -248,9 +225,6 @@ class APSet:
 
     modulus: int
     residues: frozenset
-
-    def __contains__(self, n: int) -> bool:
-        return n >= 1 and n % self.modulus in self.residues
 
     def up_to(self, bound: int) -> Iterable[int]:
         return (n for n in range(1, bound) if n % self.modulus in self.residues)
@@ -277,8 +251,6 @@ def product_expand(exponents: APSet, sign: int, order: int) -> PuiseuxSeries:
     if order > 0:
         arr[0] = 1
     for e in exponents.up_to(order):
-        if e < 1:
-            raise ValueError("exponent set must have positive minimal element")
         if sign == 1:
             for n in range(order - 1, e - 1, -1):
                 if arr[n - e]:
@@ -495,13 +467,12 @@ def highest_weight(k: int, i: int):
 
 def modular_s_check(
     k: int,
-    tau_samples=None,
     order: int = 400,
     precision_bits: int = 256,
 ):
     """Numeric span-invariance of the k character series under tau -> -1/tau.
 
-    Evaluates the characters at >= k+1 points on the imaginary axis, solves
+    Evaluates the characters at k+1 points on the imaginary axis, solves
     the k x k change of basis on the first k, and returns the maximum
     residual on the held-out points.  Raises on an ill-conditioned solve and
     when the series tails are not below 2^(-precision/2).
@@ -513,12 +484,7 @@ def modular_s_check(
     """
     import mpmath
 
-    if tau_samples is None:
-        tau_samples = [0.8 + 0.6 * a / k for a in range(k + 1)]
-    ts = [float(getattr(t, "imag", t) or t) for t in tau_samples]
-    ts = [abs(t) for t in ts]
-    if len(ts) < k + 1:
-        raise ValueError("need at least k+1 sample points")
+    ts = [0.8 + 0.6 * a / k for a in range(k + 1)]
     chars = [minimal_char(k, i, order) for i in range(1, k + 1)]
     with mpmath.workprec(precision_bits + 32):
         two_pi = 2 * mpmath.pi

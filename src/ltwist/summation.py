@@ -59,9 +59,6 @@ class SeqSpec:
             raise IndexError("terms are 1-indexed")
         return self._term_fn(i)
 
-    def terms(self, n: int) -> list:
-        return [self.term(i) for i in range(1, n + 1)]
-
     def floats(self, n: int) -> np.ndarray:
         if self._float_fn is not None:
             return self._float_fn(n)
@@ -78,7 +75,7 @@ class SeqSpec:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def from_list(values: Sequence, label: str = "") -> "SeqSpec":
+    def from_list(values: Sequence) -> "SeqSpec":
         vals = list(values)
 
         def term(i: int):
@@ -86,12 +83,7 @@ class SeqSpec:
                 raise IndexError("explicit sequence exhausted")
             return vals[i - 1]
 
-        def floats(n: int):
-            if n > len(vals):
-                raise IndexError("explicit sequence exhausted")
-            return np.array([_scalar_complex(v) for v in vals[:n]], dtype=np.complex128)
-
-        return SeqSpec(term, floats, label=label)
+        return SeqSpec(term)
 
     @staticmethod
     def from_function(fn: Callable[[int], Scalar], label: str = "",
@@ -256,8 +248,9 @@ def limit_exact_periodic(chi: PeriodicFn, weight: str = "const") -> Scalar:
 # replay of the worked derivations
 
 
-def _check_termwise(lhs: SeqSpec, rhs: SeqSpec, n: int = 512) -> None:
-    for i in range(1, n + 1):
+def _check_termwise(lhs: SeqSpec, rhs: SeqSpec) -> None:
+    """lhs and rhs agree on their first 512 terms."""
+    for i in range(1, 513):
         if lhs.term(i) != rhs.term(i):
             raise ArithmeticError(
                 f"termwise identity fails at i={i}: {lhs.label} vs {rhs.label}"

@@ -130,6 +130,14 @@ def test_user_supplied_table():
         TwistGroup(5, [ones, bad])
 
 
+def test_twist_group_elements_keep_the_group_period():
+    # an element of period 5 is not lifted to a group of period 10
+    quad = quad_char(5)
+    triv = PeriodicFn(10, [rat(0) if k % 5 == 0 else rat(1) for k in range(1, 11)])
+    with pytest.raises(ValueError, match="period"):
+        TwistGroup(10, [triv, quad])
+
+
 def test_folded_power_family_structure():
     for N in (5, 7, 9, 15):
         G = folded_power_family(N)

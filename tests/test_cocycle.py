@@ -194,6 +194,13 @@ def test_quad_field_guards():
             build_system(d, 3)
 
 
+def test_unknown_field_names_raise_value_error():
+    with pytest.raises(ValueError, match="unknown field 'Q\\(sqrt7\\)'"):
+        build_system("Q(sqrt7)", 3)
+    with pytest.raises(ValueError, match="unknown field 'Q\\(sqrt7\\)'"):
+        verify_449("Q(sqrt7)", 4)
+
+
 def _all_ordered_pair_rows(sys_):
     """The constraint rows of every ordered pair (m, n) of the box, each
     kept the first time it or its negation occurs."""

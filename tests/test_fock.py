@@ -125,7 +125,7 @@ def _column_qtrace(G, i, mode, D):
     N = G.period
     energy = vacuum_energies(G, i)
     pair = {energy.residue % N, -energy.residue % N}
-    L0, T0 = build_L(G.elements[G.identity], 0), build_T(G, i, 0, shifted=False)
+    L0, T0 = build_L(G.elements[G.identity], 0), build_L(pair_indicator(N, twist_residue(G, i)), 0)
     if mode == "char":
         allowed, shift = set(range(1, N)) - pair, rat(energy.d)
     else:
@@ -286,7 +286,7 @@ def test_build_T_eigenvalues():
     G = even_twist_group(5)
     # index 2 pairs with residue 1
     assert twist_residue(G, 2) == 1
-    T0 = build_T(G, 2, 0, shifted=False)
+    T0 = build_L(pair_indicator(G.period, twist_residue(G, 2)), 0)
     assert T0.column((1,)) == {(1,): rat(1, 5)}
     assert T0.column((2,)) == {}
     assert T0.column(()) == {}
@@ -636,6 +636,63 @@ def test_certificate_agrees_with_sweep(case):
     assert certified.passed == (not shift or m != -n or m == 0)
     if not certified.passed:
         assert certified.witness[0] == "central"
+
+
+# -- certificate rules the report's rows do not reach -----------------------------
+
+
+def _certified_and_swept(lhs, rhs, window):
+    """The verdicts of `_certify` and of the `matrix_equal` sweep."""
+    return fock._certify(lhs, rhs).passed, lhs.matrix_equal(rhs, window) is None
+
+
+def test_certificate_of_a_bilinear_against_a_mode(monkeypatch):
+    # [L_n^chi, a_k] = -(1/N) chi(k) k a_{k+nN}: the quadratic form on the left
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    for chi in even_twist_group(7).elements:
+        for k in range(-4, 5):
+            for n in (-1, 0, 1):
+                lhs = CommutatorOp(build_L(chi, n), ModeOp(k))
+                rhs = SumOp([(-chi(k) * rat(k, 7), ModeOp(k + 7 * n))])
+                window = commutator_window(15, k, 7 * n)
+                assert _certified_and_swept(lhs, rhs, window) == (True, True), (chi, k, n)
+
+
+def test_certificate_of_two_modes():
+    # [a_j, a_k] = j delta_{j+k,0}: the scalar of a mode against a mode
+    window = basis_partitions(8)
+    for j in range(-3, 4):
+        for k in range(-3, 4):
+            lhs = CommutatorOp(ModeOp(j), ModeOp(k))
+            rhs = ScalarOp(rat(j if j + k == 0 else 0))
+            assert _certified_and_swept(lhs, rhs, window) == (True, True), (j, k)
+
+
+def test_certificate_adds_the_tables_of_one_shift(monkeypatch):
+    # L_n^a + L_n^b = L_n^{a+b}: a sum of two bilinears with the same shift
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    G = even_twist_group(7)
+    for a in G.elements:
+        for b in G.elements:
+            ab = PeriodicFn(7, [a(x) + b(x) for x in range(1, 8)])
+            for n in (-1, 0, 1):
+                lhs, rhs = build_L(a, n) + build_L(b, n), build_L(ab, n)
+                window = commutator_window(14, 7 * n)
+                assert _certified_and_swept(lhs, rhs, window) == (True, True), (a, b, n)
+
+
+def test_certificate_names_a_mode_weight_mismatch(monkeypatch):
+    # Lemma 2.3 with its right side doubled: the forms differ only in the
+    # weight of a_{k+nN}, and the witness names that mode
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    for chi in even_twist_group(7).elements:
+        for k, n in ((3, 0), (-3, 0), (1, -1)):
+            lhs, rhs = fock._lemma_2_3_sides(chi, k, n)
+            doubled = SumOp([(2, rhs)])
+            want = chi(k) * rat(k, 7)
+            assert fock._certify(lhs, doubled).witness == (k + 7 * n, want, 2 * want)
+            window = commutator_window(14, k, 7 * n)
+            assert lhs.matrix_equal(doubled, window) is not None
 
 
 def _pointwise(op):

@@ -105,3 +105,61 @@ def test_window_sweeps_name_no_certificate_code():
                  if used in _CERTIFICATE_NAMES or used.startswith("_certify"))
     assert len(roots) >= 10 and "matrix_equal" in reached
     assert bad == []
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(function name, parameter name, position) for every parameter with a
+    default, position being its index among the positional arguments a
+    call passes (None for keyword-only ones); a method's self is not
+    counted, and an `__init__` is named by its class."""
+    owners = {item: node.name for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) for item in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner = owners.get(node)
+        name = owner if node.name == "__init__" else node.name
+        positional = node.args.posonlyargs + node.args.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        skip = 1 if owner and not static else 0
+        for arg in positional[len(positional) - len(node.args.defaults):]:
+            yield name, arg.arg, positional.index(arg) - skip
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _passed_parameters(tree: ast.AST):
+    """(callee name, keyword names, positional count, starred) per call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            yield name, {k.arg for k in node.keywords}, len(node.args), starred
+
+
+def test_every_optional_parameter_is_set_by_a_caller():
+    # A defaulted parameter that no call sets is an input form nobody
+    # gives: its default is the only value the program ever sees.  A call
+    # sets it by keyword, by position, or through * / **; calls are matched
+    # by name, a class name standing for its `__init__`.
+    root = Path(__file__).resolve().parent.parent
+    calls: dict = {}
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for name, keywords, count, starred in _passed_parameters(
+                    ast.parse(path.read_text(), str(path))):
+                calls.setdefault(name, []).append((keywords, count, starred))
+    unset = [
+        f"{path.name}:{name}({param})"
+        for path in sorted(Path(ltwist.__file__).parent.glob("*.py"))
+        for name, param, position in _defaulted_parameters(
+            ast.parse(path.read_text(), str(path)))
+        if not any(starred or param in keywords
+                   or (position is not None and count > position)
+                   for keywords, count, starred in calls.get(name, ()))
+    ]
+    assert unset == []
