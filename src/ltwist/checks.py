@@ -414,17 +414,10 @@ def check_energy_identity(cfg, N: int) -> tuple:
 
 
 def check_qtrace_char(cfg, k: int) -> tuple:
-    N = 2 * k + 1
-    G = even_twist_group(N)
-    order = cfg.qtrace_order
-    for i in range(1, k + 1):
-        energy = fock.vacuum_energies(G, i)
-        tr = fock.qtrace(G, i, "char", max(order + 2, 2 * N))
-        mc = qseries.minimal_char(k, energy.residue, order + 1)
-        bound = min(tr.order, mc.order)
-        if tr.truncate(bound) != mc.truncate(bound):
-            return False, "", f"i={i}: first diff {tr.first_difference(mc)}"
-    return True, f"orders up to {order}", None
+    res = fock.verify_qtrace_char(k, cfg.qtrace_order)
+    if not res.passed:
+        return False, "", "i={}: first diff {}".format(*res.witness)
+    return True, f"orders up to {cfg.qtrace_order}", None
 
 
 def check_qtrace_kernel(cfg) -> tuple:

@@ -8,17 +8,20 @@ and antisymmetry constraints leave a single functional equation
 
 This module builds that linear system on a coordinate box, checks alpha(m) = m
 and alpha(m) = m^3 against every constraint exactly, and certifies by a rank
-bound mod a prime that they span the null space over K.
+bound mod a prime that they span the null space over K.  The indices and the
+coefficients lie in the ring of integers Z[w] = Z[x]/(f) of K, f the minimal
+polynomial of w, and run on the integer tuples of `exactnum.QuotientRing`,
+the ring that also carries Z[zeta_m].
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
-from ltwist.exactnum import rat
+from ltwist.exactnum import QuotientRing, rat
 
 FIELDS = {
     "Q": None,
@@ -28,68 +31,28 @@ FIELDS = {
 }
 
 
-class QuadField:
-    """Q or Q(sqrt d) with the integral basis {1, w}, w = sqrt(d) or
-    (1 + sqrt d)/2 when d = 1 mod 4.  Elements are coordinate tuples."""
-
-    def __init__(self, d: Optional[int]):
-        if d is not None and (d in (0, 1) or any(
-                d % (k * k) == 0 for k in range(2, math.isqrt(abs(d)) + 1))):
-            raise ValueError("d must be a squarefree integer other than 0, 1")
-        self.d = d
-        self.rank = 1 if d is None else 2
-        if d is not None:
-            # w^2 = wsq_lin w + wsq_const, integral since w is an algebraic integer
-            self.wsq_lin, self.wsq_const = (1, (d - 1) // 4) if d % 4 == 1 else (0, d)
-        self.zero = (0,) * self.rank
-        self.one = (1,) + (0,) * (self.rank - 1)
-
-    # Elements are integer coordinate tuples of length self.rank: the ring
-    # Z[w] builds and tests the constraint rows, and nothing here divides.
-    def element(self, *coords):
-        if len(coords) != self.rank:
-            raise ValueError("coordinate count must match the field rank")
-        return tuple(map(operator.index, coords))
-
-    def add(self, a, b):
-        return tuple(map(operator.add, a, b))
-
-    def sub(self, a, b):
-        return tuple(map(operator.sub, a, b))
-
-    def neg(self, a):
-        return tuple(map(operator.neg, a))
-
-    def mul(self, a, b):
-        if self.rank == 1:
-            return (a[0] * b[0],)
-        a0, a1 = a
-        b0, b1 = b
-        cross = a0 * b1 + a1 * b0
-        w2 = a1 * b1
-        return (a0 * b0 + w2 * self.wsq_const, cross + w2 * self.wsq_lin)
-
-    def is_zero(self, a) -> bool:
-        return not any(a)
-
-    def from_int(self, n: int):
-        return (n,) + (0,) * (self.rank - 1)
-
-    def cube(self, a):
-        return self.mul(a, self.mul(a, a))
+@lru_cache(maxsize=None)
+def quadratic_order(d: Optional[int]) -> QuotientRing:
+    """Z (d None), or the integers Z[w] of Q(sqrt d) with w = sqrt d, or
+    (1 + sqrt d)/2 when d = 1 mod 4: Z[x]/(f), f the minimal polynomial of w."""
+    if d is None:
+        return QuotientRing((0, 1), ())
+    if d in (0, 1) or any(d % (k * k) == 0 for k in range(2, math.isqrt(abs(d)) + 1)):
+        raise ValueError("d must be a squarefree integer other than 0, 1")
+    return QuotientRing(((1 - d) // 4, -1, 1) if d % 4 == 1 else (-d, 0, 1), ())
 
 
-def field_by_name(name: str) -> QuadField:
+def field_by_name(name: str) -> QuotientRing:
     if name not in FIELDS:
         raise ValueError(f"unknown field {name!r}; choose from {sorted(FIELDS)}")
-    return QuadField(FIELDS[name])
+    return quadratic_order(FIELDS[name])
 
 
 @dataclass
 class CocycleSystem:
     """Linear constraints over K for the diagonal central terms alpha(m)."""
 
-    field: QuadField
+    field: QuotientRing
     height: int
     unknowns: list          # canonical box representatives (one per +- pair)
     index: dict             # canonical element -> unknown position
@@ -101,11 +64,11 @@ def build_system(d, H: int) -> CocycleSystem:
     """All functional-equation constraints with m, n, m + n inside the
     coordinate box of height H, after imposing alpha(0) = 0 and antisymmetry.
     Box points and coefficients are sums of m, n, 2m, 2n: integer tuples."""
-    K = field_by_name(d) if isinstance(d, str) else QuadField(d)
+    K = field_by_name(d) if isinstance(d, str) else quadratic_order(d)
     if H < 3:
         raise ValueError("height must be at least 3")
     rng = range(-H, H + 1)
-    if K.rank == 1:
+    if K.degree == 1:
         box = [(x,) for x in rng if x != 0]
     else:
         box = [(x, y) for x in rng for y in rng if not (x == 0 and y == 0)]
@@ -151,7 +114,7 @@ def _canonical(m):
     raise ValueError("zero has no canonical form")
 
 
-def _row_add(row: dict, K: QuadField, index: dict, m, coeff) -> None:
+def _row_add(row: dict, K: QuotientRing, index: dict, m, coeff) -> None:
     s, r = _canonical(m)
     pos = index[r]
     if s < 0:
@@ -159,7 +122,7 @@ def _row_add(row: dict, K: QuadField, index: dict, m, coeff) -> None:
     row[pos] = K.add(row.get(pos, K.zero), coeff)
 
 
-def _row_apply(K: QuadField, row: dict, vec) -> bool:
+def _row_apply(K: QuotientRing, row: dict, vec) -> bool:
     acc = K.zero
     for pos, c in row.items():
         acc = K.add(acc, K.mul(c, vec[pos]))
@@ -176,40 +139,38 @@ def nullspace_dim(sys_: CocycleSystem):
 
     Both are first verified against every row exactly; their values at
     m = 1, 2, which every box holds, are independent, so the dimension is at
-    least 2.  Each K-row then becomes `K.rank` integer rows on the
+    least 2.  Each K-row then becomes `K.degree` integer rows on the
     Q-coordinates of the unknowns (restriction of scalars, which multiplies
-    the rank by `K.rank`), and their rank mod _PRIME, never above the rank
-    over Q, is taken until it reaches K.rank * (#unknowns - 2).  Then the
+    the rank by `K.degree`), and their rank mod _PRIME, never above the rank
+    over Q, is taken until it reaches K.degree * (#unknowns - 2).  Then the
     dimension is exactly 2 and [m, m^3] is a basis.  Otherwise the returned
-    dimension is the upper bound #unknowns - ceil(rank / K.rank) > 2, so an
+    dimension is the upper bound #unknowns - ceil(rank / K.degree) > 2, so an
     uncertified system can only read as a larger null space.
     """
     K = sys_.field
-    v1 = list(sys_.unknowns)                  # alpha(m) = m
-    v3 = [K.cube(r) for r in sys_.unknowns]   # alpha(m) = m^3
+    v1 = list(sys_.unknowns)                             # alpha(m) = m
+    v3 = [K.mul(r, K.mul(r, r)) for r in sys_.unknowns]  # alpha(m) = m^3
     for ridx, row in enumerate(sys_.rows):
         if not _row_apply(K, row, v1) or not _row_apply(K, row, v3):
             raise ArithmeticError(f"polynomial solution violates constraint {ridx}")
     u = len(sys_.unknowns)
-    rank = _rank_mod_p(_restricted_rows(K, sys_.rows), K.rank * (u - 2))
-    return u - math.ceil(rank / K.rank), [v1, v3]
+    rank = _rank_mod_p(_restricted_rows(K, sys_.rows), K.degree * (u - 2))
+    return u - math.ceil(rank / K.degree), [v1, v3]
 
 
-def _restricted_rows(K: QuadField, rows):
-    """The integer rows over Q of the K-rows, unknown j = x + y w at columns
-    2j, 2j + 1 (at column j over Q): with w^2 = wl w + wc,
-    (a + b w)(x + y w) = (a x + b wc y) + (b x + (a + b wl) y) w."""
+def _restricted_rows(K: QuotientRing, rows):
+    """The integer rows over Q of the K-rows: unknown j = sum_t y_t w^t takes
+    the columns n j + t over Q, n = [K:Q], and a coefficient c puts the
+    coordinates of c w^t at column n j + t of the row's n rows over Q."""
+    n = K.degree
+    powers = [tuple(int(s == t) for s in range(n)) for t in range(n)]  # w^t
     for row in rows:
-        if K.rank == 1:
-            yield {p: c[0] for p, c in row.items()}
-            continue
-        wl, wc = K.wsq_lin, K.wsq_const
-        re, im = {}, {}
-        for p, (a, b) in row.items():
-            re[2 * p], re[2 * p + 1] = a, b * wc
-            im[2 * p], im[2 * p + 1] = b, a + b * wl
-        yield re
-        yield im
+        parts = [{} for _ in powers]
+        for p, c in row.items():
+            for t, w_t in enumerate(powers):
+                for part, x in zip(parts, K.mul(c, w_t)):
+                    part[n * p + t] = x
+        yield from parts
 
 
 def _rank_mod_p(rows, target: int) -> int:
@@ -253,7 +214,7 @@ def fit_cubic(sys_: CocycleSystem, vec) -> Optional[tuple]:
     b = tuple(rat(c) / 6 for c in six_b)
     a = K.sub(y1, b)
     for pos, r in enumerate(sys_.unknowns):
-        want = K.add(K.mul(a, r), K.mul(b, K.cube(r)))
+        want = K.add(K.mul(a, r), K.mul(b, K.mul(r, K.mul(r, r))))
         if want != vec[pos]:
             return None
     return a, b
@@ -291,7 +252,7 @@ def line_recursion_holds(sys_: CocycleSystem, basis) -> bool:
     return True
 
 
-def _line_value(sys_: CocycleSystem, K: QuadField, vec, m: int):
+def _line_value(sys_: CocycleSystem, K: QuotientRing, vec, m: int):
     elem = K.from_int(m)
     s, r = _canonical(elem)
     val = vec[sys_.index[r]]

@@ -9,11 +9,13 @@ zero divisors.  The three compose with Python's own operators: `+`, `-`,
 result is a `Rat` when both sides are rational and a `CycloNum` as soon as
 one side is, and `not x` is the zero test for every scalar.  A cyclotomic
 element holds integer numerators over one denominator, and its arithmetic
-runs on Python ints in the ring Z[zeta_m] (`CycloRing`, one per order from
-`cyclo_ring`), the same ring the exact operator sweeps hold their columns in;
-`scalar_parts` gives any scalar as integer numerators over one denominator.
-A controlled-precision complex embedding is provided for the few numeric
-checks.
+runs on Python ints in Z[zeta_m] = Z[x]/(Phi_m) (`CycloRing`, one per order
+from `cyclo_ring`), the ring the exact operator sweeps hold their columns in.
+Every such ring, the quadratic orders of the central-term systems too, is
+one `QuotientRing` Z[x]/(f): arithmetic generated from the monic f, and
+reductions one remainder mod f.  `scalar_parts` gives any scalar as integer
+numerators over one denominator.  A controlled-precision complex embedding
+is provided for the few numeric checks.
 """
 
 from __future__ import annotations
@@ -98,11 +100,12 @@ def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[in
     if den[-1] != 1:
         raise ValueError("divisor must be monic")
     quot = [0] * max(len(num) - dn, 0)
+    terms = [(k, dc) for k, dc in enumerate(den) if dc]
     for i in range(len(num) - 1, dn - 1, -1):
         c = num[i]
         if c:
             quot[i - dn] = c
-            for k, dc in enumerate(den):
+            for k, dc in terms:
                 num[i - dn + k] -= c * dc
     while num and num[-1] == 0:
         num.pop()
@@ -126,112 +129,57 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
-def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    """Integer rows of x^t mod Phi_m for t = phi(m) .. m - 1, built whole.
-
-    Phi_m is monic with integer coefficients, so every row is integral, and
-    x^m = 1 mod Phi_m, so higher powers fold onto these rows first.
-    """
-    poly = cyclotomic_poly(m)
-    base = tuple(-c for c in poly[:-1])  # x^phi
-    rows = []
-    row = base
-    for _ in range(len(base), m):
-        rows.append(row)
-        top = row[-1]
-        row = (0,) + row[:-1]
-        if top:
-            row = tuple(s + top * b for s, b in zip(row, base))
-    return tuple(rows)
+def _reduce(vec, f) -> tuple:
+    """The power-basis vector of sum_t vec[t] x^t mod the monic f."""
+    rem = _poly_divmod_int(vec, f)[1]
+    return tuple(rem) + (0,) * (len(f) - 1 - len(rem))
 
 
-def _power_image(e: int, m: int) -> tuple[int, ...]:
-    """x^e mod Phi_m on the power basis, for e >= 0 (x^m = 1 folds e first)."""
-    return tuple(_reduce_vec([0] * (e % m) + [1], m))
+def _power_image(e: int, f) -> tuple[int, ...]:
+    """x^e mod the monic f on the power basis, for e >= 0."""
+    return _reduce([0] * e + [1], f)
 
 
-@lru_cache(maxsize=None)
-def _promotion_table(m: int, big: int) -> tuple[tuple[int, ...], ...]:
-    """Integer images of the power basis of Q(zeta_m) inside Q(zeta_big), m | big."""
-    if big % m:
-        raise ValueError("promotion needs m | big")
-    step = big // m
-    return tuple(_power_image(i * step, big) for i in range(euler_phi(m)))
-
-
-def _reduce_vec(vec: list, m: int) -> list:
-    """Integer power-basis vector of sum vec[t] x^t mod Phi_m."""
-    phi = euler_phi(m)
-    if len(vec) <= phi:
-        return list(vec) + [0] * (phi - len(vec))
-    if len(vec) > m:
-        folded = list(vec[:m])
-        for t in range(m, len(vec)):
-            folded[t % m] += vec[t]
-        vec = folded
-    out = list(vec[:phi])
-    for c, row in zip(vec[phi:], _reduction_rows(m)):
-        if c:
-            for k in range(phi):
-                if row[k]:
-                    out[k] += c * row[k]
-    return out
-
-
-def _apply_rows(vec, rows) -> tuple:
-    """The integer combination sum_i vec[i] * rows[i]."""
-    out = [0] * len(rows[0])
-    for c, row in zip(vec, rows):
-        if c:
-            for k, r in enumerate(row):
-                if r:
-                    out[k] += c * r
-    return tuple(out)
+def _substituted(a, exponents, f) -> tuple:
+    """sum_i a[i] x^exponents[i] mod the monic f."""
+    vec = [0] * (max(exponents) + 1)
+    for c, e in zip(a, exponents):
+        vec[e] += c
+    return _reduce(vec, f)
 
 
 # ---------------------------------------------------------------------------
-# integer arithmetic on Z[zeta_m]
+# integer arithmetic in Z[x]/(f)
 
-# Up to this phi(m) the product and the conjugation are straight-line
+# Up to this degree the product and the conjugation are straight-line
 # expressions.  Above it each product coefficient would be a sum of hundreds
 # of terms (phi(1680) = 384), deep enough to exhaust the compiler's recursion
 # limit, so those two loop instead.
-_STRAIGHT_LINE_MAX_PHI = 16
+_STRAIGHT_LINE_MAX_DEGREE = 16
 
 
-class CycloRing:
-    """Z[zeta_m] on integer coefficient tuples over the power basis.
+class QuotientRing:
+    """Z[x]/(f), f monic in Z[x] of degree n (ascending coefficients), on
+    integer tuples over the power basis 1, x, ..., x^(n-1).
 
-    `CycloNum` computes on its numerators here, and the exact operator sweeps
-    hold their column entries here: algebraic integers with the rational
-    factor kept outside, so no scalar-type dispatch is met per entry.  When
-    phi(m) = 1 the elements are plain ints and the operations the int
-    builtins; otherwise they are generated for m, the product one expression
-    read off the reduction rows, several times faster than a loop.  Get
-    instances from `cyclo_ring`.
+    `add`, `sub`, `neg`, `smul` (by an int), `from_int`, `mul` and, given the
+    exponents e_i of an involution x^i -> x^e_i, `conj` are generated for f:
+    up to degree 16 the product and `conj` are straight-line expressions read
+    off the powers x^t mod f, several times faster than a loop; above they
+    loop and take one remainder mod f.
     """
 
-    def __init__(self, m: int):
-        self.order = m
-        self.phi = phi = euler_phi(m)
-        if phi == 1:
-            self.zero, self.one = 0, 1
-            self.add, self.sub, self.neg = operator.add, operator.sub, operator.neg
-            self.mul = self.smul = operator.mul
-            self.from_int = int
-            self.is_zero = operator.not_
-            self.conj = _same
-            return
-        self.zero = (0,) * phi
+    def __init__(self, f: tuple, conj_exponents: tuple):
+        self.f = f
+        self.degree = n = len(f) - 1
+        self.zero = (0,) * n
         self.one = (1,) + self.zero[1:]
         self.is_zero = _all_zero
-        conj_rows = tuple(_power_image(-i % m, m) for i in range(phi))  # zeta^i -> zeta^-i
-        a = ", ".join(f"a{i}" for i in range(phi))
-        b = ", ".join(f"b{i}" for i in range(phi))
+        a = ", ".join(f"a{i}" for i in range(n))
+        b = ", ".join(f"b{i}" for i in range(n))
 
         def each(expr: str) -> str:
-            return "(" + ", ".join(expr.format(i=i) for i in range(phi)) + ",)"
+            return "(" + ", ".join(expr.format(i=i) for i in range(n)) + ",)"
 
         def sums(terms: list[list[str]]) -> str:
             return "(" + ", ".join(_sum_of(t) for t in terms) + ",)"
@@ -252,45 +200,73 @@ def smul(a, n):
     {a}, = a
     return {each("a{i} * n")}
 def from_int(n):
-    return (n,{" 0," * (phi - 1)})
+    return (n,{" 0," * (n - 1)})
 """
         namespace: dict = {}
-        if phi <= _STRAIGHT_LINE_MAX_PHI:
-            images = [_power_image(t, m) for t in range(2 * phi - 1)]
+        if n <= _STRAIGHT_LINE_MAX_DEGREE:
+            images = [_power_image(t, f) for t in range(2 * n - 1)]
             mul_terms = [
                 [_term(images[i + j][k], f"a{i}*b{j}")
-                 for i in range(phi) for j in range(phi) if images[i + j][k]]
-                for k in range(phi)
-            ]
-            conj_terms = [
-                [_term(row[k], f"a{i}") for i, row in enumerate(conj_rows) if row[k]]
-                for k in range(phi)
+                 for i in range(n) for j in range(n) if images[i + j][k]]
+                for k in range(n)
             ]
             src += f"""
 def mul(a, b):
     {a}, = a
     {b}, = b
     return {sums(mul_terms)}
-def conj(a):
+"""
+            if conj_exponents:
+                conj_rows = [_power_image(e, f) for e in conj_exponents]
+                conj_terms = [
+                    [_term(row[k], f"a{i}") for i, row in enumerate(conj_rows) if row[k]]
+                    for k in range(n)
+                ]
+                src += f"""def conj(a):
     {a}, = a
     return {sums(conj_terms)}
 """
         else:
 
             def mul(a, b):
-                prod = [0] * (2 * phi - 1)
+                prod = [0] * (2 * n - 1)
                 for i, x in enumerate(a):
                     if x:
                         for j, y in enumerate(b):
                             if y:
                                 prod[i + j] += x * y
-                return tuple(_reduce_vec(prod, m))
+                return _reduce(prod, f)
 
             namespace["mul"] = mul
-            namespace["conj"] = lambda a: _apply_rows(a, conj_rows)
+            if conj_exponents:
+                namespace["conj"] = lambda a: _substituted(a, conj_exponents, f)
         exec(src, namespace)
         for name in ("add", "sub", "neg", "mul", "smul", "from_int", "conj"):
-            setattr(self, name, namespace[name])
+            if name in namespace:
+                setattr(self, name, namespace[name])
+
+
+class CycloRing(QuotientRing):
+    """Z[zeta_m] = Z[x]/(Phi_m) with conj zeta -> zeta^-1: `CycloNum` computes
+    on its numerators here, and the exact operator sweeps hold their column
+    entries here, the rational factor kept outside, so no scalar-type
+    dispatch is met per entry.  When phi(m) = 1 the elements are plain ints
+    and the operations the int builtins.  Get instances from `cyclo_ring`.
+    """
+
+    def __init__(self, m: int):
+        self.order = m
+        f = cyclotomic_poly(m)
+        if len(f) == 2:
+            self.degree = 1
+            self.zero, self.one = 0, 1
+            self.add, self.sub, self.neg = operator.add, operator.sub, operator.neg
+            self.mul = self.smul = operator.mul
+            self.from_int = int
+            self.is_zero = operator.not_
+            self.conj = _same
+            return
+        super().__init__(f, tuple(-i % m for i in range(len(f) - 1)))
 
     # boundary with the scalar domain
 
@@ -298,11 +274,11 @@ def conj(a):
         """(element, den) with x = element / den and den > 0 minimal."""
         order, num, den = scalar_parts(x)
         num = _lift(num, order, self.order)
-        return (num[0] if self.phi == 1 else num), den
+        return (num[0] if self.degree == 1 else num), den
 
     def to_scalar(self, a, scale):
         """The scalar `scale * a` (a Rat when phi(m) = 1, else a CycloNum)."""
-        if self.phi == 1:
+        if self.degree == 1:
             return scale * a
         p, q = int(scale.numerator), int(scale.denominator)
         return CycloNum._make(self.order, [p * c for c in a], q)
@@ -423,10 +399,8 @@ class CycloNum:
             return self
         if math.gcd(t, m) != 1:
             raise ValueError("galois exponent must be a unit mod the order")
-        vec = [0] * m
-        for i, c in enumerate(self.num):
-            vec[i * t % m] = c
-        return _exact(m, tuple(_reduce_vec(vec, m)), self.den)
+        exponents = [i * t % m for i in range(len(self.num))]
+        return _exact(m, _substituted(self.num, exponents, cyclotomic_poly(m)), self.den)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -574,12 +548,16 @@ def _canonical(order: int, num, den: int) -> tuple:
 
 
 def _lift(num: tuple, m: int, big: int) -> tuple:
-    """Numerators on the power basis of Q(zeta_m) rewritten on that of Q(zeta_big)."""
+    """Numerators on the power basis of Q(zeta_m) rewritten on that of
+    Q(zeta_big), m | big: zeta_m = zeta_big^(big/m)."""
     if m == big:
         return num
+    if big % m:
+        raise ValueError("promotion needs m | big")
     if m == 1:
         return (num[0],) + (0,) * (euler_phi(big) - 1)
-    return _apply_rows(num, _promotion_table(m, big))
+    step = big // m
+    return _substituted(num, range(0, len(num) * step, step), cyclotomic_poly(big))
 
 
 def scalar_parts(x) -> tuple:

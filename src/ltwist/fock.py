@@ -1552,3 +1552,20 @@ def qtrace(G: TwistGroup, i: int, mode: str, D: int):
         key = t * denom + int(shift.numerator)
         counts[key] = counts.get(key, 0) + k
     return PuiseuxSeries(denom, counts, shift + D + 1)
+
+
+def verify_qtrace_char(k: int, order: int) -> VerifyResult:
+    """The "char" `qtrace` of each index i = 1..k of even_twist_group(2k + 1)
+    equals `qseries.minimal_char` to order + 1; the count is of indices, the
+    witness the first failing (i, first difference)."""
+    from ltwist.qseries import minimal_char
+
+    N = 2 * k + 1
+    G = even_twist_group(N)
+    for i in range(1, k + 1):
+        tr = qtrace(G, i, "char", max(order + 2, 2 * N))
+        mc = minimal_char(k, vacuum_energies(G, i).residue, order + 1)
+        bound = min(tr.order, mc.order)
+        if tr.truncate(bound) != mc.truncate(bound):
+            return VerifyResult(False, i, (i, tr.first_difference(mc)))
+    return VerifyResult(True, k, None)

@@ -9,7 +9,6 @@ JSON output is byte-identical across runs.
 from __future__ import annotations
 
 import json
-import random
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
@@ -194,7 +193,6 @@ def report_all(cfg: Optional[RunConfig] = None) -> dict:
     """Run the whole verification suite and assemble the report document."""
     cfg = cfg or RunConfig()
     cfg.validate()
-    random.seed(cfg.seed)
     checks = _registry(cfg)
     results = [_run_check(c, cfg) for c in checks]
     summary = {

@@ -6,12 +6,12 @@ import pytest
 from ltwist import checks, cocycle
 from ltwist.cocycle import (
     FIELDS,
-    QuadField,
     build_system,
     field_by_name,
     fit_cubic,
     line_recursion_holds,
     nullspace_dim,
+    quadratic_order,
     verify_449,
 )
 from ltwist.exactnum import Rat
@@ -19,14 +19,19 @@ from ltwist.report import RunConfig
 
 
 def test_field_arithmetic():
+    # the orders are Z[x]/(f) on integer tuples, f the minimal polynomial of w
     K = field_by_name("Q(sqrt2)")
-    a = K.element(1, 2)       # 1 + 2 sqrt2
-    b = K.element(3, -1)
-    assert K.mul(a, b) == K.element(3 - 2 * 2, 6 - 1)  # (3-4) + ... compute directly
+    assert K.mul((1, 2), (3, -1)) == (3 - 2 * 2, 6 - 1)  # (1 + 2 w)(3 - w), w^2 = 2
     # golden-ratio basis: w^2 = w + 1 in Q(sqrt5)
-    K5 = field_by_name("Q(sqrt5)")
-    w = K5.element(0, 1)
-    assert K5.mul(w, w) == K5.element(1, 1)
+    assert field_by_name("Q(sqrt5)").mul((0, 1), (0, 1)) == (1, 1)
+    assert field_by_name("Q(i)").mul((0, 1), (0, 1)) == (-1, 0)
+    Q = field_by_name("Q")
+    assert Q.mul((3,), (-4,)) == (-12,) and Q.one == (1,) and Q.from_int(2) == (2,)
+    # f = x^2 - wl x - wc: w^2 = wl w + wc, and the rank is the degree of f
+    assert {name: field_by_name(name).f for name in FIELDS} == {
+        "Q": (0, 1), "Q(sqrt2)": (-2, 0, 1), "Q(sqrt5)": (-1, -1, 1), "Q(i)": (1, 0, 1)}
+    assert quadratic_order(-3).f == (1, -1, 1)  # w = (1 + sqrt -3)/2, w^2 = w - 1
+    assert quadratic_order(5) is field_by_name("Q(sqrt5)")
 
 
 def test_build_system_shapes():
@@ -55,8 +60,6 @@ def test_inverse_and_fit_stay_exact(name):
     # the cubic fit is rational
     K = field_by_name(name)
     assert not hasattr(K, "inv")
-    with pytest.raises(TypeError):
-        K.element(*([Rat(1, 2)] * K.rank))
     sys_ = build_system(name, 3)
     dim, basis = nullspace_dim(sys_)
     for vec in basis:
@@ -95,8 +98,8 @@ def test_random_nullspace_vector_fits():
     sys_ = build_system("Q(sqrt2)", 5)
     dim, basis = nullspace_dim(sys_)
     K = sys_.field
-    c1 = K.element(rng.randint(-3, 3), rng.randint(-3, 3))
-    c2 = K.element(rng.randint(-3, 3), rng.randint(-3, 3))
+    c1 = (rng.randint(-3, 3), rng.randint(-3, 3))
+    c2 = (rng.randint(-3, 3), rng.randint(-3, 3))
     combo = [K.add(K.mul(c1, x), K.mul(c2, y)) for x, y in zip(*basis)]
     for row in sys_.rows:
         acc = K.zero
@@ -182,14 +185,10 @@ def test_recursion_row_reads_the_null_spaces_of_the_cocycle_rows(monkeypatch):
 
 def test_quad_field_guards():
     with pytest.raises(ValueError):
-        QuadField(0)
-    with pytest.raises(ValueError):
-        QuadField(1)
-    with pytest.raises(ValueError):
         field_by_name("Q(sqrt7)")
-    for d in (4, 8, 9, -4):
+    for d in (0, 1, 4, 8, 9, -4):
         with pytest.raises(ValueError, match="squarefree"):
-            QuadField(d)
+            quadratic_order(d)
         with pytest.raises(ValueError, match="squarefree"):
             build_system(d, 3)
 

@@ -249,17 +249,57 @@ def test_fock_columns_use_the_scalar_ring():
     assert exactnum.cyclo_ring(3) in op._cache
 
 
-def test_reduction_rows_whole_and_immutable():
-    from ltwist.exactnum import _reduction_rows
+def _schoolbook_mod(a, b, f):
+    """The product of two power-basis tuples, reduced mod the monic f by long
+    division."""
+    from ltwist.exactnum import _poly_divmod_int
 
-    for m in (3, 5, 12, 15):
-        rows = _reduction_rows(m)
-        assert isinstance(rows, tuple) and all(isinstance(r, tuple) for r in rows)
-        assert _reduction_rows(m) is rows
-        # row t - phi is x^t mod Phi_m, t = phi .. m - 1
-        z = zeta(m)
-        for t, row in enumerate(rows, euler_phi(m)):
-            assert z**t == sum((c * z**k for k, c in enumerate(row)), CycloNum.from_rat(0))
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    rem = _poly_divmod_int(prod, list(f))[1]
+    return tuple(rem) + (0,) * (len(f) - 1 - len(rem))
+
+
+_RING_CASES = [("cyclo", m) for m in (3, 4, 5, 8, 12, 24, 35)] + [
+    ("quadratic", name) for name in ("Q", "Q(sqrt2)", "Q(sqrt5)", "Q(i)")]
+
+
+@pytest.mark.parametrize("kind,key", _RING_CASES, ids=[str(k) for _, k in _RING_CASES])
+def test_generated_mul_is_the_product_mod_f(kind, key):
+    # one generator builds every ring: the cyclotomic rings Z[x]/(Phi_m)
+    # (phi(35) = 24 takes the looped product) and the quadratic orders of
+    # the cocycle systems, Z[x]/(f) with f = x, x^2 - 2, x^2 - x - 1, x^2 + 1
+    from ltwist.cocycle import field_by_name
+    from ltwist.exactnum import cyclo_ring
+
+    ring = cyclo_ring(key) if kind == "cyclo" else field_by_name(key)
+    n = len(ring.f) - 1
+    assert ring.degree == n and ring.f[-1] == 1
+    assert ring.zero == (0,) * n and ring.one == (1,) + (0,) * (n - 1)
+    rng = random.Random(21)
+    for _ in range(60):
+        a, b = (tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(2))
+        got = ring.mul(a, b)
+        assert got == _schoolbook_mod(a, b, ring.f)
+        assert all(type(c) is int for c in got)
+        assert ring.add(a, b) == tuple(x + y for x, y in zip(a, b))
+        assert ring.sub(a, b) == tuple(x - y for x, y in zip(a, b))
+        assert ring.neg(a) == tuple(-x for x in a)
+        assert ring.smul(a, 3) == tuple(3 * x for x in a)
+    assert ring.from_int(-7) == (-7,) + (0,) * (n - 1)
+
+
+def test_cyclo_ring_is_plain_ints_at_phi_one():
+    from ltwist.exactnum import cyclo_ring
+
+    for m in (1, 2):
+        ring = cyclo_ring(m)
+        assert ring.degree == 1 and (ring.zero, ring.one) == (0, 1)
+        assert ring.mul(3, -4) == -12 and ring.add(3, -4) == -1
+        assert ring.conj(5) == 5 and type(ring.from_int(5)) is int
+        assert ring.is_zero(0) and not ring.is_zero(2)
 
 
 REF_ORDERS = (1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24, 28)

@@ -1,12 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import asdict
 
 import pytest
 
-from ltwist import cli, fock
+from ltwist import checks, cli, fock
 from ltwist.characters import even_twist_group
 from ltwist.checks import build_registry
 from ltwist.report import (
@@ -227,6 +228,46 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
     assert cli.dispatch(["qseries", "verify", "--identity", "nope"]) == 2
     capsys.readouterr()
+
+
+def test_cli_file_errors_exit_2(tmp_path, capsys, monkeypatch):
+    # a file that cannot be read or written is a usage error: one line on
+    # stderr and exit 2, not a traceback and the exit of a failed identity
+    missing = tmp_path / "no-such-dir"
+    assert cli.dispatch(["report", "--config", str(missing / "r.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "r.cfg" in err and "Traceback" not in err
+    monkeypatch.setattr(cli, "report_all", lambda cfg: {"summary": {"failed": 0}})
+    assert cli.dispatch(["report", "--format", "json", "--out", str(missing / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "r.json" in err and "Traceback" not in err
+
+
+def test_report_all_leaves_the_global_rng_alone():
+    # the seeded rows draw from their own random.Random(cfg.seed)
+    random.seed(20)
+    state = random.getstate()
+    report_all(small_config(cutoff=4, moduli_bracket=(), moduli_energy=()))
+    assert random.getstate() == state
+
+
+def test_qtrace_char_row_and_cli_give_one_verdict(monkeypatch, capsys):
+    calls = []
+    real = fock.verify_qtrace_char
+    monkeypatch.setattr(fock, "verify_qtrace_char",
+                        lambda k, order: calls.append((k, order)) or real(k, order))
+    argv = ["qseries", "verify", "--identity", "char-cross", "--k", "2", "--order", "12"]
+    assert cli.dispatch(argv) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert checks.check_qtrace_char(RunConfig(qtrace_order=12), 2) == (
+        True, "orders up to 12", None)
+    assert calls == [(2, 12), (2, 12)]
+    # a failing verdict reads the same in both
+    monkeypatch.setattr(fock, "verify_qtrace_char",
+                        lambda k, order: fock.VerifyResult(False, 1, (1, 5)))
+    assert cli.dispatch(argv) == 1
+    assert json.loads(capsys.readouterr().out)["detail"] == "i=1: first diff 5"
+    assert checks.check_qtrace_char(RunConfig(), 2) == (False, "", "i=1: first diff 5")
 
 
 def test_cli_fock_verify_rejects_a_cutoff_outside_the_report_bounds(capsys):

@@ -18,6 +18,19 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_only_exactnum_generates_code():
+    # Ring arithmetic is generated in one module: no other module of the
+    # package names the exec or compile builtins.
+    files = sorted(Path(ltwist.__file__).parent.glob("*.py"))
+    found = {
+        f"{path.name}:{node.id}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Name) and node.id in ("exec", "compile")
+    }
+    assert found == {"exactnum.py:exec"}
+
+
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
