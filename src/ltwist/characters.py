@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from ltwist.exactnum import (
-    CYCLO_ONE,
+    ONE,
     CycloNum,
     Scalar,
     divisors,
@@ -22,23 +22,23 @@ from ltwist.exactnum import (
     linear_form,
     parse_scalar,
     rat,
+    scalar_parts,
     scalar_str,
     zeta,
 )
 
 
 def _normalize_value(v) -> Scalar:
-    if isinstance(v, CycloNum):
-        r = v.rational_part()
-        return r if r is not None else v
-    return rat(v)
+    return v if isinstance(v, CycloNum) else rat(v)
 
 
 class PeriodicFn:
     """Function on the integers of period N, stored as values at 1..N.
 
-    The value at N is the value at 0 mod N.  The `even` and `mean_zero`
-    flags are computed from the table, never asserted.
+    The value at N is the value at 0 mod N.  Values are stored in their one
+    exact form, a rational as a `Rat`, so a `CycloNum` value is irrational.
+    The `even` and `mean_zero` flags are computed from the table, never
+    asserted.
     """
 
     __slots__ = ("period", "_by_residue", "_fingerprint", "_flags")
@@ -150,8 +150,7 @@ class PeriodicFn:
     # -- algebra ----------------------------------------------------------
 
     def conj(self) -> "PeriodicFn":
-        vals = [v.conj() if isinstance(v, CycloNum) else v for v in self.values()]
-        return PeriodicFn(self.period, vals)
+        return PeriodicFn(self.period, [v.conjugate() for v in self.values()])
 
     def dilate(self, l: int) -> "PeriodicFn":
         """y -> f(y / l) where l | y, else 0, of period lN: its twisted
@@ -173,12 +172,7 @@ class PeriodicFn:
 
     def fingerprint(self) -> tuple:
         if self._fingerprint is None:
-            # values are normalised: rationals are Rats, so a CycloNum is irrational
-            fp = (self.period,) + tuple(
-                v.fingerprint() if isinstance(v, CycloNum)
-                else ("q", v.numerator, v.denominator)
-                for v in self.values()
-            )
+            fp = (self.period,) + tuple(scalar_parts(v) for v in self.values())
             object.__setattr__(self, "_fingerprint", fp)
         return self._fingerprint
 
@@ -329,7 +323,7 @@ def _character_table(N: int, gens: tuple) -> tuple:
 def _root_powers(d: int) -> tuple:
     """zeta_d^s for s = 0 .. d - 1, built whole."""
     root = zeta(d)
-    powers = [CYCLO_ONE]
+    powers = [ONE]
     for _ in range(1, d):
         powers.append(powers[-1] * root)
     return tuple(powers)

@@ -1,21 +1,24 @@
 """Exact rational and cyclotomic arithmetic.
 
 The scalar domain used throughout the package is the union of ints,
-arbitrary precision rationals (`Rat`) and elements of cyclotomic fields
-Q(zeta_m) (`CycloNum`), the latter represented on the power basis modulo the
-m-th cyclotomic polynomial so that equality is decidable and there are no
-zero divisors.  The three compose with Python's own operators: `+`, `-`,
-`*`, `/` and `==` take an int or a `Rat` on either side of a `CycloNum`, the
-result is a `Rat` when both sides are rational and a `CycloNum` as soon as
-one side is, and `not x` is the zero test for every scalar.  A cyclotomic
-element holds integer numerators over one denominator, and its arithmetic
-runs on Python ints in Z[zeta_m] = Z[x]/(Phi_m) (`CycloRing`, one per order
-from `cyclo_ring`), the ring the exact operator sweeps hold their columns in.
-Every such ring, the quadratic orders of the central-term systems too, is
-one `QuotientRing` Z[x]/(f): arithmetic generated from the monic f, and
-reductions one remainder mod f.  `scalar_parts` gives any scalar as integer
-numerators over one denominator.  A controlled-precision complex embedding
-is provided for the few numeric checks.
+arbitrary precision rationals (`Rat`) and the irrational elements of
+cyclotomic fields Q(zeta_m) (`CycloNum`), the latter represented on the power
+basis modulo the m-th cyclotomic polynomial so that equality is decidable and
+there are no zero divisors.  Each value has one form: a rational is always a
+`Rat` (or an int), never a `CycloNum`, so the type of a result follows its
+value.  The three compose with Python's own operators: `+`, `-`, `*`, `/`,
+`**` and `==` take an int or a `Rat` on either side of a `CycloNum`, and the
+result is a `Rat` exactly when it is rational, `zeta_3 + zeta_3^2` too.
+`CycloNum` answers Python's numeric protocol like `int` and `Rat`:
+`x.conjugate()` is complex conjugation and `complex(x)` the embedding.  A
+cyclotomic element holds integer numerators over one denominator, and its
+arithmetic runs on Python ints in Z[zeta_m] = Z[x]/(Phi_m) (`CycloRing`, one
+per order from `cyclo_ring`), the ring the exact operator sweeps hold their
+columns in.  Every such ring, the quadratic orders of the central-term
+systems too, is one `QuotientRing` Z[x]/(f): arithmetic generated from the
+monic f, and reductions one remainder mod f.  `scalar_parts` gives any scalar
+as integer numerators over one denominator.  A controlled-precision complex
+embedding is provided for the few numeric checks.
 """
 
 from __future__ import annotations
@@ -277,7 +280,7 @@ class CycloRing(QuotientRing):
         return (num[0] if self.degree == 1 else num), den
 
     def to_scalar(self, a, scale):
-        """The scalar `scale * a` (a Rat when phi(m) = 1, else a CycloNum)."""
+        """The scalar `scale * a`, a `Rat` when it is rational."""
         if self.degree == 1:
             return scale * a
         p, q = int(scale.numerator), int(scale.denominator)
@@ -310,51 +313,41 @@ def _sum_of(terms: list[str]) -> str:
 
 
 class CycloNum:
-    """Element of Q(zeta_m): integer numerators on the power basis 1, zeta,
-    ..., zeta^{phi(m)-1} over one positive denominator.
+    """Element of Q(zeta_m) that is not rational: integer numerators on the
+    power basis 1, zeta, ..., zeta^{phi(m)-1} over one positive denominator.
 
-    The form is canonical: `num` is a tuple of ints, `den` > 0 and
-    gcd(den, *num) == 1, and values that happen to be rational collapse to
-    order 1, which gives zero and one a single form.  Elements of different
-    orders compare equal exactly when they agree inside Q(zeta_lcm).
-    Instances are immutable.  `coeffs` gives the coefficients as `Rat`s for
-    the text forms.
+    A value has one form.  Every construction and every result goes through
+    `_exact`, which returns a `Rat` when the value is rational, so a
+    `CycloNum` always has some nonzero non-constant numerator and order at
+    least 3: the type of a result follows its value, as in `PeriodicFn`.
+    The numerators are canonical: `num` is a tuple of ints, `den` > 0 and
+    gcd(den, *num) == 1.  Elements of different orders compare equal exactly
+    when they agree inside Q(zeta_lcm).  Instances are immutable.  `coeffs`
+    gives the coefficients as `Rat`s for the text forms.
     """
 
     __slots__ = ("order", "num", "den")
     __hash__ = None  # cross-order equality would break the hash contract
 
-    def __init__(self, order: int, coeffs):
+    def __new__(cls, order: int, coeffs):
+        """The value sum_i coeffs[i] zeta_order^i: a `Rat` when it is rational."""
         coeffs = [rat(c) for c in coeffs]
         if len(coeffs) != euler_phi(order):
             raise ValueError("coefficient vector length must be phi(order)")
         den = math.lcm(*(int(c.denominator) for c in coeffs))
         num = [int(c.numerator) * (den // int(c.denominator)) for c in coeffs]
-        _fill(self, *_canonical(order, num, den))
+        return CycloNum._make(order, num, den)
 
     @staticmethod
-    def _make(order: int, num, den: int = 1) -> "CycloNum":
-        """The element num / den of Q(zeta_order) from integer numerators, den > 0."""
-        return _exact(*_canonical(order, num, den))
+    def _make(order: int, num, den: int = 1):
+        """The value num / den of Q(zeta_order) from integer numerators, den > 0."""
+        g = math.gcd(den, *num)
+        if g != 1:
+            return _exact(order, tuple(c // g for c in num), den // g)
+        return _exact(order, tuple(num), den)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("CycloNum is immutable")
-
-    # -- construction -------------------------------------------------
-
-    @staticmethod
-    def from_rat(x) -> "CycloNum":
-        return _exact(*scalar_parts(rat(x)))
-
-    @staticmethod
-    def zeta(m: int) -> "CycloNum":
-        if m < 1:
-            raise ValueError("root order must be positive")
-        if m == 1:
-            return CYCLO_ONE
-        if m == 2:
-            return _exact(1, (-1,), 1)
-        return _exact(m, (0, 1) + (0,) * (euler_phi(m) - 2), 1)
 
     # -- helpers -------------------------------------------------------
 
@@ -372,35 +365,21 @@ class CycloNum:
         big = m * n // math.gcd(m, n)
         return big, _lift(self.num, m, big), _lift(other.num, n, big)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.order == 1 and not self.num[0]
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def rational_part(self) -> Optional[Rat]:
-        """The value as a rational if it is one, else None."""
-        if self.order == 1:
-            return rat(self.num[0], self.den)
-        return None
-
-    def conj(self) -> "CycloNum":
+    def conjugate(self) -> "CycloNum":
         """Complex conjugation, zeta -> zeta^{-1}."""
         m = self.order
-        if m == 1:
-            return self
         return _exact(m, cyclo_ring(m).conj(self.num), self.den)
 
     def galois(self, t: int) -> "CycloNum":
         """The automorphism zeta -> zeta^t, gcd(t, order) = 1."""
         m = self.order
-        if m == 1:
-            return self
         if math.gcd(t, m) != 1:
             raise ValueError("galois exponent must be a unit mod the order")
         exponents = [i * t % m for i in range(len(self.num))]
         return _exact(m, _substituted(self.num, exponents, cyclotomic_poly(m)), self.den)
+
+    def __complex__(self) -> complex:
+        return complex(cyclo_embed(self, 64))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -409,8 +388,6 @@ class CycloNum:
             m, a, b = self._aligned(other)
             da, db = self.den, other.den
             if da == db:
-                if m == 1:
-                    return CycloNum._make(1, (a[0] + b[0],), da)
                 return CycloNum._make(m, cyclo_ring(m).add(a, b), da)
             g = math.gcd(da, db)
             fa, fb = db // g, da // g
@@ -439,37 +416,26 @@ class CycloNum:
     def __mul__(self, other):
         if isinstance(other, CycloNum):
             m, a, b = self._aligned(other)
-            den = self.den * other.den
-            if m == 1:
-                return CycloNum._make(1, (a[0] * b[0],), den)
-            return CycloNum._make(m, cyclo_ring(m).mul(a, b), den)
+            return CycloNum._make(m, cyclo_ring(m).mul(a, b), self.den * other.den)
         if isinstance(other, RAT_TYPES):
-            p = int(other.numerator)
-            if not p:
-                return CYCLO_ZERO
             return CycloNum._make(
-                self.order, [c * p for c in self.num], self.den * int(other.denominator)
+                self.order, [c * int(other.numerator) for c in self.num],
+                self.den * int(other.denominator)
             )
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CycloNum":
+    def inverse(self):
         """1/x = y / (x y), y the product of the other Galois conjugates of x;
         x y is the norm of x, a nonzero rational."""
-        if self.is_zero:
-            raise ZeroDivisionError("zero divisor")
         m = self.order
-        if m == 1:
-            p = self.num[0]
-            return _exact(1, (self.den if p > 0 else -self.den,), abs(p))
-        y = CYCLO_ONE
-        for t in range(2, m):
-            if math.gcd(t, m) == 1:
-                y = y * self.galois(t)
+        y = math.prod(self.galois(t) for t in range(2, m) if math.gcd(t, m) == 1)
         return y / (self * y)
 
     def __truediv__(self, other):
+        if isinstance(other, CycloNum):
+            return self * other.inverse()
         if isinstance(other, RAT_TYPES):
             if other == 0:
                 raise ZeroDivisionError("zero divisor")
@@ -477,15 +443,17 @@ class CycloNum:
             if p < 0:
                 p, q = -p, -q
             return CycloNum._make(self.order, [c * q for c in self.num], self.den * p)
-        return self * other.inverse()
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        return CycloNum.from_rat(other) / self
+        if isinstance(other, RAT_TYPES):
+            return self.inverse() * other
+        return NotImplemented
 
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        out = CYCLO_ONE
+        out = ONE
         base = self
         while e:
             if e & 1:
@@ -500,22 +468,14 @@ class CycloNum:
                 return False
             if self.order == other.order:
                 return self.num == other.num
-            if self.order == 1 or other.order == 1:
-                return False  # a canonical order > 1 element is not rational
             _, a, b = self._aligned(other)
             return a == b
         if isinstance(other, RAT_TYPES):
-            return (self.order == 1 and self.num[0] == other.numerator
-                    and self.den == other.denominator)
+            return False  # a CycloNum is not rational
         return NotImplemented
 
     def __repr__(self):
         return scalar_str(self)
-
-    def fingerprint(self) -> tuple:
-        return ("c", self.order) + tuple(
-            (c.numerator, c.denominator) for c in self.coeffs
-        )
 
 
 _new = object.__new__
@@ -524,27 +484,17 @@ _set_num = CycloNum.num.__set__
 _set_den = CycloNum.den.__set__
 
 
-def _fill(self: CycloNum, order: int, num: tuple, den: int) -> None:
+def _exact(order: int, num: tuple, den: int):
+    """The value num / den of Q(zeta_order) from parts in lowest terms, den > 0:
+    a `Rat` when every non-constant numerator vanishes, else a `CycloNum`.
+    Every scalar of the field is built here."""
+    if not any(num[1:]):
+        return rat(num[0], den)
+    self = _new(CycloNum)
     _set_order(self, order)
     _set_num(self, num)
     _set_den(self, den)
-
-
-def _exact(order: int, num: tuple, den: int) -> CycloNum:
-    """A CycloNum from parts already in canonical form."""
-    self = _new(CycloNum)
-    _fill(self, order, num, den)
     return self
-
-
-def _canonical(order: int, num, den: int) -> tuple:
-    """(order, num, den) collapsed to order 1 when rational, in lowest terms."""
-    if order > 1 and not any(num[1:]):
-        order, num = 1, num[:1]
-    g = math.gcd(den, *num)
-    if g != 1:
-        return order, tuple(c // g for c in num), den // g
-    return order, tuple(num), den
 
 
 def _lift(num: tuple, m: int, big: int) -> tuple:
@@ -554,8 +504,6 @@ def _lift(num: tuple, m: int, big: int) -> tuple:
         return num
     if big % m:
         raise ValueError("promotion needs m | big")
-    if m == 1:
-        return (num[0],) + (0,) * (euler_phi(big) - 1)
     step = big // m
     return _substituted(num, range(0, len(num) * step, step), cyclotomic_poly(big))
 
@@ -573,16 +521,11 @@ def linear_form(values, weights, den: int = 1):
     """The exact sum of weights[k] * values[k] / den, integer weights, den > 0.
 
     It runs on integer numerators, one accumulator per cyclotomic order.
-    Like a chain of `+`, the result is a `Rat` unless some nonzero value is
-    a CycloNum.
+    Like a chain of `+`, the result is a `Rat` exactly when it is rational.
     """
     acc: dict = {}  # order -> (numerator sums, their denominator)
-    cyclotomic = False
     for v, w in zip(values, weights):
         if isinstance(v, CycloNum):
-            if v.is_zero:
-                continue
-            cyclotomic = True
             m, num, d = v.order, v.num, v.den
         elif v:
             m, num, d = 1, (int(v.numerator),), int(v.denominator)
@@ -592,33 +535,21 @@ def linear_form(values, weights, den: int = 1):
         g = math.gcd(d, e)
         fs, fv = d // g, w * (e // g)
         acc[m] = [s * fs + c * fv for s, c in zip(sums, num)], e * fs
-    if not cyclotomic:
-        sums, d = acc.get(1, ((0,), 1))
-        return rat(sums[0], d * den)
-    total = CYCLO_ZERO
-    for m, (sums, d) in acc.items():
-        total = total + CycloNum._make(m, sums, d * den)
-    return total
+    return sum((CycloNum._make(m, sums, d * den) for m, (sums, d) in acc.items()), ZERO)
 
-
-CYCLO_ZERO = CycloNum(1, (ZERO,))
-CYCLO_ONE = CycloNum(1, (ONE,))
 
 Scalar = Union[int, Rat, CycloNum]
 
 
-def zeta(m: int) -> CycloNum:
-    """Primitive m-th root of unity as an exact cyclotomic element."""
-    return CycloNum.zeta(m)
+def zeta(m: int) -> Scalar:
+    """Primitive m-th root of unity as an exact scalar (a `Rat` for m <= 2)."""
+    if m < 1:
+        raise ValueError("root order must be positive")
+    return _exact(m, _power_image(1, cyclotomic_poly(m)), 1)
 
 
-def cyclo(value) -> CycloNum:
-    return value if isinstance(value, CycloNum) else CycloNum.from_rat(value)
-
-
-def cyclo_arith(a: CycloNum, b: CycloNum, op: str) -> CycloNum:
+def cyclo_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
     """Spec-surface arithmetic dispatcher: op in {add, sub, mul, div}."""
-    a, b = cyclo(a), cyclo(b)
     if op == "add":
         return a + b
     if op == "sub":
@@ -626,23 +557,19 @@ def cyclo_arith(a: CycloNum, b: CycloNum, op: str) -> CycloNum:
     if op == "mul":
         return a * b
     if op == "div":
-        return a / b
+        return a / (b if isinstance(b, CycloNum) else rat(b))
     raise ValueError(f"unknown op {op!r}")
 
 
 def is_rational(a) -> Optional[Rat]:
-    """The exact rational value if all non-constant coefficients vanish."""
-    if isinstance(a, RAT_TYPES):
-        return rat(a)
-    return a.rational_part()
+    """The value as a `Rat` if it is rational, else None: a scalar is
+    rational exactly when it is not a `CycloNum`."""
+    return None if isinstance(a, CycloNum) else rat(a)
 
 
 def scalar_str(a) -> str:
     """Textual form: rationals as "p/q", cyclotomics as "ord=m;[c0,c1,...]"."""
     if isinstance(a, CycloNum):
-        r = a.rational_part()
-        if r is not None:
-            return rat_str(r)
         inner = ",".join(rat_str(c) for c in a.coeffs)
         return f"ord={a.order};[{inner}]"
     return rat_str(a)
@@ -683,6 +610,5 @@ def cyclo_embed(a, precision_bits: int = 128):
         acc = mpmath.mpc(0)
         for c in reversed(a.coeffs):
             acc = acc * z
-            c = rat(c)
             acc += mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
         return +acc

@@ -435,8 +435,7 @@ def verify_316(k: int, j: int, order: int) -> bool:
     total_phase = phase_const * phase_num * phase_den.inverse()
     if total_phase != 1:
         return False
-    bound = min(rat(order), lhs.order, rhs.order)
-    return lhs.truncate(bound) == rhs.truncate(bound)
+    return lhs == rhs
 
 
 def minimal_char(k: int, i: int, order: int) -> PuiseuxSeries:

@@ -11,17 +11,9 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from ltwist.characters import PeriodicFn
-from ltwist.exactnum import RAT_TYPES, CycloNum, Scalar, cyclo_embed, rat
+from ltwist.exactnum import Scalar, cyclo_embed, rat
 
 MAX_CESARO_DEPTH = 4
-
-
-def _scalar_complex(v) -> complex:
-    if isinstance(v, CycloNum):
-        return complex(cyclo_embed(v, 64))
-    if not isinstance(v, RAT_TYPES):
-        v = rat(v)
-    return complex(v if isinstance(v, int) else int(v.numerator) / int(v.denominator))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -65,7 +57,7 @@ class SeqSpec:
         prefix = self._prefix
         if len(prefix) < n:
             more = np.fromiter(
-                (_scalar_complex(self.term(i)) for i in range(len(prefix) + 1, n + 1)),
+                (complex(self.term(i)) for i in range(len(prefix) + 1, n + 1)),
                 dtype=np.complex128, count=n - len(prefix),
             )
             prefix = _read_only(np.concatenate((prefix, more)))
@@ -96,7 +88,7 @@ def periodic_series(chi: PeriodicFn, weight: str = "const") -> SeqSpec:
     if weight not in ("const", "linear"):
         raise ValueError("weight must be 'const' or 'linear'")
     N = chi.period
-    emb = np.array([_scalar_complex(chi(r)) for r in range(N)], dtype=np.complex128)
+    emb = np.array([complex(chi(r)) for r in range(N)], dtype=np.complex128)
 
     if weight == "const":
         def term(i: int):
@@ -338,7 +330,7 @@ def averaged_dirichlet(chi: PeriodicFn, s, n_terms: int, precision_bits: int = 5
     if precision_bits <= 53:
         # sum of (l+1-k) * chi(k) * k^(-s), worked in place in that order so
         # that no more than three arrays of length l are alive at once
-        vals = np.array([_scalar_complex(chi(r)) for r in range(N)], dtype=np.complex128)
+        vals = np.array([complex(chi(r)) for r in range(N)], dtype=np.complex128)
         k = np.arange(1, l + 1, dtype=np.float64)
         idx = np.arange(1, l + 1)
         coeff = vals[np.remainder(idx, N, out=idx)]

@@ -9,7 +9,7 @@ polynomials, so tests compare the integer `CycloNum` against it.
 from fractions import Fraction
 from math import gcd
 
-from ltwist.exactnum import CycloNum, cyclotomic_poly
+from ltwist.exactnum import CycloNum, Rat, cyclotomic_poly
 
 
 def reduce_mod(vec, m):
@@ -26,7 +26,7 @@ def reduce_mod(vec, m):
 
 
 def collapse(m, coeffs):
-    """Order 1 when the value is rational, as CycloNum stores it."""
+    """Order 1 when the value is rational, as exactnum makes it a Rat."""
     coeffs = list(coeffs)
     if m > 1 and not any(coeffs[1:]):
         return 1, coeffs[:1]
@@ -93,9 +93,12 @@ def text(a):
 
 
 def same(x, a):
-    """The CycloNum x stores exactly the reference value a: same order, same coefficients."""
+    """x is the reference value a in its one form: a Rat when a is rational,
+    else a CycloNum of the same order and coefficients."""
     m, coeffs = collapse(*a)
-    return x.order == m and list(of(x)[1]) == coeffs
+    if m == 1:
+        return type(x) is Rat and x == coeffs[0]
+    return isinstance(x, CycloNum) and x.order == m and list(of(x)[1]) == coeffs
 
 
 def linear_sum(values, weights):

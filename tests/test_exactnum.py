@@ -6,7 +6,6 @@ import pytest
 from ltwist.exactnum import (
     CycloNum,
     Rat,
-    cyclo,
     cyclo_arith,
     cyclo_embed,
     cyclotomic_poly,
@@ -54,17 +53,20 @@ def test_is_rational():
     assert is_rational(z3 + z3**2) == -1
     assert is_rational(z5) is None
     assert is_rational(rat(7, 3)) == rat(7, 3)
-    assert is_rational(CycloNum.from_rat(rat(7, 3))) == rat(7, 3)
+    assert is_rational(CycloNum(3, (rat(7, 3), rat(0)))) == rat(7, 3)
+    assert is_rational(7) == 7 and type(is_rational(7)) is Rat
 
 
 def test_cyclo_arith_dispatcher():
     z4 = zeta(4)
     assert cyclo_arith(z4, z4, "mul") == -1
-    assert cyclo_arith(z4, z4, "sub").is_zero
-    assert cyclo_arith(cyclo(1), z4, "add") == 1 + z4
+    assert cyclo_arith(z4, z4, "sub") == 0
+    assert cyclo_arith(1, z4, "add") == 1 + z4
     assert cyclo_arith(z4, z4, "div") == 1
+    # two ints divide exactly
+    assert type(cyclo_arith(1, 3, "div")) is Rat and cyclo_arith(1, 3, "div") == rat(1, 3)
     with pytest.raises(ZeroDivisionError, match="zero divisor"):
-        cyclo_arith(z4, cyclo(0), "div")
+        cyclo_arith(z4, 0, "div")
     with pytest.raises(ValueError):
         cyclo_arith(z4, z4, "pow")
 
@@ -94,16 +96,19 @@ def test_field_axioms_random():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a - a == 0
-        if not a.is_zero:
-            assert a * a.inverse() == 1
+        if a:
+            assert a * (1 / a) == 1
             assert (a / a) == 1
 
 
 def test_round_trip_rationals():
+    # a rational value built as a cyclotomic one is that Rat, at every order
     rng = random.Random(11)
     for _ in range(30):
         r = rat(rng.randint(-50, 50), rng.randint(1, 50))
-        assert is_rational(CycloNum.from_rat(r)) == r
+        m = rng.choice((1, 2, 3, 4, 5, 12))
+        x = CycloNum(m, [r] + [rat(0)] * (euler_phi(m) - 1))
+        assert type(x) is Rat and x == r and is_rational(x) == r
 
 
 def test_powers_and_inverse():
@@ -116,10 +121,10 @@ def test_powers_and_inverse():
 def test_galois_and_conj():
     z5 = zeta(5)
     assert z5.galois(2) == z5 * z5
-    assert z5.conj() * z5 == 1
-    assert cyclo(rat(3, 2)).conj() == rat(3, 2)
+    assert z5.conjugate() * z5 == 1
+    assert rat(3, 2).conjugate() == rat(3, 2) and (3).conjugate() == 3
     x = 1 + 2 * z5 + z5**2
-    assert (x * x.conj()).conj() == x * x.conj()  # norm-like element is real
+    assert (x * x.conjugate()).conjugate() == x * x.conjugate()  # norm-like element is real
 
 
 def test_embedding_values():
@@ -165,9 +170,11 @@ def test_text_forms():
 
 def test_zero_divisor_message():
     with pytest.raises(ZeroDivisionError, match="zero divisor"):
-        zeta(5) / CycloNum.from_rat(0)
+        zeta(5) / rat(0)
+    with pytest.raises(ZeroDivisionError, match="zero divisor"):
+        zeta(5) / 0
     with pytest.raises(ZeroDivisionError):
-        CycloNum.from_rat(0).inverse()
+        1 / (zeta(5) - zeta(5))
 
 
 def test_immutability():
@@ -197,9 +204,9 @@ def test_cyclo_ring_matches_cyclonum():
             d = ring.sub(ring.smul(x, dy), ring.smul(y, dx))
             assert ring.to_scalar(d, rat(1, dx * dy)) == a - b
             assert ring.to_scalar(ring.neg(x), rat(1, dx)) == -a
-            assert ring.to_scalar(ring.conj(x), rat(1, dx)) == a.conj()
+            assert ring.to_scalar(ring.conj(x), rat(1, dx)) == a.conjugate()
             assert ring.is_zero(ring.sub(x, x))
-            assert ring.is_zero(x) == a.is_zero
+            assert ring.is_zero(x) == (a == 0)
         assert ring.to_scalar(ring.from_int(7), rat(1)) == 7
         assert ring.to_scalar(ring.one, rat(1)) == 1
     # zeta_3 written in Q(zeta_12)
@@ -306,12 +313,15 @@ REF_ORDERS = (1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24, 28)
 
 
 def _is_canonical(x):
+    # one form per value: a rational is a Rat, and a CycloNum is irrational,
+    # of order >= 3, in lowest terms
+    if not isinstance(x, CycloNum):
+        return type(x) is Rat
+    assert x.order >= 3 and any(x.num[1:])
     assert x.den > 0
     assert math.gcd(x.den, *x.num) == 1
     assert len(x.num) == euler_phi(x.order)
     assert all(type(c) is int for c in x.num + (x.den,))
-    # a rational value is stored at order 1, and only a rational value is
-    assert (x.order == 1) == (x.rational_part() is not None)
     return True
 
 
@@ -335,7 +345,7 @@ def test_integer_cyclonum_matches_fraction_reference():
         cases = [
             (a, ra), (a + b, ref.add(ra, rb)), (a - b, ref.add(ra, ref.neg(rb))),
             (a * b, ref.mul(ra, rb)), (-a, ref.neg(ra)),
-            (a.conj(), ref.galois(ra, a.order - 1) if a.order > 1 else ra),
+            (a.conjugate(), ref.galois(ra, ra[0] - 1)),
             (a + q, ref.add(ra, rq)), (q + a, ref.add(ra, rq)),
             (q - a, ref.add(rq, ref.neg(ra))), (a * q, ref.mul(ra, rq)),
         ]
@@ -346,9 +356,9 @@ def test_integer_cyclonum_matches_fraction_reference():
             rs = ref.of(s)
             cases += [(s + a, ref.add(rs, ra)), (s - a, ref.add(rs, ref.neg(ra))),
                       (s * a, ref.mul(rs, ra))]
-            if not a.is_zero:
+            if a:
                 quo = s / a
-                assert isinstance(quo, CycloNum) and _is_canonical(quo)
+                assert _is_canonical(quo)
                 assert ref.equal(ref.mul(ref.of(quo), ra), rs)
             assert (s == a) is ref.equal(rs, ra) and (s != a) is not ref.equal(rs, ra)
         # two rationals stay a Rat
@@ -361,14 +371,13 @@ def test_integer_cyclonum_matches_fraction_reference():
             cases.append((a**e, power))
             power = ref.mul(power, ra)
         cases += [(a.galois(t), ref.galois(ra, t))
-                  for t in range(2, a.order) if math.gcd(t, a.order) == 1]
+                  for t in range(2, ra[0]) if math.gcd(t, ra[0]) == 1]
         for got, want in cases:
-            assert isinstance(got, CycloNum), (a, b, q)
             assert _is_canonical(got) and ref.same(got, want), (a, b, q)
-        if not b.is_zero:
+        if b:
             quo = a / b
             assert _is_canonical(quo) and ref.equal(ref.mul(ref.of(quo), rb), ra)
-        if not a.is_zero:
+        if a:
             assert ref.equal(ref.mul(ref.of(a**-2), ref.mul(ra, ra)), ref.of(1))
         assert (a == b) == ref.equal(ra, rb)
         # the same value written in a larger field compares equal
@@ -380,7 +389,7 @@ def test_integer_cyclonum_matches_fraction_reference():
         if isinstance(back, CycloNum):
             assert (back.order, back.num, back.den) == (a.order, a.num, a.den)
         else:
-            assert back == a.rational_part()
+            assert type(back) is Rat and back == a
     # bool is the zero test at every order
     for m in REF_ORDERS:
         x, rx = sample(m)
@@ -400,18 +409,19 @@ def test_integer_cyclonum_matches_fraction_reference():
 
 
 def test_canonical_zero_and_one():
+    # zero and one are the Rats 0 and 1, however they are reached
     z = zeta(12) + rat(1, 3)
-    for zero in (z - z, z * 0, CycloNum.from_rat(0), CycloNum(5, [rat(0)] * 4), zeta(7) * 0):
-        assert (zero.order, zero.num, zero.den) == (1, (0,), 1)
+    for zero in (z - z, z * 0, CycloNum(1, [rat(0)]), CycloNum(5, [rat(0)] * 4), zeta(7) * 0):
+        assert type(zero) is Rat and zero == 0
     for one in (z / z, zeta(7) ** 7, z * z.inverse(), CycloNum(8, [rat(1), 0, 0, 0]), zeta(1)):
-        assert (one.order, one.num, one.den) == (1, (1,), 1)
+        assert type(one) is Rat and one == 1
     # lowest terms after every operation, denominators positive
     x = CycloNum(5, [rat(2, 6), rat(-4, 6), rat(0), rat(8, 3)])
     assert (x.num, x.den) == ((1, -2, 0, 8), 3)
     assert ((x * 3).num, (x * 3).den) == ((1, -2, 0, 8), 1)
     assert ((x / rat(-2, 3)).num, (x / rat(-2, 3)).den) == ((-1, 2, 0, -8), 2)
     # non-rational terms whose sum is rational: 1 + z3 + z3^2 = 0
-    assert zeta(3) + zeta(3) ** 2 + 1 == 0 and (zeta(3) + zeta(3) ** 2).order == 1
+    assert zeta(3) + zeta(3) ** 2 + 1 == 0 and type(zeta(3) + zeta(3) ** 2) is Rat
 
 
 def test_large_order_product_deep_in_the_stack():
@@ -434,4 +444,80 @@ def test_large_order_product_deep_in_the_stack():
     assert got.order == 1680 and _is_canonical(got)
     want = ref.mul(ref.mul(ref.of(a), ref.of(b)), ref.of(c))
     assert ref.same(got, want)
-    assert got.conj() == a.conj() * b.conj() * c.conj()
+    assert got.conjugate() == a.conjugate() * b.conjugate() * c.conjugate()
+
+
+PROPERTY_ORDERS = (1, 3, 4, 5, 8, 12, 24)
+
+
+def _embedded(a):
+    """The reference value a at zeta_m = exp(2 pi i / m), in floats."""
+    import cmath
+
+    m, coeffs = a
+    return sum(float(c) * cmath.exp(2j * cmath.pi * k / m) for k, c in enumerate(coeffs))
+
+
+def test_results_take_the_one_form():
+    # every sum, difference, product, quotient and power is a Rat exactly
+    # when its value is rational, cancelling cases included, and every
+    # CycloNum is canonical of order >= 3; conjugate() and complex() answer
+    # for int, Rat and CycloNum alike
+    import fraction_reference as ref
+    from ltwist.exactnum import cyclo_embed
+
+    rng = random.Random(22)
+
+    def sample(m, sparse):
+        coeffs = [rat(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                  if not sparse or rng.random() < 0.3 else rat(0)
+                  for _ in range(euler_phi(m))]
+        return CycloNum(m, coeffs), ref.collapse(m, coeffs)
+
+    def norm(x):
+        if not isinstance(x, CycloNum):
+            return x
+        return math.prod(x.galois(t) for t in range(1, x.order) if math.gcd(t, x.order) == 1)
+
+    z3, z4, z8, z12, z24 = (zeta(m) for m in (3, 4, 8, 12, 24))
+    cancelling = [
+        (z3 + z3**2 + 1, 0), (z3 + z3**2, -1), (z4**2, -1), (z4**4, 1),
+        ((z8 + z8**7) ** 2, 2), ((z12 + z12**11) ** 2, 3), (z24**12, -1),
+        (z3 * z3.conjugate(), 1), (z4 / z4, 1), (z8 - z8, 0), (zeta(1), 1), (zeta(2), -1),
+    ]
+    for got, want in cancelling:
+        assert type(got) is Rat and got == want, (got, want)
+    for it in range(150):
+        (a, ra), (b, rb) = (sample(rng.choice(PROPERTY_ORDERS), it % 3 == 0) for _ in range(2))
+        k = rng.randint(-3, 3)
+        cases = [
+            (a + b, ref.add(ra, rb)), (a - b, ref.add(ra, ref.neg(rb))),
+            (a * b, ref.mul(ra, rb)), (a - a, ref.of(0)), (a + k, ref.add(ra, ref.of(k))),
+            (k * a, ref.mul(ref.of(k), ra)), (a.conjugate(), ref.galois(ra, ra[0] - 1)),
+            (a * a.conjugate(), ref.mul(ra, ref.galois(ra, ra[0] - 1))),
+        ]
+        power = ref.of(1)
+        for e in range(5):
+            cases.append((a**e, power))
+            power = ref.mul(power, ra)
+        if a:
+            cases += [(a * (1 / a), ref.of(1)), (a / a, ref.of(1))]
+        # a canonical CycloNum has a nonzero non-constant numerator, so it is
+        # irrational: _is_canonical is the one-form test, ref.same the value
+        for got, want in cases:
+            assert _is_canonical(got) and ref.same(got, want), (a, b)
+        if a:
+            for got, want in ((b / a, rb), (a**-1, ref.of(1))):  # got * a = want
+                assert _is_canonical(got) and ref.equal(ref.mul(ref.of(got), ra), want), (a, b)
+            assert type(norm(a)) is Rat and norm(a) != 0
+        # Python's numeric protocol: conjugate() and complex()
+        for x, rx in ((a, ra), (k, ref.of(k)), (rat(k, 7), ref.of(rat(k, 7)))):
+            bar, c = x.conjugate(), complex(x)
+            assert type(c) is complex and abs(c - _embedded(rx)) < 1e-12
+            assert abs(complex(bar) - c.conjugate()) < 1e-12
+            if isinstance(x, CycloNum):
+                assert ref.same(bar, ref.galois(rx, rx[0] - 1))
+                assert c == complex(cyclo_embed(x, 64))
+            else:
+                assert bar == x
+                assert c == complex(int(rat(x).numerator) / int(rat(x).denominator))

@@ -723,8 +723,7 @@ def _pointwise(op):
 
 def _pointwise_adjoint(pointwise):
     """s^dagger(x) = conj(s(x - M)) at shift -M."""
-    conj = lambda v: v.conj() if isinstance(v, CycloNum) else v  # noqa: E731
-    return {-M: (lambda x, s=s, M=M: conj(s(x - M))) for M, s in pointwise.items()}
+    return {-M: (lambda x, s=s, M=M: s(x - M).conjugate()) for M, s in pointwise.items()}
 
 
 def _assert_tables(quad, pointwise):
@@ -1110,12 +1109,14 @@ def test_transpose_row_value_does_not_depend_on_earlier_checks(monkeypatch):
 
 def test_transpose_certificate_needs_the_conjugation(monkeypatch):
     # Without conj the adjoint of L_n^x is L_{-n}^x: true for the real
-    # character mod 7, false for the two cubic ones.
-    monkeypatch.setattr(fock, "_conj", lambda x: x)
-    cubic = []
-    for a, chi in enumerate(even_twist_group(7).elements):
-        if chi != chi.conj():
-            cubic.append(a)
+    # character mod 7, false for the two cubic ones.  The mutation drops the
+    # scalars' conjugation; chibar, the twist of the adjoint side, keeps it.
+    elements = even_twist_group(7).elements
+    bars = {chi.fingerprint(): chi.conj() for chi in elements}
+    cubic = [a for a, chi in enumerate(elements) if chi != bars[chi.fingerprint()]]
+    monkeypatch.setattr(PeriodicFn, "conj", lambda chi: bars[chi.fingerprint()])
+    monkeypatch.setattr(CycloNum, "conjugate", lambda x: x)
+    for a, chi in enumerate(elements):
         for n in range(-2, 3):
             assert fock.certify_transpose_symmetry(chi, n, 16).passed == (a not in cubic)
     assert len(cubic) == 2

@@ -182,7 +182,6 @@ def test_linear_forms_match_per_term_fraction_sums():
     fns += [f for N in range(3, 16, 2) for f in folded_power_family(N).elements]
     for f in fns:
         N, vals = f.period, f.values()
-        cyclotomic = any(isinstance(v, CycloNum) for v in vals)
         ks = range(1, N + 1)
         cases = [
             (l_zero(f), [Fraction(1, 2) - Fraction(k, N) for k in ks]),
@@ -195,6 +194,7 @@ def test_linear_forms_match_per_term_fraction_sums():
                 cases.append((l_special(n, f),
                               [-Fraction(N) ** (n - 1) * bern(n, Fraction(a, N)) / n for a in ks]))
         for got, weights in cases:
-            # a Rat exactly when every value is rational: the text forms differ
-            assert isinstance(got, CycloNum) == cyclotomic
-            assert ref.equal(ref.of(got), ref.linear_sum(vals, weights)), (N, vals)
+            want = ref.linear_sum(vals, weights)
+            # a Rat exactly when the value is rational: the text forms differ
+            assert isinstance(got, CycloNum) == (ref.collapse(*want)[0] > 1), (N, vals)
+            assert ref.equal(ref.of(got), want), (N, vals)

@@ -149,6 +149,19 @@ def test_cli_fock_and_qseries(capsys):
     assert doc["dimension"] == 2
 
 
+def test_cocycle_verify_reads_the_basis_off_the_dimension(monkeypatch, capsys):
+    # nullspace_dim returns [m, m^3] as constructed, checked against every
+    # row, so the CLI's basis flag is the dimension test: a larger null space
+    # prints false and exits 1
+    from ltwist import cocycle
+
+    real = cocycle.nullspace_dim
+    monkeypatch.setattr(cocycle, "nullspace_dim", lambda sys_: (3, real(sys_)[1]))
+    assert cli.dispatch(["cocycle", "verify", "--field", "Q(sqrt2)", "--height", "3"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["dimension"], doc["basis_is_m_m3"], doc["status"]) == (3, False, "fail")
+
+
 @pytest.mark.parametrize("argv, value", [
     (["cesaro", "--modulus", "5", "--char", "1"], "6.000300932892e-01+2.000100326057e-01j"),
     (["cesaro", "--modulus", "5", "--char", "2"], "2.507899884637e-05"),

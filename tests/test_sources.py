@@ -176,3 +176,30 @@ def test_every_optional_parameter_is_set_by_a_caller():
                    for keywords, count, starred in calls.get(name, ()))
     ]
     assert unset == []
+
+
+_SCALAR_TYPES = {"CycloNum", "Rat", "RAT_TYPES"}
+
+
+def _calls_by_function(node, owner=""):
+    """(name of the innermost enclosing function, call) for every call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield owner, child
+        inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _calls_by_function(child, child.name if inner else owner)
+
+
+def test_scalar_types_are_tested_only_in_exactnum():
+    # Outside exactnum a scalar answers Python's numeric protocol
+    # (`conjugate()`, `complex()`, the operators) instead of a type check;
+    # the one exception is where a periodic function takes its values in.
+    found = [
+        f"{path.name}:{owner}"
+        for path in sorted(Path(ltwist.__file__).parent.glob("*.py"))
+        if path.name != "exactnum.py"
+        for owner, call in _calls_by_function(ast.parse(path.read_text(), str(path)))
+        if getattr(call.func, "id", None) == "isinstance"
+        and _SCALAR_TYPES & set(_identifiers(call.args[1]))
+    ]
+    assert found == ["characters.py:_normalize_value"]

@@ -199,12 +199,11 @@ def test_averaged_dirichlet():
 def test_averaged_dirichlet_in_place_is_bit_identical():
     """The float64 path works in place; it must give exactly the value of
     the plain whole-array expression, for a real and a cyclotomic chi."""
-    from ltwist.summation import _scalar_complex
 
     def whole_array(chi, s, n_terms):
         N = chi.period
         l = N * (n_terms // N)
-        vals = np.array([_scalar_complex(chi(r)) for r in range(N)], dtype=np.complex128)
+        vals = np.array([complex(chi(r)) for r in range(N)], dtype=np.complex128)
         k = np.arange(1, l + 1, dtype=np.float64)
         coeff = vals[np.arange(1, l + 1) % N]
         return complex(np.sum((l + 1 - k) * coeff * k ** (-float(s))) / l)
@@ -242,13 +241,16 @@ def test_seqspec_guards():
 
 
 def test_int_terms_convert_as_their_rationals():
-    # ints go straight to complex(v); int -> float is correctly rounded, so
-    # the value is the one the numerator / denominator division gives
-    from ltwist.summation import _scalar_complex
-
+    # the float paths take complex(v) of each exact term; for an int or a Rat
+    # that is correctly rounded, the value the numerator / denominator
+    # division gives, and a term function's ints convert as their Rats
     big = 2**53
     for v in (0, 1, -1, -7, big - 1, big + 1, -(big + 1), 2**64 + 3, -(3**40), 10**300):
-        got = _scalar_complex(v)
         want = complex(int(rat(v).numerator) / int(rat(v).denominator))
-        assert type(got) is complex and (got.real, got.imag) == (want.real, want.imag), v
-    assert _scalar_complex(big + 1) == complex(float(big))  # rounded to even
+        for got in (complex(v), complex(rat(v)), complex(rat(v, 3) * 3)):
+            assert type(got) is complex and (got.real, got.imag) == (want.real, want.imag), v
+    assert complex(big + 1) == complex(float(big))  # rounded to even
+    third = rat(1, 3)
+    assert complex(third) == complex(1 / 3) and complex(-third) == complex(-1 / 3)
+    seq = SeqSpec.from_function(lambda i: rat(big + i, 3), label="thirds")
+    assert seq.floats(2).tolist() == [complex((big + 1) / 3), complex((big + 2) / 3)]
