@@ -17,7 +17,6 @@ from ltwist.exactnum import (
     ONE,
     CycloNum,
     Scalar,
-    divisors,
     euler_phi,
     linear_form,
     parse_scalar,
@@ -119,33 +118,6 @@ class PeriodicFn:
                 self(j) == 1 for j in range(1, N)
             )
         return self._flags["offzero"]
-
-    @property
-    def is_primitive(self) -> bool:
-        """True when no proper divisor of N is a period of the unit values."""
-        if "primitive" not in self._flags:
-            if not self.is_dirichlet_character:
-                self._flags["primitive"] = False
-            else:
-                self._flags["primitive"] = self.conductor() == self.period
-        return self._flags["primitive"]
-
-    def conductor(self) -> int:
-        """Smallest modulus from which a Dirichlet character is induced."""
-        if not self.is_dirichlet_character:
-            raise ValueError("conductor is defined for Dirichlet characters")
-        N = self.period
-        for d in divisors(N):
-            ok = True
-            for a in range(N):
-                b = a + d
-                if math.gcd(a, N) == 1 and math.gcd(b, N) == 1:
-                    if self(a) != self(b):
-                        ok = False
-                        break
-            if ok:
-                return d
-        return N
 
     # -- algebra ----------------------------------------------------------
 

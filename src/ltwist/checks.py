@@ -239,9 +239,7 @@ def check_replay_table(cfg) -> tuple:
 
 # 1-4+9-16+..., one object for both squares rows, so that its float prefix
 # (SeqSpec.floats) is built from the exact terms once per process.
-_SQUARES = summation.SeqSpec.from_function(
-    lambda i: i * i if i % 2 else -i * i, period_hint=2
-)
+_SQUARES = summation.SeqSpec(lambda i: i * i if i % 2 else -i * i, period_hint=2)
 
 
 def check_squares_series(cfg) -> tuple:
@@ -325,9 +323,9 @@ def check_inflation_compat(cfg) -> str:
 
 def check_regularity(cfg) -> str:
     probes = [
-        (summation.SeqSpec.from_function(lambda i: rat(1, i)), 0.0),
-        (summation.SeqSpec.from_function(lambda i: rat(3) + rat(1, i * i)), 3.0),
-        (summation.SeqSpec.from_function(lambda i: rat((-1) ** i, i)), 0.0),
+        (summation.SeqSpec(lambda i: rat(1, i)), 0.0),
+        (summation.SeqSpec(lambda i: rat(3) + rat(1, i * i)), 3.0),
+        (summation.SeqSpec(lambda i: rat((-1) ** i, i)), 0.0),
     ]
     for seq, want in probes:
         rep = summation.limit_numeric(seq, 1, 20_000, 1e-2)
@@ -336,7 +334,7 @@ def check_regularity(cfg) -> str:
 
 
 def check_no_convergence(cfg) -> tuple:
-    ones = summation.SeqSpec.from_function(lambda i: rat(i - 1), period_hint=1)
+    ones = summation.SeqSpec(lambda i: rat(i - 1), period_hint=1)
     msgs = []
     for depth in (1, 2, 3, 4):
         rep = summation.limit_numeric(ones, depth, 10_000, cfg.tolerance)
@@ -427,9 +425,7 @@ def check_qtrace_kernel(cfg) -> tuple:
         energy = fock.vacuum_energies(G, i)
         j = energy.residue
         tr = fock.qtrace(G, i, "kernel", 3 * N)
-        body = qseries.product_expand(
-            qseries.ap_set(N, residues={j % N, (N - j) % N}), -1, 3 * N
-        )
+        body = qseries.product_expand(N, {j % N, (N - j) % N}, -1, 3 * N)
         want = qseries.PuiseuxSeries.monomial(
             rat(energy.c), 1, order=rat(energy.c) + 3 * N
         ) * body
@@ -570,7 +566,8 @@ def check_cocycle(cfg, name: str) -> str:
 
 
 def check_cocycle_recursion(cfg) -> str:
-    """`cocycle.verify_449` at H = 4 on the null spaces check_cocycle found."""
+    """Recursion (4.49) at H = 4: each null space check_cocycle found is
+    two-dimensional, and `cocycle.line_recursion_holds` on its basis."""
     for name in ("Q", "Q(sqrt2)", "Q(sqrt5)"):
         sys_, dim, basis = _NULL_SPACES.get((name, 4)) or _null_space(name, 4)
         _require(dim == 2 and coc.line_recursion_holds(sys_, basis), name)

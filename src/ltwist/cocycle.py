@@ -220,21 +220,11 @@ def fit_cubic(sys_: CocycleSystem, vec) -> Optional[tuple]:
     return a, b
 
 
-def verify_449(d, H: int) -> bool:
-    """The null space is certified as two-dimensional, and the one-line
-    recursion on the b1-line,
-    (m - 1) alpha((m+1) b1) = (m + 2) alpha(m b1) - (2m + 1) alpha(b1),
-    holds for its basis vectors and a combination of them."""
-    if H < 4:
-        raise ValueError("height must be at least 4 for the line recursion")
-    sys_ = build_system(d, H)
-    dim, basis = nullspace_dim(sys_)
-    return dim == 2 and line_recursion_holds(sys_, basis)
-
-
 def line_recursion_holds(sys_: CocycleSystem, basis) -> bool:
-    """The recursion of `verify_449` for the basis vectors of a system of
-    height H >= 4 and a combination of them; reads sys_ and basis only."""
+    """The one-line recursion (4.49) on the b1-line,
+    (m - 1) alpha((m+1) b1) = (m + 2) alpha(m b1) - (2m + 1) alpha(b1),
+    for the basis vectors of a system of height H >= 4 and a combination
+    of them; reads sys_ and basis only."""
     H = sys_.height
     K = sys_.field
     # a random-ish combination exercises linearity

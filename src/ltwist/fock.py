@@ -247,9 +247,6 @@ class Operator:
     def __add__(self, other: "Operator") -> "Operator":
         return SumOp([(1, self), (1, other)])
 
-    def scaled(self, c) -> "Operator":
-        return SumOp([(c, self)])
-
 
 def _axpy(acc: dict, c, col: dict, ring: CycloRing) -> None:
     add, mul = ring.add, ring.mul

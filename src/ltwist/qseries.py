@@ -9,9 +9,7 @@ tests span-invariance under tau -> -1/tau.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 from ltwist.exactnum import CycloNum, Scalar, rat, scalar_str, zeta
 
@@ -24,29 +22,19 @@ class PuiseuxSeries:
 
     __slots__ = ("denom", "coeffs", "order")
 
-    def __init__(self, denom: int, coeffs: dict, order, normalize: bool = True):
+    def __init__(self, denom: int, coeffs: dict, order):
         if denom < 1:
             raise ValueError("lattice denominator must be positive")
-        if normalize:
-            coeffs = {k: v for k, v in coeffs.items() if v}
         self.denom = denom
-        self.coeffs = coeffs
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
         self.order = rat(order)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(order, denom: int = 1) -> "PuiseuxSeries":
-        return PuiseuxSeries(denom, {}, order)
-
-    @staticmethod
     def monomial(exponent, coeff, order) -> "PuiseuxSeries":
         e = rat(exponent)
         return PuiseuxSeries(int(e.denominator), {int(e.numerator): coeff}, order)
-
-    @staticmethod
-    def one(order) -> "PuiseuxSeries":
-        return PuiseuxSeries(1, {0: 1}, order)
 
     # -- structure ------------------------------------------------------
 
@@ -63,10 +51,7 @@ class PuiseuxSeries:
         if denom % self.denom:
             raise ValueError("can only refine the lattice")
         f = denom // self.denom
-        return PuiseuxSeries(
-            denom, {k * f: v for k, v in self.coeffs.items()}, self.order,
-            normalize=False,
-        )
+        return PuiseuxSeries(denom, {k * f: v for k, v in self.coeffs.items()}, self.order)
 
     def _aligned(self, other: "PuiseuxSeries"):
         d = math.lcm(self.denom, other.denom)
@@ -86,7 +71,7 @@ class PuiseuxSeries:
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         kept = {k: v for k, v in self.coeffs.items() if rat(k, self.denom) < order}
-        return PuiseuxSeries(self.denom, kept, order, normalize=False)
+        return PuiseuxSeries(self.denom, kept, order)
 
     def terms(self) -> list[tuple]:
         return [(rat(k, self.denom), v) for k, v in sorted(self.coeffs.items())]
@@ -103,10 +88,7 @@ class PuiseuxSeries:
         return PuiseuxSeries(a.denom, out, order)
 
     def __neg__(self):
-        return PuiseuxSeries(
-            self.denom, {k: -v for k, v in self.coeffs.items()},
-            self.order, normalize=False,
-        )
+        return PuiseuxSeries(self.denom, {k: -v for k, v in self.coeffs.items()}, self.order)
 
     def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         return self + (-other)
@@ -117,11 +99,11 @@ class PuiseuxSeries:
         # by the other's valuation
         va, vb = a.offset, b.offset
         if va is None and vb is None:
-            return PuiseuxSeries.zero(a.order + b.order, a.denom)
+            return PuiseuxSeries(a.denom, {}, a.order + b.order)
         if va is None:
-            return PuiseuxSeries.zero(a.order + vb, a.denom)
+            return PuiseuxSeries(a.denom, {}, a.order + vb)
         if vb is None:
-            return PuiseuxSeries.zero(b.order + va, a.denom)
+            return PuiseuxSeries(a.denom, {}, b.order + va)
         order = min(a.order + vb, b.order + va)
         out: dict = {}
         bound_key = order * a.denom
@@ -216,31 +198,12 @@ class PuiseuxSeries:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic-progression exponent sets and products
+# products over residue classes
 
 
-@dataclass(frozen=True)
-class APSet:
-    """Positive integers in given residue classes mod `modulus`."""
-
-    modulus: int
-    residues: frozenset
-
-    def up_to(self, bound: int) -> Iterable[int]:
-        return (n for n in range(1, bound) if n % self.modulus in self.residues)
-
-
-def ap_set(modulus: int = 1, residues=None, excluded=None) -> APSet:
-    if residues is not None and excluded is not None:
-        raise ValueError("give residues or excluded, not both")
-    if residues is None:
-        excluded = {r % modulus for r in (excluded or ())}
-        residues = set(range(modulus)) - excluded
-    return APSet(modulus, frozenset(r % modulus for r in residues))
-
-
-def product_expand(exponents: APSet, sign: int, order: int) -> PuiseuxSeries:
-    """prod_{e in set} (1 - q^e)^sign, truncated below `order`.
+def product_expand(modulus: int, residues, sign: int, order: int) -> PuiseuxSeries:
+    """prod (1 - q^e)^sign over the positive integers e with e mod `modulus`
+    in `residues`, truncated below `order`.
 
     Integer-exponent lattice; coefficients are exact integers.
     """
@@ -250,7 +213,9 @@ def product_expand(exponents: APSet, sign: int, order: int) -> PuiseuxSeries:
     arr = [0] * max(order, 1)
     if order > 0:
         arr[0] = 1
-    for e in exponents.up_to(order):
+    for e in range(1, order):
+        if e % modulus not in residues:
+            continue
         if sign == 1:
             for n in range(order - 1, e - 1, -1):
                 if arr[n - e]:
@@ -259,11 +224,11 @@ def product_expand(exponents: APSet, sign: int, order: int) -> PuiseuxSeries:
             for n in range(e, order):
                 if arr[n - e]:
                     arr[n] += arr[n - e]
-    return PuiseuxSeries(1, {n: c for n, c in enumerate(arr) if c}, order)
+    return PuiseuxSeries(1, dict(enumerate(arr)), order)
 
 
 def euler_product(order: int) -> PuiseuxSeries:
-    return product_expand(ap_set(1), 1, order)
+    return product_expand(1, {0}, 1, order)
 
 
 def _signed_lattice_sum(exponent, inside) -> dict:
@@ -302,68 +267,36 @@ def eta_series(order) -> PuiseuxSeries:
 
 
 # ---------------------------------------------------------------------------
-# two-variable series for the triple product
-
-
-class BiSeries:
-    """Series in x (truncated below x_order) and z (Laurent, |deg| <= z_bound)."""
-
-    def __init__(self, coeffs: dict, x_order: int, z_bound: int):
-        self.coeffs = {k: v for k, v in coeffs.items() if v}
-        self.x_order = x_order
-        self.z_bound = z_bound
-
-    def mul_factor(self, x_exp: int, z_exp: int, scalar: int) -> "BiSeries":
-        """Multiply by (1 + scalar * x^x_exp * z^z_exp) in place-ish."""
-        out = dict(self.coeffs)
-        for (a, b), v in self.coeffs.items():
-            a2, b2 = a + x_exp, b + z_exp
-            if a2 >= self.x_order or abs(b2) > self.z_bound:
-                continue
-            key = (a2, b2)
-            out[key] = out.get(key, 0) + scalar * v
-        return BiSeries(out, self.x_order, self.z_bound)
-
-    def restrict(self, z_range: int) -> "BiSeries":
-        return BiSeries(
-            {k: v for k, v in self.coeffs.items() if abs(k[1]) <= z_range},
-            self.x_order,
-            z_range,
-        )
-
-    def __eq__(self, other) -> bool:
-        if self.x_order != other.x_order or self.z_bound != other.z_bound:
-            return False
-        return self.coeffs == other.coeffs
-
-    __hash__ = None
+# the triple product
 
 
 def jacobi_check(order_x: int, z_range: int) -> bool:
     """Triple product prod (1-x^{2n})(1+x^{2n-1}z)(1+x^{2n-1}/z) versus
     sum_n x^{n^2} z^n, compared below order_x and for |z-degree| <= z_range.
 
+    The product is a dict of its (x-degree, z-degree) coefficients.
     Intermediate z-degrees are kept up to a buffer B with B^2 >= order_x;
     terms beyond it already exceed the x-order and cannot flow back.
     """
     if z_range < 0:
         raise ValueError("z_range must be symmetric and nonnegative")
     buffer = max(z_range, math.isqrt(order_x) + 1)
-    prod = BiSeries({(0, 0): 1}, order_x, buffer)
+    prod = {(0, 0): 1}
     n = 1
     while 2 * n - 1 < order_x:
-        if 2 * n < order_x:
-            # (1 - x^{2n}): multiply by 1 + (-1) x^{2n} z^0
-            prod = prod.mul_factor(2 * n, 0, -1)
-        prod = prod.mul_factor(2 * n - 1, 1, 1)
-        prod = prod.mul_factor(2 * n - 1, -1, 1)
+        # (1 - x^{2n}) when 2n is below the order, then (1 + x^{2n-1} z^{+-1})
+        factors = [(2 * n, 0, -1)] if 2 * n < order_x else []
+        for x_exp, z_exp, scalar in factors + [(2 * n - 1, 1, 1), (2 * n - 1, -1, 1)]:
+            out = dict(prod)
+            for (a, b), v in prod.items():
+                a2, b2 = a + x_exp, b + z_exp
+                if a2 < order_x and abs(b2) <= buffer:
+                    out[a2, b2] = out.get((a2, b2), 0) + scalar * v
+            prod = {k: v for k, v in out.items() if v}
         n += 1
-    lhs = prod.restrict(z_range)
-    rhs: dict = {}
-    for m in range(-z_range, z_range + 1):
-        if m * m < order_x:
-            rhs[(m * m, m)] = 1
-    return lhs == BiSeries(rhs, order_x, z_range)
+    lhs = {k: v for k, v in prod.items() if abs(k[1]) <= z_range}
+    rhs = {(m * m, m): 1 for m in range(-z_range, z_range + 1) if m * m < order_x}
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +313,7 @@ def specialize_314(k: int, j: int, order: int) -> tuple[PuiseuxSeries, PuiseuxSe
     if not 1 <= j <= k:
         raise ValueError("need 1 <= j <= k")
     N = 2 * k + 1
-    lhs = product_expand(ap_set(N, residues={0, (-j) % N, j % N}), 1, order)
+    lhs = product_expand(N, {0, (-j) % N, j % N}, 1, order)
     coeffs = _signed_lattice_sum(lambda m: N * m * (m + 1) // 2 - j * m,
                                  lambda e: 0 <= e < order)
     return lhs, PuiseuxSeries(1, coeffs, order)
@@ -423,7 +356,7 @@ def verify_316(k: int, j: int, order: int) -> bool:
         raise ValueError("need 1 <= j <= k")
     N = 2 * k + 1
     p = N - 2 * j  # = 2(k - j) + 1
-    lhs = product_expand(ap_set(N, excluded={0, j, N - j}), -1, order)
+    lhs = product_expand(N, set(range(N)) - {0, j, N - j}, -1, order)
     margin = rat(order) + 2
     theta_num, phase_num = reduced_theta(rat(p, N), N, margin)
     theta_den, phase_den = reduced_theta(rat(1, 3), 3, margin)
@@ -448,7 +381,7 @@ def minimal_char(k: int, i: int, order: int) -> PuiseuxSeries:
     c = central_charge(k)
     h = highest_weight(k, i)
     shift = h - c / 24
-    body = product_expand(ap_set(N, excluded={0, i, N - i}), -1, order)
+    body = product_expand(N, set(range(N)) - {0, i, N - i}, -1, order)
     return PuiseuxSeries.monomial(shift, 1, order=rat(order) + shift) * body
 
 

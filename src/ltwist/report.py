@@ -179,22 +179,13 @@ def _run_check(check: Check, cfg: RunConfig) -> CheckResult:
     )
 
 
-# ---------------------------------------------------------------------------
-# the registry
-
-
-def _registry(cfg: RunConfig) -> list[Check]:
-    from ltwist import checks
-
-    return checks.build_registry(cfg)
-
-
 def report_all(cfg: Optional[RunConfig] = None) -> dict:
     """Run the whole verification suite and assemble the report document."""
+    from ltwist import checks  # imported here: checks imports this module
+
     cfg = cfg or RunConfig()
     cfg.validate()
-    checks = _registry(cfg)
-    results = [_run_check(c, cfg) for c in checks]
+    results = [_run_check(c, cfg) for c in checks.build_registry(cfg)]
     summary = {
         "total": len(results),
         "passed": sum(r.status == "pass" for r in results),

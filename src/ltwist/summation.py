@@ -6,7 +6,7 @@ Dirichlet-type series to the strip s > -1."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -37,13 +37,11 @@ class SeqSpec:
         self,
         term_fn: Callable[[int], Scalar],
         float_fn: Optional[Callable[[int], np.ndarray]] = None,
-        label: str = "",
         period_hint: Optional[int] = None,
     ):
         self._term_fn = term_fn
         self._float_fn = float_fn
         self._prefix = _read_only(np.empty(0, dtype=np.complex128))
-        self.label = label
         self.period_hint = period_hint
 
     def term(self, i: int) -> Scalar:
@@ -63,24 +61,6 @@ class SeqSpec:
             prefix = _read_only(np.concatenate((prefix, more)))
             self._prefix = prefix
         return prefix[:n]
-
-    # -- constructors ----------------------------------------------------
-
-    @staticmethod
-    def from_list(values: Sequence) -> "SeqSpec":
-        vals = list(values)
-
-        def term(i: int):
-            if i > len(vals):
-                raise IndexError("explicit sequence exhausted")
-            return vals[i - 1]
-
-        return SeqSpec(term)
-
-    @staticmethod
-    def from_function(fn: Callable[[int], Scalar], label: str = "",
-                      period_hint: Optional[int] = None) -> "SeqSpec":
-        return SeqSpec(fn, label=label, period_hint=period_hint)
 
 
 def periodic_series(chi: PeriodicFn, weight: str = "const") -> SeqSpec:
@@ -105,8 +85,7 @@ def periodic_series(chi: PeriodicFn, weight: str = "const") -> SeqSpec:
             idx = np.arange(1, n + 1)
             return emb[idx % N] * idx
 
-    w = "" if weight == "const" else "*i"
-    return SeqSpec(term, floats, label=f"sum chi(i){w} [N={N}]", period_hint=N)
+    return SeqSpec(term, floats, period_hint=N)
 
 
 def partial_sums(s: SeqSpec) -> SeqSpec:
@@ -122,8 +101,7 @@ def partial_sums(s: SeqSpec) -> SeqSpec:
     def floats(n: int):
         return np.cumsum(s.floats(n))
 
-    return SeqSpec(term, floats, label=f"partial sums of {s.label}",
-                   period_hint=s.period_hint)
+    return SeqSpec(term, floats, period_hint=s.period_hint)
 
 
 def cesaro(s: SeqSpec) -> SeqSpec:
@@ -136,7 +114,7 @@ def cesaro(s: SeqSpec) -> SeqSpec:
     def floats(n: int):
         return sums.floats(n) / np.arange(1, n + 1)
 
-    return SeqSpec(term, floats, label=f"avg({s.label})", period_hint=s.period_hint)
+    return SeqSpec(term, floats, period_hint=s.period_hint)
 
 
 def inflate(s: SeqSpec, k: int) -> SeqSpec:
@@ -154,20 +132,19 @@ def inflate(s: SeqSpec, k: int) -> SeqSpec:
         return np.repeat(s.floats(m), k)[:n]
 
     hint = s.period_hint * k if s.period_hint else None
-    return SeqSpec(term, floats, label=f"inflate({s.label}, {k})", period_hint=hint)
+    return SeqSpec(term, floats, period_hint=hint)
 
 
 @dataclass
 class LimitReport:
-    """Outcome of a limit evaluation; numeric mode records the residual."""
+    """Outcome of limit_numeric: the window midpoint and spread, or no value
+    and a message when the spread exceeds the tolerance."""
 
-    value: Union[Scalar, complex, None]
+    value: Union[float, complex, None]
     mode: str
-    depth: int = 0
-    residual: Optional[float] = None
-    n_terms: Optional[int] = None
-    converged: bool = True
-    message: str = ""
+    residual: float
+    converged: bool
+    message: str
 
 
 def limit_numeric(s: SeqSpec, depth: int, n_terms: int, tol) -> LimitReport:
@@ -195,23 +172,13 @@ def limit_numeric(s: SeqSpec, depth: int, n_terms: int, tol) -> LimitReport:
     mid = complex((re_lo + re_hi) / 2, (im_lo + im_hi) / 2)
     if abs(mid.imag) < 1e-15:
         mid = mid.real
-    if spread > tol_f:
-        return LimitReport(
-            value=None,
-            mode=f"numeric(tol={tol_f}, window={window}, n_terms={n_terms})",
-            depth=depth,
-            residual=float(spread),
-            n_terms=n_terms,
-            converged=False,
-            message=f"no convergence at depth {depth}",
-        )
+    converged = not spread > tol_f
     return LimitReport(
-        value=mid,
+        value=mid if converged else None,
         mode=f"numeric(tol={tol_f}, window={window}, n_terms={n_terms})",
-        depth=depth,
         residual=float(spread),
-        n_terms=n_terms,
-        converged=True,
+        converged=converged,
+        message="" if converged else f"no convergence at depth {depth}",
     )
 
 
@@ -240,13 +207,11 @@ def limit_exact_periodic(chi: PeriodicFn, weight: str = "const") -> Scalar:
 # replay of the worked derivations
 
 
-def _check_termwise(lhs: SeqSpec, rhs: SeqSpec) -> None:
+def _check_termwise(lhs: SeqSpec, rhs: SeqSpec, identity: str) -> None:
     """lhs and rhs agree on their first 512 terms."""
     for i in range(1, 513):
         if lhs.term(i) != rhs.term(i):
-            raise ArithmeticError(
-                f"termwise identity fails at i={i}: {lhs.label} vs {rhs.label}"
-            )
+            raise ArithmeticError(f"termwise identity {identity} fails at i={i}")
 
 
 def replay_derivations() -> dict[str, Scalar]:
@@ -264,13 +229,10 @@ def replay_derivations() -> dict[str, Scalar]:
         raise ArithmeticError("averaged alternating limit is off")
 
     # partial sums of 0+1+1+1+...  -> B(i) = i-1
-    B_s = SeqSpec.from_function(lambda i: rat(i - 1), label="psums 0+1+1+1+...")
-    # termwise: B - 2*inflate(B,2) == (0,1,0,1,...)
-    combo = SeqSpec.from_function(
-        lambda i: B_s.term(i) - 2 * inflate(B_s, 2).term(i), label="B-2*infl(B,2)"
-    )
-    target = SeqSpec.from_function(lambda i: rat((i + 1) % 2), label="(0,1,0,1,...)")
-    _check_termwise(combo, target)
+    B_s = SeqSpec(lambda i: rat(i - 1))
+    combo = SeqSpec(lambda i: B_s.term(i) - 2 * inflate(B_s, 2).term(i))
+    target = SeqSpec(lambda i: rat((i + 1) % 2))
+    _check_termwise(combo, target, "B - 2 inflate(B, 2) = (0,1,0,1,...)")
     # recorded equation (linearity + inflation): s - 2 s = u, so s = -u
     s_value = -u
 
@@ -280,18 +242,11 @@ def replay_derivations() -> dict[str, Scalar]:
         raise ArithmeticError("averaged alternating linear limit is off")
 
     # partial sums for s2 = 0+1+2+3+... and s1, and the inflation identity
-    B_s2 = SeqSpec.from_function(lambda i: rat(i * (i - 1), 2), label="psums 0+1+2+...")
-    B_s1 = SeqSpec.from_function(
-        lambda i: rat((i - 1 + 1) // 2) * (1 if i % 2 == 0 else -1),
-        label="psums 0+1-2+3-...",
-    )
-    diff = SeqSpec.from_function(
-        lambda i: B_s2.term(i) - B_s1.term(i), label="B(s2)-B(s1)"
-    )
-    quadruple = SeqSpec.from_function(
-        lambda i: 4 * B_s2.term(i), label="4*B(s2)"
-    )
-    _check_termwise(diff, inflate(quadruple, 2))
+    B_s2 = SeqSpec(lambda i: rat(i * (i - 1), 2))
+    B_s1 = SeqSpec(lambda i: rat((i - 1 + 1) // 2) * (1 if i % 2 == 0 else -1))
+    diff = SeqSpec(lambda i: B_s2.term(i) - B_s1.term(i))
+    quadruple = SeqSpec(lambda i: 4 * B_s2.term(i))
+    _check_termwise(diff, inflate(quadruple, 2), "B(s2) - B(s1) = inflate(4 B(s2), 2)")
     # recorded equation: s2 - s1 = 4 s2  =>  s2 = -s1 / 3
     s2_value = -s1_value / 3
 

@@ -198,13 +198,6 @@ def test_table_file_round_trip():
         PeriodicFn.from_text("period 3\n1 1/1\n")
 
 
-def test_conductor_and_primitivity():
-    chars9 = dirichlet_characters(9)
-    conductors = sorted(chi.conductor() for chi in chars9)
-    assert conductors == [1, 3, 9, 9, 9, 9]
-    assert sum(1 for c in chars9 if c.is_primitive) == 4
-
-
 def test_character_tables_match_per_value_powers():
     # the value tables read from the per-order power tables equal the
     # per-value construction prod_i root_i ** s_i, text form for text form

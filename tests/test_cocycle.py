@@ -12,10 +12,9 @@ from ltwist.cocycle import (
     line_recursion_holds,
     nullspace_dim,
     quadratic_order,
-    verify_449,
 )
 from ltwist.exactnum import Rat
-from ltwist.report import RunConfig
+from ltwist.report import RunConfig, _run_check
 
 
 def test_field_arithmetic():
@@ -141,11 +140,18 @@ def test_perturbed_row_violates_polynomial_solutions(name):
 
 
 def test_line_recursion_needs_a_certified_null_space(monkeypatch):
+    # the cocycle:recursion row turns red when a null space it reads is not
+    # two-dimensional
     sys_ = build_system("Q(sqrt2)", 4)
     short = dataclasses.replace(sys_, rows=sys_.rows[:40])
     assert nullspace_dim(short)[0] > 2
-    monkeypatch.setattr(cocycle, "build_system", lambda d, H: short)
-    assert not verify_449("Q(sqrt2)", 4)
+    real = cocycle.build_system
+    monkeypatch.setattr(checks, "_NULL_SPACES", {})
+    monkeypatch.setattr(cocycle, "build_system",
+                        lambda d, H: short if d == "Q(sqrt2)" else real(d, H))
+    row = next(c for c in checks.build_registry(RunConfig()) if c.id == "cocycle:recursion")
+    result = _run_check(row, RunConfig())
+    assert (result.status, result.witness) == ("fail", "AssertionError: Q(sqrt2)")
 
 
 def test_line_recursion():
@@ -153,11 +159,10 @@ def test_line_recursion():
     for m in range(2, 12):
         assert (m - 1) * (m + 1) == (m + 2) * m - (2 * m + 1)
         assert (m - 1) * (m + 1) ** 3 == (m + 2) * m**3 - (2 * m + 1)
-    for name in ("Q", "Q(sqrt2)", "Q(sqrt5)", "Q(i)"):
-        assert verify_449(name, 4)
-    assert verify_449("Q", 5)
-    with pytest.raises(ValueError):
-        verify_449("Q", 3)
+    for name, H in (("Q", 4), ("Q(sqrt2)", 4), ("Q(sqrt5)", 4), ("Q(i)", 4), ("Q", 5)):
+        sys_ = build_system(name, H)
+        dim, basis = nullspace_dim(sys_)
+        assert dim == 2 and line_recursion_holds(sys_, basis)
 
 
 def test_line_recursion_fails_off_the_null_space():
@@ -194,10 +199,9 @@ def test_quad_field_guards():
 
 
 def test_unknown_field_names_raise_value_error():
-    with pytest.raises(ValueError, match="unknown field 'Q\\(sqrt7\\)'"):
-        build_system("Q(sqrt7)", 3)
-    with pytest.raises(ValueError, match="unknown field 'Q\\(sqrt7\\)'"):
-        verify_449("Q(sqrt7)", 4)
+    for H in (3, 4):
+        with pytest.raises(ValueError, match="unknown field 'Q\\(sqrt7\\)'"):
+            build_system("Q(sqrt7)", H)
 
 
 def _all_ordered_pair_rows(sys_):

@@ -458,7 +458,7 @@ def test_qtrace_char_mode():
 
 
 def test_qtrace_kernel_mode():
-    from ltwist.qseries import PuiseuxSeries, ap_set, product_expand
+    from ltwist.qseries import PuiseuxSeries, product_expand
 
     G = even_twist_group(5)
     for i in (1, 2):
@@ -466,7 +466,7 @@ def test_qtrace_kernel_mode():
         j = energy.residue
         tr = qtrace(G, i, "kernel", 15)
         assert tr.offset == energy.c
-        body = product_expand(ap_set(5, residues={j, 5 - j}), -1, 15)
+        body = product_expand(5, {j, 5 - j}, -1, 15)
         want = PuiseuxSeries.monomial(rat(energy.c), 1, order=rat(energy.c) + 15) * body
         bound = min(tr.order, want.order)
         assert tr.truncate(bound) == want.truncate(bound)
@@ -504,11 +504,11 @@ def test_matrix_equal_witness_is_exact():
     chi = G.elements[1]  # values in Q(zeta_3)
     lhs = CommutatorOp(build_L(chi, 1), build_L(chi, -1))
     window = commutator_window(20, 7, 7)
-    assert lhs.matrix_equal(lhs.scaled(rat(1)), window) is None
-    s, t, got, want = lhs.matrix_equal(lhs.scaled(zeta(3)), window)
+    assert lhs.matrix_equal(SumOp([(rat(1), lhs)]), window) is None
+    s, t, got, want = lhs.matrix_equal(SumOp([(zeta(3), lhs)]), window)
     assert got == lhs.column(s)[t]
     assert want == zeta(3) * got and want != got
-    s2, _, got2, want2 = lhs.matrix_equal(lhs.scaled(rat(1, 2)), window)
+    s2, _, got2, want2 = lhs.matrix_equal(SumOp([(rat(1, 2), lhs)]), window)
     assert s2 == s and want2 * 2 == got2
 
 

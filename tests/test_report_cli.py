@@ -162,6 +162,23 @@ def test_cocycle_verify_reads_the_basis_off_the_dimension(monkeypatch, capsys):
     assert (doc["dimension"], doc["basis_is_m_m3"], doc["status"]) == (3, False, "fail")
 
 
+def test_qseries_314_names_a_first_difference_at_exponent_0(monkeypatch, capsys):
+    # a difference at q^0 is still a difference: the detail names it
+    from ltwist import qseries
+
+    real = qseries.specialize_314
+
+    def off_at_0(k, j, order):
+        lhs, rhs = real(k, j, order)
+        return lhs, rhs + qseries.PuiseuxSeries.monomial(0, 1, order=rhs.order)
+
+    monkeypatch.setattr(qseries, "specialize_314", off_at_0)
+    argv = ["qseries", "verify", "--identity", "314", "--k", "2", "--j", "1", "--order", "20"]
+    assert cli.dispatch(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["status"], doc["detail"]) == ("fail", "first difference at 0")
+
+
 @pytest.mark.parametrize("argv, value", [
     (["cesaro", "--modulus", "5", "--char", "1"], "6.000300932892e-01+2.000100326057e-01j"),
     (["cesaro", "--modulus", "5", "--char", "2"], "2.507899884637e-05"),

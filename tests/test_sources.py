@@ -90,6 +90,39 @@ def test_every_definition_is_used_by_name():
     assert unused == []
 
 
+# The definitions that the product (the package and perfbench) never names:
+# each is a reference that tests compare the product against.
+_TEST_REFERENCES = {
+    # the window sweeps that the certified fock rows are checked against
+    "verify_lemma_2_3_suite": "the fock:mode-bracket rows",
+    "verify_theorem_2_4_suite": "the fock:bracket rows",
+    "verify_theorem_3_1": "the fock:decomposition rows",
+    "verify_transpose_symmetry": "the fock:transpose row's pair count",
+    "fit_cubic": "the cocycle null spaces, as spans of m and m^3",
+    "bernoulli_number": "criterion 04b's eta(-2) = 0, from the Bernoulli numbers",
+}
+
+
+def test_only_test_references_go_unnamed_by_the_product():
+    # A definition that only tests reach is code the product does not need,
+    # unless a test compares the product against it.
+    root = Path(__file__).resolve().parent.parent
+    used = {
+        name
+        for folder in ("src", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+        for name in _identifiers(ast.parse(path.read_text(), str(path)))
+    }
+    pyproject = (root / "pyproject.toml").read_text()
+    unnamed = {
+        name
+        for path in sorted(Path(ltwist.__file__).parent.glob("*.py"))
+        for name in _definitions(ast.parse(path.read_text(), str(path)))
+        if name not in used and name not in pyproject
+    }
+    assert unnamed == set(_TEST_REFERENCES)
+
+
 _CERTIFICATE_NAMES = {"_form", "_bracket", "_mismatch", "_check_representation",
                       "_check_diagonal", "_with_representation", "_combine", "_adjoint",
                       "_lifted", "_add_rows", "_shifted", "_shifted_product"}
