@@ -237,9 +237,8 @@ def check_replay_table(cfg) -> tuple:
     return ok, "{-1/2, 1/4, -1/12}", f"got {table}"
 
 
-# 1-4+9-16+..., one object for both squares rows, so that its float prefix
-# (SeqSpec.floats) is built from the exact terms once per process.
-_SQUARES = summation.SeqSpec(lambda i: i * i if i % 2 else -i * i, period_hint=2)
+# 1-4+9-16+..., the series of both squares rows: -(-1)^i i^2
+_SQUARES = summation.rational_series((0, 0, -1), alternating=True, period_hint=2)
 
 
 def check_squares_series(cfg) -> tuple:
@@ -323,9 +322,9 @@ def check_inflation_compat(cfg) -> str:
 
 def check_regularity(cfg) -> str:
     probes = [
-        (summation.SeqSpec(lambda i: rat(1, i)), 0.0),
-        (summation.SeqSpec(lambda i: rat(3) + rat(1, i * i)), 3.0),
-        (summation.SeqSpec(lambda i: rat((-1) ** i, i)), 0.0),
+        (summation.rational_series((1,), (0, 1)), 0.0),  # 1/i
+        (summation.rational_series((1, 0, 3), (0, 0, 1)), 3.0),  # 3 + 1/i^2
+        (summation.rational_series((1,), (0, 1), alternating=True), 0.0),  # (-1)^i/i
     ]
     for seq, want in probes:
         rep = summation.limit_numeric(seq, 1, 20_000, 1e-2)
@@ -334,7 +333,7 @@ def check_regularity(cfg) -> str:
 
 
 def check_no_convergence(cfg) -> tuple:
-    ones = summation.SeqSpec(lambda i: rat(i - 1), period_hint=1)
+    ones = summation.rational_series((-1, 1), period_hint=1)  # i - 1
     msgs = []
     for depth in (1, 2, 3, 4):
         rep = summation.limit_numeric(ones, depth, 10_000, cfg.tolerance)

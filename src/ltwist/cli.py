@@ -213,6 +213,8 @@ def cmd_qseries_verify(args) -> int:
 def cmd_qseries_modular(args) -> int:
     from ltwist import qseries
 
+    if args.order < 1:
+        raise SystemExit("order must be positive")
     residual, _ = qseries.modular_s_check(
         args.k, order=args.order, precision_bits=args.precision
     )

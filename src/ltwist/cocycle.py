@@ -63,7 +63,14 @@ class CocycleSystem:
 def build_system(d, H: int) -> CocycleSystem:
     """All functional-equation constraints with m, n, m + n inside the
     coordinate box of height H, after imposing alpha(0) = 0 and antisymmetry.
-    Box points and coefficients are sums of m, n, 2m, 2n: integer tuples."""
+    Box points and coefficients are sums of m, n, 2m, 2n: integer tuples.
+
+    row(-m, -n) = row(m, n), row(n, m) = -row(m, n) and
+    row(m + n, -n) = -row(m, n), so each triple m + n + k = 0 in the box
+    gives one row up to sign.  It is built once, from the pair (m, n) that
+    comes first in box order: m the first of the six points +-m, +-n, +-k,
+    n before k.  Then no two of the three points share an unknown, and no
+    coefficient vanishes."""
     K = field_by_name(d) if isinstance(d, str) else quadratic_order(d)
     if H < 3:
         raise ValueError("height must be at least 3")
@@ -79,26 +86,20 @@ def build_system(d, H: int) -> CocycleSystem:
         if r not in index:
             index[r] = len(reps)
             reps.append(r)
-    box_set = set(box)
+    at = {b: i for i, b in enumerate(box)}
     rows = []
-    seen = set()
     for i, m in enumerate(box):
-        for n in box[i + 1:]:  # row(n, m) = -row(m, n) and row(m, m) = 0
-            tot = K.add(m, n)
-            if K.is_zero(tot) or tot not in box_set:
+        if at[K.neg(m)] < i:  # implied in lexicographic order by the n, -n tests
+            continue
+        for n in box[i + 1:]:
+            tot = K.add(m, n)  # -k; zero or outside the box: not in `at`
+            if (at.get(tot, -1) < i or at[K.neg(n)] < i
+                    or at[K.neg(tot)] <= at[n]):
                 continue
             row: dict = {}
             _row_add(row, K, index, tot, K.sub(m, n))
             _row_add(row, K, index, m, K.neg(K.add(K.add(n, n), m)))
             _row_add(row, K, index, n, K.add(n, K.add(m, m)))
-            row = {p: c for p, c in row.items() if not K.is_zero(c)}
-            if not row:
-                continue
-            fp = tuple(sorted((p, c) for p, c in row.items()))
-            neg_fp = tuple(sorted((p, K.neg(c)) for p, c in row.items()))
-            if fp in seen or neg_fp in seen:
-                continue
-            seen.add(fp)
             rows.append(row)
     return CocycleSystem(field=K, height=H, unknowns=reps, index=index,
                          rows=rows, box=box)

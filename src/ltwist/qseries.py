@@ -131,7 +131,10 @@ class PuiseuxSeries:
         inv_lead = rat(1) / lead
         g: dict = {0: inv_lead}
         nonzero = sorted(rel)[1:]
-        for t in range(1, length):
+        # the inverse lives on the lattice the relative keys generate; a
+        # monomial (no nonzero key, gcd 0) has no further terms
+        step = math.gcd(*nonzero) or length
+        for t in range(step, length, step):
             acc = None
             for k in nonzero:
                 if k > t:

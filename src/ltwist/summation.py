@@ -28,9 +28,10 @@ class SeqSpec:
     first n values as a complex128 array for the numeric paths.  Transforms
     (partial_sum, cesaro, inflate) return new SeqSpecs and compose.
 
-    Without a batch function the float prefix is built once from the exact
-    terms and kept on the sequence: `floats(n)` then returns a read-only view
-    of it, and a longer request extends it.
+    Without a batch function, or where it returns None for an n it cannot
+    serve exactly, the float prefix is built once from the exact terms and
+    kept on the sequence: `floats(n)` then returns a read-only view of it,
+    and a longer request extends it.
     """
 
     def __init__(
@@ -51,7 +52,9 @@ class SeqSpec:
 
     def floats(self, n: int) -> np.ndarray:
         if self._float_fn is not None:
-            return self._float_fn(n)
+            batch = self._float_fn(n)
+            if batch is not None:
+                return batch
         prefix = self._prefix
         if len(prefix) < n:
             more = np.fromiter(
@@ -61,6 +64,49 @@ class SeqSpec:
             prefix = _read_only(np.concatenate((prefix, more)))
             self._prefix = prefix
         return prefix[:n]
+
+
+def _poly(coeffs: tuple, x):
+    """sum c_k x^k by Horner's rule, coefficients in ascending degree; x is
+    an int or an int64 array."""
+    h = 0
+    for c in reversed(coeffs):
+        h = h * x + c
+    return h
+
+
+def rational_series(
+    num: tuple,
+    den: tuple = (1,),
+    alternating: bool = False,
+    period_hint: Optional[int] = None,
+) -> SeqSpec:
+    """Terms s(i) num(i) / den(i), num and den integer polynomials given by
+    their coefficients in ascending degree, s(i) = (-1)^i when alternating
+    and 1 otherwise.
+
+    The exact term is rat(s(i) num(i), den(i)).  The floats come in one
+    batch: Horner's rule on int64 indices, then one division.  While
+    sum |c_k| n^k < 2^53 for num and for den, every intermediate is an exact
+    float, so the correctly rounded quotient is complex() of the exact term,
+    bit for bit; beyond that bound the floats come from the exact terms.
+    """
+
+    def term(i: int):
+        p = _poly(num, i)
+        return rat(-p if alternating and i % 2 else p, _poly(den, i))
+
+    def floats(n: int):
+        if any(sum(abs(c) * n**k for k, c in enumerate(coeffs)) >= 2**53
+               for coeffs in (num, den)):
+            return None
+        idx = np.arange(1, n + 1, dtype=np.int64)
+        p = _poly(num, idx)
+        if alternating:
+            p[::2] *= -1  # odd i, negated as integers: a zero term stays +0.0
+        return (p / _poly(den, idx)).astype(np.complex128)
+
+    return SeqSpec(term, floats, period_hint=period_hint)
 
 
 def periodic_series(chi: PeriodicFn, weight: str = "const") -> SeqSpec:

@@ -227,8 +227,17 @@ def _all_ordered_pair_rows(sys_):
     return rows
 
 
-@pytest.mark.parametrize("name", ["Q", "Q(sqrt2)", "Q(sqrt5)"])
-@pytest.mark.parametrize("H", [3, 4])
+# rows per height H: over Q, and over each quadratic field
+_ROW_COUNTS = {3: (1, 100), 4: (2, 284), 5: (4, 654), 6: (6, 1290)}
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+@pytest.mark.parametrize("H", [3, 4, 5, 6])
 def test_unordered_pairs_keep_the_rows_and_their_order(name, H):
+    # build_system builds one row per sum-zero triple; the rows, their order
+    # and their entries' order are those of the exhaustive reference, which
+    # also shows that no row holds a zero coefficient
     sys_ = build_system(name, H)
-    assert sys_.rows == _all_ordered_pair_rows(sys_)
+    want = _all_ordered_pair_rows(sys_)
+    assert [list(r.items()) for r in sys_.rows] == [list(r.items()) for r in want]
+    assert len(want) == _ROW_COUNTS[H][sys_.field.degree - 1]

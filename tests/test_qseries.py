@@ -117,6 +117,35 @@ def test_reduced_theta():
         reduced_theta(rat(5, 2), 3, 5)
 
 
+def _step_one_inverse(f):
+    """The inverse by the recursion over every key position t < length, the
+    reference for PuiseuxSeries.inverse, which visits only its key lattice."""
+    v = min(f.coeffs)
+    rel = {k - v: c for k, c in f.coeffs.items()}
+    length = int(f.order * f.denom) - v
+    inv_lead = rat(1) / rel[0]
+    g = {0: inv_lead}
+    for t in range(1, length):
+        acc = sum((c * g[t - k] for k, c in rel.items() if 0 < k <= t and t - k in g), rat(0))
+        if acc:
+            g[t] = -inv_lead * acc
+    return PuiseuxSeries(f.denom, {t - v: c for t, c in g.items()}, rat(length - v, f.denom))
+
+
+@pytest.mark.parametrize("series", [
+    reduced_theta(rat(1, 3), 3, 30)[0],                       # denominator 216
+    reduced_theta(rat(3, 5), 5, 20)[0],                       # 1000
+    reduced_theta(rat(5, 7), 7, 12)[0],                       # 2744
+    PuiseuxSeries(1, {0: rat(2), 4: rat(1), 6: rat(-3)}, 40),  # key step 2
+    PuiseuxSeries(3, {5: rat(-2)}, 4),                        # a monomial
+], ids=["216", "1000", "2744", "step-2", "monomial"])
+def test_inverse_steps_along_its_key_lattice(series):
+    got, want = series.inverse(), _step_one_inverse(series)
+    assert (got.denom, got.order, got.coeffs) == (want.denom, want.order, want.coeffs)
+    prod = series * got
+    assert prod.order > 0 and prod == PuiseuxSeries.monomial(0, 1, prod.order)
+
+
 def _brute_signed_sum(exponent, inside, bound=40):
     """sum over |m| <= bound of (-1)^m q^exponent(m), zero terms dropped."""
     coeffs: dict = {}

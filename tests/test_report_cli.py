@@ -149,6 +149,13 @@ def test_cli_fock_and_qseries(capsys):
     assert doc["dimension"] == 2
 
 
+@pytest.mark.parametrize("order", [["--order", "0"], ["--order=-1"]])
+def test_qseries_modular_rejects_a_nonpositive_order(order, capsys):
+    assert cli.dispatch(["qseries", "modular", *order]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "order must be positive\n")
+
+
 def test_cocycle_verify_reads_the_basis_off_the_dimension(monkeypatch, capsys):
     # nullspace_dim returns [m, m^3] as constructed, checked against every
     # row, so the CLI's basis flag is the dimension test: a larger null space

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from ltwist import checks, summation
 from ltwist.characters import PeriodicFn, dirichlet_characters, kronecker_symbol
 from ltwist.exactnum import rat
 from ltwist.lvalues import l_minus_one, l_zero
+from ltwist.report import RunConfig, _run_check
 from ltwist.summation import (
     SeqSpec,
     averaged_dirichlet,
@@ -13,6 +15,7 @@ from ltwist.summation import (
     limit_numeric,
     partial_sums,
     periodic_series,
+    rational_series,
     replay_derivations,
 )
 
@@ -252,3 +255,85 @@ def test_int_terms_convert_as_their_rationals():
     assert complex(third) == complex(1 / 3) and complex(-third) == complex(-1 / 3)
     seq = SeqSpec(lambda i: rat(big + i, 3))
     assert seq.floats(2).tolist() == [complex((big + 1) / 3), complex((big + 2) / 3)]
+
+
+# ---------------------------------------------------------------------------
+# batch floats of rational sequences
+
+_BATCH_ROWS = ("summation:squares", "summation:squares-facts",
+               "summation:regularity", "summation:no-convergence")  # registry order
+
+
+def _exact_floats(seq, n):
+    return np.array([complex(seq.term(i)) for i in range(1, n + 1)], dtype=np.complex128)
+
+
+def _assert_same_bits(got, want):
+    # view as integers, so that -0.0 and 0.0 differ
+    assert got.dtype == want.dtype == np.complex128 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _run_rows(ids):
+    cfg = RunConfig()
+    return [_run_check(c, cfg) for c in checks.build_registry(cfg) if c.id in ids]
+
+
+def test_registry_rational_series_floats_are_the_exact_terms_bit_for_bit(monkeypatch):
+    # every rational_series the summation rows use, at every n its row asks
+    made = [checks._SQUARES]
+    asked: dict = {}  # keyed by the sequence itself, so no id is reused
+    real_series, real_floats = summation.rational_series, SeqSpec.floats
+
+    def record_series(*args, **kwargs):
+        made.append(real_series(*args, **kwargs))
+        return made[-1]
+
+    def record_floats(self, n):
+        asked.setdefault(self, set()).add(n)
+        return real_floats(self, n)
+
+    monkeypatch.setattr(summation, "rational_series", record_series)
+    monkeypatch.setattr(SeqSpec, "floats", record_floats)
+    _run_rows(_BATCH_ROWS)
+    assert len(made) == 5  # squares, three regularity probes, no-convergence
+    for seq in made:
+        for n in asked[seq]:
+            _assert_same_bits(real_floats(seq, n), _exact_floats(seq, n))
+    assert sorted(n for seq in made for n in asked[seq]) == [
+        10_000, 20_000, 20_000, 20_000, RunConfig().n_terms]
+
+
+def test_rational_series_terms_and_the_exact_fallback(monkeypatch):
+    quartic = rational_series((0, 0, 0, 0, 1))  # i^4: 10^16 > 2^53 at n = 10^4
+    cases = [
+        (quartic, 10_000, False),
+        (quartic, 9_000, True),  # 9000^4 < 2^53
+        (rational_series((-1, 1), alternating=True), 50, True),  # a zero term
+        (rational_series((1,), (0, -1)), 50, True),              # -1/i
+        (rational_series((2, 0, 3), (1, 0, 0, 7), alternating=True), 1_000, True),
+    ]
+    assert quartic.term(3) == 81 and rational_series((1,), (0, -1)).term(4) == rat(-1, 4)
+    assert rational_series((-1, 1), alternating=True).term(3) == -2
+    for seq, n, batch in cases:
+        want = _exact_floats(seq, n)
+        with monkeypatch.context() as m:
+            m.setattr(SeqSpec, "term", lambda self, i: 1 / 0)
+            if batch:
+                _assert_same_bits(seq.floats(n), want)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    seq.floats(n)
+        _assert_same_bits(seq.floats(n), want)
+
+
+def test_batch_rows_never_convert_a_term(monkeypatch):
+    # the summation rows take every float from the batch path: with the exact
+    # terms unreachable they give the same status, value and witness
+    want = _run_rows(_BATCH_ROWS)
+    monkeypatch.setattr(SeqSpec, "term", lambda self, i: 1 / 0)
+    got = _run_rows(_BATCH_ROWS)
+    assert [r.id for r in got] == list(_BATCH_ROWS)
+    assert [(r.status, r.value, r.witness) for r in got] == [
+        (r.status, r.value, r.witness) for r in want]
+    assert got[0].status == "fail"  # summation:squares, the designed red
