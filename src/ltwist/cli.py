@@ -15,17 +15,6 @@ import re
 import sys
 
 from ltwist.exactnum import rat, scalar_str
-from ltwist.report import (
-    RunConfig,
-    config_from_env,
-    config_from_mapping,
-    fmt_value,
-    load_config_file,
-    report_all,
-    report_to_csv,
-    report_to_json,
-    report_to_text,
-)
 
 FOCK_CHECK_IDS = ("2.3", "2.4", "3.1", "3.28", "scaling")
 QSERIES_IDS = ("euler", "jacobi", "314", "316", "312", "char-cross")
@@ -68,6 +57,8 @@ def cmd_cesaro(args) -> int:
         value = summation.limit_exact_periodic(chi, args.weight)
         doc.update(mode="exact-closed-form", value=scalar_str(value), residual=None)
     else:
+        from ltwist.report import fmt_value
+
         series = summation.periodic_series(chi, args.weight)
         rep = summation.limit_numeric(
             summation.partial_sums(series), args.depth, args.terms, rat_from(args.tol)
@@ -91,6 +82,7 @@ def rat_from(text):
 
 def cmd_dirichlet_avg(args) -> int:
     from ltwist import summation
+    from ltwist.report import fmt_value
 
     chi = _char(args.modulus, args.char)
     value = summation.averaged_dirichlet(
@@ -112,7 +104,7 @@ def cmd_fock_verify(args) -> int:
     from ltwist.characters import dirichlet_characters, even_twist_group
 
     N, D = args.modulus, args.cutoff
-    RunConfig(cutoff=D).validate()  # the report's bounds on the cutoff
+    fock.check_cutoff(D)
     which = (args.theorem,) if args.theorem else FOCK_CHECK_IDS
     G = even_twist_group(N)
     rows = []
@@ -162,6 +154,8 @@ def cmd_fock_qtrace(args) -> int:
     from ltwist.characters import even_twist_group
 
     G = even_twist_group(args.modulus)
+    if args.order < 2 * G.period:  # qtrace's own bound, named as the flag
+        raise ValueError(f"--order must be at least 2 * modulus = {2 * G.period}")
     series = fock.qtrace(G, args.index, args.mode, args.order)
     terms = ", ".join(
         f"q^({e}) * {scalar_str(c)}" for e, c in series.terms()[:12]
@@ -241,6 +235,17 @@ def cmd_cocycle(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from ltwist.report import (
+        RunConfig,
+        config_from_env,
+        config_from_mapping,
+        load_config_file,
+        report_all,
+        report_to_csv,
+        report_to_json,
+        report_to_text,
+    )
+
     cfg = RunConfig()
     if args.config:
         cfg = load_config_file(args.config, cfg)

@@ -17,9 +17,8 @@ the ring that also carries Z[zeta_m].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ltwist.exactnum import QuotientRing, rat
 
@@ -48,8 +47,7 @@ def field_by_name(name: str) -> QuotientRing:
     return quadratic_order(FIELDS[name])
 
 
-@dataclass
-class CocycleSystem:
+class CocycleSystem(NamedTuple):
     """Linear constraints over K for the diagonal central terms alpha(m)."""
 
     field: QuotientRing

@@ -53,9 +53,8 @@ import bisect
 import math
 import operator
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ltwist.characters import PeriodicFn, TwistGroup, even_twist_group, pf_mul
 from ltwist.exactnum import (
@@ -64,6 +63,14 @@ from ltwist.exactnum import (
 from ltwist.lvalues import _l_minus_one_form, l_minus_one
 
 MAX_BASIS_DEGREE = 60
+
+
+def check_cutoff(D: int) -> None:
+    """Reject a cutoff outside 0..MAX_BASIS_DEGREE: the one bound on the
+    cutoff a user gives to `report` or to `fock verify`."""
+    if not 0 <= D <= MAX_BASIS_DEGREE:
+        raise ValueError(f"cutoff must lie in 0..{MAX_BASIS_DEGREE}")
+
 
 Partition = tuple  # descending tuple of positive ints
 
@@ -517,7 +524,6 @@ def commutator_window(D: int, *shift_budgets: int) -> list[Partition]:
 # normal-ordering calculus
 
 
-@dataclass
 class _Form:
     """An operator of degree <= 2 in the modes, exactly on the Fock space.
 
@@ -531,9 +537,10 @@ class _Form:
     are.
     """
 
-    quad: dict
-    lin: dict
-    z: Scalar
+    __slots__ = ("quad", "lin", "z")
+
+    def __init__(self, quad: dict, lin: dict, z: Scalar):
+        self.quad, self.lin, self.z = quad, lin, z
 
 
 def _form(op: Operator) -> _Form:
@@ -949,8 +956,7 @@ def build_T(G: TwistGroup, i: int, n: int) -> Operator:
     return op
 
 
-@dataclass(frozen=True)
-class VacuumEnergy:
+class VacuumEnergy(NamedTuple):
     """Vacuum shifts of a twist component: c for the component's zero mode,
     d for the grading operator on the component's vacuum."""
 
@@ -998,11 +1004,11 @@ def vacuum_energies(G: TwistGroup, i: int) -> VacuumEnergy:
 # verification sweeps
 
 
-@dataclass
 class VerifyResult:
-    passed: bool
-    cases: int
-    witness: Optional[tuple] = None
+    __slots__ = ("passed", "cases", "witness")
+
+    def __init__(self, passed: bool, cases: int, witness: Optional[tuple] = None):
+        self.passed, self.cases, self.witness = passed, cases, witness
 
     def __bool__(self) -> bool:
         return self.passed

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from ltwist.characters import PeriodicFn, _is_prime, kronecker_symbol
 from ltwist.exactnum import Scalar, linear_form, rat
@@ -14,8 +14,7 @@ from ltwist.exactnum import Scalar, linear_form, rat
 MAX_BERNOULLI_DEGREE = 64
 
 
-@dataclass(frozen=True)
-class BernPoly:
+class BernPoly(NamedTuple):
     """Bernoulli polynomial with exact coefficients, ascending in x."""
 
     degree: int

@@ -47,12 +47,15 @@ class RunConfig:
 
     def validate(self) -> None:
         """Keep every bound inside the module guards."""
-        from ltwist.fock import MAX_BASIS_DEGREE
+        from ltwist.fock import check_cutoff
 
-        if not 0 <= self.cutoff <= MAX_BASIS_DEGREE:
-            raise ValueError(f"cutoff must lie in 0..{MAX_BASIS_DEGREE}")
+        check_cutoff(self.cutoff)
         if self.n_terms < 1000:
             raise ValueError("n_terms must be at least 1000")
+        if not self.tolerance > 0:
+            raise ValueError("tolerance must be positive")
+        if not self.numeric_residual > 0:
+            raise ValueError("numeric_residual must be positive")
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be at least 64")
         if self.output_format not in ("json", "csv", "text"):

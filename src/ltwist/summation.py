@@ -5,13 +5,13 @@ Dirichlet-type series to the strip s > -1."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
 from ltwist.characters import PeriodicFn
 from ltwist.exactnum import Scalar, cyclo_embed, rat
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_CESARO_DEPTH = 4
 
@@ -31,7 +31,8 @@ class SeqSpec:
     Without a batch function, or where it returns None for an n it cannot
     serve exactly, the float prefix is built once from the exact terms and
     kept on the sequence: `floats(n)` then returns a read-only view of it,
-    and a longer request extends it.
+    and a longer request extends it.  Only the float paths import numpy, so
+    a sequence read term by term never loads it.
     """
 
     def __init__(
@@ -42,7 +43,7 @@ class SeqSpec:
     ):
         self._term_fn = term_fn
         self._float_fn = float_fn
-        self._prefix = _read_only(np.empty(0, dtype=np.complex128))
+        self._prefix = None  # made on the first request
         self.period_hint = period_hint
 
     def term(self, i: int) -> Scalar:
@@ -51,10 +52,14 @@ class SeqSpec:
         return self._term_fn(i)
 
     def floats(self, n: int) -> np.ndarray:
+        import numpy as np
+
         if self._float_fn is not None:
             batch = self._float_fn(n)
             if batch is not None:
                 return batch
+        if self._prefix is None:
+            self._prefix = _read_only(np.empty(0, dtype=np.complex128))
         prefix = self._prefix
         if len(prefix) < n:
             more = np.fromiter(
@@ -97,6 +102,8 @@ def rational_series(
         return rat(-p if alternating and i % 2 else p, _poly(den, i))
 
     def floats(n: int):
+        import numpy as np
+
         if any(sum(abs(c) * n**k for k, c in enumerate(coeffs)) >= 2**53
                for coeffs in (num, den)):
             return None
@@ -113,6 +120,8 @@ def periodic_series(chi: PeriodicFn, weight: str = "const") -> SeqSpec:
     """Terms chi(i) (weight "const") or chi(i) * i (weight "linear")."""
     if weight not in ("const", "linear"):
         raise ValueError("weight must be 'const' or 'linear'")
+    import numpy as np
+
     N = chi.period
     emb = np.array([complex(chi(r)) for r in range(N)], dtype=np.complex128)
 
@@ -145,6 +154,8 @@ def partial_sums(s: SeqSpec) -> SeqSpec:
         return cache[i - 1]
 
     def floats(n: int):
+        import numpy as np
+
         return np.cumsum(s.floats(n))
 
     return SeqSpec(term, floats, period_hint=s.period_hint)
@@ -158,6 +169,8 @@ def cesaro(s: SeqSpec) -> SeqSpec:
         return sums.term(i) * rat(1, i)
 
     def floats(n: int):
+        import numpy as np
+
         return sums.floats(n) / np.arange(1, n + 1)
 
     return SeqSpec(term, floats, period_hint=s.period_hint)
@@ -174,6 +187,8 @@ def inflate(s: SeqSpec, k: int) -> SeqSpec:
         return s.term((i + k - 1) // k)
 
     def floats(n: int):
+        import numpy as np
+
         m = (n + k - 1) // k
         return np.repeat(s.floats(m), k)[:n]
 
@@ -181,8 +196,7 @@ def inflate(s: SeqSpec, k: int) -> SeqSpec:
     return SeqSpec(term, floats, period_hint=hint)
 
 
-@dataclass
-class LimitReport:
+class LimitReport(NamedTuple):
     """Outcome of limit_numeric: the window midpoint and spread, or no value
     and a message when the spread exceeds the tolerance."""
 
@@ -200,12 +214,16 @@ def limit_numeric(s: SeqSpec, depth: int, n_terms: int, tol) -> LimitReport:
     Returns the window midpoint on success; a non-converged report with the
     message "no convergence at depth d" when the spread exceeds tol.
     """
+    import numpy as np
+
     if depth > MAX_CESARO_DEPTH:
         raise ValueError(f"depth capped at {MAX_CESARO_DEPTH}")
     period = s.period_hint or 1
     if n_terms < 10 * period:
         raise ValueError("n_terms must be at least 10 periods")
     tol_f = float(tol)
+    if not tol_f > 0:  # else any spread at all would read as divergence
+        raise ValueError("tolerance must be positive")
     x = s.floats(n_terms)
     idx = np.arange(1, n_terms + 1)
     for _ in range(depth):
@@ -329,6 +347,8 @@ def averaged_dirichlet(chi: PeriodicFn, s, n_terms: int, precision_bits: int = 5
     if l < N:
         raise ValueError("need at least one full period of terms")
     if precision_bits <= 53:
+        import numpy as np
+
         # sum of (l+1-k) * chi(k) * k^(-s), worked in place in that order so
         # that no more than three arrays of length l are alive at once
         vals = np.array([complex(chi(r)) for r in range(N)], dtype=np.complex128)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -122,7 +121,7 @@ def test_rank_certificate_matches_exact_dimensions(name):
     sys_ = build_system(name, 4)
     rows = sys_.rows
     for k, want in _PREFIX_DIMS[name].items():
-        dim, basis = nullspace_dim(dataclasses.replace(sys_, rows=rows[:k]))
+        dim, basis = nullspace_dim(sys_._replace(rows=rows[:k]))
         assert dim == want, k
         assert len(basis) == 2
 
@@ -134,7 +133,7 @@ def test_perturbed_row_violates_polynomial_solutions(name):
     row = dict(sys_.rows[-1])
     pos = min(row)
     row[pos] = K.add(row[pos], K.one)
-    bad = dataclasses.replace(sys_, rows=sys_.rows[:-1] + [row])
+    bad = sys_._replace(rows=sys_.rows[:-1] + [row])
     with pytest.raises(ArithmeticError, match="polynomial solution violates constraint"):
         nullspace_dim(bad)
 
@@ -143,7 +142,7 @@ def test_line_recursion_needs_a_certified_null_space(monkeypatch):
     # the cocycle:recursion row turns red when a null space it reads is not
     # two-dimensional
     sys_ = build_system("Q(sqrt2)", 4)
-    short = dataclasses.replace(sys_, rows=sys_.rows[:40])
+    short = sys_._replace(rows=sys_.rows[:40])
     assert nullspace_dim(short)[0] > 2
     real = cocycle.build_system
     monkeypatch.setattr(checks, "_NULL_SPACES", {})

@@ -156,6 +156,36 @@ def test_qseries_modular_rejects_a_nonpositive_order(order, capsys):
     assert (out.out, out.err) == ("", "order must be positive\n")
 
 
+@pytest.mark.parametrize("order", ["0", "-2", "9"])
+def test_fock_qtrace_names_the_order_below_its_bound(order, capsys):
+    # the window of a trace needs order >= 2N; the user gave no cutoff, so
+    # the message names --order
+    assert cli.dispatch(["fock", "qtrace", "--modulus", "5", "--index", "1",
+                         "--mode", "char", f"--order={order}"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: --order must be at least 2 * modulus = 10\n")
+    assert cli.dispatch(["fock", "qtrace", "--modulus", "5", "--index", "1",
+                         "--mode", "kernel", "--order", "10"]) == 0
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "0/1", "nan"])
+def test_cesaro_rejects_a_nonpositive_tolerance(tol, capsys):
+    # a usage error (exit 2), not a divergent series (exit 1)
+    assert cli.dispatch(["cesaro", "--modulus", "5", "--char", "2", f"--tol={tol}"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: tolerance must be positive\n")
+
+
+@pytest.mark.parametrize("key", ["TOLERANCE", "NUMERIC_RESIDUAL"])
+def test_report_rejects_a_nonpositive_tolerance(key, capsys, monkeypatch):
+    monkeypatch.setenv(f"LTWIST_{key}", "0")
+    assert cli.dispatch(["report"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {key.lower()} must be positive\n")
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        RunConfig(tolerance=-1e-3).validate()
+
+
 def test_cocycle_verify_reads_the_basis_off_the_dimension(monkeypatch, capsys):
     # nullspace_dim returns [m, m^3] as constructed, checked against every
     # row, so the CLI's basis flag is the dimension test: a larger null space
@@ -245,19 +275,54 @@ def test_removed_jobs_option_is_rejected(tmp_path, capsys):
     assert "jobs" not in RunConfig().to_dict()
 
 
-def test_cli_import_loads_no_thread_pool():
-    """`import ltwist.cli` stays light: no concurrent.futures, no logging."""
-    code = (
-        "import sys\n"
-        "import ltwist.cli\n"
-        "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])\n"
-    )
+_WATCHED = ("concurrent.futures", "logging", "dataclasses", "ltwist.report", "numpy",
+            "mpmath")
+
+# A cold call compiles what it imports, so each loads only what its
+# subcommand runs: one call from each of perfbench's cli-cold pools, and
+# `cesaro --exact`.  Character 2 mod 5 is real: complex() of a complex
+# character's value would load mpmath.
+_FOOTPRINTS = [
+    ([], ()),  # `import ltwist.cli` alone
+    (["lvalue", "--modulus", "7", "--char", "3", "--point", "-1"], ()),
+    (["classnumber", "--q", "23"], ()),
+    (["cesaro", "--modulus", "5", "--char", "2", "--depth", "1"],
+     ("dataclasses", "ltwist.report", "numpy")),
+    (["cesaro", "--modulus", "5", "--char", "2", "--exact"], ()),
+    (["dirichlet-avg", "--modulus", "5", "--char", "2", "--s", "1/2"],
+     ("dataclasses", "ltwist.report", "numpy")),
+    (["qseries", "verify", "--identity", "euler", "--order", "80"], ()),
+    (["qseries", "modular", "--k", "2", "--order", "100", "--precision", "128"], ("mpmath",)),
+    (["cocycle", "verify", "--field", "Q(i)", "--height", "3"], ()),
+    (["fock", "qtrace", "--modulus", "5", "--index", "1", "--mode", "char", "--order", "16"],
+     ()),
+    (["fock", "verify", "--modulus", "3", "--cutoff", "12", "--theorem", "2.3"], ()),
+]
+
+
+def _loaded_after(code: str, argv=()) -> str:
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    code += f"\nprint([m for m in {_WATCHED!r} if m in sys.modules])\n"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cli_calls_load_only_what_they_run():
+    found = {
+        " ".join(argv): _loaded_after(
+            "import sys\nfrom ltwist import cli\n"
+            + ("cli.dispatch(sys.argv[1:])" if argv else ""), argv)
+        for argv, _ in _FOOTPRINTS
+    }
+    assert found == {
+        " ".join(argv): str([m for m in _WATCHED if m in want]) for argv, want in _FOOTPRINTS
+    }
+    # the report's rows load numpy with `checks`, before any of them runs
+    assert _loaded_after("import sys\nimport ltwist.checks") == str(
+        ["dataclasses", "ltwist.report", "numpy"])
 
 
 def test_cli_usage_errors(capsys):
@@ -274,7 +339,7 @@ def test_cli_file_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert cli.dispatch(["report", "--config", str(missing / "r.cfg")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "r.cfg" in err and "Traceback" not in err
-    monkeypatch.setattr(cli, "report_all", lambda cfg: {"summary": {"failed": 0}})
+    monkeypatch.setattr("ltwist.report.report_all", lambda cfg: {"summary": {"failed": 0}})
     assert cli.dispatch(["report", "--format", "json", "--out", str(missing / "r.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "r.json" in err and "Traceback" not in err

@@ -31,6 +31,21 @@ def test_only_exactnum_generates_code():
     assert found == {"exactnum.py:exec"}
 
 
+def test_only_report_imports_dataclasses():
+    # dataclasses, with the inspect it loads, is the dearest import a cold
+    # CLI call could make for nothing; only the report's records need it
+    # (asdict on RunConfig and CheckResult).
+    files = sorted(Path(ltwist.__file__).parent.glob("*.py"))
+    found = {
+        path.name
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    }
+    assert found == {"report.py"}
+
+
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
