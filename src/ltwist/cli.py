@@ -14,7 +14,7 @@ import os
 import re
 import sys
 
-from ltwist.exactnum import rat, scalar_str
+from ltwist.exactnum import parse_rat, scalar_str
 
 FOCK_CHECK_IDS = ("2.3", "2.4", "3.1", "3.28", "scaling")
 QSERIES_IDS = ("euler", "jacobi", "314", "316", "312", "char-cross")
@@ -73,11 +73,9 @@ def cmd_cesaro(args) -> int:
     return 0
 
 
-def rat_from(text):
-    if isinstance(text, str) and "/" in text:
-        p, q = text.split("/")
-        return rat(int(p), int(q))
-    return float(text)
+def rat_from(text: str):
+    """An exact rational from "p/q", else a float."""
+    return parse_rat(text) if "/" in text else float(text)
 
 
 def cmd_dirichlet_avg(args) -> int:
@@ -156,6 +154,7 @@ def cmd_fock_qtrace(args) -> int:
     G = even_twist_group(args.modulus)
     if args.order < 2 * G.period:  # qtrace's own bound, named as the flag
         raise ValueError(f"--order must be at least 2 * modulus = {2 * G.period}")
+    fock.check_cutoff(args.order, "--order")
     series = fock.qtrace(G, args.index, args.mode, args.order)
     terms = ", ".join(
         f"q^({e}) * {scalar_str(c)}" for e, c in series.terms()[:12]
@@ -194,6 +193,7 @@ def cmd_qseries_verify(args) -> int:
     elif ident == "char-cross":
         from ltwist import fock
 
+        fock.check_qtrace_order(order, "--order")
         # the report row's function, so both give one verdict
         res = fock.verify_qtrace_char(args.k, order)
         if not res.passed:

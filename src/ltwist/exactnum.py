@@ -1,7 +1,7 @@
 """Exact rational and cyclotomic arithmetic.
 
 The scalar domain used throughout the package is the union of ints,
-arbitrary precision rationals (`Rat`) and the irrational elements of
+rationals (`Rat` = `fractions.Fraction`) and the irrational elements of
 cyclotomic fields Q(zeta_m) (`CycloNum`), the latter represented on the power
 basis modulo the m-th cyclotomic polynomial so that equality is decidable and
 there are no zero divisors.  Each value has one form: a rational is always a
@@ -25,25 +25,11 @@ from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction as Rat
 from functools import lru_cache
 from typing import Optional, Union
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    def rat(p=0, q=1):
-        return _mpq(p, q)
-
-    RAT_TYPES = (int, type(_mpq(0)))
-except ImportError:  # gmpy2 is optional; fractions is the supported fallback
-    from fractions import Fraction as _mpq
-
-    def rat(p=0, q=1):
-        return _mpq(p, q)
-
-    RAT_TYPES = (int, _mpq)
-
-Rat = type(rat(0))
+rat = Rat
 
 ZERO = rat(0)
 ONE = rat(1)
@@ -283,7 +269,7 @@ class CycloRing(QuotientRing):
         """The scalar `scale * a`, a `Rat` when it is rational."""
         if self.degree == 1:
             return scale * a
-        p, q = int(scale.numerator), int(scale.denominator)
+        p, q = scale.numerator, scale.denominator
         return CycloNum._make(self.order, [p * c for c in a], q)
 
 
@@ -334,8 +320,8 @@ class CycloNum:
         coeffs = [rat(c) for c in coeffs]
         if len(coeffs) != euler_phi(order):
             raise ValueError("coefficient vector length must be phi(order)")
-        den = math.lcm(*(int(c.denominator) for c in coeffs))
-        num = [int(c.numerator) * (den // int(c.denominator)) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
         return CycloNum._make(order, num, den)
 
     @staticmethod
@@ -392,8 +378,8 @@ class CycloNum:
             g = math.gcd(da, db)
             fa, fb = db // g, da // g
             return CycloNum._make(m, [x * fa + y * fb for x, y in zip(a, b)], da * fa)
-        if isinstance(other, RAT_TYPES):
-            p, q = int(other.numerator), int(other.denominator)
+        if isinstance(other, (int, Rat)):
+            p, q = other.numerator, other.denominator
             num, den = self.num, self.den
             g = math.gcd(den, q)
             fa, fb = q // g, den // g
@@ -417,10 +403,10 @@ class CycloNum:
         if isinstance(other, CycloNum):
             m, a, b = self._aligned(other)
             return CycloNum._make(m, cyclo_ring(m).mul(a, b), self.den * other.den)
-        if isinstance(other, RAT_TYPES):
+        if isinstance(other, (int, Rat)):
             return CycloNum._make(
-                self.order, [c * int(other.numerator) for c in self.num],
-                self.den * int(other.denominator)
+                self.order, [c * other.numerator for c in self.num],
+                self.den * other.denominator
             )
         return NotImplemented
 
@@ -436,17 +422,17 @@ class CycloNum:
     def __truediv__(self, other):
         if isinstance(other, CycloNum):
             return self * other.inverse()
-        if isinstance(other, RAT_TYPES):
+        if isinstance(other, (int, Rat)):
             if other == 0:
                 raise ZeroDivisionError("zero divisor")
-            p, q = int(other.numerator), int(other.denominator)
+            p, q = other.numerator, other.denominator
             if p < 0:
                 p, q = -p, -q
             return CycloNum._make(self.order, [c * q for c in self.num], self.den * p)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, RAT_TYPES):
+        if isinstance(other, (int, Rat)):
             return self.inverse() * other
         return NotImplemented
 
@@ -470,7 +456,7 @@ class CycloNum:
                 return self.num == other.num
             _, a, b = self._aligned(other)
             return a == b
-        if isinstance(other, RAT_TYPES):
+        if isinstance(other, (int, Rat)):
             return False  # a CycloNum is not rational
         return NotImplemented
 
@@ -514,7 +500,7 @@ def scalar_parts(x) -> tuple:
     if isinstance(x, CycloNum):
         return x.order, x.num, x.den
     x = rat(x)
-    return 1, (int(x.numerator),), int(x.denominator)
+    return 1, (x.numerator,), x.denominator
 
 
 def linear_form(values, weights, den: int = 1):
@@ -528,7 +514,7 @@ def linear_form(values, weights, den: int = 1):
         if isinstance(v, CycloNum):
             m, num, d = v.order, v.num, v.den
         elif v:
-            m, num, d = 1, (int(v.numerator),), int(v.denominator)
+            m, num, d = 1, (v.numerator,), v.denominator
         else:
             continue
         sums, e = acc.get(m, ((0,) * len(num), 1))

@@ -65,11 +65,12 @@ from ltwist.lvalues import _l_minus_one_form, l_minus_one
 MAX_BASIS_DEGREE = 60
 
 
-def check_cutoff(D: int) -> None:
-    """Reject a cutoff outside 0..MAX_BASIS_DEGREE: the one bound on the
-    cutoff a user gives to `report` or to `fock verify`."""
+def check_cutoff(D: int, name: str = "cutoff") -> None:
+    """Reject a top degree outside 0..MAX_BASIS_DEGREE, calling it `name`:
+    the one bound on the cutoff a user gives to `report`, `fock verify` or
+    `fock qtrace`."""
     if not 0 <= D <= MAX_BASIS_DEGREE:
-        raise ValueError(f"cutoff must lie in 0..{MAX_BASIS_DEGREE}")
+        raise ValueError(f"{name} must lie in 0..{MAX_BASIS_DEGREE}")
 
 
 Partition = tuple  # descending tuple of positive ints
@@ -265,8 +266,8 @@ def _axpy(acc: dict, c, col: dict, ring: CycloRing) -> None:
 
 def _cross_factors(x, y) -> tuple[int, int]:
     """Coprime integers a, b with x * u == y * v exactly when a * u == b * v."""
-    a = int(x.numerator) * int(y.denominator)
-    b = int(y.numerator) * int(x.denominator)
+    a = x.numerator * y.denominator
+    b = y.numerator * x.denominator
     g = math.gcd(a, b) or 1
     return a // g, b // g
 
@@ -1530,6 +1531,7 @@ def qtrace(G: TwistGroup, i: int, mode: str, D: int):
     N = G.period
     if D < 2 * N:
         raise ValueError("cutoff too small")
+    check_cutoff(D)
     energy = vacuum_energies(G, i)
     _, j = _mode_indicator(G, i)  # checks T_0^i's pair as build_T does
     pair = frozenset({j % N, -j % N})
@@ -1543,15 +1545,22 @@ def qtrace(G: TwistGroup, i: int, mode: str, D: int):
     else:
         raise ValueError("mode must be 'char' or 'kernel'")
     shift = rat(shift)
-    denom = int(shift.denominator)
+    denom = shift.denominator
     counts: dict = {}
     for vec, k in _diagonal_counts(N, D, allowed):
         t, odd = divmod(sum(map(operator.mul, weights, vec)), 2)
         if odd:
             raise ArithmeticError("grading did not rescale to an integer")
-        key = t * denom + int(shift.numerator)
+        key = t * denom + shift.numerator
         counts[key] = counts.get(key, 0) + k
     return PuiseuxSeries(denom, counts, shift + D + 1)
+
+
+def check_qtrace_order(order: int, name: str) -> None:
+    """Reject an order whose `verify_qtrace_char` walk, to degree order + 2,
+    would pass MAX_BASIS_DEGREE, calling it `name`."""
+    if order + 2 > MAX_BASIS_DEGREE:
+        raise ValueError(f"{name} must be at most {MAX_BASIS_DEGREE - 2}")
 
 
 def verify_qtrace_char(k: int, order: int) -> VerifyResult:

@@ -124,8 +124,8 @@ def _l_minus_one_form(f: PeriodicFn) -> Scalar:
 
 
 def _over_one_denominator(weights: list) -> tuple[tuple[int, ...], int]:
-    den = math.lcm(*(int(w.denominator) for w in weights))
-    return tuple(int(w.numerator) * (den // int(w.denominator)) for w in weights), den
+    den = math.lcm(*(w.denominator for w in weights))
+    return tuple(w.numerator * (den // w.denominator) for w in weights), den
 
 
 @lru_cache(maxsize=None)

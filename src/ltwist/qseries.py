@@ -34,7 +34,7 @@ class PuiseuxSeries:
     @staticmethod
     def monomial(exponent, coeff, order) -> "PuiseuxSeries":
         e = rat(exponent)
-        return PuiseuxSeries(int(e.denominator), {int(e.numerator): coeff}, order)
+        return PuiseuxSeries(e.denominator, {e.numerator: coeff}, order)
 
     # -- structure ------------------------------------------------------
 
@@ -333,7 +333,7 @@ def reduced_theta(eps, M: int, order) -> tuple[PuiseuxSeries, CycloNum]:
     if not (0 < eps < 2):
         raise ValueError("characteristic eps must lie in (0, 2)")
     order = rat(order)
-    p, q = int(eps.numerator), int(eps.denominator)
+    p, q = eps.numerator, eps.denominator
     denom = 8 * M * q * q
     # keyed by exponent * denom
     coeffs = _signed_lattice_sum(lambda m: M * M * (2 * m * q + p) ** 2,

@@ -47,9 +47,10 @@ class RunConfig:
 
     def validate(self) -> None:
         """Keep every bound inside the module guards."""
-        from ltwist.fock import check_cutoff
+        from ltwist.fock import check_cutoff, check_qtrace_order
 
         check_cutoff(self.cutoff)
+        check_qtrace_order(self.qtrace_order, "qtrace_order")
         if self.n_terms < 1000:
             raise ValueError("n_terms must be at least 1000")
         if not self.tolerance > 0:

@@ -216,8 +216,8 @@ def limit_numeric(s: SeqSpec, depth: int, n_terms: int, tol) -> LimitReport:
     """
     import numpy as np
 
-    if depth > MAX_CESARO_DEPTH:
-        raise ValueError(f"depth capped at {MAX_CESARO_DEPTH}")
+    if not 0 <= depth <= MAX_CESARO_DEPTH:  # depth 0: the raw partial sums
+        raise ValueError(f"depth must lie in 0..{MAX_CESARO_DEPTH}")
     period = s.period_hint or 1
     if n_terms < 10 * period:
         raise ValueError("n_terms must be at least 10 periods")
@@ -340,7 +340,7 @@ def averaged_dirichlet(chi: PeriodicFn, s, n_terms: int, precision_bits: int = 5
     if not chi.mean_zero:
         raise ValueError("averaged continuation needs a mean-zero function")
     s_f = float(s)
-    if s_f <= -1:
+    if not s_f > -1:  # NaN too
         raise ValueError("outside proven half-plane")
     N = chi.period
     l = N * (n_terms // N)

@@ -168,6 +168,49 @@ def test_fock_qtrace_names_the_order_below_its_bound(order, capsys):
                          "--mode", "kernel", "--order", "10"]) == 0
 
 
+def test_fock_qtrace_names_the_order_above_its_bound(capsys):
+    # the walk's depth is the order; past MAX_BASIS_DEGREE it is a usage
+    # error, not a RecursionError read as a failed identity
+    assert cli.dispatch(["fock", "qtrace", "--modulus", "5", "--index", "1",
+                         "--mode", "char", "--order", "61"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: --order must lie in 0..60\n")
+    with pytest.raises(ValueError, match="cutoff must lie in 0..60"):
+        fock.qtrace(even_twist_group(5), 1, "kernel", 61)
+
+
+def test_char_cross_names_the_order_above_its_bound(capsys):
+    # verify_qtrace_char walks to degree order + 2
+    argv = ["qseries", "verify", "--identity", "char-cross", "--k", "2", "--order", "59"]
+    assert cli.dispatch(argv) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: --order must be at most 58\n")
+
+
+def test_report_rejects_a_qtrace_order_past_the_walk_bound(capsys, monkeypatch):
+    monkeypatch.setenv("LTWIST_QTRACE_ORDER", "59")
+    assert cli.dispatch(["report"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: qtrace_order must be at most 58\n")
+    RunConfig(qtrace_order=58).validate()
+
+
+def test_cesaro_rejects_a_negative_depth(capsys):
+    # a usage error (exit 2), not a divergent series (exit 1)
+    assert cli.dispatch(["cesaro", "--modulus", "5", "--char", "2", "--depth", "-1"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: depth must lie in 0..4\n")
+
+
+@pytest.mark.parametrize("precision", ["53", "100"])
+def test_dirichlet_avg_rejects_a_nan_exponent(precision, capsys):
+    # NaN lies in no half-plane: both precision paths give a usage error
+    assert cli.dispatch(["dirichlet-avg", "--modulus", "5", "--char", "2", "--s=nan",
+                         "--terms", "2000", "--precision", precision]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: outside proven half-plane\n")
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "0/1", "nan"])
 def test_cesaro_rejects_a_nonpositive_tolerance(tol, capsys):
     # a usage error (exit 2), not a divergent series (exit 1)

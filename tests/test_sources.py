@@ -226,7 +226,24 @@ def test_every_optional_parameter_is_set_by_a_caller():
     assert unset == []
 
 
-_SCALAR_TYPES = {"CycloNum", "Rat", "RAT_TYPES"}
+def test_one_rational_type():
+    # one rational type, bound once: no second backend to choose at import
+    import fractions
+
+    from ltwist import exactnum
+
+    assert exactnum.Rat is fractions.Fraction
+    assert exactnum.rat is exactnum.Rat
+    found = [
+        f"{path.name}:{i}"
+        for path in sorted(Path(ltwist.__file__).parent.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if "gmpy2" in line or "mpq" in line
+    ]
+    assert found == []
+
+
+_SCALAR_TYPES = {"CycloNum", "Rat"}
 
 
 def _calls_by_function(node, owner=""):

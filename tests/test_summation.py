@@ -108,8 +108,12 @@ def test_no_convergence_for_growing_sums():
         rep = limit_numeric(ones, depth, 10_000, rat(1, 1000))
         assert not rep.converged
         assert rep.message == f"no convergence at depth {depth}"
-    with pytest.raises(ValueError):
-        limit_numeric(ones, 5, 10_000, rat(1, 1000))
+    for depth in (-1, 5):
+        with pytest.raises(ValueError, match="depth must lie in 0..4"):
+            limit_numeric(ones, depth, 10_000, rat(1, 1000))
+    # depth 0 tests the raw partial sums
+    squares = partial_sums(SeqSpec(lambda i: rat(1, i * i)))
+    assert limit_numeric(squares, 0, 10_000, 1e-3).converged
 
 
 def test_float_prefix_built_once_and_read_only():
@@ -222,8 +226,10 @@ def test_averaged_dirichlet_in_place_is_bit_identical():
 
 def test_averaged_dirichlet_domain():
     quad5 = quad_char(5)
-    with pytest.raises(ValueError, match="outside proven half-plane"):
-        averaged_dirichlet(quad5, -1, 10_000)
+    for s in (-1, float("nan")):
+        for bits in (53, 128):
+            with pytest.raises(ValueError, match="outside proven half-plane"):
+                averaged_dirichlet(quad5, s, 10_000, precision_bits=bits)
     triv = dirichlet_characters(5)[0]
     with pytest.raises(ValueError, match="mean-zero"):
         averaged_dirichlet(triv, 0, 10_000)
