@@ -61,7 +61,7 @@ def cmd_cesaro(args) -> int:
 
         series = summation.periodic_series(chi, args.weight)
         rep = summation.limit_numeric(
-            summation.partial_sums(series), args.depth, args.terms, rat_from(args.tol)
+            summation.partial_sums(series), args.depth, args.terms, rat_from(args.tol, "--tol")
         )
         if not rep.converged:
             doc.update(mode=rep.mode, value="divergent", residual=rep.residual,
@@ -73,9 +73,12 @@ def cmd_cesaro(args) -> int:
     return 0
 
 
-def rat_from(text: str):
-    """An exact rational from "p/q", else a float."""
-    return parse_rat(text) if "/" in text else float(text)
+def rat_from(text: str, name: str):
+    """An exact rational from "p/q", else a float, read from the flag `name`."""
+    try:
+        return parse_rat(text) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} takes a number or p/q, p and q != 0 integers") from None
 
 
 def cmd_dirichlet_avg(args) -> int:
@@ -84,7 +87,7 @@ def cmd_dirichlet_avg(args) -> int:
 
     chi = _char(args.modulus, args.char)
     value = summation.averaged_dirichlet(
-        chi, rat_from(args.s), args.terms, precision_bits=args.precision
+        chi, rat_from(args.s, "--s"), args.terms, precision_bits=args.precision
     )
     value = complex(value)
     doc = {

@@ -128,9 +128,10 @@ def _row_apply(K: QuotientRing, row: dict, vec) -> bool:
     return K.is_zero(acc)
 
 
-# The prime of the rank certificate.  A rank lost mod p needs p to divide a
-# nonzero minor of small-integer rows; it could only turn a row red.
-_PRIME = (1 << 61) - 1
+# The prime of the rank certificate, below 2^30 so that residues and their
+# products stay in one or two machine words.  A rank lost mod p needs p to
+# divide a nonzero minor of small-integer rows; it could only turn a row red.
+_PRIME = (1 << 30) - 35
 
 
 def nullspace_dim(sys_: CocycleSystem):

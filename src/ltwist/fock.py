@@ -1,14 +1,20 @@
 """Truncated Fock space with exact oscillator algebra.
 
-States are integer partitions (descending tuples); a_{-n} creates mode n with
-coefficient 1 and a_n destroys it with coefficient n * multiplicity, so
-[a_m, a_n] = m delta_{m,-n} with a_0 acting as zero.  Operators are lazy
-exact column maps: applying one to a basis state is a finite sum.  One
-depth-first walk (`_walk`) enumerates the states, each the child
-(u,) + p of its parent p with u >= p[0]; the sweeps' windows are its states
-sorted by degree (`basis_partitions`).  `_diagonal_counts` prunes it at the
-first part outside a residue set and counts the states by their vector of
-P_0^(r) eigenvalues, which `qtrace` and the transpose n = 0 count weight.
+A state is an integer partition held as one int, its key sum_u m_u 256^(u-1)
+with m_u the multiplicity of the part u: one byte per part size, as a state
+has degree <= MAX_BASIS_DEGREE < 256.  Adding a part u adds the key of (u,),
+moving u to u - M adds one delta, and the key's bytes are the m_u.
+Descending tuples appear only at the boundary: `Operator.column`,
+`basis_partitions` and every witness.
+a_{-n} creates mode n with coefficient 1 and a_n destroys it with
+coefficient n * multiplicity, so [a_m, a_n] = m delta_{m,-n} with a_0 acting
+as zero.  Operators are lazy exact column maps: applying one to a state is a
+finite sum.  One depth-first walk (`_walk`) enumerates the states with their
+degree and largest part u, each its parent p plus a part u >= p's largest;
+the sweeps' windows are its states sorted by degree (`commutator_window`).
+`_diagonal_counts` prunes it at the first part outside a residue set and
+counts the states by their vector of P_0^(r) eigenvalues, which `qtrace` and
+the transpose n = 0 count weight.
 
 An identity is decided in one of two ways.  The `verify_*` functions sweep
 it: both sides are applied to every state of degree <= D - (the shifts) and
@@ -28,8 +34,8 @@ and its columns satisfy Q a_{-u} = a_{-u} Q + [Q, a_{-u}] on its window
 one column per state and keeps none, so its witness is the first bad state
 in depth-first order.  Its step [Q, a_{-u}] = u s(-u) a_{M-u} is computed
 once per part size u from the table, independently of the kernel's per-ring
-record (`BilinearOp._kernels`: summed coefficients, creation table and
-diagonal weights).  On the diagonal (M = 0) the walk carries the scalar
+record (`BilinearOp._kernels`: key deltas and summed coefficients of the
+moves, pairs and creations).  On the diagonal (M = 0) the walk carries the scalar
 <q|Q|q>, one addition per state, and one walk checks all the P_0^(r) of a
 modulus (`_check_diagonal`).  There the cutoff bounds the states checked,
 and a certified row skips exactly where the sweep's tightest window is
@@ -37,7 +43,7 @@ empty.
 The transpose identity is certified the same way: a_x^dagger = a_{-x}
 sends the form at shift M to shift -M with s^dagger(x) = conj(s(x - M))
 (`_adjoint`), and the norm `partition_weight` is checked on the states by
-<0|0> = 1 and <q|q> = v <q[1:]|q[1:]> where a_{q[0]}|q> = v|q[1:]>; the
+<0|0> = 1 and <q|q> = v <p|p> where a_u|q> = v|p>, u the largest part; the
 columns it checks are the P_n^(r)'s, as L_n^f = sum_r f(r) P_n^(r).
 
 There is one bilinear operator, `BilinearOp`, with no mode scale.  The
@@ -54,6 +60,7 @@ import math
 import operator
 import warnings
 from functools import lru_cache, reduce
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
 from ltwist.characters import PeriodicFn, TwistGroup, even_twist_group, pf_mul
@@ -75,35 +82,54 @@ def check_cutoff(D: int, name: str = "cutoff") -> None:
 
 Partition = tuple  # descending tuple of positive ints
 
+# A state is one int, its key sum_u m_u 256^(u-1), m_u the multiplicity of
+# the part u: a state of degree <= MAX_BASIS_DEGREE has every m_u < 256.
+_UNIT = (0,) + tuple(1 << 8 * u for u in range(MAX_BASIS_DEGREE))  # key of (u,)
+
+
+def _key(p: Partition) -> int:
+    """The key of a partition; a state beyond the cutoff cap is refused."""
+    if sum(p) > MAX_BASIS_DEGREE or min(p, default=1) < 1:
+        raise ValueError(f"a state is a partition of degree <= {MAX_BASIS_DEGREE}")
+    return sum(map(_UNIT.__getitem__, p))
+
+
+def _partition(q: int) -> Partition:
+    """The descending partition of a key."""
+    m = q.to_bytes((q.bit_length() + 7) // 8, "little")
+    return tuple(u for u in range(len(m), 0, -1) for _ in range(m[u - 1]))
+
 
 def _walk(top: int, visit) -> Optional[tuple]:
-    """Call visit(q, degree, value) on the partitions of degree <= top
-    depth-first, value being what it returned at the parent q[1:] (the
-    children of p are (u,) + p, u >= p[0]); it returns (witness, value).
-    The first witness that is not None ends the walk, and a value None
-    skips the children of q, which all keep q's parts."""
-    def walk(q: Partition, degree: int, parent) -> Optional[tuple]:
-        bad, value = visit(q, degree, parent)
+    """Call visit(q, degree, u, value) on the keys q of the partitions of
+    degree <= top depth-first, u being q's largest part (0 for the vacuum)
+    and value what visit returned at the parent, q less one part u (the
+    children of p add a part v >= p's largest); it returns (witness,
+    value).  The first witness that is not None ends the walk, and a value
+    None skips the children of q, which all keep q's parts."""
+    def walk(q: int, degree: int, u: int, parent) -> Optional[tuple]:
+        bad, value = visit(q, degree, u, parent)
         if value is None:
             return bad
-        u = q[0] if q else 1
-        while bad is None and u <= top - degree:
-            bad = walk((u,) + q, degree + u, value)
-            u += 1
+        v = u or 1
+        while bad is None and v <= top - degree:
+            bad = walk(q + _UNIT[v], degree + v, v, value)
+            v += 1
         return bad
 
-    return walk((), 0, None)
+    return walk(0, 0, 0, None)
 
 
 @lru_cache(maxsize=None)
 def _basis_by_degree(D: int) -> tuple:
-    """The partitions of degree <= D in basis order: by degree, then
-    lexicographically; the states of `_walk`, sorted."""
+    """The keys of degree <= D in basis order: by degree, then by the
+    partitions' lexicographic order, which within a degree is the keys';
+    the states of `_walk`, sorted."""
     if D > MAX_BASIS_DEGREE:
         raise ValueError(f"cutoff capped at {MAX_BASIS_DEGREE}")
     states: list = []
 
-    def visit(q: Partition, degree: int, parent) -> tuple:
+    def visit(q: int, degree: int, u: int, parent) -> tuple:
         states.append((degree, q))
         return None, q
 
@@ -113,7 +139,7 @@ def _basis_by_degree(D: int) -> tuple:
 
 
 def basis_partitions(D: int) -> list[Partition]:
-    return list(_basis_by_degree(D))
+    return [_partition(q) for q in _basis_by_degree(D)]
 
 
 def partition_weight(p: Partition) -> int:
@@ -126,30 +152,19 @@ def partition_weight(p: Partition) -> int:
 
 
 # ---------------------------------------------------------------------------
-# partition surgery
+# state surgery on keys
 
 
-def _remove_part(p: Partition, u: int):
-    """(multiplicity, partition minus one copy of u), or None if absent."""
-    if u not in p:
-        return None
-    idx = p.index(u)
-    return p.count(u), p[:idx] + p[idx + 1:]
+def _remove_part(q: int, u: int):
+    """(multiplicity, q less one part u), or None if u is not a part."""
+    mult = q >> 8 * (u - 1) & 255
+    return (mult, q - (1 << 8 * (u - 1))) if mult else None
 
 
-def _add_part(p: Partition, v: int) -> Partition:
-    if not p or p[-1] >= v:
-        return p + (v,)
-    if p[0] <= v:
-        return (v,) + p
-    idx = bisect.bisect_left(p, -v, key=operator.neg)
-    return p[:idx] + (v,) + p[idx:]
+def _term_action(q: int, j: int, M: int):
+    """Action of the normal-ordered pair :a_{-j} a_{j+M}: on a state.
 
-
-def _term_action(p: Partition, j: int, M: int):
-    """Action of the normal-ordered pair :a_{-j} a_{j+M}: on a partition.
-
-    Returns (integer coefficient, new partition) or None.  Annihilators act
+    Returns (integer coefficient, new state) or None.  Annihilators act
     first; a zero mode kills the term.
     """
     jM = j + M
@@ -157,21 +172,15 @@ def _term_action(p: Partition, j: int, M: int):
         return None
     if j > 0:
         if jM > 0:
-            hit = _remove_part(p, jM)
-            if hit is None:
-                return None
-            mult, rest = hit
-            return jM * mult, _add_part(rest, j)
+            hit = _remove_part(q, jM)
+            return None if hit is None else (jM * hit[0], hit[1] + (1 << 8 * (j - 1)))
         # double creation
-        return 1, _add_part(_add_part(p, j), -jM)
+        return 1, q + (1 << 8 * (j - 1)) + (1 << 8 * (-jM - 1))
     if jM < 0:
-        hit = _remove_part(p, -j)
-        if hit is None:
-            return None
-        mult, rest = hit
-        return -j * mult, _add_part(rest, -jM)
+        hit = _remove_part(q, -j)
+        return None if hit is None else (-j * hit[0], hit[1] + (1 << 8 * (-jM - 1)))
     # double annihilation: right factor a_{j+M} first
-    hit = _remove_part(p, jM)
+    hit = _remove_part(q, jM)
     if hit is None:
         return None
     mult2, rest = hit
@@ -187,28 +196,28 @@ def _term_action(p: Partition, j: int, M: int):
 
 
 class Operator:
-    """Exact linear operator given by columns on partition states.
+    """Exact linear operator given by columns on the Fock states.
 
     Every column is `scale` (a Rat) times an integer column:
-    `icolumn(p, ring)` maps output states to algebraic integers of `ring`,
-    which is Z[zeta_m] for any multiple m of the operator's `order`.  The
-    sweeps compose and compare integer columns and meet rationals only in
-    the scales; `column` gives the scalar values.
+    `icolumn(q, ring)` maps the keys of output states to algebraic integers
+    of `ring`, which is Z[zeta_m] for any multiple m of the operator's
+    `order`.  The sweeps compose and compare integer columns and meet
+    rationals only in the scales; `column` gives the scalar values on
+    partitions.
     """
 
     order: int = 1
     scale = rat(1)
 
-    def icolumn(self, p: Partition, ring: CycloRing) -> dict:
+    def icolumn(self, q: int, ring: CycloRing) -> dict:
         raise NotImplementedError
 
     def column(self, p: Partition) -> dict:
         """{out_state: nonzero scalar value} for one input state."""
         ring = cyclo_ring(self.order)
-        col = self.icolumn(p, ring)
-        return {
-            t: ring.to_scalar(v, self.scale) for t, v in col.items() if not ring.is_zero(v)
-        }
+        col = self.icolumn(_key(p), ring)
+        return {_partition(t): ring.to_scalar(v, self.scale)
+                for t, v in col.items() if not ring.is_zero(v)}
 
     def apply_icolumn(self, col: dict, ring: CycloRing) -> dict:
         """This operator applied to an integer column held in `ring`."""
@@ -222,8 +231,9 @@ class Operator:
                 out[u] = x if old is None else add(old, x)
         return out
 
-    def matrix_equal(self, other: "Operator", states: Sequence[Partition]):
-        """First differing (state, out_state, got, want) or None.
+    def matrix_equal(self, other: "Operator", states: Sequence[int]):
+        """First differing (state, out_state, got, want) or None, the
+        states given as keys and named as partitions.
 
         Both sides are compared as integer columns at a common denominator.
         """
@@ -244,8 +254,8 @@ class Operator:
                         break
             if bad is not None:
                 return (
-                    s,
-                    bad,
+                    _partition(s),
+                    _partition(bad),
                     ring.to_scalar(x_col.get(bad, zero), self.scale),
                     ring.to_scalar(y_col.get(bad, zero), other.scale),
                 )
@@ -319,22 +329,19 @@ class BilinearOp(Operator):
         self.scale = self.prefactor / self._table.den
         self._nonzero = [bool(v) for v in values]
         self._N = N
-        self._cache: dict = {}  # ring -> {partition: integer column}
-        # ring -> (`_moves`, `_creations`, weights), weights[u] being the
-        # diagonal u (c(u) + c(-u)) of one part u or None where it is zero,
-        # grown as parts are met
-        self._kernels: dict = {}
+        self._cache: dict = {}  # ring -> {state key: integer column}
+        self._kernels: dict = {}  # ring -> `_kernel`
         self._symmetrised = None  # its `_form` table, built on first use
         self._verified = -1  # degree up to which _check_representation passed
         self._entries: list = []  # its nonzero column entries per degree
 
-    def icolumn(self, p: Partition, ring: CycloRing) -> dict:
+    def icolumn(self, q: int, ring: CycloRing) -> dict:
         cache = self._cache.get(ring)
         if cache is None:
             cache = self._cache[ring] = {}
-        col = cache.get(p)
+        col = cache.get(q)
         if col is None:
-            col = cache[p] = self._icolumn(p, ring)
+            col = cache[q] = self._icolumn(q, ring)
         return col
 
     def _moves(self, ring: CycloRing) -> list:
@@ -350,90 +357,79 @@ class BilinearOp(Operator):
         return moves
 
     def _creations(self, ring: CycloRing) -> list:
-        """(a, b, c): the terms j and -M - j, 0 < j < -M, create the parts a
-        and b with summed coefficient c on every state, as they do on the
+        """(t, c): the terms j and -M - j, 0 < j < -M, create the parts with
+        key t and summed coefficient c on every state, as they do on the
         vacuum; the zero sums are dropped."""
         M, N = self.M, self._N
         table = self._table.elements(ring)
         sums: dict = {}
         for j in range(1, -M):
-            k, t = _term_action((), j, M)
+            k, t = _term_action(0, j, M)
             c = ring.smul(table[j % N], k)
             sums[t] = ring.add(sums[t], c) if t in sums else c
-        return [(a, b, c) for (a, b), c in sums.items() if not ring.is_zero(c)]
+        return [(t, c) for t, c in sums.items() if not ring.is_zero(c)]
 
-    def _icolumn(self, p: Partition, ring: CycloRing) -> dict:
-        # Off the diagonal, one scan of the descending tuple reads each
-        # distinct part u with its multiplicity.  Where u - M > 0 the terms
-        # j = u - M and j = -u move one u to u - M, placed by a short scan
-        # back from u (M < 0) or on from u's run; where it is < 0 (M > 0),
-        # the term j = u - M annihilates u and then M - u, if a part too.  The
-        # terms 0 < j < -M create two parts (`_creations`), after the moves.
+    def _kernel(self, ring: CycloRing) -> tuple:
+        """(moves, start, pairs, creations) in `ring`, for parts u <=
+        MAX_BASIS_DEGREE.  Off the diagonal the moves are (u, key delta,
+        u (c(u - M) + c(-u))) for the u that move to u - M > 0 with a nonzero
+        sum, by descending u, and moves[start[n]:] those with u <= n; on it
+        they are (mask, c(u) + c(-u)), the mask covering the bytes of the u
+        with that sum.  pairs are (u, j = u - M, c(j)) by descending u, the
+        terms that annihilate u and M - u (M > 0, c(j) != 0)."""
         M, N = self.M, self._N
+        moves = self._moves(ring)
+        kept = [u for u in range(MAX_BASIS_DEGREE, 0, -1) if u > M and moves[u % N] is not None]
+        if not M:  # one mask of the bytes of the parts u per value of c(u) + c(-u)
+            masks: dict = {}
+            for u in kept:
+                masks[moves[u % N]] = masks.get(moves[u % N], 0) | 255 << 8 * (u - 1)
+            return [(mask, c) for c, mask in masks.items()], (), [], []
+        start = tuple(bisect.bisect_left(kept, -n, key=operator.neg)  # the u > n
+                      for n in range(MAX_BASIS_DEGREE + 1))
+        table = self._table.elements(ring)
+        pairs = [(u, u - M, table[(u - M) % N]) for u in range(M - 1, 0, -1)
+                 if M - u <= MAX_BASIS_DEGREE and self._nonzero[(u - M) % N]]
+        moves = [(u, (1 << 8 * (u - M - 1)) - _UNIT[u], ring.smul(moves[u % N], u))
+                 for u in kept]
+        return moves, start, pairs, self._creations(ring)
+
+    def _icolumn(self, q: int, ring: CycloRing) -> dict:
+        # The bytes of the key are the multiplicities m.  Off the diagonal
+        # each part size u of the kernel's moves that q has moves one u to
+        # u - M; where u < M (M > 0), the term j = u - M annihilates u and
+        # then M - u, if a part too.  The terms 0 < j < -M create two parts
+        # (`_creations`), after the moves.
         kernel = self._kernels.get(ring)
         if kernel is None:
-            kernel = self._kernels[ring] = (self._moves(ring), self._creations(ring), [None])
-        moves, creations, weights = kernel
-        add, smul = ring.add, ring.smul
-        if not M:  # diagonal: the eigenvalue is the sum of the part weights
-            if p and p[0] >= len(weights):
-                for u in range(len(weights), p[0] + 1):
-                    c = moves[u % N]
-                    weights.append(None if c is None else smul(c, u))
+            kernel = self._kernels[ring] = self._kernel(ring)
+        moves, start, pairs, creations = kernel
+        M, smul = self.M, ring.smul
+        if not M:  # diagonal: the eigenvalue is sum_u m_u u (c(u) + c(-u))
             acc = ring.zero
-            for u in p:
-                w = weights[u]
-                if w is not None:
-                    acc = add(acc, w)
-            return {} if acc == ring.zero else {p: acc}
+            for mask, c in moves:
+                # the degree of the parts under the mask: 256 = 1 + 255, so a
+                # key of degree < 255 is sum_u m_u (1 + 255 (u - 1)) mod 255^2
+                if x := q & mask:
+                    acc = ring.add(acc, smul(c, sum(divmod(x % 65025, 255))))
+            return {} if acc == ring.zero else {q: acc}
+        m = q.to_bytes(MAX_BASIS_DEGREE, "little")
         out: dict = {}
-        pairs = []  # the double annihilations, found below when M > 0
-        n = len(p)
-        prev = 0
-        for i, u in enumerate(p):
-            if u == prev:
-                continue
-            prev = u
-            target = u - M
-            if target > 0:
-                c = moves[u % N]
-                if c is None:
-                    continue
-                k = i + 1
-                while k < n and p[k] == u:
-                    k += 1
-                if M < 0:
-                    pos = i
-                    while pos and p[pos - 1] <= target:
-                        pos -= 1
-                    newp = p[:pos] + (target,) + p[pos:i] + p[i + 1:]
-                else:
-                    pos = k
-                    while pos < n and p[pos] > target:
-                        pos += 1
-                    newp = p[:i] + p[i + 1:pos] + (target,) + p[pos:]
-                out[newp] = smul(c, u * (k - i))
-            elif target < 0 and M - u in p:
-                pairs.append(u - M)
-        if M < 0:
-            for a, b, c in creations:
-                out[tuple(sorted(p + (a, b), reverse=True))] = c
-        elif pairs:
-            table = self._table.elements(ring)
-            nonzero = self._nonzero
-            extra: dict = {}
-            for j in pairs:
-                if not nonzero[j % N]:
-                    continue
-                act = _term_action(p, j, M)
-                if act:
-                    c = smul(table[j % N], act[0])
-                    old = extra.get(act[1])
-                    extra[act[1]] = c if old is None else add(old, c)
-            is_zero = ring.is_zero
-            for t, v in extra.items():
-                if not is_zero(v):
-                    out[t] = v
+        for u, delta, c in islice(moves, start[(q.bit_length() + 7) >> 3], None):
+            if k := m[u - 1]:
+                out[q + delta] = smul(c, k)
+        for t, c in creations:
+            out[q + t] = c
+        if pairs:
+            add, extra = ring.add, {}
+            for u, j, c in pairs:
+                if m[u - 1] and m[-j - 1]:
+                    act = _term_action(q, j, M)
+                    if act:
+                        c = smul(c, act[0])
+                        old = extra.get(act[1])
+                        extra[act[1]] = c if old is None else add(old, c)
+            out.update((t, v) for t, v in extra.items() if not ring.is_zero(v))
         return out
 
 
@@ -443,17 +439,14 @@ class ModeOp(Operator):
     def __init__(self, k: int):
         self.k = k
 
-    def icolumn(self, p: Partition, ring: CycloRing) -> dict:
+    def icolumn(self, q: int, ring: CycloRing) -> dict:
         k = self.k
         if k == 0:
             return {}
         if k < 0:
-            return {_add_part(p, -k): ring.one}
-        hit = _remove_part(p, k)
-        if hit is None:
-            return {}
-        mult, rest = hit
-        return {rest: ring.from_int(k * mult)}
+            return {q + (1 << 8 * (-k - 1)): ring.one}
+        hit = _remove_part(q, k)  # a_k annihilates with k * mult
+        return {} if hit is None else {hit[1]: ring.from_int(k * hit[0])}
 
 
 class ScalarOp(Operator):
@@ -463,8 +456,8 @@ class ScalarOp(Operator):
         self.order = self._value.order
         self.scale = rat(1, self._value.den)
 
-    def icolumn(self, p: Partition, ring: CycloRing) -> dict:
-        return {p: self._value.elements(ring)[0]}
+    def icolumn(self, q: int, ring: CycloRing) -> dict:
+        return {q: self._value.elements(ring)[0]}
 
 
 class SumOp(Operator):
@@ -478,10 +471,10 @@ class SumOp(Operator):
         self.order = math.lcm(self._weights.order, *(op.order for op in self._ops))
         self.scale = rat(1, self._weights.den)
 
-    def icolumn(self, p: Partition, ring: CycloRing) -> dict:
+    def icolumn(self, q: int, ring: CycloRing) -> dict:
         out: dict = {}
         for w, op in zip(self._weights.elements(ring), self._ops):
-            _axpy(out, w, op.icolumn(p, ring), ring)
+            _axpy(out, w, op.icolumn(q, ring), ring)
         return out
 
 
@@ -494,9 +487,9 @@ class CommutatorOp(Operator):
         self.order = math.lcm(A.order, B.order)
         self.scale = A.scale * B.scale
 
-    def icolumn(self, p: Partition, ring: CycloRing) -> dict:
-        ab = self.A.apply_icolumn(self.B.icolumn(p, ring), ring)
-        ba = self.B.apply_icolumn(self.A.icolumn(p, ring), ring)
+    def icolumn(self, q: int, ring: CycloRing) -> dict:
+        ab = self.A.apply_icolumn(self.B.icolumn(q, ring), ring)
+        ba = self.B.apply_icolumn(self.A.icolumn(q, ring), ring)
         sub, neg = ring.sub, ring.neg
         for k, v in ba.items():
             old = ab.get(k)
@@ -515,9 +508,10 @@ def _window_budget(D: int, *shift_budgets: int) -> int:
     return budget
 
 
-def commutator_window(D: int, *shift_budgets: int) -> list[Partition]:
-    """Input degrees d <= D - sum |shifts|; empty window is an error.  The
-    basis is ordered by degree, so this is a prefix of basis_partitions(D)."""
+def commutator_window(D: int, *shift_budgets: int) -> list[int]:
+    """The keys of input degrees d <= D - sum |shifts|; empty window is an
+    error.  The basis is ordered by degree, so this is a prefix of the keys
+    of basis_partitions(D)."""
     return list(_basis_by_degree(_window_budget(D, *shift_budgets)))
 
 
@@ -698,9 +692,9 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
     for q = (u,) + p with u the largest part, col(q) = a_{-u} col(p) +
     u s(-u) a_{M-u}|p>, which is Q a_{-u} = a_{-u} Q + [Q, a_{-u}].  The
     steps u s(-u) come from the table, once per part size (`_table_steps`),
-    not from the kernel's record (`BilinearOp._kernels`); a_{-u} re-keys each
-    entry t of col(p) as (u,) + t where u >= t[0], and the one term a_{M-u}
-    acts inline.  On the diagonal (M = 0) `_check_diagonal` walks scalars
+    not from the kernel's record (`BilinearOp._kernels`); a_{-u} adds the
+    key of (u,) to each key of col(p), and the one term a_{M-u} acts
+    inline.  On the diagonal (M = 0) `_check_diagonal` walks scalars
     instead of columns.  The integer table times `op.scale` must first be
     prefactor * c, the coefficients `_form` certifies, else ("table", r,
     got, want) names the residue r.  The walk (`_walk`) builds one column
@@ -727,21 +721,20 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
     entries = [0] * (top + 1)
     icolumn = op._icolumn
 
-    def visit(q: Partition, degree: int, col: Optional[dict]) -> tuple:
-        # col is col(q[1:])
+    def visit(q: int, degree: int, u: int, col: Optional[dict]) -> tuple:
+        # col is col(p), p = q less one part u
         got = icolumn(q, ring)
         entries[degree] += len(got)
         if degree <= done:
             return None, got
         if q:
-            u, p = q[0], q[1:]
-            want = {(u,) + t if not t or t[0] <= u else _add_part(t, u): v
-                    for t, v in col.items()}  # a_{-u} col(p)
+            du = _UNIT[u]
+            want = {t + du: v for t, v in col.items()}  # a_{-u} col(p)
             c, k = step[u], M - u  # plus c a_k|p>
             if is_zero(c):
                 hit = None
             else:  # a_k creates with 1 (k < 0) or annihilates with k * mult
-                hit = (1, _add_part(p, -k)) if k < 0 else _remove_part(p, k)
+                hit = (1, q - du + _UNIT[-k]) if k < 0 else _remove_part(q - du, k)
             if hit is not None:
                 t, x = hit[1], smul(c, hit[0] * max(k, 1))
                 old = want.get(t)
@@ -789,8 +782,8 @@ def _check_diagonal(ops: Sequence[BilinearOp], D: int) -> Optional[tuple]:
     steps = list(zip(*steps))  # steps[u][i] is u s(-u) of ops[i]
     checks = [(op._icolumn, op._verified, [0] * (top + 1), op.scale) for op in ops]
 
-    def visit(q: Partition, degree: int, xs: Optional[tuple]) -> tuple:
-        xs = tuple(map(add, xs, steps[q[0]])) if q else (zero,) * len(ops)
+    def visit(q: int, degree: int, u: int, xs: Optional[tuple]) -> tuple:
+        xs = tuple(map(add, xs, steps[u])) if q else (zero,) * len(ops)
         for (icolumn, done, entries, scale), x in zip(checks, xs):
             got = icolumn(q, ring)
             entries[degree] += len(got)
@@ -821,11 +814,11 @@ def _table_steps(op: BilinearOp, ring: CycloRing, top: int) -> tuple:
                   for u in range(top + 1)]
 
 
-def _difference(q: Partition, got: dict, want: dict, ring: CycloRing, scale) -> tuple:
-    """(q, out_state, got, want) at the first key where two unequal columns
-    of the state q differ, with the values as scalars."""
+def _difference(q: int, got: dict, want: dict, ring: CycloRing, scale) -> tuple:
+    """(state, out_state, got, want) at the first key where two unequal
+    columns of the state q differ, as partitions and scalars."""
     bad = next(t for t in [*got, *want] if got.get(t) != want.get(t))
-    return (q, bad, ring.to_scalar(got.get(bad, ring.zero), scale),
+    return (_partition(q), _partition(bad), ring.to_scalar(got.get(bad, ring.zero), scale),
             ring.to_scalar(want.get(bad, ring.zero), scale))
 
 
@@ -1422,7 +1415,8 @@ def verify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
     ring = cyclo_ring(math.lcm(A.order, B.order))
     a, b = _cross_factors(A.scale, B.scale)
     smul, conj = ring.smul, ring.conj
-    weight = lru_cache(maxsize=None)(partition_weight)  # once per state and sweep
+    # once per state and sweep
+    weight = lru_cache(maxsize=None)(lambda q: partition_weight(_partition(q)))
     checked = 0
     for mu in window:
         w_mu = weight(mu)
@@ -1433,7 +1427,8 @@ def verify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
             checked += 1
             if smul(lhs, a) != smul(rhs, b):
                 return VerifyResult(False, checked, (
-                    mu, lam, ring.to_scalar(lhs, A.scale), ring.to_scalar(rhs, B.scale)
+                    _partition(mu), _partition(lam),
+                    ring.to_scalar(lhs, A.scale), ring.to_scalar(rhs, B.scale),
                 ))
     return VerifyResult(True, checked, None)
 
@@ -1472,17 +1467,17 @@ def certify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
 def _diagonal_counts(N: int, top: int, allowed: frozenset) -> tuple:
     """The vectors (<q|P_0^(r)|q>)_r, in units of their scale 1/(2N), of the
     states q of degree <= top with every part in the residues `allowed` mod
-    N, by col(q) = col(q[1:]) + u s(-u), each with how many q share it; the
-    walk prunes at the first part outside."""
+    N, by col(q) = col(p) + u s(-u) for q = p plus a largest part u, each
+    with how many q share it; the walk prunes at the first part outside."""
     tables = [build_L(pair_indicator(N, r), 0)._table.elements(cyclo_ring(1))
               for r in _pair_residues(N)]
     steps = [tuple(u * (t[u % N] + t[-u % N]) for t in tables) for u in range(top + 1)]
     counts: dict = {}
 
-    def visit(q: Partition, degree: int, parent: Optional[tuple]) -> tuple:
-        if q and q[0] % N not in allowed:
+    def visit(q: int, degree: int, u: int, parent: Optional[tuple]) -> tuple:
+        if q and u % N not in allowed:
             return None, None  # q and its children have a part outside
-        vec = tuple(map(operator.add, parent, steps[q[0]])) if q else steps[0]
+        vec = tuple(map(operator.add, parent, steps[u])) if q else steps[0]
         counts[vec] = counts.get(vec, 0) + 1
         return None, vec
 
@@ -1496,10 +1491,11 @@ def weight_mismatch(D: int) -> Optional[tuple]:
     <q|q> = <p|a_u a_{-u}|p> = v <p|p> for q = (u,) + p, a_u|q> = v|p>."""
     ring = cyclo_ring(1)
 
-    def visit(q: Partition, degree: int, parent: Optional[int]) -> tuple:
-        w = partition_weight(q)
-        want = ModeOp(q[0]).icolumn(q, ring).get(q[1:], 0) * parent if q else 1
-        return (None if w == want else ("weight", q, w, want)), w
+    def visit(q: int, degree: int, u: int, parent: Optional[tuple]) -> tuple:
+        t = (u,) + parent[1] if q else ()  # parent is (w(p), p), p = q less a part u
+        w = partition_weight(t)
+        want = ModeOp(u).icolumn(q, ring).get(q - _UNIT[u], 0) * parent[0] if q else 1
+        return (None if w == want else ("weight", t, w, want)), (w, t)
 
     return _walk(D, visit)
 

@@ -340,7 +340,7 @@ def averaged_dirichlet(chi: PeriodicFn, s, n_terms: int, precision_bits: int = 5
     if not chi.mean_zero:
         raise ValueError("averaged continuation needs a mean-zero function")
     s_f = float(s)
-    if not s_f > -1:  # NaN too
+    if not -1 < s_f < float("inf"):  # NaN and infinity too
         raise ValueError("outside proven half-plane")
     N = chi.period
     l = N * (n_terms // N)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -124,6 +125,14 @@ def test_rank_certificate_matches_exact_dimensions(name):
         dim, basis = nullspace_dim(sys_._replace(rows=rows[:k]))
         assert dim == want, k
         assert len(basis) == 2
+
+
+def test_rank_prime_is_a_prime_below_2_to_the_30():
+    # The certificate's rank is taken mod p, which is sound only for a
+    # prime; below 2^30 its residues and their products fit machine words.
+    p = cocycle._PRIME
+    assert 2 < p < 1 << 30
+    assert all(p % k for k in range(2, math.isqrt(p) + 1))
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))

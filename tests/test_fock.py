@@ -78,13 +78,50 @@ def test_basis_partitions_are_the_partitions_in_basis_order():
         assert counts == _PARTITION_COUNTS[:D + 1]
 
 
+def test_keys_round_trip_every_partition_of_degree_24():
+    basis = basis_partitions(24)
+    keys = [fock._key(p) for p in basis]
+    assert len(set(keys)) == len(basis)
+    assert [fock._partition(q) for q in keys] == basis
+    with pytest.raises(ValueError):
+        fock._key((61,))
+
+
+def _tuple_remove(p, u):
+    """(multiplicity, p less one part u) by tuple surgery, or None."""
+    if u not in p:
+        return None
+    i = p.index(u)
+    return p.count(u), p[:i] + p[i + 1:]
+
+
+def test_key_surgery_matches_tuple_surgery():
+    # On every state of degree <= 24: the walk's (key, degree, largest
+    # part), adding a part (one int add) and `_remove_part` agree with the
+    # same moves made on descending tuples.
+    walked = []
+
+    def visit(q, degree, u, parent):
+        p = fock._partition(q)
+        walked.append(p)
+        assert (degree, u) == (sum(p), p[0] if p else 0), p
+        for v in range(1, 25):
+            assert fock._partition(q + fock._UNIT[v]) == tuple(sorted(p + (v,), reverse=True))
+            hit, want = fock._remove_part(q, v), _tuple_remove(p, v)
+            assert hit == (None if want is None else (want[0], fock._key(want[1]))), (p, v)
+        return None, q
+
+    assert fock._walk(24, visit) is None
+    assert sorted(walked) == sorted(basis_partitions(24))
+
+
 def test_walk_prunes_below_a_none_value():
     visited = []
 
-    def visit(q, degree, parent):
-        if q and q[0] % 3 == 0:
+    def visit(q, degree, u, parent):
+        if q and u % 3 == 0:
             return None, None
-        visited.append(q)
+        visited.append(fock._partition(q))
         return None, q
 
     assert fock._walk(15, visit) is None
@@ -105,10 +142,10 @@ def test_qtrace_evaluates_exactly_the_allowed_states(monkeypatch, mode):
     real = fock._walk
 
     def walk(top, visit):
-        def recording(q, degree, parent):
-            bad, value = visit(q, degree, parent)
+        def recording(q, degree, u, parent):
+            bad, value = visit(q, degree, u, parent)
             if value is not None:  # the walk keeps q
-                seen.append(q)
+                seen.append(fock._partition(q))
             return bad, value
         return real(top, recording)
 
@@ -172,17 +209,17 @@ def test_partition_weight():
 
 
 def test_normal_ordered_bilinear_examples():
-    # _term_action(p, j, M) is :a_{-j} a_{j+M}: on p: (coefficient, state)
-    act = fock._term_action
+    # _term_action(q, j, M) is :a_{-j} a_{j+M}: on q: (coefficient, state)
+    act, K = fock._term_action, fock._key
     # :a_{-1} a_1: counts mode 1 with weight 1
-    assert act((1,), 1, 0) == (1, (1,))
+    assert act(K((1,)), 1, 0) == (1, K((1,)))
     # :a_1 a_{-1}: is already creation-left after normal ordering
-    assert act((), -1, 0) is None
+    assert act(K(()), -1, 0) is None
     # :a_{-2} a_{-3}: creates the pair {2, 3}
-    assert act((), 2, -5) == (1, (3, 2))
+    assert act(K(()), 2, -5) == (1, K((3, 2)))
     # double annihilation with sequential multiplicities: :a_1 a_1:
-    assert act((1, 1), -1, 2) == (2, ())
-    assert act((1,), -1, 2) is None
+    assert act(K((1, 1)), -1, 2) == (2, K(()))
+    assert act(K((1,)), -1, 2) is None
 
 
 def test_grading_exactness():
@@ -247,7 +284,7 @@ def test_theorem_2_4_cases():
 
 def _term_product(p, first, second):
     """(coefficient, state) of :a_{-j2} a_{j2+M2}: :a_{-j1} a_{j1+M1}: on p."""
-    a = fock._term_action(p, *first)
+    a = fock._term_action(fock._key(p), *first)
     b = None if a is None else fock._term_action(a[1], *second)
     return None if b is None else (a[0] * b[0], b[1])
 
@@ -279,7 +316,7 @@ def test_commutator_windows_are_prefixes_of_the_cutoff_basis():
         degrees = [sum(p) for p in basis]
         for shift in range(D + 1):
             want = basis[:bisect.bisect_right(degrees, D - shift)]
-            assert commutator_window(D, shift) == want, (D, shift)
+            assert list(map(fock._partition, commutator_window(D, shift))) == want, (D, shift)
 
 
 def test_build_T_eigenvalues():
@@ -333,7 +370,7 @@ def test_twisted_operator_is_pair_combination():
     # suites sweep the residue-pair basis instead of every element
     for N in (5, 7, 9):  # rational, Z[zeta_3] and folded Z[zeta_4] values
         G = even_twist_group(N)
-        states = basis_partitions(12)
+        states = commutator_window(12)
         for chi in G.elements:
             for m in (-1, 0, 1):
                 pairs = SumOp([
@@ -531,7 +568,7 @@ def _mode_reference(op, l, p, ring):
             continue
         if left > 0 > right:  # normal order: the creation operator on the left
             left, right = right, left
-        col = ModeOp(left).apply_icolumn(ModeOp(right).icolumn(p, ring), ring)
+        col = ModeOp(left).apply_icolumn(ModeOp(right).icolumn(fock._key(p), ring), ring)
         for t, v in col.items():
             x = ring.mul(table[l * j % (l * N)], v)
             acc[t] = ring.add(acc[t], x) if t in acc else x
@@ -550,7 +587,8 @@ def test_icolumn_matches_mode_composition(coeff):
             op = BilinearOp(coeff.dilate(l), l * M, rat(1, 2 * N))
             ring = cyclo_ring(op.order)
             for p in states:
-                assert op._icolumn(p, ring) == _mode_reference(op, l, p, ring), (l, M, p)
+                assert (op._icolumn(fock._key(p), ring)
+                        == _mode_reference(op, l, p, ring)), (l, M, p)
 
 
 def _term_sum(op, p, ring):
@@ -561,7 +599,7 @@ def _term_sum(op, p, ring):
     table = op._table.elements(ring)
     acc = {}
     for j in sorted({u - M for u in p} | {-u for u in p} | set(range(1, -M))):
-        act = fock._term_action(p, j, M)
+        act = fock._term_action(fock._key(p), j, M)
         if act:
             x = ring.smul(table[j % N], act[0])
             acc[act[1]] = ring.add(acc[act[1]], x) if act[1] in acc else x
@@ -582,7 +620,7 @@ def test_icolumn_is_the_term_by_term_sum(N, unit):
         op = BilinearOp(coeff, M, rat(1, 2 * N))
         ring = cyclo_ring(op.order)
         for p in states:
-            assert op._icolumn(p, ring) == _term_sum(op, p, ring), (M, p)
+            assert op._icolumn(fock._key(p), ring) == _term_sum(op, p, ring), (M, p)
 
 
 def test_kernel_records_do_not_leak_between_rings():
@@ -596,7 +634,7 @@ def test_kernel_records_do_not_leak_between_rings():
         for m in (1, 3, 12, 1):
             ring = cyclo_ring(m)
             for p in states:
-                assert op._icolumn(p, ring) == _term_sum(op, p, ring), (M, m, p)
+                assert op._icolumn(fock._key(p), ring) == _term_sum(op, p, ring), (M, m, p)
 
 
 def _even_periodic(N, values):
@@ -660,7 +698,7 @@ def test_certificate_of_a_bilinear_against_a_mode(monkeypatch):
 
 def test_certificate_of_two_modes():
     # [a_j, a_k] = j delta_{j+k,0}: the scalar of a mode against a mode
-    window = basis_partitions(8)
+    window = commutator_window(8)
     for j in range(-3, 4):
         for k in range(-3, 4):
             lhs = CommutatorOp(ModeOp(j), ModeOp(k))
@@ -806,11 +844,11 @@ def _kernel_key_order(op, p, ring):
     """The keys a kernel column lists, in order: one move per distinct part
     u with u - M > 0 by descending u, the double annihilations (M > 0) by
     descending part, then the creations (M < 0) in `_creations` order."""
-    M = op.M
+    M, q = op.M, fock._key(p)
     keys = [act[1] for u in sorted(set(p), reverse=True)
-            for act in [fock._term_action(p, u - M, M)] if act]
+            for act in [fock._term_action(q, u - M, M)] if act]
     if M < 0:
-        keys += [fock._add_part(fock._add_part(p, a), b) for a, b, _ in op._creations(ring)]
+        keys += [q + t for t, _ in op._creations(ring)]
     return list(dict.fromkeys(keys))
 
 
@@ -825,7 +863,7 @@ def test_icolumn_on_the_bracket_row_windows(m):
         for r in (1, 2, 3):
             op = BilinearOp(pair_indicator(7, r), 7 * n, rat(1, 14))
             for p in states:
-                col = op._icolumn(p, ring)
+                col = op._icolumn(fock._key(p), ring)
                 assert col == _term_sum(op, p, ring), (n, r, p)
                 assert list(col) == [t for t in _kernel_key_order(op, p, ring) if t in col]
 
@@ -934,10 +972,35 @@ def test_cli_case_detail_holds_the_certificates_not_the_columns(monkeypatch, cap
     assert [(d["m"], d["n"]) for d in detail if d["status"] == "fail"] == failed
 
 
+def test_a_wrong_key_delta_turns_the_bracket_row_red(monkeypatch):
+    # The kernel's move of one part 2 also adds a part 1; the representation
+    # check re-keys by its own units, so the row fails at a partition.
+    real = BilinearOp._kernel
+
+    def corrupted(self, ring):
+        moves, start, pairs, creations = real(self, ring)
+        if self.M:
+            moves = [(u, d + (u == 2), c) for u, d, c in moves]
+        return moves, start, pairs, creations
+
+    monkeypatch.setattr(BilinearOp, "_kernel", corrupted)
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    cfg = RunConfig(moduli_bracket=(3,), moduli_decomposition=(), cutoff=20)
+    (row,) = [_run_check(c, cfg) for c in build_registry(cfg) if c.id == "fock:bracket:3"]
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    res = fock.certify_theorem_2_4_suite(even_twist_group(3), 20)
+    (tag, r, k), state, out_state, got, want = res.witness
+    assert row.status == "fail" and row.witness == repr(res.witness)
+    assert (tag, r) == ("P", 1) and 2 in state and got != want
+    assert all(isinstance(p, tuple) and list(p) == sorted(p, reverse=True)
+               for p in (state, out_state))
+
+
 def _recording(op, log, fault=None):
     """Route `op._icolumn` through a recorder of the states asked for; at
     the state `fault`, if any, the column gains 1 at its own input state."""
     real = BilinearOp._icolumn
+    fault = None if fault is None else fock._key(fault)
 
     def icolumn(p, ring):
         log.append(p)
@@ -964,7 +1027,8 @@ def test_representation_check_walks_each_window_state_once(N, M, D):
 @pytest.mark.parametrize("N, M, D", [(5, -5, 14), (7, 0, 12), (3, 6, 15), (7, -21, 30)])
 def test_representation_check_names_a_fault_at_the_top_degree(N, M, D):
     top = D - abs(M)
-    for fault in [q for q in commutator_window(D, M) if sum(q) == top][::7]:
+    for fault in [q for q in map(fock._partition, commutator_window(D, M))
+                  if sum(q) == top][::7]:
         op = _recording(BilinearOp(pair_indicator(N, 1), M, rat(1, 2 * N)), [], fault)
         bad = fock._check_representation(op, D)
         assert bad is not None and bad[:2] == (fault, fault), fault
@@ -1006,8 +1070,8 @@ def test_representation_check_does_not_take_its_steps_from_the_kernel(monkeypatc
 
 
 _DIAGONAL_FAULTS = {  # (q, its true column {q: x} or {}, ring) -> a wrong column
-    "value-under-another-key": lambda q, col, ring: {q + (1,): col[q]},
-    "extra-zero-entry": lambda q, col, ring: {**col, q + (1,): ring.zero},
+    "value-under-another-key": lambda q, col, ring: {q + 1: col[q]},  # q plus a part 1
+    "extra-zero-entry": lambda q, col, ring: {**col, q + 1: ring.zero},
     "empty-for-nonzero": lambda q, col, ring: {},
     "explicit-zero": lambda q, col, ring: {q: ring.zero},
 }
@@ -1023,12 +1087,13 @@ def test_diagonal_check_names_each_wrong_column_like_the_full_comparison(fault):
     probe = BilinearOp(pair_indicator(N, 1), 0, rat(1, 2 * N))
     tried = 0
     for q in commutator_window(D, 0)[::3]:
+        p = fock._partition(q)
         want = real(probe, q, ring)
         if not want and fault in ("value-under-another-key", "empty-for-nonzero"):
             continue
         got = make(q, want, ring)
         bad = next(t for t in [*got, *want] if got.get(t) != want.get(t))
-        expected = (q, bad, ring.to_scalar(got.get(bad, ring.zero), probe.scale),
+        expected = (p, fock._partition(bad), ring.to_scalar(got.get(bad, ring.zero), probe.scale),
                     ring.to_scalar(want.get(bad, ring.zero), probe.scale))
         op = BilinearOp(pair_indicator(N, 1), 0, rat(1, 2 * N))
 
@@ -1252,7 +1317,7 @@ def test_mode_columns_satisfy_the_heisenberg_relation(monkeypatch):
     # The representation check takes the ModeOp columns as given; this
     # ties them to [a_j, a_k] = j delta_{j+k,0} on every state of degree
     # <= 20, and shows that a_k without its multiplicity factor fails it.
-    window = basis_partitions(20)
+    window = commutator_window(20)
     assert _heisenberg_mismatch(window) is None
     real = ModeOp.icolumn
 

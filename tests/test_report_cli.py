@@ -211,6 +211,28 @@ def test_dirichlet_avg_rejects_a_nan_exponent(precision, capsys):
     assert (out.out, out.err) == ("", "error: outside proven half-plane\n")
 
 
+@pytest.mark.parametrize("precision", ["53", "100"])
+@pytest.mark.parametrize("s", ["inf", "1e400"])
+def test_dirichlet_avg_rejects_an_infinite_exponent(s, precision, capsys):
+    # 1e400 reads as the float infinity, which no path may sum as a number
+    assert cli.dispatch(["dirichlet-avg", "--modulus", "5", "--char", "2", f"--s={s}",
+                         "--terms", "2000", "--precision", precision]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: outside proven half-plane\n")
+
+
+@pytest.mark.parametrize("text", ["1/2/3", "1/0", "1.5/2"])
+@pytest.mark.parametrize("flag, argv", [
+    ("--s", ["dirichlet-avg", "--modulus", "5", "--char", "2", "--terms", "2000"]),
+    ("--tol", ["cesaro", "--modulus", "5", "--char", "2"]),
+], ids=["dirichlet-avg", "cesaro"])
+def test_malformed_rationals_name_the_flag(flag, argv, text, capsys):
+    assert cli.dispatch(argv + [f"{flag}={text}"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {flag} takes a number or p/q, "
+                                      "p and q != 0 integers\n")
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "0/1", "nan"])
 def test_cesaro_rejects_a_nonpositive_tolerance(tol, capsys):
     # a usage error (exit 2), not a divergent series (exit 1)
