@@ -19,7 +19,7 @@ from ltwist.characters import (
     kronecker_symbol,
     quadratic_field_group,
 )
-from ltwist.exactnum import CycloNum, cyclo_embed, rat
+from ltwist.exactnum import CycloNum, cyclo_embed, euler_phi, rat
 from ltwist.report import Check, SkipCheck, fmt_float
 
 # numpy loads with the registry, before any row runs, though only the
@@ -57,8 +57,6 @@ def check_field_axioms(cfg) -> str:
 
     def sample():
         m = rng.choice(orders)
-        from ltwist.exactnum import euler_phi
-
         return CycloNum(
             m, [rat(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(euler_phi(m))]
         )
@@ -81,8 +79,6 @@ def check_embedding_hom(cfg) -> tuple:
     prec = 128
     bound = 2.0 ** (-prec + 8)
     worst = 0.0
-    from ltwist.exactnum import euler_phi
-
     with mpmath.workprec(prec + 64):
         for _ in range(25):
             m = rng.choice([3, 5, 8, 12])
@@ -112,8 +108,6 @@ def check_twist_group_axioms(cfg) -> str:
 
 
 def check_orthogonality(cfg) -> str:
-    from ltwist.exactnum import euler_phi
-
     for N in (5, 7, 12):
         chars = dirichlet_characters(N)
         for a, chi in enumerate(chars):

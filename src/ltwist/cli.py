@@ -14,7 +14,7 @@ import os
 import re
 import sys
 
-from ltwist.exactnum import parse_rat, scalar_str
+from ltwist.exactnum import check_precision, parse_rat, scalar_str
 
 FOCK_CHECK_IDS = ("2.3", "2.4", "3.1", "3.28", "scaling")
 QSERIES_IDS = ("euler", "jacobi", "314", "316", "312", "char-cross")
@@ -86,6 +86,8 @@ def cmd_dirichlet_avg(args) -> int:
     from ltwist.report import fmt_value
 
     chi = _char(args.modulus, args.char)
+    if args.precision < 1:
+        raise ValueError("--precision must be at least 1")
     value = summation.averaged_dirichlet(
         chi, rat_from(args.s, "--s"), args.terms, precision_bits=args.precision
     )
@@ -212,6 +214,7 @@ def cmd_qseries_modular(args) -> int:
 
     if args.order < 1:
         raise SystemExit("order must be positive")
+    check_precision(args.precision, "--precision")
     residual, _ = qseries.modular_s_check(
         args.k, order=args.order, precision_bits=args.precision
     )
@@ -253,11 +256,8 @@ def cmd_report(args) -> int:
     if args.config:
         cfg = load_config_file(args.config, cfg)
     cfg = config_from_env(os.environ, cfg)
-    overrides = {}
-    for key in ("cutoff", "seed", "n_terms", "precision_bits"):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
+    overrides = {key: val for key in ("cutoff", "seed", "n_terms", "precision_bits")
+                 if (val := getattr(args, key, None)) is not None}
     if args.format:
         overrides["output_format"] = args.format
     if args.timings:

@@ -578,6 +578,13 @@ def parse_scalar(text: str):
 # numeric embedding
 
 
+def check_precision(bits: int, name: str = "precision_bits") -> None:
+    """Reject a working precision below 64 bits, calling it `name`: the one
+    floor of `cyclo_embed`, `qseries.modular_s_check` and the report."""
+    if bits < 64:
+        raise ValueError(f"{name} must be at least 64")
+
+
 def cyclo_embed(a, precision_bits: int = 128):
     """Complex embedding sending zeta_m to exp(2 pi i / m).
 
@@ -586,8 +593,7 @@ def cyclo_embed(a, precision_bits: int = 128):
     """
     import mpmath
 
-    if precision_bits < 64:
-        raise ValueError("precision_bits must be at least 64")
+    check_precision(precision_bits)
     with mpmath.workprec(precision_bits + 32):
         if not isinstance(a, CycloNum):
             a = rat(a)

@@ -4,17 +4,20 @@ A state is an integer partition held as one int, its key sum_u m_u 256^(u-1)
 with m_u the multiplicity of the part u: one byte per part size, as a state
 has degree <= MAX_BASIS_DEGREE < 256.  Adding a part u adds the key of (u,),
 moving u to u - M adds one delta, and the key's bytes are the m_u.
-Descending tuples appear only at the boundary: `Operator.column`,
-`basis_partitions` and every witness.
 a_{-n} creates mode n with coefficient 1 and a_n destroys it with
 coefficient n * multiplicity, so [a_m, a_n] = m delta_{m,-n} with a_0 acting
 as zero.  Operators are lazy exact column maps: applying one to a state is a
-finite sum.  One depth-first walk (`_walk`) enumerates the states with their
-degree and largest part u, each its parent p plus a part u >= p's largest;
-the sweeps' windows are its states sorted by degree (`commutator_window`).
-`_diagonal_counts` prunes it at the first part outside a residue set and
-counts the states by their vector of P_0^(r) eigenvalues, which `qtrace` and
-the transpose n = 0 count weight.
+finite sum.  A `BilinearOp` column is translation invariant, each entry
+adding a fixed delta to its state q, so its kernel, a closure compiled once
+per ring from the record `_kernel` (`BilinearOp._relative`), gives the
+column relative to q, {delta: value}; `icolumn` adds q to each delta, and
+descending tuples appear only at the boundary: `Operator.column`,
+`basis_partitions` and every witness.  One depth-first walk (`_walk`)
+enumerates the states with their degree and largest part u, each its
+parent p plus a part u >= p's largest; the sweeps' windows are its states
+sorted by degree (`commutator_window`).  `_diagonal_counts` prunes it at
+the first part outside a residue set and counts the states by their vector
+of P_0^(r) eigenvalues, which `qtrace` and the transpose n = 0 count weight.
 
 An identity is decided in one of two ways.  The `verify_*` functions sweep
 it: both sides are applied to every state of degree <= D - (the shifts) and
@@ -30,16 +33,16 @@ equal tables decide it for every x; sampling s only names a witness's x.
 A state-level check then ties the column code to that representation: each
 residue-pair operator's integer table times its scale is the c of its form,
 and its columns satisfy Q a_{-u} = a_{-u} Q + [Q, a_{-u}] on its window
-(`_check_representation`).  That check walks the states depth-first, builds
-one column per state and keeps none, so its witness is the first bad state
-in depth-first order.  Its step [Q, a_{-u}] = u s(-u) a_{M-u} is computed
-once per part size u from the table, independently of the kernel's per-ring
-record (`BilinearOp._kernels`: key deltas and summed coefficients of the
-moves, pairs and creations).  On the diagonal (M = 0) the walk carries the scalar
-<q|Q|q>, one addition per state, and one walk checks all the P_0^(r) of a
-modulus (`_check_diagonal`).  There the cutoff bounds the states checked,
-and a certified row skips exactly where the sweep's tightest window is
-empty.
+(`_check_representation`).  That check walks the states depth-first, calls
+the kernel once per state and keeps only the columns on the current path,
+so its witness is the first bad state in depth-first order.  Relative to q
+= (u,) + p, a_{-u} col(p) is col(p) itself, and the step [Q, a_{-u}] =
+u s(-u) a_{M-u} adds one entry, its coefficient from the table and its
+delta from the units, once per part size u, independently of the kernel's
+record.  On the diagonal (M = 0) the walk carries the scalar <q|Q|q>, one
+addition per state, and one walk checks all the P_0^(r) of a modulus
+(`_check_diagonal`).  There the cutoff bounds the states checked, and a
+certified row skips exactly where the sweep's tightest window is empty.
 The transpose identity is certified the same way: a_x^dagger = a_{-x}
 sends the form at shift M to shift -M with s^dagger(x) = conj(s(x - M))
 (`_adjoint`), and the norm `partition_weight` is checked on the states by
@@ -60,7 +63,6 @@ import math
 import operator
 import warnings
 from functools import lru_cache, reduce
-from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
 from ltwist.characters import PeriodicFn, TwistGroup, even_twist_group, pf_mul
@@ -144,11 +146,7 @@ def basis_partitions(D: int) -> list[Partition]:
 
 def partition_weight(p: Partition) -> int:
     """Symmetry factor prod_j j^{m_j} m_j! of a partition."""
-    w = 1
-    for part in set(p):
-        mult = p.count(part)
-        w *= part**mult * math.factorial(mult)
-    return w
+    return math.prod(u ** (k := p.count(u)) * math.factorial(k) for u in set(p))
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +219,13 @@ class Operator:
 
     def apply_icolumn(self, col: dict, ring: CycloRing) -> dict:
         """This operator applied to an integer column held in `ring`."""
-        # _axpy inlined: this loop is the sweeps' innermost one
+        # this loop is the sweeps' innermost one
         out: dict = {}
         add, mul, icolumn = ring.add, ring.mul, self.icolumn
         for t, c in col.items():
             for u, v in icolumn(t, ring).items():
                 x = mul(c, v)
-                old = out.get(u)
-                out[u] = x if old is None else add(old, x)
+                out[u] = x if (old := out.get(u)) is None else add(old, x)
         return out
 
     def matrix_equal(self, other: "Operator", states: Sequence[int]):
@@ -266,14 +263,6 @@ class Operator:
         return SumOp([(1, self), (1, other)])
 
 
-def _axpy(acc: dict, c, col: dict, ring: CycloRing) -> None:
-    add, mul = ring.add, ring.mul
-    for u, v in col.items():
-        t = mul(c, v)
-        old = acc.get(u)
-        acc[u] = t if old is None else add(old, t)
-
-
 def _cross_factors(x, y) -> tuple[int, int]:
     """Coprime integers a, b with x * u == y * v exactly when a * u == b * v."""
     a = x.numerator * y.denominator
@@ -300,11 +289,8 @@ class _OverDenominator:
     def elements(self, ring: CycloRing) -> list:
         hit = self._by_ring.get(ring)
         if hit is None:
-            hit = []
-            for v in self._values:
-                x, den = ring.from_scalar(v)
-                hit.append(ring.smul(x, self.den // den))
-            self._by_ring[ring] = hit
+            hit = self._by_ring[ring] = [ring.smul(x, self.den // den)
+                                         for x, den in map(ring.from_scalar, self._values)]
         return hit
 
 
@@ -350,11 +336,8 @@ class BilinearOp(Operator):
         `ring`, or None where it is zero."""
         M, N = self.M, self._N
         table = self._table.elements(ring)
-        moves = []
-        for u in range(N):
-            c = ring.add(table[(u - M) % N], table[-u % N])
-            moves.append(None if ring.is_zero(c) else c)
-        return moves
+        sums = [ring.add(table[(u - M) % N], table[-u % N]) for u in range(N)]
+        return [None if ring.is_zero(c) else c for c in sums]
 
     def _creations(self, ring: CycloRing) -> list:
         """(t, c): the terms j and -M - j, 0 < j < -M, create the parts with
@@ -394,42 +377,61 @@ class BilinearOp(Operator):
                  for u in kept]
         return moves, start, pairs, self._creations(ring)
 
+    def _relative(self, ring: CycloRing):
+        """The kernel in `ring`, compiled from `_kernel(ring)` on first use:
+        a closure q -> the integer column of q relative to q, {key delta:
+        value}, so no entry pays for an add of q."""
+        column = self._kernels.get(ring)
+        if column is not None:
+            return column
+        # m_u is byte u - 1 of the key.  Off the diagonal each part size u of
+        # the moves that q has moves one u to u - M; the term j = u - M, u < M,
+        # annihilates u and then M - u, so only a key with a byte under the
+        # pairs' mask is scanned; the terms 0 < j < -M create two parts.  On
+        # the diagonal, sum_u m_u u (c(u) + c(-u)): as 256 = 1 + 255, the parts
+        # under a mask have degree sum_u m_u (1 + 255 (u - 1)) mod 255^2 (degree < 255).
+        moves, start, pairs, creations = self._kernel(ring)
+        M, add, smul, is_zero, zero = self.M, ring.add, ring.smul, ring.is_zero, ring.zero
+        if M:
+            moves = tuple((u - 1, delta, c) for u, delta, c in moves)  # the byte of m_u
+            creations, paired = dict(creations), sum(255 << 8 * (u - 1) for u, _, _ in pairs)
+
+            def column(q: int) -> dict:
+                m, out = q.to_bytes(MAX_BASIS_DEGREE, "little"), {}
+                for i, delta, c in moves[start[(q.bit_length() + 7) >> 3]:]:
+                    if k := m[i]:
+                        out[delta] = smul(c, k)
+                out.update(creations)
+                if q & paired:
+                    extra: dict = {}
+                    for u, j, c in pairs:
+                        if m[u - 1] and m[-j - 1] and (act := _term_action(q, j, M)):
+                            c, t = smul(c, act[0]), act[1] - q
+                            extra[t] = c if (old := extra.get(t)) is None else add(old, c)
+                    out.update((t, v) for t, v in extra.items() if not is_zero(v))
+                return out
+        elif ring.degree == 1 and len(moves) == 1:  # in Z: c times a degree > 0
+            ((mask, c),) = moves
+
+            def column(q: int) -> dict:
+                x = (q & mask) % 65025
+                return {0: c * (x // 255 + x % 255)} if x else {}
+        else:
+            def column(q: int) -> dict:
+                acc = zero
+                for mask, c in moves:
+                    if x := (q & mask) % 65025:
+                        acc = add(acc, smul(c, x // 255 + x % 255))
+                return {} if acc == zero else {0: acc}
+        self._kernels[ring] = column
+        return column
+
     def _icolumn(self, q: int, ring: CycloRing) -> dict:
-        # The bytes of the key are the multiplicities m.  Off the diagonal
-        # each part size u of the kernel's moves that q has moves one u to
-        # u - M; where u < M (M > 0), the term j = u - M annihilates u and
-        # then M - u, if a part too.  The terms 0 < j < -M create two parts
-        # (`_creations`), after the moves.
-        kernel = self._kernels.get(ring)
-        if kernel is None:
-            kernel = self._kernels[ring] = self._kernel(ring)
-        moves, start, pairs, creations = kernel
-        M, smul = self.M, ring.smul
-        if not M:  # diagonal: the eigenvalue is sum_u m_u u (c(u) + c(-u))
-            acc = ring.zero
-            for mask, c in moves:
-                # the degree of the parts under the mask: 256 = 1 + 255, so a
-                # key of degree < 255 is sum_u m_u (1 + 255 (u - 1)) mod 255^2
-                if x := q & mask:
-                    acc = ring.add(acc, smul(c, sum(divmod(x % 65025, 255))))
-            return {} if acc == ring.zero else {q: acc}
-        m = q.to_bytes(MAX_BASIS_DEGREE, "little")
-        out: dict = {}
-        for u, delta, c in islice(moves, start[(q.bit_length() + 7) >> 3], None):
-            if k := m[u - 1]:
-                out[q + delta] = smul(c, k)
-        for t, c in creations:
-            out[q + t] = c
-        if pairs:
-            add, extra = ring.add, {}
-            for u, j, c in pairs:
-                if m[u - 1] and m[-j - 1]:
-                    act = _term_action(q, j, M)
-                    if act:
-                        c = smul(c, act[0])
-                        old = extra.get(act[1])
-                        extra[act[1]] = c if old is None else add(old, c)
-            out.update((t, v) for t, v in extra.items() if not ring.is_zero(v))
+        """The integer column of q on keys: the kernel's, shifted by q.  The
+        sweeps ask once per column, so `_kernels` is read without a call."""
+        out, column = {}, self._kernels.get(ring) or self._relative(ring)
+        for delta, v in column(q).items():
+            out[q + delta] = v
         return out
 
 
@@ -473,8 +475,11 @@ class SumOp(Operator):
 
     def icolumn(self, q: int, ring: CycloRing) -> dict:
         out: dict = {}
+        add, mul = ring.add, ring.mul
         for w, op in zip(self._weights.elements(ring), self._ops):
-            _axpy(out, w, op.icolumn(q, ring), ring)
+            for t, v in op.icolumn(q, ring).items():
+                x = mul(w, v)
+                out[t] = x if (old := out.get(t)) is None else add(old, x)
         return out
 
 
@@ -579,14 +584,16 @@ def _shifted(rows: tuple, r: int, M: int) -> list:
 
 
 def _shifted_product(a: tuple, b: tuple, M: int, r: int) -> list:
-    """The coefficients in x of (x + M) a(x) b(x + M), x = r mod the periods."""
-    prod: list = [None] * (len(a) + len(b))  # x a(x) b(x + M), then plus M a(x) b(x + M)
-    pb = _shifted(b, r, M)
+    """The coefficients in x of (x + M) a(x) b(x + M), x = r mod the periods;
+    zero factors, most residues of a pair indicator, are skipped."""
+    prod: list = [rat(0)] * (len(a) + len(b))  # x a(x) b(x + M), then plus M a(x) b(x + M)
+    pb = [(j, y) for j, y in enumerate(_shifted(b, r, M), start=1) if y]
     for i, x in enumerate(_shifted(a, r, 0)):
-        for j, y in enumerate(pb):
-            prod[i + j + 1] = x * y if prod[i + j + 1] is None else prod[i + j + 1] + x * y
+        for j, y in pb if x else ():
+            prod[i + j] += x * y
     for k in range(len(prod) - 1):
-        prod[k] = M * prod[k + 1] if prod[k] is None else prod[k] + M * prod[k + 1]
+        if prod[k + 1]:
+            prod[k] += M * prod[k + 1]
     return prod
 
 
@@ -597,7 +604,7 @@ def _combine(terms) -> _Form:
     z: Scalar = rat(0)
     for c, f in terms:
         for M, rows in f.quad.items():
-            rows = tuple(tuple(c * v for v in row) for row in rows)
+            rows = tuple(tuple(c * v if v else v for v in row) for row in rows)
             quad[M] = _add_rows(quad[M], rows) if M in quad else rows
         for x, w in f.lin.items():
             lin[x] = lin.get(x, rat(0)) + c * w
@@ -623,7 +630,7 @@ def _bracket(f1: _Form, f2: _Form) -> _Form:
             # [[Q1, Q2], a_x] by Jacobi: the symmetrised coefficient
             # (x + M1) s1(x) s2(x + M1) - (x + M2) s2(x) s1(x + M2)
             M, period = M1 + M2, math.lcm(len(s1[0]), len(s2[0]))
-            s = tuple(zip(*(map(operator.sub, _shifted_product(s1, s2, M1, r),
+            s = tuple(zip(*(map(lambda x, y: x - y if y else x, _shifted_product(s1, s2, M1, r),
                                 _shifted_product(s2, s1, M2, r)) for r in range(period))))
             quad[M] = _add_rows(quad[M], s) if M in quad else s
             if M == 0:
@@ -687,27 +694,26 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
     differ from its Fock representation on the states of degree
     <= D - |M|, in depth-first order, or None.
 
-    By induction on the parts: the vacuum column must be
-    sum_{0<j<-M} c(j) a_{-j} a_{j+M}|0>, composed from `ModeOp` columns, and
-    for q = (u,) + p with u the largest part, col(q) = a_{-u} col(p) +
-    u s(-u) a_{M-u}|p>, which is Q a_{-u} = a_{-u} Q + [Q, a_{-u}].  The
-    steps u s(-u) come from the table, once per part size (`_table_steps`),
-    not from the kernel's record (`BilinearOp._kernels`); a_{-u} adds the
-    key of (u,) to each key of col(p), and the one term a_{M-u} acts
-    inline.  On the diagonal (M = 0) `_check_diagonal` walks scalars
-    instead of columns.  The integer table times `op.scale` must first be
-    prefactor * c, the coefficients `_form` certifies, else ("table", r,
-    got, want) names the residue r.  The walk (`_walk`) builds one column
-    per state, keeping only those on the current path; it reads no basis
-    and caches nothing.  The degree verified is kept on the operator, with
-    the number of nonzero column entries per degree (`op._entries`): a
-    later call walks the states at or below it for their columns but
-    compares only the states above it.
+    By induction on the parts, on columns relative to their state: the
+    vacuum column must be sum_{0<j<-M} c(j) a_{-j} a_{j+M}|0>, each term
+    creating the parts j and -M - j, and for q = (u,) + p with u the
+    largest part, col(q) = a_{-u} col(p) + u s(-u) a_{M-u}|p>, which is
+    Q a_{-u} = a_{-u} Q + [Q, a_{-u}]; relative to q, a_{-u} col(p) is
+    col(p).  The steps u s(-u) come from the table, once per part size
+    (`_table_steps`), not from the kernel's record.  On the diagonal (M = 0)
+    `_check_diagonal` walks scalars instead.  The integer table times
+    `op.scale` must first be prefactor * c, the coefficients `_form`
+    certifies, else ("table", r, got, want) names the residue r.  The walk
+    (`_walk`) calls the kernel (`BilinearOp._relative`) once per state,
+    keeping only the columns on the current path; it reads no basis and
+    caches nothing.  The degree verified is kept on the operator, with the
+    number of nonzero column entries per degree (`op._entries`): a later
+    call walks the states at or below it for their columns but compares
+    only the states above it.
     """
-    M = op.M
+    M, N = op.M, op._N
     if not M:
         return _check_diagonal([op], D)
-    N = op._N
     top = _window_budget(D, M)
     done = op._verified
     if done >= top:
@@ -716,40 +722,34 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
     bad, step = _table_steps(op, ring, top)
     if bad is not None:
         return bad
-    table = op._table.elements(ring)
+    table, vacuum = op._table.elements(ring), {}
     add, smul, is_zero = ring.add, ring.smul, ring.is_zero
+    for j in range(1, -M):  # the term j creates the parts j and -M - j
+        t = _UNIT[j] + _UNIT[-M - j]
+        vacuum[t] = add(vacuum[t], table[j % N]) if t in vacuum else table[j % N]
+    vacuum = {t: v for t, v in vacuum.items() if not is_zero(v)}
+    # (c, k, delta) of c a_k|p>, k = M - u, on deltas relative to q = (u,) + p
+    steps = [None if is_zero(c) or u == M else
+             (c, M - u, _UNIT[u - M] - _UNIT[u] if u > M else -_UNIT[u] - _UNIT[M - u])
+             for u, c in enumerate(step)]
     entries = [0] * (top + 1)
-    icolumn = op._icolumn
+    column = op._relative(ring)
 
     def visit(q: int, degree: int, u: int, col: Optional[dict]) -> tuple:
-        # col is col(p), p = q less one part u
-        got = icolumn(q, ring)
+        # col is col(p), p = q less one part u; steps[0] is None
+        got = column(q)
         entries[degree] += len(got)
         if degree <= done:
             return None, got
-        if q:
-            du = _UNIT[u]
-            want = {t + du: v for t, v in col.items()}  # a_{-u} col(p)
-            c, k = step[u], M - u  # plus c a_k|p>
-            if is_zero(c):
-                hit = None
-            else:  # a_k creates with 1 (k < 0) or annihilates with k * mult
-                hit = (1, q - du + _UNIT[-k]) if k < 0 else _remove_part(q - du, k)
-            if hit is not None:
-                t, x = hit[1], smul(c, hit[0] * max(k, 1))
-                old = want.get(t)
-                if old is not None:
-                    x = add(old, x)
-                if is_zero(x):
-                    want.pop(t, None)
-                else:
-                    want[t] = x
-        else:
-            acc: dict = {}
-            for j in range(1, -M):
-                pair = ModeOp(-j).apply_icolumn(ModeOp(j + M).icolumn(q, ring), ring)
-                _axpy(acc, table[j % N], pair, ring)
-            want = {t: v for t, v in acc.items() if not is_zero(v)}
+        want, s = (col if q else vacuum), steps[u]
+        # a_k creates with 1 (k < 0) or annihilates with k * mult
+        hit = None if s is None else (1,) if s[1] < 0 else _remove_part(q - _UNIT[u], s[1])
+        if hit is not None:
+            (c, k, t), want = s, col.copy()
+            x = smul(c, hit[0] * max(k, 1))
+            want[t] = x = add(want[t], x) if t in want else x
+            if is_zero(x):
+                del want[t]
         if got != want:
             return _difference(q, got, want, ring, op.scale), None
         return None, got
@@ -763,10 +763,10 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
 def _check_diagonal(ops: Sequence[BilinearOp], D: int) -> Optional[tuple]:
     """`_check_representation` of operators at M = 0, in one walk: the
     first witness of any of them or None, each marked verified only when
-    the walk passes.  A column is {q: x} or {}, x = <q|Q|q> = <p|Q|p> +
-    u s(-u) for q = (u,) + p, so the walk carries the scalars x and accepts
-    a column that is exactly {q: x} ({} when x = 0) without building the
-    wanted one; any other column is compared with it in full."""
+    the walk passes.  A column is {0: x} or {} relative to q, x = <q|Q|q> =
+    <p|Q|p> + u s(-u) for q = (u,) + p, so the walk carries the scalars x
+    and accepts a column that is exactly {0: x} ({} when x = 0) without
+    building the wanted one; any other column is compared with it in full."""
     top = _window_budget(D, 0)
     ops = [op for op in ops if op._verified < top]
     if not ops:
@@ -780,16 +780,16 @@ def _check_diagonal(ops: Sequence[BilinearOp], D: int) -> Optional[tuple]:
         steps.append(step)
     add, zero = ring.add, ring.zero
     steps = list(zip(*steps))  # steps[u][i] is u s(-u) of ops[i]
-    checks = [(op._icolumn, op._verified, [0] * (top + 1), op.scale) for op in ops]
+    checks = [(op._relative(ring), op._verified, [0] * (top + 1), op.scale) for op in ops]
 
     def visit(q: int, degree: int, u: int, xs: Optional[tuple]) -> tuple:
         xs = tuple(map(add, xs, steps[u])) if q else (zero,) * len(ops)
-        for (icolumn, done, entries, scale), x in zip(checks, xs):
-            got = icolumn(q, ring)
+        for (column, done, entries, scale), x in zip(checks, xs):
+            got = column(q)
             entries[degree] += len(got)
-            # compared in full unless got is {q: x}, or {} when x = 0
-            if degree > done and (len(got) != 1 or got.get(q) != x if x != zero else got):
-                return _difference(q, got, {q: x} if x != zero else {}, ring, scale), None
+            # compared in full unless got is {0: x}, or {} when x = 0
+            if degree > done and (len(got) != 1 or got.get(0) != x if x != zero else got):
+                return _difference(q, got, {0: x} if x != zero else {}, ring, scale), None
         return None, xs
 
     bad = _walk(top, visit)
@@ -815,10 +815,10 @@ def _table_steps(op: BilinearOp, ring: CycloRing, top: int) -> tuple:
 
 
 def _difference(q: int, got: dict, want: dict, ring: CycloRing, scale) -> tuple:
-    """(state, out_state, got, want) at the first key where two unequal
-    columns of the state q differ, as partitions and scalars."""
+    """(state, out_state, got, want) at the first key delta where two
+    unequal columns of q, relative to q, differ, as partitions and scalars."""
     bad = next(t for t in [*got, *want] if got.get(t) != want.get(t))
-    return (_partition(q), _partition(bad), ring.to_scalar(got.get(bad, ring.zero), scale),
+    return (_partition(q), _partition(q + bad), ring.to_scalar(got.get(bad, ring.zero), scale),
             ring.to_scalar(want.get(bad, ring.zero), scale))
 
 

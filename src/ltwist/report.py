@@ -13,7 +13,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
-from ltwist.exactnum import scalar_str
+from ltwist.exactnum import check_precision, scalar_str
 
 
 @dataclass
@@ -57,8 +57,7 @@ class RunConfig:
             raise ValueError("tolerance must be positive")
         if not self.numeric_residual > 0:
             raise ValueError("numeric_residual must be positive")
-        if self.precision_bits < 64:
-            raise ValueError("precision_bits must be at least 64")
+        check_precision(self.precision_bits)
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError("output format must be json, csv, or text")
 

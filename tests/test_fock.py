@@ -191,12 +191,12 @@ def test_qtrace_matches_the_column_eigenvalues(monkeypatch, N):
             got, want = qtrace(G, i, mode, 20), _column_qtrace(G, i, mode, 20)
             assert (got.denom, got.coeffs, got.order) == (want.denom, want.coeffs, want.order)
     # and it builds no column on the way: a fresh registry holds none
-    def no_column(self, p, ring):
+    def no_column(self, ring):
         raise AssertionError("qtrace built a column")
 
     fock._diagonal_counts.cache_clear()
     monkeypatch.setattr(fock, "_OP_REGISTRY", {})
-    monkeypatch.setattr(BilinearOp, "_icolumn", no_column)
+    monkeypatch.setattr(BilinearOp, "_relative", no_column)
     for i in range(1, len(G) + 1):
         assert qtrace(G, i, "char", 20).coeffs and qtrace(G, i, "kernel", 20).coeffs
 
@@ -650,6 +650,31 @@ _small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4).ma
 
 
 @st.composite
+def _kernel_cases(draw):
+    N = draw(st.sampled_from((3, 5, 7)))
+    unit = draw(st.sampled_from((rat(0), zeta(3))))
+    pairs = draw(st.lists(st.tuples(_small_rationals, _small_rationals),
+                          min_size=N // 2, max_size=N // 2))
+    return _even_periodic(N, [a + b * unit for a, b in pairs]), draw(st.integers(-3 * N, 3 * N))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_kernel_cases())
+def test_relative_kernel_shifted_by_the_state_is_the_term_by_term_sum(case):
+    # Random even twists, rational and in Q(zeta_3): the compiled kernel
+    # gives each column relative to its state, and every entry shifted by
+    # the state is the entry the terms sum to, on every state of degree
+    # <= 16.
+    f, M = case
+    op = BilinearOp(f, M, rat(1, 2 * f.period))
+    ring = cyclo_ring(op.order)
+    column = op._relative(ring)
+    for q in fock._basis_by_degree(16):
+        got = {q + delta: v for delta, v in column(q).items()}
+        assert got == _term_sum(op, fock._partition(q), ring), (M, fock._partition(q))
+
+
+@st.composite
 def _bracket_cases(draw):
     N = draw(st.sampled_from((3, 5, 7)))
     f1, f2 = (_even_periodic(N, draw(st.lists(_small_rationals, min_size=N // 2,
@@ -997,19 +1022,23 @@ def test_a_wrong_key_delta_turns_the_bracket_row_red(monkeypatch):
 
 
 def _recording(op, log, fault=None):
-    """Route `op._icolumn` through a recorder of the states asked for; at
-    the state `fault`, if any, the column gains 1 at its own input state."""
-    real = BilinearOp._icolumn
+    """Route the kernel of `op` through a recorder of the states asked for;
+    at the state `fault`, if any, the column gains 1 at its own input state."""
+    real = op._relative
     fault = None if fault is None else fock._key(fault)
 
-    def icolumn(p, ring):
-        log.append(p)
-        col = real(op, p, ring)
-        if p == fault:
-            col = {**col, p: ring.add(col.get(p, ring.zero), ring.one)}
-        return col
+    def relative(ring):
+        column = real(ring)
 
-    op._icolumn = icolumn
+        def recorded(p):
+            log.append(p)
+            col = column(p)
+            if p == fault:
+                col = {**col, 0: ring.add(col.get(0, ring.zero), ring.one)}
+            return col
+        return recorded
+
+    op._relative = relative
     return op
 
 
@@ -1069,11 +1098,19 @@ def test_representation_check_does_not_take_its_steps_from_the_kernel(monkeypatc
     assert any(x % 5 == 1 for x in bad[0]), bad
 
 
-_DIAGONAL_FAULTS = {  # (q, its true column {q: x} or {}, ring) -> a wrong column
-    "value-under-another-key": lambda q, col, ring: {q + 1: col[q]},  # q plus a part 1
-    "extra-zero-entry": lambda q, col, ring: {**col, q + 1: ring.zero},
+@pytest.mark.parametrize("M", [3, 6])
+def test_representation_check_reads_the_step_onto_a_0_as_zero(M):
+    # At u = M the step [Q, a_{-M}] = M s(-M) a_0 vanishes whatever s(-M):
+    # a coefficient with c(0) != 0 reaches it, and the check passes there.
+    op = BilinearOp(PeriodicFn(3, [rat(1), rat(2), rat(3)]), M, rat(1, 6))
+    assert fock._check_representation(op, 12) is None and op._verified == 12 - M
+
+
+_DIAGONAL_FAULTS = {  # (q, its true column {0: x} or {} relative to q, ring) -> a wrong column
+    "value-under-another-key": lambda q, col, ring: {1: col[0]},  # q plus a part 1
+    "extra-zero-entry": lambda q, col, ring: {**col, 1: ring.zero},
     "empty-for-nonzero": lambda q, col, ring: {},
-    "explicit-zero": lambda q, col, ring: {q: ring.zero},
+    "explicit-zero": lambda q, col, ring: {0: ring.zero},
 }
 
 
@@ -1083,25 +1120,24 @@ def test_diagonal_check_names_each_wrong_column_like_the_full_comparison(fault):
     # {} when x = 0; any other column must give the witness of comparing it
     # in full with that wanted column, at exactly the faulty state.
     N, D, ring = 7, 12, cyclo_ring(1)
-    make, real = _DIAGONAL_FAULTS[fault], BilinearOp._icolumn
-    probe = BilinearOp(pair_indicator(N, 1), 0, rat(1, 2 * N))
+    make = _DIAGONAL_FAULTS[fault]
+    probe = BilinearOp(pair_indicator(N, 1), 0, rat(1, 2 * N))._relative(ring)
     tried = 0
     for q in commutator_window(D, 0)[::3]:
         p = fock._partition(q)
-        want = real(probe, q, ring)
+        want = probe(q)
         if not want and fault in ("value-under-another-key", "empty-for-nonzero"):
             continue
         got = make(q, want, ring)
         bad = next(t for t in [*got, *want] if got.get(t) != want.get(t))
-        expected = (p, fock._partition(bad), ring.to_scalar(got.get(bad, ring.zero), probe.scale),
-                    ring.to_scalar(want.get(bad, ring.zero), probe.scale))
         op = BilinearOp(pair_indicator(N, 1), 0, rat(1, 2 * N))
+        expected = (p, fock._partition(q + bad), ring.to_scalar(got.get(bad, ring.zero), op.scale),
+                    ring.to_scalar(want.get(bad, ring.zero), op.scale))
 
-        def icolumn(p, ring, op=op, q=q):
-            col = real(op, p, ring)
-            return make(q, col, ring) if p == q else col
+        def relative(ring, q=q):
+            return lambda p: make(q, probe(p), ring) if p == q else probe(p)
 
-        op._icolumn = icolumn
+        op._relative = relative
         assert fock._check_representation(op, D) == expected, q
         assert op._verified == -1
         tried += 1
@@ -1222,13 +1258,12 @@ def test_transpose_row_builds_no_column_after_the_pair_checks(monkeypatch):
     rows = {c.id: c for c in build_registry(RunConfig())}
     assert _run_check(rows["fock:mode-bracket:7"], RunConfig()).status == "pass"
     log: list = []
-    real = BilinearOp._icolumn
+    for name in ("_relative", "_icolumn"):  # the checks' kernel, the sweeps' columns
+        def recording(op, *args, real=getattr(BilinearOp, name)):
+            log.append((op, args))
+            return real(op, *args)
 
-    def recording(op, p, ring):
-        log.append((op, p))
-        return real(op, p, ring)
-
-    monkeypatch.setattr(BilinearOp, "_icolumn", recording)
+        monkeypatch.setattr(BilinearOp, name, recording)
     row = _run_check(rows["fock:transpose"], RunConfig())
     assert row.status == "pass" and row.value == "47970 matrix entries"
     assert log == []
@@ -1314,7 +1349,7 @@ def _heisenberg_mismatch(window):
 
 
 def test_mode_columns_satisfy_the_heisenberg_relation(monkeypatch):
-    # The representation check takes the ModeOp columns as given; this
+    # The sweeps and the norm check take the ModeOp columns as given; this
     # ties them to [a_j, a_k] = j delta_{j+k,0} on every state of degree
     # <= 20, and shows that a_k without its multiplicity factor fails it.
     window = commutator_window(20)

@@ -7,7 +7,7 @@ from dataclasses import asdict
 
 import pytest
 
-from ltwist import checks, cli, fock
+from ltwist import checks, cli, fock, qseries
 from ltwist.characters import even_twist_group
 from ltwist.checks import build_registry
 from ltwist.report import (
@@ -219,6 +219,36 @@ def test_dirichlet_avg_rejects_an_infinite_exponent(s, precision, capsys):
                          "--terms", "2000", "--precision", precision]) == 2
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", "error: outside proven half-plane\n")
+
+
+@pytest.mark.parametrize("precision", ["0", "-5", "10", "63"])
+def test_qseries_modular_shares_the_report_precision_floor(precision, capsys):
+    # Below 64 bits the tail and condition bounds 2^(-+precision/2) cannot
+    # support a residual; the CLI, the function and the report's
+    # precision_bits refuse the same values, each naming its own input.
+    assert cli.dispatch(["qseries", "modular", "--k", "2", "--order", "100",
+                         f"--precision={precision}"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: --precision must be at least 64\n")
+    with pytest.raises(ValueError, match="^precision_bits must be at least 64$"):
+        qseries.modular_s_check(2, order=100, precision_bits=int(precision))
+    with pytest.raises(ValueError, match="^precision_bits must be at least 64$"):
+        RunConfig(precision_bits=int(precision)).validate()
+
+
+def test_qseries_modular_runs_at_the_precision_floor(capsys):
+    assert cli.dispatch(["qseries", "modular", "--k", "2", "--order", "100",
+                         "--precision", "64"]) == 0
+    assert json.loads(capsys.readouterr().out)["precision_bits"] == 64
+    RunConfig(precision_bits=64).validate()
+
+
+@pytest.mark.parametrize("precision", ["0", "-3"])
+def test_dirichlet_avg_rejects_a_precision_below_one_bit(precision, capsys):
+    assert cli.dispatch(["dirichlet-avg", "--modulus", "5", "--char", "2", "--s=2",
+                         "--terms", "2000", f"--precision={precision}"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: --precision must be at least 1\n")
 
 
 @pytest.mark.parametrize("text", ["1/2/3", "1/0", "1.5/2"])

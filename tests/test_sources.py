@@ -168,6 +168,20 @@ def test_window_sweeps_name_no_certificate_code():
     assert bad == []
 
 
+def test_representation_checks_build_columns_only_with_the_kernel():
+    # The two checks fetch each operator's compiled kernel once and call it
+    # on every state, on columns relative to the state; neither names the
+    # absolute columns, whose cache and re-keying they would pay for.
+    path = Path(ltwist.__file__).parent / "fock.py"
+    checks = {node.name: set(_identifiers(node))
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.FunctionDef)
+              and node.name in ("_check_representation", "_check_diagonal")}
+    assert all("_relative" in used for used in checks.values())
+    assert {name: used & {"icolumn", "_icolumn"} for name, used in checks.items()} == {
+        "_check_representation": set(), "_check_diagonal": set()}
+
+
 def _defaulted_parameters(tree: ast.Module):
     """(function name, parameter name, position) for every parameter with a
     default, position being its index among the positional arguments a
