@@ -36,8 +36,8 @@ class PeriodicFn:
 
     The value at N is the value at 0 mod N.  Values are stored in their one
     exact form, a rational as a `Rat`, so a `CycloNum` value is irrational.
-    The `even` and `mean_zero` flags are computed from the table, never
-    asserted.
+    The `even` and `mean_zero` flags and the period sum are computed from
+    the table once, never asserted.
     """
 
     __slots__ = ("period", "_by_residue", "_fingerprint", "_flags")
@@ -83,7 +83,9 @@ class PeriodicFn:
         return self._flags["mean_zero"]
 
     def period_sum(self) -> Scalar:
-        return linear_form(self.values(), [1] * self.period)
+        if "sum" not in self._flags:
+            self._flags["sum"] = linear_form(self.values(), [1] * self.period)
+        return self._flags["sum"]
 
     @property
     def is_dirichlet_character(self) -> bool:

@@ -214,6 +214,8 @@ def cmd_qseries_modular(args) -> int:
 
     if args.order < 1:
         raise SystemExit("order must be positive")
+    if args.k < 2:  # the family starts at k = 2
+        raise ValueError("--k must be at least 2")
     check_precision(args.precision, "--precision")
     residual, _ = qseries.modular_s_check(
         args.k, order=args.order, precision_bits=args.precision

@@ -499,7 +499,7 @@ def scalar_parts(x) -> tuple:
     x = sum_i num[i] zeta_order^i / den with den > 0 minimal."""
     if isinstance(x, CycloNum):
         return x.order, x.num, x.den
-    x = rat(x)
+    x = x if isinstance(x, (int, Rat)) else rat(x)
     return 1, (x.numerator,), x.denominator
 
 

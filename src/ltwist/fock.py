@@ -28,21 +28,17 @@ sum_j c(j) :a_{-j} a_{j+M}: plus modes and a scalar, [Q, a_x] =
 -x s(x) a_{x+M} with s(x) = c(x) + c(-x-M), and two such forms are equal
 exactly when their symmetrised coefficients s, their modes and their vacuum
 scalars are (`_form`, `_mismatch`).  Each s is periodic times polynomial in
-x, held as an exact table of coefficients by power of x and residue, so
-equal tables decide it for every x; sampling s only names a witness's x.
+x, held as a table of coefficients by power of x and residue, and a form is
+one rational scale times elements of Z[zeta_m], as a column is: the
+calculus runs on ring operations, equal tables decide s for every x, and
+scalars appear only where a form is built and where a witness is named.
 A state-level check then ties the column code to that representation: each
 residue-pair operator's integer table times its scale is the c of its form,
-and its columns satisfy Q a_{-u} = a_{-u} Q + [Q, a_{-u}] on its window
-(`_check_representation`).  That check walks the states depth-first, calls
-the kernel once per state and keeps only the columns on the current path,
-so its witness is the first bad state in depth-first order.  Relative to q
-= (u,) + p, a_{-u} col(p) is col(p) itself, and the step [Q, a_{-u}] =
-u s(-u) a_{M-u} adds one entry, its coefficient from the table and its
-delta from the units, once per part size u, independently of the kernel's
-record.  On the diagonal (M = 0) the walk carries the scalar <q|Q|q>, one
-addition per state, and one walk checks all the P_0^(r) of a modulus
-(`_check_diagonal`).  There the cutoff bounds the states checked, and a
-certified row skips exactly where the sweep's tightest window is empty.
+and its columns satisfy Q a_{-u} = a_{-u} Q + [Q, a_{-u}] on its window,
+walked depth-first with one kernel call per state (`_check_representation`;
+on the diagonal one walk carries the scalars <q|Q|q> of all the P_0^(r) of
+a modulus, `_check_diagonal`).  There the cutoff bounds the states checked,
+and a certified row skips exactly where the sweep's tightest window is empty.
 The transpose identity is certified the same way: a_x^dagger = a_{-x}
 sends the form at shift M to shift -M with s^dagger(x) = conj(s(x - M))
 (`_adjoint`), and the norm `partition_weight` is checked on the states by
@@ -59,6 +55,7 @@ L(-1, chi.dilate(l)) = l L(-1, chi).
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 import warnings
@@ -274,15 +271,16 @@ def _cross_factors(x, y) -> tuple[int, int]:
 class _OverDenominator:
     """Scalars written as algebraic integers over one positive denominator.
 
-    `den` is the least common denominator; `elements(ring)` gives the
-    numerators as elements of any ring Z[zeta_m] with `order` | m, converted
-    once per ring.
+    `den` is the least common denominator and `scale` its inverse;
+    `elements(ring)` gives the numerators as elements of any ring Z[zeta_m]
+    with `order` | m, converted once per ring.
     """
 
     def __init__(self, values: list):
         parts = [scalar_parts(v) for v in values]
         self.order = math.lcm(1, *(order for order, _, _ in parts))
         self.den = math.lcm(1, *(den for _, _, den in parts))
+        self.scale = rat(1, self.den)
         self._values = values
         self._by_ring: dict = {}
 
@@ -317,7 +315,7 @@ class BilinearOp(Operator):
         self._N = N
         self._cache: dict = {}  # ring -> {state key: integer column}
         self._kernels: dict = {}  # ring -> `_kernel`
-        self._symmetrised = None  # its `_form` table, built on first use
+        self._symmetrised = None  # c(x) + c(-x - M) for `_form`, built on first use
         self._verified = -1  # degree up to which _check_representation passed
         self._entries: list = []  # its nonzero column entries per degree
 
@@ -392,13 +390,15 @@ class BilinearOp(Operator):
         # under a mask have degree sum_u m_u (1 + 255 (u - 1)) mod 255^2 (degree < 255).
         moves, start, pairs, creations = self._kernel(ring)
         M, add, smul, is_zero, zero = self.M, ring.add, ring.smul, ring.is_zero, ring.zero
-        if M:
-            moves = tuple((u - 1, delta, c) for u, delta, c in moves)  # the byte of m_u
+        if M:  # per byte length n of a key, its moves (the byte of m_u, delta, c), u <= n
+            moves = tuple((u - 1, delta, c) for u, delta, c in moves)
+            by_length = tuple(moves[start[n]:] for n in range(MAX_BASIS_DEGREE + 1))
             creations, paired = dict(creations), sum(255 << 8 * (u - 1) for u, _, _ in pairs)
 
-            def column(q: int) -> dict:
-                m, out = q.to_bytes(MAX_BASIS_DEGREE, "little"), {}
-                for i, delta, c in moves[start[(q.bit_length() + 7) >> 3]:]:
+            def column(q: int) -> dict:  # the pairs read the bytes of the parts < M too
+                n, out = (q.bit_length() + 7) >> 3, {}
+                m = q.to_bytes(n if n >= M else M - 1, "little")
+                for i, delta, c in by_length[n]:
                     if k := m[i]:
                         out[delta] = smul(c, k)
                 out.update(creations)
@@ -453,10 +453,8 @@ class ModeOp(Operator):
 
 class ScalarOp(Operator):
     def __init__(self, value):
-        self.value = value
         self._value = _OverDenominator([value])
-        self.order = self._value.order
-        self.scale = rat(1, self._value.den)
+        self.order, self.scale = self._value.order, self._value.scale
 
     def icolumn(self, q: int, ring: CycloRing) -> dict:
         return {q: self._value.elements(ring)[0]}
@@ -471,7 +469,7 @@ class SumOp(Operator):
         self._ops = [op for _, op in live]
         self._weights = _OverDenominator([c * op.scale for c, op in live])
         self.order = math.lcm(self._weights.order, *(op.order for op in self._ops))
-        self.scale = rat(1, self._weights.den)
+        self.scale = self._weights.scale
 
     def icolumn(self, q: int, ring: CycloRing) -> dict:
         out: dict = {}
@@ -525,7 +523,8 @@ def commutator_window(D: int, *shift_budgets: int) -> list[int]:
 
 
 class _Form:
-    """An operator of degree <= 2 in the modes, exactly on the Fock space.
+    """An operator of degree <= 2 in the modes, exactly on the Fock space,
+    as `scale` (a Rat) times a form with entries in `ring`, as columns are.
 
     `quad` maps a shift M to a bilinear sum_j c(j) :a_{-j} a_{j+M}:, held
     by the table of its symmetrised coefficient s(x) = c(x) + c(-x-M)
@@ -537,155 +536,176 @@ class _Form:
     are.
     """
 
-    __slots__ = ("quad", "lin", "z")
+    __slots__ = ("ring", "scale", "quad", "lin", "z")
 
-    def __init__(self, quad: dict, lin: dict, z: Scalar):
-        self.quad, self.lin, self.z = quad, lin, z
+    def __init__(self, ring: CycloRing, scale, quad: dict, lin: dict, z):
+        self.ring, self.scale, self.quad, self.lin, self.z = ring, scale, quad, lin, z
 
 
-def _form(op: Operator) -> _Form:
-    """The form of an operator built from BilinearOp, ModeOp, ScalarOp,
-    SumOp and CommutatorOp."""
+def _form(op: Operator, ring: CycloRing) -> _Form:
+    """The form in `ring` of an operator of BilinearOp, ModeOp, ScalarOp,
+    SumOp and CommutatorOp; a bilinear's from its coefficient, not its
+    columns' table.  Scalars enter here, by `ring.from_scalar`."""
     if isinstance(op, BilinearOp):
-        if op._symmetrised is None:  # k (c(x) + c(-x - M)), once per operator
-            c, M, k = op.coeff, op.M, op.prefactor
-            op._symmetrised = (tuple(k * (c(x) + c(-x - M)) for x in range(c.period)),)
-        return _Form({op.M: op._symmetrised}, {}, rat(0))
+        if op._symmetrised is None:  # c(x) + c(-x - M) over its scale, once per operator
+            c, M = op.coeff, op.M
+            sym = _OverDenominator([c(x) + c(-x - M) for x in range(c.period)])
+            op._symmetrised = sym, op.prefactor * sym.scale
+        sym, scale = op._symmetrised
+        return _Form(ring, scale, {op.M: (tuple(sym.elements(ring)),)}, {}, ring.zero)
     if isinstance(op, ModeOp):
-        return _Form({}, {op.k: rat(1)} if op.k else {}, rat(0))
+        return _Form(ring, op.scale, {}, {op.k: ring.one} if op.k else {}, ring.zero)
     if isinstance(op, ScalarOp):
-        return _Form({}, {}, op.value)
+        return _Form(ring, op.scale, {}, {}, op._value.elements(ring)[0])
     if isinstance(op, SumOp):
-        return _combine([(c, _form(o)) for c, o in op.terms])
+        return _combine([(c, _form(o, ring)) for c, o in op.terms], ring)
     if isinstance(op, CommutatorOp):
-        return _bracket(_form(op.A), _form(op.B))
+        return _bracket(_form(op.A, ring), _form(op.B, ring))
     raise TypeError(f"no normal-ordering form for {type(op).__name__}")
 
 
-def _lifted(a: tuple, b: tuple) -> tuple:
-    """Two tables on one period and number of rows, added rows being int 0."""
+def _lifted(a: tuple, b: tuple, zero) -> tuple:
+    """Two tables on one period and number of rows, added rows being `zero`."""
     period, rows = math.lcm(len(a[0]), len(b[0])), max(len(a), len(b))
     return tuple(tuple(row * (period // len(row)) for row in t)
-                 + ((0,) * period,) * (rows - len(t)) for t in (a, b))
+                 + ((zero,) * period,) * (rows - len(t)) for t in (a, b))
 
 
-def _add_rows(a: tuple, b: tuple) -> tuple:
-    return tuple(tuple(map(operator.add, x, y)) for x, y in zip(*_lifted(a, b)))
+def _add_rows(a: tuple, b: tuple, ring: CycloRing) -> tuple:
+    return tuple(tuple(map(ring.add, x, y)) for x, y in zip(*_lifted(a, b, ring.zero)))
 
 
-def _shifted(rows: tuple, r: int, M: int) -> list:
+def _shifted(rows: tuple, r: int, M: int, ring: CycloRing) -> list:
     """The coefficients in x of s(x + M) for x = r mod the period; at r = 0
     the first is s(M)."""
+    add, smul = ring.add, ring.smul
     cs = [row[(r + M) % len(row)] for row in rows]
-    for i in range(len(cs) - 1):  # Taylor shift by M
+    for i in range(len(cs) - 1 if M else 0):  # Taylor shift by M
         for k in range(len(cs) - 2, i - 1, -1):
-            cs[k] = cs[k] + M * cs[k + 1]
+            cs[k] = add(cs[k], smul(cs[k + 1], M))
     return cs
 
 
-def _shifted_product(a: tuple, b: tuple, M: int, r: int) -> list:
-    """The coefficients in x of (x + M) a(x) b(x + M), x = r mod the periods;
-    zero factors, most residues of a pair indicator, are skipped."""
-    prod: list = [rat(0)] * (len(a) + len(b))  # x a(x) b(x + M), then plus M a(x) b(x + M)
-    pb = [(j, y) for j, y in enumerate(_shifted(b, r, M), start=1) if y]
-    for i, x in enumerate(_shifted(a, r, 0)):
-        for j, y in pb if x else ():
-            prod[i + j] += x * y
-    for k in range(len(prod) - 1):
-        if prod[k + 1]:
-            prod[k] += M * prod[k + 1]
-    return prod
+def _shifted_product(a: tuple, b: tuple, M: int, period: int, ring: CycloRing) -> list:
+    """Per residue r mod `period`, the coefficients in x of 2 (x + M) a(x)
+    b(x + M), x = r; zero factors (most, for a pair indicator) are skipped."""
+    add, mul, smul, is_zero = ring.add, ring.mul, ring.smul, ring.is_zero
+    out = [[ring.zero] * (len(a) + len(b))] * period
+    for r in sorted({r + k for row in a for r, x in enumerate(row) if not is_zero(x)
+                     for k in range(0, period, len(row))}):  # where a(x) is not 0
+        pa = [(i, smul(x, 2)) for i, row in enumerate(a) if not is_zero(x := row[r % len(row)])]
+        prod = out[r].copy()  # 2 x a(x) b(x + M), then plus 2 M a(x) b(x + M)
+        pb = [(j, y) for j, y in enumerate(_shifted(b, r, M, ring), start=1) if not is_zero(y)]
+        for i, x in pa:
+            for j, y in pb:
+                prod[i + j] = add(prod[i + j], mul(x, y))
+        for k in range(len(prod) - 1):
+            if not is_zero(prod[k + 1]):
+                prod[k] = add(prod[k], smul(prod[k + 1], M))
+        out[r] = prod
+    return out
 
 
-def _combine(terms) -> _Form:
-    """sum_i c_i f_i for scalars c_i and forms f_i."""
-    quad: dict = {}
-    lin: dict = {}
-    z: Scalar = rat(0)
-    for c, f in terms:
+def _combine(terms, ring: CycloRing) -> _Form:
+    """sum_i c_i f_i for scalars c_i and forms f_i in `ring`, the weights
+    c_i f_i.scale over one denominator, which is the sum's scale."""
+    weights = _OverDenominator([c * f.scale for c, f in terms])
+    add, mul = ring.add, ring.mul
+    quad, lin, z = {}, {}, ring.zero
+    for w, (_, f) in zip(weights.elements(ring), terms):
         for M, rows in f.quad.items():
-            rows = tuple(tuple(c * v if v else v for v in row) for row in rows)
-            quad[M] = _add_rows(quad[M], rows) if M in quad else rows
-        for x, w in f.lin.items():
-            lin[x] = lin.get(x, rat(0)) + c * w
-        z = z + c * f.z
-    return _Form(quad, lin, z)
+            rows = tuple(tuple(mul(w, v) for v in row) for row in rows)
+            quad[M] = _add_rows(quad[M], rows, ring) if M in quad else rows
+        for x, v in f.lin.items():
+            lin[x] = add(lin[x], mul(w, v)) if x in lin else mul(w, v)
+        z = add(z, mul(w, f.z))
+    return _Form(ring, weights.scale, quad, lin, z)
 
 
 def _bracket(f1: _Form, f2: _Form) -> _Form:
     """[f1, f2] by the rules [Q, a_x] = -x s(x) a_{x+M}, [a_x, a_y] =
     x delta_{x+y,0}, and, for [Q1, Q2] at M1 + M2 = 0, the vacuum scalar
     <0|[Q1, Q2]|0> = (1/2) sum_{0<p<M1} p (M1-p) s1(-p) s2(p) when M1 > 0
-    (minus the same sum with the roles of -p and p swapped when M1 < 0)."""
-    quad: dict = {}
-    lin: dict = {}
-    z: Scalar = rat(0)
+    (minus the same sum with the roles of -p and p swapped when M1 < 0).
+    The 1/2 goes into the scale, half f1's times f2's, all else doubled."""
+    ring = f1.ring
+    add, sub, mul, smul = ring.add, ring.sub, ring.mul, ring.smul
+    quad, lin, z = {}, {}, ring.zero
 
     def put(x: int, w) -> None:
         if x:  # a_0 = 0
-            lin[x] = lin.get(x, rat(0)) + w
+            lin[x] = add(lin[x], w) if x in lin else w
+
+    def at(s: tuple, x: int):
+        return _shifted(s, 0, x, ring)[0]
 
     for M1, s1 in f1.quad.items():
         for M2, s2 in f2.quad.items():
             # [[Q1, Q2], a_x] by Jacobi: the symmetrised coefficient
             # (x + M1) s1(x) s2(x + M1) - (x + M2) s2(x) s1(x + M2)
             M, period = M1 + M2, math.lcm(len(s1[0]), len(s2[0]))
-            s = tuple(zip(*(map(lambda x, y: x - y if y else x, _shifted_product(s1, s2, M1, r),
-                                _shifted_product(s2, s1, M2, r)) for r in range(period))))
-            quad[M] = _add_rows(quad[M], s) if M in quad else s
+            s = tuple(zip(*map(lambda x, y: map(sub, x, y),
+                               _shifted_product(s1, s2, M1, period, ring),
+                               _shifted_product(s2, s1, M2, period, ring))))
+            quad[M] = _add_rows(quad[M], s, ring) if M in quad else s
             if M == 0:
                 e = 1 if M1 > 0 else -1  # p runs over 0 < p < |M1|
-                z = z + e * sum((p * (e * M1 - p) * _shifted(s1, 0, -e * p)[0]
-                                 * _shifted(s2, 0, e * p)[0] for p in range(1, e * M1)),
-                                rat(0)) * rat(1, 2)
+                for p in range(1, e * M1):
+                    z = add(z, smul(mul(at(s1, -e * p), at(s2, e * p)), e * p * (e * M1 - p)))
         for x, w in f2.lin.items():
-            put(x + M1, -w * x * _shifted(s1, 0, x)[0])
+            put(x + M1, smul(mul(w, at(s1, x)), -2 * x))
     for x, w in f1.lin.items():
         for M2, s2 in f2.quad.items():
-            put(x + M2, w * x * _shifted(s2, 0, x)[0])
+            put(x + M2, smul(mul(w, at(s2, x)), 2 * x))
         for y, v in f2.lin.items():
             if x + y == 0:
-                z = z + w * v * x
-    return _Form(quad, lin, z)
+                z = add(z, smul(mul(w, v), 2 * x))
+    return _Form(ring, f1.scale * f2.scale / 2, quad, lin, z)
 
 
 def _mismatch(lhs: _Form, rhs: _Form) -> Optional[tuple]:
     """(x, got, want) at the first x where the symmetrised coefficients or
-    the mode weights of two forms differ, ("central", got, want) when only
-    their scalars do, or None when the operators are equal.  The lifted
-    tables decide; unequal ones are sampled at degree + 2 points per residue
-    (one spares x = -M) to name the first x, a missing shift reading as 0."""
-    zero = rat(0)
+    the mode weights of two forms of one ring differ, ("central", got,
+    want) when only their scalars do, or None when the operators are equal.
+    Entries are compared at a common denominator: the lifted tables decide,
+    and unequal ones are sampled at degree + 2 points per residue (one
+    spares x = -M) to name the first x.  Scalars leave by `ring.to_scalar`,
+    a missing shift reading as 0."""
+    ring = lhs.ring
+    smul, zero, to_scalar = ring.smul, ring.zero, ring.to_scalar
+    a, b = _cross_factors(lhs.scale, rhs.scale)
     for M in sorted(set(lhs.quad) | set(rhs.quad)):
-        a, b = _lifted(lhs.quad.get(M, ((0,),)), rhs.quad.get(M, ((0,),)))
-        if a != b:
-            for x in range(1, (len(a) + 1) * len(a[0]) + 1):
-                if x != -M:
-                    got, want = _shifted(a, 0, x)[0], _shifted(b, 0, x)[0]
-                    if got != want:
-                        return (x, got, want)
+        s, t = _lifted(lhs.quad.get(M, ((zero,),)), rhs.quad.get(M, ((zero,),)), zero)
+        if [[smul(x, a) for x in row] for row in s] != [[smul(y, b) for y in row] for row in t]:
+            for x in range(1, (len(s) + 1) * len(s[0]) + 1):
+                got, want = _shifted(s, 0, x, ring)[0], _shifted(t, 0, x, ring)[0]
+                if x != -M and smul(got, a) != smul(want, b):
+                    return (x, to_scalar(got, lhs.scale) if M in lhs.quad else 0,
+                            to_scalar(want, rhs.scale) if M in rhs.quad else 0)
     for x in sorted(set(lhs.lin) | set(rhs.lin)):
         got, want = lhs.lin.get(x, zero), rhs.lin.get(x, zero)
-        if got != want:
-            return (x, got, want)
-    if lhs.z != rhs.z:
-        return ("central", lhs.z, rhs.z)
+        if smul(got, a) != smul(want, b):
+            return (x, to_scalar(got, lhs.scale), to_scalar(want, rhs.scale))
+    if smul(lhs.z, a) != smul(rhs.z, b):
+        return ("central", to_scalar(lhs.z, lhs.scale), to_scalar(rhs.z, rhs.scale))
     return None
 
 
 def _adjoint(f: _Form) -> _Form:
     """f^dagger for a_x^dagger = a_{-x}: (:a_{-j} a_{j+M}:)^dagger =
     :a_{-(j+M)} a_j:, so shift M goes to -M with s^dagger(x) = conj(s(x - M)),
-    weight w on a_x to conj(w) on a_{-x}, and z to conj(z)."""
-    quad = {-M: tuple(zip(*([c.conjugate() for c in _shifted(s, r, -M)]
+    weight w on a_x to conj(w) on a_{-x}, z to conj(z), the scale kept."""
+    ring, conj = f.ring, f.ring.conj
+    quad = {-M: tuple(zip(*([conj(c) for c in _shifted(s, r, -M, ring)]
                             for r in range(len(s[0])))))
             for M, s in f.quad.items()}
-    return _Form(quad, {-x: w.conjugate() for x, w in f.lin.items()}, f.z.conjugate())
+    return _Form(ring, f.scale, quad, {-x: conj(w) for x, w in f.lin.items()}, conj(f.z))
 
 
 def _certify(lhs: Operator, rhs: Operator) -> VerifyResult:
-    """lhs == rhs on the whole Fock space, by their normal-ordering forms."""
-    witness = _mismatch(_form(lhs), _form(rhs))
+    """lhs == rhs on the whole Fock space, by their forms in one ring."""
+    ring = cyclo_ring(math.lcm(lhs.order, rhs.order))
+    witness = _mismatch(_form(lhs, ring), _form(rhs, ring))
     return VerifyResult(witness is None, 1, witness)
 
 
@@ -880,12 +900,10 @@ def _pair_residues(N: int) -> range:
 
 
 def _pair_combination(N: int, coeffs: Sequence) -> PeriodicFn:
-    """sum_r coeffs[r-1] 1_r over the pair residues r, as a PeriodicFn."""
-    values: list = [rat(0)] * N
-    for r, c in zip(_pair_residues(N), coeffs):
-        ind = pair_indicator(N, r)
-        values = [v + c * ind(u) for u, v in enumerate(values, start=1)]
-    return PeriodicFn(N, values)
+    """sum_r coeffs[r-1] 1_r over the pair residues r, as a PeriodicFn: the
+    value at u = +-r mod N is coeffs[r-1], at u = 0 it is 0."""
+    by_pair = dict(zip(_pair_residues(N), coeffs))
+    return PeriodicFn(N, [by_pair.get(min(u % N, -u % N), rat(0)) for u in range(1, N + 1)])
 
 
 def _pair_coefficients(f: PeriodicFn) -> Optional[list]:
@@ -1029,11 +1047,6 @@ def verify_lemma_2_3(chi: PeriodicFn, k: int, n: int, D: int) -> VerifyResult:
     return VerifyResult(witness is None, len(window), witness)
 
 
-def _certify_lemma_2_3(chi: PeriodicFn, k: int, n: int) -> VerifyResult:
-    """Lemma 2.3 for one (chi, k, n) on the whole Fock space."""
-    return _certify(*_lemma_2_3_sides(chi, k, n))
-
-
 def verify_lemma_2_3_suite(G: TwistGroup, D: int) -> VerifyResult:
     """Lemma 2.3 for every element of G, |k| <= 6 and |n| <= 2.
 
@@ -1058,7 +1071,7 @@ def certify_lemma_2_3_suite(G: TwistGroup, D: int) -> VerifyResult:
     the window of k = 6, n = 2 is empty."""
     N = G.period
     _window_budget(D, _LEMMA_KS[-1], _LEMMA_NS[-1] * N)
-    res = _lemma_2_3_suite(G, _certify_lemma_2_3)
+    res = _lemma_2_3_suite(G, lambda chi, k, n: _certify(*_lemma_2_3_sides(chi, k, n)))
     return _with_representation(res, N, D, _LEMMA_NS)
 
 
@@ -1110,27 +1123,28 @@ def _bracket_rhs(prod: PeriodicFn, m: int, n: int, lm1=l_minus_one) -> Operator:
 
 
 def _bracket_sides(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int,
-                   lm1=l_minus_one) -> tuple:
+                   lm1=l_minus_one, prod: Optional[PeriodicFn] = None) -> tuple:
+    """The two sides of Theorem 2.4; `prod`, when given, is f1 f2."""
     lhs = CommutatorOp(build_L(f1, m), build_L(f2, n))
-    return lhs, _bracket_rhs(pf_mul(f1, f2), m, n, lm1=lm1)
+    return lhs, _bracket_rhs(pf_mul(f1, f2) if prod is None else prod, m, n, lm1=lm1)
 
 
 def _verify_bracket(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int, D: int,
-                    lm1=l_minus_one) -> VerifyResult:
+                    lm1=l_minus_one, prod: Optional[PeriodicFn] = None) -> VerifyResult:
     """[L_m^{f1}, L_n^{f2}] against `_bracket_rhs(f1 f2, ...)`, exactly on
     the window."""
     N = f1.period
     window = commutator_window(D, m * N, n * N)
-    lhs, rhs = _bracket_sides(f1, f2, m, n, lm1)
+    lhs, rhs = _bracket_sides(f1, f2, m, n, lm1, prod)
     witness = lhs.matrix_equal(rhs, window)
     return VerifyResult(witness is None, len(window), witness)
 
 
 def _certify_bracket(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int,
-                     lm1=l_minus_one) -> VerifyResult:
+                     lm1=l_minus_one, prod: Optional[PeriodicFn] = None) -> VerifyResult:
     """The identity of `_verify_bracket` on the whole Fock space; the
     witness is (x, got, want) or ("central", got, want)."""
-    return _certify(*_bracket_sides(f1, f2, m, n, lm1=lm1))
+    return _certify(*_bracket_sides(f1, f2, m, n, lm1, prod))
 
 
 def verify_theorem_2_4(
@@ -1166,8 +1180,8 @@ def verify_theorem_2_4_suite(
     out_state, got, want).  When `case_log` is given, one
     (a, b, m, n, passed, witness) entry is appended per ordered case.
     """
-    def case(f1, f2, m, n, lm1=l_minus_one):
-        return _verify_bracket(f1, f2, m, n, D, lm1=lm1)
+    def case(f1, f2, m, n, lm1=l_minus_one, prod=None):
+        return _verify_bracket(f1, f2, m, n, D, lm1, prod)
 
     return _theorem_2_4_suite(G, max_mode, case, case_log)
 
@@ -1193,8 +1207,8 @@ def certify_theorem_2_4_suite(G: TwistGroup, D: int,
 
 def _theorem_2_4_suite(G: TwistGroup, max_mode: int, case,
                        case_log: Optional[list]) -> VerifyResult:
-    """The suite with `case(f1, f2, m, n, lm1=...) -> VerifyResult` deciding
-    one case."""
+    """The suite with `case(f1, f2, m, n, lm1=..., prod=...) ->
+    VerifyResult` deciding one case."""
     N = G.period
     es = range(len(G))
     span = range(-max_mode, max_mode + 1)
@@ -1213,12 +1227,8 @@ def _pair_certificate(G: TwistGroup, span: range) -> bool:
     coeffs = [_pair_coefficients(chi) for chi in G.elements]
     if any(c is None for c in coeffs):
         return False
-    central = {}
-    for r in _pair_residues(N):
-        ind = pair_indicator(N, r)
-        lm1 = _l_minus_one_form(ind)
-        for m in span:
-            central[r, m] = _central_term(ind, lm1, m)
+    pairs = [pair_indicator(N, r) for r in _pair_residues(N)]
+    central = [[_central_term(f, _l_minus_one_form(f), m) for f in pairs] for m in span]
     for a, chi1 in enumerate(G.elements):
         for b, chi2 in enumerate(G.elements):
             prod = pf_mul(chi1, chi2)
@@ -1226,24 +1236,20 @@ def _pair_certificate(G: TwistGroup, span: range) -> bool:
             if prod != _pair_combination(N, c):
                 return False
             lm1 = l_minus_one(prod)
-            for m in span:
-                want = sum(
-                    (cr * central[r, m] for r, cr in zip(_pair_residues(N), c)), rat(0)
-                )
-                if _central_term(prod, lm1, m) != want:
-                    return False
+            if [_central_term(prod, lm1, m) for m in span] != [
+                    sum(map(operator.mul, c, row), rat(0)) for row in central]:
+                return False
     return True
 
 
 def _pair_cases_2_4(N: int, span: range, case) -> bool:
+    """The unordered pair-basis cases ((r, m), (s, n)), each given 1_r 1_s =
+    delta_rs 1_r in closed form, so one operator per product is built."""
+    zero = PeriodicFn(N, [rat(0)] * N)
     items = [(r, m) for r in _pair_residues(N) for m in span]
-    for i, (r, m) in enumerate(items):
-        for s, n in items[i:]:
-            res = case(pair_indicator(N, r), pair_indicator(N, s), m, n,
-                       lm1=_l_minus_one_form)
-            if not res.passed:
-                return False
-    return True
+    return all(case(pair_indicator(N, r), pair_indicator(N, s), m, n, lm1=_l_minus_one_form,
+                    prod=pair_indicator(N, r) if r == s else zero).passed
+               for i, (r, m) in enumerate(items) for s, n in items[i:])
 
 
 def _theorem_2_4_by_elements(G: TwistGroup, cases: list, case_log: Optional[list],
@@ -1252,14 +1258,11 @@ def _theorem_2_4_by_elements(G: TwistGroup, cases: list, case_log: Optional[list
     outcomes: dict = {}
     failure = None
     for total, (a, b, m, n) in enumerate(cases, start=1):
-        key = ((a, m), (b, n))
-        swapped = (key[1], key[0])
-        if swapped in outcomes:
-            outcomes[key] = outcomes[swapped]
-        else:
+        outcome = outcomes.get((b, n, a, m))  # the swapped case's
+        if outcome is None:
             res = case(G.elements[a], G.elements[b], m, n)
-            outcomes[key] = (res.passed, res.witness)
-        passed, witness = outcomes[key]
+            outcome = res.passed, res.witness
+        passed, witness = outcomes[a, m, b, n] = outcome
         if case_log is not None:
             case_log.append((a, b, m, n, passed, witness))
         if not passed and failure is None:
@@ -1302,31 +1305,23 @@ def _theorem_3_1(G: TwistGroup, case) -> VerifyResult:
     k = len(G)
     b = G.elements[G.identity].period_sum()
     _check_projectors(k)
-    span = range(-_MAX_MODE, _MAX_MODE + 1)
-    total = 0
-    seen = set()
-    for i in range(1, k + 1):
-        for jdx in range(1, k + 1):
-            for m in span:
-                for n in span:
-                    key = ((i, m), (jdx, n))
-                    if (key[1], key[0]) in seen:
-                        total += 1
-                        continue
-                    seen.add(key)
-                    lhs = CommutatorOp(build_T(G, i, m), build_T(G, jdx, n))
-                    terms = []
-                    if i == jdx:
-                        if m != n:
-                            terms.append((rat(m - n), build_T(G, i, m + n)))
-                        if m == -n:
-                            central = b * rat(m**3, 12 * k)
-                            terms.append((1, ScalarOp(central)))
-                    witness = case(lhs, SumOp(terms), m, n)
-                    total += 1
-                    if witness is not None:
-                        return VerifyResult(False, total, ((i, jdx, m, n),) + witness)
-    return VerifyResult(True, total, None)
+    span, seen = range(-_MAX_MODE, _MAX_MODE + 1), set()
+    cases = list(itertools.product(range(1, k + 1), range(1, k + 1), span, span))
+    for total, (i, jdx, m, n) in enumerate(cases, start=1):
+        if ((jdx, n), (i, m)) in seen:
+            continue
+        seen.add(((i, m), (jdx, n)))
+        lhs = CommutatorOp(build_T(G, i, m), build_T(G, jdx, n))
+        terms = []
+        if i == jdx:
+            if m != n:
+                terms.append((rat(m - n), build_T(G, i, m + n)))
+            if m == -n:
+                terms.append((1, ScalarOp(b * rat(m**3, 12 * k))))
+        witness = case(lhs, SumOp(terms), m, n)
+        if witness is not None:
+            return VerifyResult(False, total, ((i, jdx, m, n),) + witness)
+    return VerifyResult(True, len(cases), None)
 
 
 def _check_projectors(k: int) -> None:
@@ -1344,10 +1339,8 @@ def _check_projectors(k: int) -> None:
             raise ArithmeticError("averaging projector is not idempotent")
         if any(x for j in P if j != i for row in matmul(P[i], P[j]) for x in row):
             raise ArithmeticError("averaging projectors overlap")
-    for s in ks:
-        for t in ks:
-            if sum((P[i][s][t] for i in P), rat(0)) != (rat(1) if s == t else rat(0)):
-                raise ArithmeticError("averaging projectors do not resolve identity")
+    if any(sum((P[i][s][t] for i in P), rat(0)) != (s == t) for s in ks for t in ks):
+        raise ArithmeticError("averaging projectors do not resolve identity")
 
 
 def verify_eq_3_28(N: int, i: int) -> VerifyResult:
@@ -1447,8 +1440,9 @@ def certify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
     top = _window_budget(D, n * N)
     if coeffs is None:
         raise ValueError("twist function is not a combination of residue pairs")
-    A = build_L(chi, n)
-    witness = _mismatch(_adjoint(_form(A)), _form(build_L(chi.conj(), -n)))
+    A, B = build_L(chi, n), build_L(chi.conj(), -n)
+    ring = cyclo_ring(math.lcm(A.order, B.order))
+    witness = _mismatch(_adjoint(_form(A, ring)), _form(B, ring))
     res = _with_representation(VerifyResult(witness is None, 0, witness), N, D, (n,))
     if not res.passed:
         return res

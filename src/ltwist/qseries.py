@@ -409,8 +409,8 @@ def modular_s_check(
 
     Evaluates the characters at k+1 points on the imaginary axis, solves
     the k x k change of basis on the first k, and returns the maximum
-    residual on the held-out points.  Raises on a precision below 64 bits,
-    an ill-conditioned solve, and series tails not below 2^(-precision/2).
+    residual on the held-out points.  Raises on k < 2, a precision below 64
+    bits, an ill-conditioned solve, and series tails not below 2^(-prec/2).
 
     Invariance under tau -> tau + 2k+1 needs no numeric check: every
     exponent lies in h - c/24 + Z and (2k+1)(h - c/24) differs from an
@@ -419,6 +419,8 @@ def modular_s_check(
     """
     import mpmath
 
+    if k < 2:
+        raise ValueError("k must be at least 2")
     check_precision(precision_bits)
     ts = [0.8 + 0.6 * a / k for a in range(k + 1)]
     chars = [minimal_char(k, i, order) for i in range(1, k + 1)]

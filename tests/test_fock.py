@@ -789,24 +789,32 @@ def _pointwise_adjoint(pointwise):
     return {-M: (lambda x, s=s, M=M: s(x - M).conjugate()) for M, s in pointwise.items()}
 
 
-def _assert_tables(quad, pointwise):
-    # s(x) = sum_d rows[d][x mod period] x^d at every x in [-3P, 3P], and the
-    # value a witness reads has the type of the pointwise one
-    assert set(quad) == set(pointwise)
-    for M, rows in quad.items():
+def _assert_tables(form, pointwise):
+    # s(x) = scale * sum_d rows[d][x mod period] x^d at every x in [-3P, 3P],
+    # the rows holding elements of the form's ring, and the value a witness
+    # reads through the form's scale has the type of the pointwise one
+    ring, scale = form.ring, form.scale
+    assert set(form.quad) == set(pointwise)
+    for M, rows in form.quad.items():
         P = len(rows[0])
         for x in range(-3 * P, 3 * P + 1):
             want = pointwise[M](x)
-            assert sum(row[x % P] * x**d for d, row in enumerate(rows)) == want, (M, x)
-            got = fock._shifted(rows, 0, x)[0]
+            horner = ring.zero
+            for row in reversed(rows):
+                horner = ring.add(ring.smul(horner, x), row[x % P])
+            assert ring.to_scalar(horner, scale) == want, (M, x)
+            got = ring.to_scalar(fock._shifted(rows, 0, x, ring)[0], scale)
             assert type(got) is type(want) and got == want, (M, x)
 
 
-def _assert_forms_are_pointwise(*ops):
+def _assert_forms_are_pointwise(*ops, order=1):
+    # each form in the ring of its operator's order times `order`, so a form
+    # is also read lifted to a larger ring
     for op in ops:
-        form, pointwise = fock._form(op), _pointwise(op)
-        _assert_tables(form.quad, pointwise)
-        _assert_tables(fock._adjoint(form).quad, _pointwise_adjoint(pointwise))
+        ring = cyclo_ring(op.order * order)
+        form, pointwise = fock._form(op, ring), _pointwise(op)
+        _assert_tables(form, pointwise)
+        _assert_tables(fock._adjoint(form), _pointwise_adjoint(pointwise))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -823,6 +831,32 @@ def test_coefficient_tables_of_the_bracket_row_match_the_pointwise_rules():
         for s, n in items[i:]:
             _assert_forms_are_pointwise(*fock._bracket_sides(
                 pair_indicator(7, r), pair_indicator(7, s), m, n, lm1=_l_minus_one_form))
+
+
+def test_pair_cases_take_each_product_in_closed_form(monkeypatch):
+    # The pair cases of fock:bracket:7 use 1_r 1_s = delta_rs 1_r: pf_mul
+    # runs at most once per (r, s), not once per case (120 of them), and a
+    # case certified with the closed-form product is the case with pf_mul's.
+    N, span = 7, range(-2, 3)
+    calls: list = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return pf_mul(a, b)
+
+    monkeypatch.setattr(fock, "pf_mul", counted)
+    assert fock._pair_cases_2_4(N, span, fock._certify_bracket)
+    assert len(calls) <= len(fock._pair_residues(N)) ** 2
+    zero = PeriodicFn(N, [rat(0)] * N)
+    for r in fock._pair_residues(N):
+        for s in fock._pair_residues(N):
+            f1, f2 = pair_indicator(N, r), pair_indicator(N, s)
+            prod = f1 if r == s else zero
+            assert pf_mul(f1, f2) == prod
+            for m, n in ((1, -1), (2, 0), (-1, -1)):
+                closed = fock._certify_bracket(f1, f2, m, n, lm1=_l_minus_one_form, prod=prod)
+                assert closed.passed and fock._certify_bracket(
+                    f1, f2, m, n, lm1=_l_minus_one_form).passed, (r, s, m, n)
 
 
 def test_coefficient_tables_of_dilated_and_nested_brackets():
@@ -863,6 +897,56 @@ def test_quad_witnesses_are_pinned(sides, witness):
     G = even_twist_group(7)
     g, h = G.elements[1], G.elements[2]  # values in Q(zeta_3)
     assert repr(fock._certify(*sides(pair_indicator(7, 1), g, h)).witness) == witness
+
+
+def test_cyclotomic_witnesses_are_the_scalars_of_the_pointwise_rules():
+    # Witnesses in Q(zeta_3) read off integer tables through the form's
+    # scale: a table mismatch on a form whose scale the vacuum sum halved, a
+    # central mismatch and a mode weight mismatch, each the value and type
+    # the scalar rules give.
+    G = even_twist_group(7)
+    g, h = G.elements[1], G.elements[2]
+    f = PeriodicFn(7, [zeta(3) * g(u) for u in range(1, 8)])  # f(1) = zeta_3
+    cases = [
+        (CommutatorOp(build_L(f, 1), build_L(g, -1)), SumOp([(rat(3), build_L(pf_mul(f, g), 0))]),
+         (1, zeta(3) * rat(2, 7), zeta(3) * rat(3, 7))),
+        (CommutatorOp(build_L(g, 1), build_L(h, -1)),
+         SumOp([(rat(2), build_L(pf_mul(g, h), 0)), (1, ScalarOp(g(3) * rat(1, 7)))]),
+         ("central", rat(4, 7), g(3) * rat(1, 7))),
+        (CommutatorOp(ModeOp(3), build_L(g, 0)), SumOp([(g(3) * rat(6, 7), ModeOp(3))]),
+         (3, g(3) * rat(3, 7), g(3) * rat(6, 7))),
+    ]
+    for lhs, rhs, want in cases:
+        got = fock._certify(lhs, rhs).witness
+        assert got == want and [type(x) for x in got] == [type(x) for x in want], got
+        assert type(want[2]) is CycloNum
+
+
+def test_adjoints_in_cyclotomic_rings_are_the_operator_adjoints():
+    # [A, B]^dagger = [B^dagger, A^dagger] with (L_n^f)^dagger = L_{-n}^{fbar},
+    # (c a_k)^dagger = conj(c) a_{-k} and z^dagger = conj(z), for twists
+    # with values in Q(zeta_3) and Q(zeta_4), a dilated one among them:
+    # tables, mode weights and the vacuum scalar of the halved bracket form
+    # (M1 + M2 = 0), in the lcm ring Z[zeta_12].  Dropping one conjugation
+    # leaves a witness.
+    f4 = _even_periodic(8, [zeta(4), rat(1, 2), 1 - zeta(4), rat(0)])
+    f3 = _even_periodic(4, [zeta(3), rat(-1, 3)]).dilate(2)
+    c, z = zeta(4) + rat(1, 3), zeta(3) * rat(2, 5)
+
+    def sides(m, n, k, conj_c=True):
+        A = SumOp([(1, build_L(f4, m)), (c, ModeOp(k))])
+        B = SumOp([(1, build_L(f3, n)), (1, ScalarOp(z)), (1, ModeOp(-k))])
+        Ad = SumOp([(1, build_L(f4.conj(), -m)), (c.conjugate() if conj_c else c, ModeOp(-k))])
+        Bd = SumOp([(1, build_L(f3.conj(), -n)), (1, ScalarOp(z.conjugate())), (1, ModeOp(k))])
+        lhs, rhs = CommutatorOp(A, B), CommutatorOp(Bd, Ad)
+        ring = cyclo_ring(math.lcm(lhs.order, rhs.order))
+        return fock._adjoint(fock._form(lhs, ring)), fock._form(rhs, ring), ring
+
+    for m, n, k in ((1, -1, 3), (1, 0, -2), (-2, 1, 5), (2, -2, 1)):
+        got, want, ring = sides(m, n, k)
+        assert ring.order == 12 and fock._mismatch(got, want) is None, (m, n, k)
+        _assert_forms_are_pointwise(build_L(f4, m), build_L(f3, n), order=3)
+        assert fock._mismatch(*sides(m, n, k, conj_c=False)[:2]) is not None, (m, n, k)
 
 
 def _kernel_key_order(op, p, ring):
@@ -1211,12 +1295,15 @@ def test_transpose_row_value_does_not_depend_on_earlier_checks(monkeypatch):
 def test_transpose_certificate_needs_the_conjugation(monkeypatch):
     # Without conj the adjoint of L_n^x is L_{-n}^x: true for the real
     # character mod 7, false for the two cubic ones.  The mutation drops the
-    # scalars' conjugation; chibar, the twist of the adjoint side, keeps it.
+    # conjugation of the rings the twists' values live in, which the
+    # certificate's tables and the scalars share; chibar, the twist of the
+    # adjoint side, keeps it.
     elements = even_twist_group(7).elements
     bars = {chi.fingerprint(): chi.conj() for chi in elements}
     cubic = [a for a, chi in enumerate(elements) if chi != bars[chi.fingerprint()]]
     monkeypatch.setattr(PeriodicFn, "conj", lambda chi: bars[chi.fingerprint()])
-    monkeypatch.setattr(CycloNum, "conjugate", lambda x: x)
+    for order in {BilinearOp(chi, 7, rat(1, 14)).order for chi in elements}:
+        monkeypatch.setattr(cyclo_ring(order), "conj", lambda a: a)
     for a, chi in enumerate(elements):
         for n in range(-2, 3):
             assert fock.certify_transpose_symmetry(chi, n, 16).passed == (a not in cubic)

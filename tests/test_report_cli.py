@@ -156,6 +156,23 @@ def test_qseries_modular_rejects_a_nonpositive_order(order, capsys):
     assert (out.out, out.err) == ("", "order must be positive\n")
 
 
+@pytest.mark.parametrize("k", ["0", "-1", "1"])
+def test_qseries_modular_names_a_k_below_the_family(k, capsys):
+    # The family starts at k = 2: a smaller --k is one usage error naming
+    # the flag, raised before any series is evaluated, and the function
+    # refuses it by its own name.
+    assert cli.dispatch(["qseries", "modular", f"--k={k}", "--order", "50"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: --k must be at least 2\n")
+    with pytest.raises(ValueError, match="^k must be at least 2$"):
+        qseries.modular_s_check(int(k), order=50)
+
+
+def test_qseries_modular_runs_at_the_smallest_k(capsys):
+    assert cli.dispatch(["qseries", "modular", "--k=2", "--order", "100"]) == 0
+    assert json.loads(capsys.readouterr().out)["k"] == 2
+
+
 @pytest.mark.parametrize("order", ["0", "-2", "9"])
 def test_fock_qtrace_names_the_order_below_its_bound(order, capsys):
     # the window of a trace needs order >= 2N; the user gave no cutoff, so

@@ -182,6 +182,27 @@ def test_representation_checks_build_columns_only_with_the_kernel():
         "_check_representation": set(), "_check_diagonal": set()}
 
 
+_CALCULUS = ("_shifted", "_shifted_product", "_lifted", "_add_rows", "_combine", "_bracket",
+             "_mismatch", "_adjoint")
+
+
+def test_certificate_calculus_computes_in_its_ring():
+    # The normal-ordering calculus holds integer tables over one scale per
+    # form: its functions name no scalar constructor or scalar method, and
+    # scalars cross only at the ring's boundary, `_combine` taking its
+    # weights in through `_OverDenominator` (`from_scalar`) and `_mismatch`
+    # naming witnesses through `to_scalar`.
+    path = Path(ltwist.__file__).parent / "fock.py"
+    used = {node.name: set(_identifiers(node))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.FunctionDef) and node.name in _CALCULUS}
+    assert set(used) == set(_CALCULUS)
+    scalar = {"rat", "Rat", "CycloNum", "scalar_parts", "is_rational", "conjugate", "zeta",
+              "from_scalar", "to_scalar", "_OverDenominator"}
+    assert {name: names & scalar for name, names in used.items() if names & scalar} == {
+        "_combine": {"_OverDenominator"}, "_mismatch": {"to_scalar"}}
+
+
 def _defaulted_parameters(tree: ast.Module):
     """(function name, parameter name, position) for every parameter with a
     default, position being its index among the positional arguments a
