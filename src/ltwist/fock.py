@@ -35,9 +35,8 @@ scalars appear only where a form is built and where a witness is named.
 A state-level check then ties the column code to that representation: each
 residue-pair operator's integer table times its scale is the c of its form,
 and its columns satisfy Q a_{-u} = a_{-u} Q + [Q, a_{-u}] on its window,
-walked depth-first with one kernel call per state (`_check_representation`;
-on the diagonal one walk carries the scalars <q|Q|q> of all the P_0^(r) of
-a modulus, `_check_diagonal`).  There the cutoff bounds the states checked,
+one kernel call per state in `_walk`'s order (`_check_representation`,
+on scalars <q|Q|q> at M = 0).  There the cutoff bounds the states checked,
 and a certified row skips exactly where the sweep's tightest window is empty.
 The transpose identity is certified the same way: a_x^dagger = a_{-x}
 sends the form at shift M to shift -M with s^dagger(x) = conj(s(x - M))
@@ -60,7 +59,8 @@ import math
 import operator
 import warnings
 from functools import lru_cache, reduce
-from typing import NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from ltwist.characters import PeriodicFn, TwistGroup, even_twist_group, pf_mul
 from ltwist.exactnum import (
@@ -84,6 +84,7 @@ Partition = tuple  # descending tuple of positive ints
 # A state is one int, its key sum_u m_u 256^(u-1), m_u the multiplicity of
 # the part u: a state of degree <= MAX_BASIS_DEGREE has every m_u < 256.
 _UNIT = (0,) + tuple(1 << 8 * u for u in range(MAX_BASIS_DEGREE))  # key of (u,)
+_NONE = MappingProxyType({})  # a form's shifts or modes when it has none
 
 
 def _key(p: Partition) -> int:
@@ -315,9 +316,9 @@ class BilinearOp(Operator):
         self._N = N
         self._cache: dict = {}  # ring -> {state key: integer column}
         self._kernels: dict = {}  # ring -> `_kernel`
-        self._symmetrised = None  # c(x) + c(-x - M) for `_form`, built on first use
+        self._forms: dict = {}  # ring -> its read-only `_Form`, built on first use
         self._verified = -1  # degree up to which _check_representation passed
-        self._entries: list = []  # its nonzero column entries per degree
+        self._entries: list = []  # its nonzero column entries per degree, M != 0 only
 
     def icolumn(self, q: int, ring: CycloRing) -> dict:
         cache = self._cache.get(ring)
@@ -522,7 +523,7 @@ def commutator_window(D: int, *shift_budgets: int) -> list[int]:
 # normal-ordering calculus
 
 
-class _Form:
+class _Form(NamedTuple):
     """An operator of degree <= 2 in the modes, exactly on the Fock space,
     as `scale` (a Rat) times a form with entries in `ring`, as columns are.
 
@@ -533,32 +534,39 @@ class _Form:
     a_x (x != 0); `z` is the scalar part.  Since [Q, a_x] = -x s(x) a_{x+M},
     an operator of this kind commuting with every a_x is a scalar, so two
     forms are equal as operators exactly when their s, weights and scalars
-    are.
-    """
+    are.  Forms are never changed and share tables; `_form` caches one per
+    bilinear and ring."""
 
-    __slots__ = ("ring", "scale", "quad", "lin", "z")
-
-    def __init__(self, ring: CycloRing, scale, quad: dict, lin: dict, z):
-        self.ring, self.scale, self.quad, self.lin, self.z = ring, scale, quad, lin, z
+    ring: CycloRing
+    scale: object
+    quad: Mapping
+    lin: Mapping
+    z: object
 
 
 def _form(op: Operator, ring: CycloRing) -> _Form:
-    """The form in `ring` of an operator of BilinearOp, ModeOp, ScalarOp,
-    SumOp and CommutatorOp; a bilinear's from its coefficient, not its
-    columns' table.  Scalars enter here, by `ring.from_scalar`."""
+    """The form in `ring` of a BilinearOp (from its coefficient, not its
+    columns' table; once per ring), ModeOp, ScalarOp, SumOp or CommutatorOp.
+    Scalars enter here, by `ring.from_scalar`; a one-term sum with a
+    rational weight c is its operand's tables at c times its scale."""
     if isinstance(op, BilinearOp):
-        if op._symmetrised is None:  # c(x) + c(-x - M) over its scale, once per operator
+        if (form := op._forms.get(ring)) is None:  # c(x) + c(-x - M) over its scale
             c, M = op.coeff, op.M
             sym = _OverDenominator([c(x) + c(-x - M) for x in range(c.period)])
-            op._symmetrised = sym, op.prefactor * sym.scale
-        sym, scale = op._symmetrised
-        return _Form(ring, scale, {op.M: (tuple(sym.elements(ring)),)}, {}, ring.zero)
+            form = op._forms[ring] = _Form(ring, op.prefactor * sym.scale, MappingProxyType(
+                {M: (tuple(sym.elements(ring)),)}), _NONE, ring.zero)
+        return form
     if isinstance(op, ModeOp):
-        return _Form(ring, op.scale, {}, {op.k: ring.one} if op.k else {}, ring.zero)
+        return _Form(ring, op.scale, _NONE, {op.k: ring.one} if op.k else _NONE, ring.zero)
     if isinstance(op, ScalarOp):
-        return _Form(ring, op.scale, {}, {}, op._value.elements(ring)[0])
+        return _Form(ring, op.scale, _NONE, _NONE, op._value.elements(ring)[0])
     if isinstance(op, SumOp):
-        return _combine([(c, _form(o, ring)) for c, o in op.terms], ring)
+        forms = [_form(o, ring) for _, o in op.terms]
+        weights = [c * f.scale for (c, _), f in zip(op.terms, forms)]
+        if len(forms) == 1 and weights[0] and (w := is_rational(weights[0])) is not None:
+            return _Form(ring, w, forms[0].quad, forms[0].lin, forms[0].z)
+        weights = _OverDenominator(weights)
+        return _combine(weights.scale, zip(weights.elements(ring), forms), ring)
     if isinstance(op, CommutatorOp):
         return _bracket(_form(op.A, ring), _form(op.B, ring))
     raise TypeError(f"no normal-ordering form for {type(op).__name__}")
@@ -588,14 +596,17 @@ def _shifted(rows: tuple, r: int, M: int, ring: CycloRing) -> list:
 
 def _shifted_product(a: tuple, b: tuple, M: int, period: int, ring: CycloRing) -> list:
     """Per residue r mod `period`, the coefficients in x of 2 (x + M) a(x)
-    b(x + M), x = r; zero factors (most, for a pair indicator) are skipped."""
+    b(x + M), x = r, computed only where neither factor is 0 (for pair
+    indicators, at most two residues); the others share one zero row."""
     add, mul, smul, is_zero = ring.add, ring.mul, ring.smul, ring.is_zero
     out = [[ring.zero] * (len(a) + len(b))] * period
-    for r in sorted({r + k for row in a for r, x in enumerate(row) if not is_zero(x)
-                     for k in range(0, period, len(row))}):  # where a(x) is not 0
+    for r in {r + k for row in a for r, x in enumerate(row) if not is_zero(x)
+              for k in range(0, period, len(row))}:  # where a(x) is not 0
+        pb = [(j, y) for j, y in enumerate(_shifted(b, r, M, ring), start=1) if not is_zero(y)]
+        if not pb:
+            continue
         pa = [(i, smul(x, 2)) for i, row in enumerate(a) if not is_zero(x := row[r % len(row)])]
         prod = out[r].copy()  # 2 x a(x) b(x + M), then plus 2 M a(x) b(x + M)
-        pb = [(j, y) for j, y in enumerate(_shifted(b, r, M, ring), start=1) if not is_zero(y)]
         for i, x in pa:
             for j, y in pb:
                 prod[i + j] = add(prod[i + j], mul(x, y))
@@ -606,20 +617,19 @@ def _shifted_product(a: tuple, b: tuple, M: int, period: int, ring: CycloRing) -
     return out
 
 
-def _combine(terms, ring: CycloRing) -> _Form:
-    """sum_i c_i f_i for scalars c_i and forms f_i in `ring`, the weights
-    c_i f_i.scale over one denominator, which is the sum's scale."""
-    weights = _OverDenominator([c * f.scale for c, f in terms])
+def _combine(scale, terms, ring: CycloRing) -> _Form:
+    """scale * sum_i w_i f_i for the pairs (w_i, f_i) of `terms`, w_i an
+    element of `ring` and f_i a form in it, f_i.scale folded into w_i."""
     add, mul = ring.add, ring.mul
     quad, lin, z = {}, {}, ring.zero
-    for w, (_, f) in zip(weights.elements(ring), terms):
+    for w, f in terms:
         for M, rows in f.quad.items():
             rows = tuple(tuple(mul(w, v) for v in row) for row in rows)
             quad[M] = _add_rows(quad[M], rows, ring) if M in quad else rows
         for x, v in f.lin.items():
             lin[x] = add(lin[x], mul(w, v)) if x in lin else mul(w, v)
         z = add(z, mul(w, f.z))
-    return _Form(ring, weights.scale, quad, lin, z)
+    return _Form(ring, scale, quad, lin, z)
 
 
 def _bracket(f1: _Form, f2: _Form) -> _Form:
@@ -712,110 +722,98 @@ def _certify(lhs: Operator, rhs: Operator) -> VerifyResult:
 def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
     """First (state, out_state, got, want) at which the columns of `op`
     differ from its Fock representation on the states of degree
-    <= D - |M|, in depth-first order, or None.
+    <= D - |M|, in the depth-first order of `_walk`, or None.
 
     By induction on the parts, on columns relative to their state: the
-    vacuum column must be sum_{0<j<-M} c(j) a_{-j} a_{j+M}|0>, each term
-    creating the parts j and -M - j, and for q = (u,) + p with u the
-    largest part, col(q) = a_{-u} col(p) + u s(-u) a_{M-u}|p>, which is
-    Q a_{-u} = a_{-u} Q + [Q, a_{-u}]; relative to q, a_{-u} col(p) is
-    col(p).  The steps u s(-u) come from the table, once per part size
-    (`_table_steps`), not from the kernel's record.  On the diagonal (M = 0)
-    `_check_diagonal` walks scalars instead.  The integer table times
-    `op.scale` must first be prefactor * c, the coefficients `_form`
-    certifies, else ("table", r, got, want) names the residue r.  The walk
-    (`_walk`) calls the kernel (`BilinearOp._relative`) once per state,
-    keeping only the columns on the current path; it reads no basis and
-    caches nothing.  The degree verified is kept on the operator, with the
-    number of nonzero column entries per degree (`op._entries`): a later
-    call walks the states at or below it for their columns but compares
-    only the states above it.
+    vacuum column must be sum_{0<j<-M} c(j) a_{-j} a_{j+M}|0>, and for
+    q = (u,) + p with u the largest part, col(q) = col(p) + u s(-u)
+    a_{M-u}|p>, which is Q a_{-u} = a_{-u} Q + [Q, a_{-u}].  The steps
+    u s(-u) come from the table (`_table_steps`), not the kernel's record;
+    the table times `op.scale` must first be prefactor * c, the
+    coefficients `_form` certifies, else ("table", r, got, want) names the
+    residue r.  A loop over the children p + (v,), v >= u, of each state p
+    calls the kernel (`BilinearOp._relative`) once per state, keeping only
+    the columns on the current path; M = 0 walks scalars (`_check_diagonal`).
+    The degree verified is kept on the operator, off the diagonal with the
+    nonzero column entries per degree (`op._entries`); a later call
+    compares only the states above it.
     """
     M, N = op.M, op._N
-    if not M:
-        return _check_diagonal([op], D)
-    top = _window_budget(D, M)
-    done = op._verified
+    top, done = _window_budget(D, M), op._verified
     if done >= top:
         return None
     ring = cyclo_ring(op.order)
     bad, step = _table_steps(op, ring, top)
-    if bad is not None:
-        return bad
+    if bad is not None or not M:  # a table witness, or M = 0 walks scalars
+        return bad or _check_diagonal(op, ring, top, step)
     table, vacuum = op._table.elements(ring), {}
     add, smul, is_zero = ring.add, ring.smul, ring.is_zero
     for j in range(1, -M):  # the term j creates the parts j and -M - j
         t = _UNIT[j] + _UNIT[-M - j]
         vacuum[t] = add(vacuum[t], table[j % N]) if t in vacuum else table[j % N]
     vacuum = {t: v for t, v in vacuum.items() if not is_zero(v)}
-    # (c, k, delta) of c a_k|p>, k = M - u, on deltas relative to q = (u,) + p
-    steps = [None if is_zero(c) or u == M else
-             (c, M - u, _UNIT[u - M] - _UNIT[u] if u > M else -_UNIT[u] - _UNIT[M - u])
-             for u, c in enumerate(step)]
+    # (c, shift, delta) of c a_k|p>, k = M - v, relative to q = (v,) + p: a_k creates
+    # (k < 0, shift None) or annihilates with k m_k(p), m_k(p) = p >> shift & 255
+    steps = [None if is_zero(c) or v == M else
+             (c, None, _UNIT[v - M] - _UNIT[v]) if v > M else
+             (smul(c, M - v), 8 * (M - v - 1), -_UNIT[v] - _UNIT[M - v])
+             for v, c in enumerate(step)]
     entries = [0] * (top + 1)
-    column = op._relative(ring)
+    column, scale = op._relative(ring), op.scale
 
-    def visit(q: int, degree: int, u: int, col: Optional[dict]) -> tuple:
-        # col is col(p), p = q less one part u; steps[0] is None
-        got = column(q)
-        entries[degree] += len(got)
-        if degree <= done:
-            return None, got
-        want, s = (col if q else vacuum), steps[u]
-        # a_k creates with 1 (k < 0) or annihilates with k * mult
-        hit = None if s is None else (1,) if s[1] < 0 else _remove_part(q - _UNIT[u], s[1])
-        if hit is not None:
-            (c, k, t), want = s, col.copy()
-            x = smul(c, hit[0] * max(k, 1))
-            want[t] = x = add(want[t], x) if t in want else x
-            if is_zero(x):
-                del want[t]
-        if got != want:
-            return _difference(q, got, want, ring, op.scale), None
-        return None, got
+    def children(p: int, degree: int, u: int, col: dict) -> Optional[tuple]:
+        # the children of p, whose column is col, and theirs, depth-first
+        room = top - degree
+        for v in range(u or 1, room + 1):
+            q, d = p + _UNIT[v], degree + v
+            got = column(q)
+            entries[d] += len(got)
+            if d > done:
+                want, s = col, steps[v]
+                if s is not None and (s[1] is None or (k := p >> s[1] & 255)):
+                    c, shift, t = s
+                    x = c if shift is None else smul(c, k)
+                    want = col.copy()
+                    want[t] = x = add(want[t], x) if t in want else x
+                    if is_zero(x):
+                        del want[t]
+                if got != want:
+                    return _difference(q, got, want, ring, scale)
+            if 2 * v <= room and (bad := children(q, d, v, got)) is not None:
+                return bad
+        return None
 
-    bad = _walk(top, visit)
+    entries[0] += len(got := column(0))
+    bad = (_difference(0, got, vacuum, ring, scale) if done < 0 and got != vacuum
+           else children(0, 0, 0, got))
     if bad is None:
         op._verified, op._entries = top, entries
     return bad
 
 
-def _check_diagonal(ops: Sequence[BilinearOp], D: int) -> Optional[tuple]:
-    """`_check_representation` of operators at M = 0, in one walk: the
-    first witness of any of them or None, each marked verified only when
-    the walk passes.  A column is {0: x} or {} relative to q, x = <q|Q|q> =
-    <p|Q|p> + u s(-u) for q = (u,) + p, so the walk carries the scalars x
-    and accepts a column that is exactly {0: x} ({} when x = 0) without
-    building the wanted one; any other column is compared with it in full."""
-    top = _window_budget(D, 0)
-    ops = [op for op in ops if op._verified < top]
-    if not ops:
-        return None
-    ring = cyclo_ring(math.lcm(*(op.order for op in ops)))
-    steps = []
-    for op in ops:
-        bad, step = _table_steps(op, ring, top)
-        if bad is not None:
-            return bad
-        steps.append(step)
-    add, zero = ring.add, ring.zero
-    steps = list(zip(*steps))  # steps[u][i] is u s(-u) of ops[i]
-    checks = [(op._relative(ring), op._verified, [0] * (top + 1), op.scale) for op in ops]
+def _check_diagonal(op: BilinearOp, ring: CycloRing, top: int, step: list) -> Optional[tuple]:
+    """The walk of `_check_representation` at M = 0, carrying the scalar x =
+    <q|Q|q> = <p|Q|p> + u s(-u), q = (u,) + p: a column is accepted when it
+    is exactly {0: x} ({} when x = 0), else compared with that in full.  It
+    counts no entries; the transpose row's n = 0 count is `_diagonal_counts`."""
+    add, zero, done = ring.add, ring.zero, op._verified
+    column, scale = op._relative(ring), op.scale
 
-    def visit(q: int, degree: int, u: int, xs: Optional[tuple]) -> tuple:
-        xs = tuple(map(add, xs, steps[u])) if q else (zero,) * len(ops)
-        for (column, done, entries, scale), x in zip(checks, xs):
+    def children(p: int, degree: int, u: int, x) -> Optional[tuple]:
+        room = top - degree
+        for v in range(u or 1, room + 1):
+            q, d, y = p + _UNIT[v], degree + v, add(x, step[v])
             got = column(q)
-            entries[degree] += len(got)
-            # compared in full unless got is {0: x}, or {} when x = 0
-            if degree > done and (len(got) != 1 or got.get(0) != x if x != zero else got):
-                return _difference(q, got, {0: x} if x != zero else {}, ring, scale), None
-        return None, xs
+            if d > done and (len(got) != 1 or got.get(0) != y if y != zero else got):
+                return _difference(q, got, {0: y} if y != zero else {}, ring, scale)
+            if 2 * v <= room and (bad := children(q, d, v, y)) is not None:
+                return bad
+        return None
 
-    bad = _walk(top, visit)
+    got = column(0)  # the vacuum's, x = 0
+    bad = _difference(0, got, {}, ring, scale) if done < 0 and got else children(0, 0, 0, zero)
     if bad is None:
-        for op, (_, _, entries, _) in zip(ops, checks):
-            op._verified, op._entries = top, entries
+        op._verified = top
     return bad
 
 
@@ -1097,8 +1095,6 @@ def _with_representation(res: VerifyResult, N: int, D: int, ns) -> VerifyResult:
     witness names the first failing (r, n) in r-major order."""
     if not res.passed:
         return res
-    if 0 in ns:  # the P_0^(r) in one walk; if it fails, the loop names the witness
-        _check_diagonal([build_L(pair_indicator(N, r), 0) for r in _pair_residues(N)], D)
     for r in _pair_residues(N):
         for n in ns:
             bad = _check_representation(build_L(pair_indicator(N, r), n), D)
@@ -1142,9 +1138,13 @@ def _verify_bracket(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int, D: int,
 
 def _certify_bracket(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int,
                      lm1=l_minus_one, prod: Optional[PeriodicFn] = None) -> VerifyResult:
-    """The identity of `_verify_bracket` on the whole Fock space; the
-    witness is (x, got, want) or ("central", got, want)."""
-    return _certify(*_bracket_sides(f1, f2, m, n, lm1, prod))
+    """`_verify_bracket`'s identity on the whole Fock space, on the cached
+    forms of its operators; the witness is (x, got, want) or ("central", ...)."""
+    A, B = build_L(f1, m), build_L(f2, n)
+    rhs = _bracket_rhs(pf_mul(f1, f2) if prod is None else prod, m, n, lm1=lm1)
+    ring = cyclo_ring(math.lcm(A.order, B.order, rhs.order))
+    witness = _mismatch(_bracket(_form(A, ring), _form(B, ring)), _form(rhs, ring))
+    return VerifyResult(witness is None, 1, witness)
 
 
 def verify_theorem_2_4(

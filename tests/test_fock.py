@@ -1126,15 +1126,46 @@ def _recording(op, log, fault=None):
     return op
 
 
+def _walk_order(top):
+    """The keys of degree <= top in the depth-first order of `_walk`."""
+    order: list = []
+
+    def visit(q, degree, u, parent):
+        order.append(q)
+        return None, q
+
+    assert fock._walk(top, visit) is None
+    return order
+
+
 @pytest.mark.parametrize("N, M, D", [(5, -5, 14), (7, 0, 12), (3, 6, 15), (5, -2, 13),
                                      (7, -21, 30)])
 def test_representation_check_walks_each_window_state_once(N, M, D):
-    # The depth-first walk builds one column per state of the window and
-    # no other, so it cannot pass by visiting too few states.
+    # Both checks (M = 0 is the diagonal one) build one column per state of
+    # the window and no other, so neither can pass by visiting too few
+    # states, and they build them in the depth-first order of `_walk`.
     log: list = []
     op = _recording(BilinearOp(pair_indicator(N, 1), M, rat(1, 2 * N)), log)
     assert fock._check_representation(op, D) is None
     assert sorted(log) == sorted(commutator_window(D, M))
+    assert log == _walk_order(D - abs(M))
+
+
+@pytest.mark.parametrize("N, M, D", [(5, -5, 14), (7, 0, 12), (3, 6, 15), (5, -2, 13)])
+def test_representation_check_names_the_first_fault_in_walk_order(N, M, D):
+    # Of two faulty states the check names the one `_walk` meets first,
+    # whichever is faulted first: the parts 1^top come before (2,)
+    # depth-first though not by degree, and of two states next to each
+    # other in the walk, the earlier.
+    top = D - abs(M)
+    order = [fock._partition(q) for q in _walk_order(top)]
+    for faults in [((2,), (1,) * top), ((1,) * top, (2,)), tuple(order[len(order) // 2:][:2])]:
+        op = BilinearOp(pair_indicator(N, 1), M, rat(1, 2 * N))
+        for fault in faults:
+            op = _recording(op, [], fault)
+        first = min(faults, key=order.index)
+        assert fock._check_representation(op, D)[:2] == (first, first), faults
+        assert op._verified == -1
 
 
 @pytest.mark.parametrize("N, M, D", [(5, -5, 14), (7, 0, 12), (3, 6, 15), (7, -21, 30)])
@@ -1229,9 +1260,9 @@ def test_diagonal_check_names_each_wrong_column_like_the_full_comparison(fault):
 
 
 def test_shared_diagonal_walk_keeps_the_r_major_witness(monkeypatch):
-    # The three P_0^(r) of N = 7 are checked in one walk, which meets the
-    # fault of P_0^(3) first; the r-major loop must still name P_0^(1), and
-    # mark verified exactly the operators before it in r-major order.
+    # The fault of P_0^(3) lies earlier in the walk than that of P_0^(1);
+    # the row must still name P_0^(1), the first in r-major order, and mark
+    # verified exactly the operators before it in r-major order.
     monkeypatch.setattr(fock, "_OP_REGISTRY", {})
     early, late = (1, 1), (2,)
     _recording(build_L(pair_indicator(7, 3), 0), [], early)
@@ -1243,6 +1274,29 @@ def test_shared_diagonal_walk_keeps_the_r_major_witness(monkeypatch):
     for i, (r, k) in enumerate(order):
         op = build_L(pair_indicator(7, r), k)
         assert op._verified == (28 - abs(op.M) if i < order.index((1, 0)) else -1), (r, k)
+
+
+def test_cached_forms_stay_as_built_and_read_only(monkeypatch):
+    # fock:bracket:7 and the transpose row share the form cached on each
+    # operator: after both, every cached form equals one built afresh, and
+    # neither it nor its tables can be changed in place.
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    assert fock.certify_theorem_2_4_suite(even_twist_group(7), 28).passed
+    assert _run_check(_transpose_row(), RunConfig()).status == "pass"
+    cached = [(op, ring, form) for op in fock._OP_REGISTRY.values() if isinstance(op, BilinearOp)
+              for ring, form in op._forms.items()]
+    assert len(cached) > 27 and {ring.order for _, ring, _ in cached} == {1, 6}
+    for op, ring, form in cached:
+        assert form == fock._form(BilinearOp(op.coeff, op.M, op.prefactor), ring)
+        assert fock._form(op, ring) is form
+        assert all(type(rows) is tuple and all(type(row) is tuple for row in rows)
+                   for rows in form.quad.values())
+        with pytest.raises(TypeError):
+            form.quad[op.M] = form.quad[op.M]
+        with pytest.raises(TypeError):
+            form.lin[1] = ring.one
+        with pytest.raises(AttributeError):
+            form.scale = rat(1)
 
 
 def test_certified_rows_cache_no_columns_and_build_no_basis(monkeypatch):

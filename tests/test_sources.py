@@ -138,9 +138,10 @@ def test_only_test_references_go_unnamed_by_the_product():
     assert unnamed == set(_TEST_REFERENCES)
 
 
-_CERTIFICATE_NAMES = {"_form", "_bracket", "_mismatch", "_check_representation",
+_CERTIFICATE_NAMES = {"_form", "_Form", "_bracket", "_mismatch", "_check_representation",
                       "_check_diagonal", "_with_representation", "_combine", "_adjoint",
-                      "_lifted", "_add_rows", "_shifted", "_shifted_product"}
+                      "_lifted", "_add_rows", "_shifted", "_shifted_product", "_table_steps",
+                      "_difference"}
 
 
 def test_window_sweeps_name_no_certificate_code():
@@ -190,7 +191,7 @@ def test_certificate_calculus_computes_in_its_ring():
     # The normal-ordering calculus holds integer tables over one scale per
     # form: its functions name no scalar constructor or scalar method, and
     # scalars cross only at the ring's boundary, `_combine` taking its
-    # weights in through `_OverDenominator` (`from_scalar`) and `_mismatch`
+    # weights as ring elements (`_form` converts them) and `_mismatch`
     # naming witnesses through `to_scalar`.
     path = Path(ltwist.__file__).parent / "fock.py"
     used = {node.name: set(_identifiers(node))
@@ -200,7 +201,7 @@ def test_certificate_calculus_computes_in_its_ring():
     scalar = {"rat", "Rat", "CycloNum", "scalar_parts", "is_rational", "conjugate", "zeta",
               "from_scalar", "to_scalar", "_OverDenominator"}
     assert {name: names & scalar for name, names in used.items() if names & scalar} == {
-        "_combine": {"_OverDenominator"}, "_mismatch": {"to_scalar"}}
+        "_mismatch": {"to_scalar"}}
 
 
 def _defaulted_parameters(tree: ast.Module):
