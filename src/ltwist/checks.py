@@ -434,7 +434,7 @@ def check_qtrace_kernel(cfg) -> tuple:
 
 
 def check_scaling(cfg) -> tuple:
-    res = fock.verify_scaling_suite(dirichlet_characters(3)[0], cfg.cutoff)
+    res = fock.certify_scaling_suite(dirichlet_characters(3)[0], cfg.cutoff)
     if not res.passed:
         return False, "", res.witness[0] + tuple(map(str, res.witness[1:]))
     return True, f"{res.cases} window states", None

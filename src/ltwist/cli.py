@@ -118,7 +118,7 @@ def cmd_fock_verify(args) -> int:
         "2.4": lambda: fock.certify_theorem_2_4_suite(G, D, case_log=case_log),
         "3.1": lambda: fock.certify_theorem_3_1(G, D),
         "3.28": lambda: fock.verify_eq_3_28_suite(N),
-        "scaling": lambda: fock.verify_scaling_suite(dirichlet_characters(N)[0], D),
+        "scaling": lambda: fock.certify_scaling_suite(dirichlet_characters(N)[0], D),
     }
     for check in which:
         try:

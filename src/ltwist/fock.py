@@ -19,11 +19,12 @@ sorted by degree (`commutator_window`).  `_diagonal_counts` prunes it at
 the first part outside a residue set and counts the states by their vector
 of P_0^(r) eigenvalues, which `qtrace` and the transpose n = 0 count weight.
 
-An identity is decided in one of two ways.  The `verify_*` functions sweep
-it: both sides are applied to every state of degree <= D - (the shifts) and
-compared exactly, so the cutoff D bounds the states swept.  The `certify_*`
-functions, which the report rows use, prove it on the whole Fock space by
-normal-ordering calculus: every operator involved is a quadratic form
+An identity is decided in one of two ways.  The `verify_*` functions and
+`scaling_embed_check` sweep it: both sides are applied to every state of
+degree <= D - (the shifts) and compared exactly, so the cutoff D bounds the
+states swept; they are the tests' reference.  The `certify_*` functions,
+which every report row and `fock verify` id use, prove it on the whole Fock
+space by normal-ordering calculus: every operator involved is a quadratic form
 sum_j c(j) :a_{-j} a_{j+M}: plus modes and a scalar, [Q, a_x] =
 -x s(x) a_{x+M} with s(x) = c(x) + c(-x-M), and two such forms are equal
 exactly when their symmetrised coefficients s, their modes and their vacuum
@@ -48,7 +49,8 @@ There is one bilinear operator, `BilinearOp`, with no mode scale.  The
 mode-scaled operators (1/l) tau_l(L_n^chi) of the paper are `build_L` of
 the dilated twist chi.dilate(l), which is chi(y/l) at modes y divisible by l
 and 0 elsewhere, of period lN; its central values are chi's, since
-L(-1, chi.dilate(l)) = l L(-1, chi).
+L(-1, chi.dilate(l)) = l L(-1, chi).  So `certify_scaling_suite` certifies
+them as it would any twist.
 """
 
 from __future__ import annotations
@@ -256,10 +258,6 @@ class Operator:
                 )
         return None
 
-    # small algebra
-    def __add__(self, other: "Operator") -> "Operator":
-        return SumOp([(1, self), (1, other)])
-
 
 def _cross_factors(x, y) -> tuple[int, int]:
     """Coprime integers a, b with x * u == y * v exactly when a * u == b * v."""
@@ -297,10 +295,10 @@ class BilinearOp(Operator):
     """prefactor * sum_j coeff(j) :a_{-j} a_{j+M}: with N-periodic coeff.
 
     The coefficient table is held as algebraic integers over one common
-    denominator, which moves into `scale` with the prefactor.  Integer
-    columns are cached on the instance per ring; reuse instances via
-    build_L/build_T, which keep a registry keyed by the twist function's
-    value table.
+    denominator, which moves into `scale` with the prefactor.  The instance
+    keeps its compiled kernel and its form per ring, never a column; reuse
+    instances via build_L/build_T, which keep a registry keyed by the twist
+    function's value table.
     """
 
     def __init__(self, coeff: PeriodicFn, M: int, prefactor):
@@ -314,20 +312,10 @@ class BilinearOp(Operator):
         self.scale = self.prefactor / self._table.den
         self._nonzero = [bool(v) for v in values]
         self._N = N
-        self._cache: dict = {}  # ring -> {state key: integer column}
         self._kernels: dict = {}  # ring -> `_kernel`
         self._forms: dict = {}  # ring -> its read-only `_Form`, built on first use
         self._verified = -1  # degree up to which _check_representation passed
         self._entries: list = []  # its nonzero column entries per degree, M != 0 only
-
-    def icolumn(self, q: int, ring: CycloRing) -> dict:
-        cache = self._cache.get(ring)
-        if cache is None:
-            cache = self._cache[ring] = {}
-        col = cache.get(q)
-        if col is None:
-            col = cache[q] = self._icolumn(q, ring)
-        return col
 
     def _moves(self, ring: CycloRing) -> list:
         """For each residue u mod N, the summed coefficient c(u - M) + c(-u)
@@ -427,13 +415,12 @@ class BilinearOp(Operator):
         self._kernels[ring] = column
         return column
 
-    def _icolumn(self, q: int, ring: CycloRing) -> dict:
-        """The integer column of q on keys: the kernel's, shifted by q.  The
-        sweeps ask once per column, so `_kernels` is read without a call."""
-        out, column = {}, self._kernels.get(ring) or self._relative(ring)
-        for delta, v in column(q).items():
-            out[q + delta] = v
-        return out
+    def icolumn(self, q: int, ring: CycloRing) -> dict:
+        """The integer column of q on keys, a new dict: the kernel's, shifted
+        by q.  The sweeps ask once per column, so `_kernels` is read without
+        a call."""
+        column = self._kernels.get(ring) or self._relative(ring)
+        return {q + delta: v for delta, v in column(q).items()}
 
 
 class ModeOp(Operator):
@@ -1136,17 +1123,6 @@ def _verify_bracket(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int, D: int,
     return VerifyResult(witness is None, len(window), witness)
 
 
-def _certify_bracket(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int,
-                     lm1=l_minus_one, prod: Optional[PeriodicFn] = None) -> VerifyResult:
-    """`_verify_bracket`'s identity on the whole Fock space, on the cached
-    forms of its operators; the witness is (x, got, want) or ("central", ...)."""
-    A, B = build_L(f1, m), build_L(f2, n)
-    rhs = _bracket_rhs(pf_mul(f1, f2) if prod is None else prod, m, n, lm1=lm1)
-    ring = cyclo_ring(math.lcm(A.order, B.order, rhs.order))
-    witness = _mismatch(_bracket(_form(A, ring), _form(B, ring)), _form(rhs, ring))
-    return VerifyResult(witness is None, 1, witness)
-
-
 def verify_theorem_2_4(
     G: Optional[TwistGroup],
     chi1: PeriodicFn,
@@ -1201,7 +1177,8 @@ def certify_theorem_2_4_suite(G: TwistGroup, D: int,
     n, passed, witness) from its certificate; a column fails no case."""
     N = G.period
     _window_budget(D, _MAX_MODE * N, _MAX_MODE * N)
-    res = _theorem_2_4_suite(G, _MAX_MODE, _certify_bracket, case_log)
+    res = _theorem_2_4_suite(
+        G, _MAX_MODE, lambda *a, **k: _certify(*_bracket_sides(*a, **k)), case_log)
     return _with_representation(res, N, D, _PRODUCT_MODES)
 
 
@@ -1384,18 +1361,36 @@ def scaling_embed_check(chi: PeriodicFn, l: int, m: int, n: int, D: int) -> Veri
     return _verify_bracket(x, x, m, n, D, lm1=lambda _: l * l_minus_one(pf_mul(chi, chi)))
 
 
-def verify_scaling_suite(chi: PeriodicFn, D: int) -> VerifyResult:
-    """`scaling_embed_check` for l in {2, 3} and (m, n) in {(1, -1), (1, 0)};
-    the count is of window states, the witness the first failing
-    ((l, m, n), state, out_state, got, want)."""
-    cases = 0
+def certify_scaling_suite(chi: PeriodicFn, D: int) -> VerifyResult:
+    """The cases of `scaling_embed_check` for l in {2, 3} and (m, n) in
+    {(1, -1), (1, 0)}, each proved on the whole Fock space by its
+    normal-ordering form on x = chi.dilate(l), and the columns of
+    build_L(x, k), k in {-1, 0, 1}, checked against the Fock representation
+    on degree <= D - |k| lN.  A failing case gives ((l, m, n), x, got, want)
+    with x an index or "central"; a failing column gives (("L", l, k), state,
+    out_state, got, want), or (("L", l, k), "table", residue, got, want).
+    Like the sweeps it raises `cutoff too small` when the window of l = 3,
+    (m, n) = (1, -1) is empty, D < 6N, and its count is theirs: the states
+    of degree <= D - lN(|m| + |n|), summed over the cases."""
+    from ltwist.qseries import product_expand
+
+    N = chi.period
+    _window_budget(D, 3 * N, 3 * N)
+    cases = [(l, m, n) for l in (2, 3) for m, n in ((1, -1), (1, 0))]
+    p = product_expand(1, {0}, -1, D + 1).coeffs  # p(d), the states of degree d
+    count = sum(p[d] for l, m, n in cases for d in range(D - l * N * (abs(m) + abs(n)) + 1))
+    lm1 = l_minus_one(pf_mul(chi, chi))  # L(-1) of the dilated product is l times it
+    for l, m, n in cases:
+        x = chi.dilate(l)
+        res = _certify(*_bracket_sides(x, x, m, n, lambda _: l * lm1))
+        if not res.passed:
+            return VerifyResult(False, count, ((l, m, n),) + res.witness)
     for l in (2, 3):
-        for m, n in ((1, -1), (1, 0)):
-            res = scaling_embed_check(chi, l, m, n, D)
-            cases += res.cases
-            if not res.passed:
-                return VerifyResult(False, cases, ((l, m, n),) + res.witness)
-    return VerifyResult(True, cases, None)
+        for k in (-1, 0, 1):
+            bad = _check_representation(build_L(chi.dilate(l), k), D)
+            if bad is not None:
+                return VerifyResult(False, count, (("L", l, k),) + bad)
+    return VerifyResult(True, count, None)
 
 
 def verify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:

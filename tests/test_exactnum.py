@@ -253,7 +253,7 @@ def test_fock_columns_use_the_scalar_ring():
     assert fock.cyclo_ring is exactnum.cyclo_ring
     op = fock.build_L(PeriodicFn(5, [zeta(3), 1, 1, zeta(3), 0]), 0)
     assert op.order == 3 and op.column((2, 1))
-    assert exactnum.cyclo_ring(3) in op._cache
+    assert exactnum.cyclo_ring(3) in op._kernels
 
 
 def _schoolbook_mod(a, b, f):

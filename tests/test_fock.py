@@ -44,7 +44,7 @@ from ltwist.fock import (
     verify_transpose_symmetry,
 )
 from ltwist.lvalues import _l_minus_one_form, l_minus_one
-from ltwist.report import RunConfig, _run_check, config_from_mapping
+from ltwist.report import RunConfig, _run_check, config_from_mapping, report_all
 
 
 def quad_char(q):
@@ -422,7 +422,8 @@ def test_pair_suite_reports_an_element_case_when_broken(monkeypatch):
     # intact, so here the pair sweeps alone have to catch it
     monkeypatch.undo()
     rhs = fock._bracket_rhs
-    monkeypatch.setattr(fock, "_bracket_rhs", lambda *a, **k: rhs(*a, **k) + ScalarOp(rat(1, 7)))
+    monkeypatch.setattr(fock, "_bracket_rhs",
+                        lambda *a, **k: SumOp([(1, rhs(*a, **k)), (1, ScalarOp(rat(1, 7)))]))
     res = verify_theorem_2_4_suite(G, 16, max_mode=1)
     assert not res.passed and res.witness[0] == (0, 0, -1, -1)
 
@@ -587,7 +588,7 @@ def test_icolumn_matches_mode_composition(coeff):
             op = BilinearOp(coeff.dilate(l), l * M, rat(1, 2 * N))
             ring = cyclo_ring(op.order)
             for p in states:
-                assert (op._icolumn(fock._key(p), ring)
+                assert (op.icolumn(fock._key(p), ring)
                         == _mode_reference(op, l, p, ring)), (l, M, p)
 
 
@@ -620,7 +621,7 @@ def test_icolumn_is_the_term_by_term_sum(N, unit):
         op = BilinearOp(coeff, M, rat(1, 2 * N))
         ring = cyclo_ring(op.order)
         for p in states:
-            assert op._icolumn(fock._key(p), ring) == _term_sum(op, p, ring), (M, p)
+            assert op.icolumn(fock._key(p), ring) == _term_sum(op, p, ring), (M, p)
 
 
 def test_kernel_records_do_not_leak_between_rings():
@@ -634,7 +635,7 @@ def test_kernel_records_do_not_leak_between_rings():
         for m in (1, 3, 12, 1):
             ring = cyclo_ring(m)
             for p in states:
-                assert op._icolumn(fock._key(p), ring) == _term_sum(op, p, ring), (M, m, p)
+                assert op.icolumn(fock._key(p), ring) == _term_sum(op, p, ring), (M, m, p)
 
 
 def _even_periodic(N, values):
@@ -694,11 +695,16 @@ def test_certificate_agrees_with_sweep(case):
     lm1 = lambda f: _l_minus_one_form(f) + shift  # noqa: E731
     D = f1.period * (abs(m) + abs(n)) + 4
     swept = fock._verify_bracket(f1, f2, m, n, D, lm1=lm1)
-    certified = fock._certify_bracket(f1, f2, m, n, lm1=lm1)
+    certified = _certified_case(f1, f2, m, n, lm1=lm1)
     assert certified.passed == swept.passed
     assert certified.passed == (not shift or m != -n or m == 0)
     if not certified.passed:
         assert certified.witness[0] == "central"
+
+
+def _certified_case(f1, f2, m, n, **kw):
+    """A Theorem 2.4 case decided as the certified suites decide it."""
+    return fock._certify(*fock._bracket_sides(f1, f2, m, n, **kw))
 
 
 # -- certificate rules the report's rows do not reach -----------------------------
@@ -739,7 +745,7 @@ def test_certificate_adds_the_tables_of_one_shift(monkeypatch):
         for b in G.elements:
             ab = PeriodicFn(7, [a(x) + b(x) for x in range(1, 8)])
             for n in (-1, 0, 1):
-                lhs, rhs = build_L(a, n) + build_L(b, n), build_L(ab, n)
+                lhs, rhs = SumOp([(1, build_L(a, n)), (1, build_L(b, n))]), build_L(ab, n)
                 window = commutator_window(14, 7 * n)
                 assert _certified_and_swept(lhs, rhs, window) == (True, True), (a, b, n)
 
@@ -845,7 +851,7 @@ def test_pair_cases_take_each_product_in_closed_form(monkeypatch):
         return pf_mul(a, b)
 
     monkeypatch.setattr(fock, "pf_mul", counted)
-    assert fock._pair_cases_2_4(N, span, fock._certify_bracket)
+    assert fock._pair_cases_2_4(N, span, _certified_case)
     assert len(calls) <= len(fock._pair_residues(N)) ** 2
     zero = PeriodicFn(N, [rat(0)] * N)
     for r in fock._pair_residues(N):
@@ -854,8 +860,8 @@ def test_pair_cases_take_each_product_in_closed_form(monkeypatch):
             prod = f1 if r == s else zero
             assert pf_mul(f1, f2) == prod
             for m, n in ((1, -1), (2, 0), (-1, -1)):
-                closed = fock._certify_bracket(f1, f2, m, n, lm1=_l_minus_one_form, prod=prod)
-                assert closed.passed and fock._certify_bracket(
+                closed = _certified_case(f1, f2, m, n, lm1=_l_minus_one_form, prod=prod)
+                assert closed.passed and _certified_case(
                     f1, f2, m, n, lm1=_l_minus_one_form).passed, (r, s, m, n)
 
 
@@ -972,7 +978,7 @@ def test_icolumn_on_the_bracket_row_windows(m):
         for r in (1, 2, 3):
             op = BilinearOp(pair_indicator(7, r), 7 * n, rat(1, 14))
             for p in states:
-                col = op._icolumn(fock._key(p), ring)
+                col = op.icolumn(fock._key(p), ring)
                 assert col == _term_sum(op, p, ring), (n, r, p)
                 assert list(col) == [t for t in _kernel_key_order(op, p, ring) if t in col]
 
@@ -1005,7 +1011,8 @@ _MUTATIONS = {
     "central-term": ("_central_term",
                      lambda real: lambda f, lm1, m: real(f, lm1, m) + rat(1, 7)),
     "bracket-rhs": ("_bracket_rhs",
-                    lambda real: lambda *a, **k: real(*a, **k) + ScalarOp(rat(1, 7))),
+                    lambda real: lambda *a, **k: SumOp([(1, real(*a, **k)),
+                                                        (1, ScalarOp(rat(1, 7)))])),
     "term-action-sign": ("_term_action", _flip_double_creation),
     "remove-part-multiplicity": ("_remove_part", _multiplicity_off_by_one),
     "bilinear-scale": ("BilinearOp", _doubled_scale),
@@ -1305,8 +1312,6 @@ def test_certified_rows_cache_no_columns_and_build_no_basis(monkeypatch):
     assert fock.certify_theorem_2_4_suite(even_twist_group(7), 28).passed
     checked = [build_L(pair_indicator(7, r), k) for r in (1, 2, 3) for k in range(-4, 5)]
     assert all(op._verified == 28 - abs(op.M) for op in checked)
-    ops = [op for op in fock._OP_REGISTRY.values() if isinstance(op, BilinearOp)]
-    assert len(ops) >= len(checked) and all(not op._cache for op in ops)
     assert fock._basis_by_degree.cache_info() == before
 
 
@@ -1399,7 +1404,7 @@ def test_transpose_row_builds_no_column_after_the_pair_checks(monkeypatch):
     rows = {c.id: c for c in build_registry(RunConfig())}
     assert _run_check(rows["fock:mode-bracket:7"], RunConfig()).status == "pass"
     log: list = []
-    for name in ("_relative", "_icolumn"):  # the checks' kernel, the sweeps' columns
+    for name in ("_relative", "icolumn"):  # the checks' kernel, the sweeps' columns
         def recording(op, *args, real=getattr(BilinearOp, name)):
             log.append((op, args))
             return real(op, *args)
@@ -1540,7 +1545,7 @@ def test_certificate_path_accepts_mode_scaled_operators(monkeypatch, l, m, n):
     # both red wherever there is one.
     chi = dirichlet_characters(3)[0]
     x = chi.dilate(l)
-    certified = fock._certify_bracket(x, x, m, n, lm1=_l_minus_one_form)
+    certified = _certified_case(x, x, m, n, lm1=_l_minus_one_form)
     swept = fock._verify_bracket(x, x, m, n, 30, lm1=_l_minus_one_form)
     assert certified.passed and swept.passed
     assert scaling_embed_check(chi, l, m, n, 30).passed
@@ -1548,7 +1553,7 @@ def test_certificate_path_accepts_mode_scaled_operators(monkeypatch, l, m, n):
         assert fock._check_representation(build_L(x, k), 30) is None
     real = fock._central_term
     monkeypatch.setattr(fock, "_central_term", lambda f, lm1, m: real(f, lm1, m) + rat(1, 7))
-    certified = fock._certify_bracket(x, x, m, n, lm1=_l_minus_one_form)
+    certified = _certified_case(x, x, m, n, lm1=_l_minus_one_form)
     swept = fock._verify_bracket(x, x, m, n, 30, lm1=_l_minus_one_form)
     assert certified.passed == swept.passed == (m != -n)
 
@@ -1581,7 +1586,7 @@ def test_cli_scaling_and_energy_rows_name_the_failing_case(monkeypatch, capsys):
                          "--theorem", "scaling", "--json"]) == 1
     (row,) = json.loads(capsys.readouterr().out)["rows"]
     assert (row["check"], row["status"]) == ("scaling", "fail")
-    assert row["witness"] is not None and row["witness"].startswith("((2, 1, -1), (), ()")
+    assert row["witness"] is not None and row["witness"].startswith("((2, 1, -1), 'central'")
     monkeypatch.undo()
     hw = qseries.highest_weight
     monkeypatch.setattr(qseries, "highest_weight", lambda k, j: hw(k, j) + rat(1, 7))
@@ -1589,3 +1594,86 @@ def test_cli_scaling_and_energy_rows_name_the_failing_case(monkeypatch, capsys):
     (row,) = json.loads(capsys.readouterr().out)["rows"]
     assert (row["check"], row["status"]) == ("3.28", "fail")
     assert row["witness"] is not None and row["witness"].startswith("(5, 1, ")
+
+
+_SCALING_CASES = [(l, m, n) for l in (2, 3) for m, n in ((1, -1), (1, 0))]
+
+
+def _scaling_row(cutoff):
+    cfg = RunConfig(cutoff=cutoff)
+    (row,) = [_run_check(c, cfg) for c in build_registry(cfg) if c.id == "fock:scaling"]
+    return row
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_scaling_suite_counts_and_skips_as_the_sweeps(monkeypatch, capsys, N):
+    # fock:scaling (at N = 3) and `fock verify --theorem scaling` certify
+    # the cases of the window sweeps and report their count, the states of
+    # degree <= D - lN(|m| + |n|), with no basis built.  Below D = 6N, where
+    # the window of l = 3, (m, n) = (1, -1) is empty, all of them skip.
+    chi = dirichlet_characters(N)[0]
+    for D in (17, 18, 20, 24, 29, 30):
+        monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+        try:
+            swept = [scaling_embed_check(chi, l, m, n, D) for l, m, n in _SCALING_CASES]
+            want = ("pass", sum(r.cases for r in swept))
+            assert all(swept)
+        except ValueError as exc:
+            want = ("skip", 0)
+            assert str(exc) == "cutoff too small"
+        assert want[0] == ("skip" if D < 6 * N else "pass"), D
+        monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+        before = fock._basis_by_degree.cache_info()
+        assert cli.dispatch(["fock", "verify", "--modulus", str(N), "--cutoff", str(D),
+                             "--theorem", "scaling", "--json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert (row["status"], row["cases"]) == want, D
+        if N == 3:
+            row = _scaling_row(D)
+            value = f"{want[1]} window states" if want[0] == "pass" else ""
+            assert (row.status, row.value) == (want[0], value)
+        assert fock._basis_by_degree.cache_info() == before
+
+
+@pytest.mark.parametrize("mutation, prefix, row_prefix", [
+    ("central-term", ((2, 1, -1), "central"), "(2, 1, -1, 'central', "),
+    ("pair-table-doubled", (("L", 2, -1), "table", 2), "('L', 2, -1, 'table', '2', "),
+])
+def test_scaling_row_and_cli_turn_red_with_the_sweeps(monkeypatch, capsys, mutation, prefix,
+                                                      row_prefix):
+    # A wrong central term fails the certificate of the first case with
+    # m = -n.  A doubled coefficient table reaches no certificate, whose
+    # forms come from the coefficients, so only the representation check
+    # sees it, at the first operator it checks.  The sweeps are red under
+    # both.
+    attr, make = {**_MUTATIONS, **_QTRACE_MUTATIONS}[mutation]
+    monkeypatch.setattr(fock, attr, make(getattr(fock, attr)))
+    chi = dirichlet_characters(3)[0]
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    assert not all(scaling_embed_check(chi, l, m, n, 20) for l, m, n in _SCALING_CASES)
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    res = fock.certify_scaling_suite(chi, 20)
+    assert not res.passed and res.witness[:len(prefix)] == prefix
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    assert cli.dispatch(["fock", "verify", "--modulus", "3", "--cutoff", "20",
+                         "--theorem", "scaling", "--json"]) == 1
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["witness"] == str(res.witness)
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    row = _scaling_row(20)
+    assert row.status == "fail" and row.witness.startswith(row_prefix)
+
+
+def test_default_report_and_fock_verify_build_no_absolute_column(monkeypatch, capsys):
+    # Every Fock row and `fock verify` id decides by certificate and
+    # representation check, whose columns are the kernel's relative ones.
+    calls: list = []
+    real = BilinearOp.icolumn
+    monkeypatch.setattr(BilinearOp, "icolumn",
+                        lambda op, q, ring: calls.append(op) or real(op, q, ring))
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    doc = report_all(RunConfig())
+    assert [r["id"] for r in doc["checks"] if r["status"] != "pass"] == ["summation:squares"]
+    assert cli.dispatch(["fock", "verify", "--modulus", "5"]) == 0
+    capsys.readouterr()
+    assert calls == []

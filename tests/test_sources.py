@@ -113,6 +113,7 @@ _TEST_REFERENCES = {
     "verify_theorem_2_4_suite": "the fock:bracket rows",
     "verify_theorem_3_1": "the fock:decomposition rows",
     "verify_transpose_symmetry": "the fock:transpose row's pair count",
+    "scaling_embed_check": "the fock:scaling row",
     "fit_cubic": "the cocycle null spaces, as spans of m and m^3",
     "bernoulli_number": "criterion 04b's eta(-2) = 0, from the Bernoulli numbers",
 }
@@ -136,6 +137,26 @@ def test_only_test_references_go_unnamed_by_the_product():
         if name not in used and name not in pyproject
     }
     assert unnamed == set(_TEST_REFERENCES)
+
+
+_SWEEP_PREFIXES = ("verify_lemma_2_3", "verify_theorem_2_4")
+_SWEEPS_AND_COLUMNS = {"verify_theorem_3_1", "verify_transpose_symmetry", "verify_scaling_suite",
+                       "scaling_embed_check", "commutator_window", "matrix_equal",
+                       "apply_icolumn", "icolumn", "column"}
+
+
+def test_report_and_cli_name_no_window_sweep_or_column():
+    # Every Fock row and `fock verify` id decides by certificate on the
+    # whole Fock space: neither the checks nor the CLI name a window sweep
+    # or the absolute columns the sweeps compare.
+    root = Path(ltwist.__file__).parent
+    found = sorted(
+        f"{name}:{used}"
+        for name in ("checks.py", "cli.py")
+        for used in set(_identifiers(ast.parse((root / name).read_text(), name)))
+        if used.startswith(_SWEEP_PREFIXES) or used in _SWEEPS_AND_COLUMNS
+    )
+    assert found == []
 
 
 _CERTIFICATE_NAMES = {"_form", "_Form", "_bracket", "_mismatch", "_check_representation",
@@ -179,7 +200,7 @@ def test_representation_checks_build_columns_only_with_the_kernel():
               if isinstance(node, ast.FunctionDef)
               and node.name in ("_check_representation", "_check_diagonal")}
     assert all("_relative" in used for used in checks.values())
-    assert {name: used & {"icolumn", "_icolumn"} for name, used in checks.items()} == {
+    assert {name: used & {"icolumn"} for name, used in checks.items()} == {
         "_check_representation": set(), "_check_diagonal": set()}
 
 
