@@ -18,6 +18,7 @@ from ltwist.exactnum import (
     CycloNum,
     Scalar,
     euler_phi,
+    factorize,
     linear_form,
     parse_scalar,
     rat,
@@ -190,26 +191,10 @@ def pf_mul(a: PeriodicFn, b: PeriodicFn) -> PeriodicFn:
 # Dirichlet characters
 
 
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def _primitive_root(q: int) -> int:
     """Smallest primitive root modulo q, for q an odd prime power or q in {2, 4}."""
     phi = euler_phi(q)
-    factors = [p for p, _ in _factorize(phi)]
+    factors = [p for p, _ in factorize(phi)]
     for g in range(2, q):
         if math.gcd(g, q) != 1:
             continue
@@ -223,7 +208,7 @@ def _unit_group_generators(N: int) -> list[tuple[int, int]]:
     if N == 1:
         return []
     gens = []
-    parts = _factorize(N)
+    parts = factorize(N)
     for p, e in parts:
         q = p**e
         rest = N // q
@@ -408,7 +393,7 @@ def even_twist_group(N: int) -> TwistGroup:
     """
     if N % 2 == 0 or N < 3:
         raise ValueError("unsupported period")
-    if _is_prime(N):
+    if factorize(N) == [(N, 1)]:
         evens = [chi for chi in dirichlet_characters(N) if chi.even]
         return TwistGroup(N, evens)
     return folded_power_family(N)
@@ -433,17 +418,6 @@ def folded_power_family(N: int) -> TwistGroup:
         values[N - 1] = rat(0)
         fns.append(PeriodicFn(N, values))
     return TwistGroup(N, fns)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +472,7 @@ def quadratic_field_group(m: int) -> TwistGroup:
         raise ValueError("field not totally real")
     if m == 1:
         raise ValueError("m must exceed 1")
-    if any(m % (p * p) == 0 for p in range(2, int(math.isqrt(m)) + 1)):
+    if any(e > 1 for _, e in factorize(m)):
         raise ValueError("m must be squarefree")
     D = quadratic_discriminant(m)
     N = abs(D)

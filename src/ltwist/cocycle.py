@@ -20,7 +20,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from ltwist.exactnum import QuotientRing, rat
+from ltwist.exactnum import QuotientRing, factorize, rat
 
 FIELDS = {
     "Q": None,
@@ -36,7 +36,7 @@ def quadratic_order(d: Optional[int]) -> QuotientRing:
     (1 + sqrt d)/2 when d = 1 mod 4: Z[x]/(f), f the minimal polynomial of w."""
     if d is None:
         return QuotientRing((0, 1), ())
-    if d in (0, 1) or any(d % (k * k) == 0 for k in range(2, math.isqrt(abs(d)) + 1)):
+    if d in (0, 1) or any(e > 1 for _, e in factorize(abs(d))):
         raise ValueError("d must be a squarefree integer other than 0, 1")
     return QuotientRing(((1 - d) // 4, -1, 1) if d % 4 == 1 else (-d, 0, 1), ())
 

@@ -18,7 +18,8 @@ columns in.  Every such ring, the quadratic orders of the central-term
 systems too, is one `QuotientRing` Z[x]/(f): arithmetic generated from the
 monic f, and reductions one remainder mod f.  `scalar_parts` gives any scalar
 as integer numerators over one denominator.  A controlled-precision complex
-embedding is provided for the few numeric checks.
+embedding is provided for the few numeric checks.  `factorize` is the one
+trial division and `horner` the one polynomial evaluator of the package.
 """
 
 from __future__ import annotations
@@ -49,33 +50,38 @@ def parse_rat(text: str):
     return rat(int(text))
 
 
-def euler_phi(m: int) -> int:
-    if m < 1:
-        raise ValueError("euler_phi needs a positive argument")
-    result = m
-    n = m
+def factorize(n: int) -> list[tuple[int, int]]:
+    """[(p, e), ...] with n = prod p^e and p ascending, [] for n <= 1: the
+    package's one trial division, from which primality (factorize(n) ==
+    [(n, 1)]), squarefreeness and euler_phi are read."""
+    out = []
     p = 2
     while p * p <= n:
         if n % p == 0:
+            e = 0
             while n % p == 0:
                 n //= p
-            result -= result // p
+                e += 1
+            out.append((p, e))
         p += 1
     if n > 1:
-        result -= result // n
-    return result
+        out.append((n, 1))
+    return out
 
 
-def divisors(m: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
+def euler_phi(m: int) -> int:
+    if m < 1:
+        raise ValueError("euler_phi needs a positive argument")
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in factorize(m))
+
+
+def horner(coeffs, x):
+    """sum c_k x^k by Horner's rule, coefficients in ascending degree; x is
+    anything they multiply and add with: an int, a scalar, an int64 array."""
+    h = 0
+    for c in reversed(coeffs):
+        h = h * x + c
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +117,11 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     if m == 1:
         return (-1, 1)
     poly = [-1] + [0] * (m - 1) + [1]
-    for d in divisors(m)[:-1]:
-        poly, rem = _poly_divmod_int(poly, list(cyclotomic_poly(d)))
-        if rem:
-            raise ArithmeticError("cyclotomic division left a remainder")
+    for d in range(1, m):
+        if m % d == 0:
+            poly, rem = _poly_divmod_int(poly, list(cyclotomic_poly(d)))
+            if rem:
+                raise ArithmeticError("cyclotomic division left a remainder")
     return tuple(poly)
 
 

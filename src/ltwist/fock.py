@@ -38,7 +38,8 @@ residue-pair operator's integer table times its scale is the c of its form,
 and its columns satisfy Q a_{-u} = a_{-u} Q + [Q, a_{-u}] on its window,
 one kernel call per state in `_walk`'s order (`_check_representation`,
 on scalars <q|Q|q> at M = 0).  There the cutoff bounds the states checked,
-and a certified row skips exactly where the sweep's tightest window is empty.
+the degree passed marks only a check to skip, not one to resume, and a
+certified row skips exactly where the sweep's tightest window is empty.
 The transpose identity is certified the same way: a_x^dagger = a_{-x}
 sends the form at shift M to shift -M with s^dagger(x) = conj(s(x - M))
 (`_adjoint`), and the norm `partition_weight` is checked on the states by
@@ -722,12 +723,12 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
     calls the kernel (`BilinearOp._relative`) once per state, keeping only
     the columns on the current path; M = 0 walks scalars (`_check_diagonal`).
     The degree verified is kept on the operator, off the diagonal with the
-    nonzero column entries per degree (`op._entries`); a later call
-    compares only the states above it.
+    nonzero column entries per degree (`op._entries`), and a call at or
+    below it returns None at once; a call above it compares every state.
     """
     M, N = op.M, op._N
-    top, done = _window_budget(D, M), op._verified
-    if done >= top:
+    top = _window_budget(D, M)
+    if op._verified >= top:
         return None
     ring = cyclo_ring(op.order)
     bad, step = _table_steps(op, ring, top)
@@ -755,24 +756,22 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
             q, d = p + _UNIT[v], degree + v
             got = column(q)
             entries[d] += len(got)
-            if d > done:
-                want, s = col, steps[v]
-                if s is not None and (s[1] is None or (k := p >> s[1] & 255)):
-                    c, shift, t = s
-                    x = c if shift is None else smul(c, k)
-                    want = col.copy()
-                    want[t] = x = add(want[t], x) if t in want else x
-                    if is_zero(x):
-                        del want[t]
-                if got != want:
-                    return _difference(q, got, want, ring, scale)
+            want, s = col, steps[v]
+            if s is not None and (s[1] is None or (k := p >> s[1] & 255)):
+                c, shift, t = s
+                x = c if shift is None else smul(c, k)
+                want = col.copy()
+                want[t] = x = add(want[t], x) if t in want else x
+                if is_zero(x):
+                    del want[t]
+            if got != want:
+                return _difference(q, got, want, ring, scale)
             if 2 * v <= room and (bad := children(q, d, v, got)) is not None:
                 return bad
         return None
 
     entries[0] += len(got := column(0))
-    bad = (_difference(0, got, vacuum, ring, scale) if done < 0 and got != vacuum
-           else children(0, 0, 0, got))
+    bad = _difference(0, got, vacuum, ring, scale) if got != vacuum else children(0, 0, 0, got)
     if bad is None:
         op._verified, op._entries = top, entries
     return bad
@@ -783,7 +782,7 @@ def _check_diagonal(op: BilinearOp, ring: CycloRing, top: int, step: list) -> Op
     <q|Q|q> = <p|Q|p> + u s(-u), q = (u,) + p: a column is accepted when it
     is exactly {0: x} ({} when x = 0), else compared with that in full.  It
     counts no entries; the transpose row's n = 0 count is `_diagonal_counts`."""
-    add, zero, done = ring.add, ring.zero, op._verified
+    add, zero = ring.add, ring.zero
     column, scale = op._relative(ring), op.scale
 
     def children(p: int, degree: int, u: int, x) -> Optional[tuple]:
@@ -791,14 +790,14 @@ def _check_diagonal(op: BilinearOp, ring: CycloRing, top: int, step: list) -> Op
         for v in range(u or 1, room + 1):
             q, d, y = p + _UNIT[v], degree + v, add(x, step[v])
             got = column(q)
-            if d > done and (len(got) != 1 or got.get(0) != y if y != zero else got):
+            if len(got) != 1 or got.get(0) != y if y != zero else got:
                 return _difference(q, got, {0: y} if y != zero else {}, ring, scale)
             if 2 * v <= room and (bad := children(q, d, v, y)) is not None:
                 return bad
         return None
 
     got = column(0)  # the vacuum's, x = 0
-    bad = _difference(0, got, {}, ring, scale) if done < 0 and got else children(0, 0, 0, zero)
+    bad = _difference(0, got, {}, ring, scale) if got else children(0, 0, 0, zero)
     if bad is None:
         op._verified = top
     return bad

@@ -8,8 +8,8 @@ import warnings
 from functools import lru_cache
 from typing import NamedTuple
 
-from ltwist.characters import PeriodicFn, _is_prime, kronecker_symbol
-from ltwist.exactnum import Scalar, linear_form, rat
+from ltwist.characters import PeriodicFn, kronecker_symbol
+from ltwist.exactnum import Scalar, factorize, horner, linear_form, rat
 
 MAX_BERNOULLI_DEGREE = 64
 
@@ -21,10 +21,7 @@ class BernPoly(NamedTuple):
     coeffs: tuple
 
     def __call__(self, x):
-        acc = rat(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
     def derivative(self) -> "BernPoly":
         if self.degree == 0:
@@ -155,7 +152,7 @@ def class_number_imag_quadratic(q: int) -> int:
 
     The result is checked to be a positive integer before returning.
     """
-    if not (_is_prime(q) and q % 4 == 3 and q > 3):
+    if not (factorize(q) == [(q, 1)] and q % 4 == 3 and q > 3):
         raise ValueError("out of scope modulus")
     s = sum(k * kronecker_symbol(k, q) for k in range(1, q))
     h = rat(-s, q)

@@ -63,6 +63,7 @@ class RunConfig:
 
 
 CONFIG_KEYS = set(RunConfig().to_dict())
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def config_from_mapping(data: dict, base: Optional[RunConfig] = None) -> RunConfig:
@@ -72,18 +73,20 @@ def config_from_mapping(data: dict, base: Optional[RunConfig] = None) -> RunConf
         if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
         current = getattr(cfg, key)
-        if isinstance(current, tuple):
-            if isinstance(raw, str):
-                raw = [int(x) for x in raw.replace(",", " ").split()]
-            value = tuple(int(x) for x in raw)
-        elif isinstance(current, bool):
-            value = raw if isinstance(raw, bool) else str(raw).lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-        else:
-            value = str(raw)
+        try:
+            if isinstance(current, tuple):
+                items = raw.replace(",", " ").split() if isinstance(raw, str) else raw
+                value = tuple(int(x) for x in items)
+            elif isinstance(current, bool):
+                value = raw if isinstance(raw, bool) else _BOOLS[str(raw).strip().lower()]
+            elif isinstance(current, int):
+                value = int(raw)
+            elif isinstance(current, float):
+                value = float(raw)
+            else:
+                value = str(raw)
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"config key {key!r} cannot take the value {raw!r}") from None
         setattr(cfg, key, value)
     return cfg
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
 from ltwist.characters import PeriodicFn
-from ltwist.exactnum import Scalar, cyclo_embed, rat
+from ltwist.exactnum import Scalar, cyclo_embed, horner, rat
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,15 +71,6 @@ class SeqSpec:
         return prefix[:n]
 
 
-def _poly(coeffs: tuple, x):
-    """sum c_k x^k by Horner's rule, coefficients in ascending degree; x is
-    an int or an int64 array."""
-    h = 0
-    for c in reversed(coeffs):
-        h = h * x + c
-    return h
-
-
 def rational_series(
     num: tuple,
     den: tuple = (1,),
@@ -98,8 +89,8 @@ def rational_series(
     """
 
     def term(i: int):
-        p = _poly(num, i)
-        return rat(-p if alternating and i % 2 else p, _poly(den, i))
+        p = horner(num, i)
+        return rat(-p if alternating and i % 2 else p, horner(den, i))
 
     def floats(n: int):
         import numpy as np
@@ -108,10 +99,10 @@ def rational_series(
                for coeffs in (num, den)):
             return None
         idx = np.arange(1, n + 1, dtype=np.int64)
-        p = _poly(num, idx)
+        p = horner(num, idx)
         if alternating:
             p[::2] *= -1  # odd i, negated as integers: a zero term stays +0.0
-        return (p / _poly(den, idx)).astype(np.complex128)
+        return (p / horner(den, idx)).astype(np.complex128)
 
     return SeqSpec(term, floats, period_hint=period_hint)
 

@@ -161,8 +161,12 @@ def test_quadratic_field_groups():
     assert G2.elements[1].even
     with pytest.raises(ValueError, match="field not totally real"):
         quadratic_field_group(-7)
-    with pytest.raises(ValueError):
-        quadratic_field_group(12)  # not squarefree
+    for m in range(2, 31):
+        if all(m % (k * k) for k in range(2, 6)):
+            assert len(quadratic_field_group(m)) == 2, m
+        else:
+            with pytest.raises(ValueError, match="squarefree"):
+                quadratic_field_group(m)
 
 
 def test_kronecker_symbol():

@@ -204,6 +204,12 @@ def test_quad_field_guards():
             quadratic_order(d)
         with pytest.raises(ValueError, match="squarefree"):
             build_system(d, 3)
+    for d in range(-50, 51):
+        if d not in (0, 1) and all(d % (k * k) for k in range(2, 8)):
+            assert quadratic_order(d).degree == 2, d
+        else:
+            with pytest.raises(ValueError, match="squarefree"):
+                quadratic_order(d)
 
 
 def test_unknown_field_names_raise_value_error():

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ltwist.exactnum import (
@@ -10,6 +11,8 @@ from ltwist.exactnum import (
     cyclo_embed,
     cyclotomic_poly,
     euler_phi,
+    factorize,
+    horner,
     is_rational,
     parse_scalar,
     rat,
@@ -35,6 +38,36 @@ def test_cyclotomic_polynomials():
     # degree is always phi(m)
     for m in range(1, 40):
         assert len(cyclotomic_poly(m)) == euler_phi(m) + 1
+
+
+def _brute_prime(n: int) -> bool:
+    return n >= 2 and all(n % k for k in range(2, n))
+
+
+def test_factorize_and_what_is_read_from_it():
+    for n in range(-3, 2):
+        assert factorize(n) == []
+    for n in range(2, 2001):
+        parts = factorize(n)
+        assert math.prod(p**e for p, e in parts) == n, n
+        assert [p for p, _ in parts] == sorted({p for p, _ in parts}), n
+        assert all(_brute_prime(p) and e >= 1 for p, e in parts), n
+        assert (parts == [(n, 1)]) == _brute_prime(n), n
+    for n in range(1, 501):
+        assert euler_phi(n) == sum(math.gcd(a, n) == 1 for a in range(1, n + 1)), n
+
+
+def test_horner_is_the_direct_sum():
+    rng = random.Random(7)
+    idx = np.arange(-30, 31, dtype=np.int64)
+    for _ in range(40):
+        ints = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 6)))
+        coeffs = tuple(rat(c, rng.randint(1, 5)) for c in ints)
+        x = rat(rng.randint(-7, 7), rng.randint(1, 4))
+        assert horner(coeffs, x) == sum(c * x**k for k, c in enumerate(coeffs))
+        got = horner(ints, idx)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, sum(c * idx**k for k, c in enumerate(ints)))
 
 
 def test_simple_root_identities():

@@ -162,7 +162,7 @@ def test_class_numbers():
 
 
 def test_class_number_domain():
-    for bad in (5, 13, 3, 9, 21, 2):
+    for bad in (5, 13, 3, 9, 21, 2, 15, 27, 35, 1, 0, -7):
         with pytest.raises(ValueError, match="out of scope modulus"):
             class_number_imag_quadratic(bad)
 

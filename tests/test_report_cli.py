@@ -93,6 +93,15 @@ def test_config_file_and_env(tmp_path):
         config_from_env({"LTWIST_CUTOF": "10"}, cfg)
     with pytest.raises(ValueError):
         config_from_mapping({"not_a_key": 1})
+    # a value that does not parse raises and names its key
+    for env, key in [({"LTWIST_TIMINGS": "on"}, "timings"), ({"LTWIST_SEED": "abc"}, "seed"),
+                     ({"LTWIST_TOLERANCE": "tiny"}, "tolerance"),
+                     ({"LTWIST_MODULI_BRACKET": "3,x"}, "moduli_bracket")]:
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            config_from_env(env, cfg)
+    for spelling, want in [("1", True), ("TRUE", True), ("Yes", True),
+                           ("0", False), ("false", False), ("NO", False)]:
+        assert config_from_env({"LTWIST_TIMINGS": spelling}).timings is want
     bad = tmp_path / "bad.cfg"
     bad.write_text("just a line\n")
     with pytest.raises(ValueError):
@@ -561,6 +570,14 @@ def test_cli_report(tmp_path, capsys, monkeypatch):
     assert doc["config"]["cutoff"] == 4
 
 
+_GOLDEN_CONFIG = dict(
+    moduli_bracket=(), moduli_decomposition=(), moduli_exact=(5,),
+    moduli_numeric=(5,), moduli_energy=(5,), cutoff=20, modular_order=100,
+    euler_order=60, jacobi_order=20, series_order=20, qtrace_order=10,
+    n_terms=20_000, precision_bits=128,
+)
+
+
 def test_report_rows_match_golden_file():
     # The report's behaviour contract: every check row (id, formula, status,
     # value, witness) stays byte-identical across refactors.  The file holds
@@ -569,15 +586,25 @@ def test_report_rows_match_golden_file():
     path = os.path.join(os.path.dirname(__file__), "data", "report_rows_small.json")
     with open(path, encoding="utf-8") as fh:
         want = fh.read()
-    cfg = RunConfig(
-        moduli_bracket=(), moduli_decomposition=(), moduli_exact=(5,),
-        moduli_numeric=(5,), moduli_energy=(5,), cutoff=20, modular_order=100,
-        euler_order=60, jacobi_order=20, series_order=20, qtrace_order=10,
-        n_terms=20_000, precision_bits=128,
-    )
-    doc = json.loads(report_to_json(report_all(cfg)))
+    doc = json.loads(report_to_json(report_all(RunConfig(**_GOLDEN_CONFIG))))
     got = {"config": doc["config"], "checks": doc["checks"]}
     assert json.dumps(got, indent=2, sort_keys=True) + "\n" == want
+
+
+def test_rows_do_not_depend_on_the_order_they_run_in(monkeypatch):
+    # Rows share state: the Fock operators in `fock._OP_REGISTRY` keep the
+    # degree their representation check passed, and the cocycle rows share
+    # `checks._NULL_SPACES`.  Run forward and reversed, each pass from empty
+    # caches, every row must come out the same.
+    cfg = RunConfig(**{**_GOLDEN_CONFIG, "moduli_bracket": (3,), "moduli_decomposition": (5,)})
+    registry = build_registry(cfg)
+    passes = []
+    for order in (registry, registry[::-1]):
+        monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+        monkeypatch.setattr(checks, "_NULL_SPACES", {})
+        passes.append({r.id: r for r in (_run_check(c, cfg) for c in order)})
+    assert len(passes[0]) == len(registry)
+    assert passes[0] == passes[1]
 
 
 COMMUTATOR_ROWS = ("fock:mode-bracket:", "fock:bracket:", "fock:decomposition:")

@@ -46,6 +46,26 @@ def test_only_report_imports_dataclasses():
     assert found == {"report.py"}
 
 
+# (importer, module, name): the private names one package module takes from
+# another.  fock reads the closed form of L(-1, f) for any periodic f, which
+# `l_minus_one` refuses for the pair indicators.
+_PRIVATE_IMPORTS = {("fock.py", "ltwist.lvalues", "_l_minus_one_form")}
+
+
+def test_modules_import_no_private_names_of_each_other():
+    # A helper that two modules need is public where it lives.
+    files = sorted(Path(ltwist.__file__).parent.glob("*.py"))
+    found = {
+        (path.name, node.module, alias.name)
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ltwist")
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert found == _PRIVATE_IMPORTS
+
+
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
