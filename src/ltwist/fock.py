@@ -63,7 +63,7 @@ import operator
 import warnings
 from functools import lru_cache, reduce
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from ltwist.characters import PeriodicFn, TwistGroup, even_twist_group, pf_mul
 from ltwist.exactnum import (
@@ -1056,7 +1056,7 @@ def certify_lemma_2_3_suite(G: TwistGroup, D: int) -> VerifyResult:
     N = G.period
     _window_budget(D, _LEMMA_KS[-1], _LEMMA_NS[-1] * N)
     res = _lemma_2_3_suite(G, lambda chi, k, n: _certify(*_lemma_2_3_sides(chi, k, n)))
-    return _with_representation(res, N, D, _LEMMA_NS)
+    return _with_representation(res, D, _pair_operators(N, _LEMMA_NS))
 
 
 def _lemma_2_3_suite(G: TwistGroup, case) -> VerifyResult:
@@ -1068,56 +1068,80 @@ def _lemma_2_3_suite(G: TwistGroup, case) -> VerifyResult:
         for r in _pair_residues(N) for k in _LEMMA_KS for n in _LEMMA_NS
     ):
         return VerifyResult(True, len(cases), None)
-    for count, (a, k, n) in enumerate(cases, start=1):
-        res = case(G.elements[a], k, n)
-        if not res.passed:
-            return VerifyResult(False, count, ((a, k, n),) + res.witness)
-    return VerifyResult(True, len(cases), None)
+    return _case_by_case(cases, lambda a, k, n: case(G.elements[a], k, n).witness)
 
 
-def _with_representation(res: VerifyResult, N: int, D: int, ns) -> VerifyResult:
+def _case_by_case(cases: list, case, swap: bool = False,
+                  case_log: Optional[list] = None) -> VerifyResult:
+    """Decide the keys of `cases` in order, `case(*key)` giving a case's
+    witness or None.  With `swap`, a key (x, y, m, n) whose swap (y, x, n, m)
+    came earlier takes that key's witness: the two brackets are negatives.
+    The first failing key names the witness (key, *its witness).  With
+    `case_log`, each key gets a (*key, passed, witness) entry and the loop
+    runs on; without, it stops at the first failure, counting up to it."""
+    witnesses: dict = {}
+    failure = None
+    for total, key in enumerate(cases, start=1):
+        twin = (key[1], key[0], key[3], key[2]) if swap else None
+        witness = witnesses[key] = witnesses[twin] if twin in witnesses else case(*key)
+        if case_log is not None:
+            case_log.append((*key, witness is None, witness))
+        if witness is not None and failure is None:
+            failure = (key,) + witness
+            if case_log is None:
+                return VerifyResult(False, total, failure)
+    return VerifyResult(failure is None, len(cases), failure)
+
+
+def _pair_operators(N: int, ns) -> Iterator[tuple]:
+    """(("P", r, n), P_n^(r)) for n in ns, in r-major order, each operator
+    built when it is reached."""
+    return ((("P", r, n), build_L(pair_indicator(N, r), n)) for r in _pair_residues(N) for n in ns)
+
+
+def _with_representation(res: VerifyResult, D: int, ops) -> VerifyResult:
     """A passing certified suite stays passing when the columns of every
-    P_n^(r) = build_L(1_r, n), n in ns, are the Fock representation; the
-    witness names the first failing (r, n) in r-major order."""
+    operator of the (label, operator) pairs `ops` are the Fock
+    representation on degree <= D - |M|; the witness is (label, *the first
+    failure)."""
     if not res.passed:
         return res
-    for r in _pair_residues(N):
-        for n in ns:
-            bad = _check_representation(build_L(pair_indicator(N, r), n), D)
-            if bad is not None:
-                return VerifyResult(False, res.cases, (("P", r, n),) + bad)
+    for label, op in ops:
+        bad = _check_representation(op, D)
+        if bad is not None:
+            return VerifyResult(False, res.cases, (label,) + bad)
     return res
 
 
-def _central_term(f: PeriodicFn, lm1, m: int) -> Scalar:
-    """The central scalar of Theorem 2.4 at n = -m for the product twist f,
-    given lm1 = L(-1, f): (m/N) L(-1, f) + (m^3/12) sum_k f(k)."""
-    return lm1 * rat(m, f.period) + f.period_sum() * rat(m**3, 12)
+def _central_term(f: PeriodicFn, m: int) -> Scalar:
+    """The central scalar of Theorem 2.4 at n = -m for the product twist f:
+    (m/N) L(-1, f) + (m^3/12) sum_k f(k), L(-1, f) the closed form, which
+    is linear in f."""
+    return _l_minus_one_form(f) * rat(m, f.period) + f.period_sum() * rat(m**3, 12)
 
 
-def _bracket_rhs(prod: PeriodicFn, m: int, n: int, lm1=l_minus_one) -> Operator:
-    """(m-n) L_{m+n}^{prod} plus the central scalar when m = -n, with
-    L(-1, prod) from `lm1`."""
+def _bracket_rhs(prod: PeriodicFn, m: int, n: int) -> Operator:
+    """(m-n) L_{m+n}^{prod} plus the central scalar when m = -n."""
     terms = [(rat(m - n), build_L(prod, m + n))]
     if m == -n:
-        terms.append((1, ScalarOp(_central_term(prod, lm1(prod), m))))
+        terms.append((1, ScalarOp(_central_term(prod, m))))
     return SumOp(terms)
 
 
 def _bracket_sides(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int,
-                   lm1=l_minus_one, prod: Optional[PeriodicFn] = None) -> tuple:
+                   prod: Optional[PeriodicFn] = None) -> tuple:
     """The two sides of Theorem 2.4; `prod`, when given, is f1 f2."""
     lhs = CommutatorOp(build_L(f1, m), build_L(f2, n))
-    return lhs, _bracket_rhs(pf_mul(f1, f2) if prod is None else prod, m, n, lm1=lm1)
+    return lhs, _bracket_rhs(pf_mul(f1, f2) if prod is None else prod, m, n)
 
 
 def _verify_bracket(f1: PeriodicFn, f2: PeriodicFn, m: int, n: int, D: int,
-                    lm1=l_minus_one, prod: Optional[PeriodicFn] = None) -> VerifyResult:
+                    prod: Optional[PeriodicFn] = None) -> VerifyResult:
     """[L_m^{f1}, L_n^{f2}] against `_bracket_rhs(f1 f2, ...)`, exactly on
     the window."""
     N = f1.period
     window = commutator_window(D, m * N, n * N)
-    lhs, rhs = _bracket_sides(f1, f2, m, n, lm1, prod)
+    lhs, rhs = _bracket_sides(f1, f2, m, n, prod)
     witness = lhs.matrix_equal(rhs, window)
     return VerifyResult(witness is None, len(window), witness)
 
@@ -1143,20 +1167,20 @@ def verify_theorem_2_4_suite(
 ) -> VerifyResult:
     """All ordered pairs of group elements and |m|, |n| <= max_mode.
 
-    Both sides of Theorem 2.4 are bilinear in (chi1, chi2), so the identity
-    is swept once per unordered pair of residue-pair cases ((r, m), (s, n)),
-    with the swapped case its exact negation.  There 1_r 1_s = delta_rs 1_r,
-    and L(-1, 1_r) is the same closed form as `l_minus_one`, which is linear
-    in f.  Every ordered element case then follows from three exact checks
-    on G: chi == sum_r chi(r) 1_r, chi1 chi2 == sum_r chi1(r) chi2(r) 1_r,
-    and the elements' central scalar is sum_r chi1(r) chi2(r) times the
-    pairs' one.  If any sweep or check fails, the element cases run one by
-    one, and the witness is the first failing ((a, b, m, n), state,
-    out_state, got, want).  When `case_log` is given, one
-    (a, b, m, n, passed, witness) entry is appended per ordered case.
+    The left side of Theorem 2.4 is bilinear in (chi1, chi2) and the right
+    side is linear in the product chi1 chi2, its central term too, as the
+    closed form of L(-1, f) is linear in f.  So the identity is swept once
+    per unordered pair of residue-pair cases ((r, m), (s, n)), with the
+    swapped case its exact negation and 1_r 1_s = delta_rs 1_r, and every
+    ordered element case follows from two exact checks on G: chi == sum_r
+    chi(r) 1_r and chi1 chi2 == sum_r chi1(r) chi2(r) 1_r.  If any sweep or
+    check fails, the element cases run one by one, and the witness is the
+    first failing ((a, b, m, n), state, out_state, got, want).  When
+    `case_log` is given, one (a, b, m, n, passed, witness) entry is appended
+    per ordered case.
     """
-    def case(f1, f2, m, n, lm1=l_minus_one, prod=None):
-        return _verify_bracket(f1, f2, m, n, D, lm1, prod)
+    def case(f1, f2, m, n, prod=None):
+        return _verify_bracket(f1, f2, m, n, D, prod)
 
     return _theorem_2_4_suite(G, max_mode, case, case_log)
 
@@ -1178,44 +1202,37 @@ def certify_theorem_2_4_suite(G: TwistGroup, D: int,
     _window_budget(D, _MAX_MODE * N, _MAX_MODE * N)
     res = _theorem_2_4_suite(
         G, _MAX_MODE, lambda *a, **k: _certify(*_bracket_sides(*a, **k)), case_log)
-    return _with_representation(res, N, D, _PRODUCT_MODES)
+    return _with_representation(res, D, _pair_operators(N, _PRODUCT_MODES))
 
 
 def _theorem_2_4_suite(G: TwistGroup, max_mode: int, case,
                        case_log: Optional[list]) -> VerifyResult:
-    """The suite with `case(f1, f2, m, n, lm1=..., prod=...) ->
-    VerifyResult` deciding one case."""
+    """The suite with `case(f1, f2, m, n, prod=...) -> VerifyResult`
+    deciding one case."""
     N = G.period
     es = range(len(G))
     span = range(-max_mode, max_mode + 1)
     cases = [(a, b, m, n) for a in es for b in es for m in span for n in span]
-    if _pair_certificate(G, span) and _pair_cases_2_4(N, span, case):
+    if _pair_certificate(G) and _pair_cases_2_4(N, span, case):
         if case_log is not None:
-            case_log.extend((a, b, m, n, True, None) for a, b, m, n in cases)
+            case_log.extend((*key, True, None) for key in cases)
         return VerifyResult(True, len(cases), None)
-    return _theorem_2_4_by_elements(G, cases, case_log, case)
+    return _case_by_case(
+        cases, lambda a, b, m, n: case(G.elements[a], G.elements[b], m, n).witness,
+        swap=True, case_log=case_log)
 
 
-def _pair_certificate(G: TwistGroup, span: range) -> bool:
+def _pair_certificate(G: TwistGroup) -> bool:
     """The exact identities that carry the pair-basis cases of Theorem 2.4
-    over to every ordered pair of elements of G."""
+    over to every ordered pair of elements of G: each chi is sum_r chi(r)
+    1_r, and each product chi1 chi2 is sum_r chi1(r) chi2(r) 1_r.  A case's
+    left side is bilinear in the twists and its right side, central term
+    too, linear in their product, so no central scalar needs a check."""
     N = G.period
     coeffs = [_pair_coefficients(chi) for chi in G.elements]
-    if any(c is None for c in coeffs):
-        return False
-    pairs = [pair_indicator(N, r) for r in _pair_residues(N)]
-    central = [[_central_term(f, _l_minus_one_form(f), m) for f in pairs] for m in span]
-    for a, chi1 in enumerate(G.elements):
-        for b, chi2 in enumerate(G.elements):
-            prod = pf_mul(chi1, chi2)
-            c = [x * y for x, y in zip(coeffs[a], coeffs[b])]
-            if prod != _pair_combination(N, c):
-                return False
-            lm1 = l_minus_one(prod)
-            if [_central_term(prod, lm1, m) for m in span] != [
-                    sum(map(operator.mul, c, row), rat(0)) for row in central]:
-                return False
-    return True
+    return all(c is not None for c in coeffs) and all(
+        pf_mul(chi1, chi2) == _pair_combination(N, list(map(operator.mul, c1, c2)))
+        for chi1, c1 in zip(G.elements, coeffs) for chi2, c2 in zip(G.elements, coeffs))
 
 
 def _pair_cases_2_4(N: int, span: range, case) -> bool:
@@ -1223,29 +1240,9 @@ def _pair_cases_2_4(N: int, span: range, case) -> bool:
     delta_rs 1_r in closed form, so one operator per product is built."""
     zero = PeriodicFn(N, [rat(0)] * N)
     items = [(r, m) for r in _pair_residues(N) for m in span]
-    return all(case(pair_indicator(N, r), pair_indicator(N, s), m, n, lm1=_l_minus_one_form,
+    return all(case(pair_indicator(N, r), pair_indicator(N, s), m, n,
                     prod=pair_indicator(N, r) if r == s else zero).passed
                for i, (r, m) in enumerate(items) for s, n in items[i:])
-
-
-def _theorem_2_4_by_elements(G: TwistGroup, cases: list, case_log: Optional[list],
-                             case) -> VerifyResult:
-    """The ordered element cases one by one, each unordered case decided once."""
-    outcomes: dict = {}
-    failure = None
-    for total, (a, b, m, n) in enumerate(cases, start=1):
-        outcome = outcomes.get((b, n, a, m))  # the swapped case's
-        if outcome is None:
-            res = case(G.elements[a], G.elements[b], m, n)
-            outcome = res.passed, res.witness
-        passed, witness = outcomes[a, m, b, n] = outcome
-        if case_log is not None:
-            case_log.append((a, b, m, n, passed, witness))
-        if not passed and failure is None:
-            failure = ((a, b, m, n),) + tuple(witness or ())
-            if case_log is None:
-                return VerifyResult(False, total, failure)
-    return VerifyResult(failure is None, len(cases), failure)
 
 
 def verify_theorem_3_1(G: TwistGroup, D: int) -> VerifyResult:
@@ -1272,7 +1269,7 @@ def certify_theorem_3_1(G: TwistGroup, D: int) -> VerifyResult:
     N = G.period
     _window_budget(D, _MAX_MODE * N, _MAX_MODE * N)
     res = _theorem_3_1(G, lambda lhs, rhs, m, n: _certify(lhs, rhs).witness)
-    return _with_representation(res, N, D, _PRODUCT_MODES)
+    return _with_representation(res, D, _pair_operators(N, _PRODUCT_MODES))
 
 
 def _theorem_3_1(G: TwistGroup, case) -> VerifyResult:
@@ -1281,23 +1278,20 @@ def _theorem_3_1(G: TwistGroup, case) -> VerifyResult:
     k = len(G)
     b = G.elements[G.identity].period_sum()
     _check_projectors(k)
-    span, seen = range(-_MAX_MODE, _MAX_MODE + 1), set()
-    cases = list(itertools.product(range(1, k + 1), range(1, k + 1), span, span))
-    for total, (i, jdx, m, n) in enumerate(cases, start=1):
-        if ((jdx, n), (i, m)) in seen:
-            continue
-        seen.add(((i, m), (jdx, n)))
-        lhs = CommutatorOp(build_T(G, i, m), build_T(G, jdx, n))
+    span = range(-_MAX_MODE, _MAX_MODE + 1)
+
+    def sides(i: int, j: int, m: int, n: int) -> Optional[tuple]:
+        lhs = CommutatorOp(build_T(G, i, m), build_T(G, j, n))
         terms = []
-        if i == jdx:
+        if i == j:
             if m != n:
                 terms.append((rat(m - n), build_T(G, i, m + n)))
             if m == -n:
                 terms.append((1, ScalarOp(b * rat(m**3, 12 * k))))
-        witness = case(lhs, SumOp(terms), m, n)
-        if witness is not None:
-            return VerifyResult(False, total, ((i, jdx, m, n),) + witness)
-    return VerifyResult(True, len(cases), None)
+        return case(lhs, SumOp(terms), m, n)
+
+    return _case_by_case(list(itertools.product(range(1, k + 1), range(1, k + 1), span, span)),
+                         sides, swap=True)
 
 
 def _check_projectors(k: int) -> None:
@@ -1353,11 +1347,10 @@ def scaling_embed_check(chi: PeriodicFn, l: int, m: int, n: int, D: int) -> Veri
     """The mode-scaled operators (1/l) tau_l(L_n^chi), which are the L_n of
     the dilated twist chi.dilate(l), satisfy the bracket identity of chi with
     the same central values, exactly on the window.  Their central scalar is
-    the unscaled _central_term(chi chi, L(-1, chi chi), m): L(-1) of the
-    dilated product is l L(-1, chi chi), and `l_minus_one` admits chi chi
-    but not its dilation, so it is asked for the former."""
+    `_central_term` of the dilated product, whose closed form of L(-1) is l
+    times that of chi chi, so it is the unscaled _central_term(chi chi, m)."""
     x = chi.dilate(l)
-    return _verify_bracket(x, x, m, n, D, lm1=lambda _: l * l_minus_one(pf_mul(chi, chi)))
+    return _verify_bracket(x, x, m, n, D)
 
 
 def certify_scaling_suite(chi: PeriodicFn, D: int) -> VerifyResult:
@@ -1365,12 +1358,15 @@ def certify_scaling_suite(chi: PeriodicFn, D: int) -> VerifyResult:
     {(1, -1), (1, 0)}, each proved on the whole Fock space by its
     normal-ordering form on x = chi.dilate(l), and the columns of
     build_L(x, k), k in {-1, 0, 1}, checked against the Fock representation
-    on degree <= D - |k| lN.  A failing case gives ((l, m, n), x, got, want)
-    with x an index or "central"; a failing column gives (("L", l, k), state,
-    out_state, got, want), or (("L", l, k), "table", residue, got, want).
-    Like the sweeps it raises `cutoff too small` when the window of l = 3,
-    (m, n) = (1, -1) is empty, D < 6N, and its count is theirs: the states
-    of degree <= D - lN(|m| + |n|), summed over the cases."""
+    on degree <= D - |k| lN.  The row claims chi's central values, so each
+    case first checks that the closed form of L(-1, x x) is l L(-1, chi chi),
+    else its witness is ((l, m, n), "L(-1)", got, want).  A failing case
+    otherwise gives ((l, m, n), x, got, want) with x an index or "central";
+    a failing column gives (("L", l, k), state, out_state, got, want), or
+    (("L", l, k), "table", residue, got, want).  Like the sweeps it raises
+    `cutoff too small` when the window of l = 3, (m, n) = (1, -1) is empty,
+    D < 6N, and its count is theirs: the states of degree <= D - lN(|m| +
+    |n|), summed over the cases."""
     from ltwist.qseries import product_expand
 
     N = chi.period
@@ -1378,18 +1374,18 @@ def certify_scaling_suite(chi: PeriodicFn, D: int) -> VerifyResult:
     cases = [(l, m, n) for l in (2, 3) for m, n in ((1, -1), (1, 0))]
     p = product_expand(1, {0}, -1, D + 1).coeffs  # p(d), the states of degree d
     count = sum(p[d] for l, m, n in cases for d in range(D - l * N * (abs(m) + abs(n)) + 1))
-    lm1 = l_minus_one(pf_mul(chi, chi))  # L(-1) of the dilated product is l times it
-    for l, m, n in cases:
+    lm = l_minus_one(pf_mul(chi, chi))
+
+    def scaled_case(l: int, m: int, n: int) -> Optional[tuple]:
         x = chi.dilate(l)
-        res = _certify(*_bracket_sides(x, x, m, n, lambda _: l * lm1))
-        if not res.passed:
-            return VerifyResult(False, count, ((l, m, n),) + res.witness)
-    for l in (2, 3):
-        for k in (-1, 0, 1):
-            bad = _check_representation(build_L(chi.dilate(l), k), D)
-            if bad is not None:
-                return VerifyResult(False, count, (("L", l, k),) + bad)
-    return VerifyResult(True, count, None)
+        prod = pf_mul(x, x)
+        if (got := _l_minus_one_form(prod)) != l * lm:
+            return "L(-1)", got, l * lm
+        return _certify(*_bracket_sides(x, x, m, n, prod)).witness
+
+    res = _case_by_case(cases, scaled_case)
+    return _with_representation(VerifyResult(res.passed, count, res.witness), D, (
+        (("L", l, k), build_L(chi.dilate(l), k)) for l in (2, 3) for k in (-1, 0, 1)))
 
 
 def verify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
@@ -1437,7 +1433,8 @@ def certify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
     A, B = build_L(chi, n), build_L(chi.conj(), -n)
     ring = cyclo_ring(math.lcm(A.order, B.order))
     witness = _mismatch(_adjoint(_form(A, ring)), _form(B, ring))
-    res = _with_representation(VerifyResult(witness is None, 0, witness), N, D, (n,))
+    res = _with_representation(VerifyResult(witness is None, 0, witness), D,
+                               _pair_operators(N, (n,)))
     if not res.passed:
         return res
     if n:

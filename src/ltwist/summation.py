@@ -16,11 +16,6 @@ if TYPE_CHECKING:
 MAX_CESARO_DEPTH = 4
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 class SeqSpec:
     """Lazily evaluated exact sequence with float batch evaluation.
 
@@ -29,10 +24,9 @@ class SeqSpec:
     (partial_sum, cesaro, inflate) return new SeqSpecs and compose.
 
     Without a batch function, or where it returns None for an n it cannot
-    serve exactly, the float prefix is built once from the exact terms and
-    kept on the sequence: `floats(n)` then returns a read-only view of it,
-    and a longer request extends it.  Only the float paths import numpy, so
-    a sequence read term by term never loads it.
+    serve exactly, `floats(n)` converts the first n exact terms one by one.
+    Only the float paths import numpy, so a sequence read term by term never
+    loads it.
     """
 
     def __init__(
@@ -43,7 +37,6 @@ class SeqSpec:
     ):
         self._term_fn = term_fn
         self._float_fn = float_fn
-        self._prefix = None  # made on the first request
         self.period_hint = period_hint
 
     def term(self, i: int) -> Scalar:
@@ -58,17 +51,8 @@ class SeqSpec:
             batch = self._float_fn(n)
             if batch is not None:
                 return batch
-        if self._prefix is None:
-            self._prefix = _read_only(np.empty(0, dtype=np.complex128))
-        prefix = self._prefix
-        if len(prefix) < n:
-            more = np.fromiter(
-                (complex(self.term(i)) for i in range(len(prefix) + 1, n + 1)),
-                dtype=np.complex128, count=n - len(prefix),
-            )
-            prefix = _read_only(np.concatenate((prefix, more)))
-            self._prefix = prefix
-        return prefix[:n]
+        return np.fromiter((complex(self.term(i)) for i in range(1, n + 1)),
+                           dtype=np.complex128, count=n)
 
 
 def rational_series(
@@ -205,8 +189,6 @@ def limit_numeric(s: SeqSpec, depth: int, n_terms: int, tol) -> LimitReport:
     Returns the window midpoint on success; a non-converged report with the
     message "no convergence at depth d" when the spread exceeds tol.
     """
-    import numpy as np
-
     if not 0 <= depth <= MAX_CESARO_DEPTH:  # depth 0: the raw partial sums
         raise ValueError(f"depth must lie in 0..{MAX_CESARO_DEPTH}")
     period = s.period_hint or 1
@@ -215,10 +197,9 @@ def limit_numeric(s: SeqSpec, depth: int, n_terms: int, tol) -> LimitReport:
     tol_f = float(tol)
     if not tol_f > 0:  # else any spread at all would read as divergence
         raise ValueError("tolerance must be positive")
-    x = s.floats(n_terms)
-    idx = np.arange(1, n_terms + 1)
     for _ in range(depth):
-        x = np.cumsum(x) / idx
+        s = cesaro(s)
+    x = s.floats(n_terms)
     window = max(2 * period, 64)
     tail = x[-window:]
     re_lo, re_hi = tail.real.min(), tail.real.max()

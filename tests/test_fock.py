@@ -407,7 +407,7 @@ def test_pair_suite_reports_an_element_case_when_broken(monkeypatch):
     # a wrong central term breaks the identity in both bases; the suite must
     # fail and name the first failing element case with its exact witness
     real = fock._central_term
-    monkeypatch.setattr(fock, "_central_term", lambda f, lm1, m: real(f, lm1, m) + rat(1, 7))
+    monkeypatch.setattr(fock, "_central_term", lambda f, m: real(f, m) + rat(1, 7))
     G = even_twist_group(5)
     res = verify_theorem_2_4_suite(G, 16, max_mode=1)
     assert not res.passed
@@ -692,10 +692,11 @@ def test_certificate_agrees_with_sweep(case):
     # Random even twists, not only characters; a shifted L(-1) breaks the
     # central term, so the two verdicts must also agree on failures.
     f1, f2, m, n, shift = case
-    lm1 = lambda f: _l_minus_one_form(f) + shift  # noqa: E731
     D = f1.period * (abs(m) + abs(n)) + 4
-    swept = fock._verify_bracket(f1, f2, m, n, D, lm1=lm1)
-    certified = _certified_case(f1, f2, m, n, lm1=lm1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fock, "_l_minus_one_form", lambda f: _l_minus_one_form(f) + shift)
+        swept = fock._verify_bracket(f1, f2, m, n, D)
+        certified = _certified_case(f1, f2, m, n)
     assert certified.passed == swept.passed
     assert certified.passed == (not shift or m != -n or m == 0)
     if not certified.passed:
@@ -827,7 +828,7 @@ def _assert_forms_are_pointwise(*ops, order=1):
 @given(_bracket_cases())
 def test_coefficient_tables_match_the_pointwise_rules(case):
     f1, f2, m, n, _ = case
-    _assert_forms_are_pointwise(*fock._bracket_sides(f1, f2, m, n, lm1=_l_minus_one_form))
+    _assert_forms_are_pointwise(*fock._bracket_sides(f1, f2, m, n))
 
 
 def test_coefficient_tables_of_the_bracket_row_match_the_pointwise_rules():
@@ -836,7 +837,7 @@ def test_coefficient_tables_of_the_bracket_row_match_the_pointwise_rules():
     for i, (r, m) in enumerate(items):
         for s, n in items[i:]:
             _assert_forms_are_pointwise(*fock._bracket_sides(
-                pair_indicator(7, r), pair_indicator(7, s), m, n, lm1=_l_minus_one_form))
+                pair_indicator(7, r), pair_indicator(7, s), m, n))
 
 
 def test_pair_cases_take_each_product_in_closed_form(monkeypatch):
@@ -860,9 +861,8 @@ def test_pair_cases_take_each_product_in_closed_form(monkeypatch):
             prod = f1 if r == s else zero
             assert pf_mul(f1, f2) == prod
             for m, n in ((1, -1), (2, 0), (-1, -1)):
-                closed = _certified_case(f1, f2, m, n, lm1=_l_minus_one_form, prod=prod)
-                assert closed.passed and _certified_case(
-                    f1, f2, m, n, lm1=_l_minus_one_form).passed, (r, s, m, n)
+                closed = _certified_case(f1, f2, m, n, prod=prod)
+                assert closed.passed and _certified_case(f1, f2, m, n).passed, (r, s, m, n)
 
 
 def test_coefficient_tables_of_dilated_and_nested_brackets():
@@ -1009,7 +1009,7 @@ def _doubled_scale(real):
 
 _MUTATIONS = {
     "central-term": ("_central_term",
-                     lambda real: lambda f, lm1, m: real(f, lm1, m) + rat(1, 7)),
+                     lambda real: lambda f, m: real(f, m) + rat(1, 7)),
     "bracket-rhs": ("_bracket_rhs",
                     lambda real: lambda *a, **k: SumOp([(1, real(*a, **k)),
                                                         (1, ScalarOp(rat(1, 7)))])),
@@ -1530,8 +1530,20 @@ def test_dilate_keeps_the_twist_and_its_central_values(case):
     assert x.period == l * f.period and x.even and not x(0)
     assert all(x(y) == (f(y // l) if y % l == 0 else 0) for y in range(x.period))
     assert _l_minus_one_form(x) == l * _l_minus_one_form(f)
-    assert (fock._central_term(x, _l_minus_one_form(x), m)
-            == fock._central_term(f, _l_minus_one_form(f), m))
+    assert fock._central_term(x, m) == fock._central_term(f, m)
+
+
+@pytest.mark.parametrize("N", [5, 7, 9])
+def test_central_term_is_linear_in_the_twist(N):
+    # The pair certificate of Theorem 2.4 rests on this: the central term
+    # of sum_r c_r 1_r is sum_r c_r times that of 1_r, c in Q and Q(zeta_3).
+    pairs = [pair_indicator(N, r) for r in fock._pair_residues(N)]
+    for c in ([rat(r, 3) - 1 for r in range(len(pairs))],
+              [zeta(3) ** r + rat(r, 2) for r in range(len(pairs))]):
+        f = fock._pair_combination(N, c)
+        for m in range(-4, 5):
+            want = sum((x * fock._central_term(p, m) for x, p in zip(c, pairs)), rat(0))
+            assert fock._central_term(f, m) == want, (N, c, m)
 
 
 _SCALED_CASES = [(l, m, n) for l in (2, 3) for m, n in ((1, -1), (1, 0), (-1, 1), (0, 1))]
@@ -1545,23 +1557,24 @@ def test_certificate_path_accepts_mode_scaled_operators(monkeypatch, l, m, n):
     # both red wherever there is one.
     chi = dirichlet_characters(3)[0]
     x = chi.dilate(l)
-    certified = _certified_case(x, x, m, n, lm1=_l_minus_one_form)
-    swept = fock._verify_bracket(x, x, m, n, 30, lm1=_l_minus_one_form)
+    certified = _certified_case(x, x, m, n)
+    swept = fock._verify_bracket(x, x, m, n, 30)
     assert certified.passed and swept.passed
     assert scaling_embed_check(chi, l, m, n, 30).passed
     for k in {m, n, m + n}:
         assert fock._check_representation(build_L(x, k), 30) is None
     real = fock._central_term
-    monkeypatch.setattr(fock, "_central_term", lambda f, lm1, m: real(f, lm1, m) + rat(1, 7))
-    certified = _certified_case(x, x, m, n, lm1=_l_minus_one_form)
-    swept = fock._verify_bracket(x, x, m, n, 30, lm1=_l_minus_one_form)
+    monkeypatch.setattr(fock, "_central_term", lambda f, m: real(f, m) + rat(1, 7))
+    certified = _certified_case(x, x, m, n)
+    swept = fock._verify_bracket(x, x, m, n, 30)
     assert certified.passed == swept.passed == (m != -n)
 
 
 @pytest.mark.parametrize("l", [2, 3])
 def test_scaling_central_scalar_is_the_unscaled_one(monkeypatch, l):
-    # l_minus_one rejects the dilated product, so the scaling check asks it
-    # for the product of chi itself and gets the unscaled central scalar.
+    # The scaling check's central scalar is the unscaled one: the closed
+    # form of L(-1) on the dilated product is l times that on chi chi, and
+    # `l_minus_one` admits only chi chi.
     chi = dirichlet_characters(3)[0]
     prod = pf_mul(chi, chi)
     with pytest.raises(ValueError):
@@ -1576,12 +1589,12 @@ def test_scaling_central_scalar_is_the_unscaled_one(monkeypatch, l):
     monkeypatch.setattr(fock, "_bracket_rhs", recording)
     assert scaling_embed_check(chi, l, 1, -1, 24).passed
     (rhs,) = sides
-    assert rhs.column(()) == {(): fock._central_term(prod, l_minus_one(prod), 1)}
+    assert rhs.column(()) == {(): fock._central_term(prod, 1)}
 
 
 def test_cli_scaling_and_energy_rows_name_the_failing_case(monkeypatch, capsys):
     real = fock._central_term
-    monkeypatch.setattr(fock, "_central_term", lambda f, lm1, m: real(f, lm1, m) + rat(1, 7))
+    monkeypatch.setattr(fock, "_central_term", lambda f, m: real(f, m) + rat(1, 7))
     assert cli.dispatch(["fock", "verify", "--modulus", "3", "--cutoff", "20",
                          "--theorem", "scaling", "--json"]) == 1
     (row,) = json.loads(capsys.readouterr().out)["rows"]
@@ -1635,18 +1648,25 @@ def test_scaling_suite_counts_and_skips_as_the_sweeps(monkeypatch, capsys, N):
         assert fock._basis_by_degree.cache_info() == before
 
 
+_SCALING_MUTATIONS = {
+    "l-minus-one-form": ("_l_minus_one_form", lambda real: lambda f: real(f) + rat(1, 7)),
+}
+
+
 @pytest.mark.parametrize("mutation, prefix, row_prefix", [
     ("central-term", ((2, 1, -1), "central"), "(2, 1, -1, 'central', "),
     ("pair-table-doubled", (("L", 2, -1), "table", 2), "('L', 2, -1, 'table', '2', "),
+    ("l-minus-one-form", ((2, 1, -1), "L(-1)"), "(2, 1, -1, 'L(-1)', "),
 ])
 def test_scaling_row_and_cli_turn_red_with_the_sweeps(monkeypatch, capsys, mutation, prefix,
                                                       row_prefix):
     # A wrong central term fails the certificate of the first case with
     # m = -n.  A doubled coefficient table reaches no certificate, whose
     # forms come from the coefficients, so only the representation check
-    # sees it, at the first operator it checks.  The sweeps are red under
-    # both.
-    attr, make = {**_MUTATIONS, **_QTRACE_MUTATIONS}[mutation]
+    # sees it, at the first operator it checks.  A wrong closed form of
+    # L(-1) breaks the row's claim that the central values are chi's, at
+    # the first case.  The sweeps are red under all three.
+    attr, make = {**_MUTATIONS, **_QTRACE_MUTATIONS, **_SCALING_MUTATIONS}[mutation]
     monkeypatch.setattr(fock, attr, make(getattr(fock, attr)))
     chi = dirichlet_characters(3)[0]
     monkeypatch.setattr(fock, "_OP_REGISTRY", {})

@@ -224,6 +224,23 @@ def test_representation_checks_build_columns_only_with_the_kernel():
         "_check_representation": set(), "_check_diagonal": set()}
 
 
+def test_one_central_term_reads_the_closed_form_of_l_minus_one():
+    # Theorem 2.4 has one right side: no function takes L(-1) as a
+    # parameter, `_central_term` reads its closed form, and only the
+    # scaling suite names it besides, to state its claim that the dilated
+    # twists keep chi's central values.  The pair certificate needs no
+    # central scalar, as both sides of a case are linear in the product.
+    path = Path(ltwist.__file__).parent / "fock.py"
+    tree = ast.parse(path.read_text(), str(path))
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and "lm1" in {a.arg for a in node.args.args + node.args.kwonlyargs}] == []
+    used = {node.name: set(_identifiers(node)) for node in tree.body  # nested: the owner's
+            if isinstance(node, ast.FunctionDef)}
+    assert {name for name, names in used.items() if "_l_minus_one_form" in names} == {
+        "_central_term", "certify_scaling_suite"}
+    assert used["_pair_certificate"] & {"l_minus_one", "_central_term"} == set()
+
+
 _CALCULUS = ("_shifted", "_shifted_product", "_lifted", "_add_rows", "_combine", "_bracket",
              "_mismatch", "_adjoint")
 

