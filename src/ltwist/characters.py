@@ -101,14 +101,11 @@ class PeriodicFn:
                         ok = False
                         break
             if ok:
+                # with chi(1) = 1, chi(a g) = chi(a) chi(g) for the generators
+                # g gives chi(a b) = chi(a) chi(b) by induction on b's word
                 units = [a for a in range(N) if math.gcd(a, N) == 1]
-                for a in units:
-                    for b in units:
-                        if self(a * b) != self(a) * self(b):
-                            ok = False
-                            break
-                    if not ok:
-                        break
+                ok = all(self(a * g) == self(a) * self(g)
+                         for g, _ in _unit_group_generators(N) for a in units)
             self._flags["dirichlet"] = ok
         return self._flags["dirichlet"]
 
@@ -259,20 +256,25 @@ def _character_table(N: int, gens: tuple) -> tuple:
     if len(dlog) != euler_phi(N):
         raise ArithmeticError(f"the unit group generators mod {N} miss some units")
 
+    # chi(k) depends only on s = (e_i t_i mod d_i): one product per s per table
     powers = [_root_powers(d) for d in orders]
+    logs = [dlog.get(k % N) for k in range(1, N + 1)]  # None off the units
+    products: dict = {}
     chars = []
     for exps in itertools.product(*(range(d) for d in orders)):
         values = []
-        for k in range(1, N + 1):
-            r = k % N
-            if math.gcd(r, N) != 1:
+        for t_unit in logs:
+            if t_unit is None:
                 values.append(rat(0))
                 continue
-            val: Scalar = rat(1)
-            for (e_char, t_unit, table, d) in zip(exps, dlog[r], powers, orders):
-                s = (e_char * t_unit) % d
-                if s:
-                    val = val * table[s]
+            s = tuple(e * t % d for e, t, d in zip(exps, t_unit, orders))
+            val = products.get(s)
+            if val is None:
+                val = rat(1)
+                for si, table in zip(s, powers):
+                    if si:
+                        val = val * table[si]
+                products[s] = val
             values.append(val)
         chars.append(PeriodicFn(N, values))
     return tuple(chars)

@@ -7,8 +7,9 @@ and antisymmetry constraints leave a single functional equation
     (m - n) alpha(m + n) - (2n + m) alpha(m) + (n + 2m) alpha(n) = 0.
 
 This module builds that linear system on a coordinate box, checks alpha(m) = m
-and alpha(m) = m^3 against every constraint exactly, and certifies by a rank
-bound mod a prime that they span the null space over K.  The indices and the
+and alpha(m) = m^3 against every constraint exactly, and certifies that they
+span the null space over K by the rank of the rows' images under a ring map
+Z[w] -> F_p, which is never above their rank over K.  The indices and the
 coefficients lie in the ring of integers Z[w] = Z[x]/(f) of K, f the minimal
 polynomial of w, and run on the integer tuples of `exactnum.QuotientRing`,
 the ring that also carries Z[zeta_m].
@@ -16,11 +17,10 @@ the ring that also carries Z[zeta_m].
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from ltwist.exactnum import QuotientRing, factorize, rat
+from ltwist.exactnum import QuotientRing, factorize, horner, is_prime, rat
 
 FIELDS = {
     "Q": None,
@@ -128,24 +128,18 @@ def _row_apply(K: QuotientRing, row: dict, vec) -> bool:
     return K.is_zero(acc)
 
 
-# The prime of the rank certificate, below 2^30 so that residues and their
-# products stay in one or two machine words.  A rank lost mod p needs p to
-# divide a nonzero minor of small-integer rows; it could only turn a row red.
-_PRIME = (1 << 30) - 35
-
-
 def nullspace_dim(sys_: CocycleSystem):
     """Null-space dimension over K, with the vectors m and m^3.
 
     Both are first verified against every row exactly; their values at
     m = 1, 2, which every box holds, are independent, so the dimension is at
-    least 2.  Each K-row then becomes `K.degree` integer rows on the
-    Q-coordinates of the unknowns (restriction of scalars, which multiplies
-    the rank by `K.degree`), and their rank mod _PRIME, never above the rank
-    over Q, is taken until it reaches K.degree * (#unknowns - 2).  Then the
+    least 2.  The rows then go through the ring map Z[w] -> F_p, w -> r, of
+    `_degree_one_prime`: it sends every minor of the K-rows to the matching
+    minor of their images, so the rank of the images mod p is at most their
+    rank over K.  It is taken until it reaches #unknowns - 2; then the
     dimension is exactly 2 and [m, m^3] is a basis.  Otherwise the returned
-    dimension is the upper bound #unknowns - ceil(rank / K.degree) > 2, so an
-    uncertified system can only read as a larger null space.
+    dimension is the upper bound #unknowns - rank > 2, so an uncertified
+    system can only read as a larger null space.
     """
     K = sys_.field
     v1 = list(sys_.unknowns)                             # alpha(m) = m
@@ -154,44 +148,43 @@ def nullspace_dim(sys_: CocycleSystem):
         if not _row_apply(K, row, v1) or not _row_apply(K, row, v3):
             raise ArithmeticError(f"polynomial solution violates constraint {ridx}")
     u = len(sys_.unknowns)
-    rank = _rank_mod_p(_restricted_rows(K, sys_.rows), K.degree * (u - 2))
-    return u - math.ceil(rank / K.degree), [v1, v3]
+    p, r = _degree_one_prime(K.f)
+    images = ({j: horner(c, r) for j, c in row.items()} for row in sys_.rows)
+    return u - _rank_mod_p(images, p, u - 2), [v1, v3]
 
 
-def _restricted_rows(K: QuotientRing, rows):
-    """The integer rows over Q of the K-rows: unknown j = sum_t y_t w^t takes
-    the columns n j + t over Q, n = [K:Q], and a coefficient c puts the
-    coordinates of c w^t at column n j + t of the row's n rows over Q."""
-    n = K.degree
-    powers = [tuple(int(s == t) for s in range(n)) for t in range(n)]  # w^t
-    for row in rows:
-        parts = [{} for _ in powers]
-        for p, c in row.items():
-            for t, w_t in enumerate(powers):
-                for part, x in zip(parts, K.mul(c, w_t)):
-                    part[n * p + t] = x
-        yield from parts
+@lru_cache(maxsize=None)
+def _degree_one_prime(f: tuple) -> tuple[int, int]:
+    """(p, r), p = f(r) a prime below 2^30 for the largest such r <= 2^(30/deg f):
+    w -> r mod p is a ring map Z[x]/(f) -> F_p, and residues and their
+    products stay in machine words.  A rank lost mod p could only turn a row red."""
+    r = 1 << (30 // (len(f) - 1))
+    while horner(f, r) >= 1 << 30:
+        r -= 1
+    while not is_prime(horner(f, r)):
+        r -= 1
+    return horner(f, r), r
 
 
-def _rank_mod_p(rows, target: int) -> int:
-    """Rank mod _PRIME of the integer rows, stopping once it reaches target.
+def _rank_mod_p(rows, p: int, target: int) -> int:
+    """Rank mod p of the integer rows, stopping once it reaches target.
     Each pivot row is scaled to lead with 1 at its first column, so reducing
     by it only touches later columns."""
     pivots: dict = {}
     for row in rows:
-        row = {c: v % _PRIME for c, v in row.items() if v % _PRIME}
+        row = {c: v % p for c, v in row.items() if v % p}
         while row:
             col = min(row)
             piv = pivots.get(col)
             if piv is None:
-                inv = pow(row[col], -1, _PRIME)
-                pivots[col] = {c: v * inv % _PRIME for c, v in row.items()}
+                inv = pow(row[col], -1, p)
+                pivots[col] = {c: v * inv % p for c, v in row.items()}
                 if len(pivots) == target:
                     return target
                 break
             f = row[col]
             for c, v in piv.items():
-                x = (row.get(c, 0) - f * v) % _PRIME
+                x = (row.get(c, 0) - f * v) % p
                 if x:
                     row[c] = x
                 else:

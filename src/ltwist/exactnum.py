@@ -19,7 +19,8 @@ systems too, is one `QuotientRing` Z[x]/(f): arithmetic generated from the
 monic f, and reductions one remainder mod f.  `scalar_parts` gives any scalar
 as integer numerators over one denominator.  A controlled-precision complex
 embedding is provided for the few numeric checks.  `factorize` is the one
-trial division and `horner` the one polynomial evaluator of the package.
+trial division and `horner` the one polynomial evaluator of the package;
+`is_prime` is a deterministic Miller-Rabin test for word-sized numbers.
 """
 
 from __future__ import annotations
@@ -67,6 +68,21 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5, 7, exact below 3,215,031,751
+    (Pomerance, Selfridge and Wagstaff 1980); a ValueError from there on."""
+    if n >= 3_215_031_751:
+        raise ValueError("is_prime is exact only below 3,215,031,751")
+    if n < 2 or any(n % a == 0 for a in (2, 3, 5, 7)):
+        return n in (2, 3, 5, 7)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    for a in (2, 3, 5, 7):  # a strong probable prime: a^d = 1 or some a^(2^k d) = -1
+        powers = [pow(a, (n - 1) >> (s - k), n) for k in range(s)]
+        if powers[0] != 1 and n - 1 not in powers:
+            return False
+    return True
 
 
 def euler_phi(m: int) -> int:
@@ -592,6 +608,9 @@ def check_precision(bits: int, name: str = "precision_bits") -> None:
         raise ValueError(f"{name} must be at least 64")
 
 
+_ROOTS: dict = {}  # (m, precision_bits) -> exp(2 pi i / m) at cyclo_embed's precision
+
+
 def cyclo_embed(a, precision_bits: int = 128):
     """Complex embedding sending zeta_m to exp(2 pi i / m).
 
@@ -605,7 +624,9 @@ def cyclo_embed(a, precision_bits: int = 128):
         if not isinstance(a, CycloNum):
             a = rat(a)
             return mpmath.mpc(mpmath.mpf(a.numerator) / mpmath.mpf(a.denominator))
-        z = mpmath.e ** (2j * mpmath.pi / a.order)
+        z = _ROOTS.get((a.order, precision_bits))
+        if z is None:
+            z = _ROOTS[a.order, precision_bits] = mpmath.e ** (2j * mpmath.pi / a.order)
         acc = mpmath.mpc(0)
         for c in reversed(a.coeffs):
             acc = acc * z

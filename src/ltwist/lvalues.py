@@ -127,10 +127,15 @@ def _over_one_denominator(weights: list) -> tuple[tuple[int, ...], int]:
 
 @lru_cache(maxsize=None)
 def _special_weights(n: int, N: int) -> tuple[tuple[int, ...], int]:
-    """w_a = -N^{n-1} B_n(a/N) / n."""
-    B = bernoulli_poly(n)
-    scale = rat(N) ** (n - 1) / rat(n)
-    return _over_one_denominator([-B(rat(a, N)) * scale for a in range(1, N + 1)])
+    """w_a = -N^{n-1} B_n(a/N) / n = -sum_j c_j N^{n-j} a^j / (D n N), with
+    B_n's coefficients b_j = c_j / D over one denominator, in lowest terms."""
+    coeffs = bernoulli_poly(n).coeffs
+    D = math.lcm(*(b.denominator for b in coeffs))
+    scaled = [b.numerator * (D // b.denominator) * N ** (n - j)
+              for j, b in enumerate(coeffs)]
+    nums = [-horner(scaled, a) for a in range(1, N + 1)]
+    g = math.gcd(D * n * N, *nums)
+    return tuple(x // g for x in nums), D * n * N // g
 
 
 @lru_cache(maxsize=None)

@@ -44,6 +44,54 @@ def test_characters_vanish_off_units():
                 assert (not chi(a)) == (math.gcd(a, N) != 1)
 
 
+def _all_pairs_character(f):
+    # the definition itself: unit support, f(1) = 1, f(ab) = f(a) f(b)
+    N = f.period
+    units = [a for a in range(N) if math.gcd(a, N) == 1]
+    return (f(1) == 1
+            and all(bool(f(a)) == (math.gcd(a, N) == 1) for a in range(N))
+            and all(f(a * b) == f(a) * f(b) for a in units for b in units))
+
+
+def test_generator_wise_character_flag_is_the_all_pairs_definition():
+    from itertools import product
+
+    from ltwist.characters import _unit_group_generators
+
+    z3 = zeta(3)
+    for N in range(1, 31):
+        chars = dirichlet_characters(N)
+        units = [a for a in range(1, N) if math.gcd(a, N) == 1]
+        fns = chars + [c.conj() for c in chars[-2:]]
+        fns += [pf_mul(a, b) for a, b in zip(chars[-2:], chars[-3:])]
+        for f in fns:
+            assert f.is_dirichlet_character and _all_pairs_character(f), N
+        mutants = []
+        for c in chars:
+            for a in units[1:3]:  # one unit value times another root of unity
+                vals = list(c.values())
+                vals[a - 1] = vals[a - 1] * z3
+                mutants.append(PeriodicFn(N, vals))
+        gens = _unit_group_generators(N)
+        for i in range(len(gens)):
+            # times zeta_3 off the subgroup H the other generators span: the
+            # check must reach every generator to see that this is no character
+            others = gens[:i] + gens[i + 1:]
+            H = {math.prod(pow(g, e, N) for (g, _), e in zip(others, es)) % N
+                 for es in product(*(range(d) for _, d in others))}
+            mutants.append(PeriodicFn(N, [
+                v if k % N in H or not v else v * z3
+                for k, v in enumerate(chars[-1].values(), start=1)]))
+        if N > 2:  # unit-supported, 1 at 1, not multiplicative: f(u) = u
+            mutants.append(PeriodicFn(N, [
+                rat(k) if k == 1 or math.gcd(k, N) == 1 else rat(0)
+                for k in range(1, N + 1)]))
+        for f in mutants:
+            assert f(1) == 1
+            assert not _all_pairs_character(f), N
+            assert not f.is_dirichlet_character, N
+
+
 def test_orthogonality():
     for N in (5, 7, 9, 12):
         chars = dirichlet_characters(N)

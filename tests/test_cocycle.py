@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -13,7 +12,7 @@ from ltwist.cocycle import (
     nullspace_dim,
     quadratic_order,
 )
-from ltwist.exactnum import Rat
+from ltwist.exactnum import Rat, factorize, horner
 from ltwist.report import RunConfig, _run_check
 
 
@@ -127,12 +126,16 @@ def test_rank_certificate_matches_exact_dimensions(name):
         assert len(basis) == 2
 
 
-def test_rank_prime_is_a_prime_below_2_to_the_30():
+def test_rank_prime_is_a_degree_one_prime_below_2_to_the_30():
     # The certificate's rank is taken mod p, which is sound only for a
-    # prime; below 2^30 its residues and their products fit machine words.
-    p = cocycle._PRIME
-    assert 2 < p < 1 << 30
-    assert all(p % k for k in range(2, math.isqrt(p) + 1))
+    # prime, through w -> r, a ring map Z[w] -> F_p only when f(r) = 0 mod p;
+    # below 2^30 the residues and their products fit machine words.
+    for d in [FIELDS[name] for name in sorted(FIELDS)] + [3, -3, 13]:
+        f = quadratic_order(d).f
+        p, r = cocycle._degree_one_prime(f)
+        assert factorize(p) == [(p, 1)], d
+        assert p < 1 << 30, d
+        assert horner(f, r) % p == 0, d
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))

@@ -13,6 +13,7 @@ from ltwist.exactnum import (
     euler_phi,
     factorize,
     horner,
+    is_prime,
     is_rational,
     parse_scalar,
     rat,
@@ -55,6 +56,18 @@ def test_factorize_and_what_is_read_from_it():
         assert (parts == [(n, 1)]) == _brute_prime(n), n
     for n in range(1, 501):
         assert euler_phi(n) == sum(math.gcd(a, n) == 1 for a in range(1, n + 1)), n
+
+
+def test_is_prime_agrees_with_factorize_and_refuses_past_its_bound():
+    for n in range(10**5):
+        assert is_prime(n) == (factorize(n) == [(n, 1)]), n
+    # strong pseudoprimes to the bases 2; 2 and 3; 2, 3 and 5
+    for n in (2047, 1373653, 25326001):
+        assert not is_prime(n), n
+    assert is_prime(3_215_031_751 - 2)  # the largest prime below the bound
+    for n in (3_215_031_751, 3_215_031_752, 1 << 40):
+        with pytest.raises(ValueError):
+            is_prime(n)
 
 
 def test_horner_is_the_direct_sum():
@@ -173,6 +186,38 @@ def test_embedding_values():
     assert abs(float(third.real) + 1 / 12) < 1e-30
     with pytest.raises(ValueError):
         cyclo_embed(zeta(3), 32)
+
+
+def _embed_uncached(a, bits):
+    import mpmath
+
+    with mpmath.workprec(bits + 32):
+        z = mpmath.e ** (2j * mpmath.pi / a.order)
+        acc = mpmath.mpc(0)
+        for c in reversed(a.coeffs):
+            acc = acc * z
+            acc += mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
+        return +acc
+
+
+def test_embedding_with_a_cached_root_is_the_formula_bit_for_bit():
+    from ltwist import exactnum
+
+    bits_all = (64, 128, 256)
+    for m in (3, 4, 5, 8, 12, 24):
+        x = CycloNum(m, [rat(k - 2, k + 1) for k in range(euler_phi(m))])
+        for bits in bits_all:
+            want = _embed_uncached(x, bits)
+            exactnum._ROOTS.clear()
+            cold = cyclo_embed(x, bits)
+            exactnum._ROOTS.clear()
+            for other in bits_all:
+                if other != bits:
+                    cyclo_embed(x, other)
+            after_others = cyclo_embed(x, bits)  # a miss among filled entries
+            warm = cyclo_embed(x, bits)  # a hit
+            for got in (cold, after_others, warm):
+                assert got == want and repr(got) == repr(want), (m, bits)
 
 
 def test_embedding_homomorphism():
