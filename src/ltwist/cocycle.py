@@ -18,7 +18,8 @@ the ring that also carries Z[zeta_m].
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 from ltwist.exactnum import QuotientRing, factorize, horner, is_prime, rat
 
@@ -48,14 +49,16 @@ def field_by_name(name: str) -> QuotientRing:
 
 
 class CocycleSystem(NamedTuple):
-    """Linear constraints over K for the diagonal central terms alpha(m)."""
+    """Linear constraints over K for the diagonal central terms alpha(m),
+    held in tuples and read-only mappings: `checks` shares a system between
+    rows."""
 
     field: QuotientRing
     height: int
-    unknowns: list          # canonical box representatives (one per +- pair)
-    index: dict             # canonical element -> unknown position
-    rows: list              # list of {position: K coefficient}, int coordinates
-    box: list               # all nonzero box elements
+    unknowns: tuple         # canonical box representatives (one per +- pair)
+    index: Mapping          # canonical element -> unknown position
+    rows: tuple             # of {position: K coefficient}, int coordinates
+    box: tuple              # all nonzero box elements
 
 
 def build_system(d, H: int) -> CocycleSystem:
@@ -99,8 +102,8 @@ def build_system(d, H: int) -> CocycleSystem:
             _row_add(row, K, index, m, K.neg(K.add(K.add(n, n), m)))
             _row_add(row, K, index, n, K.add(n, K.add(m, m)))
             rows.append(row)
-    return CocycleSystem(field=K, height=H, unknowns=reps, index=index,
-                         rows=rows, box=box)
+    return CocycleSystem(field=K, height=H, unknowns=tuple(reps), index=MappingProxyType(index),
+                         rows=tuple(map(MappingProxyType, rows)), box=tuple(box))
 
 
 def _canonical(m):
@@ -121,7 +124,7 @@ def _row_add(row: dict, K: QuotientRing, index: dict, m, coeff) -> None:
     row[pos] = K.add(row.get(pos, K.zero), coeff)
 
 
-def _row_apply(K: QuotientRing, row: dict, vec) -> bool:
+def _row_apply(K: QuotientRing, row: Mapping, vec) -> bool:
     acc = K.zero
     for pos, c in row.items():
         acc = K.add(acc, K.mul(c, vec[pos]))
@@ -129,7 +132,7 @@ def _row_apply(K: QuotientRing, row: dict, vec) -> bool:
 
 
 def nullspace_dim(sys_: CocycleSystem):
-    """Null-space dimension over K, with the vectors m and m^3.
+    """Null-space dimension over K, with the tuple basis (m, m^3).
 
     Both are first verified against every row exactly; their values at
     m = 1, 2, which every box holds, are independent, so the dimension is at
@@ -137,20 +140,20 @@ def nullspace_dim(sys_: CocycleSystem):
     `_degree_one_prime`: it sends every minor of the K-rows to the matching
     minor of their images, so the rank of the images mod p is at most their
     rank over K.  It is taken until it reaches #unknowns - 2; then the
-    dimension is exactly 2 and [m, m^3] is a basis.  Otherwise the returned
+    dimension is exactly 2 and (m, m^3) is a basis.  Otherwise the returned
     dimension is the upper bound #unknowns - rank > 2, so an uncertified
     system can only read as a larger null space.
     """
     K = sys_.field
-    v1 = list(sys_.unknowns)                             # alpha(m) = m
-    v3 = [K.mul(r, K.mul(r, r)) for r in sys_.unknowns]  # alpha(m) = m^3
+    v1 = tuple(sys_.unknowns)                                 # alpha(m) = m
+    v3 = tuple(K.mul(r, K.mul(r, r)) for r in sys_.unknowns)  # alpha(m) = m^3
     for ridx, row in enumerate(sys_.rows):
         if not _row_apply(K, row, v1) or not _row_apply(K, row, v3):
             raise ArithmeticError(f"polynomial solution violates constraint {ridx}")
     u = len(sys_.unknowns)
     p, r = _degree_one_prime(K.f)
     images = ({j: horner(c, r) for j, c in row.items()} for row in sys_.rows)
-    return u - _rank_mod_p(images, p, u - 2), [v1, v3]
+    return u - _rank_mod_p(images, p, u - 2), (v1, v3)
 
 
 @lru_cache(maxsize=None)
@@ -221,7 +224,7 @@ def line_recursion_holds(sys_: CocycleSystem, basis) -> bool:
     H = sys_.height
     K = sys_.field
     # a random-ish combination exercises linearity
-    vecs = basis + [[K.add(a, K.add(b, b)) for a, b in zip(*basis)]]
+    vecs = [*basis, [K.add(a, K.add(b, b)) for a, b in zip(*basis)]]
     for vec in vecs:
         for m in range(1, H):
             lhs = _line_value(sys_, K, vec, m + 1)

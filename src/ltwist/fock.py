@@ -29,10 +29,10 @@ sum_j c(j) :a_{-j} a_{j+M}: plus modes and a scalar, [Q, a_x] =
 -x s(x) a_{x+M} with s(x) = c(x) + c(-x-M), and two such forms are equal
 exactly when their symmetrised coefficients s, their modes and their vacuum
 scalars are (`_form`, `_mismatch`).  Each s is periodic times polynomial in
-x, held as a table of coefficients by power of x and residue, and a form is
-one rational scale times elements of Z[zeta_m], as a column is: the
-calculus runs on ring operations, equal tables decide s for every x, and
-scalars appear only where a form is built and where a witness is named.
+x, held as a function of x with its period and a bound d on its degree, and
+a form is one rational scale times values in Z[zeta_m], as a column is: the
+calculus runs on ring operations, d + 2 points per residue decide s for
+every x, and scalars appear only where a form is built and a witness named.
 A state-level check then ties the column code to that representation: each
 residue-pair operator's integer table times its scale is the c of its form,
 and its columns satisfy Q a_{-u} = a_{-u} Q + [Q, a_{-u}] on its window,
@@ -61,7 +61,7 @@ import itertools
 import math
 import operator
 import warnings
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -272,8 +272,8 @@ class _OverDenominator:
     """Scalars written as algebraic integers over one positive denominator.
 
     `den` is the least common denominator and `scale` its inverse;
-    `elements(ring)` gives the numerators as elements of any ring Z[zeta_m]
-    with `order` | m, converted once per ring.
+    `elements(ring)` gives the numerators as a tuple of elements of any ring
+    Z[zeta_m] with `order` | m, converted once per ring and shared.
     """
 
     def __init__(self, values: list):
@@ -284,11 +284,11 @@ class _OverDenominator:
         self._values = values
         self._by_ring: dict = {}
 
-    def elements(self, ring: CycloRing) -> list:
+    def elements(self, ring: CycloRing) -> tuple:
         hit = self._by_ring.get(ring)
         if hit is None:
-            hit = self._by_ring[ring] = [ring.smul(x, self.den // den)
-                                         for x, den in map(ring.from_scalar, self._values)]
+            hit = self._by_ring[ring] = tuple(ring.smul(x, self.den // den)
+                                              for x, den in map(ring.from_scalar, self._values))
         return hit
 
 
@@ -516,13 +516,14 @@ class _Form(NamedTuple):
     as `scale` (a Rat) times a form with entries in `ring`, as columns are.
 
     `quad` maps a shift M to a bilinear sum_j c(j) :a_{-j} a_{j+M}:, held
-    by the table of its symmetrised coefficient s(x) = c(x) + c(-x-M)
-    (meaningful for x != 0, -M): rows of one value per residue mod a period,
-    s(x) = sum_d rows[d][x mod period] x^d.  `lin` maps x to the weight of
-    a_x (x != 0); `z` is the scalar part.  Since [Q, a_x] = -x s(x) a_{x+M},
-    an operator of this kind commuting with every a_x is a scalar, so two
-    forms are equal as operators exactly when their s, weights and scalars
-    are.  Forms are never changed and share tables; `_form` caches one per
+    as (period, degree, s): its symmetrised coefficient s(x) = c(x) +
+    c(-x-M), a function from x to `ring` (meaningful for x != 0, -M) that
+    is a polynomial of degree <= `degree` in x on each residue class mod
+    `period`.  `lin` maps x to the weight of a_x (x != 0); `z` is the
+    scalar part.  Since [Q, a_x] = -x s(x) a_{x+M}, an operator of this
+    kind commuting with every a_x is a scalar, so two forms are equal as
+    operators exactly when their s, weights and scalars are.  Forms are
+    never changed and share their functions; `_form` caches one per
     bilinear and ring."""
 
     ring: CycloRing
@@ -536,13 +537,13 @@ def _form(op: Operator, ring: CycloRing) -> _Form:
     """The form in `ring` of a BilinearOp (from its coefficient, not its
     columns' table; once per ring), ModeOp, ScalarOp, SumOp or CommutatorOp.
     Scalars enter here, by `ring.from_scalar`; a one-term sum with a
-    rational weight c is its operand's tables at c times its scale."""
+    rational weight c is its operand's form at c times its scale."""
     if isinstance(op, BilinearOp):
         if (form := op._forms.get(ring)) is None:  # c(x) + c(-x - M) over its scale
             c, M = op.coeff, op.M
             sym = _OverDenominator([c(x) + c(-x - M) for x in range(c.period)])
             form = op._forms[ring] = _Form(ring, op.prefactor * sym.scale, MappingProxyType(
-                {M: (tuple(sym.elements(ring)),)}), _NONE, ring.zero)
+                {M: (c.period, 0, _lookup(sym.elements(ring)))}), _NONE, ring.zero)
         return form
     if isinstance(op, ModeOp):
         return _Form(ring, op.scale, _NONE, {op.k: ring.one} if op.k else _NONE, ring.zero)
@@ -560,49 +561,31 @@ def _form(op: Operator, ring: CycloRing) -> _Form:
     raise TypeError(f"no normal-ordering form for {type(op).__name__}")
 
 
-def _lifted(a: tuple, b: tuple, zero) -> tuple:
-    """Two tables on one period and number of rows, added rows being `zero`."""
-    period, rows = math.lcm(len(a[0]), len(b[0])), max(len(a), len(b))
-    return tuple(tuple(row * (period // len(row)) for row in t)
-                 + ((zero,) * period,) * (rows - len(t)) for t in (a, b))
+def _lookup(values: tuple):
+    """x -> values[x mod len(values)]: a periodic s of degree 0."""
+    return lambda x: values[x % len(values)]
 
 
-def _add_rows(a: tuple, b: tuple, ring: CycloRing) -> tuple:
-    return tuple(tuple(map(ring.add, x, y)) for x, y in zip(*_lifted(a, b, ring.zero)))
+def _after(g, s, shift: int):
+    """x -> g(s(x + shift))."""
+    return lambda x: g(s(x + shift))
 
 
-def _shifted(rows: tuple, r: int, M: int, ring: CycloRing) -> list:
-    """The coefficients in x of s(x + M) for x = r mod the period; at r = 0
-    the first is s(M)."""
-    add, smul = ring.add, ring.smul
-    cs = [row[(r + M) % len(row)] for row in rows]
-    for i in range(len(cs) - 1 if M else 0):  # Taylor shift by M
-        for k in range(len(cs) - 2, i - 1, -1):
-            cs[k] = add(cs[k], smul(cs[k + 1], M))
-    return cs
+def _sum(parts: list, add) -> tuple:
+    """The (period, degree, s) of the sum of the (period, degree, s) `parts`:
+    the lcm of their periods and the max of their degrees."""
+    if len(parts) == 1:
+        return parts[0]
+    return (math.lcm(*(p for p, _, _ in parts)), max(d for _, d, _ in parts),
+            lambda x: reduce(add, [s(x) for _, _, s in parts]))
 
 
-def _shifted_product(a: tuple, b: tuple, M: int, period: int, ring: CycloRing) -> list:
-    """Per residue r mod `period`, the coefficients in x of 2 (x + M) a(x)
-    b(x + M), x = r, computed only where neither factor is 0 (for pair
-    indicators, at most two residues); the others share one zero row."""
-    add, mul, smul, is_zero = ring.add, ring.mul, ring.smul, ring.is_zero
-    out = [[ring.zero] * (len(a) + len(b))] * period
-    for r in {r + k for row in a for r, x in enumerate(row) if not is_zero(x)
-              for k in range(0, period, len(row))}:  # where a(x) is not 0
-        pb = [(j, y) for j, y in enumerate(_shifted(b, r, M, ring), start=1) if not is_zero(y)]
-        if not pb:
-            continue
-        pa = [(i, smul(x, 2)) for i, row in enumerate(a) if not is_zero(x := row[r % len(row)])]
-        prod = out[r].copy()  # 2 x a(x) b(x + M), then plus 2 M a(x) b(x + M)
-        for i, x in pa:
-            for j, y in pb:
-                prod[i + j] = add(prod[i + j], mul(x, y))
-        for k in range(len(prod) - 1):
-            if not is_zero(prod[k + 1]):
-                prod[k] = add(prod[k], smul(prod[k + 1], M))
-        out[r] = prod
-    return out
+def _jacobi(s1, M1: int, s2, M2: int, ring: CycloRing):
+    """x -> 2 ((x + M1) s1(x) s2(x + M1) - (x + M2) s2(x) s1(x + M2)), the
+    doubled symmetrised coefficient of [Q1, Q2]."""
+    mul, smul, sub = ring.mul, ring.smul, ring.sub
+    return lambda x: sub(smul(mul(s1(x), s2(x + M1)), 2 * (x + M1)),
+                         smul(mul(s2(x), s1(x + M2)), 2 * (x + M2)))
 
 
 def _combine(scale, terms, ring: CycloRing) -> _Form:
@@ -611,75 +594,68 @@ def _combine(scale, terms, ring: CycloRing) -> _Form:
     add, mul = ring.add, ring.mul
     quad, lin, z = {}, {}, ring.zero
     for w, f in terms:
-        for M, rows in f.quad.items():
-            rows = tuple(tuple(mul(w, v) for v in row) for row in rows)
-            quad[M] = _add_rows(quad[M], rows, ring) if M in quad else rows
+        for M, (period, degree, s) in f.quad.items():
+            quad.setdefault(M, []).append((period, degree, _after(partial(mul, w), s, 0)))
         for x, v in f.lin.items():
             lin[x] = add(lin[x], mul(w, v)) if x in lin else mul(w, v)
         z = add(z, mul(w, f.z))
-    return _Form(ring, scale, quad, lin, z)
+    return _Form(ring, scale, {M: _sum(parts, add) for M, parts in quad.items()}, lin, z)
 
 
 def _bracket(f1: _Form, f2: _Form) -> _Form:
     """[f1, f2] by the rules [Q, a_x] = -x s(x) a_{x+M}, [a_x, a_y] =
-    x delta_{x+y,0}, and, for [Q1, Q2] at M1 + M2 = 0, the vacuum scalar
-    <0|[Q1, Q2]|0> = (1/2) sum_{0<p<M1} p (M1-p) s1(-p) s2(p) when M1 > 0
-    (minus the same sum with the roles of -p and p swapped when M1 < 0).
-    The 1/2 goes into the scale, half f1's times f2's, all else doubled."""
+    x delta_{x+y,0}, [Q1, Q2] by Jacobi at degree d1 + d2 + 1 and, at
+    M1 + M2 = 0, the vacuum scalar <0|[Q1, Q2]|0> = (1/2) sum_{0<p<M1}
+    p (M1-p) s1(-p) s2(p) when M1 > 0 (minus the same sum with the roles of
+    -p and p swapped when M1 < 0).  The 1/2 goes into the scale, half f1's
+    times f2's, all else doubled."""
     ring = f1.ring
-    add, sub, mul, smul = ring.add, ring.sub, ring.mul, ring.smul
+    add, mul, smul = ring.add, ring.mul, ring.smul
     quad, lin, z = {}, {}, ring.zero
 
     def put(x: int, w) -> None:
         if x:  # a_0 = 0
             lin[x] = add(lin[x], w) if x in lin else w
 
-    def at(s: tuple, x: int):
-        return _shifted(s, 0, x, ring)[0]
-
-    for M1, s1 in f1.quad.items():
-        for M2, s2 in f2.quad.items():
-            # [[Q1, Q2], a_x] by Jacobi: the symmetrised coefficient
-            # (x + M1) s1(x) s2(x + M1) - (x + M2) s2(x) s1(x + M2)
-            M, period = M1 + M2, math.lcm(len(s1[0]), len(s2[0]))
-            s = tuple(zip(*map(lambda x, y: map(sub, x, y),
-                               _shifted_product(s1, s2, M1, period, ring),
-                               _shifted_product(s2, s1, M2, period, ring))))
-            quad[M] = _add_rows(quad[M], s, ring) if M in quad else s
-            if M == 0:
+    for M1, (p1, d1, s1) in f1.quad.items():
+        for M2, (p2, d2, s2) in f2.quad.items():
+            quad.setdefault(M1 + M2, []).append(
+                (math.lcm(p1, p2), d1 + d2 + 1, _jacobi(s1, M1, s2, M2, ring)))
+            if M1 + M2 == 0:
                 e = 1 if M1 > 0 else -1  # p runs over 0 < p < |M1|
                 for p in range(1, e * M1):
-                    z = add(z, smul(mul(at(s1, -e * p), at(s2, e * p)), e * p * (e * M1 - p)))
+                    z = add(z, smul(mul(s1(-e * p), s2(e * p)), e * p * (e * M1 - p)))
         for x, w in f2.lin.items():
-            put(x + M1, smul(mul(w, at(s1, x)), -2 * x))
+            put(x + M1, smul(mul(w, s1(x)), -2 * x))
     for x, w in f1.lin.items():
-        for M2, s2 in f2.quad.items():
-            put(x + M2, smul(mul(w, at(s2, x)), 2 * x))
+        for M2, (_, _, s2) in f2.quad.items():
+            put(x + M2, smul(mul(w, s2(x)), 2 * x))
         for y, v in f2.lin.items():
             if x + y == 0:
                 z = add(z, smul(mul(w, v), 2 * x))
-    return _Form(ring, f1.scale * f2.scale / 2, quad, lin, z)
+    return _Form(ring, f1.scale * f2.scale / 2,
+                 {M: _sum(parts, add) for M, parts in quad.items()}, lin, z)
 
 
 def _mismatch(lhs: _Form, rhs: _Form) -> Optional[tuple]:
     """(x, got, want) at the first x where the symmetrised coefficients or
     the mode weights of two forms of one ring differ, ("central", got,
     want) when only their scalars do, or None when the operators are equal.
-    Entries are compared at a common denominator: the lifted tables decide,
-    and unequal ones are sampled at degree + 2 points per residue (one
-    spares x = -M) to name the first x.  Scalars leave by `ring.to_scalar`,
-    a missing shift reading as 0."""
+    Entries are compared at a common denominator.  Two coefficients of
+    degree <= d on the residues mod a period P are compared at x = 1 ...
+    (d + 2) P, sparing x = -M: d + 1 points or more per residue, which fix
+    a polynomial of degree <= d, so they decide every x.  Scalars leave by
+    `ring.to_scalar`, a missing shift reading as 0."""
     ring = lhs.ring
     smul, zero, to_scalar = ring.smul, ring.zero, ring.to_scalar
     a, b = _cross_factors(lhs.scale, rhs.scale)
+    none = (1, 0, lambda x: zero)
     for M in sorted(set(lhs.quad) | set(rhs.quad)):
-        s, t = _lifted(lhs.quad.get(M, ((zero,),)), rhs.quad.get(M, ((zero,),)), zero)
-        if [[smul(x, a) for x in row] for row in s] != [[smul(y, b) for y in row] for row in t]:
-            for x in range(1, (len(s) + 1) * len(s[0]) + 1):
-                got, want = _shifted(s, 0, x, ring)[0], _shifted(t, 0, x, ring)[0]
-                if x != -M and smul(got, a) != smul(want, b):
-                    return (x, to_scalar(got, lhs.scale) if M in lhs.quad else 0,
-                            to_scalar(want, rhs.scale) if M in rhs.quad else 0)
+        (p, d, s), (q, e, t) = lhs.quad.get(M, none), rhs.quad.get(M, none)
+        for x in range(1, (max(d, e) + 2) * math.lcm(p, q) + 1):
+            if x != -M and smul(got := s(x), a) != smul(want := t(x), b):
+                return (x, to_scalar(got, lhs.scale) if M in lhs.quad else 0,
+                        to_scalar(want, rhs.scale) if M in rhs.quad else 0)
     for x in sorted(set(lhs.lin) | set(rhs.lin)):
         got, want = lhs.lin.get(x, zero), rhs.lin.get(x, zero)
         if smul(got, a) != smul(want, b):
@@ -693,11 +669,10 @@ def _adjoint(f: _Form) -> _Form:
     """f^dagger for a_x^dagger = a_{-x}: (:a_{-j} a_{j+M}:)^dagger =
     :a_{-(j+M)} a_j:, so shift M goes to -M with s^dagger(x) = conj(s(x - M)),
     weight w on a_x to conj(w) on a_{-x}, z to conj(z), the scale kept."""
-    ring, conj = f.ring, f.ring.conj
-    quad = {-M: tuple(zip(*([conj(c) for c in _shifted(s, r, -M, ring)]
-                            for r in range(len(s[0])))))
-            for M, s in f.quad.items()}
-    return _Form(ring, f.scale, quad, {-x: conj(w) for x, w in f.lin.items()}, conj(f.z))
+    conj = f.ring.conj
+    quad = {-M: (period, degree, _after(conj, s, -M))
+            for M, (period, degree, s) in f.quad.items()}
+    return _Form(f.ring, f.scale, quad, {-x: conj(w) for x, w in f.lin.items()}, conj(f.z))
 
 
 def _certify(lhs: Operator, rhs: Operator) -> VerifyResult:

@@ -145,7 +145,7 @@ def test_perturbed_row_violates_polynomial_solutions(name):
     row = dict(sys_.rows[-1])
     pos = min(row)
     row[pos] = K.add(row[pos], K.one)
-    bad = sys_._replace(rows=sys_.rows[:-1] + [row])
+    bad = sys_._replace(rows=(*sys_.rows[:-1], row))
     with pytest.raises(ArithmeticError, match="polynomial solution violates constraint"):
         nullspace_dim(bad)
 

@@ -767,7 +767,7 @@ def test_certificate_names_a_mode_weight_mismatch(monkeypatch):
 
 def _pointwise(op):
     """{M: s} for the symmetrised coefficients s of `op`, as functions of x
-    by the pointwise rules the coefficient tables replace: k (c(x) +
+    by the scalar rules the forms' functions compute in a ring: k (c(x) +
     c(-x - M)) for a bilinear, sum_i c_i s_i(x) for a sum and (x + M1)
     s1(x) s2(x + M1) - (x + M2) s2(x) s1(x + M2) for a commutator."""
     out: dict = {}
@@ -797,21 +797,22 @@ def _pointwise_adjoint(pointwise):
 
 
 def _assert_tables(form, pointwise):
-    # s(x) = scale * sum_d rows[d][x mod period] x^d at every x in [-3P, 3P],
-    # the rows holding elements of the form's ring, and the value a witness
-    # reads through the form's scale has the type of the pointwise one
+    # s(x), read through the form's function and its scale, is the
+    # pointwise value, of the pointwise value's type, at every x in
+    # [-3P, 3P]; and s is a polynomial of the form's degree d on each
+    # residue class: its (d + 1)-th difference of step P vanishes on [-6P, 6P]
     ring, scale = form.ring, form.scale
     assert set(form.quad) == set(pointwise)
-    for M, rows in form.quad.items():
-        P = len(rows[0])
+    for M, (P, d, s) in form.quad.items():
         for x in range(-3 * P, 3 * P + 1):
             want = pointwise[M](x)
-            horner = ring.zero
-            for row in reversed(rows):
-                horner = ring.add(ring.smul(horner, x), row[x % P])
-            assert ring.to_scalar(horner, scale) == want, (M, x)
-            got = ring.to_scalar(fock._shifted(rows, 0, x, ring)[0], scale)
+            got = ring.to_scalar(s(x), scale)
             assert type(got) is type(want) and got == want, (M, x)
+        for x in range(-6 * P, 6 * P + 1):
+            diff = ring.zero
+            for k in range(d + 2):
+                diff = ring.add(diff, ring.smul(s(x + k * P), (-1) ** k * math.comb(d + 1, k)))
+            assert ring.is_zero(diff), (M, d, x)
 
 
 def _assert_forms_are_pointwise(*ops, order=1):
@@ -868,7 +869,7 @@ def test_pair_cases_take_each_product_in_closed_form(monkeypatch):
 def test_coefficient_tables_of_dilated_and_nested_brackets():
     # Theorem 3.1's T operators (with the vacuum shift at n = 0), their
     # mode-scaled versions of period 2N and 3N mixed with period-N ones, and
-    # brackets of brackets, whose tables have degree 2 or 3 and shift rows
+    # brackets of brackets, whose coefficients have degree 2 or 3
     G = even_twist_group(7)
     chi = G.elements[1]  # values in Q(zeta_3)
     T = {(i, n): build_T(G, i, n) for i in (1, 2, 3) for n in (-1, 0, 1)}
@@ -897,19 +898,19 @@ def test_coefficient_tables_of_dilated_and_nested_brackets():
      "(1, Fraction(3, 7), 0)"),
 ], ids=["both-sides", "left-only", "right-only", "cyclotomic", "degree-1-left-only"])
 def test_quad_witnesses_are_pinned(sides, witness):
-    # Equal tables decide; unequal ones are sampled to name the first x,
-    # with the value types of the pointwise rules, and a shift on one side
-    # only reads as the int 0 on the other.
+    # The first x where the coefficients differ is named, with the value
+    # types of the pointwise rules, and a shift on one side only reads as
+    # the int 0 on the other.
     G = even_twist_group(7)
     g, h = G.elements[1], G.elements[2]  # values in Q(zeta_3)
     assert repr(fock._certify(*sides(pair_indicator(7, 1), g, h)).witness) == witness
 
 
 def test_cyclotomic_witnesses_are_the_scalars_of_the_pointwise_rules():
-    # Witnesses in Q(zeta_3) read off integer tables through the form's
-    # scale: a table mismatch on a form whose scale the vacuum sum halved, a
-    # central mismatch and a mode weight mismatch, each the value and type
-    # the scalar rules give.
+    # Witnesses in Q(zeta_3) read off ring values through the form's
+    # scale: a coefficient mismatch on a form whose scale the vacuum sum
+    # halved, a central mismatch and a mode weight mismatch, each the value
+    # and type the scalar rules give.
     G = even_twist_group(7)
     g, h = G.elements[1], G.elements[2]
     f = PeriodicFn(7, [zeta(3) * g(u) for u in range(1, 8)])  # f(1) = zeta_3
@@ -932,9 +933,9 @@ def test_adjoints_in_cyclotomic_rings_are_the_operator_adjoints():
     # [A, B]^dagger = [B^dagger, A^dagger] with (L_n^f)^dagger = L_{-n}^{fbar},
     # (c a_k)^dagger = conj(c) a_{-k} and z^dagger = conj(z), for twists
     # with values in Q(zeta_3) and Q(zeta_4), a dilated one among them:
-    # tables, mode weights and the vacuum scalar of the halved bracket form
-    # (M1 + M2 = 0), in the lcm ring Z[zeta_12].  Dropping one conjugation
-    # leaves a witness.
+    # coefficients, mode weights and the vacuum scalar of the halved bracket
+    # form (M1 + M2 = 0), in the lcm ring Z[zeta_12].  Dropping one
+    # conjugation leaves a witness.
     f4 = _even_periodic(8, [zeta(4), rat(1, 2), 1 - zeta(4), rat(0)])
     f3 = _even_periodic(4, [zeta(3), rat(-1, 3)]).dilate(2)
     c, z = zeta(4) + rat(1, 3), zeta(3) * rat(2, 5)
@@ -1285,8 +1286,8 @@ def test_shared_diagonal_walk_keeps_the_r_major_witness(monkeypatch):
 
 def test_cached_forms_stay_as_built_and_read_only(monkeypatch):
     # fock:bracket:7 and the transpose row share the form cached on each
-    # operator: after both, every cached form equals one built afresh, and
-    # neither it nor its tables can be changed in place.
+    # operator: after both, every cached form has the labels and values of
+    # one built afresh, and neither it nor its shifts can be changed in place.
     monkeypatch.setattr(fock, "_OP_REGISTRY", {})
     assert fock.certify_theorem_2_4_suite(even_twist_group(7), 28).passed
     assert _run_check(_transpose_row(), RunConfig()).status == "pass"
@@ -1294,10 +1295,14 @@ def test_cached_forms_stay_as_built_and_read_only(monkeypatch):
               for ring, form in op._forms.items()]
     assert len(cached) > 27 and {ring.order for _, ring, _ in cached} == {1, 6}
     for op, ring, form in cached:
-        assert form == fock._form(BilinearOp(op.coeff, op.M, op.prefactor), ring)
+        fresh = fock._form(BilinearOp(op.coeff, op.M, op.prefactor), ring)
+        assert form._replace(quad=None) == fresh._replace(quad=None)
+        assert form.quad.keys() == fresh.quad.keys() == {op.M}
+        (P, d, s), (Q, e, t) = form.quad[op.M], fresh.quad[op.M]
+        assert (P, d) == (Q, e) == (op.coeff.period, 0)
+        assert [s(x) for x in range(-P, 2 * P)] == [t(x) for x in range(-P, 2 * P)]
         assert fock._form(op, ring) is form
-        assert all(type(rows) is tuple and all(type(row) is tuple for row in rows)
-                   for rows in form.quad.values())
+        assert type(form.quad[op.M]) is tuple
         with pytest.raises(TypeError):
             form.quad[op.M] = form.quad[op.M]
         with pytest.raises(TypeError):
@@ -1355,7 +1360,7 @@ def test_transpose_certificate_needs_the_conjugation(monkeypatch):
     # Without conj the adjoint of L_n^x is L_{-n}^x: true for the real
     # character mod 7, false for the two cubic ones.  The mutation drops the
     # conjugation of the rings the twists' values live in, which the
-    # certificate's tables and the scalars share; chibar, the twist of the
+    # certificate's forms and the scalars share; chibar, the twist of the
     # adjoint side, keeps it.
     elements = even_twist_group(7).elements
     bars = {chi.fingerprint(): chi.conj() for chi in elements}

@@ -4,12 +4,14 @@ import random
 import subprocess
 import sys
 from dataclasses import asdict
+from types import MappingProxyType
 
 import pytest
 
 from ltwist import checks, cli, fock, qseries
 from ltwist.characters import even_twist_group
 from ltwist.checks import build_registry
+from ltwist.exactnum import QuotientRing
 from ltwist.report import (
     RunConfig,
     _run_check,
@@ -589,6 +591,63 @@ def test_report_rows_match_golden_file():
     doc = json.loads(report_to_json(report_all(RunConfig(**_GOLDEN_CONFIG))))
     got = {"config": doc["config"], "checks": doc["checks"]}
     assert json.dumps(got, indent=2, sort_keys=True) + "\n" == want
+
+
+# The behaviour contract at full size: the default report and `fock verify`
+# at each report modulus, byte for byte, with their exit codes (the report's
+# is 1 for its designed red row, summation:squares).
+_CLI_GOLDENS = [
+    (["report", "--format", "json"], "report_default.json", 1),
+    *((["fock", "verify", "--modulus", str(N), "--json"], f"fock_verify_{N}.json", 0)
+      for N in (3, 5, 7)),
+]
+
+
+@pytest.mark.parametrize("argv, name, code", _CLI_GOLDENS, ids=[g[1] for g in _CLI_GOLDENS])
+def test_cli_documents_match_golden_files(argv, name, code):
+    # Each runs in a fresh process, as a user runs it, so no cache of
+    # another test reaches it; regenerate a file only in a change that says
+    # why the document changes.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "ltwist.cli", *argv], env=env,
+                          capture_output=True, timeout=300)
+    with open(os.path.join(os.path.dirname(__file__), "data", name), "rb") as fh:
+        assert (proc.returncode, proc.stdout) == (code, fh.read()), proc.stderr
+
+
+def _mutable_parts(value, path: str) -> list:
+    """The paths of the lists, dicts and sets inside `value`, through tuples
+    and read-only mappings; a ring, shared by design, is not walked."""
+    if isinstance(value, QuotientRing):
+        return []
+    if isinstance(value, (list, dict, set, bytearray)):
+        return [path]
+    if isinstance(value, MappingProxyType):
+        value = tuple(value.items())
+    if isinstance(value, tuple):
+        return [p for i, v in enumerate(value) for p in _mutable_parts(v, f"{path}[{i}]")]
+    return []
+
+
+def test_shared_values_hold_no_mutable_container(monkeypatch):
+    # What one row leaves for another cannot be changed by a reader: the
+    # null spaces the cocycle rows leave in `checks._NULL_SPACES` (system
+    # and basis), which cocycle:recursion reads, and the numerator tables a
+    # Fock row leaves on the registry's operators, which later rows share.
+    monkeypatch.setattr(checks, "_NULL_SPACES", {})
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    cfg = RunConfig(**{**_GOLDEN_CONFIG, "moduli_bracket": (3,), "moduli_decomposition": ()})
+    rows = [c for c in build_registry(cfg) if c.id.startswith(("cocycle:", "fock:bracket:"))]
+    assert [_run_check(c, cfg).status for c in rows] == ["pass"] * 5
+    assert len(checks._NULL_SPACES) == 9
+    tables = [(op.M, op._table._by_ring) for op in fock._OP_REGISTRY.values()
+              if isinstance(op, fock.BilinearOp)]
+    assert len(tables) == 9 and all(by_ring for _, by_ring in tables)  # P_k^(1), |k| <= 4
+    found = _mutable_parts(tuple(checks._NULL_SPACES.items()), "_NULL_SPACES") + [
+        p for M, by_ring in tables for ring, elements in by_ring.items()
+        for p in _mutable_parts(elements, f"L[{M}, {ring.order}]")]
+    assert found == []
 
 
 def test_rows_do_not_depend_on_the_order_they_run_in(monkeypatch):
