@@ -10,7 +10,10 @@ as zero.  Operators are lazy exact column maps: applying one to a state is a
 finite sum.  A `BilinearOp` column is translation invariant, each entry
 adding a fixed delta to its state q, so its kernel, a closure compiled once
 per ring from the record `_kernel` (`BilinearOp._relative`), gives the
-column relative to q, {delta: value}; `icolumn` adds q to each delta, and
+column relative to q, {delta: value}.  The record reads the double creations
+off `_term_action` on the vacuum and the double annihilations of u and M - u
+off it on the probe state (u, M - u), per unit of m_u m_{M-u}, so the
+kernel calls no term on a state; `icolumn` adds q to each delta, and
 descending tuples appear only at the boundary: `Operator.column`,
 `basis_partitions` and every witness.  One depth-first walk (`_walk`)
 enumerates the states with their degree and largest part u, each its
@@ -311,7 +314,6 @@ class BilinearOp(Operator):
         self._table = _OverDenominator(values)
         self.order = self._table.order
         self.scale = self.prefactor / self._table.den
-        self._nonzero = [bool(v) for v in values]
         self._N = N
         self._kernels: dict = {}  # ring -> `_kernel`
         self._forms: dict = {}  # ring -> its read-only `_Form`, built on first use
@@ -346,8 +348,12 @@ class BilinearOp(Operator):
         u (c(u - M) + c(-u))) for the u that move to u - M > 0 with a nonzero
         sum, by descending u, and moves[start[n]:] those with u <= n; on it
         they are (mask, c(u) + c(-u)), the mask covering the bytes of the u
-        with that sum.  pairs are (u, j = u - M, c(j)) by descending u, the
-        terms that annihilate u and M - u (M > 0, c(j) != 0)."""
+        with that sum.  pairs (M > 0) are (u, M - u, c), u >= M - u, by
+        descending u: the terms j = u - M and j = -u both annihilate the
+        parts u and M - u, and c is their summed coefficient per unit of
+        m_u m_{M-u} (of m_u (m_u - 1) / 2 when 2u = M), read off their action
+        on the probe state (u, M - u), as the creations are off the vacuum;
+        the zero sums are dropped."""
         M, N = self.M, self._N
         moves = self._moves(ring)
         kept = [u for u in range(MAX_BASIS_DEGREE, 0, -1) if u > M and moves[u % N] is not None]
@@ -358,9 +364,14 @@ class BilinearOp(Operator):
             return [(mask, c) for c, mask in masks.items()], (), [], []
         start = tuple(bisect.bisect_left(kept, -n, key=operator.neg)  # the u > n
                       for n in range(MAX_BASIS_DEGREE + 1))
-        table = self._table.elements(ring)
-        pairs = [(u, u - M, table[(u - M) % N]) for u in range(M - 1, 0, -1)
-                 if M - u <= MAX_BASIS_DEGREE and self._nonzero[(u - M) % N]]
+        table, pairs = self._table.elements(ring), []
+        for u in range(min(M - 1, MAX_BASIS_DEGREE), (M - 1) // 2, -1):
+            probe, c = _UNIT[u] + _UNIT[M - u], ring.zero
+            for j in {u - M, -u}:  # one term when 2u = M
+                k, _ = _term_action(probe, j, M)
+                c = ring.add(c, ring.smul(table[j % N], k))
+            if not ring.is_zero(c):
+                pairs.append((u, M - u, c))
         moves = [(u, (1 << 8 * (u - M - 1)) - _UNIT[u], ring.smul(moves[u % N], u))
                  for u in kept]
         return moves, start, pairs, self._creations(ring)
@@ -368,22 +379,27 @@ class BilinearOp(Operator):
     def _relative(self, ring: CycloRing):
         """The kernel in `ring`, compiled from `_kernel(ring)` on first use:
         a closure q -> the integer column of q relative to q, {key delta:
-        value}, so no entry pays for an add of q."""
+        value}, so no entry pays for an add of q.  Every entry is a record's
+        coefficient times multiplicities read off q's bytes: the closure
+        calls no `_term_action`, whose probes built the record."""
         column = self._kernels.get(ring)
         if column is not None:
             return column
         # m_u is byte u - 1 of the key.  Off the diagonal each part size u of
-        # the moves that q has moves one u to u - M; the term j = u - M, u < M,
-        # annihilates u and then M - u, so only a key with a byte under the
-        # pairs' mask is scanned; the terms 0 < j < -M create two parts.  On
-        # the diagonal, sum_u m_u u (c(u) + c(-u)): as 256 = 1 + 255, the parts
-        # under a mask have degree sum_u m_u (1 + 255 (u - 1)) mod 255^2 (degree < 255).
+        # the moves that q has moves one u to u - M; a pair (u, v) annihilates
+        # u and v = M - u, m_u m_v times its unit (m_u (m_u - 1) / 2 when u = v),
+        # and only a key with a byte under the pairs' mask is scanned; the
+        # terms 0 < j < -M create two parts.  On the diagonal, sum_u m_u u
+        # (c(u) + c(-u)): as 256 = 1 + 255, the parts under a mask have degree
+        # sum_u m_u (1 + 255 (u - 1)) mod 255^2 (degree < 255).
         moves, start, pairs, creations = self._kernel(ring)
-        M, add, smul, is_zero, zero = self.M, ring.add, ring.smul, ring.is_zero, ring.zero
+        M, add, smul, zero = self.M, ring.add, ring.smul, ring.zero
         if M:  # per byte length n of a key, its moves (the byte of m_u, delta, c), u <= n
             moves = tuple((u - 1, delta, c) for u, delta, c in moves)
             by_length = tuple(moves[start[n]:] for n in range(MAX_BASIS_DEGREE + 1))
             creations, paired = dict(creations), sum(255 << 8 * (u - 1) for u, _, _ in pairs)
+            pairs = tuple((u - 1, v - 1, int(u == v), -_UNIT[u] - _UNIT[v], c)
+                          for u, v, c in pairs)
 
             def column(q: int) -> dict:  # the pairs read the bytes of the parts < M too
                 n, out = (q.bit_length() + 7) >> 3, {}
@@ -393,12 +409,9 @@ class BilinearOp(Operator):
                         out[delta] = smul(c, k)
                 out.update(creations)
                 if q & paired:
-                    extra: dict = {}
-                    for u, j, c in pairs:
-                        if m[u - 1] and m[-j - 1] and (act := _term_action(q, j, M)):
-                            c, t = smul(c, act[0]), act[1] - q
-                            extra[t] = c if (old := extra.get(t)) is None else add(old, c)
-                    out.update((t, v) for t, v in extra.items() if not is_zero(v))
+                    for a, b, same, delta, c in pairs:
+                        if k := m[a] * (m[b] - same) >> same:
+                            out[delta] = smul(c, k)
                 return out
         elif ring.degree == 1 and len(moves) == 1:  # in Z: c times a degree > 0
             ((mask, c),) = moves
@@ -604,11 +617,15 @@ def _combine(scale, terms, ring: CycloRing) -> _Form:
 
 def _bracket(f1: _Form, f2: _Form) -> _Form:
     """[f1, f2] by the rules [Q, a_x] = -x s(x) a_{x+M}, [a_x, a_y] =
-    x delta_{x+y,0}, [Q1, Q2] by Jacobi at degree d1 + d2 + 1 and, at
-    M1 + M2 = 0, the vacuum scalar <0|[Q1, Q2]|0> = (1/2) sum_{0<p<M1}
-    p (M1-p) s1(-p) s2(p) when M1 > 0 (minus the same sum with the roles of
-    -p and p swapped when M1 < 0).  The 1/2 goes into the scale, half f1's
-    times f2's, all else doubled."""
+    x delta_{x+y,0}, [Q1, Q2] by Jacobi and, at M1 + M2 = 0, the vacuum
+    scalar <0|[Q1, Q2]|0> = (1/2) sum_{0<p<M1} p (M1-p) s1(-p) s2(p) when
+    M1 > 0 (minus the same sum with the roles of -p and p swapped when
+    M1 < 0).  The Jacobi coefficient's x-term is x (s1 D2 - s2 D1), with
+    D2(x) = s2(x + M1) - s2(x) and D1(x) = s1(x + M2) - s1(x).  When p2 | M1,
+    x and x + M1 lie in one residue class, so D2 has degree d2 - 1, and
+    likewise D1 when p1 | M2: the coefficient has degree d1 + d2 when both
+    hold, and d1 + d2 + 1 otherwise.  The 1/2 goes into the scale, half
+    f1's times f2's, all else doubled."""
     ring = f1.ring
     add, mul, smul = ring.add, ring.mul, ring.smul
     quad, lin, z = {}, {}, ring.zero
@@ -619,8 +636,8 @@ def _bracket(f1: _Form, f2: _Form) -> _Form:
 
     for M1, (p1, d1, s1) in f1.quad.items():
         for M2, (p2, d2, s2) in f2.quad.items():
-            quad.setdefault(M1 + M2, []).append(
-                (math.lcm(p1, p2), d1 + d2 + 1, _jacobi(s1, M1, s2, M2, ring)))
+            quad.setdefault(M1 + M2, []).append((math.lcm(p1, p2), d1 + d2 + bool(
+                M1 % p2 or M2 % p1), _jacobi(s1, M1, s2, M2, ring)))
             if M1 + M2 == 0:
                 e = 1 if M1 > 0 else -1  # p runs over 0 < p < |M1|
                 for p in range(1, e * M1):

@@ -5,7 +5,7 @@ import os
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltwist.characters import (
@@ -650,39 +650,67 @@ def _even_periodic(N, values):
 _small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4).map(rat)
 
 
+_kernel_values = st.one_of(st.sampled_from((rat(-1), rat(0), rat(1))), _small_rationals)
+
+
 @st.composite
 def _kernel_cases(draw):
+    # coefficient tables with c(0) = 0, even or not, mostly from -1, 0 and
+    # 1, so that the two terms of a double annihilation often cancel
     N = draw(st.sampled_from((3, 5, 7)))
     unit = draw(st.sampled_from((rat(0), zeta(3))))
-    pairs = draw(st.lists(st.tuples(_small_rationals, _small_rationals),
-                          min_size=N // 2, max_size=N // 2))
-    return _even_periodic(N, [a + b * unit for a, b in pairs]), draw(st.integers(-3 * N, 3 * N))
+    pairs = draw(st.lists(st.tuples(_kernel_values, _kernel_values),
+                          min_size=N - 1, max_size=N - 1))
+    return PeriodicFn(N, [rat(0)] + [a + b * unit for a, b in pairs]), draw(st.integers(-3 * N, 3 * N))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(_kernel_cases())
+@example((PeriodicFn(3, [rat(0), rat(1), rat(-1)]), 3))  # c(-2) + c(-1) = 0 drops {1, 2}
+@example((PeriodicFn(3, [rat(0), rat(1), rat(-1)]), 4))  # 2u = M: m_2 (m_2 - 1) / 2 units
 def test_relative_kernel_shifted_by_the_state_is_the_term_by_term_sum(case):
-    # Random even twists, rational and in Q(zeta_3): the compiled kernel
-    # gives each column relative to its state, and every entry shifted by
-    # the state is the entry the terms sum to, on every state of degree
-    # <= 16.
+    # Random twists, rational and in Q(zeta_3): the compiled kernel gives
+    # each column relative to its state, and every entry shifted by the
+    # state is the entry the terms sum to, listed in the kernel's key
+    # order, on every state of degree <= 16.
     f, M = case
     op = BilinearOp(f, M, rat(1, 2 * f.period))
     ring = cyclo_ring(op.order)
     column = op._relative(ring)
     for q in fock._basis_by_degree(16):
+        p = fock._partition(q)
         got = {q + delta: v for delta, v in column(q).items()}
-        assert got == _term_sum(op, fock._partition(q), ring), (M, fock._partition(q))
+        assert got == _term_sum(op, p, ring), (M, p)
+        assert list(got) == [t for t in _kernel_key_order(op, p, ring) if t in got], (M, p)
+
+
+def test_the_kernel_calls_term_action_only_to_compile(monkeypatch):
+    # The double annihilations are read off `_term_action` on probe states
+    # once per operator and ring, as the creations are off the vacuum, so
+    # walking a larger window makes no more calls: none is made per state.
+    real, counts = fock._term_action, []
+    for D in (20, 28):
+        calls = []
+        monkeypatch.setattr(fock, "_term_action", lambda *a: calls.append(a) or real(*a))
+        op = BilinearOp(pair_indicator(7, 1), 7, rat(1, 14))  # fresh: nothing compiled
+        assert fock._check_representation(op, D) is None
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 @st.composite
-def _bracket_cases(draw):
+def _bracket_cases(draw, dilate=False):
+    # with `dilate`, f1 and f2 are dilated by 1 or 2 each: the shift of
+    # L_m^{f1} is then not always a multiple of the period of f2, or the
+    # other way round, and the Jacobi coefficient has degree 1, not 0
     N = draw(st.sampled_from((3, 5, 7)))
     f1, f2 = (_even_periodic(N, draw(st.lists(_small_rationals, min_size=N // 2,
                                                max_size=N // 2)))
               for _ in range(2))
     m, n = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
     shift = draw(st.sampled_from((rat(0), rat(0), rat(1, 7))))
+    if dilate:
+        f1, f2 = f1.dilate(draw(st.sampled_from((1, 2)))), f2.dilate(draw(st.sampled_from((1, 2))))
     return f1, f2, m, n, shift
 
 
@@ -826,10 +854,24 @@ def _assert_forms_are_pointwise(*ops, order=1):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(_bracket_cases())
+@given(_bracket_cases(dilate=True))
 def test_coefficient_tables_match_the_pointwise_rules(case):
     f1, f2, m, n, _ = case
     _assert_forms_are_pointwise(*fock._bracket_sides(f1, f2, m, n))
+
+
+def test_a_bracket_labels_the_degree_its_coefficient_has():
+    # [L_m^{f1}, L_n^{f2}] is labelled degree 0 when each shift is a
+    # multiple of the other's period, as in every Theorem 2.4 case, and
+    # degree 1 otherwise; there the first difference of step P does not
+    # vanish, so 2 P points would not decide it.
+    f, ring = pair_indicator(3, 1), cyclo_ring(1)
+    for l1, l2, m, n, degree in ((1, 1, 1, -2, 0), (2, 1, 1, 2, 0), (2, 2, -1, 1, 0),
+                                 (1, 2, 1, 1, 1), (2, 1, 1, -1, 1), (1, 2, -1, 2, 1)):
+        A, B = build_L(f.dilate(l1), m), build_L(f.dilate(l2), n)
+        ((P, d, s),) = fock._form(CommutatorOp(A, B), ring).quad.values()
+        assert d == degree, (l1, l2, m, n)
+        assert any(s(x + P) != s(x) for x in range(1, P + 1)) == bool(degree), (l1, l2, m, n)
 
 
 def test_coefficient_tables_of_the_bracket_row_match_the_pointwise_rules():
