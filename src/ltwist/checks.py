@@ -8,6 +8,7 @@ records exactly what identity the check certifies.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from ltwist import cocycle as coc
 from ltwist import fock, lvalues, qseries, summation
@@ -394,6 +395,12 @@ def check_decomposition(cfg, N: int) -> tuple:
     return res.passed, f"central charge {charge}, {res.cases} cases", res.witness
 
 
+def check_representation(cfg, N: int) -> tuple:
+    res = fock.representation_suite(N, cfg.cutoff)
+    value = f"{res.cases} states of the P_k^(r), |k| <= 4, at cutoff {cfg.cutoff}"
+    return res.passed, value, res.witness
+
+
 def check_energy_identity(cfg, N: int) -> tuple:
     res = fock.verify_eq_3_28_suite(N)
     if not res.passed:
@@ -540,14 +547,12 @@ def check_modular(cfg) -> tuple:
 # -- cocycle ----------------------------------------------------------------------
 
 
-# (field, H) -> (system, dim, basis) as check_cocycle last computed them
-_NULL_SPACES: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _null_space(name: str, H: int) -> tuple:
+    """(system, dim, basis) of the field `name` at height H, once per
+    process: tuples and read-only mappings, which no reader can change."""
     sys_ = coc.build_system(name, H)
-    _NULL_SPACES[name, H] = found = (sys_, *coc.nullspace_dim(sys_))
-    return found
+    return (sys_, *coc.nullspace_dim(sys_))
 
 
 def check_cocycle(cfg, name: str) -> str:
@@ -558,10 +563,10 @@ def check_cocycle(cfg, name: str) -> str:
 
 
 def check_cocycle_recursion(cfg) -> str:
-    """Recursion (4.49) at H = 4: each null space check_cocycle found is
+    """Recursion (4.49) at H = 4: each null space check_cocycle uses is
     two-dimensional, and `cocycle.line_recursion_holds` on its basis."""
     for name in ("Q", "Q(sqrt2)", "Q(sqrt5)"):
-        sys_, dim, basis = _NULL_SPACES.get((name, 4)) or _null_space(name, 4)
+        sys_, dim, basis = _null_space(name, 4)
         _require(dim == 2 and coc.line_recursion_holds(sys_, basis), name)
     return "line recursion holds for the null-space basis"
 
@@ -577,6 +582,7 @@ F_MODE = "[a_k, L_n^x] = (1/N) x(k) k a_{k+nN}"
 F_DECOMP = (
     "[T_m^i, T_n^i] = (m-n) T_{m+n}^i + d(m,-n) (m^3/(12k)) b;  [T_m^i, T_n^j] = 0"
 )
+F_REPR = "columns of P_k^(r) = (1/2N) sum_{j = +-r} :a_{-j} a_{j+kN}:, |k| <= 4, on degree <= D - |k|N"
 F_ENERGY = (
     "(2(k-j)+1)^2/(8(2k+1)) - 1/24 = h^{1,j} - c/24 = "
     "(1/2) L(-1, id) - (1/2k) sum_s w^{is} L(-1, g^s)"
@@ -630,6 +636,8 @@ def build_registry(cfg=None) -> list[Check]:
         checks.append(Check(f"fock:bracket:{N}", F_BRACKET, _bind(check_twisted_bracket, N)))
     for N in cfg.moduli_decomposition:
         checks.append(Check(f"fock:decomposition:{N}", F_DECOMP, _bind(check_decomposition, N)))
+    for N in sorted(set(cfg.moduli_bracket) | set(cfg.moduli_decomposition)):
+        checks.append(Check(f"fock:representation:{N}", F_REPR, _bind(check_representation, N)))
     for N in cfg.moduli_energy:
         checks.append(Check(f"fock:energy:{N}", F_ENERGY, _bind(check_energy_identity, N)))
     checks += [

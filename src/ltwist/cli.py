@@ -16,7 +16,7 @@ import sys
 
 from ltwist.exactnum import check_precision, parse_rat, scalar_str
 
-FOCK_CHECK_IDS = ("2.3", "2.4", "3.1", "3.28", "scaling")
+FOCK_CHECK_IDS = ("2.3", "2.4", "3.1", "representation", "3.28", "scaling")
 QSERIES_IDS = ("euler", "jacobi", "314", "316", "312", "char-cross")
 
 
@@ -117,6 +117,7 @@ def cmd_fock_verify(args) -> int:
         "2.3": lambda: fock.certify_lemma_2_3_suite(G, D),
         "2.4": lambda: fock.certify_theorem_2_4_suite(G, D, case_log=case_log),
         "3.1": lambda: fock.certify_theorem_3_1(G, D),
+        "representation": lambda: fock.representation_suite(N, D),
         "3.28": lambda: fock.verify_eq_3_28_suite(N),
         "scaling": lambda: fock.certify_scaling_suite(dirichlet_characters(N)[0], D),
     }

@@ -26,28 +26,27 @@ An identity is decided in one of two ways.  The `verify_*` functions and
 `scaling_embed_check` sweep it: both sides are applied to every state of
 degree <= D - (the shifts) and compared exactly, so the cutoff D bounds the
 states swept; they are the tests' reference.  The `certify_*` functions,
-which every report row and `fock verify` id use, prove it on the whole Fock
-space by normal-ordering calculus: every operator involved is a quadratic form
-sum_j c(j) :a_{-j} a_{j+M}: plus modes and a scalar, [Q, a_x] =
--x s(x) a_{x+M} with s(x) = c(x) + c(-x-M), and two such forms are equal
+which the report's identity rows and `fock verify` ids use, prove it on the
+whole Fock space by normal-ordering calculus: every operator involved is a
+quadratic form sum_j c(j) :a_{-j} a_{j+M}: plus modes and a scalar,
+[Q, a_x] = -x s(x) a_{x+M} with s(x) = c(x) + c(-x-M), and two such forms are equal
 exactly when their symmetrised coefficients s, their modes and their vacuum
 scalars are (`_form`, `_mismatch`).  Each s is periodic times polynomial in
 x, held as a function of x with its period and a bound d on its degree, and
 a form is one rational scale times values in Z[zeta_m], as a column is: the
 calculus runs on ring operations, d + 2 points per residue decide s for
 every x, and scalars appear only where a form is built and a witness named.
-A state-level check then ties the column code to that representation: each
+A certified suite reads no column.  A report row of its own
+(`representation_suite`) ties the column code to that representation: each
 residue-pair operator's integer table times its scale is the c of its form,
-and its columns satisfy Q a_{-u} = a_{-u} Q + [Q, a_{-u}] on its window,
-one kernel call per state in `_walk`'s order (`_check_representation`,
-on scalars <q|Q|q> at M = 0).  There the cutoff bounds the states checked,
-the degree passed marks only a check to skip, not one to resume, and a
-certified row skips exactly where the sweep's tightest window is empty.
-The transpose identity is certified the same way: a_x^dagger = a_{-x}
-sends the form at shift M to shift -M with s^dagger(x) = conj(s(x - M))
-(`_adjoint`), and the norm `partition_weight` is checked on the states by
-<0|0> = 1 and <q|q> = v <p|p> where a_u|q> = v|p>, u the largest part; the
-columns it checks are the P_n^(r)'s, as L_n^f = sum_r f(r) P_n^(r).
+and its columns satisfy Q a_{-u} = a_{-u} Q + [Q, a_{-u}] on degree
+<= D - |M|, one kernel call per state in `_walk`'s order
+(`_check_representation`, on scalars <q|Q|q> at M = 0).  The transpose
+identity is certified the same way: a_x^dagger = a_{-x} sends the form at
+shift M to shift -M with s^dagger(x) = conj(s(x - M)) (`_adjoint`), and
+the norm `partition_weight` is checked on the states by <0|0> = 1 and
+<q|q> = v <p|p> where a_u|q> = v|p>, u the largest part; its entry count
+is read off the kernel records of the P_n^(r), as L_n^f = sum_r f(r) P_n^(r).
 
 There is one bilinear operator, `BilinearOp`, with no mode scale.  The
 mode-scaled operators (1/l) tau_l(L_n^chi) of the paper are `build_L` of
@@ -300,9 +299,9 @@ class BilinearOp(Operator):
 
     The coefficient table is held as algebraic integers over one common
     denominator, which moves into `scale` with the prefactor.  The instance
-    keeps its compiled kernel and its form per ring, never a column; reuse
-    instances via build_L/build_T, which keep a registry keyed by the twist
-    function's value table.
+    keeps its compiled kernel and its form per ring, never a column or a
+    check's outcome; reuse instances via build_L/build_T, which keep a
+    registry keyed by the twist function's value table.
     """
 
     def __init__(self, coeff: PeriodicFn, M: int, prefactor):
@@ -317,8 +316,6 @@ class BilinearOp(Operator):
         self._N = N
         self._kernels: dict = {}  # ring -> `_kernel`
         self._forms: dict = {}  # ring -> its read-only `_Form`, built on first use
-        self._verified = -1  # degree up to which _check_representation passed
-        self._entries: list = []  # its nonzero column entries per degree, M != 0 only
 
     def _moves(self, ring: CycloRing) -> list:
         """For each residue u mod N, the summed coefficient c(u - M) + c(-u)
@@ -714,14 +711,9 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
     residue r.  A loop over the children p + (v,), v >= u, of each state p
     calls the kernel (`BilinearOp._relative`) once per state, keeping only
     the columns on the current path; M = 0 walks scalars (`_check_diagonal`).
-    The degree verified is kept on the operator, off the diagonal with the
-    nonzero column entries per degree (`op._entries`), and a call at or
-    below it returns None at once; a call above it compares every state.
     """
     M, N = op.M, op._N
     top = _window_budget(D, M)
-    if op._verified >= top:
-        return None
     ring = cyclo_ring(op.order)
     bad, step = _table_steps(op, ring, top)
     if bad is not None or not M:  # a table witness, or M = 0 walks scalars
@@ -738,7 +730,6 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
              (c, None, _UNIT[v - M] - _UNIT[v]) if v > M else
              (smul(c, M - v), 8 * (M - v - 1), -_UNIT[v] - _UNIT[M - v])
              for v, c in enumerate(step)]
-    entries = [0] * (top + 1)
     column, scale = op._relative(ring), op.scale
 
     def children(p: int, degree: int, u: int, col: dict) -> Optional[tuple]:
@@ -747,7 +738,6 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
         for v in range(u or 1, room + 1):
             q, d = p + _UNIT[v], degree + v
             got = column(q)
-            entries[d] += len(got)
             want, s = col, steps[v]
             if s is not None and (s[1] is None or (k := p >> s[1] & 255)):
                 c, shift, t = s
@@ -762,18 +752,14 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
                 return bad
         return None
 
-    entries[0] += len(got := column(0))
-    bad = _difference(0, got, vacuum, ring, scale) if got != vacuum else children(0, 0, 0, got)
-    if bad is None:
-        op._verified, op._entries = top, entries
-    return bad
+    got = column(0)
+    return _difference(0, got, vacuum, ring, scale) if got != vacuum else children(0, 0, 0, got)
 
 
 def _check_diagonal(op: BilinearOp, ring: CycloRing, top: int, step: list) -> Optional[tuple]:
     """The walk of `_check_representation` at M = 0, carrying the scalar x =
     <q|Q|q> = <p|Q|p> + u s(-u), q = (u,) + p: a column is accepted when it
-    is exactly {0: x} ({} when x = 0), else compared with that in full.  It
-    counts no entries; the transpose row's n = 0 count is `_diagonal_counts`."""
+    is exactly {0: x} ({} when x = 0), else compared with that in full."""
     add, zero = ring.add, ring.zero
     column, scale = op._relative(ring), op.scale
 
@@ -789,10 +775,7 @@ def _check_diagonal(op: BilinearOp, ring: CycloRing, top: int, step: list) -> Op
         return None
 
     got = column(0)  # the vacuum's, x = 0
-    bad = _difference(0, got, {}, ring, scale) if got else children(0, 0, 0, zero)
-    if bad is None:
-        op._verified = top
-    return bad
+    return _difference(0, got, {}, ring, scale) if got else children(0, 0, 0, zero)
 
 
 def _table_steps(op: BilinearOp, ring: CycloRing, top: int) -> tuple:
@@ -1038,17 +1021,12 @@ def verify_lemma_2_3_suite(G: TwistGroup, D: int) -> VerifyResult:
 
 def certify_lemma_2_3_suite(G: TwistGroup, D: int) -> VerifyResult:
     """The cases of `verify_lemma_2_3_suite`, each proved on the whole Fock
-    space by its normal-ordering form, and the columns of every P_n^(r)
-    checked against the Fock representation on degree <= D - |n| N.  A
-    failing case gives ((element, k, n), mode index, got, want); a failing
-    column gives (("P", r, n), state, out_state, got, want), or
-    (("P", r, n), "table", residue, got, want) when the coefficient table is
-    not prefactor * c.  Like the sweep, it raises `cutoff too small` when
+    space by its normal-ordering form alone; the columns are
+    `representation_suite`'s.  A failing case gives ((element, k, n), mode
+    index, got, want).  Like the sweep, it raises `cutoff too small` when
     the window of k = 6, n = 2 is empty."""
-    N = G.period
-    _window_budget(D, _LEMMA_KS[-1], _LEMMA_NS[-1] * N)
-    res = _lemma_2_3_suite(G, lambda chi, k, n: _certify(*_lemma_2_3_sides(chi, k, n)))
-    return _with_representation(res, D, _pair_operators(N, _LEMMA_NS))
+    _window_budget(D, _LEMMA_KS[-1], _LEMMA_NS[-1] * G.period)
+    return _lemma_2_3_suite(G, lambda chi, k, n: _certify(*_lemma_2_3_sides(chi, k, n)))
 
 
 def _lemma_2_3_suite(G: TwistGroup, case) -> VerifyResult:
@@ -1085,24 +1063,37 @@ def _case_by_case(cases: list, case, swap: bool = False,
     return VerifyResult(failure is None, len(cases), failure)
 
 
-def _pair_operators(N: int, ns) -> Iterator[tuple]:
-    """(("P", r, n), P_n^(r)) for n in ns, in r-major order, each operator
-    built when it is reached."""
-    return ((("P", r, n), build_L(pair_indicator(N, r), n)) for r in _pair_residues(N) for n in ns)
-
-
-def _with_representation(res: VerifyResult, D: int, ops) -> VerifyResult:
-    """A passing certified suite stays passing when the columns of every
-    operator of the (label, operator) pairs `ops` are the Fock
-    representation on degree <= D - |M|; the witness is (label, *the first
-    failure)."""
-    if not res.passed:
-        return res
+def _check_columns(ops: Iterator[tuple], D: int) -> Optional[tuple]:
+    """(label, *the first failure) of the first of the (label, operator)
+    pairs `ops`, walked once each in order, whose columns are not the Fock
+    representation on degree <= D - |M| (`_check_representation`), or None."""
     for label, op in ops:
-        bad = _check_representation(op, D)
-        if bad is not None:
-            return VerifyResult(False, res.cases, (label,) + bad)
-    return res
+        if (bad := _check_representation(op, D)) is not None:
+            return (label,) + bad
+    return None
+
+
+def _state_counts(D: int) -> list:
+    """S[n], the number of states of degree <= n, for n = 0..D: partial sums
+    of the partition counts, the coefficients of prod (1 - q^e)^-1."""
+    from ltwist.qseries import product_expand
+
+    return list(itertools.accumulate(product_expand(1, {0}, -1, D + 1).coeffs.values()))
+
+
+def representation_suite(N: int, D: int) -> VerifyResult:
+    """The columns of every residue-pair operator P_k^(r), |k| <= 4, that
+    the certified suites at modulus N rest on, by `_check_columns` on degree
+    <= D - |k| N in r-major order; the count is of the states checked.  A
+    witness is (("P", r, k), state, out_state, got, want), or (("P", r, k),
+    "table", residue, got, want).  At D < 4N it raises `cutoff too small`,
+    as the Theorem 2.4 and 3.1 suites do."""
+    _window_budget(D, _PRODUCT_MODES[-1] * N)
+    S = _state_counts(D)
+    count = len(_pair_residues(N)) * sum(S[D - abs(k) * N] for k in _PRODUCT_MODES)
+    witness = _check_columns(((("P", r, k), build_L(pair_indicator(N, r), k))
+                              for r in _pair_residues(N) for k in _PRODUCT_MODES), D)
+    return VerifyResult(witness is None, count, witness)
 
 
 def _central_term(f: PeriodicFn, m: int) -> Scalar:
@@ -1180,21 +1171,16 @@ def verify_theorem_2_4_suite(
 def certify_theorem_2_4_suite(G: TwistGroup, D: int,
                               case_log: Optional[list] = None) -> VerifyResult:
     """The cases of `verify_theorem_2_4_suite` at its default |m|, |n| <= 2,
-    each proved on the whole Fock space by its normal-ordering form, and the
-    columns of every P_k^(r), |k| <= 4, checked against the Fock
-    representation on degree <= D - |k| N.  A failing case gives
-    ((a, b, m, n), x, got, want) with x the first index where the
-    symmetrised coefficients differ, or "central"; a failing column gives
-    (("P", r, k), state, out_state, got, want), or (("P", r, k), "table",
-    residue, got, want) when its coefficient table is not prefactor * c.
-    Like the sweep, it raises `cutoff too small` when the window of
-    |m| = |n| = 2 is empty.  `case_log` gets each ordered case's (a, b, m,
-    n, passed, witness) from its certificate; a column fails no case."""
-    N = G.period
-    _window_budget(D, _MAX_MODE * N, _MAX_MODE * N)
-    res = _theorem_2_4_suite(
+    each proved on the whole Fock space by its normal-ordering form alone;
+    the columns of the P_k^(r) it rests on are `representation_suite`'s.  A
+    failing case gives ((a, b, m, n), x, got, want) with x the first index
+    where the symmetrised coefficients differ, or "central".  Like the
+    sweep, it raises `cutoff too small` when the window of |m| = |n| = 2 is
+    empty.  `case_log` gets each ordered case's (a, b, m, n, passed,
+    witness) from its certificate."""
+    _window_budget(D, _MAX_MODE * G.period, _MAX_MODE * G.period)
+    return _theorem_2_4_suite(
         G, _MAX_MODE, lambda *a, **k: _certify(*_bracket_sides(*a, **k)), case_log)
-    return _with_representation(res, D, _pair_operators(N, _PRODUCT_MODES))
 
 
 def _theorem_2_4_suite(G: TwistGroup, max_mode: int, case,
@@ -1252,16 +1238,13 @@ def verify_theorem_3_1(G: TwistGroup, D: int) -> VerifyResult:
 
 def certify_theorem_3_1(G: TwistGroup, D: int) -> VerifyResult:
     """The cases of `verify_theorem_3_1`, each proved on the whole Fock
-    space by its normal-ordering form, and the columns of every P_k^(r),
-    |k| <= 4, checked against the Fock representation on degree
-    <= D - |k| N.  A failing case gives ((i, j, m, n), x, got, want) with x
-    an index or "central"; a failing column gives the witness of
-    `certify_theorem_2_4_suite`.  Like the sweep, it raises `cutoff too
-    small` when the window of |m| = |n| = 2 is empty."""
-    N = G.period
-    _window_budget(D, _MAX_MODE * N, _MAX_MODE * N)
-    res = _theorem_3_1(G, lambda lhs, rhs, m, n: _certify(lhs, rhs).witness)
-    return _with_representation(res, D, _pair_operators(N, _PRODUCT_MODES))
+    space by its normal-ordering form alone; the columns of the P_k^(r)
+    that the T^i are built from are `representation_suite`'s.  A failing
+    case gives ((i, j, m, n), x, got, want) with x an index or "central".
+    Like the sweep, it raises `cutoff too small` when the window of
+    |m| = |n| = 2 is empty."""
+    _window_budget(D, _MAX_MODE * G.period, _MAX_MODE * G.period)
+    return _theorem_3_1(G, lambda lhs, rhs, m, n: _certify(lhs, rhs).witness)
 
 
 def _theorem_3_1(G: TwistGroup, case) -> VerifyResult:
@@ -1359,13 +1342,11 @@ def certify_scaling_suite(chi: PeriodicFn, D: int) -> VerifyResult:
     `cutoff too small` when the window of l = 3, (m, n) = (1, -1) is empty,
     D < 6N, and its count is theirs: the states of degree <= D - lN(|m| +
     |n|), summed over the cases."""
-    from ltwist.qseries import product_expand
-
     N = chi.period
     _window_budget(D, 3 * N, 3 * N)
     cases = [(l, m, n) for l in (2, 3) for m, n in ((1, -1), (1, 0))]
-    p = product_expand(1, {0}, -1, D + 1).coeffs  # p(d), the states of degree d
-    count = sum(p[d] for l, m, n in cases for d in range(D - l * N * (abs(m) + abs(n)) + 1))
+    S = _state_counts(D)
+    count = sum(S[D - l * N * (abs(m) + abs(n))] for l, m, n in cases)
     lm = l_minus_one(pf_mul(chi, chi))
 
     def scaled_case(l: int, m: int, n: int) -> Optional[tuple]:
@@ -1375,9 +1356,9 @@ def certify_scaling_suite(chi: PeriodicFn, D: int) -> VerifyResult:
             return "L(-1)", got, l * lm
         return _certify(*_bracket_sides(x, x, m, n, prod)).witness
 
-    res = _case_by_case(cases, scaled_case)
-    return _with_representation(VerifyResult(res.passed, count, res.witness), D, (
-        (("L", l, k), build_L(chi.dilate(l), k)) for l in (2, 3) for k in (-1, 0, 1)))
+    witness = _case_by_case(cases, scaled_case).witness or _check_columns(
+        ((("L", l, k), build_L(chi.dilate(l), k)) for l in (2, 3) for k in (-1, 0, 1)), D)
+    return VerifyResult(witness is None, count, witness)
 
 
 def verify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
@@ -1411,13 +1392,13 @@ def verify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
 def certify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
     """The identity of `verify_transpose_symmetry`, A = L_n^chi having the
     adjoint B = L_{-n}^{chibar}, by normal-ordering forms on the whole Fock
-    space and the columns of the P_n^(r), A = sum_r chi(r) P_n^(r), on the
-    sweep's window; the count is the sweep's, A's nonzero entries.  A move
-    keeps its residue pair, so for n != 0 the P_n^(r) with chi(r) != 0 add
-    theirs; for n = 0 they are the states where sum_r chi(r) <q|P_0^(r)|q>
-    != 0.  B is the A of (chibar, -n) and the norm is `weight_mismatch`'s,
-    so a row closed under conjugation checks both.  A chi that is not a pair
-    combination raises ValueError."""
+    space; the count is the sweep's, the nonzero entries of A = sum_r chi(r)
+    P_n^(r) on the sweep's window, with no column built.  A move keeps its
+    residue pair, so for n != 0 the P_n^(r) with chi(r) != 0 add theirs
+    (`_entry_count`); for n = 0 they are the states where sum_r chi(r)
+    <q|P_0^(r)|q> != 0.  B is the A of (chibar, -n) and the norm is
+    `weight_mismatch`'s, so a row closed under conjugation checks both.  A
+    chi that is not a pair combination raises ValueError."""
     N, coeffs = chi.period, _pair_coefficients(chi)
     top = _window_budget(D, n * N)
     if coeffs is None:
@@ -1425,19 +1406,28 @@ def certify_transpose_symmetry(chi: PeriodicFn, n: int, D: int) -> VerifyResult:
     A, B = build_L(chi, n), build_L(chi.conj(), -n)
     ring = cyclo_ring(math.lcm(A.order, B.order))
     witness = _mismatch(_adjoint(_form(A, ring)), _form(B, ring))
-    res = _with_representation(VerifyResult(witness is None, 0, witness), D,
-                               _pair_operators(N, (n,)))
-    if not res.passed:
-        return res
+    if witness is not None:
+        return VerifyResult(False, 0, witness)
     if n:
-        pairs = [build_L(pair_indicator(N, r), n) for r in _pair_residues(N)]
-        return VerifyResult(True, sum(sum(P._entries[:top + 1])
-                                      for P, c in zip(pairs, coeffs) if c), None)
+        S = _state_counts(top)
+        return VerifyResult(True, sum(_entry_count(build_L(pair_indicator(N, r), n), S)
+                                      for r, c in zip(_pair_residues(N), coeffs) if c), None)
     ring = cyclo_ring(A.order)
     x = [A._table.elements(ring)[r] for r in _pair_residues(N)]  # chi(r) times A's den
     counts = _diagonal_counts(N, top, frozenset(range(N)))
     return VerifyResult(True, sum(k for vec, k in counts if not ring.is_zero(
         reduce(ring.add, map(ring.smul, x, vec), ring.zero))), None)
+
+
+def _entry_count(op: BilinearOp, S: list) -> int:
+    """The nonzero column entries of `op`, M != 0, on the states counted by
+    S = `_state_counts(top)`, off its kernel record: a move of u enters the
+    S[top - u] columns with a part u, a double annihilation of u and v the
+    S[top - u - v] with both, and a creation every column, S[top]."""
+    moves, _, pairs, creations = op._kernel(cyclo_ring(op.order))
+    top = len(S) - 1
+    return (sum(S[top - u] for u, _, _ in moves if u <= top) + len(creations) * S[top]
+            + sum(S[top - u - v] for u, v, _ in pairs if u + v <= top))
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -14,6 +15,13 @@ from ltwist.cocycle import (
 )
 from ltwist.exactnum import Rat, factorize, horner
 from ltwist.report import RunConfig, _run_check
+
+
+def fresh_null_spaces(monkeypatch):
+    """Give `checks._null_space` an empty cache of the test's own: no null
+    space of another test reaches the test, and none it makes outlives it."""
+    monkeypatch.setattr(checks, "_null_space",
+                        lru_cache(maxsize=None)(checks._null_space.__wrapped__))
 
 
 def test_field_arithmetic():
@@ -157,7 +165,7 @@ def test_line_recursion_needs_a_certified_null_space(monkeypatch):
     short = sys_._replace(rows=sys_.rows[:40])
     assert nullspace_dim(short)[0] > 2
     real = cocycle.build_system
-    monkeypatch.setattr(checks, "_NULL_SPACES", {})
+    fresh_null_spaces(monkeypatch)
     monkeypatch.setattr(cocycle, "build_system",
                         lambda d, H: short if d == "Q(sqrt2)" else real(d, H))
     row = next(c for c in checks.build_registry(RunConfig()) if c.id == "cocycle:recursion")
@@ -185,8 +193,9 @@ def test_line_recursion_fails_off_the_null_space():
 
 
 def test_recursion_row_reads_the_null_spaces_of_the_cocycle_rows(monkeypatch):
+    # the recursion row reads the cached null spaces the cocycle rows made
     names = ("Q", "Q(sqrt2)", "Q(sqrt5)")
-    monkeypatch.setattr(checks, "_NULL_SPACES", {})
+    fresh_null_spaces(monkeypatch)
     for name in names:
         checks.check_cocycle(RunConfig(), name)
     built = []
@@ -194,7 +203,7 @@ def test_recursion_row_reads_the_null_spaces_of_the_cocycle_rows(monkeypatch):
     monkeypatch.setattr(cocycle, "build_system", lambda d, H: built.append((d, H)) or real(d, H))
     value = checks.check_cocycle_recursion(RunConfig())
     assert built == []
-    monkeypatch.setattr(checks, "_NULL_SPACES", {})
+    checks._null_space.cache_clear()
     assert checks.check_cocycle_recursion(RunConfig()) == value
     assert built == [(name, 4) for name in names]
 

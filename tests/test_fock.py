@@ -18,7 +18,7 @@ from ltwist.characters import (
 from ltwist.checks import build_registry
 from ltwist.exactnum import CycloNum, cyclo_ring
 from ltwist.exactnum import rat, zeta
-from ltwist import cli, fock, qseries
+from ltwist import cli, fock, qseries, report
 from ltwist.fock import (
     BilinearOp,
     CommutatorOp,
@@ -1062,52 +1062,70 @@ _MUTATIONS = {
 }
 
 
+# the witness prefix of each column-code mutation: its first failing
+# operator in r-major order, and the state or table entry it fails at
+_COLUMN_WITNESSES = {
+    "term-action-sign": "(('P', 1, -4), (), ",
+    "remove-part-multiplicity": "(('P', 1, 1), (",
+    "bilinear-scale": "(('P', 1, -4), 'table', 1, ",
+}
+_IDENTITY_ROWS = ("fock:mode-bracket:3", "fock:bracket:3", "fock:decomposition:5")
+_REPRESENTATION_ROWS = ("fock:representation:3", "fock:representation:5")
+
+
 @pytest.mark.parametrize("mutation", list(_MUTATIONS))
 def test_certified_rows_turn_red_with_the_sweeps(monkeypatch, mutation):
     # The central term and the right side of Theorem 2.4 enter only the
     # bracket rows: Lemma 2.3 has no central term and Theorem 3.1 builds its
-    # own.  The three column-code mutations never reach a certificate, so
-    # the representation check has to catch them in every row, naming a
-    # P^(r)_n: a wrong scale leaves the integer columns as they were and
-    # shows only against the coefficients the certificate uses.
+    # own, and there the identity rows turn red with the sweeps.  The three
+    # column-code mutations never reach a certificate: the sweeps, which
+    # compare columns, turn red, and of the rows only the representation
+    # rows do, each naming its first faulty P_k^(r).  A wrong scale leaves
+    # the integer columns as they were and shows only against the
+    # coefficients the certificate uses.
     attr, make = _MUTATIONS[mutation]
     monkeypatch.setattr(fock, attr, make(getattr(fock, attr)))
-    monkeypatch.setattr(fock, "_OP_REGISTRY", {})  # no columns cached before
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
     cfg = RunConfig(moduli_bracket=(3,), moduli_decomposition=(5,), cutoff=20)
-    rows = {c.id: _run_check(c, cfg)
-            for c in build_registry(cfg)
-            if c.id in ("fock:mode-bracket:3", "fock:bracket:3", "fock:decomposition:5")}
+    rows = {c.id: _run_check(c, cfg) for c in build_registry(cfg)
+            if c.id in _IDENTITY_ROWS + _REPRESENTATION_ROWS}
     monkeypatch.setattr(fock, "_OP_REGISTRY", {})
     swept = {
         "fock:mode-bracket:3": verify_lemma_2_3_suite(even_twist_group(3), 20).passed,
         "fock:bracket:3": verify_theorem_2_4_suite(even_twist_group(3), 20).passed,
         "fock:decomposition:5": verify_theorem_3_1(even_twist_group(5), 20).passed,
     }
-    assert {k: r.status == "pass" for k, r in rows.items()} == swept
-    column_code = attr in ("_term_action", "_remove_part", "BilinearOp")
-    red = set(swept) if column_code else {"fock:bracket:3"}
+    column_code = mutation in _COLUMN_WITNESSES
+    certified = {k: rows[k].status == "pass" for k in _IDENTITY_ROWS}
+    if column_code:  # the sweeps compare columns, the certificates read none
+        assert not any(swept.values()) and all(certified.values())
+    else:
+        assert certified == swept
+    red = set(_REPRESENTATION_ROWS) if column_code else {"fock:bracket:3"}
     assert {k for k, r in rows.items() if r.status == "fail"} == red
     for k in red:
-        assert rows[k].witness.startswith("(('P', " if column_code else "((0, 0, ")
+        assert rows[k].witness.startswith(_COLUMN_WITNESSES.get(mutation, "((0, 0, "))
 
 
 @pytest.mark.parametrize("mutation", list(_MUTATIONS))
 def test_cli_fock_verify_turns_red_with_the_report_rows(monkeypatch, capsys, mutation):
-    # `fock verify` runs the report rows' certificates, so it turns red
+    # `fock verify` runs the report rows' functions, so it turns red
     # exactly where `test_certified_rows_turn_red_with_the_sweeps` sees the
-    # rows fock:mode-bracket:3, fock:bracket:3 and fock:decomposition:5 red.
+    # rows fock:mode-bracket:3, fock:bracket:3, fock:decomposition:5 and
+    # fock:representation:3|5 red, with the same witnesses.
     attr, make = _MUTATIONS[mutation]
     monkeypatch.setattr(fock, attr, make(getattr(fock, attr)))
-    column_code = attr in ("_term_action", "_remove_part", "BilinearOp")
-    for check, N in (("2.3", "3"), ("2.4", "3"), ("3.1", "5")):
+    column_code = mutation in _COLUMN_WITNESSES
+    for check, N in (("2.3", "3"), ("2.4", "3"), ("3.1", "5"), ("representation", "3"),
+                     ("representation", "5")):
         monkeypatch.setattr(fock, "_OP_REGISTRY", {})
         code = cli.dispatch(["fock", "verify", "--modulus", N, "--cutoff", "20",
                              "--theorem", check, "--json"])
         (row,) = json.loads(capsys.readouterr().out)["rows"]
-        red = column_code or check == "2.4"
+        red = check == ("representation" if column_code else "2.4")
         assert (code, row["status"]) == ((1, "fail") if red else (0, "pass"))
         if red:
-            assert row["witness"].startswith("(('P', " if column_code else "((0, 0, ")
+            assert row["witness"].startswith(_COLUMN_WITNESSES.get(mutation, "((0, 0, "))
 
 
 @pytest.mark.parametrize("mutation, prefix, failed", [
@@ -1117,23 +1135,27 @@ def test_cli_fock_verify_turns_red_with_the_report_rows(monkeypatch, capsys, mut
 def test_cli_case_detail_holds_the_certificates_not_the_columns(monkeypatch, capsys,
                                                                 mutation, prefix, failed):
     # Each `cases_detail` entry is its case's normal-ordering certificate.
-    # A column fault fails the 2.4 row with a P^(r)_k witness and no case;
-    # a wrong central term fails exactly the cases with m = -n.
+    # A column fault fails no case and leaves the 2.4 row green: the
+    # `representation` id names it with a P_k^(r) witness.  A wrong central
+    # term fails the 2.4 row at exactly the cases with m = -n.
     attr, make = _MUTATIONS[mutation]
     monkeypatch.setattr(fock, attr, make(getattr(fock, attr)))
     monkeypatch.setattr(fock, "_OP_REGISTRY", {})
-    assert cli.dispatch(["fock", "verify", "--modulus", "3", "--cutoff", "20",
-                         "--theorem", "2.4", "--json"]) == 1
-    (row,) = json.loads(capsys.readouterr().out)["rows"]
-    detail = row["cases_detail"]
-    assert (row["status"], row["cases"], len(detail)) == ("fail", 25, 25)
-    assert row["witness"].startswith(prefix)
+    assert cli.dispatch(["fock", "verify", "--modulus", "3", "--cutoff", "20", "--json"]) == 1
+    rows = {row["check"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
+    row, detail = rows["2.4"], rows["2.4"]["cases_detail"]
+    assert (row["status"], row["cases"], len(detail)) == ("fail" if failed else "pass", 25, 25)
     assert [(d["m"], d["n"]) for d in detail if d["status"] == "fail"] == failed
+    # the scaling row shares the central term and walks columns of its own
+    assert [k for k, r in rows.items() if r["status"] == "fail"] == [
+        "2.4" if failed else "representation", "scaling"]
+    assert rows["2.4" if failed else "representation"]["witness"].startswith(prefix)
 
 
-def test_a_wrong_key_delta_turns_the_bracket_row_red(monkeypatch):
+def test_a_wrong_key_delta_turns_the_representation_row_red(monkeypatch):
     # The kernel's move of one part 2 also adds a part 1; the representation
-    # check re-keys by its own units, so the row fails at a partition.
+    # check re-keys by its own units, so its row fails at a partition, and
+    # the certified bracket row, which builds no column, stays green.
     real = BilinearOp._kernel
 
     def corrupted(self, ring):
@@ -1145,10 +1167,13 @@ def test_a_wrong_key_delta_turns_the_bracket_row_red(monkeypatch):
     monkeypatch.setattr(BilinearOp, "_kernel", corrupted)
     monkeypatch.setattr(fock, "_OP_REGISTRY", {})
     cfg = RunConfig(moduli_bracket=(3,), moduli_decomposition=(), cutoff=20)
-    (row,) = [_run_check(c, cfg) for c in build_registry(cfg) if c.id == "fock:bracket:3"]
+    rows = {c.id: _run_check(c, cfg) for c in build_registry(cfg)
+            if c.id in ("fock:bracket:3", "fock:representation:3")}
     monkeypatch.setattr(fock, "_OP_REGISTRY", {})
-    res = fock.certify_theorem_2_4_suite(even_twist_group(3), 20)
+    res = fock.representation_suite(3, 20)
     (tag, r, k), state, out_state, got, want = res.witness
+    row = rows["fock:representation:3"]
+    assert rows["fock:bracket:3"].status == "pass"
     assert row.status == "fail" and row.witness == repr(res.witness)
     assert (tag, r) == ("P", 1) and 2 in state and got != want
     assert all(isinstance(p, tuple) and list(p) == sorted(p, reverse=True)
@@ -1215,7 +1240,6 @@ def test_representation_check_names_the_first_fault_in_walk_order(N, M, D):
             op = _recording(op, [], fault)
         first = min(faults, key=order.index)
         assert fock._check_representation(op, D)[:2] == (first, first), faults
-        assert op._verified == -1
 
 
 @pytest.mark.parametrize("N, M, D", [(5, -5, 14), (7, 0, 12), (3, 6, 15), (7, -21, 30)])
@@ -1226,23 +1250,6 @@ def test_representation_check_names_a_fault_at_the_top_degree(N, M, D):
         op = _recording(BilinearOp(pair_indicator(N, 1), M, rat(1, 2 * N)), [], fault)
         bad = fock._check_representation(op, D)
         assert bad is not None and bad[:2] == (fault, fault), fault
-        assert op._verified == -1
-
-
-@pytest.mark.parametrize("N, M", [(5, -5), (7, 0), (3, 6)])
-def test_representation_check_resumes_above_the_verified_degree(N, M):
-    # A check at D1 passes; the check at D2 must still compare every state
-    # of degree in (D1 - |M|, D2 - |M|].
-    D1, D2 = 10 + abs(M), 13 + abs(M)
-    for degree in range(D1 - abs(M) + 1, D2 - abs(M) + 1):
-        fault = (degree,) if degree % 2 else (degree - 2, 1, 1)
-        op = _recording(BilinearOp(pair_indicator(N, 2), M, rat(1, 2 * N)), [])
-        assert fock._check_representation(op, D1) is None
-        assert op._verified == D1 - abs(M)
-        op = _recording(op, [], fault)
-        bad = fock._check_representation(op, D2)
-        assert bad is not None and bad[0] == fault, (degree, bad)
-        assert op._verified == D1 - abs(M)
 
 
 @pytest.mark.parametrize("M", [0, -5, 5])
@@ -1268,7 +1275,7 @@ def test_representation_check_reads_the_step_onto_a_0_as_zero(M):
     # At u = M the step [Q, a_{-M}] = M s(-M) a_0 vanishes whatever s(-M):
     # a coefficient with c(0) != 0 reaches it, and the check passes there.
     op = BilinearOp(PeriodicFn(3, [rat(1), rat(2), rat(3)]), M, rat(1, 6))
-    assert fock._check_representation(op, 12) is None and op._verified == 12 - M
+    assert fock._check_representation(op, 12) is None
 
 
 _DIAGONAL_FAULTS = {  # (q, its true column {0: x} or {} relative to q, ring) -> a wrong column
@@ -1304,26 +1311,22 @@ def test_diagonal_check_names_each_wrong_column_like_the_full_comparison(fault):
 
         op._relative = relative
         assert fock._check_representation(op, D) == expected, q
-        assert op._verified == -1
         tried += 1
     assert tried > 20
 
 
 def test_shared_diagonal_walk_keeps_the_r_major_witness(monkeypatch):
     # The fault of P_0^(3) lies earlier in the walk than that of P_0^(1);
-    # the row must still name P_0^(1), the first in r-major order, and mark
-    # verified exactly the operators before it in r-major order.
+    # the row must still name P_0^(1), the first in r-major order, and walk
+    # no operator after it.
     monkeypatch.setattr(fock, "_OP_REGISTRY", {})
-    early, late = (1, 1), (2,)
-    _recording(build_L(pair_indicator(7, 3), 0), [], early)
+    early, late, walked = (1, 1), (2,), []
+    _recording(build_L(pair_indicator(7, 3), 0), walked, early)
     _recording(build_L(pair_indicator(7, 1), 0), [], late)
-    res = fock.certify_theorem_2_4_suite(even_twist_group(7), 28)
+    res = fock.representation_suite(7, 28)
     assert not res.passed
     assert res.witness[:3] == (("P", 1, 0), late, late)
-    order = [(r, k) for r in (1, 2, 3) for k in range(-4, 5)]
-    for i, (r, k) in enumerate(order):
-        op = build_L(pair_indicator(7, r), k)
-        assert op._verified == (28 - abs(op.M) if i < order.index((1, 0)) else -1), (r, k)
+    assert walked == []
 
 
 def test_cached_forms_stay_as_built_and_read_only(monkeypatch):
@@ -1354,12 +1357,38 @@ def test_cached_forms_stay_as_built_and_read_only(monkeypatch):
 
 
 def test_certified_rows_cache_no_columns_and_build_no_basis(monkeypatch):
+    # The certified suites build no column at all, and the representation
+    # row builds them one state at a time, keeping none and no basis.
+    def no_column(self, ring):
+        raise AssertionError("a certified suite built a column")
+
     monkeypatch.setattr(fock, "_OP_REGISTRY", {})
     before = fock._basis_by_degree.cache_info()
-    assert fock.certify_theorem_2_4_suite(even_twist_group(7), 28).passed
-    checked = [build_L(pair_indicator(7, r), k) for r in (1, 2, 3) for k in range(-4, 5)]
-    assert all(op._verified == 28 - abs(op.M) for op in checked)
+    with monkeypatch.context() as m:
+        m.setattr(BilinearOp, "_relative", no_column)
+        G = even_twist_group(7)
+        assert fock.certify_lemma_2_3_suite(G, 28).passed
+        assert fock.certify_theorem_2_4_suite(G, 28).passed
+        assert fock.certify_theorem_3_1(G, 28).passed
+    assert fock.representation_suite(7, 28).passed
     assert fock._basis_by_degree.cache_info() == before
+
+
+@pytest.mark.parametrize("N, D", [(3, 12), (5, 24)])
+def test_representation_row_counts_the_states_it_walks(monkeypatch, N, D):
+    # The count comes from partition counts, and it is the number of kernel
+    # calls the walks make: one per state of each operator's window.
+    calls: list = []
+    real = BilinearOp._relative
+
+    def relative(op, ring):
+        column = real(op, ring)
+        return lambda q: calls.append(q) or column(q)
+
+    monkeypatch.setattr(BilinearOp, "_relative", relative)
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    res = fock.representation_suite(N, D)
+    assert res.passed and res.cases == len(calls) > 0
 
 
 # -- certified transpose row ------------------------------------------------------
@@ -1428,9 +1457,13 @@ _TRANSPOSE_MUTATIONS = {
 
 @pytest.mark.parametrize("mutation", list(_TRANSPOSE_MUTATIONS))
 def test_transpose_row_turns_red_with_the_sweep(monkeypatch, mutation):
+    # The row reads no column of L_n^x: a column fault that leaves a_u's
+    # column alone (a flipped double creation, a doubled scale) leaves it
+    # green, and fock:representation:7 names it.  A wrong multiplicity also
+    # breaks a_u's column, and a weight without its factorial the norm
+    # itself, so the norm check fails the row at a ("weight", ...) witness.
     # A common scale on both sides leaves the transposed identity true, so
-    # the sweep passes it; the certified row's coefficient table check
-    # does not.
+    # the sweep passes it.
     attr, make = _TRANSPOSE_MUTATIONS[mutation]
     monkeypatch.setattr(fock, attr, make(getattr(fock, attr)))
     monkeypatch.setattr(fock, "_OP_REGISTRY", {})
@@ -1438,18 +1471,20 @@ def test_transpose_row_turns_red_with_the_sweep(monkeypatch, mutation):
     monkeypatch.setattr(fock, "_OP_REGISTRY", {})
     swept = all(verify_transpose_symmetry(chi, n, 24).passed
                 for chi in even_twist_group(7).elements for n in range(-2, 3))
-    assert row.status == "fail"
+    norm = mutation in ("remove-part-multiplicity", "weight-without-factorial")
+    assert (row.status, row.value) == (("fail", "") if norm else ("pass", "47970 matrix entries"))
+    assert norm == (row.witness or "").startswith("('weight', ")
     assert swept == (mutation == "bilinear-scale")
-    if swept:
-        assert "'table'" in row.witness
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    res = fock.representation_suite(7, 28)
+    assert res.passed == (mutation == "weight-without-factorial")
+    assert res.passed or repr(res.witness).startswith(_COLUMN_WITNESSES[mutation])
 
 
-def test_transpose_row_builds_no_column_after_the_pair_checks(monkeypatch):
-    # fock:mode-bracket:7 checks every P_n^(r), |n| <= 2, at cutoff 30, so
-    # the transpose row at cutoff 24 reads their entry counts and builds no
-    # column of its own.
-    rows = {c.id: c for c in build_registry(RunConfig())}
-    assert _run_check(rows["fock:mode-bracket:7"], RunConfig()).status == "pass"
+def test_transpose_row_builds_no_column(monkeypatch):
+    # The row certifies by forms and counts its entries off the kernel
+    # records, so it builds no column, from a fresh registry.
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
     log: list = []
     for name in ("_relative", "icolumn"):  # the checks' kernel, the sweeps' columns
         def recording(op, *args, real=getattr(BilinearOp, name)):
@@ -1457,7 +1492,7 @@ def test_transpose_row_builds_no_column_after_the_pair_checks(monkeypatch):
             return real(op, *args)
 
         monkeypatch.setattr(BilinearOp, name, recording)
-    row = _run_check(rows["fock:transpose"], RunConfig())
+    row = _run_check(_transpose_row(), RunConfig())
     assert row.status == "pass" and row.value == "47970 matrix entries"
     assert log == []
 
@@ -1732,15 +1767,34 @@ def test_scaling_row_and_cli_turn_red_with_the_sweeps(monkeypatch, capsys, mutat
 
 
 def test_default_report_and_fock_verify_build_no_absolute_column(monkeypatch, capsys):
-    # Every Fock row and `fock verify` id decides by certificate and
+    # Every Fock row and `fock verify` id decides by certificate or by a
     # representation check, whose columns are the kernel's relative ones.
-    calls: list = []
-    real = BilinearOp.icolumn
+    # The column check is paid by the rows that make it: 54 walks in the
+    # fock:representation:N rows (the 9 P_k^(r) per pair residue) and 6 in
+    # fock:scaling, and no other row walks or fetches a kernel, the
+    # transpose row after all of them included.
+    calls, row, walks, kernels = [], [None], [], []
+    real_icolumn, real_run = BilinearOp.icolumn, report._run_check
+    real_check, real_relative = fock._check_representation, BilinearOp._relative
+
+    def run(check, cfg):
+        row[0] = check.id
+        return real_run(check, cfg)
+
     monkeypatch.setattr(BilinearOp, "icolumn",
-                        lambda op, q, ring: calls.append(op) or real(op, q, ring))
+                        lambda op, q, ring: calls.append(op) or real_icolumn(op, q, ring))
+    monkeypatch.setattr(report, "_run_check", run)
+    monkeypatch.setattr(fock, "_check_representation",
+                        lambda op, D: walks.append(row[0]) or real_check(op, D))
+    monkeypatch.setattr(BilinearOp, "_relative",
+                        lambda op, ring: kernels.append(row[0]) or real_relative(op, ring))
     monkeypatch.setattr(fock, "_OP_REGISTRY", {})
     doc = report_all(RunConfig())
     assert [r["id"] for r in doc["checks"] if r["status"] != "pass"] == ["summation:squares"]
+    assert {r: walks.count(r) for r in walks} == {
+        "fock:representation:3": 9, "fock:representation:5": 18, "fock:representation:7": 27,
+        "fock:scaling": 6}
+    assert set(kernels) == set(walks) and "fock:transpose" not in kernels
     assert cli.dispatch(["fock", "verify", "--modulus", "5"]) == 0
     capsys.readouterr()
     assert calls == []

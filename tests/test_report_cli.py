@@ -1,5 +1,6 @@
 import json
 import os
+from functools import lru_cache
 import random
 import subprocess
 import sys
@@ -521,7 +522,8 @@ def test_cli_fock_verify_skips_each_empty_window_and_runs_the_rest(capsys):
     assert code == 0
     rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
     assert {k: r["status"] for k, r in rows.items()} == {
-        "2.3": "skip", "2.4": "skip", "3.1": "skip", "3.28": "pass", "scaling": "skip"}
+        "2.3": "skip", "2.4": "skip", "3.1": "skip", "representation": "skip", "3.28": "pass",
+        "scaling": "skip"}
     assert rows["3.28"]["cases"] == 2
     assert all(r["witness"] == "cutoff too small" for k, r in rows.items() if k != "3.28")
 
@@ -630,43 +632,77 @@ def _mutable_parts(value, path: str) -> list:
     return []
 
 
+def _empty_caches(monkeypatch) -> None:
+    """An empty operator registry, vector-count cache and null-space cache,
+    each the test's own: no row's leavings from before reach it."""
+    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    monkeypatch.setattr(fock, "_diagonal_counts",
+                        lru_cache(maxsize=None)(fock._diagonal_counts.__wrapped__))
+    monkeypatch.setattr(checks, "_null_space",
+                        lru_cache(maxsize=None)(checks._null_space.__wrapped__))
+
+
 def test_shared_values_hold_no_mutable_container(monkeypatch):
     # What one row leaves for another cannot be changed by a reader: the
-    # null spaces the cocycle rows leave in `checks._NULL_SPACES` (system
-    # and basis), which cocycle:recursion reads, and the numerator tables a
-    # Fock row leaves on the registry's operators, which later rows share.
-    monkeypatch.setattr(checks, "_NULL_SPACES", {})
-    monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+    # null spaces the cocycle rows leave in the cache of `checks._null_space`
+    # (system and basis), which cocycle:recursion reads, and the numerator
+    # tables a Fock row leaves on the registry's operators, which later rows
+    # share.
+    _empty_caches(monkeypatch)
     cfg = RunConfig(**{**_GOLDEN_CONFIG, "moduli_bracket": (3,), "moduli_decomposition": ()})
-    rows = [c for c in build_registry(cfg) if c.id.startswith(("cocycle:", "fock:bracket:"))]
-    assert [_run_check(c, cfg).status for c in rows] == ["pass"] * 5
-    assert len(checks._NULL_SPACES) == 9
+    rows = [c for c in build_registry(cfg)
+            if c.id.startswith(("cocycle:", "fock:bracket:", "fock:representation:"))]
+    assert [_run_check(c, cfg).status for c in rows] == ["pass"] * 6
+    assert checks._null_space.cache_info().currsize == 9
+    null_spaces = [((name, H), checks._null_space(name, H))
+                   for name in ("Q", "Q(sqrt2)", "Q(sqrt5)") for H in (3, 4, 5)]
+    assert checks._null_space.cache_info().currsize == 9  # each read a cached value
     tables = [(op.M, op._table._by_ring) for op in fock._OP_REGISTRY.values()
               if isinstance(op, fock.BilinearOp)]
     assert len(tables) == 9 and all(by_ring for _, by_ring in tables)  # P_k^(1), |k| <= 4
-    found = _mutable_parts(tuple(checks._NULL_SPACES.items()), "_NULL_SPACES") + [
+    found = _mutable_parts(tuple(null_spaces), "_null_space") + [
         p for M, by_ring in tables for ring, elements in by_ring.items()
         for p in _mutable_parts(elements, f"L[{M}, {ring.order}]")]
     assert found == []
 
 
+_SHARED_CONFIG = {**_GOLDEN_CONFIG, "moduli_bracket": (3,), "moduli_decomposition": (5,)}
+
+
 def test_rows_do_not_depend_on_the_order_they_run_in(monkeypatch):
-    # Rows share state: the Fock operators in `fock._OP_REGISTRY` keep the
-    # degree their representation check passed, and the cocycle rows share
-    # `checks._NULL_SPACES`.  Run forward and reversed, each pass from empty
-    # caches, every row must come out the same.
-    cfg = RunConfig(**{**_GOLDEN_CONFIG, "moduli_bracket": (3,), "moduli_decomposition": (5,)})
+    # Rows share caches: the Fock operators in `fock._OP_REGISTRY` with
+    # their kernels and forms, the vector counts of `fock._diagonal_counts`
+    # and the cocycle null spaces.  Run forward and reversed, each pass from
+    # empty caches, every row must come out the same.
+    cfg = RunConfig(**_SHARED_CONFIG)
     registry = build_registry(cfg)
     passes = []
     for order in (registry, registry[::-1]):
-        monkeypatch.setattr(fock, "_OP_REGISTRY", {})
-        monkeypatch.setattr(checks, "_NULL_SPACES", {})
+        _empty_caches(monkeypatch)
         passes.append({r.id: r for r in (_run_check(c, cfg) for c in order)})
     assert len(passes[0]) == len(registry)
     assert passes[0] == passes[1]
 
 
-COMMUTATOR_ROWS = ("fock:mode-bracket:", "fock:bracket:", "fock:decomposition:")
+def test_each_row_run_alone_gives_its_registry_order_verdict(monkeypatch):
+    # No verdict leans on what an earlier row left: each row, run alone
+    # from empty caches, gives the status, value and witness it gives in
+    # registry order.
+    cfg = RunConfig(**_SHARED_CONFIG)
+    registry = build_registry(cfg)
+    _empty_caches(monkeypatch)
+    in_order = [_run_check(c, cfg) for c in registry]
+    alone = []
+    for c in registry:
+        _empty_caches(monkeypatch)
+        alone.append(_run_check(c, cfg))
+    assert any(r.id.startswith("fock:representation:") for r in alone)
+    assert [(r.id, r.status, r.value, r.witness) for r in alone] == [
+        (r.id, r.status, r.value, r.witness) for r in in_order]
+
+
+COMMUTATOR_ROWS = ("fock:mode-bracket:", "fock:bracket:", "fock:decomposition:",
+                   "fock:representation:")
 
 
 def _commutator_rows(cutoff: int) -> dict:
@@ -677,10 +713,11 @@ def _commutator_rows(cutoff: int) -> dict:
 
 
 def test_commutator_rows_match_golden_file():
-    # The rows of the three commutator families, which the golden file above
-    # leaves out, pinned from their state sweeps.  At cutoff 20 every row
-    # passes; 17 skips the Theorem 2.4 and 3.1 rows at N = 5 (they need
-    # D >= 4N), 14 also the Lemma 2.3 row at N = 5 (D >= 6 + 2N), 11 all.
+    # The rows of the three commutator families, pinned from their state
+    # sweeps, and the representation rows, which the golden file above
+    # leaves out.  At cutoff 20 every row passes; 17 skips the Theorem 2.4,
+    # 3.1 and representation rows at N = 5 (they need D >= 4N), 14 also the
+    # Lemma 2.3 row at N = 5 (D >= 6 + 2N), 11 all.
     path = os.path.join(os.path.dirname(__file__), "data", "report_rows_fock_small.json")
     with open(path, encoding="utf-8") as fh:
         want = fh.read()

@@ -179,36 +179,79 @@ def test_report_and_cli_name_no_window_sweep_or_column():
     assert found == []
 
 
-_CERTIFICATE_NAMES = {"_form", "_Form", "_bracket", "_mismatch", "_check_representation",
-                      "_check_diagonal", "_with_representation", "_combine", "_adjoint",
-                      "_lookup", "_after", "_sum", "_jacobi", "_table_steps", "_difference"}
+_REPRESENTATION_NAMES = {"_check_representation", "_check_diagonal", "_check_columns",
+                         "_table_steps", "_difference"}
+_CERTIFICATE_NAMES = {"_form", "_Form", "_bracket", "_mismatch", "_combine", "_adjoint",
+                      "_lookup", "_after", "_sum", "_jacobi"} | _REPRESENTATION_NAMES
 
 
-def test_window_sweeps_name_no_certificate_code():
-    # The sweeps are the independent reference of the certified rows: no
-    # function they can reach in fock.py names the normal-ordering
-    # certificates or the representation check.  Reachable means named by
-    # a reached body; a method's name reaches every method of that name.
-    # Every listed name is defined, so a deleted one cannot weaken the rule.
+def _fock_bodies() -> dict:
+    """{name: the identifiers its body names} for every function and class
+    of fock.py, one entry per name."""
     path = Path(ltwist.__file__).parent / "fock.py"
-    tree = ast.parse(path.read_text(), str(path))
     bodies: dict = {}
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             bodies.setdefault(node.name, set()).update(_identifiers(node))
-    roots = [name for name in bodies if name.startswith("verify_")
-             or name in ("scaling_embed_check", "commutator_window")]
+    return bodies
+
+
+def _reached(bodies: dict, roots) -> set:
+    """The names reachable from `roots`: named by a reached body, a
+    method's name reaching every method of that name."""
     reached, todo = set(), list(roots)
     while todo:
         name = todo.pop()
         if name not in reached:
             reached.add(name)
             todo.extend(bodies[name] & bodies.keys())
+    return reached
+
+
+def test_window_sweeps_name_no_certificate_code():
+    # The sweeps are the independent reference of the certified rows: no
+    # function they can reach in fock.py names the normal-ordering
+    # certificates or the representation check.  Every listed name is
+    # defined, so a deleted one cannot weaken the rule.
+    bodies = _fock_bodies()
+    roots = [name for name in bodies if name.startswith("verify_")
+             or name in ("scaling_embed_check", "commutator_window")]
+    reached = _reached(bodies, roots)
     bad = sorted(f"{name} names {used}" for name in reached for used in bodies[name]
                  if used in _CERTIFICATE_NAMES or used.startswith("_certify"))
     assert len(roots) >= 10 and "matrix_equal" in reached
     assert _CERTIFICATE_NAMES <= bodies.keys()
     assert bad == []
+
+
+def test_identity_suites_reach_no_column_check():
+    # The identity rows and the transpose row decide by certificate alone:
+    # no function they can reach names the representation check, which is
+    # the fock:representation:N rows' (and the scaling row's) own.
+    bodies = _fock_bodies()
+    roots = ["certify_lemma_2_3_suite", "certify_theorem_2_4_suite", "certify_theorem_3_1",
+             "certify_transpose_symmetry"]
+    reached = _reached(bodies, roots)
+    bad = sorted(f"{name} names {used}" for name in reached for used in bodies[name]
+                 if used in {"_check_representation", "_check_diagonal", "_check_columns"})
+    assert {"_certify", "_mismatch", "_entry_count"} <= reached
+    assert bad == []
+    assert "_check_columns" in _reached(bodies, ["representation_suite", "certify_scaling_suite"])
+
+
+def test_fock_stores_attributes_only_in_init():
+    # An operator's state is set when it is made: no function of fock.py
+    # outside an `__init__` assigns an attribute, so no check can leave a
+    # mark on a shared operator for a later one to read.
+    path = Path(ltwist.__file__).parent / "fock.py"
+    tree = ast.parse(path.read_text(), str(path))
+    in_init = {id(node) for init in ast.walk(tree)
+               if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+               for node in ast.walk(init)}
+    stores = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))]
+    assert stores and [f"{node.lineno}: {node.attr}" for node in stores
+                       if id(node) not in in_init] == []
 
 
 def test_representation_checks_build_columns_only_with_the_kernel():
