@@ -15,9 +15,10 @@ off `_term_action` on the vacuum and the double annihilations of u and M - u
 off it on the probe state (u, M - u), per unit of m_u m_{M-u}, so the
 kernel calls no term on a state; `icolumn` adds q to each delta, and
 descending tuples appear only at the boundary: `Operator.column`,
-`basis_partitions` and every witness.  One depth-first walk (`_walk`)
-enumerates the states with their degree and largest part u, each its
-parent p plus a part u >= p's largest; the sweeps' windows are its states
+`basis_partitions`, every witness, and the norm check (`weight_mismatch`),
+which hands one per state to `partition_weight`.  One depth-first walk
+(`_walk`) enumerates the states with their degree and largest part u, each
+its parent p plus a part u >= p's largest; the sweeps' windows are its states
 sorted by degree (`commutator_window`).  `_diagonal_counts` prunes it at
 the first part outside a residue set and counts the states by their vector
 of P_0^(r) eigenvalues, which `qtrace` and the transpose n = 0 count weight.
@@ -41,11 +42,12 @@ A certified suite reads no column.  A report row of its own
 residue-pair operator's integer table times its scale is the c of its form,
 and its columns satisfy Q a_{-u} = a_{-u} Q + [Q, a_{-u}] on degree
 <= D - |M|, one kernel call per state in `_walk`'s order
-(`_check_representation`, on scalars <q|Q|q> at M = 0).  The transpose
+(`_check_representation`, one loop for every shift).  The transpose
 identity is certified the same way: a_x^dagger = a_{-x} sends the form at
 shift M to shift -M with s^dagger(x) = conj(s(x - M)) (`_adjoint`), and
 the norm `partition_weight` is checked on the states by <0|0> = 1 and
-<q|q> = v <p|p> where a_u|q> = v|p>, u the largest part; its entry count
+<q|q> = v <p|p> where a_u|q> = v|p>, u the largest part and v = u m_u(q)
+read off the key, so that row builds no column either; its entry count
 is read off the kernel records of the P_n^(r), as L_n^f = sum_r f(r) P_n^(r).
 
 There is one bilinear operator, `BilinearOp`, with no mode scale.  The
@@ -71,7 +73,7 @@ from ltwist.characters import PeriodicFn, TwistGroup, even_twist_group, pf_mul
 from ltwist.exactnum import (
     CycloRing, Scalar, cyclo_ring, is_rational, rat, scalar_parts, zeta,
 )
-from ltwist.lvalues import _l_minus_one_form, l_minus_one
+from ltwist.lvalues import l_minus_one, l_minus_one_form
 
 MAX_BASIS_DEGREE = 60
 
@@ -130,8 +132,7 @@ def _basis_by_degree(D: int) -> tuple:
     """The keys of degree <= D in basis order: by degree, then by the
     partitions' lexicographic order, which within a degree is the keys';
     the states of `_walk`, sorted."""
-    if D > MAX_BASIS_DEGREE:
-        raise ValueError(f"cutoff capped at {MAX_BASIS_DEGREE}")
+    check_cutoff(D)
     states: list = []
 
     def visit(q: int, degree: int, u: int, parent) -> tuple:
@@ -501,12 +502,11 @@ class CommutatorOp(Operator):
 
 def _window_budget(D: int, *shift_budgets: int) -> int:
     """The top input degree D - sum |shifts| of a commutator window; an
-    empty window, or a cutoff above MAX_BASIS_DEGREE, is an error."""
+    empty window is an error, checked before `check_cutoff`'s bound."""
     budget = D - sum(abs(b) for b in shift_budgets)
     if budget < 0:
         raise ValueError("cutoff too small")
-    if D > MAX_BASIS_DEGREE:
-        raise ValueError(f"cutoff capped at {MAX_BASIS_DEGREE}")
+    check_cutoff(D)
     return budget
 
 
@@ -710,26 +710,21 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
     coefficients `_form` certifies, else ("table", r, got, want) names the
     residue r.  A loop over the children p + (v,), v >= u, of each state p
     calls the kernel (`BilinearOp._relative`) once per state, keeping only
-    the columns on the current path; M = 0 walks scalars (`_check_diagonal`).
+    the columns on the current path; every shift M takes this loop, M = 0
+    with every step onto the key delta 0 and the empty vacuum column.
     """
     M, N = op.M, op._N
     top = _window_budget(D, M)
     ring = cyclo_ring(op.order)
-    bad, step = _table_steps(op, ring, top)
-    if bad is not None or not M:  # a table witness, or M = 0 walks scalars
-        return bad or _check_diagonal(op, ring, top, step)
+    bad, steps = _table_steps(op, ring, top)
+    if bad is not None:
+        return bad
     table, vacuum = op._table.elements(ring), {}
-    add, smul, is_zero = ring.add, ring.smul, ring.is_zero
+    add, smul, zero = ring.add, ring.smul, ring.zero
     for j in range(1, -M):  # the term j creates the parts j and -M - j
         t = _UNIT[j] + _UNIT[-M - j]
-        vacuum[t] = add(vacuum[t], table[j % N]) if t in vacuum else table[j % N]
-    vacuum = {t: v for t, v in vacuum.items() if not is_zero(v)}
-    # (c, shift, delta) of c a_k|p>, k = M - v, relative to q = (v,) + p: a_k creates
-    # (k < 0, shift None) or annihilates with k m_k(p), m_k(p) = p >> shift & 255
-    steps = [None if is_zero(c) or v == M else
-             (c, None, _UNIT[v - M] - _UNIT[v]) if v > M else
-             (smul(c, M - v), 8 * (M - v - 1), -_UNIT[v] - _UNIT[M - v])
-             for v, c in enumerate(step)]
+        vacuum[t] = add(vacuum.get(t, zero), table[j % N])
+    vacuum = {t: v for t, v in vacuum.items() if v != zero}
     column, scale = op._relative(ring), op.scale
 
     def children(p: int, degree: int, u: int, col: dict) -> Optional[tuple]:
@@ -741,10 +736,9 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
             want, s = col, steps[v]
             if s is not None and (s[1] is None or (k := p >> s[1] & 255)):
                 c, shift, t = s
-                x = c if shift is None else smul(c, k)
                 want = col.copy()
-                want[t] = x = add(want[t], x) if t in want else x
-                if is_zero(x):
+                want[t] = x = add(want.get(t, zero), c if shift is None else smul(c, k))
+                if x == zero:
                     del want[t]
             if got != want:
                 return _difference(q, got, want, ring, scale)
@@ -756,41 +750,26 @@ def _check_representation(op: BilinearOp, D: int) -> Optional[tuple]:
     return _difference(0, got, vacuum, ring, scale) if got != vacuum else children(0, 0, 0, got)
 
 
-def _check_diagonal(op: BilinearOp, ring: CycloRing, top: int, step: list) -> Optional[tuple]:
-    """The walk of `_check_representation` at M = 0, carrying the scalar x =
-    <q|Q|q> = <p|Q|p> + u s(-u), q = (u,) + p: a column is accepted when it
-    is exactly {0: x} ({} when x = 0), else compared with that in full."""
-    add, zero = ring.add, ring.zero
-    column, scale = op._relative(ring), op.scale
-
-    def children(p: int, degree: int, u: int, x) -> Optional[tuple]:
-        room = top - degree
-        for v in range(u or 1, room + 1):
-            q, d, y = p + _UNIT[v], degree + v, add(x, step[v])
-            got = column(q)
-            if len(got) != 1 or got.get(0) != y if y != zero else got:
-                return _difference(q, got, {0: y} if y != zero else {}, ring, scale)
-            if 2 * v <= room and (bad := children(q, d, v, y)) is not None:
-                return bad
-        return None
-
-    got = column(0)  # the vacuum's, x = 0
-    return _difference(0, got, {}, ring, scale) if got else children(0, 0, 0, zero)
-
-
 def _table_steps(op: BilinearOp, ring: CycloRing, top: int) -> tuple:
     """(witness, steps): ("table", r, got, want) at the first residue r
     where the integer table of `op` times its scale is not prefactor * c(r),
-    or None; and step[u] = u s(-u), u <= top, the coefficient of
-    [Q, a_{-u}] = u s(-u) a_{M-u}, from that table."""
+    or None; and steps[v], v <= top, the term [Q, a_{-v}] = c a_k of that
+    table, c = v s(-v) and k = M - v, as it acts on the column of p relative
+    to q = (v,) + p: (c, None, key delta) where a_k creates (k < 0), (c k,
+    8 (k - 1), key delta) where it annihilates, times m_k(p) = p >> 8 (k - 1)
+    & 255, and None where it is zero (c = 0 or k = 0)."""
     M, N = op.M, op._N
     table = op._table.elements(ring)
     for r in range(N):
         got, want = ring.to_scalar(table[r], op.scale), op.prefactor * op.coeff(r)
         if got != want:
             return ("table", r, got, want), None
-    return None, [ring.smul(ring.add(table[-u % N], table[(u - M) % N]), u)
-                  for u in range(top + 1)]
+    smul = ring.smul
+    sums = (smul(ring.add(table[-v % N], table[(v - M) % N]), v) for v in range(top + 1))
+    return None, [None if ring.is_zero(c) or v == M else
+                  (c, None, _UNIT[v - M] - _UNIT[v]) if v > M else
+                  (smul(c, M - v), 8 * (M - v - 1), -_UNIT[v] - _UNIT[M - v])
+                  for v, c in enumerate(sums)]
 
 
 def _difference(q: int, got: dict, want: dict, ring: CycloRing, scale) -> tuple:
@@ -1100,7 +1079,7 @@ def _central_term(f: PeriodicFn, m: int) -> Scalar:
     """The central scalar of Theorem 2.4 at n = -m for the product twist f:
     (m/N) L(-1, f) + (m^3/12) sum_k f(k), L(-1, f) the closed form, which
     is linear in f."""
-    return _l_minus_one_form(f) * rat(m, f.period) + f.period_sum() * rat(m**3, 12)
+    return l_minus_one_form(f) * rat(m, f.period) + f.period_sum() * rat(m**3, 12)
 
 
 def _bracket_rhs(prod: PeriodicFn, m: int, n: int) -> Operator:
@@ -1352,7 +1331,7 @@ def certify_scaling_suite(chi: PeriodicFn, D: int) -> VerifyResult:
     def scaled_case(l: int, m: int, n: int) -> Optional[tuple]:
         x = chi.dilate(l)
         prod = pf_mul(x, x)
-        if (got := _l_minus_one_form(prod)) != l * lm:
+        if (got := l_minus_one_form(prod)) != l * lm:
             return "L(-1)", got, l * lm
         return _certify(*_bracket_sides(x, x, m, n, prod)).witness
 
@@ -1455,13 +1434,13 @@ def _diagonal_counts(N: int, top: int, allowed: frozenset) -> tuple:
 def weight_mismatch(D: int) -> Optional[tuple]:
     """First ("weight", q, got, want), depth-first on degree <= D, where
     `partition_weight` is not the norm of a_x^dagger = a_{-x}: <0|0> = 1 and
-    <q|q> = <p|a_u a_{-u}|p> = v <p|p> for q = (u,) + p, a_u|q> = v|p>."""
-    ring = cyclo_ring(1)
-
+    <q|q> = <p|a_u a_{-u}|p> = v <p|p> for q = (u,) + p, a_u|q> = v|p>, with
+    v = u m_u(q) read off the key, m_u(q) = q >> 8 (u - 1) & 255: no column
+    is built."""
     def visit(q: int, degree: int, u: int, parent: Optional[tuple]) -> tuple:
         t = (u,) + parent[1] if q else ()  # parent is (w(p), p), p = q less a part u
         w = partition_weight(t)
-        want = ModeOp(u).icolumn(q, ring).get(q - _UNIT[u], 0) * parent[0] if q else 1
+        want = u * (q >> 8 * (u - 1) & 255) * parent[0] if q else 1
         return (None if w == want else ("weight", t, w, want)), (w, t)
 
     return _walk(D, visit)

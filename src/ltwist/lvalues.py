@@ -102,10 +102,10 @@ def l_minus_one(chi: PeriodicFn) -> Scalar:
     sum_k -(k^2/2N) chi(k) + (1/2) sum_k k chi(k) - (N/12) sum_k chi(k)."""
     if not _l_domain_ok(chi):
         raise ValueError("closed form needs a mean-zero function or character")
-    return _l_minus_one_form(chi)
+    return l_minus_one_form(chi)
 
 
-def _l_minus_one_form(f: PeriodicFn) -> Scalar:
+def l_minus_one_form(f: PeriodicFn) -> Scalar:
     """The closed form behind `l_minus_one`, for any periodic f.
 
     It is linear in f.  It equals L(-1, f) only on the domain that

@@ -43,7 +43,7 @@ from ltwist.fock import (
     verify_theorem_3_1,
     verify_transpose_symmetry,
 )
-from ltwist.lvalues import _l_minus_one_form, l_minus_one
+from ltwist.lvalues import l_minus_one, l_minus_one_form
 from ltwist.report import RunConfig, _run_check, config_from_mapping, report_all
 
 
@@ -58,6 +58,20 @@ def test_basis_counts():
     assert len(basis_partitions(30)) == 28629  # sum of p(0..30)
     with pytest.raises(ValueError):
         basis_partitions(61)
+
+
+def test_one_cutoff_bound_for_the_basis_and_the_windows():
+    # The basis and every window raise through `check_cutoff`, so a degree
+    # below 0 is refused like one above 60 (not read as the vacuum alone);
+    # an empty window still raises `cutoff too small` first.
+    for call in (lambda: basis_partitions(-1), lambda: basis_partitions(61),
+                 lambda: fock.representation_suite(3, 61), lambda: commutator_window(61)):
+        with pytest.raises(ValueError, match=r"^cutoff must lie in 0\.\.60$"):
+            call()
+    for call in (lambda: commutator_window(-1), lambda: fock.representation_suite(3, 11),
+                 lambda: commutator_window(70, 71)):
+        with pytest.raises(ValueError, match="^cutoff too small$"):
+            call()
 
 
 # p(n) for n = 0..20
@@ -722,7 +736,7 @@ def test_certificate_agrees_with_sweep(case):
     f1, f2, m, n, shift = case
     D = f1.period * (abs(m) + abs(n)) + 4
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fock, "_l_minus_one_form", lambda f: _l_minus_one_form(f) + shift)
+        mp.setattr(fock, "l_minus_one_form", lambda f: l_minus_one_form(f) + shift)
         swept = fock._verify_bracket(f1, f2, m, n, D)
         certified = _certified_case(f1, f2, m, n)
     assert certified.passed == swept.passed
@@ -1457,13 +1471,12 @@ _TRANSPOSE_MUTATIONS = {
 
 @pytest.mark.parametrize("mutation", list(_TRANSPOSE_MUTATIONS))
 def test_transpose_row_turns_red_with_the_sweep(monkeypatch, mutation):
-    # The row reads no column of L_n^x: a column fault that leaves a_u's
-    # column alone (a flipped double creation, a doubled scale) leaves it
-    # green, and fock:representation:7 names it.  A wrong multiplicity also
-    # breaks a_u's column, and a weight without its factorial the norm
-    # itself, so the norm check fails the row at a ("weight", ...) witness.
-    # A common scale on both sides leaves the transposed identity true, so
-    # the sweep passes it.
+    # The row reads no column, neither of L_n^x nor of a_u: a column fault
+    # (a flipped double creation, a wrong multiplicity, a doubled scale)
+    # leaves it green, and fock:representation:7 names it.  A weight
+    # without its factorial breaks the norm itself, so the norm check fails
+    # the row at a ("weight", ...) witness.  A common scale on both sides
+    # leaves the transposed identity true, so the sweep passes it.
     attr, make = _TRANSPOSE_MUTATIONS[mutation]
     monkeypatch.setattr(fock, attr, make(getattr(fock, attr)))
     monkeypatch.setattr(fock, "_OP_REGISTRY", {})
@@ -1471,7 +1484,7 @@ def test_transpose_row_turns_red_with_the_sweep(monkeypatch, mutation):
     monkeypatch.setattr(fock, "_OP_REGISTRY", {})
     swept = all(verify_transpose_symmetry(chi, n, 24).passed
                 for chi in even_twist_group(7).elements for n in range(-2, 3))
-    norm = mutation in ("remove-part-multiplicity", "weight-without-factorial")
+    norm = mutation == "weight-without-factorial"
     assert (row.status, row.value) == (("fail", "") if norm else ("pass", "47970 matrix entries"))
     assert norm == (row.witness or "").startswith("('weight', ")
     assert swept == (mutation == "bilinear-scale")
@@ -1481,17 +1494,29 @@ def test_transpose_row_turns_red_with_the_sweep(monkeypatch, mutation):
     assert res.passed or repr(res.witness).startswith(_COLUMN_WITNESSES[mutation])
 
 
+def _record_columns(monkeypatch, log: list) -> None:
+    """Log every `icolumn` call, of every operator class that defines one
+    (`ModeOp`'s included), as (class name, state)."""
+    for cls in (fock.Operator, *fock.Operator.__subclasses__()):
+        if "icolumn" in vars(cls):
+            def recording(op, q, ring, real=vars(cls)["icolumn"], name=cls.__name__):
+                log.append((name, q))
+                return real(op, q, ring)
+
+            monkeypatch.setattr(cls, "icolumn", recording)
+
+
 def test_transpose_row_builds_no_column(monkeypatch):
-    # The row certifies by forms and counts its entries off the kernel
-    # records, so it builds no column, from a fresh registry.
+    # The row certifies by forms, counts its entries off the kernel records
+    # and reads the norm's u m_u off the keys, so it fetches no kernel and
+    # builds no column of any operator, a_u's included, from a fresh
+    # registry.
     monkeypatch.setattr(fock, "_OP_REGISTRY", {})
     log: list = []
-    for name in ("_relative", "icolumn"):  # the checks' kernel, the sweeps' columns
-        def recording(op, *args, real=getattr(BilinearOp, name)):
-            log.append((op, args))
-            return real(op, *args)
-
-        monkeypatch.setattr(BilinearOp, name, recording)
+    _record_columns(monkeypatch, log)
+    real = BilinearOp._relative
+    monkeypatch.setattr(BilinearOp, "_relative",
+                        lambda op, ring: log.append(("_relative", op)) or real(op, ring))
     row = _run_check(_transpose_row(), RunConfig())
     assert row.status == "pass" and row.value == "47970 matrix entries"
     assert log == []
@@ -1577,9 +1602,9 @@ def _heisenberg_mismatch(window):
 
 
 def test_mode_columns_satisfy_the_heisenberg_relation(monkeypatch):
-    # The sweeps and the norm check take the ModeOp columns as given; this
-    # ties them to [a_j, a_k] = j delta_{j+k,0} on every state of degree
-    # <= 20, and shows that a_k without its multiplicity factor fails it.
+    # Only the sweeps take the ModeOp columns as given; this ties them to
+    # [a_j, a_k] = j delta_{j+k,0} on every state of degree <= 20, and shows
+    # that a_k without its multiplicity factor fails it.
     window = commutator_window(20)
     assert _heisenberg_mismatch(window) is None
     real = ModeOp.icolumn
@@ -1611,7 +1636,7 @@ def test_dilate_keeps_the_twist_and_its_central_values(case):
     assert f.dilate(1) == f
     assert x.period == l * f.period and x.even and not x(0)
     assert all(x(y) == (f(y // l) if y % l == 0 else 0) for y in range(x.period))
-    assert _l_minus_one_form(x) == l * _l_minus_one_form(f)
+    assert l_minus_one_form(x) == l * l_minus_one_form(f)
     assert fock._central_term(x, m) == fock._central_term(f, m)
 
 
@@ -1731,7 +1756,7 @@ def test_scaling_suite_counts_and_skips_as_the_sweeps(monkeypatch, capsys, N):
 
 
 _SCALING_MUTATIONS = {
-    "l-minus-one-form": ("_l_minus_one_form", lambda real: lambda f: real(f) + rat(1, 7)),
+    "l-minus-one-form": ("l_minus_one_form", lambda real: lambda f: real(f) + rat(1, 7)),
 }
 
 
@@ -1772,17 +1797,17 @@ def test_default_report_and_fock_verify_build_no_absolute_column(monkeypatch, ca
     # The column check is paid by the rows that make it: 54 walks in the
     # fock:representation:N rows (the 9 P_k^(r) per pair residue) and 6 in
     # fock:scaling, and no other row walks or fetches a kernel, the
-    # transpose row after all of them included.
+    # transpose row after all of them included.  No row builds an absolute
+    # column of any operator, a_u's in the transpose row's norm included.
     calls, row, walks, kernels = [], [None], [], []
-    real_icolumn, real_run = BilinearOp.icolumn, report._run_check
+    real_run = report._run_check
     real_check, real_relative = fock._check_representation, BilinearOp._relative
 
     def run(check, cfg):
         row[0] = check.id
         return real_run(check, cfg)
 
-    monkeypatch.setattr(BilinearOp, "icolumn",
-                        lambda op, q, ring: calls.append(op) or real_icolumn(op, q, ring))
+    _record_columns(monkeypatch, calls)
     monkeypatch.setattr(report, "_run_check", run)
     monkeypatch.setattr(fock, "_check_representation",
                         lambda op, D: walks.append(row[0]) or real_check(op, D))

@@ -46,12 +46,6 @@ def test_only_report_imports_dataclasses():
     assert found == {"report.py"}
 
 
-# (importer, module, name): the private names one package module takes from
-# another.  fock reads the closed form of L(-1, f) for any periodic f, which
-# `l_minus_one` refuses for the pair indicators.
-_PRIVATE_IMPORTS = {("fock.py", "ltwist.lvalues", "_l_minus_one_form")}
-
-
 def test_modules_import_no_private_names_of_each_other():
     # A helper that two modules need is public where it lives.
     files = sorted(Path(ltwist.__file__).parent.glob("*.py"))
@@ -63,7 +57,7 @@ def test_modules_import_no_private_names_of_each_other():
         for alias in node.names
         if alias.name.startswith("_")
     }
-    assert found == _PRIVATE_IMPORTS
+    assert found == set()
 
 
 def _is_dunder(name: str) -> bool:
@@ -179,8 +173,8 @@ def test_report_and_cli_name_no_window_sweep_or_column():
     assert found == []
 
 
-_REPRESENTATION_NAMES = {"_check_representation", "_check_diagonal", "_check_columns",
-                         "_table_steps", "_difference"}
+_REPRESENTATION_NAMES = {"_check_representation", "_check_columns", "_table_steps",
+                         "_difference"}
 _CERTIFICATE_NAMES = {"_form", "_Form", "_bracket", "_mismatch", "_combine", "_adjoint",
                       "_lookup", "_after", "_sum", "_jacobi"} | _REPRESENTATION_NAMES
 
@@ -233,7 +227,7 @@ def test_identity_suites_reach_no_column_check():
              "certify_transpose_symmetry"]
     reached = _reached(bodies, roots)
     bad = sorted(f"{name} names {used}" for name in reached for used in bodies[name]
-                 if used in {"_check_representation", "_check_diagonal", "_check_columns"})
+                 if used in {"_check_representation", "_check_columns"})
     assert {"_certify", "_mismatch", "_entry_count"} <= reached
     assert bad == []
     assert "_check_columns" in _reached(bodies, ["representation_suite", "certify_scaling_suite"])
@@ -255,17 +249,21 @@ def test_fock_stores_attributes_only_in_init():
 
 
 def test_representation_checks_build_columns_only_with_the_kernel():
-    # The two checks fetch each operator's compiled kernel once and call it
-    # on every state, on columns relative to the state; neither names the
-    # absolute columns, whose cache and re-keying they would pay for.
+    # The representation check, every shift in its one loop, fetches each
+    # operator's compiled kernel once and calls it on every state, on
+    # columns relative to the state, naming no absolute column, whose
+    # re-keying it would pay for; of fock.py only it and the sweeps'
+    # `BilinearOp.icolumn` fetch a kernel.
     path = Path(ltwist.__file__).parent / "fock.py"
-    checks = {node.name: set(_identifiers(node))
-              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-              if isinstance(node, ast.FunctionDef)
-              and node.name in ("_check_representation", "_check_diagonal")}
-    assert all("_relative" in used for used in checks.values())
-    assert {name: used & {"icolumn"} for name, used in checks.items()} == {
-        "_check_representation": set(), "_check_diagonal": set()}
+    tree = ast.parse(path.read_text(), str(path))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    functions.update({f"{cls.name}.{node.name}": node for cls in tree.body
+                      if isinstance(cls, ast.ClassDef)
+                      for node in cls.body if isinstance(node, ast.FunctionDef)})
+    used = {name: set(_identifiers(node)) for name, node in functions.items()}
+    assert {name for name, names in used.items() if "_relative" in names} == {
+        "_check_representation", "BilinearOp.icolumn"}
+    assert "icolumn" not in used["_check_representation"]
 
 
 def test_one_central_term_reads_the_closed_form_of_l_minus_one():
@@ -280,7 +278,7 @@ def test_one_central_term_reads_the_closed_form_of_l_minus_one():
             and "lm1" in {a.arg for a in node.args.args + node.args.kwonlyargs}] == []
     used = {node.name: set(_identifiers(node)) for node in tree.body  # nested: the owner's
             if isinstance(node, ast.FunctionDef)}
-    assert {name for name, names in used.items() if "_l_minus_one_form" in names} == {
+    assert {name for name, names in used.items() if "l_minus_one_form" in names} == {
         "_central_term", "certify_scaling_suite"}
     assert used["_pair_certificate"] & {"l_minus_one", "_central_term"} == set()
 
