@@ -24,6 +24,7 @@ from ltwist.exactnum import (
     rat,
     scalar_parts,
     scalar_str,
+    scalar_table,
     zeta,
 )
 
@@ -38,7 +39,11 @@ class PeriodicFn:
     The value at N is the value at 0 mod N.  Values are stored in their one
     exact form, a rational as a `Rat`, so a `CycloNum` value is irrational.
     The `even` and `mean_zero` flags and the period sum are computed from
-    the table once, never asserted.
+    the values once, never asserted.  `table`, the values at 1..N as a
+    `scalar_table` for `linear_form`, and `embedding`, complex(f(r)) for
+    r = 0..N-1, are built on first read, never at construction (the Fock
+    certificates build many products they never sum), and kept in `_flags`
+    as tuples, which no reader can change.
     """
 
     __slots__ = ("period", "_by_residue", "_fingerprint", "_flags")
@@ -65,8 +70,7 @@ class PeriodicFn:
 
     def values(self) -> tuple:
         """Values at 1..N."""
-        N = self.period
-        return tuple(self._by_residue[k % N] for k in range(1, N + 1))
+        return self._by_residue[1:] + self._by_residue[:1]
 
     # -- computed flags --------------------------------------------------
 
@@ -79,14 +83,24 @@ class PeriodicFn:
 
     @property
     def mean_zero(self) -> bool:
-        if "mean_zero" not in self._flags:
-            self._flags["mean_zero"] = not self.period_sum()
-        return self._flags["mean_zero"]
+        return not self.period_sum()
 
     def period_sum(self) -> Scalar:
         if "sum" not in self._flags:
-            self._flags["sum"] = linear_form(self.values(), [1] * self.period)
+            self._flags["sum"] = linear_form(self.table, (1,) * self.period)
         return self._flags["sum"]
+
+    @property
+    def table(self) -> tuple:
+        if "table" not in self._flags:
+            self._flags["table"] = scalar_table(self.values())
+        return self._flags["table"]
+
+    @property
+    def embedding(self) -> tuple:
+        if "embedding" not in self._flags:
+            self._flags["embedding"] = tuple(map(complex, self._by_residue))
+        return self._flags["embedding"]
 
     @property
     def is_dirichlet_character(self) -> bool:

@@ -7,8 +7,10 @@ records exactly what identity the check certifies.
 
 from __future__ import annotations
 
+import operator
 import random
 from functools import lru_cache
+from itertools import cycle, islice
 
 from ltwist import cocycle as coc
 from ltwist import fock, lvalues, qseries, summation
@@ -350,8 +352,8 @@ def check_averaged_dirichlet_zero(cfg) -> tuple:
 def check_averaged_dirichlet_one(cfg) -> tuple:
     chi = _quad_char(5)
     got = complex(summation.averaged_dirichlet(chi, 1, cfg.n_terms))
-    table = [float(chi(r)) for r in range(5)]
-    direct = sum(table[k % 5] / k for k in range(1, cfg.n_terms + 1))
+    n = cfg.n_terms
+    direct = sum(map(operator.truediv, islice(cycle(map(float, chi.values())), n), range(1, n + 1)))
     err = abs(got - direct)
     return err < cfg.tolerance, err, f"direct sum {direct}"
 

@@ -526,25 +526,35 @@ def scalar_parts(x) -> tuple:
     return 1, (x.numerator,), x.denominator
 
 
-def linear_form(values, weights, den: int = 1):
-    """The exact sum of weights[k] * values[k] / den, integer weights, den > 0.
+def scalar_table(values) -> tuple:
+    """The scalars `values` for `linear_form`: one block (order, indices,
+    columns, den) per cyclotomic order among the nonzero values, in order of
+    first appearance, column i holding the i-th power-basis numerators over
+    den of the values at `indices`.  All tuples, so tables can be shared."""
+    blocks: dict = {}  # order -> (index, numerators, den) per value
+    for k, v in enumerate(values):
+        if v:
+            m, num, d = scalar_parts(v)
+            blocks.setdefault(m, []).append((k, num, d))
+    table = []
+    for m, entries in blocks.items():
+        indices, nums, dens = zip(*entries)
+        den = math.lcm(*dens)
+        rows = ([c * (den // d) for c in num] for num, d in zip(nums, dens))
+        table.append((m, indices, tuple(zip(*rows)), den))
+    return tuple(table)
 
-    It runs on integer numerators, one accumulator per cyclotomic order.
-    Like a chain of `+`, the result is a `Rat` exactly when it is rational.
-    """
-    acc: dict = {}  # order -> (numerator sums, their denominator)
-    for v, w in zip(values, weights):
-        if isinstance(v, CycloNum):
-            m, num, d = v.order, v.num, v.den
-        elif v:
-            m, num, d = 1, (v.numerator,), v.denominator
-        else:
-            continue
-        sums, e = acc.get(m, ((0,) * len(num), 1))
-        g = math.gcd(d, e)
-        fs, fv = d // g, w * (e // g)
-        acc[m] = [s * fs + c * fv for s, c in zip(sums, num)], e * fs
-    return sum((CycloNum._make(m, sums, d * den) for m, (sums, d) in acc.items()), ZERO)
+
+def linear_form(table, weights, den: int = 1):
+    """The exact sum of weights[k] * values[k] / den over the values of a
+    `scalar_table`, integer weights, den > 0: per block, one integer dot
+    product per column, the blocks added in table order.  Like a chain of
+    `+`, the result is a `Rat` exactly when it is rational."""
+    total = ZERO
+    for m, indices, columns, d in table:
+        w = [weights[k] for k in indices]
+        total += CycloNum._make(m, [sum(map(operator.mul, c, w)) for c in columns], d * den)
+    return total
 
 
 Scalar = Union[int, Rat, CycloNum]

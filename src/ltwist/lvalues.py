@@ -86,7 +86,7 @@ def l_special(n: int, chi: PeriodicFn) -> Scalar:
             "formally; the engine's validity argument does not cover it",
             stacklevel=2,
         )
-    return linear_form(chi.values(), *_special_weights(n, chi.period))
+    return linear_form(chi.table, *_special_weights(n, chi.period))
 
 
 def l_zero(chi: PeriodicFn) -> Scalar:
@@ -94,7 +94,7 @@ def l_zero(chi: PeriodicFn) -> Scalar:
     sum_k -(k/N) chi(k) + (1/2) sum_k chi(k); equals l_special(1, chi)."""
     if not _l_domain_ok(chi):
         raise ValueError("closed form needs a mean-zero function or character")
-    return linear_form(chi.values(), *_zero_weights(chi.period))
+    return linear_form(chi.table, *_zero_weights(chi.period))
 
 
 def l_minus_one(chi: PeriodicFn) -> Scalar:
@@ -112,17 +112,12 @@ def l_minus_one_form(f: PeriodicFn) -> Scalar:
     `l_minus_one` admits; elsewhere it is just the finite sum, which is what
     the central term of the twisted bracket needs.
     """
-    return linear_form(f.values(), *_minus_one_weights(f.period))
+    return linear_form(f.table, *_minus_one_weights(f.period))
 
 
 # The three closed forms are linear forms sum_{k=1..N} f(k) w_k.  Their
 # rational weights are built whole per (n, N), as integers over one
 # denominator, so the sums run on integer numerators.
-
-
-def _over_one_denominator(weights: list) -> tuple[tuple[int, ...], int]:
-    den = math.lcm(*(w.denominator for w in weights))
-    return tuple(w.numerator * (den // w.denominator) for w in weights), den
 
 
 @lru_cache(maxsize=None)
@@ -140,16 +135,14 @@ def _special_weights(n: int, N: int) -> tuple[tuple[int, ...], int]:
 
 @lru_cache(maxsize=None)
 def _zero_weights(N: int) -> tuple[tuple[int, ...], int]:
-    """w_k = 1/2 - k/N."""
-    return _over_one_denominator([rat(1, 2) - rat(k, N) for k in range(1, N + 1)])
+    """w_k = 1/2 - k/N = (N - 2k) / 2N."""
+    return tuple(N - 2 * k for k in range(1, N + 1)), 2 * N
 
 
 @lru_cache(maxsize=None)
 def _minus_one_weights(N: int) -> tuple[tuple[int, ...], int]:
-    """w_k = -k^2/(2N) + k/2 - N/12."""
-    return _over_one_denominator(
-        [-rat(k * k, 2 * N) + rat(k, 2) - rat(N, 12) for k in range(1, N + 1)]
-    )
+    """w_k = -k^2/(2N) + k/2 - N/12 = (6Nk - 6k^2 - N^2) / 12N."""
+    return tuple(6 * N * k - 6 * k * k - N * N for k in range(1, N + 1)), 12 * N
 
 
 def class_number_imag_quadratic(q: int) -> int:

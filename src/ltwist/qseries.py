@@ -180,24 +180,41 @@ class PuiseuxSeries:
 
     # -- numerics ----------------------------------------------------------
 
-    def evaluate(self, q, precision_bits: int = 128):
+    def evaluate(self, q, precision_bits: int = 128, terms=None):
         """Numeric value at real 0 < q < 1 via mpmath at the given precision,
-        for rational coefficients."""
+        for rational coefficients; a caller that evaluates at many points
+        passes `terms`, the series' `_mp_terms(precision_bits)`."""
+        return _mp_sum(terms or self._mp_terms(precision_bits), self.denom, q, precision_bits)[1]
+
+    def _mp_terms(self, precision_bits: int) -> list:
+        """(key, coefficient) pairs ascending in the key, each coefficient an
+        mpf at the working precision of `evaluate`."""
         import mpmath
 
         with mpmath.workprec(precision_bits + 16):
-            qm = mpmath.mpf(q) if not hasattr(q, "_mpf_") else q
-            w = mpmath.power(qm, mpmath.mpf(1) / self.denom)
-            acc = mpmath.mpf(0)
-            last = 0
-            wpow = mpmath.mpf(1)
-            power = lru_cache(maxsize=None)(lambda e: mpmath.power(w, e))  # once per step
-            for k in sorted(self.coeffs):
-                wpow = wpow * power(k - last)
-                last = k
-                c = rat(self.coeffs[k])
-                acc += mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) * wpow
-            return +acc
+            return [(k, mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator))
+                    for k, c in sorted((k, rat(v)) for k, v in self.coeffs.items())]
+
+
+def _mp_sum(terms, denom: int, q, precision_bits: int, cut: int = 0) -> tuple:
+    """(prefix, whole): the sum of c q^(k/denom) over the `_mp_terms` pairs
+    (k, c), and a snapshot of the same pass after its first `cut` terms, bit
+    for bit what `evaluate` gives on the series cut there."""
+    import mpmath
+
+    with mpmath.workprec(precision_bits + 16):
+        qm = mpmath.mpf(q) if not hasattr(q, "_mpf_") else q
+        w = mpmath.power(qm, mpmath.mpf(1) / denom)
+        acc = prefix = mpmath.mpf(0)
+        wpow, last = mpmath.mpf(1), 0
+        power = lru_cache(maxsize=None)(lambda e: mpmath.power(w, e))  # once per step
+        for i, (k, c) in enumerate(terms, 1):
+            wpow = wpow * power(k - last)
+            last = k
+            acc += c * wpow
+            if i == cut:
+                prefix = acc
+        return +prefix, +acc
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +433,10 @@ def modular_s_check(
     exponent lies in h - c/24 + Z and (2k+1)(h - c/24) differs from an
     integer by a common constant across the family, so the span is fixed by
     that shift term by term.
+
+    Each character's coefficients become working-precision mpfs once per
+    call; every point, and the tail check's truncated sum (a prefix of the
+    full sum's pass), is evaluated from them.
     """
     import mpmath
 
@@ -424,6 +445,7 @@ def modular_s_check(
     check_precision(precision_bits)
     ts = [0.8 + 0.6 * a / k for a in range(k + 1)]
     chars = [minimal_char(k, i, order) for i in range(1, k + 1)]
+    terms = [ch._mp_terms(precision_bits) for ch in chars]
     with mpmath.workprec(precision_bits + 32):
         two_pi = 2 * mpmath.pi
 
@@ -434,12 +456,13 @@ def modular_s_check(
             # reciprocal taken at working precision, not in float arithmetic
             return mpmath.e ** (-two_pi / mpmath.mpf(t))
 
-        # tail bound: compare evaluations at consecutive truncation orders
+        # tail bound: compare evaluations at consecutive truncation orders;
+        # the terms of the lower one are a prefix, read off the same pass
         t_min = min(min(ts), min(1 / t for t in ts))
         tail = mpmath.mpf(0)
-        for ch in chars:
-            full = ch.evaluate(q_at(t_min), precision_bits)
-            less = ch.truncate(ch.order - 1).evaluate(q_at(t_min), precision_bits)
+        for ch, ch_terms in zip(chars, terms):
+            cut = len(ch.truncate(ch.order - 1).coeffs)
+            less, full = _mp_sum(ch_terms, ch.denom, q_at(t_min), precision_bits, cut)
             tail = max(tail, abs(full - less))
         if tail > mpmath.mpf(2) ** (-(precision_bits // 2)):
             raise ValueError(
@@ -449,11 +472,11 @@ def modular_s_check(
         vals = mpmath.matrix(k, k)
         for a in range(k):
             for i in range(k):
-                vals[a, i] = chars[i].evaluate(q_at(ts[a]), precision_bits)
+                vals[a, i] = chars[i].evaluate(q_at(ts[a]), precision_bits, terms[i])
         transformed = mpmath.matrix(k, k)
         for a in range(k):
             for i in range(k):
-                transformed[a, i] = chars[i].evaluate(q_at_inv(ts[a]), precision_bits)
+                transformed[a, i] = chars[i].evaluate(q_at_inv(ts[a]), precision_bits, terms[i])
         norm = mpmath.mnorm(vals, 1)
         try:
             inv = vals**-1
@@ -471,8 +494,8 @@ def modular_s_check(
                 S[i, jj] = col[jj]
         residual = mpmath.mpf(0)
         for t in ts[k:]:
-            v = [chars[i].evaluate(q_at(t), precision_bits) for i in range(k)]
-            w = [chars[i].evaluate(q_at_inv(t), precision_bits) for i in range(k)]
+            v = [chars[i].evaluate(q_at(t), precision_bits, terms[i]) for i in range(k)]
+            w = [chars[i].evaluate(q_at_inv(t), precision_bits, terms[i]) for i in range(k)]
             for i in range(k):
                 pred = mpmath.fsum(S[i, jj] * v[jj] for jj in range(k))
                 residual = max(residual, abs(pred - w[i]))

@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
 from ltwist.characters import PeriodicFn
-from ltwist.exactnum import Scalar, cyclo_embed, horner, rat
+from ltwist.exactnum import Scalar, cyclo_embed, horner, linear_form, rat
 
 if TYPE_CHECKING:
     import numpy as np
@@ -98,15 +98,13 @@ def periodic_series(chi: PeriodicFn, weight: str = "const") -> SeqSpec:
     import numpy as np
 
     N = chi.period
-    emb = np.array([complex(chi(r)) for r in range(N)], dtype=np.complex128)
+    emb = np.array(chi.embedding, dtype=np.complex128)
 
     if weight == "const":
-        def term(i: int):
-            return chi(i)
+        term = chi
 
         def floats(n: int):
-            reps = emb[np.arange(1, n + 1) % N]
-            return reps
+            return emb[np.arange(1, n + 1) % N]
     else:
         def term(i: int):
             return chi(i) * i
@@ -221,9 +219,10 @@ def limit_numeric(s: SeqSpec, depth: int, n_terms: int, tol) -> LimitReport:
 def limit_exact_periodic(chi: PeriodicFn, weight: str = "const") -> Scalar:
     """Exact averaged limit of sum chi(i) (const) or sum chi(i) i (linear).
 
-    Uses the closed-form period sums of the averaging argument:
+    Uses the closed-form period sums of the averaging argument, linear
+    forms on chi's table:
       const:  -(1/N) sum_k k chi(k)
-      linear: -(1/2N) sum_k k^2 chi(k) + (1/2) sum_k k chi(k)
+      linear: (1/2N) sum_k (N k - k^2) chi(k)
     Only defined for mean-zero chi; anything else is outside the averaging
     axiom's domain.
     """
@@ -231,11 +230,9 @@ def limit_exact_periodic(chi: PeriodicFn, weight: str = "const") -> Scalar:
         raise ValueError("axiom (2) inapplicable")
     N = chi.period
     if weight == "const":
-        return sum((chi(k) * rat(-k, N) for k in range(1, N + 1)), rat(0))
+        return linear_form(chi.table, range(-1, -N - 1, -1), N)
     if weight == "linear":
-        return sum(
-            (chi(k) * (rat(k, 2) - rat(k * k, 2 * N)) for k in range(1, N + 1)), rat(0)
-        )
+        return linear_form(chi.table, [N * k - k * k for k in range(1, N + 1)], 2 * N)
     raise ValueError("weight must be 'const' or 'linear'")
 
 
@@ -323,7 +320,7 @@ def averaged_dirichlet(chi: PeriodicFn, s, n_terms: int, precision_bits: int = 5
 
         # sum of (l+1-k) * chi(k) * k^(-s), worked in place in that order so
         # that no more than three arrays of length l are alive at once
-        vals = np.array([complex(chi(r)) for r in range(N)], dtype=np.complex128)
+        vals = np.array(chi.embedding, dtype=np.complex128)
         k = np.arange(1, l + 1, dtype=np.float64)
         idx = np.arange(1, l + 1)
         coeff = vals[np.remainder(idx, N, out=idx)]

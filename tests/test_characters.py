@@ -316,3 +316,32 @@ def test_character_lists_are_fresh_copies_of_one_table():
     assert first == second and first is not second
     first.clear()
     assert dirichlet_characters(12) == second and len(second) == euler_phi(12)
+
+
+def _holds_only_tuples(value) -> bool:
+    if isinstance(value, tuple):
+        return all(_holds_only_tuples(v) for v in value)
+    return not isinstance(value, (list, dict, set, bytearray))
+
+
+def test_value_table_and_embedding_are_built_once_on_first_read():
+    # Construction computes neither derived table (the Fock certificates
+    # build many products they never sum); the first read builds each, a
+    # second read returns the same object, and neither can be changed.
+    z4, z12 = zeta(4), zeta(12)
+    fns = [PeriodicFn(4, [z4, z12, rat(1, 3), 0]), pf_mul(quad_char(5), quad_char(3))]
+    fns += dirichlet_characters(7)
+    for f in fns:
+        f = PeriodicFn(f.period, f.values())  # a fresh object: no earlier reader
+        assert "table" not in f._flags and "embedding" not in f._flags
+        table, embedding = f.table, f.embedding
+        assert f.table is table and f.embedding is embedding
+        assert isinstance(table, tuple) and _holds_only_tuples(table)
+        assert isinstance(embedding, tuple) and _holds_only_tuples(embedding)
+        assert embedding == tuple(complex(f(r)) for r in range(f.period))
+        # the blocks cover each nonzero value once, in its own order
+        assert sorted(k for _, indices, _, _ in table for k in indices) == [
+            k for k, v in enumerate(f.values()) if v]
+        for order, indices, columns, den in table:
+            assert len(columns) == euler_phi(order)
+            assert all(len(column) == len(indices) for column in columns)

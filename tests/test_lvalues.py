@@ -167,19 +167,43 @@ def test_class_number_domain():
             class_number_imag_quadratic(bad)
 
 
+def _per_order_sum(values, weights):
+    """sum_k weights[k] values[k] by `+`, one running sum per cyclotomic
+    order in order of first appearance, then the sums added from 0: the
+    accumulation whose text form the value tables keep."""
+    from ltwist.exactnum import scalar_parts
+
+    sums: dict = {}
+    for v, w in zip(values, weights):
+        if v:
+            m = scalar_parts(v)[0]
+            sums[m] = sums.get(m, rat(0)) + w * v
+    return sum(sums.values(), rat(0))
+
+
 def test_linear_forms_match_per_term_fraction_sums():
-    # every L-value closed form against its term-by-term sum in the Fraction
-    # reference, with the Bernoulli polynomials from the binomial oracle
+    # every linear form read off a function's value table (the L-value
+    # closed forms, the period sum, the averaged limits) against its
+    # term-by-term sum in the Fraction reference, with the Bernoulli
+    # polynomials from the binomial oracle, and in the text form of the
+    # per-order accumulation
     from fractions import Fraction
 
     import fraction_reference as ref
-    from ltwist.exactnum import CycloNum
+    from ltwist.exactnum import CycloNum, scalar_str, zeta
+    from ltwist.summation import limit_exact_periodic
 
     def bern(n, x):
         return sum((c * x**i for i, c in enumerate(_bern_poly_oracle(n))), Fraction(0))
 
     fns = [chi for N in range(1, 21) for chi in dirichlet_characters(N)]
     fns += [f for N in range(3, 16, 2) for f in folded_power_family(N).elements]
+    z3, z4, z12 = zeta(3), zeta(4), zeta(12)
+    fns += [
+        PeriodicFn(4, [z4, z12, -z4, -z12]),  # orders 4 and 12 in one table
+        PeriodicFn(3, [z3, z3 * z3, rat(1)]),  # the order-3 block of its sum is -1
+        PeriodicFn(7, [z4, z12, z3, z3 * z3, rat(1, 3), -z4, rat(2, 3) - z12]),
+    ]
     for f in fns:
         N, vals = f.period, f.values()
         ks = range(1, N + 1)
@@ -187,7 +211,14 @@ def test_linear_forms_match_per_term_fraction_sums():
             (l_zero(f), [Fraction(1, 2) - Fraction(k, N) for k in ks]),
             (l_minus_one(f),
              [-Fraction(k * k, 2 * N) + Fraction(k, 2) - Fraction(N, 12) for k in ks]),
+            (f.period_sum(), [Fraction(1)] * N),
         ]
+        if f.mean_zero:
+            cases += [
+                (limit_exact_periodic(f, "const"), [-Fraction(k, N) for k in ks]),
+                (limit_exact_periodic(f, "linear"),
+                 [Fraction(k, 2) - Fraction(k * k, 2 * N) for k in ks]),
+            ]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # n > 2 on the folded family
             for n in range(1, 5):
@@ -198,3 +229,4 @@ def test_linear_forms_match_per_term_fraction_sums():
             # a Rat exactly when the value is rational: the text forms differ
             assert isinstance(got, CycloNum) == (ref.collapse(*want)[0] > 1), (N, vals)
             assert ref.equal(ref.of(got), want), (N, vals)
+            assert scalar_str(got) == scalar_str(_per_order_sum(vals, weights)), (N, vals)

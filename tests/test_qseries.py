@@ -257,3 +257,48 @@ def test_cross_module_character_match():
             bound = min(tr.order, mc.order)
             assert tr.truncate(bound) == mc.truncate(bound)
             assert tr.offset == energy.d
+
+
+def _evaluate_term_by_term(series, q, precision_bits):
+    """The series' value as `evaluate` sums it, each coefficient converted
+    at its term: ascending keys, the power of q^(1/denom) stepped up key by
+    key, at precision_bits + 16."""
+    import mpmath
+
+    with mpmath.workprec(precision_bits + 16):
+        w = mpmath.power(q, mpmath.mpf(1) / series.denom)
+        acc, wpow, last = mpmath.mpf(0), mpmath.mpf(1), 0
+        for k in sorted(series.coeffs):
+            wpow = wpow * mpmath.power(w, k - last)
+            last = k
+            c = rat(series.coeffs[k])
+            acc += mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) * wpow
+        return +acc
+
+
+@pytest.mark.parametrize("precision_bits", [128, 256])
+def test_shared_coefficient_evaluation_is_bit_for_bit_evaluate(precision_bits):
+    # modular_s_check converts each character's coefficients once and
+    # evaluates every point from them, and reads the tail check's truncated
+    # sum off the same pass: both equal the per-call evaluation (mpf ==).
+    import mpmath
+
+    from ltwist.qseries import _mp_sum
+
+    k = 3
+    for i in range(1, k + 1):
+        ch = minimal_char(k, i, 120)
+        terms = ch._mp_terms(precision_bits)
+        less = ch.truncate(ch.order - 1)
+        with mpmath.workprec(precision_bits + 32):
+            for t in [0.8 + 0.6 * a / k for a in range(k + 1)]:
+                for q in (mpmath.e ** (-2 * mpmath.pi * t), mpmath.e ** (-2 * mpmath.pi / t)):
+                    want = _evaluate_term_by_term(ch, q, precision_bits)
+                    assert ch.evaluate(q, precision_bits) == want
+                    assert ch.evaluate(q, precision_bits, terms) == want
+                    prefix, whole = _mp_sum(terms, ch.denom, q, precision_bits,
+                                            len(less.coeffs))
+                    assert whole == want
+                    assert prefix == less.evaluate(q, precision_bits)
+                    assert prefix == _evaluate_term_by_term(less, q, precision_bits)
+        assert 0 < len(less.coeffs) < len(terms)  # the snapshot is a proper prefix

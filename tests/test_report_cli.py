@@ -595,6 +595,15 @@ def test_report_rows_match_golden_file():
     assert json.dumps(got, indent=2, sort_keys=True) + "\n" == want
 
 
+def test_report_is_the_same_when_run_twice_in_one_process():
+    # The second run reads every derived table the first left behind (the
+    # value tables and embeddings cached on the shared characters, the
+    # operator registry): no reader may change what it reads.
+    runs = [report_to_json(report_all(RunConfig(**_GOLDEN_CONFIG))) for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert '"runtime_ms": null' in runs[0]  # timings off
+
+
 # The behaviour contract at full size: the default report and `fock verify`
 # at each report modulus, byte for byte, with their exit codes (the report's
 # is 1 for its designed red row, summation:squares).
