@@ -15,8 +15,8 @@ from typing import Sequence
 
 from ltwist.exactnum import (
     ONE,
-    CycloNum,
     Scalar,
+    as_scalar,
     euler_phi,
     factorize,
     linear_form,
@@ -27,10 +27,6 @@ from ltwist.exactnum import (
     scalar_table,
     zeta,
 )
-
-
-def _normalize_value(v) -> Scalar:
-    return v if isinstance(v, CycloNum) else rat(v)
 
 
 class PeriodicFn:
@@ -53,7 +49,7 @@ class PeriodicFn:
             raise ValueError("period must be positive")
         if len(values) != period:
             raise ValueError("need exactly one period of values")
-        vals = [_normalize_value(v) for v in values]
+        vals = [as_scalar(v) for v in values]
         by_res = [None] * period
         for k, v in enumerate(vals, start=1):
             by_res[k % period] = v

@@ -580,6 +580,11 @@ def cyclo_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
     raise ValueError(f"unknown op {op!r}")
 
 
+def as_scalar(v) -> Scalar:
+    """v in its one exact form: a `CycloNum` or `Rat` as it is, else rat(v)."""
+    return v if isinstance(v, (CycloNum, Rat)) else rat(v)
+
+
 def is_rational(a) -> Optional[Rat]:
     """The value as a `Rat` if it is rational, else None: a scalar is
     rational exactly when it is not a `CycloNum`."""

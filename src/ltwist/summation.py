@@ -20,13 +20,14 @@ class SeqSpec:
     """Lazily evaluated exact sequence with float batch evaluation.
 
     `term(i)` (1-indexed) returns the exact value; `floats(n)` returns the
-    first n values as a complex128 array for the numeric paths.  Transforms
-    (partial_sum, cesaro, inflate) return new SeqSpecs and compose.
+    first n values as a new array the caller owns, float64 if all are real
+    and complex128 otherwise.  Transforms (partial_sums, cesaro, inflate)
+    return new SeqSpecs and compose.
 
     Without a batch function, or where it returns None for an n it cannot
     serve exactly, `floats(n)` converts the first n exact terms one by one.
     Only the float paths import numpy, so a sequence read term by term never
-    loads it.
+    loads it.  `limit_numeric` keeps its memo on its spec, dying with it.
     """
 
     def __init__(
@@ -38,6 +39,7 @@ class SeqSpec:
         self._term_fn = term_fn
         self._float_fn = float_fn
         self.period_hint = period_hint
+        self._chain = (0, 0, None)  # n, depth and buffer of limit_numeric
 
     def term(self, i: int) -> Scalar:
         if i < 1:
@@ -51,8 +53,28 @@ class SeqSpec:
             batch = self._float_fn(n)
             if batch is not None:
                 return batch
-        return np.fromiter((complex(self.term(i)) for i in range(1, n + 1)),
-                           dtype=np.complex128, count=n)
+        return _batch(np.array([complex(self.term(i)) for i in range(1, n + 1)]))
+
+
+def _batch(x: np.ndarray) -> np.ndarray:
+    """x, a complex128 array, as float64 if all its values are real."""
+    return x if x.imag.any() else x.real.copy()
+
+
+def _average(x: np.ndarray, steps: int = 1) -> np.ndarray:
+    """Advance x by `steps` Cesaro means in place: partial sums, then term i
+    over i.  numpy divides a + bi by a real c as (a + 0 b)(1/c), so a float64
+    x (no -0.0) times 1/i is the real part of the complex128 chain, bit for bit."""
+    import numpy as np
+
+    real = x.dtype == np.float64
+    i = np.arange(1, len(x) + 1, dtype=np.float64)
+    if real:
+        np.divide(1.0, i, out=i)
+    for _ in range(steps):
+        np.cumsum(x, out=x)
+        (np.multiply if real else np.divide)(x, i, out=x)
+    return x
 
 
 def rational_series(
@@ -65,8 +87,8 @@ def rational_series(
     their coefficients in ascending degree, s(i) = (-1)^i when alternating
     and 1 otherwise.
 
-    The exact term is rat(s(i) num(i), den(i)).  The floats come in one
-    batch: Horner's rule on int64 indices, then one division.  While
+    The exact term is rat(s(i) num(i), den(i)).  The float64 batch is
+    Horner's rule on int64 indices, then one division.  While
     sum |c_k| n^k < 2^53 for num and for den, every intermediate is an exact
     float, so the correctly rounded quotient is complex() of the exact term,
     bit for bit; beyond that bound the floats come from the exact terms.
@@ -86,7 +108,8 @@ def rational_series(
         p = horner(num, idx)
         if alternating:
             p[::2] *= -1  # odd i, negated as integers: a zero term stays +0.0
-        return (p / horner(den, idx)).astype(np.complex128)
+        q = p / horner(den, idx)
+        return np.add(q, 0.0, out=q)  # 0 over a den < 0 is -0.0, complex(rat(0)) +0.0
 
     return SeqSpec(term, floats, period_hint=period_hint)
 
@@ -98,20 +121,20 @@ def periodic_series(chi: PeriodicFn, weight: str = "const") -> SeqSpec:
     import numpy as np
 
     N = chi.period
-    emb = np.array(chi.embedding, dtype=np.complex128)
+    period = _batch(np.roll(chi.embedding, -1))  # chi(1), ..., chi(N)
+
+    def batch(n: int):
+        return np.tile(period, -(-n // N))[:n]
 
     if weight == "const":
-        term = chi
-
-        def floats(n: int):
-            return emb[np.arange(1, n + 1) % N]
+        term, floats = chi, batch
     else:
         def term(i: int):
             return chi(i) * i
 
         def floats(n: int):
-            idx = np.arange(1, n + 1)
-            return emb[idx % N] * idx
+            x = batch(n)
+            return np.multiply(x, np.arange(1, n + 1, dtype=np.float64), out=x)
 
     return SeqSpec(term, floats, period_hint=N)
 
@@ -129,7 +152,8 @@ def partial_sums(s: SeqSpec) -> SeqSpec:
     def floats(n: int):
         import numpy as np
 
-        return np.cumsum(s.floats(n))
+        x = s.floats(n)
+        return np.cumsum(x, out=x)
 
     return SeqSpec(term, floats, period_hint=s.period_hint)
 
@@ -142,9 +166,7 @@ def cesaro(s: SeqSpec) -> SeqSpec:
         return sums.term(i) * rat(1, i)
 
     def floats(n: int):
-        import numpy as np
-
-        return sums.floats(n) / np.arange(1, n + 1)
+        return _average(s.floats(n))
 
     return SeqSpec(term, floats, period_hint=s.period_hint)
 
@@ -182,7 +204,8 @@ class LimitReport(NamedTuple):
 
 def limit_numeric(s: SeqSpec, depth: int, n_terms: int, tol) -> LimitReport:
     """Apply the averaging transform `depth` times, then test the trailing
-    window (length max(2 * period, 64)) for oscillation within tol.
+    window (length max(2 * period, 64)) for oscillation within tol.  A call
+    at the last call's n on s and at least its depth resumes that chain.
 
     Returns the window midpoint on success; a non-converged report with the
     message "no convergence at depth d" when the spread exceeds tol.
@@ -195,11 +218,12 @@ def limit_numeric(s: SeqSpec, depth: int, n_terms: int, tol) -> LimitReport:
     tol_f = float(tol)
     if not tol_f > 0:  # else any spread at all would read as divergence
         raise ValueError("tolerance must be positive")
-    for _ in range(depth):
-        s = cesaro(s)
-    x = s.floats(n_terms)
+    n, done, x = s._chain
+    if n != n_terms or done > depth:
+        done, x = 0, s.floats(n_terms)
+    s._chain = (n_terms, depth, _average(x, depth - done))
     window = max(2 * period, 64)
-    tail = x[-window:]
+    tail = s._chain[2][-window:]
     re_lo, re_hi = tail.real.min(), tail.real.max()
     im_lo, im_hi = tail.imag.min(), tail.imag.max()
     spread = max(re_hi - re_lo, im_hi - im_lo)
@@ -319,12 +343,10 @@ def averaged_dirichlet(chi: PeriodicFn, s, n_terms: int, precision_bits: int = 5
         import numpy as np
 
         # sum of (l+1-k) * chi(k) * k^(-s), worked in place in that order so
-        # that no more than three arrays of length l are alive at once
-        vals = np.array(chi.embedding, dtype=np.complex128)
+        # that no more than three arrays of length l are alive at once, in
+        # complex128 for a real chi too: np.sum's pairwise blocks differ
+        coeff = np.tile(np.roll(chi.embedding, -1), l // N)
         k = np.arange(1, l + 1, dtype=np.float64)
-        idx = np.arange(1, l + 1)
-        coeff = vals[np.remainder(idx, N, out=idx)]
-        del idx
         coeff *= l + 1 - k
         k **= -s_f
         coeff *= k

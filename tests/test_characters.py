@@ -345,3 +345,12 @@ def test_value_table_and_embedding_are_built_once_on_first_read():
         for order, indices, columns, den in table:
             assert len(columns) == euler_phi(order)
             assert all(len(column) == len(indices) for column in columns)
+
+
+def test_periodic_fn_keeps_exact_values_as_they_are():
+    # a Rat or a CycloNum is taken in as the same object; an int becomes a Rat
+    vals = [rat(1, 3), rat(-2), zeta(3), rat(0), rat(5, 7)]
+    f = PeriodicFn(5, vals)
+    assert all(got is v for got, v in zip(f.values(), vals))
+    g = PeriodicFn(2, [1, -1])
+    assert [type(v) for v in g.values()] == [type(rat(1))] * 2 and g.values() == (1, -1)

@@ -394,7 +394,7 @@ def _calls_by_function(node, owner=""):
 def test_scalar_types_are_tested_only_in_exactnum():
     # Outside exactnum a scalar answers Python's numeric protocol
     # (`conjugate()`, `complex()`, the operators) instead of a type check;
-    # the one exception is where a periodic function takes its values in.
+    # a periodic function takes its values in through `exactnum.as_scalar`.
     found = [
         f"{path.name}:{owner}"
         for path in sorted(Path(ltwist.__file__).parent.glob("*.py"))
@@ -403,4 +403,4 @@ def test_scalar_types_are_tested_only_in_exactnum():
         if getattr(call.func, "id", None) == "isinstance"
         and _SCALAR_TYPES & set(_identifiers(call.args[1]))
     ]
-    assert found == ["characters.py:_normalize_value"]
+    assert found == []

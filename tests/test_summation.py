@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import summation_reference as reference
 
 from ltwist import checks, summation
 from ltwist.characters import PeriodicFn, dirichlet_characters, kronecker_symbol
@@ -255,9 +256,12 @@ def _exact_floats(seq, n):
 
 
 def _assert_same_bits(got, want):
-    # view as integers, so that -0.0 and 0.0 differ
-    assert got.dtype == want.dtype == np.complex128 and got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # a real sequence's batch is float64: the real parts of the exact terms'
+    # complex() bit for bit, viewed as integers so that -0.0 and 0.0 differ,
+    # and their imaginary parts all +0.0
+    assert got.dtype == np.float64 and want.dtype == np.complex128
+    assert got.shape == want.shape and not want.imag.view(np.uint64).any()
+    assert np.array_equal(got.view(np.uint64), want.real.copy().view(np.uint64))
 
 
 def _run_rows(ids):
@@ -297,6 +301,7 @@ def test_rational_series_terms_and_the_exact_fallback(monkeypatch):
         (quartic, 9_000, True),  # 9000^4 < 2^53
         (rational_series((-1, 1), alternating=True), 50, True),  # a zero term
         (rational_series((1,), (0, -1)), 50, True),              # -1/i
+        (rational_series((-1, 1), (-1,)), 50, True),              # 0 over -1 at i = 1
         (rational_series((2, 0, 3), (1, 0, 0, 7), alternating=True), 1_000, True),
     ]
     assert quartic.term(3) == 81 and rational_series((1,), (0, -1)).term(4) == rat(-1, 4)
@@ -323,3 +328,169 @@ def test_batch_rows_never_convert_a_term(monkeypatch):
     assert [(r.status, r.value, r.witness) for r in got] == [
         (r.status, r.value, r.witness) for r in want]
     assert got[0].status == "fail"  # summation:squares, the designed red
+
+
+# ---------------------------------------------------------------------------
+# the averaging chain against the reference engine
+
+_CHAIN_ROWS = ("limits:numeric:", "summation:", "dirichlet-avg:")
+
+
+def _hexed(value):
+    if value is None:
+        return None
+    return type(value).__name__, complex(value).real.hex(), complex(value).imag.hex()
+
+
+def _report_key(rep):
+    return _hexed(rep.value), rep.residual.hex(), rep.mode, rep.converged, rep.message
+
+
+def _assert_reference_bits(got, want):
+    # float64 exactly when every reference value is real, and then the real
+    # parts bit for bit; a complex batch bit for bit
+    assert want.dtype == np.complex128 and got.shape == want.shape
+    if got.dtype == np.float64:
+        assert not want.imag.view(np.uint64).any()
+        want = want.real.copy()
+    else:
+        assert got.dtype == np.complex128 and want.imag.any()
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_engine_is_the_reference_on_every_registry_request(monkeypatch):
+    """Every series, depth and n the limits:numeric, summation and
+    dirichlet-avg rows ask for gives the reference engine's report, value
+    and residual by .hex(), and every batch they read the reference floats."""
+    refs = {checks._SQUARES: reference.rational_series((0, 0, -1), alternating=True,
+                                                       period_hint=2)}
+    limits, dirichlet, asked = [], [], set()
+
+    def mirror(name, of_spec):
+        real, ref = getattr(summation, name), getattr(reference, name)
+
+        def made(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if not of_spec:
+                refs[out] = ref(*args, **kwargs)
+            elif args[0] in refs:
+                refs[out] = ref(refs[args[0]], *args[1:], **kwargs)
+            return out
+
+        monkeypatch.setattr(summation, name, made)
+
+    for name in ("periodic_series", "rational_series"):
+        mirror(name, False)
+    for name in ("partial_sums", "cesaro", "inflate"):
+        mirror(name, True)
+    real_limit, real_avg, real_floats = (
+        summation.limit_numeric, summation.averaged_dirichlet, SeqSpec.floats)
+
+    def limit(s, depth, n_terms, tol):
+        limits.append((s, depth, n_terms, tol, real_limit(s, depth, n_terms, tol)))
+        return limits[-1][-1]
+
+    def averaged(chi, s, n_terms, *args):
+        dirichlet.append((chi, s, n_terms, real_avg(chi, s, n_terms, *args)))
+        assert not args
+        return dirichlet[-1][-1]
+
+    def floats(self, n):
+        asked.add((self, n))
+        return real_floats(self, n)
+
+    monkeypatch.setattr(summation, "limit_numeric", limit)
+    monkeypatch.setattr(summation, "averaged_dirichlet", averaged)
+    monkeypatch.setattr(SeqSpec, "floats", floats)
+    cfg = RunConfig()
+    rows = [_run_check(c, cfg) for c in checks.build_registry(cfg) if c.id.startswith(_CHAIN_ROWS)]
+    assert len(rows) == 16 and rows[7].id == "summation:squares" and rows[7].status == "fail"
+    assert [r.id for r in rows if r.status != "pass"] == ["summation:squares"]
+    assert checks._SQUARES._chain[2] is None  # the memo lives on the row's own spec
+
+    assert len(limits) == 49 and {(d, n) for _, d, n, _, _ in limits} == {
+        (1, 100_000), (2, 100_000), (3, 100_000), (4, 100_000), (1, 20_000),
+        (1, 10_000), (2, 10_000), (3, 10_000), (4, 10_000)}
+    for s, depth, n, tol, got in limits:
+        value, residual, converged, message = reference.limit_numeric(refs[s], depth, n, tol)
+        want = got._replace(value=value, residual=residual, converged=converged, message=message)
+        assert _report_key(got) == _report_key(want), (depth, n)
+    assert len(dirichlet) == 5
+    for chi, s, n, got in dirichlet:
+        assert _hexed(got) == _hexed(reference.averaged_dirichlet(chi, s, n)), (s, n)
+    monkeypatch.setattr(SeqSpec, "floats", real_floats)
+    assert len([1 for spec, _ in asked if spec in refs]) > 50
+    for spec, n in asked:
+        if spec in refs:
+            _assert_reference_bits(spec.floats(n), refs[spec].floats(n))
+
+
+def test_float64_steps_are_the_real_parts_of_complex_steps():
+    # the identity the float64 chain rests on, checked on the installed
+    # numpy: for a real array without -0.0, the cumulative sum and the
+    # product with 1/k are the real parts of the complex128 cumulative sum
+    # and of the complex128 quotient by k, bit for bit
+    rng = np.random.default_rng(41)
+    n = 200_000
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 31, n)
+    x[::97] = 0.0
+    k = np.arange(1, n + 1, dtype=np.float64)
+    z = x.astype(np.complex128)
+    for got, want in ((np.cumsum(x), np.cumsum(z)), (x * (1.0 / k), z / k)):
+        assert not want.imag.view(np.uint64).any()
+        assert np.array_equal(got.view(np.uint64), want.real.copy().view(np.uint64))
+
+
+def test_squares_rows_walk_one_chain(monkeypatch):
+    # one cumulative sum for the partial sums and one per depth reached:
+    # depths 1-4 on one chain; depths 1-3 on one chain, then the depth-2
+    # tail on a chain of its own
+    counted = []
+    real_cumsum = np.cumsum
+
+    def cumsum(*args, **kwargs):
+        counted.append(args[0].size)
+        return real_cumsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", cumsum)
+    counts = {}
+    for row in ("summation:squares", "summation:squares-facts"):
+        counted.clear()
+        _run_rows((row,))
+        counts[row] = len(counted)
+    assert counts == {"summation:squares": 5, "summation:squares-facts": 7}
+
+
+def test_returned_batches_cannot_corrupt_a_chain():
+    """Every array floats(n) returns belongs to the caller: scribbling on
+    them, between limit_numeric calls that resume, restart or repeat one
+    chain, leaves every report as on a fresh spec."""
+    real, cyclo = quad_char(5), dirichlet_characters(7)[1]
+    n, tol = 3_000, rat(1, 1000)
+
+    def specs(kind):
+        if kind == "real":
+            base = [periodic_series(real, "const")]
+        elif kind == "cyclo":
+            base = [periodic_series(cyclo, "linear")]
+        elif kind == "rational":
+            base = [rational_series((0, 0, -1), alternating=True, period_hint=2)]
+        else:  # no batch function: the exact terms one by one
+            base = [SeqSpec(lambda i: rat((-1) ** i, i), period_hint=2)]
+        base.append(partial_sums(base[-1]))
+        if kind == "real":
+            base.append(inflate(base[-1], 3))
+        return base
+
+    for kind in ("real", "cyclo", "rational", "fallback"):
+        want = [_report_key(limit_numeric(specs(kind)[-1], d, n, tol)) for d in range(5)]
+        chain = specs(kind)
+        for depth in (1, 3, 0, 4, 2, 2, 4):
+            for spec in chain + [cesaro(chain[-1])]:
+                for m in (n, n // 2):
+                    spec.floats(m)[:] = 7
+            rep = limit_numeric(chain[-1], depth, n, tol)
+            assert _report_key(rep) == want[depth], (kind, depth)
+            assert type(rep.residual) is float
+    kept = [v for v in vars(summation).values() if isinstance(v, np.ndarray)]
+    assert not any(a.flags.writeable for a in kept)
