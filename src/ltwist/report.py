@@ -3,12 +3,16 @@
 Every verification the package performs is registered here with a stable id
 and the exact identity string it certifies.  report_all runs them under one
 configuration and emits a deterministic document: with timings disabled the
-JSON output is byte-identical across runs.
+JSON output is byte-identical across runs.  The rows are independent, so
+report_all runs them on every core this process may use, in forked workers
+that each hold their own copy of every cache (`_run_checks`); the document
+lists the rows in registry order whichever process ran them.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
@@ -185,13 +189,96 @@ def _run_check(check: Check, cfg: RunConfig) -> CheckResult:
     )
 
 
+def _cores() -> int:
+    """The cores this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_checks(registry: list, cfg: RunConfig) -> list:
+    """Run every row of `registry`; the results come back in its order.
+
+    The caller forks one worker per further core, at most one process per
+    row, and works too.  The queue is one pipe that holds the next unrun row
+    index: a process reads it, writes back its successor and runs the row, so
+    the rows are taken in registry order and the pipe never holds more than
+    one index, whatever the registry's size.  A worker pickles its (index,
+    CheckResult) pairs back through a pipe of its own and ends with
+    os._exit.  With one core the same loop runs in the caller alone.
+
+    A row a worker took and did not report, because the worker died, a row
+    body raised a BaseException there, or its results came back short, makes
+    this raise a RuntimeError naming every row not run: no document is
+    assembled with rows missing.  Every worker is killed and reaped on every
+    way out, an interrupt included.
+    """
+    import pickle
+    import signal
+
+    n = len(registry)
+    queue_r, queue_w = os.pipe()
+    os.write(queue_w, (0).to_bytes(8, "little"))
+
+    def drain() -> list:
+        done = []
+        while True:
+            i = int.from_bytes(os.read(queue_r, 8), "little")
+            os.write(queue_w, (i + 1).to_bytes(8, "little"))
+            if i >= n:
+                return done
+            done.append((i, _run_check(registry[i], cfg)))
+
+    pids, pipes = [], []
+    try:
+        for _ in range(min(n, _cores()) - 1):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(w, "wb") as out:  # the parent's copy closes after the fork
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        out.write(pickle.dumps(drain()))
+                        out.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            pids.append(pid)
+        results = dict(drain())
+        for pipe in pipes:
+            with pipe:
+                data = pipe.read()
+            try:
+                results.update(pickle.loads(data))
+            except (pickle.UnpicklingError, EOFError):
+                pass  # a short pickle: its rows count as not run
+        missing = [registry[i].id for i in range(n) if i not in results]
+        if missing:
+            raise RuntimeError(f"report rows not run: {', '.join(missing)}")
+        return [results[i] for i in range(n)]
+    finally:
+        for pid in pids:  # a worker that sent its results has nothing left to do
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+        os.close(queue_r)
+        os.close(queue_w)
+
+
 def report_all(cfg: Optional[RunConfig] = None) -> dict:
-    """Run the whole verification suite and assemble the report document."""
+    """Run the whole verification suite and assemble the report document.
+
+    The rows run on every core (`_run_checks`); the document is the one a
+    run of them one after another in registry order gives.
+    """
     from ltwist import checks  # imported here: checks imports this module
 
     cfg = cfg or RunConfig()
     cfg.validate()
-    results = [_run_check(c, cfg) for c in checks.build_registry(cfg)]
+    results = _run_checks(checks.build_registry(cfg), cfg)
     summary = {
         "total": len(results),
         "passed": sum(r.status == "pass" for r in results),

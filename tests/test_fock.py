@@ -1791,9 +1791,11 @@ def test_scaling_row_and_cli_turn_red_with_the_sweeps(monkeypatch, capsys, mutat
     assert row.status == "fail" and row.witness.startswith(row_prefix)
 
 
-def test_default_report_and_fock_verify_build_no_absolute_column(monkeypatch, capsys):
+def test_default_report_and_fock_verify_build_no_absolute_column(monkeypatch, capsys,
+                                                                rows_in_calling_process):
     # Every Fock row and `fock verify` id decides by certificate or by a
     # representation check, whose columns are the kernel's relative ones.
+    # The rows run in this process, where the walks are counted.
     # The column check is paid by the rows that make it: 54 walks in the
     # fock:representation:N rows (the 9 P_k^(r) per pair residue) and 6 in
     # fock:scaling, and no other row walks or fetches a kernel, the
@@ -1823,3 +1825,31 @@ def test_default_report_and_fock_verify_build_no_absolute_column(monkeypatch, ca
     assert cli.dispatch(["fock", "verify", "--modulus", "5"]) == 0
     capsys.readouterr()
     assert calls == []
+
+
+_ALL_MUTATIONS = {**_MUTATIONS, **_TRANSPOSE_MUTATIONS, **_QTRACE_MUTATIONS,
+                  **_SCALING_MUTATIONS}
+
+
+@pytest.mark.parametrize("mutation", list(_ALL_MUTATIONS))
+def test_mutations_reach_the_report_s_forked_workers(monkeypatch, mutation):
+    # A worker is forked from the patched process, so every mutation of
+    # each family turns the same Fock rows red with the same witnesses
+    # whether the rows run in workers or one after another here.
+    cfg = RunConfig(moduli_bracket=(3,), moduli_decomposition=(5,), moduli_energy=(5,),
+                    cutoff=20, qtrace_order=10)
+    rows = [c for c in build_registry(cfg) if c.id.startswith("fock:")]
+    attr, make = _ALL_MUTATIONS[mutation]
+    counts = fock._diagonal_counts
+    monkeypatch.setattr(fock, attr, make(getattr(fock, attr)))
+    runs = []
+    for cores in (2, 1):
+        monkeypatch.setattr(report, "_cores", lambda: cores)
+        monkeypatch.setattr(fock, "_OP_REGISTRY", {})
+        counts.cache_clear()
+        try:
+            runs.append([(r.id, r.status, r.witness) for r in report._run_checks(rows, cfg)])
+        finally:
+            counts.cache_clear()
+    assert runs[0] == runs[1]
+    assert any(status == "fail" for _, status, _ in runs[0])

@@ -9,7 +9,7 @@ from types import MappingProxyType
 
 import pytest
 
-from ltwist import checks, cli, fock, qseries
+from ltwist import checks, cli, fock, qseries, report
 from ltwist.characters import even_twist_group
 from ltwist.checks import build_registry
 from ltwist.exactnum import QuotientRing
@@ -386,8 +386,8 @@ def test_checks_fail_under_optimize():
 
 
 def test_removed_jobs_option_is_rejected(tmp_path, capsys):
-    # the checks are pure Python and hold the GIL, so the report runs them in
-    # one thread; the option that set a thread pool is gone everywhere
+    # the report runs its rows on a worker per core it may use, a count it
+    # reads from the host; the option that set a thread pool is gone everywhere
     assert cli.dispatch(["report", "--jobs", "2"]) == 2
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
     cfgfile = tmp_path / "jobs.cfg"
@@ -469,8 +469,9 @@ def test_cli_file_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and "r.json" in err and "Traceback" not in err
 
 
-def test_report_all_leaves_the_global_rng_alone():
-    # the seeded rows draw from their own random.Random(cfg.seed)
+def test_report_all_leaves_the_global_rng_alone(rows_in_calling_process):
+    # the seeded rows draw from their own random.Random(cfg.seed); every
+    # row runs here, where the global state is read
     random.seed(20)
     state = random.getstate()
     report_all(small_config(cutoff=4, moduli_bracket=(), moduli_energy=()))
@@ -593,6 +594,15 @@ def test_report_rows_match_golden_file():
     doc = json.loads(report_to_json(report_all(RunConfig(**_GOLDEN_CONFIG))))
     got = {"config": doc["config"], "checks": doc["checks"]}
     assert json.dumps(got, indent=2, sort_keys=True) + "\n" == want
+
+
+def test_report_is_the_same_from_forked_workers_and_in_one_process(monkeypatch):
+    # The rows run where the queue sends them; the document does not depend
+    # on it, byte for byte.
+    monkeypatch.setattr(report, "_cores", lambda: 2)
+    forked = report_to_json(report_all(RunConfig(**_GOLDEN_CONFIG)))
+    monkeypatch.setattr(report, "_cores", lambda: 1)
+    assert report_to_json(report_all(RunConfig(**_GOLDEN_CONFIG))) == forked
 
 
 def test_report_is_the_same_when_run_twice_in_one_process():

@@ -1,5 +1,11 @@
 import ast
+import importlib
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import ltwist
 
@@ -404,3 +410,126 @@ def test_scalar_types_are_tested_only_in_exactnum():
         and _SCALAR_TYPES & set(_identifiers(call.args[1]))
     ]
     assert found == []
+
+
+# Every module-level value of the package that can change in place: each
+# report worker holds its own copy, so state that one row left here for
+# another would make a verdict depend on the process that ran it.  The
+# caches are built from their arguments alone; the containers are constants
+# or caches of the same kind.  A new one is a visible change to this table.
+_MODULE_STATE = {
+    "__init__.__all__": "list",
+    "characters._character_table": "lru_cache",
+    "characters._root_powers": "lru_cache",
+    "characters.even_twist_group": "lru_cache",
+    "characters.folded_power_family": "lru_cache",
+    "checks._SQUARES": "SeqSpec",  # keeps its averaging chain (SeqSpec._chain)
+    "checks._null_space": "lru_cache",
+    "cocycle.FIELDS": "dict",
+    "cocycle.quadratic_order": "lru_cache",
+    "cocycle._degree_one_prime": "lru_cache",
+    "exactnum.cyclotomic_poly": "lru_cache",
+    "exactnum.cyclo_ring": "lru_cache",
+    "exactnum._ROOTS": "dict",
+    "fock._basis_by_degree": "lru_cache",
+    "fock._OP_REGISTRY": "dict",
+    "fock.pair_indicator": "lru_cache",
+    "fock.vacuum_energies": "lru_cache",
+    "fock._diagonal_counts": "lru_cache",
+    "lvalues._bernoulli_cached": "lru_cache",
+    "lvalues._special_weights": "lru_cache",
+    "lvalues._zero_weights": "lru_cache",
+    "lvalues._minus_one_weights": "lru_cache",
+    "report.CONFIG_KEYS": "set",
+    "report._BOOLS": "dict",
+    "report.CSV_COLUMNS": "list",
+}
+_IMMUTABLE = (int, float, complex, str, bytes, type(None), tuple, frozenset, range,
+              MappingProxyType, Fraction)
+
+
+def test_module_level_mutable_state_is_listed():
+    files = sorted(Path(ltwist.__file__).parent.glob("*.py"))
+    found = {}
+    for path in files:
+        module = importlib.import_module("ltwist" if path.stem == "__init__"
+                                         else f"ltwist.{path.stem}")
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            else:
+                continue
+            for name in names:
+                value = getattr(module, name)
+                if hasattr(value, "cache_info"):
+                    found[f"{path.stem}.{name}"] = "lru_cache"
+                elif not (callable(value) or isinstance(value, _IMMUTABLE)):
+                    found[f"{path.stem}.{name}"] = type(value).__name__
+    assert found == _MODULE_STATE
+    # nor does a function rebind a module-level name
+    assert [f"{path.name}:{node.lineno}" for path in files
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Global)] == []
+
+
+def _is_call_of(node, owner: str, attr: str) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == attr and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == owner)
+
+
+def _innermost_functions(tree: ast.AST) -> dict:
+    """id(node) -> the name of the innermost function around the node."""
+    return {id(node): fn.name for fn in ast.walk(tree)  # inner functions come later
+            if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+
+
+def test_only_the_report_row_runner_forks_and_its_child_ends_in_exit():
+    # A forked child that returned into the caller's stack would go on to
+    # run the caller's code (a second document, pytest's teardown): its
+    # branch is one try whose finally ends in os._exit.
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(ltwist.__file__).parent.glob("*.py"))}
+    forks = [(name, _innermost_functions(tree).get(id(node)))
+             for name, tree in trees.items() for node in ast.walk(tree)
+             if _is_call_of(node, "os", "fork")]
+    assert forks == [("report.py", "_run_checks")]
+    tree = trees["report.py"]
+    (pid,) = [node.targets[0].id for node in ast.walk(tree)
+              if isinstance(node, ast.Assign) and _is_call_of(node.value, "os", "fork")]
+    (child,) = [node for node in ast.walk(tree)
+                if isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                and isinstance(node.test.left, ast.Name) and node.test.left.id == pid]
+    (branch,) = child.body
+    assert isinstance(branch, ast.Try) and not branch.handlers
+    last = branch.finalbody[-1]
+    assert isinstance(last, ast.Expr) and _is_call_of(last.value, "os", "_exit")
+
+
+def test_the_row_runner_loads_pickle_only_when_it_runs():
+    # `ltwist.report` is loaded by CLI calls that run no report (cesaro,
+    # dirichlet-avg); pickle and signal load inside the runner alone
+    found = set()
+    for path in sorted(Path(ltwist.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inside = _innermost_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            found |= {(path.name, inside.get(id(node)), name) for name in names
+                      if name in ("pickle", "signal")}
+    assert found == {("report.py", "_run_checks", "pickle"),
+                     ("report.py", "_run_checks", "signal")}
+    src = str(Path(ltwist.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ltwist.report\n"
+         "print(sorted(m for m in ('pickle', 'signal') if m in sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "[]\n", proc.stderr
